@@ -12,11 +12,11 @@ import numpy as np
 from postfeas import (
     NigPrior,
     Rng,
+    StudentTRhs,
     fit_nig,
     fit_ols,
     ols_predictive_quantile,
     predictive,
-    predictive_array,
     predictive_quantile,
 )
 from postfeas.stats import normal_array, uniform_array
@@ -43,7 +43,9 @@ print("\npredictive at context 0.4: Student-t dof", round(pred.dof, 1),
       "loc", round(pred.loc, 3), "scale", round(pred.scale, 3))
 
 # Closed-form quantiles agree with a big sampled batch.
-draws = predictive_array(pred, Rng.for_purpose(314, "check"), 200_000)
+capacity = StudentTRhs(rows=[[1.0]], dof=[pred.dof], loc=[pred.loc],
+                       scale=[pred.scale])
+draws = capacity.draw(Rng.for_purpose(314, "check"), 200_000)[:, 0]
 for p in (0.05, 0.5, 0.95):
     q = predictive_quantile(pred, p)
     emp = float(np.quantile(draws, p))

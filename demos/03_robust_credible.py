@@ -11,6 +11,7 @@ while the plug-in plan is fragile.
 import numpy as np
 
 from postfeas import (
+    GaussianRows,
     LpProblem,
     Rng,
     certify,
@@ -19,7 +20,6 @@ from postfeas import (
     solve_lp,
     solve_robust_cutting_planes,
 )
-from postfeas.stats import normal_array
 
 ALPHA = 0.10
 
@@ -60,23 +60,10 @@ worst = max(soc_support(row.ellipsoid, z).value for row in rlp.robust_rows)
 print("worst-case row slack at robust plan:", f"{worst:.2e}")
 
 # Certificate: draw rows from the matching Gaussian and count violations.
-factors = [np.linalg.cholesky(c) for c in covs]
-
-
-def sampler(rng, count):
-    out = np.empty((count, len(centers), 3))
-    for i, (c, f) in enumerate(zip(centers, factors)):
-        out[:, i, :] = c + normal_array(rng, (count, 3)) @ f.T
-    return out
-
-
-def oracle(x, batch):
-    zx = np.concatenate([x, [-1.0]])
-    return (batch @ zx > 0.0).any(axis=1)
-
-
+rows_law = GaussianRows(centers=centers,
+                        factors=[np.linalg.cholesky(c) for c in covs])
 for name, plan in (("plug-in", plugin.x), ("robust ", robust_sol.x)):
-    cert = certify(plan, oracle, sampler, 20_000, 0.05,
+    cert = certify(plan, rows_law, 20_000, 0.05,
                    Rng.for_purpose(99, "robust-demo", name.strip()))
     print(f"{name} violation rate {cert.v_hat:.4f}  "
           f"95% upper bound {cert.upper_bound:.4f}  (target {ALPHA})")

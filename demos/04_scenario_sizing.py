@@ -16,10 +16,10 @@ from postfeas import (
     NigPrior,
     Rng,
     ScenarioSet,
+    StudentTRhs,
     build_scenario_lp,
     fit_nig,
     predictive,
-    predictive_array,
     required_sample_size,
     rhs_scenario_min,
     solve_lp,
@@ -52,9 +52,13 @@ for j in range(2):
 
 n_scen = required_sample_size(EPS, DELTA, d=2)
 draw_rng = Rng.for_purpose(7, "scenario-demo", "draws")
-rhs_draws = np.column_stack(
-    [predictive_array(p, draw_rng, n_scen) for p in preds]
+capacities = StudentTRhs(
+    rows=rows,
+    dof=[p.dof for p in preds],
+    loc=[p.loc for p in preds],
+    scale=[p.scale for p in preds],
 )
+rhs_draws = capacities.draw(draw_rng, n_scen)
 scen = ScenarioSet.from_rhs_draws(rows, ("<=", "<="), rhs_draws,
                                   (draw_rng.seed, draw_rng.stream_id))
 

@@ -13,23 +13,31 @@ from postfeas import Rng, certify, clopper_pearson_upper, estimate_violation
 from postfeas.stats import uniform_array
 
 # A synthetic world with a known violation probability, so the
-# certificate can be judged against the truth.
+# certificate can be judged against the truth.  A posterior model has
+# two methods: draw(rng, count) returns a batch of draws, and
+# residuals(x, batch) returns one column per constraint, positive where
+# the draw violates it.
 P_TRUE = 0.03
 
 
-def sampler(rng, count):
-    return uniform_array(rng, (count,))
+class UniformWorld:
+    """One draw u ~ U(0, 1); constraint i is violated when u < limits[i]."""
 
+    def __init__(self, *limits):
+        self.limits = np.array(limits)
 
-def oracle(x, batch):
-    return batch < P_TRUE
+    def draw(self, rng, count):
+        return uniform_array(rng, (count, 1))
+
+    def residuals(self, x, batch):
+        return self.limits - batch
 
 
 x_plan = np.array([1.0])
 print("true violation probability:", P_TRUE)
 print(f"{'M':>7}  {'observed':>8}  {'v_hat':>7}  {'95% upper':>9}")
 for m_draws in (200, 2_000, 20_000):
-    cert = certify(x_plan, oracle, sampler, m_draws, 0.05,
+    cert = certify(x_plan, UniformWorld(P_TRUE), m_draws, 0.05,
                    Rng.for_purpose(5, "cert-demo", m_draws))
     print(f"{cert.M:7d}  {cert.s:8d}  {cert.v_hat:7.4f}  "
           f"{cert.upper_bound:9.4f}")
@@ -38,24 +46,16 @@ for m_draws in (200, 2_000, 20_000):
 # closed form 1 - beta**(1/M).
 m_draws = 500
 s, _ = estimate_violation(
-    x_plan, lambda x, b: b < 0.0, sampler, m_draws,
+    x_plan, UniformWorld(0.0), m_draws,
     Rng.for_purpose(5, "cert-demo", "zero"),
 )
 ub = clopper_pearson_upper(0, m_draws, 0.05)
 print(f"\ns = 0 of {m_draws}: upper bound {ub:.6f}"
       f"  (closed form {1 - 0.05 ** (1 / m_draws):.6f})")
 
-# Oracles may also report which constraint failed on each draw; the
-# certificate then carries per-constraint violation rates.
-
-
-def oracle_split(x, batch):
-    tight = batch < 0.02
-    loose = (batch > 0.02) & (batch < 0.03)
-    return tight | loose, np.column_stack([tight, loose])
-
-
-cert = certify(x_plan, oracle_split, sampler, 10_000, 0.05,
+# With several constraints the certificate also carries per-constraint
+# violation rates; a draw violates when any constraint does.
+cert = certify(x_plan, UniformWorld(0.02, 0.03), 10_000, 0.05,
                Rng.for_purpose(5, "cert-demo", "split"))
 print("\nper-constraint rates:",
       tuple(round(r, 4) for r in cert.per_constraint_rates),

@@ -39,6 +39,7 @@ from .experiments import (
     SimConfig,
     SimInstance,
     TrialRecord,
+    fit_capacity_model,
     gen_instance,
     panel_certify_detail,
     panel_select,
@@ -60,23 +61,22 @@ from .lp import (
     solve_lp,
 )
 from .posterior import (
+    BetaCoverage,
     BetaPosteriorMatrix,
+    GaussianRows,
     NigPosterior,
     NigPrior,
     OlsFit,
     PanelData,
     PredictiveT,
+    StudentTRhs,
     fit_beta_binomial,
     fit_nig,
     fit_ols,
     load_panel_data,
     ols_predictive_quantile,
     predictive,
-    predictive_array,
     predictive_quantile,
-    q_matrix_draws,
-    sample_predictive,
-    sample_q_matrix,
 )
 from .robustify import (
     CutLog,
@@ -130,7 +130,8 @@ __all__ = [
     "SingularPrecision", "SizeLimitExceeded",
     # experiments
     "METHODS", "ClusterSummary", "PanelConfig", "PanelResult", "SimConfig",
-    "SimInstance", "TrialRecord", "gen_instance", "panel_certify_detail",
+    "SimInstance", "TrialRecord", "fit_capacity_model", "gen_instance",
+    "panel_certify_detail",
     "panel_select", "run_benchmark", "run_method", "summarize_by_alpha",
     "summarize_overall",
     # lp
@@ -138,11 +139,10 @@ __all__ = [
     "max_violation", "problem_from_json", "problem_to_json",
     "solution_from_json", "solution_to_json", "solve_lp",
     # posterior
-    "BetaPosteriorMatrix", "NigPosterior", "NigPrior", "OlsFit", "PanelData",
-    "PredictiveT", "fit_beta_binomial", "fit_nig", "fit_ols",
-    "load_panel_data", "ols_predictive_quantile", "predictive",
-    "predictive_array", "predictive_quantile", "q_matrix_draws",
-    "sample_predictive", "sample_q_matrix",
+    "BetaCoverage", "BetaPosteriorMatrix", "GaussianRows", "NigPosterior",
+    "NigPrior", "OlsFit", "PanelData", "PredictiveT", "StudentTRhs",
+    "fit_beta_binomial", "fit_nig", "fit_ols", "load_panel_data",
+    "ols_predictive_quantile", "predictive", "predictive_quantile",
     # robustify
     "CutLog", "Ellipsoid", "RobustLp", "RobustRow", "SupportResult",
     "bonferroni_kappa", "rb_heuristic_tighten", "rhs_quantile_tighten",

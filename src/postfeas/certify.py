@@ -1,17 +1,24 @@
 """Monte Carlo feasibility certificates.
 
 A candidate decision is replayed against M posterior draws; a draw
-counts as a violation when ANY constraint is strictly violated, with no
-tolerance (the raw sign of the residual decides).  The binomial count s
-then gives an exact one-sided Clopper-Pearson upper confidence bound on
-the posterior violation probability.
+counts as a violation unless every constraint residual is <= 0, with no
+tolerance (the raw sign of the residual decides, and a NaN residual is
+a violation).  The binomial count s then gives an exact one-sided
+Clopper-Pearson upper confidence bound on the posterior violation
+probability.
+
+Draws come in blocks of BLOCK: draw j belongs to block j // BLOCK, and
+every block is drawn whole on its own stream derived from the caller's
+Rng.  So the first M draws are the same for every larger M, cutting the
+work at block boundaries cannot change a result, and memory stays
+bounded by one block however large M is.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable
+from typing import Iterator
 
 import numpy as np
 
@@ -19,21 +26,18 @@ from . import stats
 from .errors import CountOutOfRange, DomainError
 
 __all__ = [
+    "BLOCK",
     "Certificate",
     "clopper_pearson_upper",
+    "draw_blocks",
+    "violation_flags",
     "estimate_violation",
     "certify",
     "certificate_to_json",
     "certificate_from_json",
 ]
 
-# Batch sampling protocol: sampler(rng, count) returns an opaque batch of
-# count posterior draws; oracle(x, batch) returns either a (count,) bool
-# array, or a tuple (violated, per_constraint) with per_constraint of
-# shape (count, n_constraints).  Draw j of the batch must depend only on
-# the stream position, so chunked and whole-batch evaluation agree.
-Sampler = Callable[[stats.Rng, int], object]
-Oracle = Callable[[np.ndarray, object], object]
+BLOCK = 1024  # posterior draws per block
 
 
 def clopper_pearson_upper(s: int, m_draws: int, beta: float) -> float:
@@ -56,41 +60,51 @@ def clopper_pearson_upper(s: int, m_draws: int, beta: float) -> float:
     return stats.beta_quantile(1.0 - beta, s + 1.0, float(m_draws - s))
 
 
-def estimate_violation(
-    x: np.ndarray,
-    violation_oracle: Oracle,
-    sampler: Sampler,
-    m_draws: int,
-    rng: stats.Rng,
-) -> tuple[int, np.ndarray | None]:
-    """Count violating posterior draws at the candidate x.
+def draw_blocks(model, m_draws: int, rng: stats.Rng) -> Iterator[np.ndarray]:
+    """The first m_draws draws of model, one block per item.
 
-    Returns (s, per_constraint_counts); the second entry is None when
-    the oracle reports only the aggregate.  Strict raw-sign semantics
-    are the oracle's contract: a draw violates when any constraint
-    residual is strictly positive, tolerance zero.
+    Block i is model.draw(Rng.for_purpose(rng.seed, rng.stream_id,
+    "block", i), BLOCK), and the tail of the last block is dropped.  rng
+    only names the streams: its own position is neither read nor
+    advanced.
     """
     if m_draws < 1:
         raise CountOutOfRange(f"M must be >= 1, got {m_draws}")
-    x = np.asarray(x, dtype=float)
-    batch = sampler(rng, m_draws)
-    result = violation_oracle(x, batch)
-    if isinstance(result, tuple):
-        violated, per_constraint = result
-    else:
-        violated, per_constraint = result, None
-    violated = np.asarray(violated, dtype=bool)
-    if violated.shape != (m_draws,):
+    for i, start in enumerate(range(0, m_draws, BLOCK)):
+        block_rng = stats.Rng.for_purpose(rng.seed, rng.stream_id, "block", i)
+        yield model.draw(block_rng, BLOCK)[: m_draws - start]
+
+
+def violation_flags(model, x: np.ndarray, batch) -> np.ndarray:
+    """(count, n_constraints) flags: True unless the residual is <= 0."""
+    residuals = np.asarray(model.residuals(x, batch), dtype=float)
+    if residuals.ndim != 2 or residuals.shape[0] != len(batch):
         raise DomainError(
-            f"oracle returned shape {violated.shape}, expected ({m_draws},)"
+            f"residuals have shape {residuals.shape}, expected "
+            f"({len(batch)}, n_constraints)"
         )
-    s = int(violated.sum())
-    counts = None
-    if per_constraint is not None:
-        per_constraint = np.asarray(per_constraint, dtype=bool)
-        if per_constraint.ndim != 2 or per_constraint.shape[0] != m_draws:
-            raise DomainError("per-constraint flags must be (M, n_constraints)")
-        counts = per_constraint.sum(axis=0).astype(int)
+    return ~(residuals <= 0.0)
+
+
+def estimate_violation(
+    x: np.ndarray,
+    model,
+    m_draws: int,
+    rng: stats.Rng,
+) -> tuple[int, np.ndarray]:
+    """Count violating posterior draws at the candidate x.
+
+    Returns (s, per_constraint_counts).  A non-finite x raises
+    DomainError rather than certify anything.
+    """
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise DomainError("the decision to certify must be finite")
+    s, counts = 0, 0
+    for batch in draw_blocks(model, m_draws, rng):
+        flags = violation_flags(model, x, batch)
+        s += int(flags.any(axis=1).sum())
+        counts = counts + flags.sum(axis=0)
     return s, counts
 
 
@@ -108,22 +122,20 @@ class Certificate:
 
 def certify(
     x: np.ndarray,
-    violation_oracle: Oracle,
-    sampler: Sampler,
+    model,
     m_draws: int,
     beta: float,
     rng: stats.Rng,
 ) -> Certificate:
     """Estimate the violation rate and wrap it with its exact upper bound."""
-    s, counts = estimate_violation(x, violation_oracle, sampler, m_draws, rng)
-    rates = None if counts is None else tuple(float(c) / m_draws for c in counts)
+    s, counts = estimate_violation(x, model, m_draws, rng)
     return Certificate(
         M=m_draws,
         s=s,
         v_hat=s / m_draws,
         upper_bound=clopper_pearson_upper(s, m_draws, beta),
         beta=float(beta),
-        per_constraint_rates=rates,
+        per_constraint_rates=tuple(float(c) / m_draws for c in counts),
     )
 
 

@@ -202,9 +202,16 @@ def _cmd_sim(args) -> int:
 
 
 def _require(model: dict, key: str):
-    if key not in model:
+    if not isinstance(model, dict) or key not in model:
         raise DomainError(f"model is missing required key {key!r}")
     return model[key]
+
+
+def _require_list(model: dict, key: str) -> list:
+    value = _require(model, key)
+    if not isinstance(value, list):
+        raise DomainError(f"model key {key!r} must be a list")
+    return value
 
 
 def _certify_replay(model: dict, m_draws: int, beta: float) -> Certificate:
@@ -217,105 +224,54 @@ def _certify_replay(model: dict, m_draws: int, beta: float) -> Certificate:
     )
 
 
-def _model_rhs_student_t(model: dict, x: np.ndarray):
-    rows = np.asarray(_require(model, "rows"), dtype=float)
-    specs = _require(model, "predictive")
-    if rows.ndim != 2 or rows.shape[1] != x.size:
+def _rhs_student_t(model: dict, x: np.ndarray) -> po.StudentTRhs:
+    specs = _require_list(model, "predictive")
+    rhs = po.StudentTRhs(
+        rows=_require(model, "rows"),
+        dof=[_require(s, "dof") for s in specs],
+        loc=[_require(s, "loc") for s in specs],
+        scale=[_require(s, "scale") for s in specs],
+    )
+    if rhs.rows.shape[1] != x.size:
         raise DomainError(
-            f"rows must be (m, {x.size}), got shape {rows.shape}"
+            f"rows must be (m, {x.size}), got shape {rhs.rows.shape}"
         )
-    if len(specs) != rows.shape[0]:
+    return rhs
+
+
+def _gaussian_rows(model: dict, x: np.ndarray) -> po.GaussianRows:
+    blocks = _require_list(model, "blocks")
+    try:
+        factors = [np.linalg.cholesky(np.asarray(_require(blk, "cov"), dtype=float))
+                   for blk in blocks]
+    except np.linalg.LinAlgError as exc:
         raise DomainError(
-            f"predictive list has {len(specs)} entries for {rows.shape[0]} rows"
-        )
-    preds = [
-        po.PredictiveT(dof=float(_require(s, "dof")),
-                       loc=float(_require(s, "loc")),
-                       scale=float(_require(s, "scale")))
-        for s in specs
-    ]
-
-    def sampler(rng: stats.Rng, count: int):
-        return np.column_stack([
-            po.predictive_array(p, rng, (count,)) for p in preds
-        ])
-
-    def oracle(x_dec: np.ndarray, batch: np.ndarray):
-        lhs = rows @ x_dec
-        flags = batch < lhs[np.newaxis, :]
-        return flags.any(axis=1), flags
-
-    return sampler, oracle
-
-
-def _model_gaussian_rows(model: dict, x: np.ndarray):
-    blocks = _require(model, "blocks")
-    if not blocks:
-        raise DomainError("gaussian_rows model needs at least one block")
-    dim = x.size + 1
-    centers, factors = [], []
-    for blk in blocks:
-        center = np.asarray(_require(blk, "center"), dtype=float)
-        cov = np.asarray(_require(blk, "cov"), dtype=float)
-        if center.shape != (dim,) or cov.shape != (dim, dim):
-            raise DomainError(
-                f"block needs center ({dim},) and cov ({dim}, {dim}); "
-                f"got {center.shape} and {cov.shape}"
-            )
-        try:
-            factors.append(np.linalg.cholesky(cov))
-        except np.linalg.LinAlgError as exc:
-            raise DomainError("block covariance is not positive definite") from exc
-        centers.append(center)
-    z = np.concatenate([x, [-1.0]])
-
-    def sampler(rng: stats.Rng, count: int):
-        draws = np.empty((count, len(centers), dim))
-        for i, (center, factor) in enumerate(zip(centers, factors)):
-            noise = stats.normal_array(rng, (count, dim))
-            draws[:, i, :] = center[np.newaxis, :] + noise @ factor.T
-        return draws
-
-    def oracle(x_dec: np.ndarray, batch: np.ndarray):
-        flags = batch @ z > 0.0
-        return flags.any(axis=1), flags
-
-    return sampler, oracle
-
-
-def _model_beta_coverage(model: dict, x: np.ndarray):
-    a = np.asarray(_require(model, "a"), dtype=float)
-    b = np.asarray(_require(model, "b"), dtype=float)
-    threshold = float(_require(model, "threshold"))
-    if a.ndim != 2 or a.shape != b.shape:
+            "each block cov must be a positive definite square matrix"
+        ) from exc
+    rows = po.GaussianRows(centers=[_require(blk, "center") for blk in blocks],
+                           factors=factors)
+    if rows.centers.shape[1] != x.size + 1:
         raise DomainError(
-            f"a and b must be matching (J, K) matrices, got {a.shape} and {b.shape}"
+            f"block centers must have {x.size + 1} entries, "
+            f"got {rows.centers.shape[1]}"
         )
-    if a.shape[1] != x.size:
+    return rows
+
+
+def _beta_coverage(model: dict, x: np.ndarray) -> po.BetaCoverage:
+    coverage = po.BetaCoverage(a=_require(model, "a"), b=_require(model, "b"),
+                               threshold=_require(model, "threshold"))
+    if coverage.a.shape[1] != x.size:
         raise DomainError(
-            f"model has {a.shape[1]} genes but the solution has {x.size}"
+            f"model has {coverage.a.shape[1]} genes but the solution has {x.size}"
         )
-    if np.any(a <= 0.0) or np.any(b <= 0.0):
-        raise DomainError("beta parameters must be positive")
-    j_clusters, k_genes = a.shape
-
-    def sampler(rng: stats.Rng, count: int):
-        shape = (count, j_clusters, k_genes)
-        return stats.beta_array(rng, np.broadcast_to(a, shape),
-                                np.broadcast_to(b, shape), shape)
-
-    def oracle(x_dec: np.ndarray, batch: np.ndarray):
-        coverage = batch @ x_dec
-        flags = coverage < threshold
-        return flags.any(axis=1), flags
-
-    return sampler, oracle
+    return coverage
 
 
 _MODEL_FAMILIES = {
-    "rhs_student_t": _model_rhs_student_t,
-    "gaussian_rows": _model_gaussian_rows,
-    "beta_coverage": _model_beta_coverage,
+    "rhs_student_t": _rhs_student_t,
+    "gaussian_rows": _gaussian_rows,
+    "beta_coverage": _beta_coverage,
 }
 
 
@@ -334,9 +290,9 @@ def _cmd_certify(args) -> int:
         if sol.x is None:
             raise DomainError("solution has no decision vector to certify")
         x = np.asarray(sol.x, dtype=float)
-        sampler, oracle = _MODEL_FAMILIES[family](model, x)
+        posterior_model = _MODEL_FAMILIES[family](model, x)
         rng = stats.Rng.for_purpose(args.seed, "certify", family)
-        cert = run_certify(x, oracle, sampler, args.M, args.beta, rng)
+        cert = run_certify(x, posterior_model, args.M, args.beta, rng)
     else:
         raise DomainError(
             f"unknown model family {family!r}; expected one of "

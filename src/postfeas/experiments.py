@@ -19,15 +19,23 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
 from . import posterior as po
 from . import scenario as sc
 from . import stats
-from .certify import Certificate, certify, clopper_pearson_upper
+from .certify import (
+    Certificate,
+    certify,
+    clopper_pearson_upper,
+    draw_blocks,
+    violation_flags,
+)
 from .errors import DimensionMismatch, DomainError, PanelInfeasible
 from .lp import LpProblem, solve_lp
 from .robustify import rb_heuristic_tighten, rhs_quantile_tighten
@@ -41,6 +49,7 @@ __all__ = [
     "ClusterSummary",
     "PanelResult",
     "gen_instance",
+    "fit_capacity_model",
     "run_method",
     "run_benchmark",
     "summarize_by_alpha",
@@ -59,7 +68,27 @@ METHODS = ("CR", "FPQ", "PM", "PS", "RB")
 _LOG = logging.getLogger("postfeas.experiments")
 
 _CERT_BETA = 0.05  # confidence level of per-trial posterior certificates
-_CHUNK = 1024  # posterior-draw chunk size in the panel certifier
+
+
+def _check_sizes(kind: str, doc: dict, keys) -> None:
+    """Each size present in doc must be an integer >= 1."""
+    for key in keys:
+        if key not in doc:
+            continue
+        value = doc[key]
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise DomainError(f"{kind} {key} must be an integer >= 1, got {value!r}")
+
+
+def _finite(value) -> bool:
+    """True for a finite real number that is not a bool."""
+    return (not isinstance(value, bool) and isinstance(value, Real)
+            and math.isfinite(value))
+
+
+def _check_open_unit(kind: str, key: str, value) -> None:
+    if not _finite(value) or not 0.0 < value < 1.0:
+        raise DomainError(f"{kind} {key} must lie in (0, 1), got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -113,6 +142,28 @@ class SimConfig:
             if isinstance(value, list):
                 value = tuple(value)
             kwargs[key] = value
+        _check_sizes("SimConfig", kwargs, ("n", "m", "d_ctx", "n_obs", "n_scen",
+                                           "m_true", "m_cert", "trials_per_alpha"))
+        if "alphas" in kwargs:
+            alphas = kwargs["alphas"]
+            if not isinstance(alphas, tuple) or not alphas:
+                raise DomainError("SimConfig alphas must be a non-empty list")
+            for alpha in alphas:
+                _check_open_unit("SimConfig", "alphas", alpha)
+        seed = kwargs.get("master_seed", 0)
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise DomainError(f"SimConfig master_seed must be an integer, got {seed!r}")
+        x_max = kwargs.get("x_max", 1.0)
+        if not _finite(x_max) or x_max <= 0.0:
+            raise DomainError(f"SimConfig x_max must be a positive number, got {x_max!r}")
+        for key in ("a_range", "p_range", "intercept_range", "slope_range",
+                    "sigma_range"):
+            pair = kwargs.get(key, (0.0, 0.0))
+            if (not isinstance(pair, tuple) or len(pair) != 2
+                    or not all(_finite(v) for v in pair) or pair[0] > pair[1]):
+                raise DomainError(
+                    f"SimConfig {key} must be [lo, hi] with lo <= hi, got {pair!r}"
+                )
         return cls(**kwargs)
 
 
@@ -175,24 +226,38 @@ class TrialRecord:
     master_seed: int
 
 
-def _tightened_rhs(method: str, instance: SimInstance, alpha: float,
-                   cfg: SimConfig, rng: stats.Rng) -> np.ndarray:
+def fit_capacity_model(instance: SimInstance, cfg: SimConfig) -> po.StudentTRhs:
+    """Each row's NIG posterior predictive at the decision context.
+
+    Fitted once per instance; every method's tightening, scenario draws
+    and posterior certificate read this one model.
+    """
     prior = po.NigPrior.default(cfg.d_ctx)
-    posts = [
-        po.fit_nig(instance.design, instance.observations[:, j], prior)
+    preds = [
+        po.predictive(
+            po.fit_nig(instance.design, instance.observations[:, j], prior),
+            instance.x_ctx,
+        )
         for j in range(cfg.m)
     ]
-    preds = [po.predictive(p, instance.x_ctx) for p in posts]
+    return po.StudentTRhs(
+        rows=instance.resource_rows,
+        dof=[p.dof for p in preds],
+        loc=[p.loc for p in preds],
+        scale=[p.scale for p in preds],
+    )
+
+
+def _tightened_rhs(method: str, instance: SimInstance, model: po.StudentTRhs,
+                   alpha: float, cfg: SimConfig, rng: stats.Rng) -> np.ndarray:
     if method == "PM":
-        return np.array([p.loc for p in preds])
+        return model.loc.copy()
     if method == "CR":
+        preds = [po.PredictiveT(*p) for p in zip(model.dof, model.loc, model.scale)]
         return rhs_quantile_tighten(preds, alpha)
     if method == "PS":
         scen_rng = stats.Rng.for_purpose(rng.seed, rng.stream_id, "scenario")
-        draws = np.column_stack([
-            po.predictive_array(p, scen_rng, (cfg.n_scen,)) for p in preds
-        ])
-        return sc.rhs_scenario_min(draws)
+        return sc.rhs_scenario_min(model.draw(scen_rng, cfg.n_scen))
     if method == "FPQ":
         fits = [
             po.fit_ols(instance.design, instance.observations[:, j])
@@ -203,23 +268,22 @@ def _tightened_rhs(method: str, instance: SimInstance, alpha: float,
             for f in fits
         ])
     if method == "RB":
-        means = np.array([p.loc for p in preds])
-        sds = np.array([
-            p.scale * np.sqrt(p.dof / (p.dof - 2.0)) for p in preds
-        ])
-        return rb_heuristic_tighten(means, sds, alpha, cfg.m)
+        sds = model.scale * np.sqrt(model.dof / (model.dof - 2.0))
+        return rb_heuristic_tighten(model.loc, sds, alpha, cfg.m)
     raise DomainError(f"unknown method {method!r}")
 
 
-def run_method(method: str, instance: SimInstance, alpha: float,
-               cfg: SimConfig, rng: stats.Rng, trial: int = 0) -> TrialRecord:
+def run_method(method: str, instance: SimInstance, model: po.StudentTRhs,
+               alpha: float, cfg: SimConfig, rng: stats.Rng,
+               trial: int = 0) -> TrialRecord:
     """Optimize with one hedging method and certify the decision.
 
+    model is the instance's capacity posterior (fit_capacity_model).
     The true-model and posterior certification draws come from purpose
     tagged child streams of rng, so all methods within a trial see
     identical certification draws.
     """
-    b_hat = _tightened_rhs(method, instance, alpha, cfg, rng)
+    b_hat = _tightened_rhs(method, instance, model, alpha, cfg, rng)
     clamped = bool(np.any(b_hat < 0.0))
     b_hat = np.maximum(b_hat, 0.0)
     problem = LpProblem(
@@ -242,27 +306,8 @@ def run_method(method: str, instance: SimInstance, alpha: float,
     )
     v_true = float((b_true < ax[np.newaxis, :]).any(axis=1).mean())
 
-    prior = po.NigPrior.default(cfg.d_ctx)
-    preds = [
-        po.predictive(
-            po.fit_nig(instance.design, instance.observations[:, j], prior),
-            instance.x_ctx,
-        )
-        for j in range(cfg.m)
-    ]
-
-    def sampler(r: stats.Rng, count: int):
-        return np.column_stack([
-            po.predictive_array(p, r, (count,)) for p in preds
-        ])
-
-    def oracle(x: np.ndarray, batch: np.ndarray):
-        lhs = instance.resource_rows @ x
-        flags = batch < lhs[np.newaxis, :]
-        return flags.any(axis=1), flags
-
     cert_rng = stats.Rng.for_purpose(rng.seed, rng.stream_id, "certify")
-    cert = certify(x_hat, oracle, sampler, cfg.m_cert, _CERT_BETA, cert_rng)
+    cert = certify(x_hat, model, cfg.m_cert, _CERT_BETA, cert_rng)
     return TrialRecord(alpha, method, trial, "Optimal",
                        float(sol.objective_value), v_true,
                        cert.v_hat, cert.upper_bound, clamped, rng.seed)
@@ -280,6 +325,7 @@ def _trial_block(cfg: SimConfig, alpha_index: int, trial: int) -> list[TrialReco
     inst_rng = stats.Rng.for_purpose(cfg.master_seed, "instance", global_trial)
     try:
         instance = gen_instance(cfg, inst_rng)
+        model = fit_capacity_model(instance, cfg)
     except Exception:
         _LOG.exception("instance generation failed (alpha=%s trial=%d)",
                        alpha, trial)
@@ -288,7 +334,8 @@ def _trial_block(cfg: SimConfig, alpha_index: int, trial: int) -> list[TrialReco
     out = []
     for method in METHODS:
         try:
-            out.append(run_method(method, instance, alpha, cfg, trial_rng, trial))
+            out.append(run_method(method, instance, model, alpha, cfg,
+                                  trial_rng, trial))
         except Exception:
             _LOG.exception("trial failed (alpha=%s trial=%d method=%s)",
                            alpha, trial, method)
@@ -407,13 +454,12 @@ class PanelConfig:
     n_scen: int = 300
     m_cert: int = 4000
     beta: float = 0.05
-    alpha_intent: float = 0.05
 
     def to_json(self) -> str:
         return json.dumps({
             "budget": self.budget, "threshold": self.threshold,
             "n_scen": self.n_scen, "m_cert": self.m_cert,
-            "beta": self.beta, "alpha_intent": self.alpha_intent,
+            "beta": self.beta,
         })
 
     @classmethod
@@ -427,6 +473,14 @@ class PanelConfig:
         unknown = set(doc) - set(cls.__dataclass_fields__)
         if unknown:
             raise DomainError(f"unknown PanelConfig keys {sorted(unknown)}")
+        _check_sizes("PanelConfig", doc, ("budget", "n_scen", "m_cert"))
+        if "beta" in doc:
+            _check_open_unit("PanelConfig", "beta", doc["beta"])
+        if not _finite(doc.get("threshold", 0.0)):
+            raise DomainError(
+                f"PanelConfig threshold must be a finite number, "
+                f"got {doc['threshold']!r}"
+            )
         return cls(**doc)
 
 
@@ -462,9 +516,10 @@ def panel_certify_detail(
 ) -> tuple[Certificate, tuple[ClusterSummary, ...]]:
     """Certificate plus per-cluster coverage detail on shared draws.
 
-    One stream of m_cert posterior detection matrices feeds both the
-    global violation count and the per-cluster coverage summaries, so
-    max_j rate_j <= v_hat <= sum_j rate_j holds exactly.
+    The same m_cert posterior detection matrices, drawn block by block
+    as in certify, feed both the global violation count and the
+    per-cluster coverage summaries, so max_j rate_j <= v_hat <=
+    sum_j rate_j holds exactly.
     """
     x_sel = np.asarray(x_sel, dtype=float)
     j_clusters, k_genes = post.a.shape
@@ -474,16 +529,14 @@ def panel_certify_detail(
         )
     if cluster_ids is None:
         cluster_ids = _default_ids(j_clusters, "c")
-    coverage = np.empty((cfg.m_cert, j_clusters))
-    done = 0
-    while done < cfg.m_cert:
-        take = min(_CHUNK, cfg.m_cert - done)
-        draws = po.q_matrix_draws(post, rng, take)
-        coverage[done:done + take] = draws @ x_sel
-        done += take
-    flags = coverage < cfg.threshold  # strict: a draw exactly at L is fine
-    violated = flags.any(axis=1)
-    s = int(violated.sum())
+    model = po.BetaCoverage(post.a, post.b, cfg.threshold)
+    coverage, flags = [], []
+    for batch in draw_blocks(model, cfg.m_cert, rng):
+        coverage.append(batch @ x_sel)
+        flags.append(violation_flags(model, x_sel, batch))
+    coverage = np.concatenate(coverage)
+    flags = np.concatenate(flags)
+    s = int(flags.any(axis=1).sum())
     cert = Certificate(
         M=cfg.m_cert,
         s=s,
@@ -542,7 +595,8 @@ def panel_select(
     cluster_ids = tuple(str(c) for c in cluster_ids)
 
     scen_rng = stats.Rng.for_purpose(rng.seed, rng.stream_id, "scenario")
-    q_draws = po.q_matrix_draws(post, scen_rng, cfg.n_scen)  # (S, J, K)
+    model = po.BetaCoverage(post.a, post.b, cfg.threshold)
+    q_draws = model.draw(scen_rng, cfg.n_scen)  # (S, J, K)
 
     # necessary condition per cluster: even the best budget-sized set
     # must reach the threshold in every scenario

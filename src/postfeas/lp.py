@@ -523,9 +523,11 @@ class _BoundedSimplex:
 def solve_lp(problem: LpProblem, tolerances: SolverTolerances | None = None) -> LpSolution:
     """Solve the LP with the two-phase bounded-variable simplex.
 
-    Deterministic: identical problems produce identical solutions,
-    pivot for pivot.  Raises NumericalBreakdown when pivoting degrades
-    beyond recovery.
+    Deterministic for a fixed BLAS thread count: identical problems then
+    produce identical solutions, pivot for pivot.  Pricing and the basis
+    updates use BLAS products, which can round differently with another
+    thread count and so take another pivot path.  Raises
+    NumericalBreakdown when pivoting degrades beyond recovery.
     """
     tol = tolerances or SolverTolerances()
     std = standardize(problem)

@@ -4,6 +4,11 @@ Capacity rows follow a Normal-Inverse-Gamma linear regression whose
 one-step-ahead predictive is Student-t.  Detection probabilities follow
 independent Beta-Binomial cells.  A small ordinary-least-squares fit is
 included as the frequentist comparator.
+
+Three posterior models feed scenario programs and certificates, each
+with draw(rng, count) and residuals(x, batch): StudentTRhs (fixed rows,
+Student-t right-hand sides), GaussianRows (jointly Gaussian rows) and
+BetaCoverage (Beta detection cells against a coverage floor).
 """
 
 from __future__ import annotations
@@ -33,14 +38,13 @@ __all__ = [
     "fit_nig",
     "predictive",
     "predictive_quantile",
-    "sample_predictive",
-    "predictive_array",
     "fit_ols",
     "ols_predictive_quantile",
     "fit_beta_binomial",
-    "sample_q_matrix",
-    "q_matrix_draws",
     "load_panel_data",
+    "StudentTRhs",
+    "GaussianRows",
+    "BetaCoverage",
 ]
 
 
@@ -178,16 +182,6 @@ def predictive_quantile(pred: PredictiveT, p: float) -> float:
     return pred.loc + pred.scale * stats.student_t_quantile(p, pred.dof)
 
 
-def sample_predictive(pred: PredictiveT, rng: stats.Rng) -> float:
-    """One draw from the Student-t predictive."""
-    return pred.loc + pred.scale * stats.sample_student_t(rng, pred.dof)
-
-
-def predictive_array(pred: PredictiveT, rng: stats.Rng, size) -> np.ndarray:
-    """Array of predictive draws."""
-    return pred.loc + pred.scale * stats.student_t_array(rng, pred.dof, size)
-
-
 def fit_ols(design: np.ndarray, y: np.ndarray) -> OlsFit:
     """Ordinary least squares with the classical variance estimate.
 
@@ -276,19 +270,125 @@ def fit_beta_binomial(
     return BetaPosteriorMatrix(a=a, b=b, cluster_sizes=n, detection_counts=s)
 
 
-def sample_q_matrix(post: BetaPosteriorMatrix, rng: stats.Rng) -> np.ndarray:
-    """One (J, K) draw of detection probabilities."""
-    return stats.beta_array(rng, post.a, post.b)
+# ---------------------------------------------------------------------------
+# Posterior models: draw a batch, score residuals
+# ---------------------------------------------------------------------------
+#
+# Every family offers draw(rng, count), a batch whose first axis indexes
+# the count draws, and residuals(x, batch), a (count, n_constraints)
+# float array that is positive where a draw violates a constraint at x.
 
 
-def q_matrix_draws(post: BetaPosteriorMatrix, rng: stats.Rng, count: int) -> np.ndarray:
-    """Stack of count (J, K) detection-probability draws."""
-    if count < 1:
-        raise CountOutOfRange(f"count must be >= 1, got {count}")
-    j, k = post.a.shape
-    a = np.broadcast_to(post.a, (count, j, k))
-    b = np.broadcast_to(post.b, (count, j, k))
-    return stats.beta_array(rng, a, b, (count, j, k))
+def _float_array(name: str, value, ndim: int) -> np.ndarray:
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{name} must be numeric: {exc}") from exc
+    if arr.ndim != ndim:
+        raise DomainError(f"{name} must be {ndim}-d, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise DomainError(f"{name} must be finite")
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
+class StudentTRhs:
+    """Fixed rows with independent Student-t right-hand sides.
+
+    Constraint i is rows[i] @ x <= b_i with b_i ~ loc_i + scale_i t(dof_i).
+    """
+
+    rows: np.ndarray  # (m, n)
+    dof: np.ndarray  # (m,)
+    loc: np.ndarray  # (m,)
+    scale: np.ndarray  # (m,)
+
+    def __post_init__(self):
+        rows = _float_array("rows", self.rows, 2)
+        for name in ("dof", "loc", "scale"):
+            arr = _float_array(name, getattr(self, name), 1)
+            if arr.shape != (rows.shape[0],):
+                raise DomainError(
+                    f"{name} has shape {arr.shape}, expected ({rows.shape[0]},)"
+                )
+            if name != "loc" and np.any(arr <= 0.0):
+                raise DomainError(f"{name} must be positive")
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "rows", rows)
+
+    def draw(self, rng: stats.Rng, count: int) -> np.ndarray:
+        """(count, m) right-hand sides, one Student-t draw for all rows."""
+        size = (count, self.dof.size)
+        return self.loc + self.scale * stats.student_t_array(rng, self.dof, size)
+
+    def residuals(self, x: np.ndarray, batch: np.ndarray) -> np.ndarray:
+        return (self.rows @ x)[np.newaxis, :] - batch
+
+
+@dataclass(frozen=True, eq=False)
+class GaussianRows:
+    """Jointly Gaussian rows (a_i, b_i) of constraints a_i @ x <= b_i.
+
+    Row i is centers[i] + factors[i] @ z with z standard normal, so
+    factors[i] is a square root (e.g. the Cholesky factor) of its
+    covariance.
+    """
+
+    centers: np.ndarray  # (R, n + 1)
+    factors: np.ndarray  # (R, n + 1, n + 1)
+
+    def __post_init__(self):
+        centers = _float_array("centers", self.centers, 2)
+        factors = _float_array("factors", self.factors, 3)
+        r, dim = centers.shape
+        if r < 1:
+            raise DomainError("gaussian rows need at least one row")
+        if factors.shape != (r, dim, dim):
+            raise DomainError(
+                f"factors have shape {factors.shape}, expected ({r}, {dim}, {dim})"
+            )
+        object.__setattr__(self, "centers", centers)
+        object.__setattr__(self, "factors", factors)
+
+    def draw(self, rng: stats.Rng, count: int) -> np.ndarray:
+        """(count, R, n + 1) sampled rows."""
+        noise = stats.normal_array(rng, (count,) + self.centers.shape)
+        return self.centers + np.einsum("crk,rjk->crj", noise, self.factors)
+
+    def residuals(self, x: np.ndarray, batch: np.ndarray) -> np.ndarray:
+        return batch @ np.append(x, -1.0)
+
+
+@dataclass(frozen=True, eq=False)
+class BetaCoverage:
+    """Coverage floors q_j @ x >= threshold with Beta(a, b) cells q_jk."""
+
+    a: np.ndarray  # (J, K)
+    b: np.ndarray  # (J, K)
+    threshold: float
+
+    def __post_init__(self):
+        a = _float_array("a", self.a, 2)
+        b = _float_array("b", self.b, 2)
+        if a.shape != b.shape:
+            raise DomainError(
+                f"a and b must have matching shapes, got {a.shape} and {b.shape}"
+            )
+        if np.any(a <= 0.0) or np.any(b <= 0.0):
+            raise DomainError("beta parameters must be positive")
+        threshold = float(_float_array("threshold", self.threshold, 0))
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "threshold", threshold)
+
+    def draw(self, rng: stats.Rng, count: int) -> np.ndarray:
+        """(count, J, K) detection-probability matrices."""
+        shape = (count,) + self.a.shape
+        return stats.beta_array(rng, np.broadcast_to(self.a, shape),
+                                np.broadcast_to(self.b, shape), shape)
+
+    def residuals(self, x: np.ndarray, batch: np.ndarray) -> np.ndarray:
+        return self.threshold - batch @ x
 
 
 # ---------------------------------------------------------------------------

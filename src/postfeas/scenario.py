@@ -126,12 +126,6 @@ class ScenarioSet:
         return cls(coeff=coeff, senses=tuple(senses), rhs=rhs_draws,
                    source_stream=source_stream)
 
-    @classmethod
-    def from_rng(cls, rng: stats.Rng, coeff, senses, rhs) -> "ScenarioSet":
-        """Tag a scenario set with the stream of the Rng that produced it."""
-        return cls(coeff=coeff, senses=tuple(senses), rhs=rhs,
-                   source_stream=(rng.seed, rng.stream_id))
-
 
 def _dominated_mask(coeff_i: np.ndarray, rhs_i: np.ndarray, sense: str) -> np.ndarray:
     """True where a draw of row i is implied by another draw (x >= 0).

@@ -29,10 +29,6 @@ __all__ = [
     "binomial_tail",
     "derive_stream_id",
     "Rng",
-    "sample_normal",
-    "sample_gamma",
-    "sample_student_t",
-    "sample_beta",
     "normal_array",
     "gamma_array",
     "student_t_array",
@@ -547,38 +543,15 @@ def beta_array(rng: Rng, a, b, size=None) -> np.ndarray:
     return g1 / (g1 + g2)
 
 
-def student_t_array(rng: Rng, dof: float, size) -> np.ndarray:
-    """Student-t draws composed as normal / sqrt(chi2_dof / dof)."""
-    dof = float(dof)
-    if dof <= 0.0:
+def student_t_array(rng: Rng, dof, size) -> np.ndarray:
+    """Student-t draws composed as normal / sqrt(chi2_dof / dof).
+
+    dof is a scalar or an array that broadcasts against size, so one
+    call draws every row of a multi-row predictive at once.
+    """
+    dof = np.asarray(dof, dtype=float)
+    if not np.all(dof > 0.0):
         raise DomainError(f"student_t_array requires dof > 0, got {dof!r}")
     z = rng.generator.standard_normal(size)
     chi2 = 2.0 * gamma_array(rng, 0.5 * dof, np.shape(z))
     return z / np.sqrt(chi2 / dof)
-
-
-def sample_normal(rng: Rng) -> float:
-    """One standard normal draw."""
-    return float(rng.generator.standard_normal())
-
-
-def sample_gamma(rng: Rng, shape_param: float, scale: float = 1.0) -> float:
-    """One Gamma(shape, scale) draw."""
-    scale = float(scale)
-    if scale <= 0.0:
-        raise DomainError(f"sample_gamma requires scale > 0, got {scale!r}")
-    return float(gamma_array(rng, float(shape_param), (1,))[0]) * scale
-
-
-def sample_student_t(rng: Rng, dof: float) -> float:
-    """One Student-t draw with dof degrees of freedom."""
-    return float(student_t_array(rng, dof, (1,))[0])
-
-
-def sample_beta(rng: Rng, a: float, b: float) -> float:
-    """One Beta(a, b) draw."""
-    a = float(a)
-    b = float(b)
-    if a <= 0.0 or b <= 0.0:
-        raise DomainError(f"sample_beta requires a, b > 0, got a={a!r}, b={b!r}")
-    return float(beta_array(rng, a, b, (1,))[0])

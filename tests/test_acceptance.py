@@ -19,7 +19,12 @@ from postfeas.certify import certify, clopper_pearson_upper, estimate_violation
 from postfeas.cli import main
 from postfeas.experiments import PanelConfig, panel_select
 from postfeas.lp import LpProblem, brute_force_lp, solve_lp
-from postfeas.posterior import fit_beta_binomial, load_panel_data, q_matrix_draws
+from postfeas.posterior import (
+    BetaCoverage,
+    GaussianRows,
+    fit_beta_binomial,
+    load_panel_data,
+)
 from postfeas.robustify import (
     Ellipsoid,
     robustify_rows,
@@ -36,7 +41,6 @@ from postfeas.scenario import (
 from postfeas.stats import (
     Rng,
     binomial_tail,
-    normal_array,
     reg_inc_beta,
     reg_lower_gamma,
     uniform_array,
@@ -150,20 +154,8 @@ def test_criterion_06_robust_solutions_certify_within_target():
         robust = robustify_rows(base, list(zip(centers, covs)), alpha)
         sol, _ = solve_robust_cutting_planes(robust)
         assert sol.status == "Optimal"
-        z = np.concatenate([sol.x, [-1.0]])
-
-        def sampler(rng, count):
-            draws = np.empty((count, m, n + 1))
-            for j in range(m):
-                noise = normal_array(rng, (count, n + 1))
-                draws[:, j, :] = centers[j] + noise @ factors[j].T
-            return draws
-
-        def oracle(x_dec, batch):
-            flags = batch @ z > 0.0
-            return flags.any(axis=1), flags
-
-        cert = certify(sol.x, oracle, sampler, m_cert, 0.05,
+        model = GaussianRows(centers=centers, factors=factors)
+        cert = certify(sol.x, model, m_cert, 0.05,
                        Rng.for_purpose(91, "acceptance-robust", i))
         if cert.v_hat <= bound:
             passed += 1
@@ -239,17 +231,23 @@ def test_criterion_08_certification_counts_follow_binomial_law():
     # Binomial(20, p); chi-square GOF at the 1% level over 5000 runs.
     reps, m_draws = 5000, 20
 
+    class UniformBelow:
+        # one draw u ~ U(0, 1) per row, violated when u < p_true
+        def __init__(self, p_true):
+            self.p_true = p_true
+
+        def draw(self, rng, count):
+            return uniform_array(rng, (count, 1))
+
+        def residuals(self, x, batch):
+            return self.p_true - batch
+
     for p_true in (0.05, 0.3):
-        def sampler(rng, count):
-            return uniform_array(rng, (count,))
-
-        def oracle(x, batch):
-            return batch < p_true
-
+        model = UniformBelow(p_true)
         counts = np.zeros(m_draws + 1)
         for r in range(reps):
             s, _ = estimate_violation(
-                np.zeros(1), oracle, sampler, m_draws,
+                np.zeros(1), model, m_draws,
                 Rng.for_purpose(77, "acceptance-gof", r),
             )
             counts[s] += 1
@@ -332,7 +330,9 @@ def test_criterion_10_bundled_panel_fixture_pipeline():
         # replay the scenario stream and check every sampled constraint,
         # both at the relaxed optimum and at the selected panel
         scen_rng = Rng.for_purpose(rng.seed, rng.stream_id, "scenario")
-        q = q_matrix_draws(post, scen_rng, cfg.n_scen)
+        q = BetaCoverage(a=post.a, b=post.b, threshold=cfg.threshold).draw(
+            scen_rng, cfg.n_scen
+        )
         relaxed_cov = np.einsum("sjk,k->sj", q, res.relaxed_x)
         assert relaxed_cov.min() >= cfg.threshold - tau_feas
         x_bin = np.array([1.0 if g in res.panel else 0.0 for g in data.genes])

@@ -5,14 +5,18 @@ import pytest
 import scipy.stats
 
 from postfeas.certify import (
+    BLOCK,
     Certificate,
     certificate_from_json,
     certificate_to_json,
     certify,
     clopper_pearson_upper,
+    draw_blocks,
     estimate_violation,
+    violation_flags,
 )
 from postfeas.errors import CountOutOfRange, DomainError
+from postfeas.posterior import BetaCoverage, GaussianRows, StudentTRhs
 from postfeas.stats import Rng
 
 
@@ -78,40 +82,54 @@ class TestClopperPearsonUpper:
             clopper_pearson_upper(1, 10, 1.0)
 
 
-def uniform_rhs_sampler(lo, hi):
-    def sampler(rng, count):
-        return rng.generator.uniform(lo, hi, count)
+class FnModel:
+    """A posterior model assembled from two plain functions."""
 
-    return sampler
+    def __init__(self, draw, residuals):
+        self.draw = draw
+        self.residuals = residuals
 
 
-def scalar_rhs_oracle(x, batch):
-    # constraint 0*x <= b: violated exactly when b < 0
-    return np.zeros_like(batch) * np.sum(x) - batch > 0.0
+def uniform_rhs(lo, hi):
+    # constraint 0*x <= b with b ~ U(lo, hi): violated exactly when b < 0
+    return FnModel(
+        lambda rng, count: rng.generator.uniform(lo, hi, (count, 1)),
+        lambda x, batch: np.zeros_like(batch) * np.sum(x) - batch,
+    )
+
+
+def uniform_below(p):
+    # one draw u ~ U(0, 1), violated when u < p
+    return FnModel(
+        lambda rng, count: rng.generator.uniform(0.0, 1.0, (count, 1)),
+        lambda x, batch: p - batch,
+    )
+
+
+def constant_rhs(value):
+    # 0*x <= -value: residual value on every draw
+    return FnModel(lambda rng, count: np.full((count, 1), value),
+                   lambda x, batch: batch)
 
 
 class TestEstimateViolation:
     def test_origin_feasible_when_rhs_positive(self):
         rows = np.array([[1.0, 2.0], [0.5, 0.3]])
-
-        def sampler(rng, count):
-            return rng.generator.uniform(0.5, 2.0, (count, 2))
-
-        def oracle(x, batch):
-            return np.any(rows @ x > batch, axis=1)
-
+        model = FnModel(
+            lambda rng, count: rng.generator.uniform(0.5, 2.0, (count, 2)),
+            lambda x, batch: (rows @ x)[np.newaxis, :] - batch,
+        )
         s, counts = estimate_violation(
-            np.zeros(2), oracle, sampler, 500, Rng.for_purpose(1, "cert-a")
+            np.zeros(2), model, 500, Rng.for_purpose(1, "cert-a")
         )
         assert s == 0
-        assert counts is None
+        assert counts.tolist() == [0, 0]
 
     def test_symmetric_rhs_violates_half_the_time(self):
         m = 10**4
         s, _ = estimate_violation(
             np.array([3.0]),
-            scalar_rhs_oracle,
-            uniform_rhs_sampler(-1.0, 1.0),
+            uniform_rhs(-1.0, 1.0),
             m,
             Rng.for_purpose(2, "cert-b"),
         )
@@ -120,21 +138,18 @@ class TestEstimateViolation:
 
     def test_fixed_stream_reproduces_count(self):
         rng = Rng.for_purpose(3, "cert-c")
-        args = (np.array([1.0]), scalar_rhs_oracle, uniform_rhs_sampler(-1.0, 1.0), 777)
+        args = (np.array([1.0]), uniform_rhs(-1.0, 1.0), 777)
         s1, _ = estimate_violation(*args, rng)
         s2, _ = estimate_violation(*args, rng.clone())
         assert s1 == s2
 
     def test_per_constraint_counts(self):
-        def sampler(rng, count):
-            return rng.generator.uniform(-1.0, 1.0, (count, 3))
-
-        def oracle(x, batch):
-            flags = batch > 0.5
-            return np.any(flags, axis=1), flags
-
+        model = FnModel(
+            lambda rng, count: rng.generator.uniform(-1.0, 1.0, (count, 3)),
+            lambda x, batch: batch - 0.5,
+        )
         s, counts = estimate_violation(
-            np.zeros(1), oracle, sampler, 2000, Rng.for_purpose(4, "cert-d")
+            np.zeros(1), model, 2000, Rng.for_purpose(4, "cert-d")
         )
         assert counts is not None
         assert counts.shape == (3,)
@@ -143,58 +158,141 @@ class TestEstimateViolation:
         assert s > 0
 
     def test_strict_inequality_at_zero_residual(self):
-        def zero_sampler(rng, count):
-            return np.zeros(count)
-
-        def oracle(x, batch):
-            return batch - 0.0 > 0.0
-
         s, _ = estimate_violation(
-            np.zeros(1), oracle, zero_sampler, 64, Rng.for_purpose(5, "cert-e")
+            np.zeros(1), constant_rhs(0.0), 64, Rng.for_purpose(5, "cert-e")
         )
         assert s == 0
 
-        def denormal_sampler(rng, count):
-            return np.full(count, 1e-300)
-
         s, _ = estimate_violation(
-            np.zeros(1), oracle, denormal_sampler, 64, Rng.for_purpose(6, "cert-f")
+            np.zeros(1), constant_rhs(1e-300), 64, Rng.for_purpose(6, "cert-f")
         )
         assert s == 64
 
+    def test_nan_residual_counts_as_violation(self):
+        s, counts = estimate_violation(
+            np.zeros(1), constant_rhs(np.nan), 64, Rng.for_purpose(6, "cert-nan")
+        )
+        assert s == 64
+        assert counts.tolist() == [64]
+
+    def test_non_finite_decision_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(DomainError):
+                estimate_violation(
+                    np.array([bad, 1.0]), uniform_rhs(0.5, 1.5), 100,
+                    Rng.for_purpose(6, "cert-x"),
+                )
+            with pytest.raises(DomainError):
+                certify(np.array([1.0, bad]), uniform_rhs(0.5, 1.5), 100, 0.05,
+                        Rng.for_purpose(6, "cert-x"))
+
     def test_shape_validation(self):
-        def sampler(rng, count):
-            return np.zeros(count)
+        def draw(rng, count):
+            return np.zeros((count, 1))
 
         with pytest.raises(DomainError):
             estimate_violation(
                 np.zeros(1),
-                lambda x, b: np.zeros(3, dtype=bool),
-                sampler,
+                FnModel(draw, lambda x, b: np.zeros((3, 1))),
                 5,
                 Rng.for_purpose(7, "cert-g"),
             )
         with pytest.raises(DomainError):
             estimate_violation(
                 np.zeros(1),
-                lambda x, b: (np.zeros(5, dtype=bool), np.zeros(5, dtype=bool)),
-                sampler,
+                FnModel(draw, lambda x, b: np.zeros(5)),
                 5,
                 Rng.for_purpose(8, "cert-h"),
             )
         with pytest.raises(CountOutOfRange):
             estimate_violation(
-                np.zeros(1), scalar_rhs_oracle, sampler, 0,
+                np.zeros(1), uniform_rhs(-1.0, 1.0), 0,
                 Rng.for_purpose(9, "cert-i"),
             )
+
+
+def family_models():
+    """One small model of each posterior family, with a decision x."""
+    return {
+        "student_t": (
+            StudentTRhs(rows=[[1.0, 0.5], [0.2, 1.0]], dof=[5.0, 9.0],
+                        loc=[2.0, 1.6], scale=[0.5, 0.3]),
+            np.array([1.0, 1.0]),
+        ),
+        "gaussian": (
+            GaussianRows(centers=[[0.0, 0.2, 1.0]],
+                         factors=[np.linalg.cholesky(
+                             [[0.25, 0.05, 0.0], [0.05, 0.2, 0.0],
+                              [0.0, 0.0, 0.3]])]),
+            np.array([1.0, 0.5]),
+        ),
+        "beta": (
+            BetaCoverage(a=[[2.0, 3.0], [4.0, 1.5]], b=[[2.0, 2.0], [3.0, 2.5]],
+                         threshold=0.9),
+            np.array([1.0, 1.0]),
+        ),
+    }
+
+
+def flags_of(model, x, m_draws, rng):
+    return np.concatenate([
+        violation_flags(model, x, batch)
+        for batch in draw_blocks(model, m_draws, rng)
+    ])
+
+
+class TestDrawBlocks:
+    @pytest.mark.parametrize("family", ["student_t", "gaussian", "beta"])
+    def test_prefix_stable(self, family):
+        model, x = family_models()[family]
+        rng = Rng.for_purpose(16, "cert-prefix", family)
+        short = flags_of(model, x, 1500, rng)
+        long = flags_of(model, x, 5000, rng)
+        assert short.shape == (1500, long.shape[1])
+        assert np.array_equal(short, long[:1500])
+        assert 0 < long.any(axis=1).sum() < 5000
+
+    def test_blocks_are_whole_and_named_by_stream(self):
+        model, x = family_models()["student_t"]
+        rng = Rng.for_purpose(17, "cert-blocks")
+        blocks = list(draw_blocks(model, BLOCK + 10, rng))
+        assert [len(b) for b in blocks] == [BLOCK, 10]
+        second = model.draw(
+            Rng.for_purpose(rng.seed, rng.stream_id, "block", 1), BLOCK
+        )
+        assert np.array_equal(blocks[1], second[:10])
+        # the caller's Rng only names the streams; it is not advanced
+        again = list(draw_blocks(model, BLOCK + 10, rng))
+        assert all(np.array_equal(a, b) for a, b in zip(blocks, again))
+
+
+class TestPosteriorModels:
+    def test_bad_parameters_rejected(self):
+        rows = [[1.0]]
+        for dof, loc, scale in ((0.0, 1.0, 1.0), (-2.0, 1.0, 1.0),
+                                (5.0, 1.0, 0.0), (5.0, 1.0, -1.0),
+                                (5.0, np.nan, 1.0), (5.0, np.inf, 1.0),
+                                (np.inf, 1.0, 1.0), (5.0, 1.0, np.nan)):
+            with pytest.raises(DomainError):
+                StudentTRhs(rows=rows, dof=[dof], loc=[loc], scale=[scale])
+        with pytest.raises(DomainError):
+            StudentTRhs(rows=rows, dof=[5.0, 5.0], loc=[1.0], scale=[1.0])
+        for a, b in ((0.0, 1.0), (1.0, 0.0), (-1.0, 2.0), (np.nan, 1.0)):
+            with pytest.raises(DomainError):
+                BetaCoverage(a=[[a]], b=[[b]], threshold=0.5)
+        with pytest.raises(DomainError):
+            BetaCoverage(a=[[1.0]], b=[[1.0]], threshold=np.nan)
+        with pytest.raises(DomainError):
+            GaussianRows(centers=[[0.0, 1.0]], factors=[[[1.0, 0.0]]])
+        with pytest.raises(DomainError):
+            GaussianRows(centers=[[0.0, np.nan]], factors=[np.eye(2)])
 
 
 class TestCertify:
     def test_deterministically_feasible_candidate(self):
         cert = certify(
             np.zeros(1),
-            scalar_rhs_oracle,
-            uniform_rhs_sampler(0.5, 1.5),
+            uniform_rhs(0.5, 1.5),
             250,
             0.05,
             Rng.for_purpose(10, "cert-j"),
@@ -205,15 +303,12 @@ class TestCertify:
         assert cert.M == 250 and cert.beta == 0.05
 
     def test_invariants_and_rates(self):
-        def sampler(rng, count):
-            return rng.generator.uniform(-1.0, 1.0, (count, 2))
-
-        def oracle(x, batch):
-            flags = batch > 0.8
-            return np.any(flags, axis=1), flags
-
+        model = FnModel(
+            lambda rng, count: rng.generator.uniform(-1.0, 1.0, (count, 2)),
+            lambda x, batch: batch - 0.8,
+        )
         cert = certify(
-            np.zeros(1), oracle, sampler, 3000, 0.05, Rng.for_purpose(11, "cert-k")
+            np.zeros(1), model, 3000, 0.05, Rng.for_purpose(11, "cert-k")
         )
         assert 0 <= cert.s <= cert.M
         assert cert.v_hat == cert.s / cert.M
@@ -226,16 +321,14 @@ class TestCertify:
         # Known violation probability p: the exact interval covers p in at
         # least 95% of replications, within Monte Carlo slack.
         p, beta, m, reps = 0.03, 0.05, 150, 2000
-        rng = Rng.for_purpose(12, "cert-coverage")
         covered = 0
-        for _ in range(reps):
+        for rep in range(reps):
             cert = certify(
                 np.zeros(1),
-                lambda x, batch: batch < p,
-                lambda r, count: r.generator.uniform(0.0, 1.0, count),
+                uniform_below(p),
                 m,
                 beta,
-                rng,
+                Rng.for_purpose(12, "cert-coverage", rep),
             )
             if cert.upper_bound >= p:
                 covered += 1
@@ -245,15 +338,13 @@ class TestCertify:
         # Small-M replication study: the counts should be statistically
         # indistinguishable from a Binomial(20, 0.3) law.
         p, m, reps = 0.3, 20, 5000
-        rng = Rng.for_purpose(13, "cert-binom")
         counts = np.zeros(m + 1, dtype=int)
-        for _ in range(reps):
+        for rep in range(reps):
             s, _ = estimate_violation(
                 np.zeros(1),
-                lambda x, batch: batch < p,
-                lambda r, count: r.generator.uniform(0.0, 1.0, count),
+                uniform_below(p),
                 m,
-                rng,
+                Rng.for_purpose(13, "cert-binom", rep),
             )
             counts[s] += 1
         probs = np.array(
@@ -283,8 +374,7 @@ class TestCertify:
     def test_certificate_json_round_trip(self):
         cert = certify(
             np.zeros(1),
-            scalar_rhs_oracle,
-            uniform_rhs_sampler(-1.0, 1.0),
+            uniform_rhs(-1.0, 1.0),
             1234,
             0.07,
             Rng.for_purpose(14, "cert-json"),
@@ -307,8 +397,7 @@ class TestCertify:
         rng = Rng.for_purpose(15, "cert-repeat")
         args = (
             np.array([0.2]),
-            scalar_rhs_oracle,
-            uniform_rhs_sampler(-1.0, 1.0),
+            uniform_rhs(-1.0, 1.0),
             800,
             0.05,
         )

@@ -290,6 +290,13 @@ class TestSim:
         rc = main(["sim", "--config", cfg, "--out", str(tmp_path / "out")])
         assert rc == 2
 
+    def test_out_of_range_config_exit_code(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "sim.json", {"alphas": [1.5], "n_scen": 0})
+        rc = main(["sim", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "SimConfig" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_zero_successes_exit_code(self, tmp_path, monkeypatch):
         def all_errors(cfg, jobs=1):
             return [
@@ -436,6 +443,24 @@ class TestCertify:
                    "--out", str(tmp_path / "c.json")])
         assert rc == 2
 
+    def test_malformed_model_entries_exit_code(self, tmp_path):
+        sol = write_json(tmp_path / "sol.json", SOLUTION_1D)
+        for doc in (
+            {"family": "rhs_student_t", "rows": [[1.0]], "predictive": ["dof"]},
+            {"family": "rhs_student_t", "rows": [["a"]],
+             "predictive": [{"dof": 5.0, "loc": 2.0, "scale": 0.5}]},
+            {"family": "gaussian_rows", "blocks": [[0.0, 1.0]]},
+            {"family": "gaussian_rows", "blocks": []},
+            {"family": "gaussian_rows", "blocks": 3},
+            {"family": "rhs_student_t", "rows": [[1.0]], "predictive": 5.0},
+            {"family": "beta_coverage", "a": [[2.0]], "b": [[2.0]],
+             "threshold": "high"},
+        ):
+            model = write_json(tmp_path / "model.json", doc)
+            rc = main(["certify", "--solution", sol, "--model", model,
+                       "--out", str(tmp_path / "c.json")])
+            assert rc == 2, doc
+
     def test_solution_without_decisions_exit_code(self, tmp_path):
         sol = write_json(tmp_path / "sol.json",
                          {"status": "Infeasible", "x": None,
@@ -457,6 +482,41 @@ class TestCertify:
         rc = main(["certify", "--solution", sol, "--model", model,
                    "--out", str(tmp_path / "c.json")])
         assert rc == 2
+
+    def test_non_finite_solution_exit_code(self, tmp_path, capsys):
+        sol = write_json(tmp_path / "sol.json", {
+            "status": "Optimal", "x": [math.nan, 1.0],
+            "objective_value": 1.0, "iterations": 1,
+        })
+        model = write_json(tmp_path / "model.json", {
+            "family": "rhs_student_t", "rows": [[1.0, 1.0]],
+            "predictive": [{"dof": 5.0, "loc": 2.0, "scale": 0.5}],
+        })
+        out = tmp_path / "c.json"
+        rc = main(["certify", "--solution", sol, "--model", model,
+                   "--out", str(out)])
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec", [
+        {"dof": 5.0, "loc": 2.0, "scale": -1.0},
+        {"dof": 5.0, "loc": 2.0, "scale": 0.0},
+        {"dof": 0.0, "loc": 2.0, "scale": 0.5},
+        {"dof": -3.0, "loc": 2.0, "scale": 0.5},
+        {"dof": 5.0, "loc": math.nan, "scale": 0.5},
+        {"dof": 5.0, "loc": math.inf, "scale": 0.5},
+    ])
+    def test_bad_predictive_parameters_exit_code(self, tmp_path, spec):
+        sol = write_json(tmp_path / "sol.json", SOLUTION_1D)
+        model = write_json(tmp_path / "model.json", {
+            "family": "rhs_student_t", "rows": [[1.0]], "predictive": [spec],
+        })
+        out = tmp_path / "c.json"
+        rc = main(["certify", "--solution", sol, "--model", model,
+                   "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
 
     def test_nonpositive_draw_count_exit_code(self, tmp_path):
         sol = write_json(tmp_path / "sol.json", SOLUTION_1D)
@@ -594,6 +654,17 @@ class TestPanel:
                    "--out", str(tmp_path / "out")])
         assert rc == 3
         assert "c2" in capsys.readouterr().err
+
+    def test_out_of_range_config_exit_code(self, tmp_path, capsys):
+        det, clu, wts = write_panel_fixture(tmp_path, BINDING_DETECTIONS)
+        for doc in ({"budget": 2.5}, {"beta": 1.5}, {"threshold": math.inf}):
+            cfg = write_json(tmp_path / "panel.json", doc)
+            rc = main(["panel", "--detections", det, "--clusters", clu,
+                       "--weights", wts, "--config", cfg,
+                       "--out", str(tmp_path / "out")])
+            assert rc == 2
+            assert "PanelConfig" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_malformed_csv_exit_code(self, tmp_path):
         det, clu, _ = write_panel_fixture(tmp_path, BINDING_DETECTIONS)

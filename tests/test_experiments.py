@@ -1,10 +1,12 @@
 """Tests for the simulation benchmark and the panel-selection pipeline."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
+from postfeas.certify import certify
 from postfeas.errors import (
     DimensionMismatch,
     DomainError,
@@ -16,6 +18,7 @@ from postfeas.experiments import (
     PanelConfig,
     SimConfig,
     _tightened_rhs,
+    fit_capacity_model,
     gen_instance,
     panel_certify_detail,
     panel_select,
@@ -30,6 +33,7 @@ from postfeas.experiments import (
     write_trials_csv,
 )
 from postfeas.posterior import (
+    BetaCoverage,
     BetaPosteriorMatrix,
     NigPrior,
     fit_beta_binomial,
@@ -37,8 +41,6 @@ from postfeas.posterior import (
     fit_ols,
     ols_predictive_quantile,
     predictive,
-    predictive_array,
-    q_matrix_draws,
 )
 from postfeas.robustify import rb_heuristic_tighten, rhs_quantile_tighten
 from postfeas.scenario import rhs_scenario_min
@@ -67,6 +69,20 @@ class TestSimConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(DomainError):
             SimConfig.from_json('{"n": 5, "mystery": 1}')
+
+    @pytest.mark.parametrize("doc", [
+        {"n": "abc"}, {"n": 0}, {"m": 2.0}, {"d_ctx": -1}, {"n_obs": True},
+        {"n_scen": 0}, {"m_true": 1.5}, {"m_cert": 0},
+        {"trials_per_alpha": 0}, {"alphas": [1.5]}, {"alphas": [0.0]},
+        {"alphas": [0.05, 1.0]}, {"alphas": []}, {"alphas": ["x"]},
+        {"alphas": 0.05}, {"master_seed": "x"}, {"master_seed": 1.5},
+        {"x_max": "abc"}, {"x_max": 0.0}, {"x_max": float("inf")},
+        {"a_range": [2.0]}, {"p_range": [5.0, 1.0]},
+        {"sigma_range": [1.0, float("nan")]},
+    ])
+    def test_out_of_range_values_rejected(self, doc):
+        with pytest.raises(DomainError):
+            SimConfig.from_json(json.dumps(doc))
 
 
 class TestGenInstance:
@@ -133,43 +149,41 @@ def setup():
         )
         for j in range(cfg.m)
     ]
-    return cfg, inst, rng, preds
+    return cfg, inst, rng, preds, fit_capacity_model(inst, cfg)
 
 
 class TestTightenedRhs:
     def test_plugin_mean(self, setup):
-        cfg, inst, rng, preds = setup
-        out = _tightened_rhs("PM", inst, 0.05, cfg, rng.clone())
+        cfg, inst, rng, preds, model = setup
+        out = _tightened_rhs("PM", inst, model, 0.05, cfg, rng.clone())
         assert np.allclose(out, [p.loc for p in preds], atol=1e-12)
 
     def test_credible_quantile(self, setup):
-        cfg, inst, rng, preds = setup
-        out = _tightened_rhs("CR", inst, 0.05, cfg, rng.clone())
+        cfg, inst, rng, preds, model = setup
+        out = _tightened_rhs("CR", inst, model, 0.05, cfg, rng.clone())
         assert np.allclose(out, rhs_quantile_tighten(preds, 0.05), atol=1e-12)
 
     def test_posterior_scenarios_replay(self, setup):
-        cfg, inst, rng, preds = setup
-        out = _tightened_rhs("PS", inst, 0.05, cfg, rng.clone())
+        cfg, inst, rng, preds, model = setup
+        out = _tightened_rhs("PS", inst, model, 0.05, cfg, rng.clone())
         scen_rng = Rng.for_purpose(rng.seed, rng.stream_id, "scenario")
-        draws = np.column_stack(
-            [predictive_array(p, scen_rng, (cfg.n_scen,)) for p in preds]
-        )
+        draws = model.draw(scen_rng, cfg.n_scen)
         assert np.array_equal(out, rhs_scenario_min(draws))
         assert np.all(out[np.newaxis, :] <= draws)
-        pm = _tightened_rhs("PM", inst, 0.05, cfg, rng.clone())
+        pm = _tightened_rhs("PM", inst, model, 0.05, cfg, rng.clone())
         assert np.all(out < pm)
 
     def test_frequentist_quantile(self, setup):
-        cfg, inst, rng, _ = setup
-        out = _tightened_rhs("FPQ", inst, 0.05, cfg, rng.clone())
+        cfg, inst, rng, _, model = setup
+        out = _tightened_rhs("FPQ", inst, model, 0.05, cfg, rng.clone())
         for j in range(cfg.m):
             fit = fit_ols(inst.design, inst.observations[:, j])
             expect = ols_predictive_quantile(fit, inst.x_ctx, 0.05 / cfg.m)
             assert out[j] == pytest.approx(expect, abs=1e-12)
 
     def test_normal_heuristic(self, setup):
-        cfg, inst, rng, preds = setup
-        out = _tightened_rhs("RB", inst, 0.05, cfg, rng.clone())
+        cfg, inst, rng, preds, model = setup
+        out = _tightened_rhs("RB", inst, model, 0.05, cfg, rng.clone())
         means = np.array([p.loc for p in preds])
         sds = np.array(
             [p.scale * np.sqrt(p.dof / (p.dof - 2.0)) for p in preds]
@@ -181,9 +195,9 @@ class TestTightenedRhs:
         assert np.allclose(out, means - z * sds, atol=1e-12)
 
     def test_unknown_method(self, setup):
-        cfg, inst, rng, _ = setup
+        cfg, inst, rng, _, model = setup
         with pytest.raises(DomainError):
-            _tightened_rhs("XX", inst, 0.05, cfg, rng.clone())
+            _tightened_rhs("XX", inst, model, 0.05, cfg, rng.clone())
 
 
 @pytest.fixture(scope="module")
@@ -191,13 +205,13 @@ def trial():
     cfg = SimConfig(**FAST)
     inst = gen_instance(cfg, Rng.for_purpose(21, "instance", 0))
     rng = Rng.for_purpose(21, "trial", 0)
-    return cfg, inst, rng
+    return cfg, inst, rng, fit_capacity_model(inst, cfg)
 
 
 class TestRunMethod:
     def test_record_fields(self, trial):
-        cfg, inst, rng = trial
-        rec = run_method("CR", inst, 0.05, cfg, rng.clone(), trial=4)
+        cfg, inst, rng, model = trial
+        rec = run_method("CR", inst, model, 0.05, cfg, rng.clone(), trial=4)
         assert rec.status == "Optimal"
         assert rec.method == "CR" and rec.alpha == 0.05 and rec.trial == 4
         assert rec.master_seed == rng.seed
@@ -207,15 +221,15 @@ class TestRunMethod:
         assert rec.clamped is False
 
     def test_reproducible(self, trial):
-        cfg, inst, rng = trial
-        a = run_method("PS", inst, 0.1, cfg, rng.clone())
-        b = run_method("PS", inst, 0.1, cfg, rng.clone())
+        cfg, inst, rng, model = trial
+        a = run_method("PS", inst, model, 0.1, cfg, rng.clone())
+        b = run_method("PS", inst, model, 0.1, cfg, rng.clone())
         assert a == b
 
     def test_plugin_riskier_than_hedges(self, trial):
-        cfg, inst, rng = trial
+        cfg, inst, rng, model = trial
         records = {
-            m: run_method(m, inst, 0.05, cfg, rng.clone()) for m in METHODS
+            m: run_method(m, inst, model, 0.05, cfg, rng.clone()) for m in METHODS
         }
         assert records["PM"].profit >= max(
             records[m].profit for m in ("CR", "PS", "FPQ", "RB")
@@ -227,7 +241,8 @@ class TestRunMethod:
     def test_plugin_highly_violating_on_smoke_instance(self):
         cfg = SimConfig(m_true=4000, m_cert=500)
         inst = gen_instance(cfg, Rng.for_purpose(42, "instance", 0))
-        rec = run_method("PM", inst, 0.05, cfg, Rng.for_purpose(42, "trial", 0))
+        rec = run_method("PM", inst, fit_capacity_model(inst, cfg), 0.05, cfg,
+                         Rng.for_purpose(42, "trial", 0))
         assert rec.status == "Optimal"
         assert rec.v_true > 0.5
 
@@ -248,8 +263,9 @@ class TestRunMethod:
         )
         inst = gen_instance(cfg, Rng.for_purpose(33, "instance", 0))
         rng = Rng.for_purpose(33, "trial", 0)
+        model = fit_capacity_model(inst, cfg)
         recs = {
-            m: run_method(m, inst, 0.05, cfg, rng.clone()) for m in METHODS
+            m: run_method(m, inst, model, 0.05, cfg, rng.clone()) for m in METHODS
         }
         profits = np.array([recs[m].profit for m in METHODS])
         assert np.ptp(profits) / profits.mean() <= 0.01
@@ -261,7 +277,8 @@ class TestRunMethod:
     def test_negative_rhs_clamped(self):
         cfg = SimConfig(**FAST, intercept_range=(-5.0, -4.0))
         inst = gen_instance(cfg, Rng.for_purpose(34, "instance", 0))
-        rec = run_method("PM", inst, 0.05, cfg, Rng.for_purpose(34, "trial", 0))
+        rec = run_method("PM", inst, fit_capacity_model(inst, cfg), 0.05, cfg,
+                         Rng.for_purpose(34, "trial", 0))
         assert rec.clamped is True
         assert rec.status == "Optimal"
         assert rec.profit == 0.0
@@ -391,7 +408,6 @@ class TestPanelConfig:
         assert cfg.n_scen == 300
         assert cfg.m_cert == 4000
         assert cfg.beta == 0.05
-        assert cfg.alpha_intent == 0.05
 
     def test_json_round_trip(self):
         cfg = PanelConfig(budget=5, threshold=2.5, m_cert=1000)
@@ -400,6 +416,19 @@ class TestPanelConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(DomainError):
             PanelConfig.from_json('{"budget": 5, "mystery": true}')
+        with pytest.raises(DomainError):
+            PanelConfig.from_json('{"alpha_intent": 0.05}')
+
+    @pytest.mark.parametrize("text", [
+        '{"budget": 2.5}', '{"budget": 0}', '{"budget": "3"}',
+        '{"n_scen": 0}', '{"m_cert": -4}', '{"m_cert": 10.0}',
+        '{"beta": 0.0}', '{"beta": 1.0}', '{"beta": 1.5}',
+        '{"threshold": NaN}', '{"threshold": Infinity}',
+        '{"threshold": "8"}',
+    ])
+    def test_out_of_range_values_rejected(self, text):
+        with pytest.raises(DomainError):
+            PanelConfig.from_json(text)
 
 
 def concentrated_posterior(means, total=1e10):
@@ -439,21 +468,17 @@ class TestPanelCertifyDetail:
         assert 0.0 < cert.v_hat < 1.0
 
     def test_chunked_draws_replayable(self):
+        # the panel certificate reads the same block-addressed draws as
+        # certify() on the matching coverage model, across block edges
         det = np.array([[30.0, 25.0], [18.0, 35.0]])
         post = fit_beta_binomial(det, np.array([50.0, 50.0]))
         cfg = PanelConfig(budget=2, threshold=1.0, m_cert=2500)
         rng = Rng.for_purpose(63, "panel-chunk")
         cert, _ = panel_certify_detail(np.ones(2), post, cfg, rng)
-        replay = rng.clone()
-        s = 0
-        done = 0
-        while done < cfg.m_cert:
-            take = min(1024, cfg.m_cert - done)
-            draws = q_matrix_draws(post, replay, take)
-            coverage = draws @ np.ones(2)
-            s += int((coverage < cfg.threshold).any(axis=1).sum())
-            done += take
-        assert cert.s == s
+        model = BetaCoverage(a=post.a, b=post.b, threshold=cfg.threshold)
+        replay = certify(np.ones(2), model, cfg.m_cert, cfg.beta, rng.clone())
+        assert cert == replay
+        assert 0 < cert.s < cfg.m_cert
 
     def test_cluster_ids_and_determinism(self):
         post = fit_beta_binomial(
@@ -539,7 +564,8 @@ class TestPanelSelect:
         assert len(specialists) >= 3
         # replay the optimization scenarios and check the relaxed solution
         scen_rng = Rng.for_purpose(rng.seed, rng.stream_id, "scenario")
-        q_draws = q_matrix_draws(post, scen_rng, cfg.n_scen)
+        model = BetaCoverage(a=post.a, b=post.b, threshold=cfg.threshold)
+        q_draws = model.draw(scen_rng, cfg.n_scen)
         coverage = q_draws @ result.relaxed_x
         assert float(coverage.min()) >= cfg.threshold - 1e-8
 

@@ -12,22 +12,21 @@ from postfeas.errors import (
     RankDeficient,
     SingularPrecision,
 )
+from postfeas.certify import draw_blocks
 from postfeas.posterior import (
+    BetaCoverage,
     BetaPosteriorMatrix,
     NigPrior,
     OlsFit,
     PredictiveT,
+    StudentTRhs,
     fit_beta_binomial,
     fit_nig,
     fit_ols,
     load_panel_data,
     ols_predictive_quantile,
     predictive,
-    predictive_array,
     predictive_quantile,
-    q_matrix_draws,
-    sample_predictive,
-    sample_q_matrix,
 )
 from postfeas.stats import Rng
 
@@ -198,7 +197,9 @@ class TestPredictive:
 
     def test_sampler_matches_quantile(self):
         pred = PredictiveT(dof=9.0, loc=-1.0, scale=2.0)
-        draws = predictive_array(pred, Rng.for_purpose(77, "pred-draws"), 10**5)
+        model = StudentTRhs(rows=[[0.0]], dof=[pred.dof], loc=[pred.loc],
+                            scale=[pred.scale])
+        draws = model.draw(Rng.for_purpose(77, "pred-draws"), 10**5)[:, 0]
         q05 = predictive_quantile(pred, 0.05)
         emp = np.quantile(draws, 0.05)
         dens = scipy.stats.t.pdf((q05 - pred.loc) / pred.scale, 9.0) / pred.scale
@@ -209,10 +210,13 @@ class TestPredictive:
 
     def test_single_draw_reproducible(self):
         pred = PredictiveT(dof=5.0, loc=0.5, scale=1.1)
+        model = StudentTRhs(rows=[[0.0]], dof=[pred.dof], loc=[pred.loc],
+                            scale=[pred.scale])
         rng = Rng.for_purpose(3, "one-draw")
-        first = sample_predictive(pred, rng)
-        again = sample_predictive(pred, rng.clone())
-        assert first == again
+        first = model.draw(rng, 1)
+        again = model.draw(rng.clone(), 1)
+        assert first.shape == (1, 1)
+        assert np.array_equal(first, again)
 
     def test_large_sample_scale_limit(self):
         gen = np.random.default_rng(22)
@@ -383,6 +387,10 @@ class TestBetaBinomial:
             fit_beta_binomial(np.array([[1.0]]), np.array([4.0, 5.0]))
 
 
+def coverage_model(post):
+    return BetaCoverage(a=post.a, b=post.b, threshold=1.0)
+
+
 class TestQMatrixSampling:
     def posterior(self, j=40, k=50):
         return BetaPosteriorMatrix(
@@ -396,12 +404,14 @@ class TestQMatrixSampling:
         post = fit_beta_binomial(
             np.array([[3.0, 0.0], [7.0, 5.0]]), np.array([10.0, 12.0])
         )
-        q = sample_q_matrix(post, Rng.for_purpose(5, "q"))
+        q = coverage_model(post).draw(Rng.for_purpose(5, "q"), 1)[0]
         assert q.shape == (2, 2)
         assert np.all((q > 0.0) & (q < 1.0))
 
     def test_uniform_prior_is_uniform(self):
-        q = sample_q_matrix(self.posterior(), Rng.for_purpose(6, "q-unif"))
+        q = coverage_model(self.posterior()).draw(
+            Rng.for_purpose(6, "q-unif"), 1
+        )[0]
         flat = np.sort(q.ravel())
         n = flat.size
         grid = np.arange(1, n + 1) / n
@@ -413,8 +423,8 @@ class TestQMatrixSampling:
     def test_fixed_stream_reproduces(self):
         post = self.posterior(5, 4)
         rng = Rng.for_purpose(7, "q-repro")
-        first = sample_q_matrix(post, rng)
-        again = sample_q_matrix(post, rng.clone())
+        first = coverage_model(post).draw(rng, 1)
+        again = coverage_model(post).draw(rng.clone(), 1)
         assert np.array_equal(first, again)
 
     def test_draw_stack_shape_and_determinism(self):
@@ -422,15 +432,15 @@ class TestQMatrixSampling:
             np.array([[3.0, 0.0], [7.0, 5.0]]), np.array([10.0, 12.0])
         )
         rng = Rng.for_purpose(8, "q-stack")
-        stack = q_matrix_draws(post, rng, 25)
+        stack = coverage_model(post).draw(rng, 25)
         assert stack.shape == (25, 2, 2)
         assert np.all((stack > 0.0) & (stack < 1.0))
-        assert np.array_equal(stack, q_matrix_draws(post, rng.clone(), 25))
+        assert np.array_equal(stack, coverage_model(post).draw(rng.clone(), 25))
 
     def test_draw_stack_count_validated(self):
         post = self.posterior(2, 2)
         with pytest.raises(CountOutOfRange):
-            q_matrix_draws(post, Rng.for_purpose(9, "q-bad"), 0)
+            next(draw_blocks(coverage_model(post), 0, Rng.for_purpose(9, "q-bad")))
 
 
 def write_panel_fixture(tmp_path, detections, clusters, weights):

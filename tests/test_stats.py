@@ -25,10 +25,6 @@ from postfeas.stats import (
     normal_quantile,
     reg_inc_beta,
     reg_lower_gamma,
-    sample_beta,
-    sample_gamma,
-    sample_normal,
-    sample_student_t,
     student_t_array,
     student_t_quantile,
     uniform_array,
@@ -355,16 +351,22 @@ class TestSamplers:
             se_b = math.sqrt(p * (1 - p) / n) / pdf_b
             assert abs(np.quantile(b_draws, p) - q_b) <= 3 * se_b
 
-    def test_scalar_wrappers(self):
-        r = Rng.for_purpose(1, "scalar")
-        vals = [sample_normal(r), sample_gamma(r, 2.0, 3.0),
-                sample_student_t(r, 5.0), sample_beta(r, 2.0, 2.0)]
-        assert all(isinstance(v, float) for v in vals)
-        assert 0.0 < vals[3] < 1.0
+    def test_student_t_array_per_row_dof(self):
+        # one call draws columns with different dof, each with its own law
+        n, dof = 50000, np.array([3.0, 30.0])
+        draws = student_t_array(Rng.for_purpose(43, "t-rows"), dof, (n, 2))
+        assert draws.shape == (n, 2)
+        for j in range(2):
+            q = student_t_quantile(0.9, dof[j])
+            se = math.sqrt(0.09 / n) / float(scipy.stats.t.pdf(q, dof[j]))
+            assert abs(np.quantile(draws[:, j], 0.9) - q) <= 3 * se
+        r = Rng.for_purpose(43, "t-bad")
         with pytest.raises(DomainError):
-            sample_gamma(r, -1.0)
+            student_t_array(r, 0.0, (3,))
         with pytest.raises(DomainError):
-            sample_student_t(r, 0.0)
+            student_t_array(r, np.array([5.0, -1.0]), (4, 2))
+        with pytest.raises(DomainError):
+            gamma_array(r, -1.0, (3,))
 
     def test_beta_broadcasting(self):
         r = Rng.for_purpose(4, "bc")
