@@ -4,9 +4,9 @@
 Enforcing every one of N sampled constraint realizations controls the
 chance that the resulting plan violates more than an eps fraction of
 future draws.  required_sample_size inverts the exact tail bound, and
-we confirm N is minimal.  The stacked scenario LP is then solved and,
-for right-hand-side-only uncertainty, cross-checked against the
-equivalent single worst-draw program.
+we confirm N is minimal.  The scenario LP is then solved by row
+generation and, for right-hand-side-only uncertainty, cross-checked
+against the equivalent single worst-draw program.
 """
 
 import numpy as np
@@ -15,14 +15,13 @@ from postfeas import (
     LpProblem,
     NigPrior,
     Rng,
-    ScenarioSet,
     StudentTRhs,
-    build_scenario_lp,
     fit_nig,
     predictive,
     required_sample_size,
     rhs_scenario_min,
     solve_lp,
+    solve_scenario_lp,
     violation_bound,
 )
 from postfeas.stats import normal_array, uniform_array
@@ -59,13 +58,15 @@ capacities = StudentTRhs(
     scale=[p.scale for p in preds],
 )
 rhs_draws = capacities.draw(draw_rng, n_scen)
-scen = ScenarioSet.from_rhs_draws(rows, ("<=", "<="), rhs_draws,
-                                  (draw_rng.seed, draw_rng.stream_id))
 
 base = LpProblem([4.0, 3.0], [], [(0.0, 30.0), (0.0, 30.0)])
-stacked = solve_lp(build_scenario_lp(base, scen))
-print(f"\n{n_scen} scenarios, stacked LP rows enforced: plan",
+stacked, log = solve_scenario_lp(
+    base, np.broadcast_to(rows, (n_scen, 2, 2)), ("<=", "<="), rhs_draws
+)
+print(f"\n{n_scen} scenarios enforced: plan",
       np.round(stacked.x, 4), "profit", round(stacked.objective_value, 4))
+print(f"row generation added {log.total_cuts} of {2 * n_scen} scenario rows "
+      f"in {log.rounds} rounds")
 
 # With fixed coefficient rows, enforcing all draws equals enforcing the
 # componentwise worst draw; the two routes must coincide.
@@ -80,7 +81,3 @@ print("single worst-draw LP profit           :",
 print("routes agree:",
       abs(stacked.objective_value - direct.objective_value) < 1e-9)
 
-# The redundancy prefilter drops dominated draws without changing the optimum.
-lean = solve_lp(build_scenario_lp(base, scen, prefilter=True))
-print("prefiltered LP profit                 :",
-      round(lean.objective_value, 4))

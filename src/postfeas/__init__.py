@@ -49,6 +49,7 @@ from .experiments import (
     summarize_overall,
 )
 from .lp import (
+    CutLog,
     LpProblem,
     LpSolution,
     SolverTolerances,
@@ -58,6 +59,7 @@ from .lp import (
     problem_to_json,
     solution_from_json,
     solution_to_json,
+    solve_cutting_planes,
     solve_lp,
 )
 from .posterior import (
@@ -79,7 +81,6 @@ from .posterior import (
     predictive_quantile,
 )
 from .robustify import (
-    CutLog,
     Ellipsoid,
     RobustLp,
     RobustRow,
@@ -87,18 +88,15 @@ from .robustify import (
     bonferroni_kappa,
     rb_heuristic_tighten,
     rhs_quantile_tighten,
-    robust_lp_from_json,
-    robust_lp_to_json,
     robustify_rows,
     robustify_rows_joint,
     soc_support,
     solve_robust_cutting_planes,
 )
 from .scenario import (
-    ScenarioSet,
-    build_scenario_lp,
     required_sample_size,
     rhs_scenario_min,
+    solve_scenario_lp,
     violation_bound,
 )
 from .stats import (
@@ -135,22 +133,23 @@ __all__ = [
     "panel_select", "run_benchmark", "run_method", "summarize_by_alpha",
     "summarize_overall",
     # lp
-    "LpProblem", "LpSolution", "SolverTolerances", "brute_force_lp",
-    "max_violation", "problem_from_json", "problem_to_json",
-    "solution_from_json", "solution_to_json", "solve_lp",
+    "CutLog", "LpProblem", "LpSolution", "SolverTolerances",
+    "brute_force_lp", "max_violation", "problem_from_json",
+    "problem_to_json", "solution_from_json", "solution_to_json",
+    "solve_cutting_planes", "solve_lp",
     # posterior
     "BetaCoverage", "BetaPosteriorMatrix", "GaussianRows", "NigPosterior",
     "NigPrior", "OlsFit", "PanelData", "PredictiveT", "StudentTRhs",
     "fit_beta_binomial", "fit_nig", "fit_ols", "load_panel_data",
     "ols_predictive_quantile", "predictive", "predictive_quantile",
     # robustify
-    "CutLog", "Ellipsoid", "RobustLp", "RobustRow", "SupportResult",
+    "Ellipsoid", "RobustLp", "RobustRow", "SupportResult",
     "bonferroni_kappa", "rb_heuristic_tighten", "rhs_quantile_tighten",
-    "robust_lp_from_json", "robust_lp_to_json", "robustify_rows",
-    "robustify_rows_joint", "soc_support", "solve_robust_cutting_planes",
+    "robustify_rows", "robustify_rows_joint", "soc_support",
+    "solve_robust_cutting_planes",
     # scenario
-    "ScenarioSet", "build_scenario_lp", "required_sample_size",
-    "rhs_scenario_min", "violation_bound",
+    "required_sample_size", "rhs_scenario_min", "solve_scenario_lp",
+    "violation_bound",
     # stats
     "Rng", "beta_quantile", "binomial_tail", "chi2_quantile",
     "derive_stream_id", "log_choose", "log_gamma", "normal_cdf",

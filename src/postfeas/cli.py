@@ -56,6 +56,18 @@ EXIT_NUMERICAL = 5
 _STATUS_EXIT = {"Optimal": EXIT_OK, "Infeasible": EXIT_INFEASIBLE,
                 "Unbounded": EXIT_UNBOUNDED}
 
+# BLAS and OpenMP thread counts can change solve_lp's pivot path.
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _environment() -> dict:
+    """What a run's numbers depend on beyond its config and seed."""
+    return {
+        "numpy": np.__version__,
+        "cpu_count": os.cpu_count(),
+        **{name: os.environ.get(name) for name in _THREAD_VARS},
+    }
+
 
 @dataclass(frozen=True)
 class RunManifest:
@@ -67,6 +79,7 @@ class RunManifest:
     version: str
     outputs: tuple[str, ...]
     duration_seconds: float
+    environment: dict
 
     def to_json(self) -> str:
         return json.dumps({
@@ -76,6 +89,7 @@ class RunManifest:
             "version": self.version,
             "outputs": list(self.outputs),
             "duration_seconds": self.duration_seconds,
+            "environment": self.environment,
         }, indent=2)
 
     @classmethod
@@ -86,6 +100,7 @@ class RunManifest:
             master_seed=doc["master_seed"], version=doc["version"],
             outputs=tuple(doc["outputs"]),
             duration_seconds=doc["duration_seconds"],
+            environment=doc["environment"],
         )
 
 
@@ -113,6 +128,7 @@ def _write_manifest(directory: Path, command: str, config: dict, seed: int,
         version=__version__,
         outputs=tuple(str(o) for o in outputs),
         duration_seconds=time.time() - started,
+        environment=_environment(),
     )
     path = directory / "manifest.json"
     path.write_text(manifest.to_json() + "\n", encoding="utf-8")
@@ -336,6 +352,10 @@ def _cmd_panel(args) -> int:
     print(" ".join(result.panel))
     print(f"v_hat={result.certificate.v_hat!r}")
     print(f"upper_bound={result.certificate.upper_bound!r}")
+    for s in result.cluster_summaries:
+        if s.mean < cfg.threshold:
+            print(f"warning: cluster {s.cluster} has mean coverage {s.mean!r}, "
+                  f"below the threshold {cfg.threshold!r}", file=sys.stderr)
     _write_manifest(out_dir, "panel",
                     {**json.loads(cfg.to_json()),
                      "detections": str(args.detections),

@@ -610,19 +610,15 @@ def panel_select(
     if margins[worst] < 0.0:
         raise PanelInfeasible(cluster_ids[worst])
 
-    scen = sc.ScenarioSet(
-        coeff=q_draws,
-        senses=(">=",) * j_clusters,
-        rhs=np.full((cfg.n_scen, j_clusters), cfg.threshold),
-        source_stream=(scen_rng.seed, scen_rng.stream_id),
-    )
     base = LpProblem(
         w,
         [(np.ones(k_genes), "<=", float(cfg.budget))],
         [(0.0, 1.0)] * k_genes,
     )
-    problem = sc.build_scenario_lp(base, scen, prefilter=True)
-    sol = solve_lp(problem)
+    sol, _ = sc.solve_scenario_lp(
+        base, q_draws, (">=",) * j_clusters,
+        np.full((cfg.n_scen, j_clusters), cfg.threshold),
+    )
     if sol.status != "Optimal":
         raise PanelInfeasible(
             cluster_ids[worst],

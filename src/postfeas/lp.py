@@ -4,8 +4,9 @@ Problems are stated as: maximize c'x subject to row constraints with
 senses <=, >=, = and box bounds on x (either side may be infinite).
 The solver is a two-phase revised simplex on the equality standard form
 with bounded variables, Dantzig pricing, and Bland's rule as the
-anti-cycling fallback.  A vertex-enumeration brute force serves as an
-independent oracle for small instances.
+anti-cycling fallback.  One row-generation loop on top of it serves every
+program with more rows than it needs at the optimum.  A vertex-enumeration
+brute force serves as an independent oracle for small instances.
 """
 
 from __future__ import annotations
@@ -14,12 +15,14 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import (
     DimensionMismatch,
     DomainError,
+    MaxRoundsExceeded,
     NumericalBreakdown,
     SizeLimitExceeded,
 )
@@ -32,6 +35,8 @@ __all__ = [
     "StandardFormLp",
     "standardize",
     "solve_lp",
+    "CutLog",
+    "solve_cutting_planes",
     "brute_force_lp",
     "max_violation",
     "problem_to_json",
@@ -554,6 +559,64 @@ def solve_lp(problem: LpProblem, tolerances: SolverTolerances | None = None) -> 
     value = float(problem.objective @ x)
     x = _readonly(x)
     return LpSolution("Optimal", x, value, solver.iterations)
+
+
+# ---------------------------------------------------------------------------
+# Row generation
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class CutLog:
+    """Rows added after each solved relaxation of a row-generation solve.
+
+    rounds counts the relaxations solved, including a final non-Optimal
+    one; final_max_support is the largest violation separate() reported
+    at the last solved relaxation (inf when none was solved).
+    """
+
+    rounds: int
+    cuts_per_round: list[int]
+    final_max_support: float
+
+    @property
+    def total_cuts(self) -> int:
+        return sum(self.cuts_per_round)
+
+
+def solve_cutting_planes(
+    base: LpProblem,
+    separate: Callable[[np.ndarray], tuple[list, float]],
+    max_rounds: int,
+    tolerances: SolverTolerances | None = None,
+) -> tuple[LpSolution, CutLog]:
+    """Row generation (Kelley 1960): solve, add violated rows, repeat.
+
+    Each round solves base plus every row added so far.  separate(x)
+    returns the (row, sense, rhs) rows to add at the incumbent x and the
+    largest violation it saw; the loop ends when it returns no rows.  A
+    non-Optimal relaxation is returned as is.  Raises MaxRoundsExceeded
+    after max_rounds solves.
+    """
+    if max_rounds < 1:
+        raise DomainError(f"max_rounds must be >= 1, got {max_rounds}")
+    constraints = base.constraints()
+    bounds = base.bounds()
+    cuts_per_round: list[int] = []
+    last_max = math.inf
+    for _ in range(max_rounds):
+        sol = solve_lp(LpProblem(base.objective, constraints, bounds), tolerances)
+        if sol.status != "Optimal":
+            return sol, CutLog(len(cuts_per_round) + 1, cuts_per_round, last_max)
+        rows, last_max = separate(sol.x)
+        constraints.extend(rows)
+        cuts_per_round.append(len(rows))
+        if not rows:
+            return sol, CutLog(len(cuts_per_round), cuts_per_round, last_max)
+    raise MaxRoundsExceeded(
+        f"row generation did not converge in {max_rounds} rounds "
+        f"(max violation {last_max:.3e})"
+    )
 
 
 # ---------------------------------------------------------------------------

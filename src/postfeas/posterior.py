@@ -441,8 +441,8 @@ def load_panel_data(detections_path, clusters_path, weights_path) -> PanelData:
 
     weights.csv fixes the candidate gene pool and its order; clusters are
     sorted by name.  (cluster, gene) pairs absent from detections.csv are
-    zero detections.  Unknown genes or clusters in detections.csv are
-    errors.
+    zero detections.  Unknown genes or clusters, and a (cluster, gene)
+    pair listed twice, in detections.csv are errors.
     """
     weight_rows = _read_csv_rows(weights_path, ("gene", "weight"))
     genes: list[str] = []
@@ -476,6 +476,7 @@ def load_panel_data(detections_path, clusters_path, weights_path) -> PanelData:
 
     detected = np.zeros((len(clusters), len(genes)))
     det_rows = _read_csv_rows(detections_path, ("cluster", "gene", "detected_count"))
+    listed = set()
     for row in det_rows:
         cname, gname = row[0].strip(), row[1].strip()
         if cname not in cluster_index:
@@ -483,6 +484,11 @@ def load_panel_data(detections_path, clusters_path, weights_path) -> PanelData:
         if gname not in gene_index:
             raise DomainError(f"detections reference unknown gene {gname!r}")
         count = _parse_number(row[2], int, detections_path, "detected_count")
+        if (cname, gname) in listed:
+            raise DomainError(
+                f"detections list ({cname}, {gname}) more than once"
+            )
+        listed.add((cname, gname))
         j, k = cluster_index[cname], gene_index[gname]
         if count < 0 or count > sizes[cname]:
             raise CountOutOfRange(

@@ -16,7 +16,6 @@ support function of an ellipsoid has a closed-form maximizer.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -24,19 +23,19 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import stats
-from .errors import (
-    DimensionMismatch,
-    DomainError,
-    MaxRoundsExceeded,
-    NotPositiveDefinite,
+from .errors import DimensionMismatch, DomainError, NotPositiveDefinite
+from .lp import (
+    CutLog,
+    LpProblem,
+    LpSolution,
+    SolverTolerances,
+    solve_cutting_planes,
 )
-from .lp import LpProblem, LpSolution, SolverTolerances, solve_lp
 
 __all__ = [
     "Ellipsoid",
     "RobustRow",
     "RobustLp",
-    "CutLog",
     "SupportResult",
     "soc_support",
     "bonferroni_kappa",
@@ -45,8 +44,6 @@ __all__ = [
     "solve_robust_cutting_planes",
     "rhs_quantile_tighten",
     "rb_heuristic_tighten",
-    "robust_lp_to_json",
-    "robust_lp_from_json",
 ]
 
 
@@ -215,17 +212,6 @@ def robustify_rows_joint(
     return RobustLp(base=base, robust_rows=tuple(robust))
 
 
-@dataclass
-class CutLog:
-    rounds: int
-    cuts_per_round: list[int]
-    final_max_support: float
-
-    @property
-    def total_cuts(self) -> int:
-        return sum(self.cuts_per_round)
-
-
 def solve_robust_cutting_planes(
     rlp: RobustLp,
     tol_cut: float = 1e-7,
@@ -234,41 +220,26 @@ def solve_robust_cutting_planes(
 ) -> tuple[LpSolution, CutLog]:
     """Exact cutting-plane solve of the robustified program.
 
-    Each round solves the LP relaxation, evaluates every robust row's
-    support at the incumbent, and adds the maximizing row u* as a linear
-    cut wherever the support exceeds tol_cut.  Cuts accumulate across
-    rounds.  Terminates when no row separates; raises MaxRoundsExceeded
-    after max_rounds.  A non-optimal relaxation status is returned as is.
+    Row generation whose separation oracle evaluates every robust row's
+    support at the incumbent and cuts with the maximizing row u* wherever
+    the support exceeds tol_cut.  Terminates when no row separates;
+    raises MaxRoundsExceeded after max_rounds.  A non-optimal relaxation
+    status is returned as is.
     """
-    if max_rounds < 1:
-        raise DomainError(f"max_rounds must be >= 1, got {max_rounds}")
-    base = rlp.base
-    constraints = base.constraints()
-    bounds = base.bounds()
-    cuts_per_round: list[int] = []
-    last_max = math.inf
-    for _ in range(max_rounds):
-        problem = LpProblem(base.objective, constraints, bounds)
-        sol = solve_lp(problem, tolerances)
-        if sol.status != "Optimal":
-            return sol, CutLog(len(cuts_per_round) + 1, cuts_per_round, last_max)
-        z = np.concatenate([sol.x, [-1.0]])
-        added = 0
-        last_max = 0.0
+
+    def separate(x: np.ndarray) -> tuple[list, float]:
+        z = np.concatenate([x, [-1.0]])
+        cuts = []
+        worst = 0.0
         for row in rlp.robust_rows:
             support = soc_support(row.ellipsoid, z)
-            last_max = max(last_max, support.value)
+            worst = max(worst, support.value)
             if support.value > tol_cut:
                 u = support.maximizer
-                constraints.append((u[:-1], "<=", float(u[-1])))
-                added += 1
-        cuts_per_round.append(added)
-        if added == 0:
-            return sol, CutLog(len(cuts_per_round), cuts_per_round, last_max)
-    raise MaxRoundsExceeded(
-        f"cutting planes did not converge in {max_rounds} rounds "
-        f"(max support {last_max:.3e})"
-    )
+                cuts.append((u[:-1], "<=", float(u[-1])))
+        return cuts, worst
+
+    return solve_cutting_planes(rlp.base, separate, max_rounds, tolerances)
 
 
 def rhs_quantile_tighten(predictives: Sequence, alpha: float) -> np.ndarray:
@@ -304,41 +275,3 @@ def rb_heuristic_tighten(means, sds, alpha: float, m: int) -> np.ndarray:
         raise DomainError(f"alpha/m must be in (0, 1), got {alpha / m!r}")
     z = stats.normal_quantile(1.0 - alpha / m)
     return mu - z * sd
-
-
-def robust_lp_to_json(rlp: RobustLp) -> str:
-    from .lp import problem_to_json
-
-    base_doc = json.loads(problem_to_json(rlp.base))
-    base_doc["robust_rows"] = [
-        {
-            "center": row.ellipsoid.center.tolist(),
-            "cov": row.ellipsoid.cov.tolist(),
-            "kappa": row.kappa,
-        }
-        for row in rlp.robust_rows
-    ]
-    return json.dumps(base_doc)
-
-
-def robust_lp_from_json(text: str) -> RobustLp:
-    from .lp import problem_from_json
-
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:
-        raise DomainError(f"robust LP document is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DomainError("robust LP document must be a JSON object")
-    rows_doc = doc.pop("robust_rows", [])
-    base = problem_from_json(json.dumps(doc))
-    robust = []
-    try:
-        for rd in rows_doc:
-            kappa = float(rd["kappa"])
-            robust.append(
-                RobustRow(Ellipsoid.from_cov(rd["center"], rd["cov"], kappa), kappa)
-            )
-    except (KeyError, TypeError) as exc:
-        raise DomainError(f"malformed robust row: {exc}") from exc
-    return RobustLp(base=base, robust_rows=tuple(robust))

@@ -10,19 +10,23 @@ is an upper bound; d = 1 when a single scalar matters).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import stats
 from .errors import CountOutOfRange, DimensionMismatch, DomainError, EmptyInput
-from .lp import SENSES, LpProblem
+from .lp import (
+    SENSES,
+    CutLog,
+    LpProblem,
+    LpSolution,
+    solve_cutting_planes,
+    solve_lp,
+)
 
 __all__ = [
-    "ScenarioSet",
     "required_sample_size",
     "violation_bound",
-    "build_scenario_lp",
+    "solve_scenario_lp",
     "rhs_scenario_min",
 ]
 
@@ -62,130 +66,74 @@ def required_sample_size(eps: float, delta: float, d: int) -> int:
     return hi
 
 
-@dataclass(frozen=True)
-class ScenarioSet:
-    """N sampled realizations of the uncertain constraint block.
+def solve_scenario_lp(
+    base: LpProblem, coeff, senses, rhs
+) -> tuple[LpSolution, CutLog]:
+    """Solve base plus the row coeff[k, i] x (senses[i]) rhs[k, i] for
+    every draw k and uncertain row i, by row generation.
 
-    coeff is (N, m_u, n): the coefficient rows of each draw; rhs is
-    (N, m_u); senses is one sense per uncertain row, shared across
-    draws.  Right-hand-side-only uncertainty repeats the fixed rows
-    across draws.  source_stream records the (seed, stream_id) the draws
-    came from, for replay.
+    coeff is (N, m_u, n) and rhs is (N, m_u); fixed coefficient rows with
+    sampled right-hand sides can pass a broadcast view as coeff.  Each
+    round adds, for each uncertain row, the draw not yet added with the
+    largest positive residual at the incumbent (ties: lowest draw index).
+    A scenario solution is fixed by a few support rows (Calafiore & Campi
+    2006), so few of the N * m_u rows are ever added.  If a relaxation is
+    Unbounded before every row is in, the stacked LP is solved once, so
+    the status returned is always the stacked LP's.
     """
-
-    coeff: np.ndarray
-    senses: tuple[str, ...]
-    rhs: np.ndarray
-    source_stream: tuple[int, int]
-
-    def __post_init__(self):
-        coeff = np.asarray(self.coeff, dtype=float)
-        rhs = np.asarray(self.rhs, dtype=float)
-        if coeff.ndim != 3:
-            raise DimensionMismatch("coeff must be (N, m_u, n)")
-        n_draws, m_u, _ = coeff.shape
-        if rhs.shape != (n_draws, m_u):
-            raise DimensionMismatch(
-                f"rhs has shape {rhs.shape}, expected ({n_draws}, {m_u})"
-            )
-        if len(self.senses) != m_u:
-            raise DimensionMismatch("one sense per uncertain row required")
-        for s in self.senses:
-            if s not in SENSES:
-                raise DomainError(f"sense must be one of {SENSES}, got {s!r}")
-        if n_draws == 0:
-            raise EmptyInput("a scenario set needs at least one draw")
-        object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "senses", tuple(self.senses))
-        object.__setattr__(
-            self, "source_stream",
-            (int(self.source_stream[0]), int(self.source_stream[1])),
-        )
-
-    @property
-    def n_draws(self) -> int:
-        return self.coeff.shape[0]
-
-    @property
-    def n_uncertain_rows(self) -> int:
-        return self.coeff.shape[1]
-
-    @classmethod
-    def from_rhs_draws(cls, rows, senses, rhs_draws, source_stream) -> "ScenarioSet":
-        """Fixed coefficient rows with sampled right-hand sides."""
-        rows = np.asarray(rows, dtype=float)
-        rhs_draws = np.asarray(rhs_draws, dtype=float)
-        if rows.ndim != 2:
-            raise DimensionMismatch("rows must be (m_u, n)")
-        if rhs_draws.ndim != 2 or rhs_draws.shape[1] != rows.shape[0]:
-            raise DimensionMismatch("rhs_draws must be (N, m_u)")
-        coeff = np.broadcast_to(
-            rows[np.newaxis, :, :], (rhs_draws.shape[0],) + rows.shape
-        ).copy()
-        return cls(coeff=coeff, senses=tuple(senses), rhs=rhs_draws,
-                   source_stream=source_stream)
-
-
-def _dominated_mask(coeff_i: np.ndarray, rhs_i: np.ndarray, sense: str) -> np.ndarray:
-    """True where a draw of row i is implied by another draw (x >= 0).
-
-    For "<=" rows, draw k is implied by k' when coeff_k' >= coeff_k
-    componentwise and rhs_k' <= rhs_k; for ">=" rows the inequalities
-    flip.  Exact ties keep the lowest-index draw.
-    """
-    n_draws = coeff_i.shape[0]
-    if sense == "=":
-        return np.zeros(n_draws, dtype=bool)
-    if sense == "<=":
-        ge = np.all(coeff_i[:, None, :] >= coeff_i[None, :, :], axis=2)
-        rhs_le = rhs_i[:, None] <= rhs_i[None, :]
-        implies = ge & rhs_le  # implies[k', k]: k' implies k
-    else:
-        le = np.all(coeff_i[:, None, :] <= coeff_i[None, :, :], axis=2)
-        rhs_ge = rhs_i[:, None] >= rhs_i[None, :]
-        implies = le & rhs_ge
-    np.fill_diagonal(implies, False)
-    identical = np.all(coeff_i[:, None, :] == coeff_i[None, :, :], axis=2) & (
-        rhs_i[:, None] == rhs_i[None, :]
-    )
-    np.fill_diagonal(identical, False)
-    # of identical draws only the lowest index survives
-    idx = np.arange(n_draws)
-    tie_keep = identical & (idx[:, None] > idx[None, :])
-    implies = implies & ~tie_keep
-    return implies.any(axis=0)
-
-
-def build_scenario_lp(
-    base: LpProblem, scen: ScenarioSet, prefilter: bool = False
-) -> LpProblem:
-    """Base problem with the sampled constraint blocks appended.
-
-    Without prefilter the result has exactly m_u * N extra rows.  With
-    prefilter=True, draws implied componentwise by another draw are
-    dropped; that reduction is valid only when every variable lower
-    bound is >= 0, and is refused otherwise.
-    """
-    if scen.coeff.shape[2] != base.n:
+    coeff = np.asarray(coeff, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
+    senses = tuple(senses)
+    if coeff.ndim != 3:
+        raise DimensionMismatch("coeff must be (N, m_u, n)")
+    n_draws, m_u, n = coeff.shape
+    if n != base.n:
         raise DimensionMismatch(
-            f"scenario rows have {scen.coeff.shape[2]} columns, expected {base.n}"
+            f"scenario rows have {n} columns, expected {base.n}"
         )
-    constraints = base.constraints()
-    if prefilter and np.any(base.lower < 0.0):
-        raise DomainError(
-            "the dominance prefilter requires all variable lower bounds >= 0"
+    if rhs.shape != (n_draws, m_u):
+        raise DimensionMismatch(
+            f"rhs has shape {rhs.shape}, expected ({n_draws}, {m_u})"
         )
-    for i in range(scen.n_uncertain_rows):
-        sense = scen.senses[i]
-        keep = np.ones(scen.n_draws, dtype=bool)
-        if prefilter:
-            keep = ~_dominated_mask(scen.coeff[:, i, :], scen.rhs[:, i], sense)
-        for k in np.flatnonzero(keep):
-            constraints.append(
-                (scen.coeff[k, i], sense, float(scen.rhs[k, i]))
-            )
-    return LpProblem(base.objective, constraints, base.bounds())
+    if len(senses) != m_u:
+        raise DimensionMismatch("one sense per uncertain row required")
+    for s in senses:
+        if s not in SENSES:
+            raise DomainError(f"sense must be one of {SENSES}, got {s!r}")
+    if n_draws == 0:
+        raise EmptyInput("a scenario program needs at least one draw")
+    if not (np.isfinite(coeff).all() and np.isfinite(rhs).all()):
+        raise DomainError("scenario rows and rhs must be finite")
+
+    sign = np.array([-1.0 if s == ">=" else 1.0 for s in senses])
+    equality = np.array([s == "=" for s in senses])
+    added = np.zeros((n_draws, m_u), dtype=bool)
+
+    def separate(x: np.ndarray) -> tuple[list, float]:
+        resid = np.einsum("kin,n->ki", coeff, x) - rhs
+        resid = np.where(equality, np.abs(resid), sign * resid)
+        worst = max(float(resid.max()), 0.0)
+        resid[added] = -np.inf
+        rows = []
+        for i, k in enumerate(np.argmax(resid, axis=0)):
+            if resid[k, i] > 0.0:
+                added[k, i] = True
+                rows.append((coeff[k, i], senses[i], float(rhs[k, i])))
+        return rows, worst
+
+    sol, log = solve_cutting_planes(base, separate, n_draws * m_u + 1)
+    if sol.status == "Unbounded" and not added.all():
+        # a row not yet added may still bound the stacked program
+        stacked = base.constraints() + [
+            (coeff[k, i], senses[i], float(rhs[k, i]))
+            for i in range(m_u)
+            for k in range(n_draws)
+        ]
+        sol = solve_lp(LpProblem(base.objective, stacked, base.bounds()))
+        log = CutLog(log.rounds + 1,
+                     log.cuts_per_round + [int((~added).sum())],
+                     log.final_max_support)
+    return sol, log
 
 
 def rhs_scenario_min(rhs_draws) -> np.ndarray:

@@ -32,10 +32,9 @@ from postfeas.robustify import (
     solve_robust_cutting_planes,
 )
 from postfeas.scenario import (
-    ScenarioSet,
-    build_scenario_lp,
     required_sample_size,
     rhs_scenario_min,
+    solve_scenario_lp,
     violation_bound,
 )
 from postfeas.stats import (
@@ -193,8 +192,10 @@ def test_criterion_07_cross_oracle_agreement():
         lo = gen.uniform(-3, 0, size=n)
         hi = lo + gen.uniform(0.5, 4.0, size=n)
         base = LpProblem(c, [], list(zip(lo, hi)))
-        scen = ScenarioSet.from_rhs_draws(rows, ("<=",) * m_u, rhs_draws, (0, 0))
-        stacked = solve_lp(build_scenario_lp(base, scen))
+        stacked, _ = solve_scenario_lp(
+            base, np.broadcast_to(rows, (n_scen, m_u, n)), ("<=",) * m_u,
+            rhs_draws,
+        )
         min_rhs = rhs_scenario_min(rhs_draws)
         direct = solve_lp(LpProblem(
             c, [(rows[j], "<=", float(min_rhs[j])) for j in range(m_u)],

@@ -9,6 +9,7 @@ imported, so the child runs the same code.
 
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -125,6 +126,23 @@ class TestSolve:
         assert manifest.version == postfeas.__version__
         assert manifest.outputs == ("solution.json",)
         assert manifest.duration_seconds >= 0.0
+
+    def test_manifest_records_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        prob = write_json(tmp_path / "prob.json", PROBLEM_OPTIMAL)
+        out = tmp_path / "run" / "solution.json"
+        assert main(["solve", prob, "--out", str(out), "--seed", "17"]) == 0
+        text = (tmp_path / "run" / "manifest.json").read_text()
+        assert RunManifest.from_json(text).environment == {
+            "numpy": np.__version__,
+            "cpu_count": os.cpu_count(),
+            "OPENBLAS_NUM_THREADS": "1",
+            "OMP_NUM_THREADS": "2",
+            "MKL_NUM_THREADS": None,
+        }
+        assert json.loads(text)["environment"]["MKL_NUM_THREADS"] is None
 
     def test_infeasible_exit_code(self, tmp_path, capsys):
         prob = write_json(tmp_path / "prob.json", PROBLEM_INFEASIBLE)
@@ -665,6 +683,46 @@ class TestPanel:
             assert rc == 2
             assert "PanelConfig" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_duplicate_detection_exit_code(self, tmp_path, capsys):
+        det, clu, wts = write_panel_fixture(tmp_path, BINDING_DETECTIONS)
+        with open(det, "a", encoding="utf-8") as fh:
+            fh.write("c1,g2,10\n")
+        rc = main(["panel", "--detections", det, "--clusters", clu,
+                   "--weights", wts, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "(c1, g2)" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_mean_below_threshold_warns(self, tmp_path, capsys):
+        # g1 covers only c1 and g2 only c2.  The relaxed program splits the
+        # single slot between them; the rounded panel {g1} leaves c2 with
+        # almost no coverage on average.
+        det, clu, wts = write_panel_fixture(
+            tmp_path, {"g1": (380, 0), "g2": (0, 380)})
+        cfg = write_json(tmp_path / "panel.json",
+                         {"budget": 1, "threshold": 0.45, "m_cert": 500})
+        rc = main(["panel", "--detections", det, "--clusters", clu,
+                   "--weights", wts, "--config", cfg,
+                   "--out", str(tmp_path / "out")])
+        assert rc == 0
+        captured = capsys.readouterr()
+        out = captured.out.splitlines()
+        assert out[0] == "g1"
+        assert len(out) == 3
+        assert out[1].startswith("v_hat=") and out[2].startswith("upper_bound=")
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("warning: cluster c2 has mean coverage 0.")
+        assert err[0].endswith("below the threshold 0.45")
+
+    def test_mean_above_threshold_is_quiet(self, binding_run, tmp_path, capsys):
+        _, _, (det, clu, wts, cfg) = binding_run
+        rc = main(["panel", "--detections", det, "--clusters", clu,
+                   "--weights", wts, "--config", cfg,
+                   "--seed", "11", "--out", str(tmp_path / "out")])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
 
     def test_malformed_csv_exit_code(self, tmp_path):
         det, clu, _ = write_panel_fixture(tmp_path, BINDING_DETECTIONS)

@@ -534,6 +534,14 @@ class TestLoadPanelData:
         )
         with pytest.raises(DomainError, match="duplicate cluster"):
             load_panel_data(*paths)
+        paths = write_panel_fixture(
+            tmp_path,
+            GOOD_DETECTIONS + "cA,g2,7\n",
+            GOOD_CLUSTERS,
+            GOOD_WEIGHTS,
+        )
+        with pytest.raises(DomainError, match=r"\(cA, g2\) more than once"):
+            load_panel_data(*paths)
 
     def test_bad_numerics_rejected(self, tmp_path):
         paths = write_panel_fixture(

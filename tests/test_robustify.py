@@ -19,8 +19,6 @@ from postfeas.robustify import (
     bonferroni_kappa,
     rb_heuristic_tighten,
     rhs_quantile_tighten,
-    robust_lp_from_json,
-    robust_lp_to_json,
     robustify_rows,
     robustify_rows_joint,
     soc_support,
@@ -374,6 +372,36 @@ class TestCuttingPlanes:
         with pytest.raises(DomainError):
             solve_robust_cutting_planes(rlp, max_rounds=0)
 
+    # Cut sequences of the loop before it was shared with the scenario
+    # program; x is compared bit for bit.  Instance: c ~ U(0.5, 2), rows
+    # (U(0.2, 1.5)^n, U(3, 6)) with random_pd_cov(scale), box [0, 5]^n.
+    @pytest.mark.parametrize("seed, n, scale, budget, x_hex, cuts", [
+        (2, 4, 0.3, None,
+         ["0x1.ea92ed4c37d8cp-1", "0x0.0p+0", "0x1.b68d1244527f0p+0",
+          "0x0.0p+0"],
+         [3, 2, 3, 2, 2, 0]),
+        (3, 3, 0.25, 4.0,
+         ["0x1.0da7152928000p+0", "0x0.0p+0", "0x1.0542b4849d400p-1"],
+         [3, 3, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0]),
+    ])
+    def test_cut_sequence_pinned(self, seed, n, scale, budget, x_hex, cuts):
+        gen = np.random.default_rng(seed)
+        c = gen.uniform(0.5, 2.0, n)
+        rows = [
+            (
+                np.array([*gen.uniform(0.2, 1.5, n), gen.uniform(3.0, 6.0)]),
+                random_pd_cov(gen, n + 1, scale),
+            )
+            for _ in range(3)
+        ]
+        fixed = [] if budget is None else [(np.ones(n), "<=", budget)]
+        rlp = robustify_rows(box_base(c, 5.0, fixed), rows, alpha=0.1)
+        sol, log = solve_robust_cutting_planes(rlp)
+        assert sol.status == "Optimal"
+        assert sol.x.tolist() == [float.fromhex(h) for h in x_hex]
+        assert log.rounds == len(cuts)
+        assert log.cuts_per_round == cuts
+
     def test_infeasible_base_returned_as_is(self):
         base = LpProblem(
             objective=np.array([1.0, 1.0]),
@@ -457,30 +485,3 @@ class TestRbHeuristic:
         with pytest.raises(DomainError):
             rb_heuristic_tighten([1.0], [0.1], alpha=0.0, m=1)
 
-
-class TestRobustLpJson:
-    def test_round_trip_preserves_solution(self):
-        gen = np.random.default_rng(62)
-        base = LpProblem(
-            objective=np.array([1.0, 0.8]),
-            constraints=[(np.array([1.0, 1.0]), "<=", 4.0)],
-            bounds=[(0.0, 3.0), (0.0, 3.0)],
-        )
-        rows = [
-            (
-                np.array([*gen.uniform(0.3, 1.2, 2), gen.uniform(2.0, 3.5)]),
-                random_pd_cov(gen, 3),
-            )
-            for _ in range(2)
-        ]
-        rlp = robustify_rows(base, rows, alpha=0.1)
-        back = robust_lp_from_json(robust_lp_to_json(rlp))
-        assert len(back.robust_rows) == 2
-        for orig, copy in zip(rlp.robust_rows, back.robust_rows):
-            assert copy.kappa == orig.kappa
-            assert np.array_equal(copy.ellipsoid.center, orig.ellipsoid.center)
-            assert np.array_equal(copy.ellipsoid.cov, orig.ellipsoid.cov)
-        sol_a, _ = solve_robust_cutting_planes(rlp)
-        sol_b, _ = solve_robust_cutting_planes(back)
-        assert sol_a.objective_value == sol_b.objective_value
-        assert np.array_equal(sol_a.x, sol_b.x)

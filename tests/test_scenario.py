@@ -1,4 +1,4 @@
-"""Tests for posterior-scenario LP construction and sample sizing."""
+"""Tests for the posterior-scenario LP and sample sizing."""
 
 import math
 from fractions import Fraction
@@ -15,10 +15,9 @@ from postfeas.errors import (
 )
 from postfeas.lp import LpProblem, solve_lp
 from postfeas.scenario import (
-    ScenarioSet,
-    build_scenario_lp,
     required_sample_size,
     rhs_scenario_min,
+    solve_scenario_lp,
     violation_bound,
 )
 from postfeas.stats import Rng, binomial_tail, normal_array
@@ -89,49 +88,26 @@ class TestViolationBound:
             assert abs(violation_bound(n, eps, d) - float(exact)) <= 1e-12
 
 
-class TestScenarioSet:
-    def test_basic_construction(self):
-        coeff = np.ones((4, 2, 3))
-        rhs = np.ones((4, 2))
-        scen = ScenarioSet(coeff, ("<=", ">="), rhs, (7, 99))
-        assert scen.n_draws == 4
-        assert scen.n_uncertain_rows == 2
-        assert scen.source_stream == (7, 99)
+def stacked_lp(base, coeff, senses, rhs):
+    """Reference: base plus every sampled row, stacked in one LP."""
+    n_draws, m_u, _ = coeff.shape
+    rows = [
+        (coeff[k, i], senses[i], float(rhs[k, i]))
+        for i in range(m_u)
+        for k in range(n_draws)
+    ]
+    return LpProblem(base.objective, base.constraints() + rows, base.bounds())
 
-    def test_from_rhs_draws_broadcasts_rows(self):
-        rows = np.array([[1.0, 2.0], [0.5, 0.0]])
-        rhs = np.arange(6.0).reshape(3, 2)
-        scen = ScenarioSet.from_rhs_draws(rows, ("<=", "<="), rhs, (0, 0))
-        assert scen.coeff.shape == (3, 2, 2)
-        for k in range(3):
-            assert np.array_equal(scen.coeff[k], rows)
-        assert np.array_equal(scen.rhs, rhs)
 
-    def test_regeneration_from_recorded_stream(self):
-        rng = Rng.for_purpose(9, "scen-repro")
-        rows = np.array([[1.0, 0.5]])
-        draws = normal_array(rng, (30, 1))
-        scen = ScenarioSet.from_rhs_draws(
-            rows, ("<=",), draws, (rng.seed, rng.stream_id)
-        )
-        replay = normal_array(Rng(*scen.source_stream), (30, 1))
-        assert np.array_equal(scen.rhs, replay)
-
-    def test_validation(self):
-        with pytest.raises(DimensionMismatch):
-            ScenarioSet(np.ones((4, 2)), ("<=",), np.ones((4, 2)), (0, 0))
-        with pytest.raises(DimensionMismatch):
-            ScenarioSet(np.ones((4, 2, 3)), ("<=", "<="), np.ones((4, 3)), (0, 0))
-        with pytest.raises(DimensionMismatch):
-            ScenarioSet(np.ones((4, 2, 3)), ("<=",), np.ones((4, 2)), (0, 0))
-        with pytest.raises(DomainError):
-            ScenarioSet(np.ones((4, 2, 3)), ("<=", "<<"), np.ones((4, 2)), (0, 0))
-        with pytest.raises(EmptyInput):
-            ScenarioSet(np.ones((0, 2, 3)), ("<=", "<="), np.ones((0, 2)), (0, 0))
-        with pytest.raises(DimensionMismatch):
-            ScenarioSet.from_rhs_draws(
-                np.ones((2, 3)), ("<=", "<="), np.ones((4, 3)), (0, 0)
-            )
+def worst_residual(coeff, senses, rhs, x):
+    """Largest violation of any sampled row at x."""
+    resid = np.einsum("kin,n->ki", coeff, x) - rhs
+    for i, sense in enumerate(senses):
+        if sense == ">=":
+            resid[:, i] = -resid[:, i]
+        elif sense == "=":
+            resid[:, i] = np.abs(resid[:, i])
+    return float(resid.max())
 
 
 def rhs_only_instance(gen, n, m_u, n_draws, xmax=5.0):
@@ -139,29 +115,37 @@ def rhs_only_instance(gen, n, m_u, n_draws, xmax=5.0):
     rows = gen.uniform(0.1, 2.0, (m_u, n))
     rhs = gen.uniform(1.0, 4.0, (n_draws, m_u))
     base = LpProblem(c, [], [(0.0, xmax)] * n)
-    scen = ScenarioSet.from_rhs_draws(rows, ("<=",) * m_u, rhs, (0, 0))
-    return base, scen, rows, rhs
+    coeff = np.broadcast_to(rows, (n_draws, m_u, n))
+    return base, coeff, rows, rhs
 
 
 class TestBuildScenarioLp:
+    """solve_scenario_lp against the stacked LP each test builds."""
+
     def test_row_count_without_prefilter(self):
+        # Fixed rows: the most violated draw of a row is its smallest rhs,
+        # which implies every other draw, so one round adds all it needs.
         gen = np.random.default_rng(71)
-        base, scen, _, _ = rhs_only_instance(gen, 3, 4, 25)
-        stacked = build_scenario_lp(base, scen)
-        assert stacked.m == 4 * 25
-        assert np.array_equal(stacked.objective, base.objective)
-        assert stacked.bounds() == base.bounds()
+        base, coeff, _, rhs = rhs_only_instance(gen, 3, 4, 25)
+        senses = ("<=",) * 4
+        reference = stacked_lp(base, coeff, senses, rhs)
+        assert reference.m == 4 * 25
+        sol, log = solve_scenario_lp(base, coeff, senses, rhs)
+        ref = solve_lp(reference)
+        assert sol.status == ref.status == "Optimal"
+        assert sol.objective_value == pytest.approx(ref.objective_value, abs=1e-9)
+        assert log.total_cuts <= 4
+        assert log.rounds <= 2
 
     def test_single_nominal_draw_equals_nominal_lp(self):
         gen = np.random.default_rng(72)
-        base, scen, rows, rhs = rhs_only_instance(gen, 3, 2, 1)
-        stacked = build_scenario_lp(base, scen)
+        base, coeff, rows, rhs = rhs_only_instance(gen, 3, 2, 1)
+        a, _ = solve_scenario_lp(base, coeff, ("<=", "<="), rhs)
         nominal = LpProblem(
             base.objective,
             [(rows[i], "<=", rhs[0, i]) for i in range(2)],
             base.bounds(),
         )
-        a = solve_lp(stacked)
         b = solve_lp(nominal)
         assert a.status == b.status == "Optimal"
         assert a.objective_value == pytest.approx(b.objective_value, abs=1e-12)
@@ -169,11 +153,59 @@ class TestBuildScenarioLp:
 
     def test_solution_satisfies_every_draw(self):
         gen = np.random.default_rng(73)
-        base, scen, _, _ = rhs_only_instance(gen, 4, 3, 40)
-        sol = solve_lp(build_scenario_lp(base, scen))
+        base, coeff, _, rhs = rhs_only_instance(gen, 4, 3, 40)
+        sol, _ = solve_scenario_lp(base, coeff, ("<=",) * 3, rhs)
         assert sol.status == "Optimal"
-        residual = scen.coeff @ sol.x - scen.rhs
+        residual = coeff @ sol.x - rhs
         assert float(residual.max()) <= 1e-8
+
+    @pytest.mark.parametrize("sense", ["<=", ">=", "="])
+    def test_each_sense_matches_stacked_lp(self, sense):
+        # Coefficients vary across draws.  "=" draws all pass through
+        # one point in their row's active coordinates, so the stacked
+        # program stays feasible.
+        gen = np.random.default_rng({"<=": 81, ">=": 82, "=": 83}[sense])
+        n, m_u, n_draws = 4, 2, 60
+        point = gen.uniform(0.5, 1.5, n)
+        for _ in range(10):
+            c = gen.normal(size=n)
+            base = LpProblem(c, [(np.ones(n), "<=", 6.0)], [(0.0, 3.0)] * n)
+            coeff = gen.uniform(0.1, 2.0, (n_draws, m_u, n))
+            if sense == "=":
+                coeff[:, :, 2:] = 0.0
+                rhs = coeff @ point
+            else:
+                rhs = coeff @ point + gen.uniform(-0.3, 0.3, (n_draws, m_u))
+            senses = (sense,) * m_u
+            sol, log = solve_scenario_lp(base, coeff, senses, rhs)
+            ref = solve_lp(stacked_lp(base, coeff, senses, rhs))
+            assert sol.status == ref.status
+            if ref.status == "Optimal":
+                assert sol.objective_value == pytest.approx(
+                    ref.objective_value, abs=1e-9
+                )
+                assert worst_residual(coeff, senses, rhs, sol.x) <= 1e-8
+                assert log.total_cuts <= n_draws * m_u
+
+    def test_unbounded_relaxation_solves_stacked_lp(self):
+        # x is bounded only by the scenario rows: the first relaxation is
+        # Unbounded, yet the stacked program has an optimum.
+        gen = np.random.default_rng(84)
+        base = LpProblem(np.array([1.0, 2.0]), [], [(0.0, None), (0.0, None)])
+        coeff = gen.uniform(0.5, 2.0, (30, 2, 2))
+        rhs = gen.uniform(1.0, 3.0, (30, 2))
+        senses = ("<=", "<=")
+        sol, log = solve_scenario_lp(base, coeff, senses, rhs)
+        ref = solve_lp(stacked_lp(base, coeff, senses, rhs))
+        assert sol.status == ref.status == "Optimal"
+        assert sol.objective_value == pytest.approx(ref.objective_value, abs=1e-9)
+        assert worst_residual(coeff, senses, rhs, sol.x) <= 1e-8
+        assert log.total_cuts == 60
+        # rows that leave a direction open keep the stacked status
+        coeff[:, :, 1] = 0.0
+        sol, _ = solve_scenario_lp(base, coeff, senses, rhs)
+        assert sol.status == solve_lp(stacked_lp(base, coeff, senses, rhs)).status
+        assert sol.status == "Unbounded"
 
     def test_stacked_matches_min_rhs_reduction(self):
         gen = np.random.default_rng(74)
@@ -181,8 +213,8 @@ class TestBuildScenarioLp:
             n = int(gen.integers(2, 5))
             m_u = int(gen.integers(1, 4))
             n_draws = int(gen.integers(2, 60))
-            base, scen, rows, rhs = rhs_only_instance(gen, n, m_u, n_draws)
-            stacked = solve_lp(build_scenario_lp(base, scen))
+            base, coeff, rows, rhs = rhs_only_instance(gen, n, m_u, n_draws)
+            stacked, _ = solve_scenario_lp(base, coeff, ("<=",) * m_u, rhs)
             b_min = rhs_scenario_min(rhs)
             reduced = solve_lp(
                 LpProblem(
@@ -196,63 +228,47 @@ class TestBuildScenarioLp:
                 reduced.objective_value, abs=1e-8
             )
 
-    def test_prefilter_preserves_objective_and_shrinks(self):
-        gen = np.random.default_rng(75)
-        for _ in range(10):
-            base, scen, _, _ = rhs_only_instance(gen, 3, 2, 30)
-            full = build_scenario_lp(base, scen, prefilter=False)
-            slim = build_scenario_lp(base, scen, prefilter=True)
-            # identical fixed rows: only the componentwise-minimal rhs survives
-            assert slim.m == 2
-            assert full.m == 60
-            a, b = solve_lp(full), solve_lp(slim)
-            assert a.objective_value == pytest.approx(b.objective_value, abs=1e-9)
-
-    def test_prefilter_keeps_one_of_identical_draws(self):
-        rows = np.array([[1.0, 1.0]])
-        rhs = np.array([[2.0], [2.0], [2.0]])
-        scen = ScenarioSet.from_rhs_draws(rows, ("<=",), rhs, (0, 0))
-        base = LpProblem(np.array([1.0, 1.0]), [], [(0.0, 5.0)] * 2)
-        assert build_scenario_lp(base, scen, prefilter=True).m == 1
-
-    def test_prefilter_handles_ge_and_eq_senses(self):
-        rows = np.array([[1.0, 0.0], [0.0, 1.0]])
-        rhs = np.column_stack([[1.0, 3.0, 2.0], [4.0, 4.0, 4.0]])
-        scen = ScenarioSet.from_rhs_draws(rows, (">=", "="), rhs, (0, 0))
-        base = LpProblem(np.array([1.0, 1.0]), [], [(0.0, 10.0)] * 2)
-        slim = build_scenario_lp(base, scen, prefilter=True)
-        # ">=" keeps only the binding maximal rhs; "=" rows are never dropped
-        assert slim.m == 1 + 3
-        full = build_scenario_lp(base, scen, prefilter=False)
-        a, b = solve_lp(full), solve_lp(slim)
-        assert a.objective_value == pytest.approx(b.objective_value, abs=1e-12)
-
-    def test_prefilter_refused_for_negative_lower_bounds(self):
-        rows = np.array([[1.0, 1.0]])
-        rhs = np.array([[2.0], [3.0]])
-        scen = ScenarioSet.from_rhs_draws(rows, ("<=",), rhs, (0, 0))
-        base = LpProblem(np.array([1.0, 1.0]), [], [(-1.0, 5.0), (0.0, 5.0)])
-        with pytest.raises(DomainError):
-            build_scenario_lp(base, scen, prefilter=True)
-        assert build_scenario_lp(base, scen, prefilter=False).m == 2
-
     def test_column_mismatch_rejected(self):
         base = LpProblem(np.array([1.0, 1.0]), [], [(0.0, 1.0)] * 2)
-        scen = ScenarioSet(
-            np.ones((2, 1, 3)), ("<=",), np.ones((2, 1)), (0, 0)
-        )
         with pytest.raises(DimensionMismatch):
-            build_scenario_lp(base, scen)
+            solve_scenario_lp(base, np.ones((2, 1, 3)), ("<=",), np.ones((2, 1)))
+
+    def test_validation(self):
+        base = LpProblem(np.ones(3), [], [(0.0, 1.0)] * 3)
+        with pytest.raises(DimensionMismatch):
+            solve_scenario_lp(base, np.ones((4, 2)), ("<=",), np.ones((4, 2)))
+        with pytest.raises(DimensionMismatch):
+            solve_scenario_lp(base, np.ones((4, 2, 3)), ("<=", "<="),
+                              np.ones((4, 3)))
+        with pytest.raises(DimensionMismatch):
+            solve_scenario_lp(base, np.ones((4, 2, 3)), ("<=",), np.ones((4, 2)))
+        with pytest.raises(DomainError):
+            solve_scenario_lp(base, np.ones((4, 2, 3)), ("<=", "<<"),
+                              np.ones((4, 2)))
+        with pytest.raises(EmptyInput):
+            solve_scenario_lp(base, np.ones((0, 2, 3)), ("<=", "<="),
+                              np.ones((0, 2)))
+        with pytest.raises(DimensionMismatch):
+            solve_scenario_lp(base, np.broadcast_to(np.ones((2, 3)), (4, 2, 3)),
+                              ("<=", "<="), np.ones((4, 3)))
+        for bad in (math.nan, math.inf):
+            coeff = np.ones((4, 2, 3))
+            coeff[3, 1, 0] = bad
+            with pytest.raises(DomainError):
+                solve_scenario_lp(base, coeff, ("<=", "<="), np.ones((4, 2)))
+            rhs = np.ones((4, 2))
+            rhs[2, 0] = bad
+            with pytest.raises(DomainError):
+                solve_scenario_lp(base, np.ones((4, 2, 3)), ("<=", "<="), rhs)
 
     def test_more_scenarios_never_help(self):
         gen = np.random.default_rng(76)
-        base, scen, rows, rhs = rhs_only_instance(gen, 3, 2, 50)
+        base, coeff, _, rhs = rhs_only_instance(gen, 3, 2, 50)
         objs = []
         for n_draws in (5, 15, 50):
-            sub = ScenarioSet.from_rhs_draws(
-                rows, ("<=", "<="), rhs[:n_draws], (0, 0)
+            sol, _ = solve_scenario_lp(
+                base, coeff[:n_draws], ("<=", "<="), rhs[:n_draws]
             )
-            sol = solve_lp(build_scenario_lp(base, sub))
             assert sol.status == "Optimal"
             objs.append(sol.objective_value)
         assert objs[0] >= objs[1] - 1e-12
@@ -267,12 +283,11 @@ class TestBuildScenarioLp:
         reps = 500
         rng = Rng.for_purpose(2026, "scenario-toy")
         base = LpProblem(np.array([1.0]), [], [(-8.0, 8.0)])
-        rows = np.array([[1.0]])
+        coeff = np.ones((n_draws, 1, 1))
         bad = 0
         for _ in range(reps):
             draws = normal_array(rng, (n_draws, 1))
-            scen = ScenarioSet.from_rhs_draws(rows, ("<=",), draws, (0, 0))
-            sol = solve_lp(build_scenario_lp(base, scen))
+            sol, _ = solve_scenario_lp(base, coeff, ("<=",), draws)
             assert sol.status == "Optimal"
             assert sol.x[0] == pytest.approx(float(draws.min()), abs=1e-9)
             if scipy.stats.norm.cdf(sol.x[0]) > eps:
