@@ -43,14 +43,15 @@ for m_draws in (200, 2_000, 20_000):
           f"{cert.upper_bound:9.4f}")
 
 # Zero observed violations still yields a positive bound, with the
-# closed form 1 - beta**(1/M).
+# closed form 1 - beta**(1/M).  estimate_violation takes a stack of
+# plans, one per row, and scores them all on the same draws.
 m_draws = 500
 s, _ = estimate_violation(
-    x_plan, UniformWorld(0.0), m_draws,
+    x_plan[np.newaxis], UniformWorld(0.0), m_draws,
     Rng.for_purpose(5, "cert-demo", "zero"),
 )
-ub = clopper_pearson_upper(0, m_draws, 0.05)
-print(f"\ns = 0 of {m_draws}: upper bound {ub:.6f}"
+ub = clopper_pearson_upper(s[0], m_draws, 0.05)
+print(f"\ns = {s[0]} of {m_draws}: upper bound {ub:.6f}"
       f"  (closed form {1 - 0.05 ** (1 / m_draws):.6f})")
 
 # With several constraints the certificate also carries per-constraint

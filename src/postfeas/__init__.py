@@ -44,7 +44,7 @@ from .experiments import (
     panel_certify_detail,
     panel_select,
     run_benchmark,
-    run_method,
+    run_trial,
     summarize_by_alpha,
     summarize_overall,
 )
@@ -89,7 +89,6 @@ from .robustify import (
     rb_heuristic_tighten,
     rhs_quantile_tighten,
     robustify_rows,
-    robustify_rows_joint,
     soc_support,
     solve_robust_cutting_planes,
 )
@@ -130,7 +129,7 @@ __all__ = [
     "METHODS", "ClusterSummary", "PanelConfig", "PanelResult", "SimConfig",
     "SimInstance", "TrialRecord", "fit_capacity_model", "gen_instance",
     "panel_certify_detail",
-    "panel_select", "run_benchmark", "run_method", "summarize_by_alpha",
+    "panel_select", "run_benchmark", "run_trial", "summarize_by_alpha",
     "summarize_overall",
     # lp
     "CutLog", "LpProblem", "LpSolution", "SolverTolerances",
@@ -145,7 +144,7 @@ __all__ = [
     # robustify
     "Ellipsoid", "RobustLp", "RobustRow", "SupportResult",
     "bonferroni_kappa", "rb_heuristic_tighten", "rhs_quantile_tighten",
-    "robustify_rows", "robustify_rows_joint", "soc_support",
+    "robustify_rows", "soc_support",
     "solve_robust_cutting_planes",
     # scenario
     "required_sample_size", "rhs_scenario_min", "solve_scenario_lp",

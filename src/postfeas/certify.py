@@ -1,7 +1,8 @@
 """Monte Carlo feasibility certificates.
 
-A candidate decision is replayed against M posterior draws; a draw
-counts as a violation unless every constraint residual is <= 0, with no
+A candidate decision is replayed against M posterior draws, and a
+stack of decisions is scored on one shared set of them.  A draw counts
+as a violation unless every constraint residual is <= 0, with no
 tolerance (the raw sign of the residual decides, and a NaN residual is
 a violation).  The binomial count s then gives an exact one-sided
 Clopper-Pearson upper confidence bound on the posterior violation
@@ -23,7 +24,7 @@ from typing import Iterator
 import numpy as np
 
 from . import stats
-from .errors import CountOutOfRange, DomainError
+from .errors import CountOutOfRange, DimensionMismatch, DomainError
 
 __all__ = [
     "BLOCK",
@@ -87,24 +88,30 @@ def violation_flags(model, x: np.ndarray, batch) -> np.ndarray:
 
 
 def estimate_violation(
-    x: np.ndarray,
+    xs: np.ndarray,
     model,
     m_draws: int,
     rng: stats.Rng,
-) -> tuple[int, np.ndarray]:
-    """Count violating posterior draws at the candidate x.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Count violating posterior draws at each decision of a stack.
 
-    Returns (s, per_constraint_counts).  A non-finite x raises
-    DomainError rather than certify anything.
+    xs is (D, n), one decision per row, and every decision is scored on
+    the same draws.  Returns s (D,) and per-constraint counts
+    (D, n_constraints).  A non-finite decision raises DomainError rather
+    than certify anything.
     """
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise DomainError("the decision to certify must be finite")
-    s, counts = 0, 0
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2 or len(xs) == 0:
+        raise DimensionMismatch(
+            f"decisions must be a (D, n) stack with D >= 1, got shape {xs.shape}"
+        )
+    if not np.all(np.isfinite(xs)):
+        raise DomainError("every decision to certify must be finite")
+    s, counts = np.zeros(len(xs), dtype=int), 0
     for batch in draw_blocks(model, m_draws, rng):
-        flags = violation_flags(model, x, batch)
-        s += int(flags.any(axis=1).sum())
-        counts = counts + flags.sum(axis=0)
+        flags = np.stack([violation_flags(model, x, batch) for x in xs])
+        s += flags.any(axis=2).sum(axis=1)
+        counts = counts + flags.sum(axis=1)
     return s, counts
 
 
@@ -119,6 +126,20 @@ class Certificate:
     beta: float
     per_constraint_rates: tuple[float, ...] | None = None
 
+    @classmethod
+    def from_counts(cls, s, counts, m_draws: int, beta: float) -> "Certificate":
+        """s violating draws of m_draws, with per-constraint counts or None."""
+        s = int(s)
+        return cls(
+            M=m_draws,
+            s=s,
+            v_hat=s / m_draws,
+            upper_bound=clopper_pearson_upper(s, m_draws, beta),
+            beta=float(beta),
+            per_constraint_rates=None if counts is None
+            else tuple(float(c) / m_draws for c in counts),
+        )
+
 
 def certify(
     x: np.ndarray,
@@ -127,16 +148,10 @@ def certify(
     beta: float,
     rng: stats.Rng,
 ) -> Certificate:
-    """Estimate the violation rate and wrap it with its exact upper bound."""
-    s, counts = estimate_violation(x, model, m_draws, rng)
-    return Certificate(
-        M=m_draws,
-        s=s,
-        v_hat=s / m_draws,
-        upper_bound=clopper_pearson_upper(s, m_draws, beta),
-        beta=float(beta),
-        per_constraint_rates=tuple(float(c) / m_draws for c in counts),
-    )
+    """Certificate of one decision: estimate_violation on a stack of one."""
+    s, counts = estimate_violation(np.asarray(x, dtype=float)[np.newaxis],
+                                   model, m_draws, rng)
+    return Certificate.from_counts(s[0], counts[0], m_draws, beta)
 
 
 def certificate_to_json(cert: Certificate) -> str:

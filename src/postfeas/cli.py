@@ -32,7 +32,6 @@ from .certify import (
     Certificate,
     certificate_to_json,
     certify as run_certify,
-    clopper_pearson_upper,
 )
 from .errors import (
     DomainError,
@@ -234,10 +233,7 @@ def _certify_replay(model: dict, m_draws: int, beta: float) -> Certificate:
     s = _require(model, "violations")
     if not isinstance(s, int) or isinstance(s, bool):
         raise DomainError(f"violations must be an integer, got {s!r}")
-    return Certificate(
-        M=m_draws, s=s, v_hat=s / m_draws,
-        upper_bound=clopper_pearson_upper(s, m_draws, beta), beta=beta,
-    )
+    return Certificate.from_counts(s, None, m_draws, beta)
 
 
 def _rhs_student_t(model: dict, x: np.ndarray) -> po.StudentTRhs:
@@ -257,15 +253,9 @@ def _rhs_student_t(model: dict, x: np.ndarray) -> po.StudentTRhs:
 
 def _gaussian_rows(model: dict, x: np.ndarray) -> po.GaussianRows:
     blocks = _require_list(model, "blocks")
-    try:
-        factors = [np.linalg.cholesky(np.asarray(_require(blk, "cov"), dtype=float))
-                   for blk in blocks]
-    except np.linalg.LinAlgError as exc:
-        raise DomainError(
-            "each block cov must be a positive definite square matrix"
-        ) from exc
     rows = po.GaussianRows(centers=[_require(blk, "center") for blk in blocks],
-                           factors=factors)
+                           factors=[po.psd_factor(_require(blk, "cov"))
+                                    for blk in blocks])
     if rows.centers.shape[1] != x.size + 1:
         raise DomainError(
             f"block centers must have {x.size + 1} entries, "

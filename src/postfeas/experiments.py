@@ -10,9 +10,11 @@ of turning the posterior into right-hand sides:
     FPQ  frequentist OLS t prediction quantile at alpha/m
     RB   mean - z_{1-alpha/m} * sd normal-theory heuristic
 
-Each optimized decision is certified twice: against fresh draws from
-the generating truth (v_true) and against the posterior predictive
-(v_post, with an exact upper confidence bound).
+Each trial first decides with all five methods and then certifies the
+decisions in one shared pass: every optimized decision is scored on the
+same fresh draws from the generating truth (v_true) and on the same
+posterior-predictive draws (v_post, with an exact upper confidence
+bound).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import json
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from numbers import Real
 
 import numpy as np
@@ -31,9 +33,8 @@ from . import scenario as sc
 from . import stats
 from .certify import (
     Certificate,
-    certify,
-    clopper_pearson_upper,
     draw_blocks,
+    estimate_violation,
     violation_flags,
 )
 from .errors import DimensionMismatch, DomainError, PanelInfeasible
@@ -50,7 +51,7 @@ __all__ = [
     "PanelResult",
     "gen_instance",
     "fit_capacity_model",
-    "run_method",
+    "run_trial",
     "run_benchmark",
     "summarize_by_alpha",
     "summarize_overall",
@@ -273,16 +274,9 @@ def _tightened_rhs(method: str, instance: SimInstance, model: po.StudentTRhs,
     raise DomainError(f"unknown method {method!r}")
 
 
-def run_method(method: str, instance: SimInstance, model: po.StudentTRhs,
-               alpha: float, cfg: SimConfig, rng: stats.Rng,
-               trial: int = 0) -> TrialRecord:
-    """Optimize with one hedging method and certify the decision.
-
-    model is the instance's capacity posterior (fit_capacity_model).
-    The true-model and posterior certification draws come from purpose
-    tagged child streams of rng, so all methods within a trial see
-    identical certification draws.
-    """
+def _decide(method: str, instance: SimInstance, model: po.StudentTRhs,
+            alpha: float, cfg: SimConfig, rng: stats.Rng):
+    """Solve the LP with one method's right-hand sides: (solution, clamped)."""
     b_hat = _tightened_rhs(method, instance, model, alpha, cfg, rng)
     clamped = bool(np.any(b_hat < 0.0))
     b_hat = np.maximum(b_hat, 0.0)
@@ -291,26 +285,7 @@ def run_method(method: str, instance: SimInstance, model: po.StudentTRhs,
         [(instance.resource_rows[j], "<=", float(b_hat[j])) for j in range(cfg.m)],
         [(0.0, cfg.x_max)] * cfg.n,
     )
-    sol = solve_lp(problem)
-    if sol.status != "Optimal":
-        return TrialRecord(alpha, method, trial, sol.status, float("nan"),
-                           float("nan"), float("nan"), float("nan"),
-                           clamped, rng.seed)
-    x_hat = sol.x
-    ax = instance.resource_rows @ x_hat
-    true_rng = stats.Rng.for_purpose(rng.seed, rng.stream_id, "true")
-    b_true = (
-        instance.x_ctx @ instance.beta_true.T
-        + instance.sigma_true[np.newaxis, :]
-        * stats.normal_array(true_rng, (cfg.m_true, cfg.m))
-    )
-    v_true = float((b_true < ax[np.newaxis, :]).any(axis=1).mean())
-
-    cert_rng = stats.Rng.for_purpose(rng.seed, rng.stream_id, "certify")
-    cert = certify(x_hat, model, cfg.m_cert, _CERT_BETA, cert_rng)
-    return TrialRecord(alpha, method, trial, "Optimal",
-                       float(sol.objective_value), v_true,
-                       cert.v_hat, cert.upper_bound, clamped, rng.seed)
+    return solve_lp(problem), clamped
 
 
 def _error_record(alpha: float, method: str, trial: int, seed: int) -> TrialRecord:
@@ -319,28 +294,65 @@ def _error_record(alpha: float, method: str, trial: int, seed: int) -> TrialReco
                        False, seed)
 
 
+def run_trial(instance: SimInstance, model: po.StudentTRhs, alpha: float,
+              cfg: SimConfig, rng: stats.Rng, trial: int = 0) -> list[TrialRecord]:
+    """Decide with every method, then certify all decisions in one pass.
+
+    model is the instance's capacity posterior (fit_capacity_model).
+    Each method decides on its own; one that raises gets an Error
+    record and the others go on.  Every Optimal decision is then scored
+    on the same true-model draws (v_true) and the same posterior draws
+    (v_post and its upper bound), taken once from the "true" and
+    "certify" child streams of rng.  Records come in METHODS order.
+    """
+    nan = float("nan")
+    records, optimal = [], []
+    for method in METHODS:
+        try:
+            sol, clamped = _decide(method, instance, model, alpha, cfg, rng)
+        except Exception:
+            _LOG.exception("trial failed (alpha=%s trial=%d method=%s)",
+                           alpha, trial, method)
+            records.append(_error_record(alpha, method, trial, rng.seed))
+            continue
+        records.append(TrialRecord(alpha, method, trial, sol.status, nan, nan,
+                                   nan, nan, clamped, rng.seed))
+        if sol.status == "Optimal":
+            optimal.append((len(records) - 1, sol))
+    if not optimal:
+        return records
+
+    true_rng = stats.Rng.for_purpose(rng.seed, rng.stream_id, "true")
+    b_true = (
+        instance.x_ctx @ instance.beta_true.T
+        + instance.sigma_true[np.newaxis, :]
+        * stats.normal_array(true_rng, (cfg.m_true, cfg.m))
+    )
+    cert_rng = stats.Rng.for_purpose(rng.seed, rng.stream_id, "certify")
+    s, counts = estimate_violation(np.array([sol.x for _, sol in optimal]),
+                                   model, cfg.m_cert, cert_rng)
+    for (i, sol), s_i, counts_i in zip(optimal, s, counts):
+        ax = instance.resource_rows @ sol.x
+        v_true = float((b_true < ax[np.newaxis, :]).any(axis=1).mean())
+        cert = Certificate.from_counts(s_i, counts_i, cfg.m_cert, _CERT_BETA)
+        records[i] = replace(records[i], profit=float(sol.objective_value),
+                             v_true=v_true, v_post=cert.v_hat,
+                             v_post_ub95=cert.upper_bound)
+    return records
+
+
 def _trial_block(cfg: SimConfig, alpha_index: int, trial: int) -> list[TrialRecord]:
     alpha = cfg.alphas[alpha_index]
     global_trial = alpha_index * cfg.trials_per_alpha + trial
     inst_rng = stats.Rng.for_purpose(cfg.master_seed, "instance", global_trial)
+    trial_rng = stats.Rng.for_purpose(cfg.master_seed, "trial", global_trial)
     try:
         instance = gen_instance(cfg, inst_rng)
         model = fit_capacity_model(instance, cfg)
+        return run_trial(instance, model, alpha, cfg, trial_rng, trial)
     except Exception:
-        _LOG.exception("instance generation failed (alpha=%s trial=%d)",
-                       alpha, trial)
+        _LOG.exception("trial failed (alpha=%s trial=%d)", alpha, trial)
         return [_error_record(alpha, m, trial, cfg.master_seed) for m in METHODS]
-    trial_rng = stats.Rng.for_purpose(cfg.master_seed, "trial", global_trial)
-    out = []
-    for method in METHODS:
-        try:
-            out.append(run_method(method, instance, model, alpha, cfg,
-                                  trial_rng, trial))
-        except Exception:
-            _LOG.exception("trial failed (alpha=%s trial=%d method=%s)",
-                           alpha, trial, method)
-            out.append(_error_record(alpha, method, trial, cfg.master_seed))
-    return out
 
 
 def run_benchmark(cfg: SimConfig, jobs: int = 1) -> list[TrialRecord]:
@@ -536,17 +548,8 @@ def panel_certify_detail(
         flags.append(violation_flags(model, x_sel, batch))
     coverage = np.concatenate(coverage)
     flags = np.concatenate(flags)
-    s = int(flags.any(axis=1).sum())
-    cert = Certificate(
-        M=cfg.m_cert,
-        s=s,
-        v_hat=s / cfg.m_cert,
-        upper_bound=clopper_pearson_upper(s, cfg.m_cert, cfg.beta),
-        beta=cfg.beta,
-        per_constraint_rates=tuple(
-            float(f) / cfg.m_cert for f in flags.sum(axis=0)
-        ),
-    )
+    cert = Certificate.from_counts(flags.any(axis=1).sum(), flags.sum(axis=0),
+                                   cfg.m_cert, cfg.beta)
     summaries = tuple(
         ClusterSummary(
             cluster=str(cluster_ids[j]),

@@ -24,6 +24,7 @@ from .errors import (
     DimensionMismatch,
     DomainError,
     EmptyInput,
+    NotPositiveDefinite,
     RankDeficient,
     SingularPrecision,
 )
@@ -45,6 +46,7 @@ __all__ = [
     "StudentTRhs",
     "GaussianRows",
     "BetaCoverage",
+    "psd_factor",
 ]
 
 
@@ -67,6 +69,31 @@ def _chol_with_jitter(mat: np.ndarray) -> np.ndarray:
         except np.linalg.LinAlgError:
             jitter *= 10.0
     raise SingularPrecision("precision matrix is not positive definite")
+
+
+def psd_factor(cov) -> np.ndarray:
+    """Square root F with F F' = cov.
+
+    Cholesky when positive definite (lower triangular, positive
+    diagonal); a symmetric eigendecomposition root when the matrix is
+    merely positive semidefinite, so degenerate directions (zero
+    variance) are allowed.  Indefinite input raises NotPositiveDefinite;
+    input that is not a finite square matrix raises DomainError.
+    """
+    cov = _float_array("covariance", cov, 2)
+    if cov.shape[0] != cov.shape[1]:
+        raise DomainError(f"covariance must be square, got shape {cov.shape}")
+    sym = 0.5 * (cov + cov.T)
+    try:
+        return np.linalg.cholesky(sym)
+    except np.linalg.LinAlgError:
+        pass
+    vals, vecs = np.linalg.eigh(sym)
+    scale = max(float(vals.max(initial=0.0)), 1.0)
+    if vals.min(initial=0.0) < -1e-10 * scale:
+        raise NotPositiveDefinite("covariance has a negative eigenvalue")
+    vals = np.clip(vals, 0.0, None)
+    return vecs * np.sqrt(vals)[np.newaxis, :]
 
 
 def _chol_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import stats
-from .errors import DimensionMismatch, DomainError, NotPositiveDefinite
+from .errors import DimensionMismatch, DomainError
 from .lp import (
     CutLog,
     LpProblem,
@@ -31,6 +31,7 @@ from .lp import (
     SolverTolerances,
     solve_cutting_planes,
 )
+from .posterior import predictive_quantile, psd_factor
 
 __all__ = [
     "Ellipsoid",
@@ -40,32 +41,10 @@ __all__ = [
     "soc_support",
     "bonferroni_kappa",
     "robustify_rows",
-    "robustify_rows_joint",
     "solve_robust_cutting_planes",
     "rhs_quantile_tighten",
     "rb_heuristic_tighten",
 ]
-
-
-def _psd_factor(cov: np.ndarray) -> np.ndarray:
-    """Square root F with F F' = cov.
-
-    Cholesky when positive definite (lower triangular, positive
-    diagonal); a symmetric eigendecomposition root when the matrix is
-    merely positive semidefinite, so degenerate directions (zero
-    variance) are allowed.  Indefinite input raises.
-    """
-    sym = 0.5 * (cov + cov.T)
-    try:
-        return np.linalg.cholesky(sym)
-    except np.linalg.LinAlgError:
-        pass
-    vals, vecs = np.linalg.eigh(sym)
-    scale = max(float(vals.max(initial=0.0)), 1.0)
-    if vals.min(initial=0.0) < -1e-10 * scale:
-        raise NotPositiveDefinite("covariance has a negative eigenvalue")
-    vals = np.clip(vals, 0.0, None)
-    return vecs * np.sqrt(vals)[np.newaxis, :]
 
 
 @dataclass(frozen=True)
@@ -89,7 +68,7 @@ class Ellipsoid:
         radius = float(radius)
         if radius < 0.0:
             raise DomainError(f"radius must be >= 0, got {radius!r}")
-        return cls(center=center, cov=cov, factor=_psd_factor(cov), radius=radius)
+        return cls(center=center, cov=cov, factor=psd_factor(cov), radius=radius)
 
     @property
     def dim(self) -> int:
@@ -177,41 +156,6 @@ def robustify_rows(
     return RobustLp(base=base, robust_rows=tuple(robust))
 
 
-def robustify_rows_joint(
-    base: LpProblem,
-    center: np.ndarray,
-    cov: np.ndarray,
-    alpha: float,
-) -> RobustLp:
-    """Joint-ellipsoid variant: one credible set over all rows at once.
-
-    center concatenates the m row vectors (each n+1 long); kappa is the
-    chi-square radius in dimension m(n+1); each row keeps the marginal
-    block of the joint covariance, which is the exact projection of the
-    joint ellipsoid.
-    """
-    center = np.asarray(center, dtype=float)
-    cov = np.asarray(cov, dtype=float)
-    p = base.n + 1
-    if center.ndim != 1 or center.size % p != 0:
-        raise DimensionMismatch(
-            f"joint center length must be a multiple of n+1 = {p}"
-        )
-    m = center.size // p
-    if m < 1:
-        raise DimensionMismatch("need at least one uncertain row")
-    if cov.shape != (center.size, center.size):
-        raise DimensionMismatch("joint covariance shape mismatch")
-    kappa = math.sqrt(stats.chi2_quantile(1.0 - alpha, center.size))
-    robust = []
-    for i in range(m):
-        sl = slice(i * p, (i + 1) * p)
-        robust.append(
-            RobustRow(Ellipsoid.from_cov(center[sl], cov[sl, sl], kappa), kappa)
-        )
-    return RobustLp(base=base, robust_rows=tuple(robust))
-
-
 def solve_robust_cutting_planes(
     rlp: RobustLp,
     tol_cut: float = 1e-7,
@@ -248,8 +192,6 @@ def rhs_quantile_tighten(predictives: Sequence, alpha: float) -> np.ndarray:
     Takes the lower alpha/m quantile of each row's Student-t predictive;
     with m rows, the union bound gives simultaneous level alpha.
     """
-    from .posterior import predictive_quantile
-
     preds = list(predictives)
     if not preds:
         raise DimensionMismatch("need at least one predictive")

@@ -19,6 +19,7 @@ from .lp import (
     CutLog,
     LpProblem,
     LpSolution,
+    SolverTolerances,
     solve_cutting_planes,
     solve_lp,
 )
@@ -75,7 +76,9 @@ def solve_scenario_lp(
     coeff is (N, m_u, n) and rhs is (N, m_u); fixed coefficient rows with
     sampled right-hand sides can pass a broadcast view as coeff.  Each
     round adds, for each uncertain row, the draw not yet added with the
-    largest positive residual at the incumbent (ties: lowest draw index).
+    largest residual at the incumbent (ties: lowest draw index), if that
+    residual exceeds feas * max(1, |rhs|), the scale at which solve_lp
+    checks feasibility; rounding noise on "=" rows adds nothing.
     A scenario solution is fixed by a few support rows (Calafiore & Campi
     2006), so few of the N * m_u rows are ever added.  If a relaxation is
     Unbounded before every row is in, the stacked LP is solved once, so
@@ -108,15 +111,16 @@ def solve_scenario_lp(
     sign = np.array([-1.0 if s == ">=" else 1.0 for s in senses])
     equality = np.array([s == "=" for s in senses])
     added = np.zeros((n_draws, m_u), dtype=bool)
+    slack = SolverTolerances().feas * np.maximum(1.0, np.abs(rhs))
 
     def separate(x: np.ndarray) -> tuple[list, float]:
         resid = np.einsum("kin,n->ki", coeff, x) - rhs
         resid = np.where(equality, np.abs(resid), sign * resid)
         worst = max(float(resid.max()), 0.0)
-        resid[added] = -np.inf
+        resid[added | (resid <= slack)] = -np.inf
         rows = []
         for i, k in enumerate(np.argmax(resid, axis=0)):
-            if resid[k, i] > 0.0:
+            if resid[k, i] > -np.inf:
                 added[k, i] = True
                 rows.append((coeff[k, i], senses[i], float(rhs[k, i])))
         return rows, worst

@@ -248,10 +248,10 @@ def test_criterion_08_certification_counts_follow_binomial_law():
         counts = np.zeros(m_draws + 1)
         for r in range(reps):
             s, _ = estimate_violation(
-                np.zeros(1), model, m_draws,
+                np.zeros((1, 1)), model, m_draws,
                 Rng.for_purpose(77, "acceptance-gof", r),
             )
-            counts[s] += 1
+            counts[s[0]] += 1
         expected = reps * scipy.stats.binom.pmf(
             np.arange(m_draws + 1), m_draws, p_true
         )

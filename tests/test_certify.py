@@ -15,7 +15,7 @@ from postfeas.certify import (
     estimate_violation,
     violation_flags,
 )
-from postfeas.errors import CountOutOfRange, DomainError
+from postfeas.errors import CountOutOfRange, DimensionMismatch, DomainError
 from postfeas.posterior import BetaCoverage, GaussianRows, StudentTRhs
 from postfeas.stats import Rng
 
@@ -120,28 +120,28 @@ class TestEstimateViolation:
             lambda x, batch: (rows @ x)[np.newaxis, :] - batch,
         )
         s, counts = estimate_violation(
-            np.zeros(2), model, 500, Rng.for_purpose(1, "cert-a")
+            np.zeros((1, 2)), model, 500, Rng.for_purpose(1, "cert-a")
         )
-        assert s == 0
-        assert counts.tolist() == [0, 0]
+        assert s.tolist() == [0]
+        assert counts.tolist() == [[0, 0]]
 
     def test_symmetric_rhs_violates_half_the_time(self):
         m = 10**4
         s, _ = estimate_violation(
-            np.array([3.0]),
+            np.array([[3.0]]),
             uniform_rhs(-1.0, 1.0),
             m,
             Rng.for_purpose(2, "cert-b"),
         )
         se = np.sqrt(0.25 / m)
-        assert abs(s / m - 0.5) <= 3.0 * se
+        assert abs(s[0] / m - 0.5) <= 3.0 * se
 
     def test_fixed_stream_reproduces_count(self):
         rng = Rng.for_purpose(3, "cert-c")
-        args = (np.array([1.0]), uniform_rhs(-1.0, 1.0), 777)
+        args = (np.array([[1.0]]), uniform_rhs(-1.0, 1.0), 777)
         s1, _ = estimate_violation(*args, rng)
         s2, _ = estimate_violation(*args, rng.clone())
-        assert s1 == s2
+        assert s1.tolist() == s2.tolist()
 
     def test_per_constraint_counts(self):
         model = FnModel(
@@ -149,38 +149,44 @@ class TestEstimateViolation:
             lambda x, batch: batch - 0.5,
         )
         s, counts = estimate_violation(
-            np.zeros(1), model, 2000, Rng.for_purpose(4, "cert-d")
+            np.zeros((1, 1)), model, 2000, Rng.for_purpose(4, "cert-d")
         )
         assert counts is not None
-        assert counts.shape == (3,)
+        assert counts.shape == (1, 3)
         assert np.all(counts >= 0)
-        assert counts.max() <= s <= counts.sum()
-        assert s > 0
+        assert counts.max() <= s[0] <= counts.sum()
+        assert s[0] > 0
 
     def test_strict_inequality_at_zero_residual(self):
         s, _ = estimate_violation(
-            np.zeros(1), constant_rhs(0.0), 64, Rng.for_purpose(5, "cert-e")
+            np.zeros((1, 1)), constant_rhs(0.0), 64, Rng.for_purpose(5, "cert-e")
         )
-        assert s == 0
+        assert s.tolist() == [0]
 
         s, _ = estimate_violation(
-            np.zeros(1), constant_rhs(1e-300), 64, Rng.for_purpose(6, "cert-f")
+            np.zeros((1, 1)), constant_rhs(1e-300), 64, Rng.for_purpose(6, "cert-f")
         )
-        assert s == 64
+        assert s.tolist() == [64]
 
     def test_nan_residual_counts_as_violation(self):
         s, counts = estimate_violation(
-            np.zeros(1), constant_rhs(np.nan), 64, Rng.for_purpose(6, "cert-nan")
+            np.zeros((1, 1)), constant_rhs(np.nan), 64, Rng.for_purpose(6, "cert-nan")
         )
-        assert s == 64
-        assert counts.tolist() == [64]
+        assert s.tolist() == [64]
+        assert counts.tolist() == [[64]]
 
     def test_non_finite_decision_rejected(self):
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(DomainError):
                 estimate_violation(
-                    np.array([bad, 1.0]), uniform_rhs(0.5, 1.5), 100,
+                    np.array([[bad, 1.0]]), uniform_rhs(0.5, 1.5), 100,
                     Rng.for_purpose(6, "cert-x"),
+                )
+            # one bad decision rejects the whole stack
+            with pytest.raises(DomainError):
+                estimate_violation(
+                    np.array([[0.0, 1.0], [1.0, bad]]), uniform_rhs(0.5, 1.5),
+                    100, Rng.for_purpose(6, "cert-x"),
                 )
             with pytest.raises(DomainError):
                 certify(np.array([1.0, bad]), uniform_rhs(0.5, 1.5), 100, 0.05,
@@ -192,23 +198,28 @@ class TestEstimateViolation:
 
         with pytest.raises(DomainError):
             estimate_violation(
-                np.zeros(1),
+                np.zeros((1, 1)),
                 FnModel(draw, lambda x, b: np.zeros((3, 1))),
                 5,
                 Rng.for_purpose(7, "cert-g"),
             )
         with pytest.raises(DomainError):
             estimate_violation(
-                np.zeros(1),
+                np.zeros((1, 1)),
                 FnModel(draw, lambda x, b: np.zeros(5)),
                 5,
                 Rng.for_purpose(8, "cert-h"),
             )
         with pytest.raises(CountOutOfRange):
             estimate_violation(
-                np.zeros(1), uniform_rhs(-1.0, 1.0), 0,
+                np.zeros((1, 1)), uniform_rhs(-1.0, 1.0), 0,
                 Rng.for_purpose(9, "cert-i"),
             )
+        # decisions come as a (D, n) stack with D >= 1
+        for xs in (np.zeros(1), np.zeros((0, 1)), np.zeros((1, 1, 1))):
+            with pytest.raises(DimensionMismatch):
+                estimate_violation(xs, uniform_rhs(-1.0, 1.0), 5,
+                                   Rng.for_purpose(9, "cert-i"))
 
 
 def family_models():
@@ -264,6 +275,28 @@ class TestDrawBlocks:
         # the caller's Rng only names the streams; it is not advanced
         again = list(draw_blocks(model, BLOCK + 10, rng))
         assert all(np.array_equal(a, b) for a, b in zip(blocks, again))
+
+
+class TestStackedDecisions:
+    @pytest.mark.parametrize("family", ["student_t", "gaussian", "beta"])
+    def test_stack_matches_one_decision_certify(self, family):
+        # M = 1,500 crosses the first block edge
+        model, x = family_models()[family]
+        xs = np.stack([x, 0.5 * x, 1.5 * x])
+        rng = Rng.for_purpose(18, "cert-stack", family)
+        s, counts = estimate_violation(xs, model, 1500, rng)
+        stacked = [Certificate.from_counts(s_d, c_d, 1500, 0.05)
+                   for s_d, c_d in zip(s, counts)]
+        assert stacked == [certify(x_d, model, 1500, 0.05, rng.clone())
+                           for x_d in xs]
+        assert len(set(s.tolist())) > 1
+
+    def test_from_counts_without_counts(self):
+        cert = Certificate.from_counts(3, None, 100, 0.05)
+        assert cert == Certificate(M=100, s=3, v_hat=0.03,
+                                   upper_bound=clopper_pearson_upper(3, 100, 0.05),
+                                   beta=0.05)
+        assert type(cert.s) is int and type(cert.v_hat) is float
 
 
 class TestPosteriorModels:
@@ -341,12 +374,12 @@ class TestCertify:
         counts = np.zeros(m + 1, dtype=int)
         for rep in range(reps):
             s, _ = estimate_violation(
-                np.zeros(1),
+                np.zeros((1, 1)),
                 uniform_below(p),
                 m,
                 Rng.for_purpose(13, "cert-binom", rep),
             )
-            counts[s] += 1
+            counts[s[0]] += 1
         probs = np.array(
             [scipy.stats.binom.pmf(k, m, p) for k in range(m + 1)]
         )

@@ -411,6 +411,40 @@ class TestCertify:
         se = math.sqrt(target * (1 - target) / 4000)
         assert abs(cert["v_hat"] - target) <= 4 * se
 
+    def test_gaussian_family_accepts_psd_covariance(self, tmp_path):
+        # The coefficient a = 1 is known exactly (zero variance) and
+        # b ~ N(2, 0.25), so at x = 1 the violation probability is
+        # P(b < 1) = Phi(-2).
+        sol = write_json(tmp_path / "sol.json", SOLUTION_1D)
+        model = write_json(tmp_path / "model.json", {
+            "family": "gaussian_rows",
+            "blocks": [{"center": [1.0, 2.0],
+                        "cov": [[0.0, 0.0], [0.0, 0.25]]}],
+        })
+        out = tmp_path / "certificate.json"
+        rc = main(["certify", "--solution", sol, "--model", model,
+                   "--M", "4000", "--seed", "3", "--out", str(out)])
+        assert rc == 0
+        cert = read_json(out)
+        target = scipy.stats.norm.cdf(-2.0)
+        se = math.sqrt(target * (1 - target) / 4000)
+        assert abs(cert["v_hat"] - target) <= 4 * se
+
+    def test_gaussian_family_bad_covariance_exit_code(self, tmp_path, capsys):
+        sol = write_json(tmp_path / "sol.json", SOLUTION_1D)
+        for cov, message in (([[1.0, 2.0], [2.0, 1.0]], "negative eigenvalue"),
+                             ([[1.0, 0.0, 0.0]], "square"),
+                             ([1.0, 0.0], "2-d"),
+                             ([[1.0, 0.0], [0.0, None]], "finite")):
+            model = write_json(tmp_path / "model.json", {
+                "family": "gaussian_rows",
+                "blocks": [{"center": [1.0, 2.0], "cov": cov}],
+            })
+            rc = main(["certify", "--solution", sol, "--model", model,
+                       "--out", str(tmp_path / "c.json")])
+            assert rc == 2, cov
+            assert message in capsys.readouterr().err, cov
+
     def test_beta_family_matches_mc_oracle(self, tmp_path):
         # Coverage q1 + q2 with q_i ~ Beta(2, 2) against threshold 0.5;
         # reference probability from an independent large-sample draw.

@@ -1,12 +1,15 @@
 """Tests for the simulation benchmark and the panel-selection pipeline."""
 
 import dataclasses
+import importlib
 import json
 
 import numpy as np
 import pytest
 
-from postfeas.certify import certify
+import postfeas.experiments as experiments_module
+from postfeas import stats
+from postfeas.certify import BLOCK, certify
 from postfeas.errors import (
     DimensionMismatch,
     DomainError,
@@ -23,7 +26,7 @@ from postfeas.experiments import (
     panel_certify_detail,
     panel_select,
     run_benchmark,
-    run_method,
+    run_trial,
     summarize_by_alpha,
     summarize_overall,
     write_by_alpha_csv,
@@ -45,6 +48,9 @@ from postfeas.posterior import (
 from postfeas.robustify import rb_heuristic_tighten, rhs_quantile_tighten
 from postfeas.scenario import rhs_scenario_min
 from postfeas.stats import Rng, normal_quantile
+
+# the package's certify function shadows the module of the same name
+certify_module = importlib.import_module("postfeas.certify")
 
 FAST = dict(
     n=8, m=3, d_ctx=3, n_obs=40, n_scen=60, m_true=800, m_cert=800,
@@ -208,10 +214,19 @@ def trial():
     return cfg, inst, rng, fit_capacity_model(inst, cfg)
 
 
+def by_method(inst, model, alpha, cfg, rng, trial=0):
+    """run_trial's records keyed by method, checking their order."""
+    recs = run_trial(inst, model, alpha, cfg, rng, trial)
+    assert [r.method for r in recs] == list(METHODS)
+    return {r.method: r for r in recs}
+
+
 class TestRunMethod:
+    """Each method's record from one run_trial call."""
+
     def test_record_fields(self, trial):
         cfg, inst, rng, model = trial
-        rec = run_method("CR", inst, model, 0.05, cfg, rng.clone(), trial=4)
+        rec = by_method(inst, model, 0.05, cfg, rng.clone(), trial=4)["CR"]
         assert rec.status == "Optimal"
         assert rec.method == "CR" and rec.alpha == 0.05 and rec.trial == 4
         assert rec.master_seed == rng.seed
@@ -222,15 +237,13 @@ class TestRunMethod:
 
     def test_reproducible(self, trial):
         cfg, inst, rng, model = trial
-        a = run_method("PS", inst, model, 0.1, cfg, rng.clone())
-        b = run_method("PS", inst, model, 0.1, cfg, rng.clone())
+        a = by_method(inst, model, 0.1, cfg, rng.clone())["PS"]
+        b = by_method(inst, model, 0.1, cfg, rng.clone())["PS"]
         assert a == b
 
     def test_plugin_riskier_than_hedges(self, trial):
         cfg, inst, rng, model = trial
-        records = {
-            m: run_method(m, inst, model, 0.05, cfg, rng.clone()) for m in METHODS
-        }
+        records = by_method(inst, model, 0.05, cfg, rng.clone())
         assert records["PM"].profit >= max(
             records[m].profit for m in ("CR", "PS", "FPQ", "RB")
         )
@@ -241,8 +254,8 @@ class TestRunMethod:
     def test_plugin_highly_violating_on_smoke_instance(self):
         cfg = SimConfig(m_true=4000, m_cert=500)
         inst = gen_instance(cfg, Rng.for_purpose(42, "instance", 0))
-        rec = run_method("PM", inst, fit_capacity_model(inst, cfg), 0.05, cfg,
-                         Rng.for_purpose(42, "trial", 0))
+        rec = by_method(inst, fit_capacity_model(inst, cfg), 0.05, cfg,
+                        Rng.for_purpose(42, "trial", 0))["PM"]
         assert rec.status == "Optimal"
         assert rec.v_true > 0.5
 
@@ -264,9 +277,7 @@ class TestRunMethod:
         inst = gen_instance(cfg, Rng.for_purpose(33, "instance", 0))
         rng = Rng.for_purpose(33, "trial", 0)
         model = fit_capacity_model(inst, cfg)
-        recs = {
-            m: run_method(m, inst, model, 0.05, cfg, rng.clone()) for m in METHODS
-        }
+        recs = by_method(inst, model, 0.05, cfg, rng.clone())
         profits = np.array([recs[m].profit for m in METHODS])
         assert np.ptp(profits) / profits.mean() <= 0.01
         for name in ("CR", "PS", "RB"):
@@ -277,12 +288,55 @@ class TestRunMethod:
     def test_negative_rhs_clamped(self):
         cfg = SimConfig(**FAST, intercept_range=(-5.0, -4.0))
         inst = gen_instance(cfg, Rng.for_purpose(34, "instance", 0))
-        rec = run_method("PM", inst, fit_capacity_model(inst, cfg), 0.05, cfg,
-                         Rng.for_purpose(34, "trial", 0))
+        rec = by_method(inst, fit_capacity_model(inst, cfg), 0.05, cfg,
+                        Rng.for_purpose(34, "trial", 0))["PM"]
         assert rec.clamped is True
         assert rec.status == "Optimal"
         assert rec.profit == 0.0
         assert rec.v_true > 0.9
+
+
+class TestRunTrial:
+    def test_one_certification_pass_per_trial(self, trial, monkeypatch):
+        # m_cert = 1,500 spans two blocks
+        cfg, inst, rng, model = trial
+        cfg = dataclasses.replace(cfg, m_cert=1500)
+        expect = run_trial(inst, model, 0.05, cfg, rng.clone())
+        passes, blocks, true_draws = [], [], []
+        real_blocks, real_normal = certify_module.draw_blocks, stats.normal_array
+
+        def counting_blocks(model, m_draws, rng):
+            passes.append(m_draws)
+            for batch in real_blocks(model, m_draws, rng):
+                blocks.append(len(batch))
+                yield batch
+
+        def counting_normal(rng, size):
+            if tuple(np.atleast_1d(size)) == (cfg.m_true, cfg.m):
+                true_draws.append(size)
+            return real_normal(rng, size)
+
+        monkeypatch.setattr(certify_module, "draw_blocks", counting_blocks)
+        monkeypatch.setattr(stats, "normal_array", counting_normal)
+        recs = run_trial(inst, model, 0.05, cfg, rng.clone())
+        assert [r.status for r in recs] == ["Optimal"] * len(METHODS)
+        assert passes == [1500]
+        assert blocks == [BLOCK, 1500 - BLOCK]
+        assert len(true_draws) == 1
+        assert recs == expect
+
+    def test_failing_method_gives_one_error_record(self, trial, monkeypatch):
+        cfg, inst, rng, model = trial
+        expect = run_trial(inst, model, 0.05, cfg, rng.clone())
+
+        def broken(*args):
+            raise RuntimeError("decide step failed")
+
+        monkeypatch.setattr(experiments_module, "rb_heuristic_tighten", broken)
+        recs = run_trial(inst, model, 0.05, cfg, rng.clone())
+        assert [r.status for r in recs] == ["Optimal"] * 4 + ["Error"]
+        assert recs[:4] == expect[:4]
+        assert recs[4].method == "RB" and np.isnan(recs[4].profit)
 
 
 @pytest.fixture(scope="module")

@@ -20,7 +20,6 @@ from postfeas.robustify import (
     rb_heuristic_tighten,
     rhs_quantile_tighten,
     robustify_rows,
-    robustify_rows_joint,
     soc_support,
     solve_robust_cutting_planes,
 )
@@ -169,16 +168,6 @@ class TestRobustifyRows:
             assert row.kappa == expect
             assert row.ellipsoid.radius == expect
 
-    def test_single_row_is_joint_level(self):
-        base = box_base([1.0, 1.0])
-        center, cov = rhs_only_row([1.0, 1.0], 2.0, 0.2)
-        single = robustify_rows(base, [(center, cov)], alpha=0.07)
-        joint = robustify_rows_joint(base, center, cov, alpha=0.07)
-        assert single.robust_rows[0].kappa == joint.robust_rows[0].kappa
-        assert single.robust_rows[0].kappa == math.sqrt(
-            chi2_quantile(1.0 - 0.07, 3)
-        )
-
     def test_zero_covariance_is_nominal(self):
         base = box_base([1.0, 0.7])
         rows = [
@@ -210,27 +199,6 @@ class TestRobustifyRows:
         with pytest.raises(NotPositiveDefinite):
             robustify_rows(base, [(np.zeros(3), bad_cov)], alpha=0.1)
 
-    def test_joint_variant_blocks(self):
-        gen = np.random.default_rng(57)
-        base = box_base([1.0, 1.0])
-        m, p = 3, 3
-        center = gen.normal(size=m * p)
-        cov = random_pd_cov(gen, m * p)
-        rlp = robustify_rows_joint(base, center, cov, alpha=0.08)
-        assert len(rlp.robust_rows) == m
-        expect = math.sqrt(chi2_quantile(0.92, m * p))
-        for i, row in enumerate(rlp.robust_rows):
-            sl = slice(i * p, (i + 1) * p)
-            assert row.kappa == expect
-            assert np.array_equal(row.ellipsoid.center, center[sl])
-            assert np.array_equal(row.ellipsoid.cov, cov[sl, sl])
-
-    def test_joint_validation(self):
-        base = box_base([1.0, 1.0])
-        with pytest.raises(DimensionMismatch):
-            robustify_rows_joint(base, np.zeros(4), np.eye(4), alpha=0.1)
-        with pytest.raises(DimensionMismatch):
-            robustify_rows_joint(base, np.zeros(6), np.eye(5), alpha=0.1)
 
 
 class TestCuttingPlanes:
