@@ -11,7 +11,6 @@ while the plug-in plan is fragile.
 import numpy as np
 
 from postfeas import (
-    GaussianRows,
     LpProblem,
     Rng,
     certify,
@@ -46,7 +45,7 @@ print("plug-in plan   :", np.round(plugin.x, 4), "profit",
 
 # Robust: every row must hold for all parameters in its credible ellipsoid.
 rlp = robustify_rows(base, list(zip(centers, covs)), ALPHA)
-print("ellipsoid radius kappa:", round(rlp.robust_rows[0].kappa, 4))
+print("ellipsoid radius kappa:", round(rlp.kappa, 4))
 
 robust_sol, log = solve_robust_cutting_planes(rlp)
 print("robust plan    :", np.round(robust_sol.x, 4), "profit",
@@ -56,14 +55,13 @@ print("cutting planes : rounds", log.rounds, "cuts/round", log.cuts_per_round,
 
 # At the robust optimum no ellipsoid point separates (support <= 0).
 z = np.concatenate([robust_sol.x, [-1.0]])
-worst = max(soc_support(row.ellipsoid, z).value for row in rlp.robust_rows)
+worst = soc_support(rlp.rows, rlp.kappa, z)[0].max()
 print("worst-case row slack at robust plan:", f"{worst:.2e}")
 
-# Certificate: draw rows from the matching Gaussian and count violations.
-rows_law = GaussianRows(centers=centers,
-                        factors=[np.linalg.cholesky(c) for c in covs])
+# Certificate: draw rows from the same Gaussian law that defined the
+# ellipsoids and count violations.
 for name, plan in (("plug-in", plugin.x), ("robust ", robust_sol.x)):
-    cert = certify(plan, rows_law, 20_000, 0.05,
+    cert = certify(plan, rlp.rows, 20_000, 0.05,
                    Rng.for_purpose(99, "robust-demo", name.strip()))
     print(f"{name} violation rate {cert.v_hat:.4f}  "
           f"95% upper bound {cert.upper_bound:.4f}  (target {ALPHA})")

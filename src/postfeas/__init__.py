@@ -81,10 +81,7 @@ from .posterior import (
     predictive_quantile,
 )
 from .robustify import (
-    Ellipsoid,
     RobustLp,
-    RobustRow,
-    SupportResult,
     bonferroni_kappa,
     rb_heuristic_tighten,
     rhs_quantile_tighten,
@@ -142,9 +139,8 @@ __all__ = [
     "fit_beta_binomial", "fit_nig", "fit_ols", "load_panel_data",
     "ols_predictive_quantile", "predictive", "predictive_quantile",
     # robustify
-    "Ellipsoid", "RobustLp", "RobustRow", "SupportResult",
-    "bonferroni_kappa", "rb_heuristic_tighten", "rhs_quantile_tighten",
-    "robustify_rows", "soc_support",
+    "RobustLp", "bonferroni_kappa", "rb_heuristic_tighten",
+    "rhs_quantile_tighten", "robustify_rows", "soc_support",
     "solve_robust_cutting_planes",
     # scenario
     "required_sample_size", "rhs_scenario_min", "solve_scenario_lp",

@@ -253,9 +253,8 @@ def _rhs_student_t(model: dict, x: np.ndarray) -> po.StudentTRhs:
 
 def _gaussian_rows(model: dict, x: np.ndarray) -> po.GaussianRows:
     blocks = _require_list(model, "blocks")
-    rows = po.GaussianRows(centers=[_require(blk, "center") for blk in blocks],
-                           factors=[po.psd_factor(_require(blk, "cov"))
-                                    for blk in blocks])
+    rows = po.GaussianRows.from_covs([_require(blk, "center") for blk in blocks],
+                                     [_require(blk, "cov") for blk in blocks])
     if rows.centers.shape[1] != x.size + 1:
         raise DomainError(
             f"block centers must have {x.size + 1} entries, "

@@ -254,8 +254,7 @@ def _tightened_rhs(method: str, instance: SimInstance, model: po.StudentTRhs,
     if method == "PM":
         return model.loc.copy()
     if method == "CR":
-        preds = [po.PredictiveT(*p) for p in zip(model.dof, model.loc, model.scale)]
-        return rhs_quantile_tighten(preds, alpha)
+        return rhs_quantile_tighten(model, alpha)
     if method == "PS":
         scen_rng = stats.Rng.for_purpose(rng.seed, rng.stream_id, "scenario")
         return sc.rhs_scenario_min(model.draw(scen_rng, cfg.n_scen))
@@ -269,8 +268,7 @@ def _tightened_rhs(method: str, instance: SimInstance, model: po.StudentTRhs,
             for f in fits
         ])
     if method == "RB":
-        sds = model.scale * np.sqrt(model.dof / (model.dof - 2.0))
-        return rb_heuristic_tighten(model.loc, sds, alpha, cfg.m)
+        return rb_heuristic_tighten(model, alpha)
     raise DomainError(f"unknown method {method!r}")
 
 

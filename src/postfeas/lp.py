@@ -376,6 +376,19 @@ class _BoundedSimplex:
         self.xb = self.binv @ self._nonbasic_rhs()
         self.pivots_since_refactor = 0
 
+    def _pivot(self, r: int, j: int, w: np.ndarray):
+        """Column j enters at basis row r; w = binv @ A[:, j].
+
+        Product-form update of the basis inverse.  The caller has already
+        moved xb and the leaving variable's status.
+        """
+        self.status[j] = _BASIC
+        self.basis[r] = j
+        self.binv[r, :] /= w[r]
+        others = np.arange(self.m) != r
+        self.binv[others, :] -= np.outer(w[others], self.binv[r, :])
+        self.pivots_since_refactor += 1
+
     # -- one phase --------------------------------------------------------
 
     def run_phase(self, c: np.ndarray) -> str:
@@ -460,13 +473,7 @@ class _BoundedSimplex:
             self.status[leaving] = _AT_UPPER if g[r] < 0 else _AT_LOWER
             if self.free[leaving]:
                 self.status[leaving] = _AT_LOWER  # free leaves exactly at 0
-            self.status[j] = _BASIC
-            self.basis[r] = j
-            # product-form update of the basis inverse
-            self.binv[r, :] /= pivot
-            others = np.arange(self.m) != r
-            self.binv[others, :] -= np.outer(w[others], self.binv[r, :])
-            self.pivots_since_refactor += 1
+            self._pivot(r, j, w)
             if self.pivots_since_refactor >= 128:
                 self._refactor()
 
@@ -492,18 +499,9 @@ class _BoundedSimplex:
             )
             if candidates.size:
                 j = int(candidates[np.argmax(np.abs(row[candidates]))])
-                w = self.binv @ self.A[:, j]
-                pivot = w[r]
-                leaving = int(self.basis[r])
-                enter_from = self.upper[j] if self.status[j] == _AT_UPPER else 0.0
-                self.xb[r] = enter_from
-                self.status[leaving] = _AT_LOWER
-                self.status[j] = _BASIC
-                self.basis[r] = j
-                self.binv[r, :] /= pivot
-                others = np.arange(self.m) != r
-                self.binv[others, :] -= np.outer(w[others], self.binv[r, :])
-                self.pivots_since_refactor += 1
+                self.xb[r] = self.upper[j] if self.status[j] == _AT_UPPER else 0.0
+                self.status[self.basis[r]] = _AT_LOWER
+                self._pivot(r, j, self.binv @ self.A[:, j])
             else:
                 self.xb[r] = 0.0  # dependent row: freeze its artificial at 0
         # artificials may never re-enter
@@ -539,11 +537,10 @@ def solve_lp(problem: LpProblem, tolerances: SolverTolerances | None = None) -> 
     if np.any(std.upper < 0.0):
         # a shifted upper below zero means lower > upper; constructor blocks this
         raise DomainError("inconsistent bounds")
-    solver = _BoundedSimplex(std.A.copy(), std.b.copy(), std.upper.copy(),
-                             std.free_mask.copy(), tol)
+    solver = _BoundedSimplex(std.A, std.b, std.upper, std.free_mask, tol)
     if not solver.phase_one():
         return LpSolution("Infeasible", None, None, solver.iterations)
-    outcome = solver.phase_two(std.c.copy())
+    outcome = solver.phase_two(std.c)
     if outcome == "Unbounded":
         return LpSolution("Unbounded", None, None, solver.iterations)
     z = solver.extract()

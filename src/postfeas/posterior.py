@@ -5,10 +5,12 @@ one-step-ahead predictive is Student-t.  Detection probabilities follow
 independent Beta-Binomial cells.  A small ordinary-least-squares fit is
 included as the frequentist comparator.
 
-Three posterior models feed scenario programs and certificates, each
-with draw(rng, count) and residuals(x, batch): StudentTRhs (fixed rows,
-Student-t right-hand sides), GaussianRows (jointly Gaussian rows) and
-BetaCoverage (Beta detection cells against a coverage floor).
+Three posterior models feed scenario programs, robust tightenings and
+certificates, each with draw(rng, count) and residuals(x, batch):
+StudentTRhs (fixed rows, Student-t right-hand sides), GaussianRows
+(jointly Gaussian rows, also the centres and factors of the credible
+ellipsoids) and BetaCoverage (Beta detection cells against a coverage
+floor).
 """
 
 from __future__ import annotations
@@ -376,6 +378,11 @@ class GaussianRows:
             )
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "factors", factors)
+
+    @classmethod
+    def from_covs(cls, centers, covs) -> "GaussianRows":
+        """Rows with the given covariances, each factored by psd_factor."""
+        return cls(centers=centers, factors=[psd_factor(cov) for cov in covs])
 
     def draw(self, rng: stats.Rng, count: int) -> np.ndarray:
         """(count, R, n + 1) sampled rows."""

@@ -26,7 +26,6 @@ from postfeas.posterior import (
     load_panel_data,
 )
 from postfeas.robustify import (
-    Ellipsoid,
     robustify_rows,
     soc_support,
     solve_robust_cutting_planes,
@@ -131,7 +130,8 @@ def test_criterion_05_plugin_profit_premium(benchmark_runs):
 def test_criterion_06_robust_solutions_certify_within_target():
     # 50 random instances with jointly Gaussian constraint rows: solve the
     # ellipsoid-robustified LP by cutting planes, then Monte Carlo certify
-    # the solution on exact draws from the same Gaussian law.
+    # the solution on exact draws from the same Gaussian law, the model
+    # that defined the ellipsoids.
     alpha, m_cert = 0.1, 5000
     bound = alpha + 3.0 * math.sqrt(alpha * (1.0 - alpha) / m_cert)
     gen = np.random.default_rng(20260819)
@@ -140,7 +140,7 @@ def test_criterion_06_robust_solutions_certify_within_target():
         n = int(gen.integers(2, 5))
         m = int(gen.integers(1, 4))
         base = LpProblem(np.ones(n), [], [(0.0, 10.0)] * n)
-        centers, factors, covs = [], [], []
+        centers, covs = [], []
         for _ in range(m):
             centers.append(np.concatenate([
                 gen.uniform(0.5, 1.5, size=n), [gen.uniform(5.0, 10.0)],
@@ -149,12 +149,10 @@ def test_criterion_06_robust_solutions_certify_within_target():
             cov = f @ f.T / (n + 1)
             cov *= float(gen.uniform(0.05, 0.2)) / np.linalg.norm(cov, 2)
             covs.append(cov)
-            factors.append(np.linalg.cholesky(cov))
         robust = robustify_rows(base, list(zip(centers, covs)), alpha)
         sol, _ = solve_robust_cutting_planes(robust)
         assert sol.status == "Optimal"
-        model = GaussianRows(centers=centers, factors=factors)
-        cert = certify(sol.x, model, m_cert, 0.05,
+        cert = certify(sol.x, robust.rows, m_cert, 0.05,
                        Rng.for_purpose(91, "acceptance-robust", i))
         if cert.v_hat <= bound:
             passed += 1
@@ -215,14 +213,14 @@ def test_criterion_07_cross_oracle_agreement():
         f = gen.normal(size=(p, p))
         cov = f @ f.T / p
         cov /= np.linalg.norm(cov, 2)
-        ell = Ellipsoid.from_cov(
-            gen.normal(size=p), cov, float(gen.uniform(0.5, 1.5))
-        )
+        rows = GaussianRows.from_covs([gen.normal(size=p)], [cov])
+        kappa = float(gen.uniform(0.5, 1.5))
         z = gen.normal(size=p)
         z /= np.linalg.norm(z)
-        value, _ = soc_support(ell, z)
+        value = soc_support(rows, kappa, z)[0][0]
         w = grids[p]
-        best = float(np.max((ell.center + ell.radius * w @ ell.factor.T) @ z))
+        pts = rows.centers[0] + kappa * w @ rows.factors[0].T
+        best = float(np.max(pts @ z))
         assert value - best >= -1e-10  # support dominates every boundary point
         assert value - best <= 1e-4
 

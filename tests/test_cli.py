@@ -22,9 +22,10 @@ import postfeas
 from postfeas import cli as cli_mod
 from postfeas import experiments as ex
 from postfeas.cli import RunManifest, main
-from postfeas.errors import NumericalBreakdown
+from postfeas.errors import NumericalBreakdown, PostfeasError
 from postfeas.experiments import METHODS, TrialRecord
-from postfeas.lp import solution_from_json
+from postfeas.lp import LpProblem, solution_from_json
+from postfeas.robustify import robustify_rows
 
 PROBLEM_OPTIMAL = {
     "maximize": [1.0],
@@ -444,6 +445,38 @@ class TestCertify:
                        "--out", str(tmp_path / "c.json")])
             assert rc == 2, cov
             assert message in capsys.readouterr().err, cov
+
+    @pytest.mark.parametrize("cov", [
+        pytest.param([[1.0, 2.0], [2.0, 1.0]], id="indefinite"),
+        pytest.param([[1.0, 0.0, 0.0]], id="non-square"),
+        pytest.param([[1.0, 0.0], [0.0, math.nan]], id="non-finite"),
+        pytest.param([[0.0, 0.0], [0.0, 0.25]], id="zero-variance"),
+    ])
+    def test_gaussian_family_matches_robustify_on_covariances(
+            self, tmp_path, capsys, cov):
+        # The robust solve and its certificate read one covariance the
+        # same way: both reject it with the same error, or both accept it.
+        base = LpProblem([1.0], [], [(0.0, 3.0)])
+        try:
+            robustify_rows(base, [([1.0, 2.0], cov)], 0.1)
+            error = None
+        except PostfeasError as exc:
+            error = exc
+        doc = {"family": "gaussian_rows",
+               "blocks": [{"center": [1.0, 2.0], "cov": cov}]}
+        model = write_json(tmp_path / "model.json", doc)
+        read_back = json.loads(Path(model).read_text(encoding="utf-8"))
+        family = cli_mod._MODEL_FAMILIES["gaussian_rows"]
+        sol = write_json(tmp_path / "sol.json", SOLUTION_1D)
+        rc = main(["certify", "--solution", sol, "--model", model,
+                   "--M", "100", "--out", str(tmp_path / "c.json")])
+        if error is None:
+            assert rc == 0
+        else:
+            with pytest.raises(type(error)):
+                family(read_back, np.ones(1))
+            assert rc == 2
+            assert f"error: {error}" in capsys.readouterr().err
 
     def test_beta_family_matches_mc_oracle(self, tmp_path):
         # Coverage q1 + q2 with q_i ~ Beta(2, 2) against threshold 0.5;

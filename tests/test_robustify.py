@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from postfeas.certify import certify
 from postfeas.errors import (
     DimensionMismatch,
     DomainError,
@@ -13,9 +14,13 @@ from postfeas.errors import (
     NotPositiveDefinite,
 )
 from postfeas.lp import LpProblem, solve_lp
-from postfeas.posterior import PredictiveT, predictive_quantile
+from postfeas.posterior import (
+    GaussianRows,
+    PredictiveT,
+    StudentTRhs,
+    predictive_quantile,
+)
 from postfeas.robustify import (
-    Ellipsoid,
     bonferroni_kappa,
     rb_heuristic_tighten,
     rhs_quantile_tighten,
@@ -23,7 +28,7 @@ from postfeas.robustify import (
     soc_support,
     solve_robust_cutting_planes,
 )
-from postfeas.stats import chi2_quantile
+from postfeas.stats import Rng, chi2_quantile
 
 
 def random_pd_cov(gen, p, scale=0.12):
@@ -31,16 +36,26 @@ def random_pd_cov(gen, p, scale=0.12):
     return root @ root.T + 1e-4 * np.eye(p)
 
 
+def one_row(center, cov):
+    return GaussianRows.from_covs([center], [cov])
+
+
+def support(rows, kappa, z):
+    """Support value and maximizer of a one-row model."""
+    values, maximizers = soc_support(rows, kappa, z)
+    return values[0], maximizers[0]
+
+
 class TestSocSupport:
     def test_unit_ball_cauchy_schwarz_case(self):
-        ell = Ellipsoid.from_cov(np.zeros(2), np.eye(2), 2.0)
-        value, u_star = soc_support(ell, np.array([3.0, 4.0]))
+        rows = one_row(np.zeros(2), np.eye(2))
+        value, u_star = support(rows, 2.0, np.array([3.0, 4.0]))
         assert value == pytest.approx(10.0, abs=1e-12)
         assert np.allclose(u_star, [1.2, 1.6], atol=1e-12)
 
     def test_shifted_center(self):
-        ell = Ellipsoid.from_cov(np.array([1.0, 0.0]), np.eye(2), 1.0)
-        value, u_star = soc_support(ell, np.array([1.0, 0.0]))
+        rows = one_row(np.array([1.0, 0.0]), np.eye(2))
+        value, u_star = support(rows, 1.0, np.array([1.0, 0.0]))
         assert value == pytest.approx(2.0, abs=1e-12)
         assert np.allclose(u_star, [2.0, 0.0], atol=1e-12)
 
@@ -48,14 +63,13 @@ class TestSocSupport:
         gen = np.random.default_rng(51)
         for _ in range(20):
             p = int(gen.integers(2, 5))
-            ell = Ellipsoid.from_cov(
-                gen.normal(size=p), random_pd_cov(gen, p, 0.6), float(gen.uniform(0.3, 2.0))
-            )
+            rows = one_row(gen.normal(size=p), random_pd_cov(gen, p, 0.6))
+            kappa = float(gen.uniform(0.3, 2.0))
             z = gen.normal(size=p)
-            value, u_star = soc_support(ell, z)
+            value, u_star = support(rows, kappa, z)
             assert u_star @ z == pytest.approx(value, rel=1e-12, abs=1e-12)
-            # u* lies on the boundary: solve center + radius*factor w = u*.
-            w = np.linalg.solve(ell.factor, u_star - ell.center) / ell.radius
+            # u* lies on the boundary: solve center + kappa*factor w = u*.
+            w = np.linalg.solve(rows.factors[0], u_star - rows.centers[0]) / kappa
             assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-9)
 
     def test_boundary_sampling_never_beats_support(self):
@@ -63,15 +77,14 @@ class TestSocSupport:
         for p in (2, 3, 2, 3, 2, 3):
             cov = random_pd_cov(gen, p, 0.5)
             cov /= np.linalg.norm(cov, 2)
-            ell = Ellipsoid.from_cov(
-                gen.normal(size=p), cov, float(gen.uniform(0.5, 1.5))
-            )
+            rows = one_row(gen.normal(size=p), cov)
+            kappa = float(gen.uniform(0.5, 1.5))
             z = gen.normal(size=p)
             z /= np.linalg.norm(z)
-            value, _ = soc_support(ell, z)
+            value, _ = support(rows, kappa, z)
             w = gen.normal(size=(10**5, p))
             w /= np.linalg.norm(w, axis=1, keepdims=True)
-            pts = ell.center + ell.radius * w @ ell.factor.T
+            pts = rows.centers[0] + kappa * w @ rows.factors[0].T
             best = float(np.max(pts @ z))
             assert value - best >= -1e-10
             assert value - best <= 1e-4
@@ -79,40 +92,54 @@ class TestSocSupport:
     def test_interior_points_dominated(self):
         gen = np.random.default_rng(53)
         p = 3
-        ell = Ellipsoid.from_cov(gen.normal(size=p), random_pd_cov(gen, p, 0.7), 1.3)
+        rows = one_row(gen.normal(size=p), random_pd_cov(gen, p, 0.7))
+        kappa = 1.3
         w = gen.normal(size=(10**4, p))
         w /= np.linalg.norm(w, axis=1, keepdims=True)
         radii = gen.uniform(0.0, 1.0, (10**4, 1)) ** (1.0 / p)
-        pts = ell.center + ell.radius * (radii * w) @ ell.factor.T
+        pts = rows.centers[0] + kappa * (radii * w) @ rows.factors[0].T
         for _ in range(3):
             z = gen.normal(size=p)
-            value, _ = soc_support(ell, z)
+            value, _ = support(rows, kappa, z)
             assert np.max(pts @ z) <= value + 1e-10
 
     def test_degenerate_direction(self):
-        ell = Ellipsoid.from_cov(
-            np.array([2.0, 5.0]), np.diag([1.0, 0.0]), 3.0
-        )
-        value, u_star = soc_support(ell, np.array([0.0, 1.0]))
+        rows = one_row(np.array([2.0, 5.0]), np.diag([1.0, 0.0]))
+        value, u_star = support(rows, 3.0, np.array([0.0, 1.0]))
         assert value == 5.0
         assert np.array_equal(u_star, [2.0, 5.0])
 
+    def test_rows_are_independent(self):
+        # Each row of a stacked model gets the support of its own ellipsoid.
+        gen = np.random.default_rng(54)
+        centers = gen.normal(size=(4, 3))
+        covs = [random_pd_cov(gen, 3, 0.5) for _ in range(4)]
+        covs[2] = np.zeros((3, 3))
+        z = gen.normal(size=3)
+        values, maximizers = soc_support(
+            GaussianRows.from_covs(centers, covs), 1.7, z
+        )
+        assert values.shape == (4,) and maximizers.shape == (4, 3)
+        for i in range(4):
+            value, u_star = support(one_row(centers[i], covs[i]), 1.7, z)
+            assert values[i] == value
+            assert np.array_equal(maximizers[i], u_star)
+        assert np.array_equal(maximizers[2], centers[2])
+
     def test_dimension_checked(self):
-        ell = Ellipsoid.from_cov(np.zeros(2), np.eye(2), 1.0)
+        rows = one_row(np.zeros(2), np.eye(2))
         with pytest.raises(DimensionMismatch):
-            soc_support(ell, np.zeros(3))
+            soc_support(rows, 1.0, np.zeros(3))
 
     def test_ellipsoid_validation(self):
-        with pytest.raises(DimensionMismatch):
-            Ellipsoid.from_cov(np.zeros((2, 2)), np.eye(2), 1.0)
-        with pytest.raises(DimensionMismatch):
-            Ellipsoid.from_cov(np.zeros(2), np.eye(3), 1.0)
         with pytest.raises(DomainError):
-            Ellipsoid.from_cov(np.zeros(2), np.eye(2), -0.5)
+            one_row(np.zeros((2, 2)), np.eye(2))
+        with pytest.raises(DomainError):
+            one_row(np.zeros(2), np.eye(3))
+        with pytest.raises(DomainError):
+            soc_support(one_row(np.zeros(2), np.eye(2)), -0.5, np.ones(2))
         with pytest.raises(NotPositiveDefinite):
-            Ellipsoid.from_cov(
-                np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]), 1.0
-            )
+            one_row(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 class TestBonferroniKappa:
@@ -162,11 +189,13 @@ class TestRobustifyRows:
         base = box_base([1.0, 1.0])
         rows = [rhs_only_row([1.0, 0.5], 2.0, 0.3) for _ in range(4)]
         rlp = robustify_rows(base, rows, alpha=0.1)
-        assert len(rlp.robust_rows) == 4
-        expect = bonferroni_kappa(0.1, 4, 3)
-        for row in rlp.robust_rows:
-            assert row.kappa == expect
-            assert row.ellipsoid.radius == expect
+        assert isinstance(rlp.rows, GaussianRows)
+        assert rlp.rows.centers.shape == (4, 3)
+        assert rlp.kappa == bonferroni_kappa(0.1, 4, 3)
+        for i, (center, cov) in enumerate(rows):
+            assert np.array_equal(rlp.rows.centers[i], center)
+            factor = rlp.rows.factors[i]
+            assert np.allclose(factor @ factor.T, cov, atol=1e-15)
 
     def test_zero_covariance_is_nominal(self):
         base = box_base([1.0, 0.7])
@@ -199,6 +228,36 @@ class TestRobustifyRows:
         with pytest.raises(NotPositiveDefinite):
             robustify_rows(base, [(np.zeros(3), bad_cov)], alpha=0.1)
 
+
+
+class TestDecideAndCertify:
+    # The robust program's own GaussianRows certifies its decision, with
+    # no second model built from the covariances.
+    def test_demo_instance(self):
+        centers = [np.array([1.0, 1.2, 7.0]), np.array([1.5, 0.8, 6.0])]
+        covs = [np.diag([0.010, 0.012, 0.20]), np.diag([0.015, 0.008, 0.15])]
+        base = LpProblem([3.0, 2.5], [], [(0.0, 10.0), (0.0, 10.0)])
+        rlp = robustify_rows(base, list(zip(centers, covs)), 0.10)
+        sol, _ = solve_robust_cutting_planes(rlp)
+        cert = certify(sol.x, rlp.rows, 20_000, 0.05,
+                       Rng.for_purpose(99, "robust-demo", "robust"))
+        assert cert.upper_bound <= 0.10
+
+    def test_seeded_instance(self):
+        gen = np.random.default_rng(62)
+        n = 3
+        rows = [
+            (
+                np.array([*gen.uniform(0.2, 1.5, n), gen.uniform(3.0, 6.0)]),
+                random_pd_cov(gen, n + 1, 0.25),
+            )
+            for _ in range(3)
+        ]
+        rlp = robustify_rows(box_base(gen.uniform(0.5, 2.0, n), 5.0), rows, 0.05)
+        sol, _ = solve_robust_cutting_planes(rlp)
+        assert sol.status == "Optimal"
+        cert = certify(sol.x, rlp.rows, 5000, 0.05, Rng.for_purpose(62, "robust"))
+        assert cert.upper_bound <= 0.05
 
 
 class TestCuttingPlanes:
@@ -259,9 +318,9 @@ class TestCuttingPlanes:
                     [x1.ravel(), x2.ravel(), -np.ones(x1.size)]
                 )
                 ok = np.ones(x1.size, dtype=bool)
-                for row in rlp.robust_rows:
-                    vals = pts @ row.ellipsoid.center + row.kappa * np.linalg.norm(
-                        pts @ row.ellipsoid.factor, axis=1
+                for center, factor in zip(rlp.rows.centers, rlp.rows.factors):
+                    vals = pts @ center + rlp.kappa * np.linalg.norm(
+                        pts @ factor, axis=1
                     )
                     ok &= vals <= 0.0
                 return ok
@@ -301,9 +360,7 @@ class TestCuttingPlanes:
             sol, log = solve_robust_cutting_planes(rlp, tol_cut=1e-7)
             assert sol.status == "Optimal"
             z = np.concatenate([sol.x, [-1.0]])
-            worst = max(
-                soc_support(row.ellipsoid, z).value for row in rlp.robust_rows
-            )
+            worst = soc_support(rlp.rows, rlp.kappa, z)[0].max()
             assert worst <= 1e-7
             assert log.final_max_support <= 1e-7
 
@@ -382,24 +439,27 @@ class TestCuttingPlanes:
         assert log.rounds == 1
 
 
+def t_rhs(dof, loc, scale):
+    """Student-t right-hand sides of one-variable rows."""
+    return StudentTRhs(rows=np.ones((len(loc), 1)), dof=dof, loc=loc,
+                       scale=scale)
+
+
 class TestRhsQuantileTighten:
     def test_median_returns_locations(self):
-        preds = [PredictiveT(dof=6.0, loc=4.2, scale=1.3)]
-        out = rhs_quantile_tighten(preds, alpha=0.5)
+        out = rhs_quantile_tighten(t_rhs([6.0], [4.2], [1.3]), alpha=0.5)
         assert out[0] == pytest.approx(4.2, abs=1e-12)
 
     def test_increasing_in_alpha(self):
-        preds = [
-            PredictiveT(dof=8.0, loc=2.0, scale=0.5),
-            PredictiveT(dof=20.0, loc=-1.0, scale=2.0),
-        ]
+        model = t_rhs([8.0, 20.0], [2.0, -1.0], [0.5, 2.0])
         grid = np.linspace(0.01, 0.4, 12)
-        outs = np.array([rhs_quantile_tighten(preds, a) for a in grid])
+        outs = np.array([rhs_quantile_tighten(model, a) for a in grid])
         assert np.all(np.diff(outs, axis=0) > 0.0)
 
     def test_seven_row_quantile_level(self):
         pred = PredictiveT(dof=84.0, loc=10.0, scale=2.0)
-        out = rhs_quantile_tighten([pred] * 7, alpha=0.05)
+        out = rhs_quantile_tighten(t_rhs([84.0] * 7, [10.0] * 7, [2.0] * 7),
+                                   alpha=0.05)
         expect = predictive_quantile(pred, 0.05 / 7)
         assert np.allclose(out, expect, atol=1e-12)
         level = scipy.stats.t.cdf((out[0] - 10.0) / 2.0, 84.0)
@@ -413,43 +473,44 @@ class TestRhsQuantileTighten:
         assert abs(emp - expect) <= 3.0 * se
 
     def test_domain_errors(self):
-        with pytest.raises(DimensionMismatch):
-            rhs_quantile_tighten([], alpha=0.1)
         with pytest.raises(DomainError):
-            rhs_quantile_tighten(
-                [PredictiveT(dof=5.0, loc=0.0, scale=1.0)], alpha=0.0
-            )
+            rhs_quantile_tighten(t_rhs([], [], []), alpha=0.1)
+        with pytest.raises(DomainError):
+            rhs_quantile_tighten(t_rhs([5.0], [0.0], [1.0]), alpha=0.0)
 
 
 class TestRbHeuristic:
     def test_zero_sd_returns_means(self):
+        # A vanishing scale moves no location by even one ulp.
         mu = np.array([3.0, -2.0, 0.5])
-        out = rb_heuristic_tighten(mu, np.zeros(3), alpha=0.05, m=2)
+        out = rb_heuristic_tighten(t_rhs([5.0] * 3, mu, [1e-300] * 3),
+                                   alpha=0.05)
         assert np.array_equal(out, mu)
 
     def test_normal_quantile_level(self):
-        out = rb_heuristic_tighten([0.0], [1.0], alpha=0.05, m=1)
-        z = -float(out[0])
+        out = rb_heuristic_tighten(t_rhs([5.0], [0.0], [1.0]), alpha=0.05)
+        z = -float(out[0]) / math.sqrt(5.0 / 3.0)
         assert z == pytest.approx(1.6449, abs=5e-5)
         assert z == pytest.approx(scipy.stats.norm.ppf(0.95), abs=1e-9)
 
     def test_lighter_tails_than_student_t(self):
+        # With the sd matched to the Student-t variance, the normal
+        # quantile is the less conservative one only in the far tail,
+        # here alpha/m <= 0.01.
         for dof in (3.0, 4.0, 5.0, 8.0):
             for m in (1, 2, 3):
-                pred = PredictiveT(dof=dof, loc=1.0, scale=0.7)
-                cr = rhs_quantile_tighten([pred] * m, alpha=0.05)
-                rb = rb_heuristic_tighten(
-                    [1.0] * m, [0.7] * m, alpha=0.05, m=m
-                )
+                model = t_rhs([dof] * m, [1.0] * m, [0.7] * m)
+                cr = rhs_quantile_tighten(model, alpha=0.01)
+                rb = rb_heuristic_tighten(model, alpha=0.01)
                 assert np.all(rb > cr)
 
     def test_validation(self):
-        with pytest.raises(DimensionMismatch):
-            rb_heuristic_tighten([1.0, 2.0], [0.1], alpha=0.05, m=1)
         with pytest.raises(DomainError):
-            rb_heuristic_tighten([1.0], [-0.1], alpha=0.05, m=1)
+            rb_heuristic_tighten(t_rhs([5.0, 2.0], [1.0, 2.0], [0.1, 0.1]),
+                                 alpha=0.05)
         with pytest.raises(DomainError):
-            rb_heuristic_tighten([1.0], [0.1], alpha=0.05, m=0)
+            rb_heuristic_tighten(t_rhs([], [], []), alpha=0.05)
         with pytest.raises(DomainError):
-            rb_heuristic_tighten([1.0], [0.1], alpha=0.0, m=1)
-
+            rb_heuristic_tighten(t_rhs([5.0], [1.0], [0.1]), alpha=0.0)
+        with pytest.raises(DomainError):
+            rb_heuristic_tighten(t_rhs([5.0], [1.0], [0.1]), alpha=1.0)
