@@ -15,9 +15,7 @@ from postfeas import (
     StudentTRhs,
     fit_nig,
     fit_ols,
-    ols_predictive_quantile,
-    predictive,
-    predictive_quantile,
+    rhs_quantile_tighten,
 )
 from postfeas.stats import normal_array, uniform_array
 
@@ -36,27 +34,32 @@ print("posterior mean        :", np.round(post.mean, 3))
 print("posterior noise scale :", round(float(np.sqrt(post.rate / post.shape)), 3),
       "(true", sigma_true, ")")
 
+
+def quantile(model, p):
+    """p-quantile of a one-row model's right-hand side."""
+    return float(rhs_quantile_tighten(model, p)[0])
+
+
 # Predictive law of the next capacity at a fresh context.
 x_new = np.array([1.0, 0.4])
-pred = predictive(post, x_new)
-print("\npredictive at context 0.4: Student-t dof", round(pred.dof, 1),
-      "loc", round(pred.loc, 3), "scale", round(pred.scale, 3))
+capacity = StudentTRhs.from_nig([[1.0]], [post], x_new)
+print("\npredictive at context 0.4: Student-t dof",
+      round(float(capacity.dof[0]), 1),
+      "loc", round(float(capacity.loc[0]), 3),
+      "scale", round(float(capacity.scale[0]), 3))
 
 # Closed-form quantiles agree with a big sampled batch.
-capacity = StudentTRhs(rows=[[1.0]], dof=[pred.dof], loc=[pred.loc],
-                       scale=[pred.scale])
 draws = capacity.draw(Rng.for_purpose(314, "check"), 200_000)[:, 0]
 for p in (0.05, 0.5, 0.95):
-    q = predictive_quantile(pred, p)
+    q = quantile(capacity, p)
     emp = float(np.quantile(draws, p))
     print(f"  p={p:4}: closed form {q:8.4f}   empirical {emp:8.4f}")
 
 # The lower predictive tail is the hedge: plan for this much capacity and
 # the chance of coming up short is only p.
-print("\n5% lower capacity quantile:", round(predictive_quantile(pred, 0.05), 3))
+print("\n5% lower capacity quantile:", round(quantile(capacity, 0.05), 3))
 
 # Classical least squares gives a slightly different hedge (flat prior,
 # frequentist t interval); with 80 observations the two nearly agree.
-ols = fit_ols(design, y)
-print("least-squares 5% quantile :",
-      round(ols_predictive_quantile(ols, x_new, 0.05), 3))
+ols = StudentTRhs.from_ols([[1.0]], [fit_ols(design, y)], x_new)
+print("least-squares 5% quantile :", round(quantile(ols, 0.05), 3))

@@ -17,7 +17,6 @@ from postfeas import (
     Rng,
     StudentTRhs,
     fit_nig,
-    predictive,
     required_sample_size,
     rhs_scenario_min,
     solve_lp,
@@ -44,19 +43,14 @@ truth = np.array([[50.0, -2.0], [40.0, 1.5]])
 x_ctx = np.array([1.0, 0.5])
 
 rows = np.array([[1.0, 1.5], [2.0, 1.0]])
-preds = []
+posts = []
 for j in range(2):
     y = design @ truth[j] + sigma * normal_array(rng, (n_obs,))
-    preds.append(predictive(fit_nig(design, y, NigPrior.default(2)), x_ctx))
+    posts.append(fit_nig(design, y, NigPrior.default(2)))
 
 n_scen = required_sample_size(EPS, DELTA, d=2)
 draw_rng = Rng.for_purpose(7, "scenario-demo", "draws")
-capacities = StudentTRhs(
-    rows=rows,
-    dof=[p.dof for p in preds],
-    loc=[p.loc for p in preds],
-    scale=[p.scale for p in preds],
-)
+capacities = StudentTRhs.from_nig(rows, posts, x_ctx)
 rhs_draws = capacities.draw(draw_rng, n_scen)
 
 base = LpProblem([4.0, 3.0], [], [(0.0, 30.0), (0.0, 30.0)])

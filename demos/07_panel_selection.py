@@ -32,9 +32,9 @@ print("weights :", data.weights)
 print("clusters:", data.clusters, "sizes", data.cluster_sizes)
 print("detected counts per cluster:\n", data.detected)
 
-post = fit_beta_binomial(data.detected, data.cluster_sizes)
 cfg = PanelConfig(budget=3, threshold=1.2, n_scen=300, m_cert=2000, beta=0.05)
-result = panel_select(data.weights, post, cfg, Rng.for_purpose(11, "panel"),
+coverage = fit_beta_binomial(data.detected, data.cluster_sizes, cfg.threshold)
+result = panel_select(data.weights, coverage, cfg, Rng.for_purpose(11, "panel"),
                       gene_ids=data.genes, cluster_ids=data.clusters)
 
 print("\nselected panel:", result.panel)

@@ -64,21 +64,16 @@ from .lp import (
 )
 from .posterior import (
     BetaCoverage,
-    BetaPosteriorMatrix,
     GaussianRows,
     NigPosterior,
     NigPrior,
     OlsFit,
     PanelData,
-    PredictiveT,
     StudentTRhs,
     fit_beta_binomial,
     fit_nig,
     fit_ols,
     load_panel_data,
-    ols_predictive_quantile,
-    predictive,
-    predictive_quantile,
 )
 from .robustify import (
     RobustLp,
@@ -134,10 +129,9 @@ __all__ = [
     "problem_to_json", "solution_from_json", "solution_to_json",
     "solve_cutting_planes", "solve_lp",
     # posterior
-    "BetaCoverage", "BetaPosteriorMatrix", "GaussianRows", "NigPosterior",
-    "NigPrior", "OlsFit", "PanelData", "PredictiveT", "StudentTRhs",
-    "fit_beta_binomial", "fit_nig", "fit_ols", "load_panel_data",
-    "ols_predictive_quantile", "predictive", "predictive_quantile",
+    "BetaCoverage", "GaussianRows", "NigPosterior", "NigPrior", "OlsFit",
+    "PanelData", "StudentTRhs", "fit_beta_binomial", "fit_nig", "fit_ols",
+    "load_panel_data",
     # robustify
     "RobustLp", "bonferroni_kappa", "rb_heuristic_tighten",
     "rhs_quantile_tighten", "robustify_rows", "soc_support",

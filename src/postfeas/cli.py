@@ -224,8 +224,8 @@ def _require(model: dict, key: str):
 
 def _require_list(model: dict, key: str) -> list:
     value = _require(model, key)
-    if not isinstance(value, list):
-        raise DomainError(f"model key {key!r} must be a list")
+    if not isinstance(value, list) or not value:
+        raise DomainError(f"model key {key!r} must be a non-empty list")
     return value
 
 
@@ -239,7 +239,7 @@ def _certify_replay(model: dict, m_draws: int, beta: float) -> Certificate:
 def _rhs_student_t(model: dict, x: np.ndarray) -> po.StudentTRhs:
     specs = _require_list(model, "predictive")
     rhs = po.StudentTRhs(
-        rows=_require(model, "rows"),
+        rows=_require_list(model, "rows"),
         dof=[_require(s, "dof") for s in specs],
         loc=[_require(s, "loc") for s in specs],
         scale=[_require(s, "scale") for s in specs],
@@ -264,7 +264,8 @@ def _gaussian_rows(model: dict, x: np.ndarray) -> po.GaussianRows:
 
 
 def _beta_coverage(model: dict, x: np.ndarray) -> po.BetaCoverage:
-    coverage = po.BetaCoverage(a=_require(model, "a"), b=_require(model, "b"),
+    coverage = po.BetaCoverage(a=_require_list(model, "a"),
+                               b=_require_list(model, "b"),
                                threshold=_require(model, "threshold"))
     if coverage.a.shape[1] != x.size:
         raise DomainError(
@@ -320,9 +321,9 @@ def _cmd_panel(args) -> int:
     data = po.load_panel_data(args.detections, args.clusters, args.weights)
     cfg = (ex.PanelConfig.from_json(_read_text(args.config))
            if args.config else ex.PanelConfig())
-    post = po.fit_beta_binomial(data.detected, data.cluster_sizes)
+    model = po.fit_beta_binomial(data.detected, data.cluster_sizes, cfg.threshold)
     rng = stats.Rng.for_purpose(args.seed, "panel")
-    result = ex.panel_select(data.weights, post, cfg, rng,
+    result = ex.panel_select(data.weights, model, cfg, rng,
                              gene_ids=data.genes, cluster_ids=data.clusters)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

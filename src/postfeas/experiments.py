@@ -19,6 +19,7 @@ bound).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import math
@@ -114,19 +115,7 @@ class SimConfig:
     sigma_range: tuple[float, float] = (3.0, 9.0)
 
     def to_json(self) -> str:
-        doc = {
-            "n": self.n, "m": self.m, "d_ctx": self.d_ctx,
-            "n_obs": self.n_obs, "n_scen": self.n_scen,
-            "m_true": self.m_true, "m_cert": self.m_cert,
-            "trials_per_alpha": self.trials_per_alpha,
-            "alphas": list(self.alphas), "x_max": self.x_max,
-            "master_seed": self.master_seed,
-            "a_range": list(self.a_range), "p_range": list(self.p_range),
-            "intercept_range": list(self.intercept_range),
-            "slope_range": list(self.slope_range),
-            "sigma_range": list(self.sigma_range),
-        }
-        return json.dumps(doc)
+        return json.dumps(dataclasses.asdict(self))
 
     @classmethod
     def from_json(cls, text: str) -> "SimConfig":
@@ -234,19 +223,9 @@ def fit_capacity_model(instance: SimInstance, cfg: SimConfig) -> po.StudentTRhs:
     and posterior certificate read this one model.
     """
     prior = po.NigPrior.default(cfg.d_ctx)
-    preds = [
-        po.predictive(
-            po.fit_nig(instance.design, instance.observations[:, j], prior),
-            instance.x_ctx,
-        )
-        for j in range(cfg.m)
-    ]
-    return po.StudentTRhs(
-        rows=instance.resource_rows,
-        dof=[p.dof for p in preds],
-        loc=[p.loc for p in preds],
-        scale=[p.scale for p in preds],
-    )
+    posts = [po.fit_nig(instance.design, instance.observations[:, j], prior)
+             for j in range(cfg.m)]
+    return po.StudentTRhs.from_nig(instance.resource_rows, posts, instance.x_ctx)
 
 
 def _tightened_rhs(method: str, instance: SimInstance, model: po.StudentTRhs,
@@ -259,14 +238,12 @@ def _tightened_rhs(method: str, instance: SimInstance, model: po.StudentTRhs,
         scen_rng = stats.Rng.for_purpose(rng.seed, rng.stream_id, "scenario")
         return sc.rhs_scenario_min(model.draw(scen_rng, cfg.n_scen))
     if method == "FPQ":
-        fits = [
-            po.fit_ols(instance.design, instance.observations[:, j])
-            for j in range(cfg.m)
-        ]
-        return np.array([
-            po.ols_predictive_quantile(f, instance.x_ctx, alpha / cfg.m)
-            for f in fits
-        ])
+        fits = [po.fit_ols(instance.design, instance.observations[:, j])
+                for j in range(cfg.m)]
+        return rhs_quantile_tighten(
+            po.StudentTRhs.from_ols(instance.resource_rows, fits, instance.x_ctx),
+            alpha,
+        )
     if method == "RB":
         return rb_heuristic_tighten(model, alpha)
     raise DomainError(f"unknown method {method!r}")
@@ -466,11 +443,7 @@ class PanelConfig:
     beta: float = 0.05
 
     def to_json(self) -> str:
-        return json.dumps({
-            "budget": self.budget, "threshold": self.threshold,
-            "n_scen": self.n_scen, "m_cert": self.m_cert,
-            "beta": self.beta,
-        })
+        return json.dumps(dataclasses.asdict(self))
 
     @classmethod
     def from_json(cls, text: str) -> "PanelConfig":
@@ -519,7 +492,7 @@ def _default_ids(count: int, prefix: str) -> tuple[str, ...]:
 
 def panel_certify_detail(
     x_sel: np.ndarray,
-    post: po.BetaPosteriorMatrix,
+    model: po.BetaCoverage,
     cfg: PanelConfig,
     rng: stats.Rng,
     cluster_ids=None,
@@ -532,14 +505,13 @@ def panel_certify_detail(
     sum_j rate_j holds exactly.
     """
     x_sel = np.asarray(x_sel, dtype=float)
-    j_clusters, k_genes = post.a.shape
+    j_clusters, k_genes = model.a.shape
     if x_sel.shape != (k_genes,):
         raise DimensionMismatch(
             f"selection vector has shape {x_sel.shape}, expected ({k_genes},)"
         )
     if cluster_ids is None:
         cluster_ids = _default_ids(j_clusters, "c")
-    model = po.BetaCoverage(post.a, post.b, cfg.threshold)
     coverage, flags = [], []
     for batch in draw_blocks(model, cfg.m_cert, rng):
         coverage.append(batch @ x_sel)
@@ -564,7 +536,7 @@ def panel_certify_detail(
 
 def panel_select(
     weights: np.ndarray,
-    post: po.BetaPosteriorMatrix,
+    model: po.BetaCoverage,
     cfg: PanelConfig,
     rng: stats.Rng,
     gene_ids=None,
@@ -573,13 +545,13 @@ def panel_select(
     """Scenario-robust panel of cfg.budget genes maximizing total weight.
 
     The relaxed problem maximizes w'x over x in [0, 1]^K with sum x <=
-    budget and q^(s)_j' x >= threshold for every posterior scenario s
-    and cluster j.  The hard panel keeps the budget highest relaxed
+    budget and q^(s)_j' x >= model.threshold for every posterior
+    scenario s and cluster j.  The hard panel keeps the budget highest relaxed
     scores (ties: larger weight, then lexicographic gene id) and is
     certified on fresh draws.
     """
     w = np.asarray(weights, dtype=float)
-    j_clusters, k_genes = post.a.shape
+    j_clusters, k_genes = model.a.shape
     if w.shape != (k_genes,):
         raise DimensionMismatch(
             f"weights have shape {w.shape}, expected ({k_genes},)"
@@ -596,7 +568,6 @@ def panel_select(
     cluster_ids = tuple(str(c) for c in cluster_ids)
 
     scen_rng = stats.Rng.for_purpose(rng.seed, rng.stream_id, "scenario")
-    model = po.BetaCoverage(post.a, post.b, cfg.threshold)
     q_draws = model.draw(scen_rng, cfg.n_scen)  # (S, J, K)
 
     # necessary condition per cluster: even the best budget-sized set
@@ -606,7 +577,7 @@ def panel_select(
     else:
         part = np.partition(q_draws, k_genes - cfg.budget, axis=2)
         top_b = part[:, :, k_genes - cfg.budget:].sum(axis=2)
-    margins = top_b.min(axis=0) - cfg.threshold  # (J,)
+    margins = top_b.min(axis=0) - model.threshold  # (J,)
     worst = int(np.argmin(margins))
     if margins[worst] < 0.0:
         raise PanelInfeasible(cluster_ids[worst])
@@ -618,7 +589,7 @@ def panel_select(
     )
     sol, _ = sc.solve_scenario_lp(
         base, q_draws, (">=",) * j_clusters,
-        np.full((cfg.n_scen, j_clusters), cfg.threshold),
+        np.full((cfg.n_scen, j_clusters), model.threshold),
     )
     if sol.status != "Optimal":
         raise PanelInfeasible(
@@ -637,7 +608,7 @@ def panel_select(
 
     cert_rng = stats.Rng.for_purpose(rng.seed, rng.stream_id, "certify")
     cert, summaries = panel_certify_detail(
-        x_bin, post, cfg, cert_rng, cluster_ids=cluster_ids
+        x_bin, model, cfg, cert_rng, cluster_ids=cluster_ids
     )
     return PanelResult(
         relaxed_x=relaxed_x,

@@ -10,7 +10,9 @@ certificates, each with draw(rng, count) and residuals(x, batch):
 StudentTRhs (fixed rows, Student-t right-hand sides), GaussianRows
 (jointly Gaussian rows, also the centres and factors of the credible
 ellipsoids) and BetaCoverage (Beta detection cells against a coverage
-floor).
+floor).  The fits produce these models: StudentTRhs.from_nig and
+StudentTRhs.from_ols turn per-row NIG or OLS fits into the predictive
+at one context, and fit_beta_binomial returns a BetaCoverage.
 """
 
 from __future__ import annotations
@@ -34,15 +36,10 @@ from .errors import (
 __all__ = [
     "NigPrior",
     "NigPosterior",
-    "PredictiveT",
     "OlsFit",
-    "BetaPosteriorMatrix",
     "PanelData",
     "fit_nig",
-    "predictive",
-    "predictive_quantile",
     "fit_ols",
-    "ols_predictive_quantile",
     "fit_beta_binomial",
     "load_panel_data",
     "StudentTRhs",
@@ -133,15 +130,6 @@ class NigPosterior:
 
 
 @dataclass(frozen=True)
-class PredictiveT:
-    """Location-scale Student-t law of the next observation."""
-
-    dof: float
-    loc: float
-    scale: float
-
-
-@dataclass(frozen=True)
 class OlsFit:
     coef: np.ndarray
     s2: float
@@ -186,31 +174,6 @@ def fit_nig(design: np.ndarray, y: np.ndarray, prior: NigPrior) -> NigPosterior:
     )
 
 
-def predictive(post: NigPosterior, x_ctx: np.ndarray) -> PredictiveT:
-    """Student-t one-step predictive at context x_ctx.
-
-    dof = 2 shape_n, loc = x'mean_n,
-    scale = sqrt(rate_n/shape_n * (1 + x' precision_n^{-1} x)).
-    """
-    x = np.asarray(x_ctx, dtype=float)
-    if x.shape != post.mean.shape:
-        raise DimensionMismatch(
-            f"context has shape {x.shape}, expected {post.mean.shape}"
-        )
-    chol = _chol_with_jitter(post.precision)
-    h = float(x @ _chol_solve(chol, x))
-    scale2 = (post.rate / post.shape) * (1.0 + h)
-    if scale2 <= 0.0:
-        raise DomainError("nonpositive predictive variance")
-    return PredictiveT(dof=2.0 * post.shape, loc=float(x @ post.mean),
-                       scale=float(np.sqrt(scale2)))
-
-
-def predictive_quantile(pred: PredictiveT, p: float) -> float:
-    """p-quantile of the Student-t predictive."""
-    return pred.loc + pred.scale * stats.student_t_quantile(p, pred.dof)
-
-
 def fit_ols(design: np.ndarray, y: np.ndarray) -> OlsFit:
     """Ordinary least squares with the classical variance estimate.
 
@@ -239,42 +202,20 @@ def fit_ols(design: np.ndarray, y: np.ndarray) -> OlsFit:
     return OlsFit(coef=coef, s2=s2, xtx_inv=xtx_inv, dof_resid=dof)
 
 
-def ols_predictive_quantile(fit: OlsFit, x_ctx: np.ndarray, p: float) -> float:
-    """Frequentist t prediction quantile at context x_ctx."""
-    x = np.asarray(x_ctx, dtype=float)
-    if x.shape != fit.coef.shape:
-        raise DimensionMismatch(
-            f"context has shape {x.shape}, expected {fit.coef.shape}"
-        )
-    loc = float(x @ fit.coef)
-    se = float(np.sqrt(fit.s2 * (1.0 + x @ fit.xtx_inv @ x)))
-    if se == 0.0:
-        return loc
-    return loc + se * stats.student_t_quantile(p, fit.dof_resid)
-
-
 # ---------------------------------------------------------------------------
-# Beta-Binomial detection matrix
+# Beta-Binomial detection fit
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BetaPosteriorMatrix:
-    """Independent Beta posteriors per (cluster, gene) cell."""
-
-    a: np.ndarray  # (J, K)
-    b: np.ndarray  # (J, K)
-    cluster_sizes: np.ndarray  # (J,)
-    detection_counts: np.ndarray  # (J, K)
 
 
 def fit_beta_binomial(
     detected: np.ndarray,
     cluster_sizes: np.ndarray,
+    threshold: float,
     a0: float = 1.0,
     b0: float = 1.0,
-) -> BetaPosteriorMatrix:
-    """Beta posterior per cell: a = a0 + s, b = b0 + n - s.
+) -> BetaCoverage:
+    """Beta posterior per cell, a = a0 + s and b = b0 + n - s, as a
+    BetaCoverage with floor threshold.
 
     detected is (J, K) counts; cluster_sizes is (J,) cells per cluster.
     The uniform prior a0 = b0 = 1 is the default.  A zero-cell cluster is
@@ -294,9 +235,7 @@ def fit_beta_binomial(
         raise CountOutOfRange("cluster sizes must be nonnegative")
     if np.any(s < 0) or np.any(s > n[:, None]):
         raise CountOutOfRange("detected counts must lie in [0, n_cells]")
-    a = a0 + s
-    b = b0 + n[:, None] - s
-    return BetaPosteriorMatrix(a=a, b=b, cluster_sizes=n, detection_counts=s)
+    return BetaCoverage(a=a0 + s, b=b0 + n[:, None] - s, threshold=threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +257,11 @@ def _float_array(name: str, value, ndim: int) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{name} must be finite")
     return arr
+
+
+def _check_context(x: np.ndarray, expected: tuple) -> None:
+    if x.shape != expected:
+        raise DimensionMismatch(f"context has shape {x.shape}, expected {expected}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,6 +288,42 @@ class StudentTRhs:
                 raise DomainError(f"{name} must be positive")
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "rows", rows)
+
+    @classmethod
+    def from_nig(cls, rows, posts, x_ctx) -> "StudentTRhs":
+        """Each NIG posterior's one-step predictive at context x_ctx.
+
+        dof = 2 shape_n, loc = x'mean_n,
+        scale = sqrt(rate_n/shape_n * (1 + x' precision_n^{-1} x)).
+        """
+        x = np.asarray(x_ctx, dtype=float)
+        dof, loc, scale = [], [], []
+        for post in posts:
+            _check_context(x, post.mean.shape)
+            chol = _chol_with_jitter(post.precision)
+            h = float(x @ _chol_solve(chol, x))
+            scale2 = (post.rate / post.shape) * (1.0 + h)
+            if scale2 <= 0.0:
+                raise DomainError("nonpositive predictive variance")
+            dof.append(2.0 * post.shape)
+            loc.append(float(x @ post.mean))
+            scale.append(float(np.sqrt(scale2)))
+        return cls(rows=rows, dof=dof, loc=loc, scale=scale)
+
+    @classmethod
+    def from_ols(cls, rows, fits, x_ctx) -> "StudentTRhs":
+        """Each OLS fit's frequentist t prediction law at context x_ctx.
+
+        dof = n - d, loc = x'coef, scale = sqrt(s2 (1 + x'(X'X)^{-1} x)).
+        """
+        x = np.asarray(x_ctx, dtype=float)
+        dof, loc, scale = [], [], []
+        for fit in fits:
+            _check_context(x, fit.coef.shape)
+            dof.append(fit.dof_resid)
+            loc.append(float(x @ fit.coef))
+            scale.append(float(np.sqrt(fit.s2 * (1.0 + x @ fit.xtx_inv @ x))))
+        return cls(rows=rows, dof=dof, loc=loc, scale=scale)
 
     def draw(self, rng: stats.Rng, count: int) -> np.ndarray:
         """(count, m) right-hand sides, one Student-t draw for all rows."""

@@ -151,11 +151,13 @@ def rhs_quantile_tighten(model: StudentTRhs, alpha: float) -> np.ndarray:
     """Tightened right-hand sides at the alpha/m predictive quantile.
 
     Takes the lower alpha/m quantile of each row's Student-t predictive;
-    with m rows, the union bound gives simultaneous level alpha.
+    with m rows, the union bound gives simultaneous level alpha.  The
+    t quantile is solved once per distinct dof.
     """
     level = _split_alpha(alpha, model.dof.size)
-    t = np.array([stats.student_t_quantile(level, dof) for dof in model.dof])
-    return model.loc + model.scale * t
+    dofs, row_dof = np.unique(model.dof, return_inverse=True)
+    t = np.array([stats.student_t_quantile(level, dof) for dof in dofs])
+    return model.loc + model.scale * t[row_dof]
 
 
 def rb_heuristic_tighten(model: StudentTRhs, alpha: float) -> np.ndarray:

@@ -19,12 +19,7 @@ from postfeas.certify import certify, clopper_pearson_upper, estimate_violation
 from postfeas.cli import main
 from postfeas.experiments import PanelConfig, panel_select
 from postfeas.lp import LpProblem, brute_force_lp, solve_lp
-from postfeas.posterior import (
-    BetaCoverage,
-    GaussianRows,
-    fit_beta_binomial,
-    load_panel_data,
-)
+from postfeas.posterior import GaussianRows, fit_beta_binomial, load_panel_data
 from postfeas.robustify import (
     robustify_rows,
     soc_support,
@@ -320,7 +315,8 @@ def test_criterion_10_bundled_panel_fixture_pipeline():
         d = DATA_DIR / fixture
         data = load_panel_data(d / "detections.csv", d / "clusters.csv",
                                d / "weights.csv")
-        post = fit_beta_binomial(data.detected, data.cluster_sizes)
+        post = fit_beta_binomial(data.detected, data.cluster_sizes,
+                                 cfg.threshold)
         rng = Rng.for_purpose(seed, "panel")
         res = panel_select(data.weights, post, cfg, rng,
                            gene_ids=data.genes, cluster_ids=data.clusters)
@@ -329,9 +325,7 @@ def test_criterion_10_bundled_panel_fixture_pipeline():
         # replay the scenario stream and check every sampled constraint,
         # both at the relaxed optimum and at the selected panel
         scen_rng = Rng.for_purpose(rng.seed, rng.stream_id, "scenario")
-        q = BetaCoverage(a=post.a, b=post.b, threshold=cfg.threshold).draw(
-            scen_rng, cfg.n_scen
-        )
+        q = post.draw(scen_rng, cfg.n_scen)
         relaxed_cov = np.einsum("sjk,k->sj", q, res.relaxed_x)
         assert relaxed_cov.min() >= cfg.threshold - tau_feas
         x_bin = np.array([1.0 if g in res.panel else 0.0 for g in data.genes])

@@ -546,6 +546,24 @@ class TestCertify:
                        "--out", str(tmp_path / "c.json")])
             assert rc == 2, doc
 
+    @pytest.mark.parametrize("doc, key", [
+        pytest.param({"family": "gaussian_rows", "blocks": []}, "blocks",
+                     id="gaussian_rows"),
+        pytest.param({"family": "rhs_student_t", "rows": [], "predictive": []},
+                     "predictive", id="rhs_student_t"),
+        pytest.param({"family": "beta_coverage", "a": [], "b": [],
+                      "threshold": 0.5}, "a", id="beta_coverage"),
+    ])
+    def test_empty_model_list_names_its_key(self, tmp_path, capsys, doc, key):
+        sol = write_json(tmp_path / "sol.json", SOLUTION_1D)
+        model = write_json(tmp_path / "model.json", doc)
+        rc = main(["certify", "--solution", sol, "--model", model,
+                   "--out", str(tmp_path / "c.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"model key {key!r} must be a non-empty list" in err
+        assert "shape" not in err
+
     def test_solution_without_decisions_exit_code(self, tmp_path):
         sol = write_json(tmp_path / "sol.json",
                          {"status": "Infeasible", "x": None,

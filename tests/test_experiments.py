@@ -37,17 +37,14 @@ from postfeas.experiments import (
 )
 from postfeas.posterior import (
     BetaCoverage,
-    BetaPosteriorMatrix,
     NigPrior,
+    StudentTRhs,
     fit_beta_binomial,
     fit_nig,
     fit_ols,
-    ols_predictive_quantile,
-    predictive,
-    predictive_quantile,
 )
 from postfeas.scenario import rhs_scenario_min
-from postfeas.stats import Rng, normal_quantile
+from postfeas.stats import Rng, normal_quantile, student_t_quantile
 
 # the package's certify function shadows the module of the same name
 certify_module = importlib.import_module("postfeas.certify")
@@ -149,8 +146,9 @@ def setup():
     rng = Rng.for_purpose(11, "trial", 0)
     prior = NigPrior.default(cfg.d_ctx)
     preds = [
-        predictive(
-            fit_nig(inst.design, inst.observations[:, j], prior),
+        StudentTRhs.from_nig(
+            [[0.0]],
+            [fit_nig(inst.design, inst.observations[:, j], prior)],
             inst.x_ctx,
         )
         for j in range(cfg.m)
@@ -162,13 +160,14 @@ class TestTightenedRhs:
     def test_plugin_mean(self, setup):
         cfg, inst, rng, preds, model = setup
         out = _tightened_rhs("PM", inst, model, 0.05, cfg, rng.clone())
-        assert np.allclose(out, [p.loc for p in preds], atol=1e-12)
+        assert np.allclose(out, [p.loc[0] for p in preds], atol=1e-12)
 
     def test_credible_quantile(self, setup):
         cfg, inst, rng, preds, model = setup
         out = _tightened_rhs("CR", inst, model, 0.05, cfg, rng.clone())
         # the per-row scalar quantile is the reference, bit for bit
-        expect = [predictive_quantile(p, 0.05 / cfg.m) for p in preds]
+        expect = [p.loc[0] + p.scale[0]
+                  * student_t_quantile(0.05 / cfg.m, p.dof[0]) for p in preds]
         assert np.array_equal(out, expect)
 
     def test_posterior_scenarios_replay(self, setup):
@@ -184,17 +183,23 @@ class TestTightenedRhs:
     def test_frequentist_quantile(self, setup):
         cfg, inst, rng, _, model = setup
         out = _tightened_rhs("FPQ", inst, model, 0.05, cfg, rng.clone())
+        # the per-row scalar t prediction quantile is the reference, bit
+        # for bit
+        expect = []
         for j in range(cfg.m):
             fit = fit_ols(inst.design, inst.observations[:, j])
-            expect = ols_predictive_quantile(fit, inst.x_ctx, 0.05 / cfg.m)
-            assert out[j] == pytest.approx(expect, abs=1e-12)
+            x = inst.x_ctx
+            se = float(np.sqrt(fit.s2 * (1.0 + x @ fit.xtx_inv @ x)))
+            expect.append(float(x @ fit.coef) + se * student_t_quantile(
+                0.05 / cfg.m, fit.dof_resid))
+        assert out.tolist() == expect
 
     def test_normal_heuristic(self, setup):
         cfg, inst, rng, preds, model = setup
         out = _tightened_rhs("RB", inst, model, 0.05, cfg, rng.clone())
-        means = np.array([p.loc for p in preds])
+        means = np.array([p.loc[0] for p in preds])
         sds = np.array(
-            [p.scale * np.sqrt(p.dof / (p.dof - 2.0)) for p in preds]
+            [p.scale[0] * np.sqrt(p.dof[0] / (p.dof[0] - 2.0)) for p in preds]
         )
         z = normal_quantile(1.0 - 0.05 / cfg.m)
         assert np.array_equal(out, means - z * sds)
@@ -484,20 +489,16 @@ class TestPanelConfig:
             PanelConfig.from_json(text)
 
 
-def concentrated_posterior(means, total=1e10):
+def concentrated_posterior(means, threshold, total=1e10):
     means = np.asarray(means, dtype=float)
-    return BetaPosteriorMatrix(
-        a=means * total,
-        b=(1.0 - means) * total,
-        cluster_sizes=np.full(means.shape[0], total),
-        detection_counts=means * total,
-    )
+    return BetaCoverage(a=means * total, b=(1.0 - means) * total,
+                        threshold=threshold)
 
 
 class TestPanelCertifyDetail:
     def test_degenerate_posterior_collapses_quantiles(self):
-        post = concentrated_posterior(np.full((1, 4), 0.6))
         cfg = PanelConfig(budget=4, threshold=2.0, m_cert=500)
+        post = concentrated_posterior(np.full((1, 4), 0.6), cfg.threshold)
         cert, summaries = panel_certify_detail(
             np.ones(4), post, cfg, Rng.for_purpose(61, "panel-cert")
         )
@@ -510,8 +511,8 @@ class TestPanelCertifyDetail:
 
     def test_union_bound_sandwich(self):
         det = np.array([[30.0, 25.0, 20.0], [18.0, 35.0, 22.0], [26.0, 24.0, 28.0]])
-        post = fit_beta_binomial(det, np.array([50.0, 50.0, 50.0]))
         cfg = PanelConfig(budget=3, threshold=1.5, m_cert=2000)
+        post = fit_beta_binomial(det, np.array([50.0, 50.0, 50.0]), cfg.threshold)
         cert, summaries = panel_certify_detail(
             np.ones(3), post, cfg, Rng.for_purpose(62, "panel-sandwich")
         )
@@ -524,20 +525,20 @@ class TestPanelCertifyDetail:
         # the panel certificate reads the same block-addressed draws as
         # certify() on the matching coverage model, across block edges
         det = np.array([[30.0, 25.0], [18.0, 35.0]])
-        post = fit_beta_binomial(det, np.array([50.0, 50.0]))
         cfg = PanelConfig(budget=2, threshold=1.0, m_cert=2500)
+        post = fit_beta_binomial(det, np.array([50.0, 50.0]), cfg.threshold)
         rng = Rng.for_purpose(63, "panel-chunk")
         cert, _ = panel_certify_detail(np.ones(2), post, cfg, rng)
-        model = BetaCoverage(a=post.a, b=post.b, threshold=cfg.threshold)
-        replay = certify(np.ones(2), model, cfg.m_cert, cfg.beta, rng.clone())
+        replay = certify(np.ones(2), post, cfg.m_cert, cfg.beta, rng.clone())
         assert cert == replay
         assert 0 < cert.s < cfg.m_cert
 
     def test_cluster_ids_and_determinism(self):
-        post = fit_beta_binomial(
-            np.array([[30.0, 25.0], [18.0, 35.0]]), np.array([50.0, 50.0])
-        )
         cfg = PanelConfig(budget=2, threshold=1.0, m_cert=600)
+        post = fit_beta_binomial(
+            np.array([[30.0, 25.0], [18.0, 35.0]]), np.array([50.0, 50.0]),
+            cfg.threshold,
+        )
         rng = Rng.for_purpose(64, "panel-ids")
         cert_a, sums_a = panel_certify_detail(
             np.ones(2), post, cfg, rng, cluster_ids=("left", "right")
@@ -549,8 +550,9 @@ class TestPanelCertifyDetail:
         assert [s.cluster for s in sums_a] == ["left", "right"]
 
     def test_selection_shape_checked(self):
-        post = fit_beta_binomial(np.array([[3.0, 2.0]]), np.array([5.0]))
         cfg = PanelConfig(budget=2, threshold=0.5, m_cert=100)
+        post = fit_beta_binomial(np.array([[3.0, 2.0]]), np.array([5.0]),
+                                 cfg.threshold)
         with pytest.raises(DimensionMismatch):
             panel_certify_detail(
                 np.ones(3), post, cfg, Rng.for_purpose(65, "panel-bad")
@@ -559,8 +561,8 @@ class TestPanelCertifyDetail:
 
 class TestPanelSelect:
     def test_degenerate_detection_selects_by_weight(self):
-        post = concentrated_posterior(np.full((1, 5), 1.0 - 1e-9))
         cfg = PanelConfig(budget=3, threshold=2.0, n_scen=40, m_cert=300)
+        post = concentrated_posterior(np.full((1, 5), 1.0 - 1e-9), cfg.threshold)
         result = panel_select(
             np.array([5.0, 4.0, 3.0, 2.0, 1.0]),
             post,
@@ -575,9 +577,9 @@ class TestPanelSelect:
     def test_panel_size_and_tie_break_rule(self):
         gen = np.random.default_rng(72)
         det = gen.integers(250, 480, size=(2, 10)).astype(float)
-        post = fit_beta_binomial(det, np.array([500.0, 500.0]))
         weights = gen.uniform(0.5, 3.0, 10)
         cfg = PanelConfig(budget=4, threshold=1.5, n_scen=60, m_cert=400)
+        post = fit_beta_binomial(det, np.array([500.0, 500.0]), cfg.threshold)
         ids = tuple(f"g{k:02d}" for k in range(10))
         result = panel_select(
             weights, post, cfg, Rng.for_purpose(73, "panel-tie"), gene_ids=ids
@@ -602,8 +604,9 @@ class TestPanelSelect:
         det[1, :8] = 15.0
         det[1, 8:] = 460.0
         weights = np.array([1.0] * 8 + [0.1] * 4)
-        post = fit_beta_binomial(det, np.array([n_cells, n_cells], dtype=float))
         cfg = PanelConfig(budget=6, threshold=2.5, n_scen=80, m_cert=500)
+        post = fit_beta_binomial(det, np.array([n_cells, n_cells], dtype=float),
+                                 cfg.threshold)
         rng = Rng.for_purpose(74, "panel-adversarial")
         result = panel_select(
             weights,
@@ -617,16 +620,15 @@ class TestPanelSelect:
         assert len(specialists) >= 3
         # replay the optimization scenarios and check the relaxed solution
         scen_rng = Rng.for_purpose(rng.seed, rng.stream_id, "scenario")
-        model = BetaCoverage(a=post.a, b=post.b, threshold=cfg.threshold)
-        q_draws = model.draw(scen_rng, cfg.n_scen)
+        q_draws = post.draw(scen_rng, cfg.n_scen)
         coverage = q_draws @ result.relaxed_x
         assert float(coverage.min()) >= cfg.threshold - 1e-8
 
     def test_infeasible_threshold_names_cluster(self):
-        post = fit_beta_binomial(
-            np.zeros((2, 6)), np.array([500.0, 500.0])
-        )
         cfg = PanelConfig(budget=3, threshold=5.0, n_scen=40, m_cert=200)
+        post = fit_beta_binomial(
+            np.zeros((2, 6)), np.array([500.0, 500.0]), cfg.threshold
+        )
         with pytest.raises(PanelInfeasible) as info:
             panel_select(
                 np.ones(6),
@@ -638,7 +640,8 @@ class TestPanelSelect:
         assert info.value.cluster in ("east", "west")
 
     def test_validation(self):
-        post = fit_beta_binomial(np.array([[3.0, 2.0]]), np.array([5.0]))
+        post = fit_beta_binomial(np.array([[3.0, 2.0]]), np.array([5.0]),
+                                 PanelConfig().threshold)
         rng = Rng.for_purpose(76, "panel-validate")
         with pytest.raises(DomainError):
             panel_select(np.ones(2), post, PanelConfig(budget=3), rng)
@@ -647,8 +650,8 @@ class TestPanelSelect:
 
     def test_deterministic(self):
         det = np.array([[40.0, 30.0, 20.0, 35.0], [25.0, 45.0, 30.0, 15.0]])
-        post = fit_beta_binomial(det, np.array([60.0, 60.0]))
         cfg = PanelConfig(budget=2, threshold=0.8, n_scen=50, m_cert=300)
+        post = fit_beta_binomial(det, np.array([60.0, 60.0]), cfg.threshold)
         rng = Rng.for_purpose(77, "panel-repeat")
         a = panel_select(np.array([2.0, 1.5, 1.0, 0.5]), post, cfg, rng)
         b = panel_select(np.array([2.0, 1.5, 1.0, 0.5]), post, cfg, rng.clone())
@@ -661,8 +664,8 @@ class TestPanelSelect:
 @pytest.fixture(scope="module")
 def result():
     det = np.array([[40.0, 30.0, 20.0, 35.0], [25.0, 45.0, 30.0, 15.0]])
-    post = fit_beta_binomial(det, np.array([60.0, 60.0]))
     cfg = PanelConfig(budget=2, threshold=0.8, n_scen=50, m_cert=300)
+    post = fit_beta_binomial(det, np.array([60.0, 60.0]), cfg.threshold)
     weights = np.array([2.0, 1.5, 1.0, 0.5])
     ids = ("gA", "gB", "gC", "gD")
     res = panel_select(

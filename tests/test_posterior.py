@@ -15,19 +15,15 @@ from postfeas.errors import (
 from postfeas.certify import draw_blocks
 from postfeas.posterior import (
     BetaCoverage,
-    BetaPosteriorMatrix,
     NigPrior,
     OlsFit,
-    PredictiveT,
     StudentTRhs,
     fit_beta_binomial,
     fit_nig,
     fit_ols,
     load_panel_data,
-    ols_predictive_quantile,
-    predictive,
-    predictive_quantile,
 )
+from postfeas.robustify import rhs_quantile_tighten
 from postfeas.stats import Rng
 
 
@@ -37,6 +33,16 @@ def make_regression(gen, n, d, sigma=0.7):
     beta = gen.normal(0.0, 1.0, d)
     y = design @ beta + sigma * gen.standard_normal(n)
     return design, y, beta, sigma
+
+
+def one_row(dof, loc, scale):
+    """A one-row Student-t model of the right-hand side."""
+    return StudentTRhs(rows=[[0.0]], dof=[dof], loc=[loc], scale=[scale])
+
+
+def quantile(model, p):
+    """p-quantile of a one-row model: its tightening at level p."""
+    return float(rhs_quantile_tighten(model, p)[0])
 
 
 class TestFitNig:
@@ -177,41 +183,52 @@ class TestPredictive:
 
     def test_closed_form_fields(self):
         post, x = self.fitted()
-        pred = predictive(post, x)
+        pred = StudentTRhs.from_nig([[0.0]], [post], x)
         lev = x @ np.linalg.solve(post.precision, x)
-        assert pred.dof == 2.0 * post.shape
-        assert abs(pred.loc - x @ post.mean) <= 1e-12
+        assert pred.dof[0] == 2.0 * post.shape
+        assert abs(pred.loc[0] - x @ post.mean) <= 1e-12
         expect = np.sqrt(post.rate / post.shape * (1.0 + lev))
-        assert abs(pred.scale - expect) <= 1e-12 * expect
+        assert abs(pred.scale[0] - expect) <= 1e-12 * expect
+
+    def test_rows_follow_their_posteriors(self):
+        # Each row is its own posterior's predictive, bit for bit.
+        gen = np.random.default_rng(24)
+        x = np.array([1.0, 0.3, -0.4])
+        posts = [fit_nig(*make_regression(gen, n, 3)[:2], NigPrior.default(3))
+                 for n in (10, 40, 160)]
+        rows = np.arange(6.0).reshape(3, 2)
+        model = StudentTRhs.from_nig(rows, posts, x)
+        assert np.array_equal(model.rows, rows)
+        for i, post in enumerate(posts):
+            alone = StudentTRhs.from_nig([[0.0]], [post], x)
+            assert model.dof[i] == alone.dof[0]
+            assert model.loc[i] == alone.loc[0]
+            assert model.scale[i] == alone.scale[0]
 
     def test_median_equals_loc(self):
         post, x = self.fitted()
-        pred = predictive(post, x)
-        assert predictive_quantile(pred, 0.5) == pytest.approx(pred.loc, abs=1e-12)
+        pred = StudentTRhs.from_nig([[0.0]], [post], x)
+        assert quantile(pred, 0.5) == pytest.approx(pred.loc[0], abs=1e-12)
 
     def test_quantile_strictly_increasing(self):
-        pred = PredictiveT(dof=7.0, loc=2.0, scale=1.5)
+        pred = one_row(7.0, 2.0, 1.5)
         ps = np.linspace(0.02, 0.98, 25)
-        qs = np.array([predictive_quantile(pred, p) for p in ps])
+        qs = np.array([quantile(pred, p) for p in ps])
         assert np.all(np.diff(qs) > 0.0)
 
     def test_sampler_matches_quantile(self):
-        pred = PredictiveT(dof=9.0, loc=-1.0, scale=2.0)
-        model = StudentTRhs(rows=[[0.0]], dof=[pred.dof], loc=[pred.loc],
-                            scale=[pred.scale])
+        model = one_row(9.0, -1.0, 2.0)
         draws = model.draw(Rng.for_purpose(77, "pred-draws"), 10**5)[:, 0]
-        q05 = predictive_quantile(pred, 0.05)
+        q05 = quantile(model, 0.05)
         emp = np.quantile(draws, 0.05)
-        dens = scipy.stats.t.pdf((q05 - pred.loc) / pred.scale, 9.0) / pred.scale
+        dens = scipy.stats.t.pdf((q05 + 1.0) / 2.0, 9.0) / 2.0
         se = np.sqrt(0.05 * 0.95 / draws.size) / dens
         assert abs(emp - q05) <= 3.0 * se
         frac = np.mean(draws <= q05)
         assert abs(frac - 0.05) <= 3.0 * np.sqrt(0.05 * 0.95 / draws.size)
 
     def test_single_draw_reproducible(self):
-        pred = PredictiveT(dof=5.0, loc=0.5, scale=1.1)
-        model = StudentTRhs(rows=[[0.0]], dof=[pred.dof], loc=[pred.loc],
-                            scale=[pred.scale])
+        model = one_row(5.0, 0.5, 1.1)
         rng = Rng.for_purpose(3, "one-draw")
         first = model.draw(rng, 1)
         again = model.draw(rng.clone(), 1)
@@ -226,8 +243,8 @@ class TestPredictive:
         x = np.array([1.0, 0.2, -0.5])
         lev = x @ np.linalg.solve(design.T @ design, x)
         target = sigma * np.sqrt(1.0 + lev)
-        pred = predictive(post, x)
-        assert abs(pred.scale - target) <= 0.02 * target
+        pred = StudentTRhs.from_nig([[0.0]], [post], x)
+        assert abs(pred.scale[0] - target) <= 0.02 * target
 
     def test_scale_decreases_with_data(self):
         # The context sits far outside the covariate cloud so the shrinking
@@ -238,19 +255,19 @@ class TestPredictive:
         scales = []
         for n in (20, 80, 320, 1280):
             post = fit_nig(design[:n], y[:n], NigPrior.default(3))
-            scales.append(predictive(post, x).scale)
+            scales.append(StudentTRhs.from_nig([[0.0]], [post], x).scale[0])
         assert np.all(np.diff(scales) < 0.0)
 
     def test_context_shape_checked(self):
         post, _ = self.fitted()
         with pytest.raises(DimensionMismatch):
-            predictive(post, np.zeros(5))
+            StudentTRhs.from_nig([[0.0]], [post], np.zeros(5))
 
     def test_quantile_domain(self):
-        pred = PredictiveT(dof=4.0, loc=0.0, scale=1.0)
+        pred = one_row(4.0, 0.0, 1.0)
         for p in (-0.1, 0.0, 1.0, 1.3):
             with pytest.raises(DomainError):
-                predictive_quantile(pred, p)
+                quantile(pred, p)
 
 
 class TestOls:
@@ -263,15 +280,33 @@ class TestOls:
         assert fit.s2 <= 1e-24
         x = np.array([1.0, 2.5])
         loc = float(x @ fit.coef)
+        pred = StudentTRhs.from_ols([[0.0]], [fit], x)
         for p in (0.01, 0.5, 0.99):
-            assert abs(ols_predictive_quantile(fit, x, p) - loc) <= 1e-10
+            assert abs(quantile(pred, p) - loc) <= 1e-10
+
+    def test_closed_form_fields(self):
+        gen = np.random.default_rng(30)
+        fits = [fit_ols(*make_regression(gen, n, 3)[:2]) for n in (12, 50)]
+        x = np.array([1.0, 0.3, -0.4])
+        pred = StudentTRhs.from_ols(np.ones((2, 1)), fits, x)
+        for i, fit in enumerate(fits):
+            assert pred.dof[i] == fit.dof_resid
+            assert pred.loc[i] == float(x @ fit.coef)
+            assert pred.scale[i] == float(
+                np.sqrt(fit.s2 * (1.0 + x @ fit.xtx_inv @ x)))
+
+    def test_zero_scale_rejected(self):
+        fit = OlsFit(coef=np.ones(2), s2=0.0, xtx_inv=np.eye(2), dof_resid=3)
+        with pytest.raises(DomainError, match="scale must be positive"):
+            StudentTRhs.from_ols([[0.0]], [fit], np.array([1.0, 2.5]))
 
     def test_median_is_point_prediction(self):
         gen = np.random.default_rng(31)
         design, y, _, _ = make_regression(gen, 50, 4)
         fit = fit_ols(design, y)
         x = np.array([1.0, 0.4, -0.2, 0.1])
-        assert ols_predictive_quantile(fit, x, 0.5) == pytest.approx(
+        pred = StudentTRhs.from_ols([[0.0]], [fit], x)
+        assert quantile(pred, 0.5) == pytest.approx(
             float(x @ fit.coef), abs=1e-10
         )
 
@@ -307,7 +342,8 @@ class TestOls:
             fit = fit_ols(design, y)
             x_new = np.array([1.0, *gen.uniform(-1.0, 1.0, d - 1)])
             y_new = float(x_new @ beta + sigma * gen.standard_normal())
-            if y_new < ols_predictive_quantile(fit, x_new, 0.05):
+            pred = StudentTRhs.from_ols([[0.0]], [fit], x_new)
+            if y_new < quantile(pred, 0.05):
                 hits += 1
         assert abs(hits / reps - 0.05) <= 0.015
 
@@ -323,31 +359,33 @@ class TestOls:
             coef=np.zeros(3), s2=1.0, xtx_inv=np.eye(3), dof_resid=5
         )
         with pytest.raises(DimensionMismatch):
-            ols_predictive_quantile(fit, np.zeros(2), 0.5)
+            StudentTRhs.from_ols([[0.0]], [fit], np.zeros(2))
         with pytest.raises(DimensionMismatch):
             fit_ols(np.zeros((4, 2)), np.zeros(3))
 
 
 class TestBetaBinomial:
     def test_no_data_returns_prior(self):
-        post = fit_beta_binomial(np.zeros((1, 2)), np.zeros(1))
+        post = fit_beta_binomial(np.zeros((1, 2)), np.zeros(1), 1.0)
         assert np.array_equal(post.a, np.ones((1, 2)))
         assert np.array_equal(post.b, np.ones((1, 2)))
 
     def test_saturated_cluster_cell(self):
-        post = fit_beta_binomial(np.array([[480.0]]), np.array([480.0]))
+        post = fit_beta_binomial(np.array([[480.0]]), np.array([480.0]), 1.0)
         assert post.a[0, 0] == 481.0
         assert post.b[0, 0] == 1.0
 
     def test_update_arithmetic(self):
         detected = np.array([[3.0, 0.0], [7.0, 5.0]])
         sizes = np.array([10.0, 12.0])
-        post = fit_beta_binomial(detected, sizes, a0=2.0, b0=0.5)
+        post = fit_beta_binomial(detected, sizes, 1.5, a0=2.0, b0=0.5)
+        assert isinstance(post, BetaCoverage)
         assert np.array_equal(post.a, 2.0 + detected)
         assert np.array_equal(post.b, 0.5 + sizes[:, None] - detected)
+        assert post.threshold == 1.5
 
     def test_posterior_mean_matches_monte_carlo(self):
-        post = fit_beta_binomial(np.array([[2.0]]), np.array([6.0]))
+        post = fit_beta_binomial(np.array([[2.0]]), np.array([6.0]), 1.0)
         a, b = post.a[0, 0], post.b[0, 0]
         exact = a / (a + b)
         rng = Rng.for_purpose(99, "beta-mean")
@@ -362,7 +400,7 @@ class TestBetaBinomial:
             s = np.column_stack(
                 [gen.integers(1, int(v), size=3) for v in n]
             ).T.astype(float)
-            post = fit_beta_binomial(s, n, a0=a0, b0=b0)
+            post = fit_beta_binomial(s, n, 1.0, a0=a0, b0=b0)
             prior_mean = a0 / (a0 + b0)
             post_mean = post.a / (post.a + post.b)
             emp = s / n[:, None]
@@ -374,44 +412,35 @@ class TestBetaBinomial:
 
     def test_count_and_domain_errors(self):
         with pytest.raises(CountOutOfRange):
-            fit_beta_binomial(np.array([[5.0]]), np.array([4.0]))
+            fit_beta_binomial(np.array([[5.0]]), np.array([4.0]), 1.0)
         with pytest.raises(CountOutOfRange):
-            fit_beta_binomial(np.array([[-1.0]]), np.array([4.0]))
+            fit_beta_binomial(np.array([[-1.0]]), np.array([4.0]), 1.0)
         with pytest.raises(CountOutOfRange):
-            fit_beta_binomial(np.array([[0.0]]), np.array([-1.0]))
+            fit_beta_binomial(np.array([[0.0]]), np.array([-1.0]), 1.0)
         with pytest.raises(DomainError):
-            fit_beta_binomial(np.array([[1.0]]), np.array([4.0]), a0=0.0)
+            fit_beta_binomial(np.array([[1.0]]), np.array([4.0]), 1.0, a0=0.0)
         with pytest.raises(DimensionMismatch):
-            fit_beta_binomial(np.array([1.0, 2.0]), np.array([4.0]))
+            fit_beta_binomial(np.array([1.0, 2.0]), np.array([4.0]), 1.0)
         with pytest.raises(DimensionMismatch):
-            fit_beta_binomial(np.array([[1.0]]), np.array([4.0, 5.0]))
-
-
-def coverage_model(post):
-    return BetaCoverage(a=post.a, b=post.b, threshold=1.0)
+            fit_beta_binomial(np.array([[1.0]]), np.array([4.0, 5.0]), 1.0)
+        with pytest.raises(DomainError, match="threshold must be finite"):
+            fit_beta_binomial(np.array([[1.0]]), np.array([4.0]), np.nan)
 
 
 class TestQMatrixSampling:
     def posterior(self, j=40, k=50):
-        return BetaPosteriorMatrix(
-            a=np.ones((j, k)),
-            b=np.ones((j, k)),
-            cluster_sizes=np.zeros(j),
-            detection_counts=np.zeros((j, k)),
-        )
+        return BetaCoverage(a=np.ones((j, k)), b=np.ones((j, k)), threshold=1.0)
 
     def test_entries_in_unit_interval(self):
         post = fit_beta_binomial(
-            np.array([[3.0, 0.0], [7.0, 5.0]]), np.array([10.0, 12.0])
+            np.array([[3.0, 0.0], [7.0, 5.0]]), np.array([10.0, 12.0]), 1.0
         )
-        q = coverage_model(post).draw(Rng.for_purpose(5, "q"), 1)[0]
+        q = post.draw(Rng.for_purpose(5, "q"), 1)[0]
         assert q.shape == (2, 2)
         assert np.all((q > 0.0) & (q < 1.0))
 
     def test_uniform_prior_is_uniform(self):
-        q = coverage_model(self.posterior()).draw(
-            Rng.for_purpose(6, "q-unif"), 1
-        )[0]
+        q = self.posterior().draw(Rng.for_purpose(6, "q-unif"), 1)[0]
         flat = np.sort(q.ravel())
         n = flat.size
         grid = np.arange(1, n + 1) / n
@@ -423,24 +452,24 @@ class TestQMatrixSampling:
     def test_fixed_stream_reproduces(self):
         post = self.posterior(5, 4)
         rng = Rng.for_purpose(7, "q-repro")
-        first = coverage_model(post).draw(rng, 1)
-        again = coverage_model(post).draw(rng.clone(), 1)
+        first = post.draw(rng, 1)
+        again = post.draw(rng.clone(), 1)
         assert np.array_equal(first, again)
 
     def test_draw_stack_shape_and_determinism(self):
         post = fit_beta_binomial(
-            np.array([[3.0, 0.0], [7.0, 5.0]]), np.array([10.0, 12.0])
+            np.array([[3.0, 0.0], [7.0, 5.0]]), np.array([10.0, 12.0]), 1.0
         )
         rng = Rng.for_purpose(8, "q-stack")
-        stack = coverage_model(post).draw(rng, 25)
+        stack = post.draw(rng, 25)
         assert stack.shape == (25, 2, 2)
         assert np.all((stack > 0.0) & (stack < 1.0))
-        assert np.array_equal(stack, coverage_model(post).draw(rng.clone(), 25))
+        assert np.array_equal(stack, post.draw(rng.clone(), 25))
 
     def test_draw_stack_count_validated(self):
         post = self.posterior(2, 2)
         with pytest.raises(CountOutOfRange):
-            next(draw_blocks(coverage_model(post), 0, Rng.for_purpose(9, "q-bad")))
+            next(draw_blocks(post, 0, Rng.for_purpose(9, "q-bad")))
 
 
 def write_panel_fixture(tmp_path, detections, clusters, weights):

@@ -14,12 +14,8 @@ from postfeas.errors import (
     NotPositiveDefinite,
 )
 from postfeas.lp import LpProblem, solve_lp
-from postfeas.posterior import (
-    GaussianRows,
-    PredictiveT,
-    StudentTRhs,
-    predictive_quantile,
-)
+from postfeas import stats
+from postfeas.posterior import GaussianRows, StudentTRhs
 from postfeas.robustify import (
     bonferroni_kappa,
     rb_heuristic_tighten,
@@ -457,10 +453,9 @@ class TestRhsQuantileTighten:
         assert np.all(np.diff(outs, axis=0) > 0.0)
 
     def test_seven_row_quantile_level(self):
-        pred = PredictiveT(dof=84.0, loc=10.0, scale=2.0)
         out = rhs_quantile_tighten(t_rhs([84.0] * 7, [10.0] * 7, [2.0] * 7),
                                    alpha=0.05)
-        expect = predictive_quantile(pred, 0.05 / 7)
+        expect = 10.0 + 2.0 * stats.student_t_quantile(0.05 / 7, 84.0)
         assert np.allclose(out, expect, atol=1e-12)
         level = scipy.stats.t.cdf((out[0] - 10.0) / 2.0, 84.0)
         assert level == pytest.approx(0.05 / 7, rel=1e-9)
@@ -471,6 +466,28 @@ class TestRhsQuantileTighten:
         dens = scipy.stats.t.pdf((expect - 10.0) / 2.0, 84.0) / 2.0
         se = np.sqrt(p * (1.0 - p) / draws.size) / dens
         assert abs(emp - expect) <= 3.0 * se
+
+    @pytest.mark.parametrize("dof, solves", [([84.0] * 7, 1),
+                                             ([5.0, 5.0, 9.0], 2)])
+    def test_one_quantile_solve_per_distinct_dof(self, monkeypatch, dof,
+                                                 solves):
+        calls = []
+        scalar = stats.student_t_quantile
+
+        def counted(p, d):
+            calls.append(d)
+            return scalar(p, d)
+
+        m = len(dof)
+        loc = np.linspace(-3.0, 11.0, m)
+        scale = np.linspace(0.4, 2.5, m)
+        monkeypatch.setattr(stats, "student_t_quantile", counted)
+        out = rhs_quantile_tighten(t_rhs(dof, loc, scale), alpha=0.05)
+        assert len(calls) == solves
+        # bit for bit the per-row scalar quantile
+        expect = [loc[i] + scale[i] * scalar(0.05 / m, dof[i])
+                  for i in range(m)]
+        assert out.tolist() == expect
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
