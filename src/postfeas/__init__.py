@@ -52,7 +52,6 @@ from .lp import (
     CutLog,
     LpProblem,
     LpSolution,
-    SolverTolerances,
     brute_force_lp,
     max_violation,
     problem_from_json,
@@ -124,10 +123,10 @@ __all__ = [
     "panel_select", "run_benchmark", "run_trial", "summarize_by_alpha",
     "summarize_overall",
     # lp
-    "CutLog", "LpProblem", "LpSolution", "SolverTolerances",
-    "brute_force_lp", "max_violation", "problem_from_json",
-    "problem_to_json", "solution_from_json", "solution_to_json",
-    "solve_cutting_planes", "solve_lp",
+    "CutLog", "LpProblem", "LpSolution", "brute_force_lp",
+    "max_violation", "problem_from_json", "problem_to_json",
+    "solution_from_json", "solution_to_json", "solve_cutting_planes",
+    "solve_lp",
     # posterior
     "BetaCoverage", "GaussianRows", "NigPosterior", "NigPrior", "OlsFit",
     "PanelData", "StudentTRhs", "fit_beta_binomial", "fit_nig", "fit_ols",

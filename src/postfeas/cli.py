@@ -18,7 +18,7 @@ import logging
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -81,26 +81,12 @@ class RunManifest:
     environment: dict
 
     def to_json(self) -> str:
-        return json.dumps({
-            "command": self.command,
-            "config": self.config,
-            "master_seed": self.master_seed,
-            "version": self.version,
-            "outputs": list(self.outputs),
-            "duration_seconds": self.duration_seconds,
-            "environment": self.environment,
-        }, indent=2)
+        return json.dumps(asdict(self), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":
         doc = json.loads(text)
-        return cls(
-            command=doc["command"], config=doc["config"],
-            master_seed=doc["master_seed"], version=doc["version"],
-            outputs=tuple(doc["outputs"]),
-            duration_seconds=doc["duration_seconds"],
-            environment=doc["environment"],
-        )
+        return cls(**{**doc, "outputs": tuple(doc["outputs"])})
 
 
 def _read_text(path) -> str:
@@ -173,9 +159,9 @@ def _cmd_sim(args) -> int:
            if args.config else ex.SimConfig())
     if args.seed is not None:
         cfg = replace(cfg, master_seed=args.seed)
+    records = ex.run_benchmark(cfg, jobs=args.jobs)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    records = ex.run_benchmark(cfg, jobs=args.jobs)
     by_alpha = ex.summarize_by_alpha(cfg, records)
     overall = ex.summarize_overall(cfg, records)
     outputs = ["trials.csv", "by_alpha.csv", "overall.csv"]

@@ -334,15 +334,17 @@ def run_benchmark(cfg: SimConfig, jobs: int = 1) -> list[TrialRecord]:
     """All (alpha, trial, method) records, deterministically ordered.
 
     jobs > 1 distributes trials over processes; per-trial streams make
-    the result independent of scheduling.
+    the result independent of scheduling.  jobs < 1 is a DomainError.
     """
+    if jobs < 1:
+        raise DomainError(f"jobs must be >= 1, got {jobs}")
     tasks = [
         (ai, t)
         for ai in range(len(cfg.alphas))
         for t in range(cfg.trials_per_alpha)
     ]
     records: list[TrialRecord] = []
-    if jobs <= 1:
+    if jobs == 1:
         for ai, t in tasks:
             records.extend(_trial_block(cfg, ai, t))
         return records

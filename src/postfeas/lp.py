@@ -29,11 +29,8 @@ from .errors import (
 
 __all__ = [
     "SENSES",
-    "SolverTolerances",
     "LpProblem",
     "LpSolution",
-    "StandardFormLp",
-    "standardize",
     "solve_lp",
     "CutLog",
     "solve_cutting_planes",
@@ -54,14 +51,10 @@ _BASIC = 2
 # Consecutive degenerate pivots before switching to Bland's rule.
 _K_DEGENERATE = 50
 
-
-@dataclass(frozen=True)
-class SolverTolerances:
-    """Numerical tolerances for the simplex solver."""
-
-    feas: float = 1e-8
-    obj: float = 1e-7
-    pivot: float = 1e-10
+# Feasibility tolerance, relative to max(1, |rhs|).
+FEAS_TOL = 1e-8
+# Smallest pivot magnitude the ratio test and the basis updates accept.
+_PIVOT_TOL = 1e-10
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -245,109 +238,65 @@ def solution_from_json(text: str) -> LpSolution:
 
 
 # ---------------------------------------------------------------------------
-# Standard form
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StandardFormLp:
-    """Equality form: maximize c'z + obj_offset s.t. A z = b with z >= 0
-    (columns flagged free excepted) and finite or infinite uppers.
-
-    The first n_structural columns correspond 1:1 to original variables
-    through x_orig[j] = col_offset[j] + col_sign[j] * z[j].
-    """
-
-    A: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    upper: np.ndarray
-    free_mask: np.ndarray
-    n_structural: int
-    col_offset: np.ndarray
-    col_sign: np.ndarray
-    obj_offset: float
-
-    def map_back(self, z: np.ndarray) -> np.ndarray:
-        """Recover the original-space x from a standard-form point."""
-        zs = z[: self.n_structural]
-        return self.col_offset + self.col_sign * zs
-
-
-def standardize(problem: LpProblem) -> StandardFormLp:
-    """Convert to equality form with slacks and shifted bounds.
-
-    Finite lower bounds are shifted to zero; variables with only a finite
-    upper bound are negated so the upper bound becomes the shifted zero
-    lower bound; doubly unbounded variables stay free.  Each inequality
-    gains one slack in [0, inf).
-    """
-    n, m = problem.n, problem.m
-    offset = np.zeros(n)
-    sign = np.ones(n)
-    upper_std = np.full(n, math.inf)
-    free = np.zeros(n, dtype=bool)
-    for j in range(n):
-        lo, hi = problem.lower[j], problem.upper[j]
-        if math.isfinite(lo):
-            offset[j] = lo
-            upper_std[j] = hi - lo if math.isfinite(hi) else math.inf
-        elif math.isfinite(hi):
-            offset[j] = hi
-            sign[j] = -1.0
-        else:
-            free[j] = True
-    n_slack = sum(1 for s in problem.senses if s != "=")
-    A = np.zeros((m, n + n_slack))
-    A[:, :n] = problem.rows * sign[np.newaxis, :]
-    b = problem.rhs - problem.rows @ offset
-    c = np.zeros(n + n_slack)
-    c[:n] = problem.objective * sign
-    upper = np.concatenate([upper_std, np.full(n_slack, math.inf)])
-    free_mask = np.concatenate([free, np.zeros(n_slack, dtype=bool)])
-    k = n
-    for i, sense in enumerate(problem.senses):
-        if sense == "<=":
-            A[i, k] = 1.0
-            k += 1
-        elif sense == ">=":
-            A[i, k] = -1.0
-            k += 1
-    return StandardFormLp(
-        A=_readonly(A),
-        b=_readonly(b),
-        c=_readonly(c),
-        upper=_readonly(upper),
-        free_mask=free_mask,
-        n_structural=n,
-        col_offset=_readonly(offset),
-        col_sign=_readonly(sign),
-        obj_offset=float(problem.objective @ offset),
-    )
-
-
-# ---------------------------------------------------------------------------
 # Bounded-variable revised simplex
 # ---------------------------------------------------------------------------
 
 
 class _BoundedSimplex:
-    """Equality-form simplex over variables with lower bound 0 (or free)
-    and optional finite uppers.  Maximizes.  Mutable workspace; one
-    instance per solve."""
+    """Two-phase simplex on the equality form of one LpProblem.  Maximizes.
+    Mutable workspace; one instance per solve.
 
-    def __init__(self, A, b, upper, free_mask, tol: SolverTolerances):
-        self.m, n_real = A.shape
+    The equality form has variables with lower bound 0 (or free) and
+    optional finite uppers.  Finite lower bounds are shifted to zero;
+    variables with only a finite upper bound are negated so the upper
+    bound becomes the shifted zero lower bound; doubly unbounded variables
+    stay free.  Each inequality gains one slack in [0, inf), and each row
+    one artificial.  Column j < n maps back through
+    x[j] = offset[j] + sign[j] * z[j].
+    """
+
+    def __init__(self, problem: LpProblem):
+        n, m = problem.n, problem.m
+        offset = np.zeros(n)
+        sign = np.ones(n)
+        upper = np.full(n, math.inf)
+        free = np.zeros(n, dtype=bool)
+        for j in range(n):
+            lo, hi = problem.lower[j], problem.upper[j]
+            if math.isfinite(lo):
+                offset[j] = lo
+                upper[j] = hi - lo if math.isfinite(hi) else math.inf
+            elif math.isfinite(hi):
+                offset[j] = hi
+                sign[j] = -1.0
+            else:
+                free[j] = True
+        n_real = n + sum(1 for s in problem.senses if s != "=")
+        A = np.zeros((m, n_real))
+        A[:, :n] = problem.rows * sign[np.newaxis, :]
+        b = problem.rhs - problem.rows @ offset
+        k = n
+        for i, sense in enumerate(problem.senses):
+            if sense == "<=":
+                A[i, k] = 1.0
+                k += 1
+            elif sense == ">=":
+                A[i, k] = -1.0
+                k += 1
+        self.offset = offset
+        self.sign = sign
+        self.m = m
         self.n_real = n_real
-        self.tol = tol
-        m = self.m
+        self.n_total = n_real + m
+        # phase-two costs; slacks and artificials cost nothing
+        self.c = np.zeros(self.n_total)
+        self.c[:n] = problem.objective * sign
         # artificial columns: identity signed to make the start basic
         # point nonnegative
         art_sign = np.where(b >= 0.0, 1.0, -1.0)
         self.A = np.hstack([A, np.diag(art_sign)])
-        self.n_total = n_real + m
-        self.upper = np.concatenate([upper, np.full(m, math.inf)])
-        self.free = np.concatenate([free_mask, np.zeros(m, dtype=bool)])
+        self.upper = np.concatenate([upper, np.full(self.n_total - n, math.inf)])
+        self.free = np.concatenate([free, np.zeros(self.n_total - n, dtype=bool)])
         self.basis = np.arange(n_real, n_real + m)
         self.status = np.full(self.n_total, _AT_LOWER, dtype=np.int8)
         self.status[self.basis] = _BASIC
@@ -397,7 +346,6 @@ class _BoundedSimplex:
         Returns "Optimal" or "Unbounded".  Raises NumericalBreakdown on
         irrecoverable pivots or iteration explosion.
         """
-        tol = self.tol
         price_tol = 1e-9 * max(1.0, float(np.abs(c).max(initial=0.0)))
         bland = False
         degenerate_streak = 0
@@ -427,8 +375,8 @@ class _BoundedSimplex:
             lower_b = np.where(self.free[self.basis], -math.inf, 0.0)
             upper_b = self.upper[self.basis]
             cand_step = np.full(self.m, math.inf)
-            pos = g > tol.pivot
-            neg = g < -tol.pivot
+            pos = g > _PIVOT_TOL
+            neg = g < -_PIVOT_TOL
             with np.errstate(divide="ignore", invalid="ignore"):
                 if pos.any():
                     cand_step[pos] = (self.xb[pos] - lower_b[pos]) / g[pos]
@@ -459,7 +407,7 @@ class _BoundedSimplex:
             else:
                 r = int(ties[np.argmax(np.abs(w[ties]))])
             pivot = w[r]
-            if abs(pivot) < tol.pivot:
+            if abs(pivot) < _PIVOT_TOL:
                 if self.pivots_since_refactor > 0:
                     self._refactor()
                     continue
@@ -495,7 +443,7 @@ class _BoundedSimplex:
         for r in np.flatnonzero(art_basic):
             row = self.binv[r] @ self.A[:, : self.n_real]
             candidates = np.flatnonzero(
-                (self.status[: self.n_real] != _BASIC) & (np.abs(row) > self.tol.pivot)
+                (self.status[: self.n_real] != _BASIC) & (np.abs(row) > _PIVOT_TOL)
             )
             if candidates.size:
                 j = int(candidates[np.argmax(np.abs(row[candidates]))])
@@ -509,47 +457,40 @@ class _BoundedSimplex:
         self._refactor()
         return True
 
-    def phase_two(self, c_real: np.ndarray) -> str:
-        c2 = np.zeros(self.n_total)
-        c2[: self.n_real] = c_real
-        return self.run_phase(c2)
+    def phase_two(self) -> str:
+        return self.run_phase(self.c)
 
     def extract(self) -> np.ndarray:
+        """The solution in the problem's own variables."""
         self._refactor()
         z = np.where(self.status[: self.n_real] == _AT_UPPER,
                      self.upper[: self.n_real], 0.0)
         own = self.basis < self.n_real
         z[self.basis[own]] = self.xb[own]
-        return z
+        return self.offset + self.sign * z[: self.offset.size]
 
 
-def solve_lp(problem: LpProblem, tolerances: SolverTolerances | None = None) -> LpSolution:
+def solve_lp(problem: LpProblem) -> LpSolution:
     """Solve the LP with the two-phase bounded-variable simplex.
 
     Deterministic for a fixed BLAS thread count: identical problems then
     produce identical solutions, pivot for pivot.  Pricing and the basis
     updates use BLAS products, which can round differently with another
-    thread count and so take another pivot path.  Raises
-    NumericalBreakdown when pivoting degrades beyond recovery.
+    thread count and so take another pivot path.  An Optimal x is clipped
+    to the box and must meet every row to 10 * FEAS_TOL * max(1, |rhs|).
+    Raises NumericalBreakdown when pivoting degrades beyond recovery.
     """
-    tol = tolerances or SolverTolerances()
-    std = standardize(problem)
-    if np.any(std.upper < 0.0):
-        # a shifted upper below zero means lower > upper; constructor blocks this
-        raise DomainError("inconsistent bounds")
-    solver = _BoundedSimplex(std.A, std.b, std.upper, std.free_mask, tol)
+    solver = _BoundedSimplex(problem)
     if not solver.phase_one():
         return LpSolution("Infeasible", None, None, solver.iterations)
-    outcome = solver.phase_two(std.c)
-    if outcome == "Unbounded":
+    if solver.phase_two() == "Unbounded":
         return LpSolution("Unbounded", None, None, solver.iterations)
-    z = solver.extract()
-    x = std.map_back(z)
+    x = solver.extract()
     # clean tiny drift against the original box
     x = np.minimum(np.maximum(x, problem.lower), problem.upper)
     resid = max_violation(problem, x)
     scale = max(1.0, float(np.abs(problem.rhs).max(initial=0.0)))
-    if resid > 10.0 * tol.feas * scale:
+    if resid > 10.0 * FEAS_TOL * scale:
         raise NumericalBreakdown(
             f"solution residual {resid:.3e} exceeds feasibility tolerance"
         )
@@ -585,14 +526,14 @@ def solve_cutting_planes(
     base: LpProblem,
     separate: Callable[[np.ndarray], tuple[list, float]],
     max_rounds: int,
-    tolerances: SolverTolerances | None = None,
 ) -> tuple[LpSolution, CutLog]:
     """Row generation (Kelley 1960): solve, add violated rows, repeat.
 
     Each round solves base plus every row added so far.  separate(x)
     returns the (row, sense, rhs) rows to add at the incumbent x and the
-    largest violation it saw; the loop ends when it returns no rows.  A
-    non-Optimal relaxation is returned as is.  Raises MaxRoundsExceeded
+    largest violation it saw; the loop ends when it returns no rows.  Each
+    relaxation is a cold solve_lp, and a non-Optimal one is returned as
+    is.  Raises DomainError when max_rounds < 1 and MaxRoundsExceeded
     after max_rounds solves.
     """
     if max_rounds < 1:
@@ -602,7 +543,7 @@ def solve_cutting_planes(
     cuts_per_round: list[int] = []
     last_max = math.inf
     for _ in range(max_rounds):
-        sol = solve_lp(LpProblem(base.objective, constraints, bounds), tolerances)
+        sol = solve_lp(LpProblem(base.objective, constraints, bounds))
         if sol.status != "Optimal":
             return sol, CutLog(len(cuts_per_round) + 1, cuts_per_round, last_max)
         rows, last_max = separate(sol.x)

@@ -455,8 +455,9 @@ def load_panel_data(detections_path, clusters_path, weights_path) -> PanelData:
 
     weights.csv fixes the candidate gene pool and its order; clusters are
     sorted by name.  (cluster, gene) pairs absent from detections.csv are
-    zero detections.  Unknown genes or clusters, and a (cluster, gene)
-    pair listed twice, in detections.csv are errors.
+    zero detections.  A weight that is not finite, unknown genes or
+    clusters in detections.csv, and a (cluster, gene) pair listed twice
+    there are errors.
     """
     weight_rows = _read_csv_rows(weights_path, ("gene", "weight"))
     genes: list[str] = []
@@ -468,7 +469,11 @@ def load_panel_data(detections_path, clusters_path, weights_path) -> PanelData:
             raise DomainError(f"duplicate gene {gene!r} in weights file")
         seen.add(gene)
         genes.append(gene)
-        weights.append(_parse_number(row[1], float, weights_path, "weight"))
+        weight = _parse_number(row[1], float, weights_path, "weight")
+        if not np.isfinite(weight):
+            raise DomainError(f"{weights_path}: gene {gene!r} has weight {weight!r}, "
+                              "which is not finite")
+        weights.append(weight)
     if not genes:
         raise EmptyInput("weights file lists no genes")
 

@@ -31,7 +31,6 @@ from .lp import (
     CutLog,
     LpProblem,
     LpSolution,
-    SolverTolerances,
     solve_cutting_planes,
 )
 from .posterior import GaussianRows, StudentTRhs
@@ -45,6 +44,11 @@ __all__ = [
     "rhs_quantile_tighten",
     "rb_heuristic_tighten",
 ]
+
+# A robust row separates when its support exceeds this.
+_CUT_TOL = 1e-7
+# Relaxations solved before the cutting-plane loop gives up.
+_MAX_ROUNDS = 500
 
 
 def soc_support(rows: GaussianRows, kappa: float,
@@ -123,28 +127,23 @@ def robustify_rows(
     return RobustLp(base=base, rows=gaussian, kappa=kappa)
 
 
-def solve_robust_cutting_planes(
-    rlp: RobustLp,
-    tol_cut: float = 1e-7,
-    max_rounds: int = 500,
-    tolerances: SolverTolerances | None = None,
-) -> tuple[LpSolution, CutLog]:
+def solve_robust_cutting_planes(rlp: RobustLp) -> tuple[LpSolution, CutLog]:
     """Exact cutting-plane solve of the robustified program.
 
     Row generation whose separation oracle evaluates every robust row's
     support at the incumbent and cuts with the maximizing row u* wherever
-    the support exceeds tol_cut.  Terminates when no row separates;
-    raises MaxRoundsExceeded after max_rounds.  A non-optimal relaxation
+    the support exceeds 1e-7.  Terminates when no row separates; raises
+    MaxRoundsExceeded after 500 relaxations.  A non-optimal relaxation
     status is returned as is.
     """
 
     def separate(x: np.ndarray) -> tuple[list, float]:
         values, maximizers = soc_support(rlp.rows, rlp.kappa, np.append(x, -1.0))
         cuts = [(u[:-1], "<=", float(u[-1]))
-                for value, u in zip(values, maximizers) if value > tol_cut]
+                for value, u in zip(values, maximizers) if value > _CUT_TOL]
         return cuts, max(0.0, *values.tolist())
 
-    return solve_cutting_planes(rlp.base, separate, max_rounds, tolerances)
+    return solve_cutting_planes(rlp.base, separate, _MAX_ROUNDS)
 
 
 def rhs_quantile_tighten(model: StudentTRhs, alpha: float) -> np.ndarray:

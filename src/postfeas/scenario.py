@@ -15,11 +15,11 @@ import numpy as np
 from . import stats
 from .errors import CountOutOfRange, DimensionMismatch, DomainError, EmptyInput
 from .lp import (
+    FEAS_TOL,
     SENSES,
     CutLog,
     LpProblem,
     LpSolution,
-    SolverTolerances,
     solve_cutting_planes,
     solve_lp,
 )
@@ -111,7 +111,7 @@ def solve_scenario_lp(
     sign = np.array([-1.0 if s == ">=" else 1.0 for s in senses])
     equality = np.array([s == "=" for s in senses])
     added = np.zeros((n_draws, m_u), dtype=bool)
-    slack = SolverTolerances().feas * np.maximum(1.0, np.abs(rhs))
+    slack = FEAS_TOL * np.maximum(1.0, np.abs(rhs))
 
     def separate(x: np.ndarray) -> tuple[list, float]:
         resid = np.einsum("kin,n->ki", coeff, x) - rhs

@@ -316,6 +316,15 @@ class TestSim:
         assert "SimConfig" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_exit_code(self, tmp_path, capsys, jobs):
+        cfg = write_json(tmp_path / "sim.json", SIM_CONFIG)
+        rc = main(["sim", "--config", cfg, "--out", str(tmp_path / "out"),
+                   "--jobs", jobs])
+        assert rc == 2
+        assert f"jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_zero_successes_exit_code(self, tmp_path, monkeypatch):
         def all_errors(cfg, jobs=1):
             return [
@@ -777,6 +786,18 @@ class TestPanel:
                    "--weights", wts, "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "(c1, g2)" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("weight", ["nan", "inf"])
+    def test_non_finite_weight_exit_code(self, tmp_path, capsys, weight):
+        det, clu, wts = write_panel_fixture(tmp_path, BINDING_DETECTIONS)
+        with open(wts, "a", encoding="utf-8") as fh:
+            fh.write(f"g7,{weight}\n")
+        rc = main(["panel", "--detections", det, "--clusters", clu,
+                   "--weights", wts, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "weights.csv" in err and "'g7'" in err and "not finite" in err
         assert not (tmp_path / "out").exists()
 
     def test_mean_below_threshold_warns(self, tmp_path, capsys):

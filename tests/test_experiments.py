@@ -374,6 +374,11 @@ class TestRunBenchmark:
         cfg, recs = records
         assert run_benchmark(cfg, jobs=2) == recs
 
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_jobs_below_one_rejected(self, records, jobs):
+        with pytest.raises(DomainError, match="jobs must be >= 1"):
+            run_benchmark(records[0], jobs=jobs)
+
     def test_summaries(self, records):
         cfg, recs = records
         by_alpha = summarize_by_alpha(cfg, recs)

@@ -1,0 +1,23 @@
+"""Every name a module lists in __all__ resolves to an attribute."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import postfeas
+
+SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(postfeas.__path__))
+
+
+def test_package_all_resolves():
+    missing = [name for name in postfeas.__all__ if not hasattr(postfeas, name)]
+    assert missing == []
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_submodule_all_resolves(name):
+    # importlib, not attribute access: postfeas.certify is the function
+    module = importlib.import_module(f"postfeas.{name}")
+    missing = [n for n in module.__all__ if not hasattr(module, n)]
+    assert missing == []

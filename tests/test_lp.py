@@ -7,9 +7,10 @@ import pytest
 
 from postfeas.errors import DimensionMismatch, DomainError, SizeLimitExceeded
 from postfeas.lp import (
+    FEAS_TOL,
     LpProblem,
     LpSolution,
-    SolverTolerances,
+    _BoundedSimplex,
     brute_force_lp,
     max_violation,
     problem_from_json,
@@ -17,10 +18,7 @@ from postfeas.lp import (
     solution_from_json,
     solution_to_json,
     solve_lp,
-    standardize,
 )
-
-TOL = SolverTolerances()
 
 
 def random_box_problem(rng):
@@ -171,10 +169,10 @@ class TestSolveLpInvariants:
             sol = solve_lp(p)
             if sol.status == "Optimal":
                 optimal += 1
-                assert max_violation(p, sol.x) <= TOL.feas * 10
+                assert max_violation(p, sol.x) <= FEAS_TOL * 10
                 direct = float(p.objective @ sol.x)
                 scale = max(1.0, abs(direct))
-                assert abs(sol.objective_value - direct) <= TOL.obj * scale
+                assert abs(sol.objective_value - direct) <= 1e-7 * scale
         assert optimal > 20
 
     def test_determinism(self):
@@ -204,17 +202,57 @@ class TestSolveLpInvariants:
             )
 
 
+def pinned_instance(seed):
+    """5 variables: one free, one lower-only, one upper-only, one boxed,
+    one >= 0; one row each of =, >= and <= plus more inequalities."""
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=5)
+    senses = ("=", ">=", "<=", "<=", ">=", "<=")
+    rows = [(rng.normal(size=5), s, float(rng.normal() * 2 + (3.0 if s == "<=" else 0.0)))
+            for s in senses]
+    bounds = [(None, None), (float(rng.uniform(-2, 0)), None),
+              (None, float(rng.uniform(0, 2))), (-1.0, 1.0), (0.0, None)]
+    return LpProblem(c, rows, bounds)
+
+
+class TestPinnedPaths:
+    # Status, iteration count and x bits of the simplex on forms the pinned
+    # cut sequences never reach; a changed pivot path moves these.
+    @pytest.mark.parametrize("seed, status, iterations, x_hex", [
+        (0, "Optimal", 13, ["-0x1.37c36d6ccc03ap+0", "-0x1.5b33ef677da45p+0",
+                            "0x1.304817f37063ap+0", "0x1.db4e509aa8ee0p-3", "0x0.0p+0"]),
+        (1, "Unbounded", 10, None),
+        (2, "Infeasible", 8, None),
+        (5, "Optimal", 10, ["-0x1.7e0df0475e4eap+1", "-0x1.9bc59cb6a4c40p-2",
+                            "0x1.e25673ce65f68p-2", "0x1.0000000000000p+0",
+                            "0x1.5456aa1ec5128p-3"]),
+        (12, "Optimal", 10, ["0x1.19468699b41aep-4", "-0x1.0fd7c4f654610p-3",
+                             "0x1.5caa13c50d8d0p-2", "-0x1.0000000000000p+0",
+                             "0x1.311d4901a1ae5p-2"]),
+        (26, "Optimal", 12, ["0x1.fd46732959b0dp-1", "-0x1.3c1080f28b8f1p+0",
+                             "0x1.fadc2f9d5a800p-4", "-0x1.f11cb66f67538p-4",
+                             "0x1.814f5aa84b58cp-1"]),
+    ])
+    def test_pivot_path(self, seed, status, iterations, x_hex):
+        sol = solve_lp(pinned_instance(seed))
+        assert sol.status == status
+        assert sol.iterations == iterations
+        assert (None if sol.x is None else [float(v).hex() for v in sol.x]) == x_hex
+
+
 class TestStandardize:
     def test_le_constraint_gains_slack(self):
         p = LpProblem([1.0], [([1.0], "<=", 1.0)], [(0.0, 1.0)])
-        std = standardize(p)
-        assert std.A.shape == (1, 2)
-        assert std.n_structural == 1
+        solver = _BoundedSimplex(p)
+        assert solver.n_real == 2  # x and its slack
+        assert solver.A.shape == (1, 3)  # plus one artificial
+        assert solver.offset.shape == (1,)
 
     def test_equality_gains_no_slack(self):
         p = LpProblem([1.0], [([1.0], "=", 1.0)], [(0.0, 2.0)])
-        std = standardize(p)
-        assert std.A.shape == (1, 1)
+        solver = _BoundedSimplex(p)
+        assert solver.n_real == 1
+        assert solver.A.shape == (1, 2)
 
     def test_map_back_residuals(self):
         rng = np.random.default_rng(12)

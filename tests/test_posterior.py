@@ -590,6 +590,18 @@ class TestLoadPanelData:
         with pytest.raises(DomainError, match="not numeric"):
             load_panel_data(*paths)
 
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+    def test_non_finite_weight_rejected(self, tmp_path, weight):
+        paths = write_panel_fixture(
+            tmp_path,
+            GOOD_DETECTIONS,
+            GOOD_CLUSTERS,
+            f"gene,weight\ng1,1.5\ng2,{weight}\ng3,2.0\n",
+        )
+        with pytest.raises(DomainError,
+                           match=r"weights\.csv: gene 'g2' has weight .* not finite"):
+            load_panel_data(*paths)
+
     def test_header_and_shape_errors(self, tmp_path):
         paths = write_panel_fixture(
             tmp_path,

@@ -13,7 +13,7 @@ from postfeas.errors import (
     MaxRoundsExceeded,
     NotPositiveDefinite,
 )
-from postfeas.lp import LpProblem, solve_lp
+from postfeas.lp import LpProblem, solve_cutting_planes, solve_lp
 from postfeas import stats
 from postfeas.posterior import GaussianRows, StudentTRhs
 from postfeas.robustify import (
@@ -353,7 +353,7 @@ class TestCuttingPlanes:
                 for _ in range(m)
             ]
             rlp = robustify_rows(box_base(c), rows, alpha=0.1)
-            sol, log = solve_robust_cutting_planes(rlp, tol_cut=1e-7)
+            sol, log = solve_robust_cutting_planes(rlp)
             assert sol.status == "Optimal"
             z = np.concatenate([sol.x, [-1.0]])
             worst = soc_support(rlp.rows, rlp.kappa, z)[0].max()
@@ -388,10 +388,17 @@ class TestCuttingPlanes:
         base = box_base([1.0, 1.0])
         rows = [rhs_only_row([1.0, 1.0], 1.0, 0.3)]
         rlp = robustify_rows(base, rows, alpha=0.1)
+
+        def separate(x):
+            values, maximizers = soc_support(rlp.rows, rlp.kappa, np.append(x, -1.0))
+            cuts = [(u[:-1], "<=", float(u[-1]))
+                    for value, u in zip(values, maximizers) if value > 1e-7]
+            return cuts, max(0.0, *values.tolist())
+
         with pytest.raises(MaxRoundsExceeded):
-            solve_robust_cutting_planes(rlp, max_rounds=1)
+            solve_cutting_planes(base, separate, 1)
         with pytest.raises(DomainError):
-            solve_robust_cutting_planes(rlp, max_rounds=0)
+            solve_cutting_planes(base, separate, 0)
 
     # Cut sequences of the loop before it was shared with the scenario
     # program; x is compared bit for bit.  Instance: c ~ U(0.5, 2), rows
