@@ -63,6 +63,32 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _constraint_arrays(constraints, n: int):
+    """Rows (k, n), senses and rhs (k,) of (row, sense, rhs) triples."""
+    rows_list, senses, rhs_list = [], [], []
+    for item in constraints:
+        row, sense, rhs = item
+        row = np.asarray(row, dtype=float)
+        if row.shape != (n,):
+            raise DimensionMismatch(
+                f"constraint row has shape {row.shape}, expected ({n},)"
+            )
+        if sense not in SENSES:
+            raise DomainError(f"sense must be one of {SENSES}, got {sense!r}")
+        rows_list.append(row)
+        senses.append(sense)
+        rhs_list.append(float(rhs))
+    rows = np.array(rows_list, dtype=float) if rows_list else np.zeros((0, n))
+    return rows, tuple(senses), np.asarray(rhs_list, dtype=float)
+
+
+def _check_finite(*arrays: np.ndarray):
+    if any(np.isnan(a).any() for a in arrays):
+        raise DomainError("objective, rows, and rhs must be free of NaN")
+    if any(np.isinf(a).any() for a in arrays):
+        raise DomainError("objective, rows, and rhs must be finite")
+
+
 class LpProblem:
     """Immutable LP: maximize objective'x under row constraints and bounds.
 
@@ -77,21 +103,7 @@ class LpProblem:
         if c.ndim != 1 or c.size == 0:
             raise DimensionMismatch("objective must be a nonempty vector")
         n = c.size
-        rows_list, senses, rhs_list = [], [], []
-        for item in constraints:
-            row, sense, rhs = item
-            row = np.asarray(row, dtype=float)
-            if row.shape != (n,):
-                raise DimensionMismatch(
-                    f"constraint row has shape {row.shape}, expected ({n},)"
-                )
-            if sense not in SENSES:
-                raise DomainError(f"sense must be one of {SENSES}, got {sense!r}")
-            rows_list.append(row)
-            senses.append(sense)
-            rhs_list.append(float(rhs))
-        rows = np.array(rows_list, dtype=float) if rows_list else np.zeros((0, n))
-        rhs = np.asarray(rhs_list, dtype=float)
+        rows, senses, rhs = _constraint_arrays(constraints, n)
         bounds = list(bounds)
         if len(bounds) != n:
             raise DimensionMismatch(f"expected {n} bound pairs, got {len(bounds)}")
@@ -100,20 +112,31 @@ class LpProblem:
         for j, (lo, hi) in enumerate(bounds):
             lower[j] = -math.inf if lo is None else float(lo)
             upper[j] = math.inf if hi is None else float(hi)
-        if np.isnan(c).any() or np.isnan(rows).any() or np.isnan(rhs).any():
-            raise DomainError("objective, rows, and rhs must be free of NaN")
-        if np.isinf(c).any() or np.isinf(rows).any() or np.isinf(rhs).any():
-            raise DomainError("objective, rows, and rhs must be finite")
+        _check_finite(c, rows, rhs)
         if np.isnan(lower).any() or np.isnan(upper).any():
             raise DomainError("bounds must not be NaN")
         if np.any(lower > upper):
             raise DomainError("each lower bound must be <= its upper bound")
         self.objective = _readonly(c)
         self.rows = _readonly(rows)
-        self.senses = tuple(senses)
+        self.senses = senses
         self.rhs = _readonly(rhs)
         self.lower = _readonly(lower)
         self.upper = _readonly(upper)
+
+    def _with_rows(self, constraints) -> LpProblem:
+        """This problem plus the (row, sense, rhs) triples, validated as
+        the constructor validates them; only the new rows are parsed."""
+        rows, senses, rhs = _constraint_arrays(constraints, self.n)
+        _check_finite(rows, rhs)
+        out = object.__new__(LpProblem)
+        out.objective = self.objective
+        out.rows = _readonly(np.vstack([self.rows, rows]))
+        out.senses = self.senses + senses
+        out.rhs = _readonly(np.concatenate([self.rhs, rhs]))
+        out.lower = self.lower
+        out.upper = self.upper
+        return out
 
     @property
     def n(self) -> int:
@@ -149,16 +172,10 @@ def max_violation(problem: LpProblem, x) -> float:
         raise DimensionMismatch(f"x has shape {x.shape}, expected ({problem.n},)")
     worst = 0.0
     if problem.m:
-        ax = problem.rows @ x
-        for i, sense in enumerate(problem.senses):
-            r = ax[i] - problem.rhs[i]
-            if sense == "<=":
-                v = r
-            elif sense == ">=":
-                v = -r
-            else:
-                v = abs(r)
-            worst = max(worst, v)
+        r = problem.rows @ x - problem.rhs
+        senses = np.asarray(problem.senses)
+        v = np.where(senses == "<=", r, np.where(senses == ">=", -r, np.abs(r)))
+        worst = max(worst, float(v.max()))
     lo_v = problem.lower - x
     hi_v = x - problem.upper
     finite_lo = np.isfinite(problem.lower)
@@ -251,8 +268,10 @@ class _BoundedSimplex:
     variables with only a finite upper bound are negated so the upper
     bound becomes the shifted zero lower bound; doubly unbounded variables
     stay free.  Each inequality gains one slack in [0, inf), and each row
-    one artificial.  Column j < n maps back through
-    x[j] = offset[j] + sign[j] * z[j].
+    one artificial.  Columns are ordered: the n variables, the slacks,
+    the artificials.  Column j < n maps back through
+    x[j] = offset[j] + sign[j] * z[j].  Rows appended after phase one
+    (append_rows) keep this order and are re-solved by run_dual.
     """
 
     def __init__(self, problem: LpProblem):
@@ -283,6 +302,7 @@ class _BoundedSimplex:
             elif sense == ">=":
                 A[i, k] = -1.0
                 k += 1
+        self.problem = problem
         self.offset = offset
         self.sign = sign
         self.m = m
@@ -460,6 +480,129 @@ class _BoundedSimplex:
     def phase_two(self) -> str:
         return self.run_phase(self.c)
 
+    # -- appended rows ------------------------------------------------------
+
+    def append_rows(self, constraints):
+        """Append (row, sense, rhs) triples after phase one.
+
+        Each inequality gains a basic slack and each equality a basic
+        artificial fixed at [0, 0]; every row also gains an artificial
+        column, so the column order is kept.  The new basic variables
+        cost nothing, so the reduced costs, and with them dual
+        feasibility, are unchanged; only the new basic values can leave
+        their bounds.
+        """
+        old_m = self.problem.m
+        self.problem = self.problem._with_rows(constraints)
+        rows = self.problem.rows[old_m:]
+        senses = self.problem.senses[old_m:]
+        k = len(senses)
+        n, m, n_real = self.offset.size, self.m, self.n_real
+        slack_rows = [i for i, s in enumerate(senses) if s != "="]
+        n_slack = len(slack_rows)
+        new_real = n_real + n_slack
+        A = np.zeros((m + k, new_real + m + k))
+        A[:m, :n_real] = self.A[:, :n_real]
+        A[:m, new_real:new_real + m] = self.A[:, n_real:]
+        A[m:, :n] = rows * self.sign[np.newaxis, :]
+        new_basis = new_real + m + np.arange(k)  # the artificials
+        for col, i in enumerate(slack_rows):
+            A[m + i, n_real + col] = 1.0 if senses[i] == "<=" else -1.0
+            new_basis[i] = n_real + col
+        A[m + np.arange(k), new_real + m + np.arange(k)] = 1.0
+
+        def widen(old, slack_fill, art_fill):
+            return np.concatenate(
+                [old[:n_real], np.full(n_slack, slack_fill, dtype=old.dtype),
+                 old[n_real:], np.full(k, art_fill, dtype=old.dtype)])
+
+        self.A = A
+        self.c = widen(self.c, 0.0, 0.0)
+        self.upper = widen(self.upper, math.inf, 0.0)
+        self.free = widen(self.free, False, False)
+        self.status = widen(self.status, _AT_LOWER, _AT_LOWER)
+        self.basis = np.concatenate(
+            [np.where(self.basis < n_real, self.basis, self.basis + n_slack),
+             new_basis])
+        self.status[self.basis] = _BASIC
+        self.b = np.concatenate(
+            [self.b, self.problem.rhs[old_m:] - rows @ self.offset])
+        self.m = m + k
+        self.n_real = new_real
+        self.n_total = new_real + self.m
+        self.max_iterations = 2000 + 200 * (self.m + self.n_total)
+        self._refactor()
+
+    def run_dual(self) -> bool:
+        """Bounded dual simplex from a dual feasible basis.
+
+        Each pivot takes the basic variable farthest outside its bounds
+        to the bound it violates, and picks the entering column by a
+        two-pass (Harris) ratio test that keeps the reduced costs of
+        their bound's sign.  True once every basic variable is within
+        its bounds; False when the leaving row has no entering column,
+        which proves the rows infeasible (Koberstein 2005).
+        """
+        primal_tol = 1e-9 * max(1.0, float(np.abs(self.b).max(initial=0.0)))
+        dual_tol = 1e-9 * max(1.0, float(np.abs(self.c).max(initial=0.0)))
+        while True:
+            lower_b = np.where(self.free[self.basis], -math.inf, 0.0)
+            upper_b = self.upper[self.basis]
+            below = lower_b - self.xb
+            above = self.xb - upper_b
+            excess = np.maximum(below, above)
+            r = int(np.argmax(excess))
+            if excess[r] <= primal_tol:
+                return True
+            self.iterations += 1
+            if self.iterations > self.max_iterations:
+                raise NumericalBreakdown("simplex iteration limit exceeded")
+            # rise = +1: x_B[r] must rise to its lower bound
+            rise = 1.0 if below[r] > 0.0 else -1.0
+            alpha = self.binv[r] @ self.A
+            y = self.binv.T @ self.c[self.basis]
+            d = self.c - y @ self.A
+            nonbasic = self.status != _BASIC
+            at_upper = self.status == _AT_UPPER
+            # moving column j by t moves x_B[r] by -alpha[j] * t
+            s_alpha = rise * alpha
+            eligible = nonbasic & np.where(
+                self.free, np.abs(alpha) > _PIVOT_TOL,
+                (self.upper > 0.0)
+                & np.where(at_upper, s_alpha > _PIVOT_TOL, s_alpha < -_PIVOT_TOL))
+            if not eligible.any():
+                if self.pivots_since_refactor > 0:
+                    self._refactor()
+                    continue
+                return False
+            cand = np.flatnonzero(eligible)
+            # distance of each reduced cost from the wrong sign
+            room = np.maximum(np.where(self.free[cand], 0.0,
+                                       np.where(at_upper[cand], d[cand], -d[cand])),
+                              0.0)
+            mag = np.abs(alpha[cand])
+            bound = float(((room + dual_tol) / mag).min())
+            within = cand[room / mag <= bound]
+            q = int(within[np.argmax(np.abs(alpha[within]))])
+            w = self.binv @ self.A[:, q]
+            if abs(w[r]) < _PIVOT_TOL:
+                if self.pivots_since_refactor > 0:
+                    self._refactor()
+                    continue
+                raise NumericalBreakdown(
+                    f"pivot magnitude {abs(w[r]):.3e} below tolerance"
+                )
+            leaving = int(self.basis[r])
+            target = lower_b[r] if rise > 0.0 else upper_b[r]
+            t = (self.xb[r] - target) / w[r]
+            enter_from = self.upper[q] if self.status[q] == _AT_UPPER else 0.0
+            self.xb -= t * w
+            self.xb[r] = enter_from + t
+            self.status[leaving] = _AT_LOWER if rise > 0.0 else _AT_UPPER
+            self._pivot(r, q, w)
+            if self.pivots_since_refactor >= 128:
+                self._refactor()
+
     def extract(self) -> np.ndarray:
         """The solution in the problem's own variables."""
         self._refactor()
@@ -468,6 +611,25 @@ class _BoundedSimplex:
         own = self.basis < self.n_real
         z[self.basis[own]] = self.xb[own]
         return self.offset + self.sign * z[: self.offset.size]
+
+    def solution(self) -> LpSolution:
+        """The Optimal solution at the current basis.
+
+        x is clipped to the box and must meet every row to
+        10 * FEAS_TOL * max(1, |rhs|); raises NumericalBreakdown if not.
+        """
+        problem = self.problem
+        x = self.extract()
+        # clean tiny drift against the original box
+        x = np.minimum(np.maximum(x, problem.lower), problem.upper)
+        resid = max_violation(problem, x)
+        scale = max(1.0, float(np.abs(problem.rhs).max(initial=0.0)))
+        if resid > 10.0 * FEAS_TOL * scale:
+            raise NumericalBreakdown(
+                f"solution residual {resid:.3e} exceeds feasibility tolerance"
+            )
+        value = float(problem.objective @ x)
+        return LpSolution("Optimal", _readonly(x), value, self.iterations)
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:
@@ -485,18 +647,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         return LpSolution("Infeasible", None, None, solver.iterations)
     if solver.phase_two() == "Unbounded":
         return LpSolution("Unbounded", None, None, solver.iterations)
-    x = solver.extract()
-    # clean tiny drift against the original box
-    x = np.minimum(np.maximum(x, problem.lower), problem.upper)
-    resid = max_violation(problem, x)
-    scale = max(1.0, float(np.abs(problem.rhs).max(initial=0.0)))
-    if resid > 10.0 * FEAS_TOL * scale:
-        raise NumericalBreakdown(
-            f"solution residual {resid:.3e} exceeds feasibility tolerance"
-        )
-    value = float(problem.objective @ x)
-    x = _readonly(x)
-    return LpSolution("Optimal", x, value, solver.iterations)
+    return solver.solution()
 
 
 # ---------------------------------------------------------------------------
@@ -531,30 +682,38 @@ def solve_cutting_planes(
 
     Each round solves base plus every row added so far.  separate(x)
     returns the (row, sense, rhs) rows to add at the incumbent x and the
-    largest violation it saw; the loop ends when it returns no rows.  Each
-    relaxation is a cold solve_lp, and a non-Optimal one is returned as
-    is.  Raises DomainError when max_rounds < 1 and MaxRoundsExceeded
-    after max_rounds solves.
+    largest violation it saw; the loop ends when it returns no rows.  One
+    simplex serves every round: the first relaxation is solved in two
+    phases, and after rows are appended the previous optimal basis, still
+    dual feasible, is re-entered with a bounded dual simplex and
+    confirmed by phase two (Koberstein 2005, The dual simplex method,
+    techniques for a fast and stable implementation).  A non-Optimal
+    relaxation is returned as is; iterations is the total over all
+    rounds.  Appended rows are validated as LpProblem validates its
+    constraints.  Raises DomainError when max_rounds < 1 and
+    MaxRoundsExceeded after max_rounds solves.
     """
     if max_rounds < 1:
         raise DomainError(f"max_rounds must be >= 1, got {max_rounds}")
-    constraints = base.constraints()
-    bounds = base.bounds()
+    solver = _BoundedSimplex(base)
+    status = solver.phase_two() if solver.phase_one() else "Infeasible"
     cuts_per_round: list[int] = []
     last_max = math.inf
-    for _ in range(max_rounds):
-        sol = solve_lp(LpProblem(base.objective, constraints, bounds))
-        if sol.status != "Optimal":
-            return sol, CutLog(len(cuts_per_round) + 1, cuts_per_round, last_max)
+    while status == "Optimal":
+        sol = solver.solution()
         rows, last_max = separate(sol.x)
-        constraints.extend(rows)
         cuts_per_round.append(len(rows))
         if not rows:
             return sol, CutLog(len(cuts_per_round), cuts_per_round, last_max)
-    raise MaxRoundsExceeded(
-        f"row generation did not converge in {max_rounds} rounds "
-        f"(max violation {last_max:.3e})"
-    )
+        if len(cuts_per_round) == max_rounds:
+            raise MaxRoundsExceeded(
+                f"row generation did not converge in {max_rounds} rounds "
+                f"(max violation {last_max:.3e})"
+            )
+        solver.append_rows(rows)
+        status = solver.phase_two() if solver.run_dual() else "Infeasible"
+    sol = LpSolution(status, None, None, solver.iterations)
+    return sol, CutLog(len(cuts_per_round) + 1, cuts_per_round, last_max)
 
 
 # ---------------------------------------------------------------------------

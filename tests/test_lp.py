@@ -1,9 +1,11 @@
 """LP representation, the bounded-variable simplex, and the brute-force oracle."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from postfeas.errors import DimensionMismatch, DomainError, SizeLimitExceeded
 from postfeas.lp import (
@@ -17,6 +19,7 @@ from postfeas.lp import (
     problem_to_json,
     solution_from_json,
     solution_to_json,
+    solve_cutting_planes,
     solve_lp,
 )
 
@@ -318,3 +321,190 @@ class TestSolutionJson:
         back = solution_from_json(solution_to_json(sol))
         assert back.status == "Infeasible"
         assert back.x is None
+
+
+def loop_max_violation(problem, x):
+    """max_violation as a loop over the rows, one sense at a time."""
+    worst = 0.0
+    if problem.m:
+        ax = problem.rows @ x
+        for i, sense in enumerate(problem.senses):
+            r = ax[i] - problem.rhs[i]
+            if sense == "<=":
+                v = r
+            elif sense == ">=":
+                v = -r
+            else:
+                v = abs(r)
+            worst = max(worst, v)
+    finite_lo = np.isfinite(problem.lower)
+    finite_hi = np.isfinite(problem.upper)
+    if finite_lo.any():
+        worst = max(worst, float((problem.lower - x)[finite_lo].max()))
+    if finite_hi.any():
+        worst = max(worst, float((x - problem.upper)[finite_hi].max()))
+    return max(worst, 0.0)
+
+
+class TestMaxViolation:
+    def test_bitwise_equal_to_row_loop(self):
+        rng = np.random.default_rng(31)
+        senses_seen = set()
+        for _ in range(300):
+            p = random_mixed_bound_problem(rng)
+            senses_seen.update(p.senses)
+            x = rng.normal(size=p.n) * 3
+            got = max_violation(p, x)
+            want = loop_max_violation(p, x)
+            assert float(got).hex() == float(want).hex()
+        assert senses_seen == {"<=", ">=", "="}
+
+    def test_no_rows(self):
+        p = LpProblem([1.0, 1.0], [], [(0.0, None), (None, None)])
+        assert max_violation(p, np.array([-0.5, 9.0])) == 0.5
+
+
+def pool_instance(seed):
+    """A bounded base LP and a pool of rows that all hold at one point.
+
+    Variables: x0 free, x1 lower-only, x2 upper-only, x3 and x4 boxed.
+    Base rows keep the free and one-sided directions bounded; the pool
+    mixes 5 "<=", 5 ">=" and 2 "=" rows.
+    """
+    gen = np.random.default_rng(seed)
+    n = 5
+    bounds = [(None, None), (-2.0, None), (None, 2.0), (-2.0, 2.0), (-2.0, 2.0)]
+    eye = np.eye(n)
+    base = LpProblem(gen.normal(size=n),
+                     [(eye[0], "<=", 10.0), (eye[0], ">=", -10.0),
+                      (eye[1], "<=", 10.0), (eye[2], ">=", -10.0)],
+                     bounds)
+    point = gen.uniform(-1.0, 1.0, n)
+    pool = []
+    for sense in ["<="] * 5 + [">="] * 5 + ["="] * 2:
+        a = gen.normal(size=n)
+        margin = {"<=": 1.0, ">=": -1.0, "=": 0.0}[sense] * gen.uniform(0.0, 0.5)
+        pool.append((a, sense, float(a @ point + margin)))
+    return base, pool
+
+
+def pool_separator(pool, per_round=3):
+    """Adds the most violated pool rows not yet added; records them."""
+    probe = LpProblem(np.zeros(pool[0][0].size), pool,
+                      [(None, None)] * pool[0][0].size)
+    senses = np.array(probe.senses)
+    taken = np.zeros(len(pool), dtype=bool)
+    added = []
+
+    def separate(x):
+        r = probe.rows @ x - probe.rhs
+        viol = np.where(senses == "<=", r, np.where(senses == ">=", -r, np.abs(r)))
+        worst = max(0.0, float(viol.max()))
+        viol[taken | (viol <= 1e-9 * np.maximum(1.0, np.abs(probe.rhs)))] = -np.inf
+        order = [i for i in np.argsort(-viol, kind="stable")[:per_round]
+                 if viol[i] > -np.inf]
+        taken[order] = True
+        rows = [pool[i] for i in order]
+        added.extend(rows)
+        return rows, worst
+
+    return separate, added
+
+
+def highs_objective(problem):
+    """Optimal objective of problem by scipy's HiGHS."""
+    le = [i for i, s in enumerate(problem.senses) if s != "="]
+    eq = [i for i, s in enumerate(problem.senses) if s == "="]
+    flip = np.array([-1.0 if problem.senses[i] == ">=" else 1.0 for i in le])
+    res = linprog(
+        -problem.objective,
+        A_ub=problem.rows[le] * flip[:, None] if le else None,
+        b_ub=problem.rhs[le] * flip if le else None,
+        A_eq=problem.rows[eq] if eq else None,
+        b_eq=problem.rhs[eq] if eq else None,
+        bounds=[(None if math.isinf(lo) else lo, None if math.isinf(hi) else hi)
+                for lo, hi in problem.bounds()],
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return -res.fun
+
+
+class TestWarmRowGeneration:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_cold_solve_and_highs(self, seed):
+        base, pool = pool_instance(seed)
+        separate, added = pool_separator(pool)
+        sol, log = solve_cutting_planes(base, separate, 50)
+        assert sol.status == "Optimal"
+        assert log.rounds >= 2  # at least one dual re-entry
+        stacked = LpProblem(base.objective, base.constraints() + added,
+                            base.bounds())
+        cold = solve_lp(stacked)
+        assert cold.status == "Optimal"
+        scale = max(1.0, abs(cold.objective_value))
+        assert abs(sol.objective_value - cold.objective_value) <= 1e-9 * scale
+        ref = highs_objective(stacked)
+        assert abs(sol.objective_value - ref) <= 1e-9 * max(1.0, abs(ref))
+        full = LpProblem(base.objective, base.constraints() + pool,
+                         base.bounds())
+        assert max_violation(full, sol.x) <= 10 * FEAS_TOL
+
+    def test_dual_reentry_leaves_phase_two_one_pricing_pass(self):
+        # After the dual simplex, phase two only prices and finds no
+        # entering column: the dual ratio test kept the basis optimal.
+        # The loop reports the iterations of every round together.
+        for seed in range(40):
+            base, pool = pool_instance(seed)
+            separate, _ = pool_separator(pool)
+            solver = _BoundedSimplex(base)
+            assert solver.phase_one() and solver.phase_two() == "Optimal"
+            first_round = solver.iterations
+            while True:
+                rows, _ = separate(solver.solution().x)
+                if not rows:
+                    break
+                solver.append_rows(rows)
+                assert solver.run_dual()
+                before = solver.iterations
+                assert solver.phase_two() == "Optimal"
+                assert solver.iterations == before + 1
+            sol, log = solve_cutting_planes(base, pool_separator(pool)[0], 50)
+            assert sol.iterations == solver.iterations
+            assert sol.iterations >= first_round + 2 * (log.rounds - 1)
+
+    def test_added_rows_cover_every_sense(self):
+        senses = set()
+        for seed in range(40):
+            base, pool = pool_instance(seed)
+            separate, added = pool_separator(pool)
+            solve_cutting_planes(base, separate, 50)
+            senses.update(s for _, s, _ in added)
+        assert senses == {"<=", ">=", "="}
+
+    @pytest.mark.parametrize("sense", [">=", "="])
+    def test_infeasible_cut(self, sense):
+        base = LpProblem([1.0, 1.0], [], [(0.0, 1.0), (0.0, 1.0)])
+
+        def separate(x):
+            return [(np.ones(2), sense, 5.0)], 3.0
+
+        sol, log = solve_cutting_planes(base, separate, 10)
+        assert sol.status == "Infeasible"
+        assert sol.x is None
+        assert log.rounds == 2
+        assert log.cuts_per_round == [1]
+
+    @pytest.mark.parametrize("row, error", [
+        ((np.array([math.nan, 1.0]), "<=", 1.0), DomainError),
+        ((np.array([1.0, 1.0]), "<=", math.nan), DomainError),
+        ((np.array([math.inf, 1.0]), "<=", 1.0), DomainError),
+        ((np.array([1.0, 1.0]), ">=", -math.inf), DomainError),
+        ((np.array([1.0, 1.0, 1.0]), "<=", 1.0), DimensionMismatch),
+        ((np.array([[1.0, 1.0]]), "<=", 1.0), DimensionMismatch),
+        ((np.array([1.0, 1.0]), "<", 1.0), DomainError),
+    ])
+    def test_bad_separator_row(self, row, error):
+        base = LpProblem([1.0, 1.0], [], [(0.0, 1.0), (0.0, 1.0)])
+        with pytest.raises(error):
+            solve_cutting_planes(base, lambda x: ([row], 1.0), 10)

@@ -1,10 +1,16 @@
 """Tests for ellipsoidal credible-set robustification."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.stats
+from scipy.optimize import linprog
 
 from postfeas.certify import certify
 from postfeas.errors import (
@@ -13,6 +19,7 @@ from postfeas.errors import (
     MaxRoundsExceeded,
     NotPositiveDefinite,
 )
+from postfeas import lp
 from postfeas.lp import LpProblem, solve_cutting_planes, solve_lp
 from postfeas import stats
 from postfeas.posterior import GaussianRows, StudentTRhs
@@ -25,6 +32,7 @@ from postfeas.robustify import (
     solve_robust_cutting_planes,
 )
 from postfeas.stats import Rng, chi2_quantile
+from test_cli import child_env
 
 
 def random_pd_cov(gen, p, scale=0.12):
@@ -403,13 +411,21 @@ class TestCuttingPlanes:
     # Cut sequences of the loop before it was shared with the scenario
     # program; x is compared bit for bit.  Instance: c ~ U(0.5, 2), rows
     # (U(0.2, 1.5)^n, U(3, 6)) with random_pd_cov(scale), box [0, 5]^n.
+    # x_hex is the pivot path of the dual re-entry; COLD_X holds, per
+    # seed, the x of the cold two-phase solve per round it replaced.
+    COLD_X = {
+        2: ["0x1.ea92ed4c37d8cp-1", "0x0.0p+0", "0x1.b68d1244527f0p+0",
+            "0x0.0p+0"],
+        3: ["0x1.0da7152928000p+0", "0x0.0p+0", "0x1.0542b4849d400p-1"],
+    }
+
     @pytest.mark.parametrize("seed, n, scale, budget, x_hex, cuts", [
         (2, 4, 0.3, None,
-         ["0x1.ea92ed4c37d8cp-1", "0x0.0p+0", "0x1.b68d1244527f0p+0",
+         ["0x1.ea92ed4c37d88p-1", "0x0.0p+0", "0x1.b68d1244527f1p+0",
           "0x0.0p+0"],
          [3, 2, 3, 2, 2, 0]),
         (3, 3, 0.25, 4.0,
-         ["0x1.0da7152928000p+0", "0x0.0p+0", "0x1.0542b4849d400p-1"],
+         ["0x1.0da7152928800p+0", "0x0.0p+0", "0x1.0542b4849d800p-1"],
          [3, 3, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0]),
     ])
     def test_cut_sequence_pinned(self, seed, n, scale, budget, x_hex, cuts):
@@ -427,6 +443,8 @@ class TestCuttingPlanes:
         sol, log = solve_robust_cutting_planes(rlp)
         assert sol.status == "Optimal"
         assert sol.x.tolist() == [float.fromhex(h) for h in x_hex]
+        cold = np.array([float.fromhex(h) for h in self.COLD_X[seed]])
+        assert np.abs(sol.x - cold).max() <= 1e-12
         assert log.rounds == len(cuts)
         assert log.cuts_per_round == cuts
 
@@ -440,6 +458,78 @@ class TestCuttingPlanes:
         sol, log = solve_robust_cutting_planes(robustify_rows(base, rows, 0.1))
         assert sol.status == "Infeasible"
         assert log.rounds == 1
+
+    def test_rounds_never_call_solve_lp(self, monkeypatch):
+        calls = []
+        cold = lp.solve_lp
+        monkeypatch.setattr(lp, "solve_lp",
+                            lambda problem: calls.append(1) or cold(problem))
+        gen = np.random.default_rng(2)
+        rows = [(np.array([*gen.uniform(0.2, 1.5, 4), gen.uniform(3.0, 6.0)]),
+                 random_pd_cov(gen, 5, 0.3)) for _ in range(3)]
+        rlp = robustify_rows(box_base(gen.uniform(0.5, 2.0, 4), 5.0), rows, 0.1)
+        sol, log = solve_robust_cutting_planes(rlp)
+        assert sol.status == "Optimal" and log.rounds > 1
+        assert calls == []
+
+
+def ten_var_instance():
+    """n=10, 8 uncertain rows: numpy seed 2026, random_pd_cov at its
+    default scale, box [0, 5]^10, alpha 0.1."""
+    gen = np.random.default_rng(2026)
+    c = gen.uniform(0.5, 2.0, 10)
+    rows = [(np.array([*gen.uniform(0.2, 1.5, 10), gen.uniform(3.0, 6.0)]),
+             random_pd_cov(gen, 11)) for _ in range(8)]
+    return robustify_rows(box_base(c, 5.0), rows, alpha=0.1)
+
+
+def highs_cutting_planes(rlp):
+    """Kelley's loop with HiGHS relaxations and the same separation."""
+    base = rlp.base
+    cuts_a, cuts_b = [], []
+    for _ in range(500):
+        res = linprog(-base.objective,
+                      A_ub=np.array(cuts_a) if cuts_a else None,
+                      b_ub=np.array(cuts_b) if cuts_b else None,
+                      bounds=base.bounds(), method="highs")
+        assert res.status == 0, res.message
+        values, maximizers = soc_support(rlp.rows, rlp.kappa, np.append(res.x, -1.0))
+        new = [u for value, u in zip(values, maximizers) if value > 1e-7]
+        if not new:
+            return -res.fun
+        cuts_a += [u[:-1] for u in new]
+        cuts_b += [u[-1] for u in new]
+    raise AssertionError("HiGHS cutting planes did not converge")
+
+
+class TestTenVariableInstance:
+    def test_rounds_cuts_and_highs_objective(self):
+        rlp = ten_var_instance()
+        sol, log = solve_robust_cutting_planes(rlp)
+        assert sol.status == "Optimal"
+        assert log.rounds == 32
+        assert log.total_cuts == 113
+        ref = highs_cutting_planes(rlp)
+        assert abs(sol.objective_value - ref) <= 1e-9 * abs(ref)
+
+    def test_same_cuts_under_one_and_two_blas_threads(self):
+        code = ("import json\n"
+                "from test_robustify import ten_var_instance\n"
+                "from postfeas.robustify import solve_robust_cutting_planes\n"
+                "sol, log = solve_robust_cutting_planes(ten_var_instance())\n"
+                "print(json.dumps([log.cuts_per_round, sol.objective_value]))\n")
+        results = []
+        for threads in ("1", "2"):
+            env = child_env(OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] += os.pathsep + str(Path(__file__).resolve().parent)
+            proc = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            results.append(json.loads(proc.stdout.splitlines()[-1]))
+        (cuts1, value1), (cuts2, value2) = results
+        assert cuts1 == cuts2
+        assert sum(cuts1) == 113
+        assert abs(value1 - value2) <= 1e-9 * abs(value1)
 
 
 def t_rhs(dof, loc, scale):
