@@ -2,10 +2,12 @@
 """Solve a small production-planning LP with the bundled simplex solver.
 
 Two products share three machine resources.  We maximize profit, cross
-check the optimum against exhaustive vertex enumeration, round-trip the
-problem through its JSON form, and show how infeasible and unbounded
-programs are reported.
+check the optimum against exhaustive vertex enumeration, read the
+problem back from the JSON form ``postfeas solve`` takes, and show how
+infeasible and unbounded programs are reported.
 """
+
+import json
 
 import numpy as np
 
@@ -14,7 +16,6 @@ from postfeas import (
     brute_force_lp,
     max_violation,
     problem_from_json,
-    problem_to_json,
     solve_lp,
 )
 
@@ -37,8 +38,13 @@ ref = brute_force_lp(problem)
 print("vertex-enumeration optimum matches:",
       abs(sol.objective_value - ref.objective_value) < 1e-9)
 
-# The JSON form is a faithful round trip.
-text = problem_to_json(problem)
+# The same problem in the JSON form `postfeas solve` reads.
+text = json.dumps({
+    "maximize": profit,
+    "constraints": [{"row": row, "sense": sense, "rhs": rhs}
+                    for row, sense, rhs in machine_rows],
+    "bounds": [[0.0, None], [0.0, None]],
+})
 again = solve_lp(problem_from_json(text))
 print("JSON round-trip objective         :", round(again.objective_value, 6))
 

@@ -11,7 +11,6 @@ selection pipelines on top.
 
 from .certify import (
     Certificate,
-    certificate_from_json,
     certificate_to_json,
     certify,
     clopper_pearson_upper,
@@ -55,7 +54,6 @@ from .lp import (
     brute_force_lp,
     max_violation,
     problem_from_json,
-    problem_to_json,
     solution_from_json,
     solution_to_json,
     solve_cutting_planes,
@@ -109,8 +107,8 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # certify
-    "Certificate", "certificate_from_json", "certificate_to_json",
-    "certify", "clopper_pearson_upper", "estimate_violation",
+    "Certificate", "certificate_to_json", "certify",
+    "clopper_pearson_upper", "estimate_violation",
     # errors
     "CountOutOfRange", "DimensionMismatch", "DomainError", "EmptyInput",
     "MaxRoundsExceeded", "NotPositiveDefinite", "NumericalBreakdown",
@@ -124,9 +122,8 @@ __all__ = [
     "summarize_overall",
     # lp
     "CutLog", "LpProblem", "LpSolution", "brute_force_lp",
-    "max_violation", "problem_from_json", "problem_to_json",
-    "solution_from_json", "solution_to_json", "solve_cutting_planes",
-    "solve_lp",
+    "max_violation", "problem_from_json", "solution_from_json",
+    "solution_to_json", "solve_cutting_planes", "solve_lp",
     # posterior
     "BetaCoverage", "GaussianRows", "NigPosterior", "NigPrior", "OlsFit",
     "PanelData", "StudentTRhs", "fit_beta_binomial", "fit_nig", "fit_ols",

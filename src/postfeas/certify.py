@@ -35,7 +35,6 @@ __all__ = [
     "estimate_violation",
     "certify",
     "certificate_to_json",
-    "certificate_from_json",
 ]
 
 BLOCK = 1024  # posterior draws per block
@@ -166,22 +165,3 @@ def certificate_to_json(cert: Certificate) -> str:
         else list(cert.per_constraint_rates),
     }
     return json.dumps(doc)
-
-
-def certificate_from_json(text: str) -> Certificate:
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:
-        raise DomainError(f"certificate document is not valid JSON: {exc}") from exc
-    try:
-        rates = doc.get("per_constraint")
-        return Certificate(
-            M=int(doc["M"]),
-            s=int(doc["s"]),
-            v_hat=float(doc["v_hat"]),
-            upper_bound=float(doc["upper_bound"]),
-            beta=float(doc["beta"]),
-            per_constraint_rates=None if rates is None else tuple(rates),
-        )
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:
-        raise DomainError(f"malformed certificate document: {exc}") from exc

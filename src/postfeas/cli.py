@@ -83,11 +83,6 @@ class RunManifest:
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
 
-    @classmethod
-    def from_json(cls, text: str) -> "RunManifest":
-        doc = json.loads(text)
-        return cls(**{**doc, "outputs": tuple(doc["outputs"])})
-
 
 def _read_text(path) -> str:
     try:

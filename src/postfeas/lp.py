@@ -2,11 +2,13 @@
 
 Problems are stated as: maximize c'x subject to row constraints with
 senses <=, >=, = and box bounds on x (either side may be infinite).
-The solver is a two-phase revised simplex on the equality standard form
-with bounded variables, Dantzig pricing, and Bland's rule as the
-anti-cycling fallback.  One row-generation loop on top of it serves every
-program with more rows than it needs at the optimum.  A vertex-enumeration
-brute force serves as an independent oracle for small instances.
+The solver is a bounded-variable revised simplex that starts every
+program at its row logicals: a dual simplex on shifted costs reaches a
+feasible basis, and a primal simplex (Dantzig pricing, Bland's rule as
+the anti-cycling fallback) reaches the optimum.  One row-generation loop
+on top of it serves every program with more rows than it needs at the
+optimum.  A vertex-enumeration brute force serves as an independent
+oracle for small instances.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ __all__ = [
     "solve_cutting_planes",
     "brute_force_lp",
     "max_violation",
-    "problem_to_json",
     "problem_from_json",
     "solution_to_json",
     "solution_from_json",
@@ -192,26 +193,6 @@ def max_violation(problem: LpProblem, x) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _bound_to_json(v: float):
-    return None if math.isinf(v) else v
-
-
-def problem_to_json(problem: LpProblem) -> str:
-    doc = {
-        "maximize": problem.objective.tolist(),
-        "constraints": [
-            {"row": problem.rows[i].tolist(), "sense": problem.senses[i],
-             "rhs": float(problem.rhs[i])}
-            for i in range(problem.m)
-        ],
-        "bounds": [
-            [_bound_to_json(float(problem.lower[j])), _bound_to_json(float(problem.upper[j]))]
-            for j in range(problem.n)
-        ],
-    }
-    return json.dumps(doc)
-
-
 def _loads(text: str, what: str):
     try:
         return json.loads(text)
@@ -260,22 +241,22 @@ def solution_from_json(text: str) -> LpSolution:
 
 
 class _BoundedSimplex:
-    """Two-phase simplex on the equality form of one LpProblem.  Maximizes.
-    Mutable workspace; one instance per solve.
+    """Bounded-variable revised simplex on the logical form of one
+    LpProblem.  Maximizes.  Mutable workspace; one instance per solve.
 
-    The equality form has variables with lower bound 0 (or free) and
-    optional finite uppers.  Finite lower bounds are shifted to zero;
-    variables with only a finite upper bound are negated so the upper
-    bound becomes the shifted zero lower bound; doubly unbounded variables
-    stay free.  Each inequality gains one slack in [0, inf), and each row
-    one artificial.  Columns are ordered: the n variables, the slacks,
-    the artificials.  Column j < n maps back through
-    x[j] = offset[j] + sign[j] * z[j].  Rows appended after phase one
-    (append_rows) keep this order and are re-solved by run_dual.
+    Finite lower bounds are shifted to zero; variables with only a finite
+    upper bound are negated so the upper bound becomes the shifted zero
+    lower bound; doubly unbounded variables stay free.  Column j < n maps
+    back through x[j] = offset[j] + sign[j] * z[j].  Each row then gains
+    one logical column (Maros 2003, Computational Techniques of the
+    Simplex Method): +1 in [0, inf) for "<=", -1 in [0, inf) for ">=" and
+    +1 in [0, 0] for "=".  A row enters with its logical basic, so a
+    fresh instance is every row appended to an empty basis, and rows
+    appended later (append_rows) are added the same way.
     """
 
     def __init__(self, problem: LpProblem):
-        n, m = problem.n, problem.m
+        n = problem.n
         offset = np.zeros(n)
         sign = np.ones(n)
         upper = np.full(n, math.inf)
@@ -290,44 +271,55 @@ class _BoundedSimplex:
                 sign[j] = -1.0
             else:
                 free[j] = True
-        n_real = n + sum(1 for s in problem.senses if s != "=")
-        A = np.zeros((m, n_real))
-        A[:, :n] = problem.rows * sign[np.newaxis, :]
-        b = problem.rhs - problem.rows @ offset
-        k = n
-        for i, sense in enumerate(problem.senses):
-            if sense == "<=":
-                A[i, k] = 1.0
-                k += 1
-            elif sense == ">=":
-                A[i, k] = -1.0
-                k += 1
         self.problem = problem
         self.offset = offset
         self.sign = sign
-        self.m = m
-        self.n_real = n_real
-        self.n_total = n_real + m
-        # phase-two costs; slacks and artificials cost nothing
-        self.c = np.zeros(self.n_total)
-        self.c[:n] = problem.objective * sign
-        # artificial columns: identity signed to make the start basic
-        # point nonnegative
-        art_sign = np.where(b >= 0.0, 1.0, -1.0)
-        self.A = np.hstack([A, np.diag(art_sign)])
-        self.upper = np.concatenate([upper, np.full(self.n_total - n, math.inf)])
-        self.free = np.concatenate([free, np.zeros(self.n_total - n, dtype=bool)])
-        self.basis = np.arange(n_real, n_real + m)
-        self.status = np.full(self.n_total, _AT_LOWER, dtype=np.int8)
-        self.status[self.basis] = _BASIC
-        self.binv = np.diag(art_sign).copy()
-        self.xb = np.abs(b.copy())
-        self.b = b
+        self.c = problem.objective * sign  # logicals cost nothing
+        self.upper = upper
+        self.free = free
+        self.status = np.full(n, _AT_LOWER, dtype=np.int8)
+        self.m = 0
+        self.A = np.zeros((0, n))
+        self.b = np.zeros(0)
+        self.basis = np.zeros(0, dtype=np.intp)
         self.iterations = 0
-        self.pivots_since_refactor = 0
-        self.max_iterations = 2000 + 200 * (m + self.n_total)
+        self._add_rows(problem.rows, problem.senses, problem.rhs)
 
-    # -- linear algebra upkeep -------------------------------------------
+    # -- rows and linear algebra upkeep -----------------------------------
+
+    def append_rows(self, constraints):
+        """Append (row, sense, rhs) triples, each with a basic logical.
+
+        The logicals cost nothing, so the reduced costs, and with them
+        dual feasibility, are unchanged; only the new basic values can
+        leave their bounds.
+        """
+        old_m = self.problem.m
+        self.problem = self.problem._with_rows(constraints)
+        self._add_rows(self.problem.rows[old_m:], self.problem.senses[old_m:],
+                       self.problem.rhs[old_m:])
+
+    def _add_rows(self, rows: np.ndarray, senses: tuple, rhs: np.ndarray):
+        """Append rows, each with a basic logical column, and refactor."""
+        m, k = self.m, len(senses)
+        n, width = self.offset.size, self.A.shape[1]
+        A = np.zeros((m + k, width + k))
+        A[:m, :width] = self.A
+        A[m:, :n] = rows * self.sign[np.newaxis, :]
+        A[m + np.arange(k), width + np.arange(k)] = [
+            -1.0 if s == ">=" else 1.0 for s in senses]
+        self.A = A
+        self.b = np.concatenate([self.b, rhs - rows @ self.offset])
+        self.c = np.concatenate([self.c, np.zeros(k)])
+        self.upper = np.concatenate(
+            [self.upper, [0.0 if s == "=" else math.inf for s in senses]])
+        self.free = np.concatenate([self.free, np.zeros(k, dtype=bool)])
+        self.status = np.concatenate(
+            [self.status, np.full(k, _BASIC, dtype=np.int8)])
+        self.basis = np.concatenate([self.basis, width + np.arange(k)])
+        self.m = m + k
+        self.max_iterations = 2000 + 200 * (self.m + width + k)
+        self._refactor()
 
     def _nonbasic_rhs(self) -> np.ndarray:
         """b minus the contribution of nonbasic-at-upper columns."""
@@ -358,28 +350,54 @@ class _BoundedSimplex:
         self.binv[others, :] -= np.outer(w[others], self.binv[r, :])
         self.pivots_since_refactor += 1
 
-    # -- one phase --------------------------------------------------------
+    def _reduced_costs(self, c: np.ndarray) -> np.ndarray:
+        y = self.binv.T @ c[self.basis]
+        return c - y @ self.A
+
+    def _improving(self, d: np.ndarray, c: np.ndarray):
+        """Nonbasic columns that raise c'z by moving up, and by moving down."""
+        price_tol = 1e-9 * max(1.0, float(np.abs(c).max(initial=0.0)))
+        movable = (self.status != _BASIC) & (self.free | (self.upper > 0.0))
+        up_ok = movable & ((self.status == _AT_LOWER) | self.free) & (d > price_tol)
+        dn_ok = movable & ((self.status == _AT_UPPER) | self.free) & (d < -price_tol)
+        return up_ok, dn_ok
+
+    # -- entry ----------------------------------------------------------------
+
+    def solve(self) -> str:
+        """"Optimal", "Infeasible" or "Unbounded" from the current basis.
+
+        Nonbasic columns whose reduced cost has the wrong sign for their
+        bound get their cost shifted until it is zero, which makes the
+        basis dual feasible (cost modification; Koberstein 2005, The dual
+        simplex method, ch. 4).  The dual simplex on those costs reaches
+        a primal feasible basis or proves the rows infeasible, and the
+        primal simplex on the true costs then undoes the shift.  At a
+        fresh start y = 0, so d = c; after append_rows the last optimal
+        basis is still dual feasible and needs no shift.
+        """
+        d = self._reduced_costs(self.c)
+        up_ok, dn_ok = self._improving(d, self.c)
+        if not self.run_dual(np.where(up_ok | dn_ok, self.c - d, self.c)):
+            return "Infeasible"
+        return self.run_phase(self.c)
+
+    # -- primal simplex -----------------------------------------------------
 
     def run_phase(self, c: np.ndarray) -> str:
-        """Iterate to optimality for the cost vector c.
+        """Primal simplex from a primal feasible basis, for the costs c.
 
         Returns "Optimal" or "Unbounded".  Raises NumericalBreakdown on
         irrecoverable pivots or iteration explosion.
         """
-        price_tol = 1e-9 * max(1.0, float(np.abs(c).max(initial=0.0)))
         bland = False
         degenerate_streak = 0
-        span = self.upper.copy()  # lower bound is 0 (free vars never flip)
         while True:
             self.iterations += 1
             if self.iterations > self.max_iterations:
                 raise NumericalBreakdown("simplex iteration limit exceeded")
-            y = self.binv.T @ c[self.basis]
-            d = c - y @ self.A
-            nonbasic = self.status != _BASIC
-            movable = nonbasic & (self.free | (span > 0.0))
-            up_ok = movable & ((self.status == _AT_LOWER) | self.free) & (d > price_tol)
-            dn_ok = movable & ((self.status == _AT_UPPER) | self.free) & (d < -price_tol)
+            d = self._reduced_costs(c)
+            up_ok, dn_ok = self._improving(d, c)
             if not (up_ok.any() or dn_ok.any()):
                 return "Optimal"
             if bland:
@@ -403,7 +421,8 @@ class _BoundedSimplex:
                 if neg.any():
                     cand_step[neg] = (upper_b[neg] - self.xb[neg]) / (-g[neg])
             cand_step = np.maximum(cand_step, 0.0)
-            flip_step = span[j] if not self.free[j] else math.inf
+            # lower bound is 0; free variables never flip
+            flip_step = math.inf if self.free[j] else self.upper[j]
             basic_step = float(cand_step.min()) if self.m else math.inf
             step = min(basic_step, flip_step)
             if not math.isfinite(step):
@@ -445,123 +464,37 @@ class _BoundedSimplex:
             if self.pivots_since_refactor >= 128:
                 self._refactor()
 
-    # -- phase transitions -------------------------------------------------
+    # -- dual simplex ---------------------------------------------------------
 
-    def phase_one(self) -> bool:
-        """Minimize the artificial sum.  True when a feasible basis exists."""
-        c1 = np.zeros(self.n_total)
-        c1[self.n_real:] = -1.0
-        outcome = self.run_phase(c1)
-        if outcome != "Optimal":  # pragma: no cover - mathematically impossible
-            raise NumericalBreakdown("phase one terminated abnormally")
-        art_basic = self.basis >= self.n_real
-        art_sum = float(self.xb[art_basic].sum()) if art_basic.any() else 0.0
-        scale = max(1.0, float(np.abs(self.b).max(initial=0.0)))
-        if art_sum > 1e-7 * scale:
-            return False
-        # pivot remaining artificials out of the basis where possible
-        for r in np.flatnonzero(art_basic):
-            row = self.binv[r] @ self.A[:, : self.n_real]
-            candidates = np.flatnonzero(
-                (self.status[: self.n_real] != _BASIC) & (np.abs(row) > _PIVOT_TOL)
-            )
-            if candidates.size:
-                j = int(candidates[np.argmax(np.abs(row[candidates]))])
-                self.xb[r] = self.upper[j] if self.status[j] == _AT_UPPER else 0.0
-                self.status[self.basis[r]] = _AT_LOWER
-                self._pivot(r, j, self.binv @ self.A[:, j])
-            else:
-                self.xb[r] = 0.0  # dependent row: freeze its artificial at 0
-        # artificials may never re-enter
-        self.upper[self.n_real:] = 0.0
-        self._refactor()
-        return True
-
-    def phase_two(self) -> str:
-        return self.run_phase(self.c)
-
-    # -- appended rows ------------------------------------------------------
-
-    def append_rows(self, constraints):
-        """Append (row, sense, rhs) triples after phase one.
-
-        Each inequality gains a basic slack and each equality a basic
-        artificial fixed at [0, 0]; every row also gains an artificial
-        column, so the column order is kept.  The new basic variables
-        cost nothing, so the reduced costs, and with them dual
-        feasibility, are unchanged; only the new basic values can leave
-        their bounds.
-        """
-        old_m = self.problem.m
-        self.problem = self.problem._with_rows(constraints)
-        rows = self.problem.rows[old_m:]
-        senses = self.problem.senses[old_m:]
-        k = len(senses)
-        n, m, n_real = self.offset.size, self.m, self.n_real
-        slack_rows = [i for i, s in enumerate(senses) if s != "="]
-        n_slack = len(slack_rows)
-        new_real = n_real + n_slack
-        A = np.zeros((m + k, new_real + m + k))
-        A[:m, :n_real] = self.A[:, :n_real]
-        A[:m, new_real:new_real + m] = self.A[:, n_real:]
-        A[m:, :n] = rows * self.sign[np.newaxis, :]
-        new_basis = new_real + m + np.arange(k)  # the artificials
-        for col, i in enumerate(slack_rows):
-            A[m + i, n_real + col] = 1.0 if senses[i] == "<=" else -1.0
-            new_basis[i] = n_real + col
-        A[m + np.arange(k), new_real + m + np.arange(k)] = 1.0
-
-        def widen(old, slack_fill, art_fill):
-            return np.concatenate(
-                [old[:n_real], np.full(n_slack, slack_fill, dtype=old.dtype),
-                 old[n_real:], np.full(k, art_fill, dtype=old.dtype)])
-
-        self.A = A
-        self.c = widen(self.c, 0.0, 0.0)
-        self.upper = widen(self.upper, math.inf, 0.0)
-        self.free = widen(self.free, False, False)
-        self.status = widen(self.status, _AT_LOWER, _AT_LOWER)
-        self.basis = np.concatenate(
-            [np.where(self.basis < n_real, self.basis, self.basis + n_slack),
-             new_basis])
-        self.status[self.basis] = _BASIC
-        self.b = np.concatenate(
-            [self.b, self.problem.rhs[old_m:] - rows @ self.offset])
-        self.m = m + k
-        self.n_real = new_real
-        self.n_total = new_real + self.m
-        self.max_iterations = 2000 + 200 * (self.m + self.n_total)
-        self._refactor()
-
-    def run_dual(self) -> bool:
-        """Bounded dual simplex from a dual feasible basis.
+    def run_dual(self, costs: np.ndarray) -> bool:
+        """Bounded dual simplex from a basis dual feasible for costs.
 
         Each pivot takes the basic variable farthest outside its bounds
         to the bound it violates, and picks the entering column by a
         two-pass (Harris) ratio test that keeps the reduced costs of
         their bound's sign.  True once every basic variable is within
         its bounds; False when the leaving row has no entering column,
-        which proves the rows infeasible (Koberstein 2005).
+        which proves the rows infeasible whatever the costs (Koberstein
+        2005).
         """
         primal_tol = 1e-9 * max(1.0, float(np.abs(self.b).max(initial=0.0)))
-        dual_tol = 1e-9 * max(1.0, float(np.abs(self.c).max(initial=0.0)))
+        dual_tol = 1e-9 * max(1.0, float(np.abs(costs).max(initial=0.0)))
         while True:
             lower_b = np.where(self.free[self.basis], -math.inf, 0.0)
             upper_b = self.upper[self.basis]
             below = lower_b - self.xb
             above = self.xb - upper_b
             excess = np.maximum(below, above)
-            r = int(np.argmax(excess))
-            if excess[r] <= primal_tol:
+            if excess.max(initial=0.0) <= primal_tol:
                 return True
+            r = int(np.argmax(excess))
             self.iterations += 1
             if self.iterations > self.max_iterations:
                 raise NumericalBreakdown("simplex iteration limit exceeded")
             # rise = +1: x_B[r] must rise to its lower bound
             rise = 1.0 if below[r] > 0.0 else -1.0
             alpha = self.binv[r] @ self.A
-            y = self.binv.T @ self.c[self.basis]
-            d = self.c - y @ self.A
+            d = self._reduced_costs(costs)
             nonbasic = self.status != _BASIC
             at_upper = self.status == _AT_UPPER
             # moving column j by t moves x_B[r] by -alpha[j] * t
@@ -606,11 +539,11 @@ class _BoundedSimplex:
     def extract(self) -> np.ndarray:
         """The solution in the problem's own variables."""
         self._refactor()
-        z = np.where(self.status[: self.n_real] == _AT_UPPER,
-                     self.upper[: self.n_real], 0.0)
-        own = self.basis < self.n_real
+        n = self.offset.size
+        z = np.where(self.status[:n] == _AT_UPPER, self.upper[:n], 0.0)
+        own = self.basis < n
         z[self.basis[own]] = self.xb[own]
-        return self.offset + self.sign * z[: self.offset.size]
+        return self.offset + self.sign * z
 
     def solution(self) -> LpSolution:
         """The Optimal solution at the current basis.
@@ -633,7 +566,9 @@ class _BoundedSimplex:
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:
-    """Solve the LP with the two-phase bounded-variable simplex.
+    """Solve the LP with the bounded-variable simplex from its logical
+    basis: a dual simplex reaches feasibility and a primal simplex
+    optimality (_BoundedSimplex.solve).
 
     Deterministic for a fixed BLAS thread count: identical problems then
     produce identical solutions, pivot for pivot.  Pricing and the basis
@@ -643,10 +578,9 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     Raises NumericalBreakdown when pivoting degrades beyond recovery.
     """
     solver = _BoundedSimplex(problem)
-    if not solver.phase_one():
-        return LpSolution("Infeasible", None, None, solver.iterations)
-    if solver.phase_two() == "Unbounded":
-        return LpSolution("Unbounded", None, None, solver.iterations)
+    status = solver.solve()
+    if status != "Optimal":
+        return LpSolution(status, None, None, solver.iterations)
     return solver.solution()
 
 
@@ -683,11 +617,11 @@ def solve_cutting_planes(
     Each round solves base plus every row added so far.  separate(x)
     returns the (row, sense, rhs) rows to add at the incumbent x and the
     largest violation it saw; the loop ends when it returns no rows.  One
-    simplex serves every round: the first relaxation is solved in two
-    phases, and after rows are appended the previous optimal basis, still
-    dual feasible, is re-entered with a bounded dual simplex and
-    confirmed by phase two (Koberstein 2005, The dual simplex method,
-    techniques for a fast and stable implementation).  A non-Optimal
+    simplex serves every round through one entry, _BoundedSimplex.solve:
+    after rows are appended the previous optimal basis is still dual
+    feasible, so it needs no cost shift: the bounded dual simplex
+    re-enters it and the primal simplex confirms it (Koberstein 2005, The dual simplex
+    method, techniques for a fast and stable implementation).  A non-Optimal
     relaxation is returned as is; iterations is the total over all
     rounds.  Appended rows are validated as LpProblem validates its
     constraints.  Raises DomainError when max_rounds < 1 and
@@ -696,7 +630,7 @@ def solve_cutting_planes(
     if max_rounds < 1:
         raise DomainError(f"max_rounds must be >= 1, got {max_rounds}")
     solver = _BoundedSimplex(base)
-    status = solver.phase_two() if solver.phase_one() else "Infeasible"
+    status = solver.solve()
     cuts_per_round: list[int] = []
     last_max = math.inf
     while status == "Optimal":
@@ -711,7 +645,7 @@ def solve_cutting_planes(
                 f"(max violation {last_max:.3e})"
             )
         solver.append_rows(rows)
-        status = solver.phase_two() if solver.run_dual() else "Infeasible"
+        status = solver.solve()
     sol = LpSolution(status, None, None, solver.iterations)
     return sol, CutLog(len(cuts_per_round) + 1, cuts_per_round, last_max)
 

@@ -77,8 +77,8 @@ def solve_scenario_lp(
     sampled right-hand sides can pass a broadcast view as coeff.  Each
     round adds, for each uncertain row, the draw not yet added with the
     largest residual at the incumbent (ties: lowest draw index), if that
-    residual exceeds feas * max(1, |rhs|), the scale at which solve_lp
-    checks feasibility; rounding noise on "=" rows adds nothing.
+    residual exceeds FEAS_TOL * max(1, |rhs|), a tenth of the residual
+    solve_lp accepts; rounding noise on "=" rows adds nothing.
     A scenario solution is fixed by a few support rows (Calafiore & Campi
     2006), so few of the N * m_u rows are ever added.  If a relaxation is
     Unbounded before every row is in, the stacked LP is solved once, so

@@ -467,10 +467,6 @@ class Rng:
     def generator(self) -> np.random.Generator:
         return self._gen
 
-    def clone(self) -> "Rng":
-        """Fresh Rng re-initialized at the start of the same stream."""
-        return Rng(self.seed, self.stream_id)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Rng(seed={self.seed}, stream_id={self.stream_id})"
 

@@ -7,6 +7,7 @@ to cover logging configuration.  They need no install: the child's
 imported, so the child runs the same code.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -119,14 +120,13 @@ class TestSolve:
         prob = write_json(tmp_path / "prob.json", PROBLEM_OPTIMAL)
         out = tmp_path / "run" / "solution.json"
         main(["solve", prob, "--out", str(out), "--seed", "17"])
-        manifest = RunManifest.from_json(
-            (tmp_path / "run" / "manifest.json").read_text()
-        )
-        assert manifest.command == "solve"
-        assert manifest.master_seed == 17
-        assert manifest.version == postfeas.__version__
-        assert manifest.outputs == ("solution.json",)
-        assert manifest.duration_seconds >= 0.0
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert set(manifest) == {f.name for f in dataclasses.fields(RunManifest)}
+        assert manifest["command"] == "solve"
+        assert manifest["master_seed"] == 17
+        assert manifest["version"] == postfeas.__version__
+        assert manifest["outputs"] == ["solution.json"]
+        assert manifest["duration_seconds"] >= 0.0
 
     def test_manifest_records_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
@@ -136,7 +136,7 @@ class TestSolve:
         out = tmp_path / "run" / "solution.json"
         assert main(["solve", prob, "--out", str(out), "--seed", "17"]) == 0
         text = (tmp_path / "run" / "manifest.json").read_text()
-        assert RunManifest.from_json(text).environment == {
+        assert json.loads(text)["environment"] == {
             "numpy": np.__version__,
             "cpu_count": os.cpu_count(),
             "OPENBLAS_NUM_THREADS": "1",

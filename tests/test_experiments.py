@@ -159,12 +159,12 @@ def setup():
 class TestTightenedRhs:
     def test_plugin_mean(self, setup):
         cfg, inst, rng, preds, model = setup
-        out = _tightened_rhs("PM", inst, model, 0.05, cfg, rng.clone())
+        out = _tightened_rhs("PM", inst, model, 0.05, cfg, Rng(rng.seed, rng.stream_id))
         assert np.allclose(out, [p.loc[0] for p in preds], atol=1e-12)
 
     def test_credible_quantile(self, setup):
         cfg, inst, rng, preds, model = setup
-        out = _tightened_rhs("CR", inst, model, 0.05, cfg, rng.clone())
+        out = _tightened_rhs("CR", inst, model, 0.05, cfg, Rng(rng.seed, rng.stream_id))
         # the per-row scalar quantile is the reference, bit for bit
         expect = [p.loc[0] + p.scale[0]
                   * student_t_quantile(0.05 / cfg.m, p.dof[0]) for p in preds]
@@ -172,17 +172,17 @@ class TestTightenedRhs:
 
     def test_posterior_scenarios_replay(self, setup):
         cfg, inst, rng, preds, model = setup
-        out = _tightened_rhs("PS", inst, model, 0.05, cfg, rng.clone())
+        out = _tightened_rhs("PS", inst, model, 0.05, cfg, Rng(rng.seed, rng.stream_id))
         scen_rng = Rng.for_purpose(rng.seed, rng.stream_id, "scenario")
         draws = model.draw(scen_rng, cfg.n_scen)
         assert np.array_equal(out, rhs_scenario_min(draws))
         assert np.all(out[np.newaxis, :] <= draws)
-        pm = _tightened_rhs("PM", inst, model, 0.05, cfg, rng.clone())
+        pm = _tightened_rhs("PM", inst, model, 0.05, cfg, Rng(rng.seed, rng.stream_id))
         assert np.all(out < pm)
 
     def test_frequentist_quantile(self, setup):
         cfg, inst, rng, _, model = setup
-        out = _tightened_rhs("FPQ", inst, model, 0.05, cfg, rng.clone())
+        out = _tightened_rhs("FPQ", inst, model, 0.05, cfg, Rng(rng.seed, rng.stream_id))
         # the per-row scalar t prediction quantile is the reference, bit
         # for bit
         expect = []
@@ -196,7 +196,7 @@ class TestTightenedRhs:
 
     def test_normal_heuristic(self, setup):
         cfg, inst, rng, preds, model = setup
-        out = _tightened_rhs("RB", inst, model, 0.05, cfg, rng.clone())
+        out = _tightened_rhs("RB", inst, model, 0.05, cfg, Rng(rng.seed, rng.stream_id))
         means = np.array([p.loc[0] for p in preds])
         sds = np.array(
             [p.scale[0] * np.sqrt(p.dof[0] / (p.dof[0] - 2.0)) for p in preds]
@@ -207,7 +207,7 @@ class TestTightenedRhs:
     def test_unknown_method(self, setup):
         cfg, inst, rng, _, model = setup
         with pytest.raises(DomainError):
-            _tightened_rhs("XX", inst, model, 0.05, cfg, rng.clone())
+            _tightened_rhs("XX", inst, model, 0.05, cfg, Rng(rng.seed, rng.stream_id))
 
 
 @pytest.fixture(scope="module")
@@ -230,7 +230,7 @@ class TestRunMethod:
 
     def test_record_fields(self, trial):
         cfg, inst, rng, model = trial
-        rec = by_method(inst, model, 0.05, cfg, rng.clone(), trial=4)["CR"]
+        rec = by_method(inst, model, 0.05, cfg, Rng(rng.seed, rng.stream_id), trial=4)["CR"]
         assert rec.status == "Optimal"
         assert rec.method == "CR" and rec.alpha == 0.05 and rec.trial == 4
         assert rec.master_seed == rng.seed
@@ -241,13 +241,13 @@ class TestRunMethod:
 
     def test_reproducible(self, trial):
         cfg, inst, rng, model = trial
-        a = by_method(inst, model, 0.1, cfg, rng.clone())["PS"]
-        b = by_method(inst, model, 0.1, cfg, rng.clone())["PS"]
+        a = by_method(inst, model, 0.1, cfg, Rng(rng.seed, rng.stream_id))["PS"]
+        b = by_method(inst, model, 0.1, cfg, Rng(rng.seed, rng.stream_id))["PS"]
         assert a == b
 
     def test_plugin_riskier_than_hedges(self, trial):
         cfg, inst, rng, model = trial
-        records = by_method(inst, model, 0.05, cfg, rng.clone())
+        records = by_method(inst, model, 0.05, cfg, Rng(rng.seed, rng.stream_id))
         assert records["PM"].profit >= max(
             records[m].profit for m in ("CR", "PS", "FPQ", "RB")
         )
@@ -281,7 +281,7 @@ class TestRunMethod:
         inst = gen_instance(cfg, Rng.for_purpose(33, "instance", 0))
         rng = Rng.for_purpose(33, "trial", 0)
         model = fit_capacity_model(inst, cfg)
-        recs = by_method(inst, model, 0.05, cfg, rng.clone())
+        recs = by_method(inst, model, 0.05, cfg, Rng(rng.seed, rng.stream_id))
         profits = np.array([recs[m].profit for m in METHODS])
         assert np.ptp(profits) / profits.mean() <= 0.01
         for name in ("CR", "PS", "RB"):
@@ -305,7 +305,7 @@ class TestRunTrial:
         # m_cert = 1,500 spans two blocks
         cfg, inst, rng, model = trial
         cfg = dataclasses.replace(cfg, m_cert=1500)
-        expect = run_trial(inst, model, 0.05, cfg, rng.clone())
+        expect = run_trial(inst, model, 0.05, cfg, Rng(rng.seed, rng.stream_id))
         passes, blocks, true_draws = [], [], []
         real_blocks, real_normal = certify_module.draw_blocks, stats.normal_array
 
@@ -322,7 +322,7 @@ class TestRunTrial:
 
         monkeypatch.setattr(certify_module, "draw_blocks", counting_blocks)
         monkeypatch.setattr(stats, "normal_array", counting_normal)
-        recs = run_trial(inst, model, 0.05, cfg, rng.clone())
+        recs = run_trial(inst, model, 0.05, cfg, Rng(rng.seed, rng.stream_id))
         assert [r.status for r in recs] == ["Optimal"] * len(METHODS)
         assert passes == [1500]
         assert blocks == [BLOCK, 1500 - BLOCK]
@@ -331,13 +331,13 @@ class TestRunTrial:
 
     def test_failing_method_gives_one_error_record(self, trial, monkeypatch):
         cfg, inst, rng, model = trial
-        expect = run_trial(inst, model, 0.05, cfg, rng.clone())
+        expect = run_trial(inst, model, 0.05, cfg, Rng(rng.seed, rng.stream_id))
 
         def broken(*args):
             raise RuntimeError("decide step failed")
 
         monkeypatch.setattr(experiments_module, "rb_heuristic_tighten", broken)
-        recs = run_trial(inst, model, 0.05, cfg, rng.clone())
+        recs = run_trial(inst, model, 0.05, cfg, Rng(rng.seed, rng.stream_id))
         assert [r.status for r in recs] == ["Optimal"] * 4 + ["Error"]
         assert recs[:4] == expect[:4]
         assert recs[4].method == "RB" and np.isnan(recs[4].profit)
@@ -534,7 +534,7 @@ class TestPanelCertifyDetail:
         post = fit_beta_binomial(det, np.array([50.0, 50.0]), cfg.threshold)
         rng = Rng.for_purpose(63, "panel-chunk")
         cert, _ = panel_certify_detail(np.ones(2), post, cfg, rng)
-        replay = certify(np.ones(2), post, cfg.m_cert, cfg.beta, rng.clone())
+        replay = certify(np.ones(2), post, cfg.m_cert, cfg.beta, Rng(rng.seed, rng.stream_id))
         assert cert == replay
         assert 0 < cert.s < cfg.m_cert
 
@@ -549,7 +549,7 @@ class TestPanelCertifyDetail:
             np.ones(2), post, cfg, rng, cluster_ids=("left", "right")
         )
         cert_b, sums_b = panel_certify_detail(
-            np.ones(2), post, cfg, rng.clone(), cluster_ids=("left", "right")
+            np.ones(2), post, cfg, Rng(rng.seed, rng.stream_id), cluster_ids=("left", "right")
         )
         assert cert_a == cert_b and sums_a == sums_b
         assert [s.cluster for s in sums_a] == ["left", "right"]
@@ -659,7 +659,7 @@ class TestPanelSelect:
         post = fit_beta_binomial(det, np.array([60.0, 60.0]), cfg.threshold)
         rng = Rng.for_purpose(77, "panel-repeat")
         a = panel_select(np.array([2.0, 1.5, 1.0, 0.5]), post, cfg, rng)
-        b = panel_select(np.array([2.0, 1.5, 1.0, 0.5]), post, cfg, rng.clone())
+        b = panel_select(np.array([2.0, 1.5, 1.0, 0.5]), post, cfg, Rng(rng.seed, rng.stream_id))
         assert a.panel == b.panel
         assert np.array_equal(a.relaxed_x, b.relaxed_x)
         assert a.certificate == b.certificate

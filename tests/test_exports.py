@@ -21,3 +21,18 @@ def test_submodule_all_resolves(name):
     module = importlib.import_module(f"postfeas.{name}")
     missing = [n for n in module.__all__ if not hasattr(module, n)]
     assert missing == []
+
+
+@pytest.mark.parametrize("owner, name", [
+    ("lp", "problem_to_json"),
+    ("certify", "certificate_from_json"),
+    ("stats.Rng", "clone"),
+    ("cli.RunManifest", "from_json"),
+])
+def test_no_test_only_names(owner, name):
+    # Only tests called these; they build and read JSON with json directly.
+    module, _, attr = owner.partition(".")
+    obj = importlib.import_module(f"postfeas.{module}")
+    obj = getattr(obj, attr) if attr else obj
+    assert not hasattr(obj, name)
+    assert name not in postfeas.__all__

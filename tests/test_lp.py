@@ -16,7 +16,6 @@ from postfeas.lp import (
     brute_force_lp,
     max_violation,
     problem_from_json,
-    problem_to_json,
     solution_from_json,
     solution_to_json,
     solve_cutting_planes,
@@ -63,6 +62,18 @@ def random_mixed_bound_problem(rng):
     return LpProblem(c, rows, bounds)
 
 
+def problem_json(p):
+    """The LP document that problem_from_json reads, for problem p."""
+    def bound(v):
+        return None if math.isinf(v) else float(v)
+    return json.dumps({
+        "maximize": p.objective.tolist(),
+        "constraints": [{"row": row.tolist(), "sense": sense, "rhs": rhs}
+                        for row, sense, rhs in p.constraints()],
+        "bounds": [[bound(lo), bound(hi)] for lo, hi in p.bounds()],
+    })
+
+
 class TestLpProblem:
     def test_validation(self):
         with pytest.raises(DimensionMismatch):
@@ -82,7 +93,7 @@ class TestLpProblem:
     def test_json_round_trip_bit_exact(self):
         rng = np.random.default_rng(3)
         p = random_mixed_bound_problem(rng)
-        q = problem_from_json(problem_to_json(p))
+        q = problem_from_json(problem_json(p))
         assert np.array_equal(p.objective, q.objective)
         assert np.array_equal(p.rows, q.rows)
         assert p.senses == q.senses
@@ -95,9 +106,10 @@ class TestLpProblem:
         )
 
     def test_json_infinite_bounds_are_null(self):
-        p = LpProblem([1.0], [([1.0], "<=", 1.0)], [(None, None)])
-        doc = json.loads(problem_to_json(p))
-        assert doc["bounds"] == [[None, None]]
+        text = '{"maximize": [1.0], "bounds": [[null, null]], ' \
+               '"constraints": [{"row": [1.0], "sense": "<=", "rhs": 1.0}]}'
+        p = problem_from_json(text)
+        assert p.lower[0] == -math.inf and p.upper[0] == math.inf
 
 
 class TestSolveLpBasics:
@@ -220,7 +232,26 @@ def pinned_instance(seed):
 
 class TestPinnedPaths:
     # Status, iteration count and x bits of the simplex on forms the pinned
-    # cut sequences never reach; a changed pivot path moves these.
+    # cut sequences never reach; a changed pivot path moves these.  The
+    # parameters pin the former start (phase one on artificial columns);
+    # the logical start must reach the same status, and x to 1e-12, in no
+    # more iterations.  LOGICAL pins its own path.
+    LOGICAL = {
+        0: (3, ["-0x1.37c36d6ccc03cp+0", "-0x1.5b33ef677da45p+0",
+                "0x1.304817f37063ap+0", "0x1.db4e509aa8ee8p-3", "0x0.0p+0"]),
+        1: (3, None),
+        2: (6, None),
+        5: (6, ["-0x1.7e0df0475e4eap+1", "-0x1.9bc59cb6a4c40p-2",
+                "0x1.e25673ce65f68p-2", "0x1.0000000000000p+0",
+                "0x1.5456aa1ec5128p-3"]),
+        12: (4, ["0x1.19468699b41aep-4", "-0x1.0fd7c4f654610p-3",
+                 "0x1.5caa13c50d8d0p-2", "-0x1.0000000000000p+0",
+                 "0x1.311d4901a1ae5p-2"]),
+        26: (6, ["0x1.fd46732959b11p-1", "-0x1.3c1080f28b8f0p+0",
+                 "0x1.fadc2f9d5a800p-4", "-0x1.f11cb66f67530p-4",
+                 "0x1.814f5aa84b591p-1"]),
+    }
+
     @pytest.mark.parametrize("seed, status, iterations, x_hex", [
         (0, "Optimal", 13, ["-0x1.37c36d6ccc03ap+0", "-0x1.5b33ef677da45p+0",
                             "0x1.304817f37063ap+0", "0x1.db4e509aa8ee0p-3", "0x0.0p+0"]),
@@ -238,24 +269,38 @@ class TestPinnedPaths:
     ])
     def test_pivot_path(self, seed, status, iterations, x_hex):
         sol = solve_lp(pinned_instance(seed))
+        logical_iterations, logical_x_hex = self.LOGICAL[seed]
         assert sol.status == status
-        assert sol.iterations == iterations
-        assert (None if sol.x is None else [float(v).hex() for v in sol.x]) == x_hex
+        assert sol.iterations == logical_iterations <= iterations
+        assert (None if sol.x is None else [float(v).hex() for v in sol.x]) == logical_x_hex
+        if x_hex is not None:
+            assert np.abs(sol.x - [float.fromhex(h) for h in x_hex]).max() <= 1e-12
 
 
 class TestStandardize:
+    # Columns are the n shifted variables, then one logical per row, and
+    # the logicals are the starting basis.
     def test_le_constraint_gains_slack(self):
-        p = LpProblem([1.0], [([1.0], "<=", 1.0)], [(0.0, 1.0)])
+        p = LpProblem([1.0, 2.0], [([1.0, 3.0], "<=", 1.0), ([2.0, 1.0], ">=", -4.0)],
+                      [(0.0, 1.0), (None, None)])
         solver = _BoundedSimplex(p)
-        assert solver.n_real == 2  # x and its slack
-        assert solver.A.shape == (1, 3)  # plus one artificial
-        assert solver.offset.shape == (1,)
+        assert solver.A.shape == (2, 4)  # (m, n + m)
+        assert np.array_equal(solver.A[:, 2:], np.diag([1.0, -1.0]))
+        assert np.array_equal(solver.upper[2:], [math.inf, math.inf])
+        assert np.array_equal(solver.basis, [2, 3])
+        assert np.array_equal(solver.xb, [1.0, 4.0])  # both slacks feasible
+        assert solver.offset.shape == (2,)
 
     def test_equality_gains_no_slack(self):
+        # the logical of an equality is fixed at [0, 0], so it has no room
         p = LpProblem([1.0], [([1.0], "=", 1.0)], [(0.0, 2.0)])
         solver = _BoundedSimplex(p)
-        assert solver.n_real == 1
         assert solver.A.shape == (1, 2)
+        assert solver.A[0, 1] == 1.0
+        assert solver.upper[1] == 0.0
+        assert solver.xb[0] == 1.0  # out of its bounds until the dual simplex runs
+        assert solver.solve() == "Optimal"
+        assert solver.solution().x == pytest.approx([1.0])
 
     def test_map_back_residuals(self):
         rng = np.random.default_rng(12)
@@ -411,13 +456,17 @@ def pool_separator(pool, per_round=3):
     return separate, added
 
 
-def highs_objective(problem):
-    """Optimal objective of problem by scipy's HiGHS."""
+def highs_result(problem, objective=None):
+    """Status and optimal objective of problem by scipy's HiGHS.
+
+    HiGHS may call an unbounded program infeasible (scipy status 2); a
+    solve of the same rows with a zero objective settles which it is.
+    """
     le = [i for i, s in enumerate(problem.senses) if s != "="]
     eq = [i for i, s in enumerate(problem.senses) if s == "="]
     flip = np.array([-1.0 if problem.senses[i] == ">=" else 1.0 for i in le])
     res = linprog(
-        -problem.objective,
+        -problem.objective if objective is None else objective,
         A_ub=problem.rows[le] * flip[:, None] if le else None,
         b_ub=problem.rhs[le] * flip if le else None,
         A_eq=problem.rows[eq] if eq else None,
@@ -426,8 +475,41 @@ def highs_objective(problem):
                 for lo, hi in problem.bounds()],
         method="highs",
     )
-    assert res.status == 0, res.message
-    return -res.fun
+    if res.status == 0:
+        return "Optimal", -res.fun
+    if res.status == 3:
+        return "Unbounded", None
+    assert res.status == 2, res.message
+    if objective is not None:
+        return "Infeasible", None
+    feasible = highs_result(problem, np.zeros(problem.n))[0] == "Optimal"
+    return ("Unbounded" if feasible else "Infeasible"), None
+
+
+def highs_objective(problem):
+    """Optimal objective of problem by scipy's HiGHS."""
+    status, value = highs_result(problem)
+    assert status == "Optimal"
+    return value
+
+
+class CountingSimplex(_BoundedSimplex):
+    """Records, per solve(), whether a cost was shifted and how many
+    iterations the primal simplex took."""
+
+    def __init__(self, problem):
+        self.shifted, self.primal_iterations = [], []
+        super().__init__(problem)
+
+    def run_dual(self, costs):
+        self.shifted.append(not np.array_equal(costs, self.c))
+        return super().run_dual(costs)
+
+    def run_phase(self, c):
+        before = self.iterations
+        status = super().run_phase(c)
+        self.primal_iterations.append(self.iterations - before)
+        return status
 
 
 class TestWarmRowGeneration:
@@ -451,24 +533,25 @@ class TestWarmRowGeneration:
         assert max_violation(full, sol.x) <= 10 * FEAS_TOL
 
     def test_dual_reentry_leaves_phase_two_one_pricing_pass(self):
-        # After the dual simplex, phase two only prices and finds no
-        # entering column: the dual ratio test kept the basis optimal.
-        # The loop reports the iterations of every round together.
+        # After rows are appended the optimal basis is still dual
+        # feasible, so solve() shifts no cost; after the dual simplex the
+        # primal simplex only prices and finds no entering column: the
+        # dual ratio test kept the basis optimal.  The loop reports the
+        # iterations of every round together.
         for seed in range(40):
             base, pool = pool_instance(seed)
             separate, _ = pool_separator(pool)
-            solver = _BoundedSimplex(base)
-            assert solver.phase_one() and solver.phase_two() == "Optimal"
+            solver = CountingSimplex(base)
+            assert solver.solve() == "Optimal"
             first_round = solver.iterations
             while True:
                 rows, _ = separate(solver.solution().x)
                 if not rows:
                     break
                 solver.append_rows(rows)
-                assert solver.run_dual()
-                before = solver.iterations
-                assert solver.phase_two() == "Optimal"
-                assert solver.iterations == before + 1
+                assert solver.solve() == "Optimal"
+                assert solver.shifted[-1] is False
+                assert solver.primal_iterations[-1] == 1
             sol, log = solve_cutting_planes(base, pool_separator(pool)[0], 50)
             assert sol.iterations == solver.iterations
             assert sol.iterations >= first_round + 2 * (log.rounds - 1)
@@ -508,3 +591,67 @@ class TestWarmRowGeneration:
         base = LpProblem([1.0, 1.0], [], [(0.0, 1.0), (0.0, 1.0)])
         with pytest.raises(error):
             solve_cutting_planes(base, lambda x: ([row], 1.0), 10)
+
+
+def logical_start_instance(rng, degenerate):
+    """Up to 8 variables (free, lower-only, upper-only or boxed) and up to
+    11 rows of all three senses.  Degenerate instances have integer rows
+    that all pass through one integer point inside the box."""
+    n = int(rng.integers(1, 9))
+    m = int(rng.integers(1, 12))
+    point = rng.integers(-1, 2, size=n).astype(float)
+    bounds = []
+    for j in range(n):
+        kind = int(rng.integers(0, 4))
+        lo = float(point[j] - rng.integers(0, 3))
+        hi = float(point[j] + rng.integers(0, 3))
+        bounds.append([(None, None), (lo, None), (None, hi), (lo, hi)][kind])
+    rows = []
+    for _ in range(m):
+        sense = ("<=", ">=", "=")[int(rng.integers(0, 3))]
+        if degenerate:
+            a = rng.integers(-3, 4, size=n).astype(float)
+            rows.append((a, sense, float(a @ point)))
+        else:
+            rows.append((rng.normal(size=n), sense, float(rng.normal() * 2)))
+    return LpProblem(rng.normal(size=n), rows, bounds)
+
+
+def ladder_instance(n, m):
+    """Dense A and c ~ U(0, 1), rhs 1, x >= 0, from default_rng(0)."""
+    rng = np.random.default_rng(0)
+    a = rng.uniform(size=(m, n))
+    c = rng.uniform(size=n)
+    return LpProblem(c, [(a[i], "<=", 1.0) for i in range(m)], [(0.0, None)] * n)
+
+
+class TestLogicalStart:
+    # Every solve starts at the row logicals and reaches feasibility with
+    # the dual simplex on shifted costs; HiGHS is the reference.
+    @pytest.mark.parametrize("degenerate", [False, True], ids=["random", "degenerate"])
+    def test_matches_highs(self, degenerate):
+        rng = np.random.default_rng(2026 + degenerate)
+        seen = {"Optimal": 0, "Infeasible": 0, "Unbounded": 0}
+        for _ in range(300):
+            p = logical_start_instance(rng, degenerate)
+            sol = solve_lp(p)
+            status, value = highs_result(p)
+            assert sol.status == status
+            seen[status] += 1
+            if status == "Optimal":
+                assert abs(sol.objective_value - value) <= 1e-9 * max(1.0, abs(value))
+                assert max_violation(p, sol.x) <= 10 * FEAS_TOL * max(
+                    1.0, float(np.abs(p.rhs).max()))
+        # rows through one point are never infeasible
+        assert seen["Optimal"] >= 40 and seen["Unbounded"] >= 40
+        assert (seen["Infeasible"] == 0) if degenerate else (seen["Infeasible"] >= 20)
+
+    def test_ladder_needs_no_phase_one(self):
+        # The slack basis of rhs-1 rows is already feasible: only the
+        # primal simplex runs.  The former start took 961 iterations.
+        p = ladder_instance(50, 200)
+        sol = solve_lp(p)
+        assert sol.status == "Optimal"
+        assert sol.iterations <= 200
+        ref = highs_objective(p)
+        assert abs(sol.objective_value - ref) <= 1e-9 * abs(ref)

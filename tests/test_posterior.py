@@ -231,7 +231,7 @@ class TestPredictive:
         model = one_row(5.0, 0.5, 1.1)
         rng = Rng.for_purpose(3, "one-draw")
         first = model.draw(rng, 1)
-        again = model.draw(rng.clone(), 1)
+        again = model.draw(Rng(rng.seed, rng.stream_id), 1)
         assert first.shape == (1, 1)
         assert np.array_equal(first, again)
 
@@ -453,7 +453,7 @@ class TestQMatrixSampling:
         post = self.posterior(5, 4)
         rng = Rng.for_purpose(7, "q-repro")
         first = post.draw(rng, 1)
-        again = post.draw(rng.clone(), 1)
+        again = post.draw(Rng(rng.seed, rng.stream_id), 1)
         assert np.array_equal(first, again)
 
     def test_draw_stack_shape_and_determinism(self):
@@ -464,7 +464,7 @@ class TestQMatrixSampling:
         stack = post.draw(rng, 25)
         assert stack.shape == (25, 2, 2)
         assert np.all((stack > 0.0) & (stack < 1.0))
-        assert np.array_equal(stack, post.draw(rng.clone(), 25))
+        assert np.array_equal(stack, post.draw(Rng(rng.seed, rng.stream_id), 25))
 
     def test_draw_stack_count_validated(self):
         post = self.posterior(2, 2)
