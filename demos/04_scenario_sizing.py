@@ -54,9 +54,7 @@ capacities = StudentTRhs.from_nig(rows, posts, x_ctx)
 rhs_draws = capacities.draw(draw_rng, n_scen)
 
 base = LpProblem([4.0, 3.0], [], [(0.0, 30.0), (0.0, 30.0)])
-stacked, log = solve_scenario_lp(
-    base, np.broadcast_to(rows, (n_scen, 2, 2)), ("<=", "<="), rhs_draws
-)
+stacked, log = solve_scenario_lp(base, capacities, rhs_draws)
 print(f"\n{n_scen} scenarios enforced: plan",
       np.round(stacked.x, 4), "profit", round(stacked.objective_value, 4))
 print(f"row generation added {log.total_cuts} of {2 * n_scen} scenario rows "

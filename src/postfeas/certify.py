@@ -1,12 +1,14 @@
 """Monte Carlo feasibility certificates.
 
 A candidate decision is replayed against M posterior draws, and a
-stack of decisions is scored on one shared set of them.  A draw counts
-as a violation unless every constraint residual is <= 0, with no
-tolerance (the raw sign of the residual decides, and a NaN residual is
-a violation).  The binomial count s then gives an exact one-sided
-Clopper-Pearson upper confidence bound on the posterior violation
-probability.
+stack of decisions is scored on one shared set of them.  A model needs
+only draw(rng, count) and residuals(x, batch); the built-in families
+derive residuals from their as_rows, the rows scenario programs
+enforce.  A draw counts as a violation unless every constraint
+residual is <= 0, with no tolerance (the raw sign of the residual
+decides, and a NaN residual is a violation).  The binomial count s
+then gives an exact one-sided Clopper-Pearson upper confidence bound on
+the posterior violation probability.
 
 Draws come in blocks of BLOCK: draw j belongs to block j // BLOCK, and
 every block is drawn whole on its own stream derived from the caller's

@@ -134,6 +134,9 @@ class SimConfig:
             kwargs[key] = value
         _check_sizes("SimConfig", kwargs, ("n", "m", "d_ctx", "n_obs", "n_scen",
                                            "m_true", "m_cert", "trials_per_alpha"))
+        n_obs, d_ctx = kwargs.get("n_obs", cls.n_obs), kwargs.get("d_ctx", cls.d_ctx)
+        if n_obs <= d_ctx:  # fit_ols needs more observations than regressors
+            raise DomainError(f"SimConfig n_obs={n_obs} must exceed d_ctx={d_ctx}")
         if "alphas" in kwargs:
             alphas = kwargs["alphas"]
             if not isinstance(alphas, tuple) or not alphas:
@@ -589,10 +592,7 @@ def panel_select(
         [(np.ones(k_genes), "<=", float(cfg.budget))],
         [(0.0, 1.0)] * k_genes,
     )
-    sol, _ = sc.solve_scenario_lp(
-        base, q_draws, (">=",) * j_clusters,
-        np.full((cfg.n_scen, j_clusters), model.threshold),
-    )
+    sol, _ = sc.solve_scenario_lp(base, model, q_draws)
     if sol.status != "Optimal":
         raise PanelInfeasible(
             cluster_ids[worst],

@@ -206,9 +206,9 @@ def problem_from_json(text: str) -> LpProblem:
         objective = doc["maximize"]
         constraints = [(c["row"], c["sense"], c["rhs"]) for c in doc["constraints"]]
         bounds = [(b[0], b[1]) for b in doc["bounds"]]
-    except (KeyError, TypeError, IndexError) as exc:
+        return LpProblem(objective, constraints, bounds)
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise DomainError(f"malformed LP document: {exc}") from exc
-    return LpProblem(objective, constraints, bounds)
 
 
 def solution_to_json(sol: LpSolution) -> str:

@@ -6,13 +6,15 @@ independent Beta-Binomial cells.  A small ordinary-least-squares fit is
 included as the frequentist comparator.
 
 Three posterior models feed scenario programs, robust tightenings and
-certificates, each with draw(rng, count) and residuals(x, batch):
-StudentTRhs (fixed rows, Student-t right-hand sides), GaussianRows
-(jointly Gaussian rows, also the centres and factors of the credible
-ellipsoids) and BetaCoverage (Beta detection cells against a coverage
-floor).  The fits produce these models: StudentTRhs.from_nig and
-StudentTRhs.from_ols turn per-row NIG or OLS fits into the predictive
-at one context, and fit_beta_binomial returns a BetaCoverage.
+certificates: StudentTRhs (fixed rows, Student-t right-hand sides),
+GaussianRows (jointly Gaussian rows, also the centres and factors of
+the credible ellipsoids) and BetaCoverage (Beta detection cells against
+a coverage floor).  Each has draw(rng, count) and as_rows(batch), the
+draws as rows coeff @ x <= rhs; residuals(x, batch) = coeff @ x - rhs
+is derived from as_rows once for all three.  The fits produce these
+models: StudentTRhs.from_nig and StudentTRhs.from_ols turn per-row NIG
+or OLS fits into the predictive at one context, and fit_beta_binomial
+returns a BetaCoverage.
 """
 
 from __future__ import annotations
@@ -239,12 +241,8 @@ def fit_beta_binomial(
 
 
 # ---------------------------------------------------------------------------
-# Posterior models: draw a batch, score residuals
+# Posterior models: draw a batch, state it as rows, score residuals
 # ---------------------------------------------------------------------------
-#
-# Every family offers draw(rng, count), a batch whose first axis indexes
-# the count draws, and residuals(x, batch), a (count, n_constraints)
-# float array that is positive where a draw violates a constraint at x.
 
 
 def _float_array(name: str, value, ndim: int) -> np.ndarray:
@@ -264,8 +262,21 @@ def _check_context(x: np.ndarray, expected: tuple) -> None:
         raise DimensionMismatch(f"context has shape {x.shape}, expected {expected}")
 
 
+class _DrawnRows:
+    """Base of the built-in families.  draw(rng, count) returns a batch
+    whose first axis indexes the draws; as_rows(batch) returns (coeff,
+    rhs), constraint i under draw k being coeff[k, i] @ x <= rhs[k, i]
+    (coeff may leave out the draw axis when the rows are fixed); and
+    residuals(x, batch), (count, n_constraints), is positive where a
+    draw violates a constraint at x."""
+
+    def residuals(self, x: np.ndarray, batch: np.ndarray) -> np.ndarray:
+        coeff, rhs = self.as_rows(batch)
+        return coeff @ x - rhs
+
+
 @dataclass(frozen=True, eq=False)
-class StudentTRhs:
+class StudentTRhs(_DrawnRows):
     """Fixed rows with independent Student-t right-hand sides.
 
     Constraint i is rows[i] @ x <= b_i with b_i ~ loc_i + scale_i t(dof_i).
@@ -330,12 +341,12 @@ class StudentTRhs:
         size = (count, self.dof.size)
         return self.loc + self.scale * stats.student_t_array(rng, self.dof, size)
 
-    def residuals(self, x: np.ndarray, batch: np.ndarray) -> np.ndarray:
-        return (self.rows @ x)[np.newaxis, :] - batch
+    def as_rows(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self.rows, batch
 
 
 @dataclass(frozen=True, eq=False)
-class GaussianRows:
+class GaussianRows(_DrawnRows):
     """Jointly Gaussian rows (a_i, b_i) of constraints a_i @ x <= b_i.
 
     Row i is centers[i] + factors[i] @ z with z standard normal, so
@@ -369,13 +380,14 @@ class GaussianRows:
         noise = stats.normal_array(rng, (count,) + self.centers.shape)
         return self.centers + np.einsum("crk,rjk->crj", noise, self.factors)
 
-    def residuals(self, x: np.ndarray, batch: np.ndarray) -> np.ndarray:
-        return batch @ np.append(x, -1.0)
+    def as_rows(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return batch[..., :-1], batch[..., -1]
 
 
 @dataclass(frozen=True, eq=False)
-class BetaCoverage:
-    """Coverage floors q_j @ x >= threshold with Beta(a, b) cells q_jk."""
+class BetaCoverage(_DrawnRows):
+    """Coverage floors q_j @ x >= threshold with Beta(a, b) cells q_jk,
+    stated as the rows -q_j @ x <= -threshold."""
 
     a: np.ndarray  # (J, K)
     b: np.ndarray  # (J, K)
@@ -401,8 +413,8 @@ class BetaCoverage:
         return stats.beta_array(rng, np.broadcast_to(self.a, shape),
                                 np.broadcast_to(self.b, shape), shape)
 
-    def residuals(self, x: np.ndarray, batch: np.ndarray) -> np.ndarray:
-        return self.threshold - batch @ x
+    def as_rows(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return -batch, np.full(batch.shape[:-1], -self.threshold)
 
 
 # ---------------------------------------------------------------------------

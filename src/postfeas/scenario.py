@@ -16,7 +16,6 @@ from . import stats
 from .errors import CountOutOfRange, DimensionMismatch, DomainError, EmptyInput
 from .lp import (
     FEAS_TOL,
-    SENSES,
     CutLog,
     LpProblem,
     LpSolution,
@@ -68,68 +67,54 @@ def required_sample_size(eps: float, delta: float, d: int) -> int:
 
 
 def solve_scenario_lp(
-    base: LpProblem, coeff, senses, rhs
+    base: LpProblem, model, batch
 ) -> tuple[LpSolution, CutLog]:
-    """Solve base plus the row coeff[k, i] x (senses[i]) rhs[k, i] for
-    every draw k and uncertain row i, by row generation.
+    """Solve base plus all rows of a batch of draws by row generation.
 
-    coeff is (N, m_u, n) and rhs is (N, m_u); fixed coefficient rows with
-    sampled right-hand sides can pass a broadcast view as coeff.  Each
-    round adds, for each uncertain row, the draw not yet added with the
-    largest residual at the incumbent (ties: lowest draw index), if that
-    residual exceeds FEAS_TOL * max(1, |rhs|), a tenth of the residual
-    solve_lp accepts; rounding noise on "=" rows adds nothing.
+    model.as_rows(batch) gives (coeff, rhs): constraint i under draw k is
+    coeff[k, i] @ x <= rhs[k, i], with rhs (N, m_u) and coeff (N, m_u, n)
+    or, for fixed rows, (m_u, n).  Each round adds, for each uncertain
+    row, the draw not yet added with the largest model.residuals at the
+    incumbent (ties: lowest draw index), if that residual exceeds
+    FEAS_TOL * max(1, |rhs|), a tenth of the residual solve_lp accepts.
     A scenario solution is fixed by a few support rows (Calafiore & Campi
     2006), so few of the N * m_u rows are ever added.  If a relaxation is
     Unbounded before every row is in, the stacked LP is solved once, so
     the status returned is always the stacked LP's.
     """
-    coeff = np.asarray(coeff, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    senses = tuple(senses)
-    if coeff.ndim != 3:
-        raise DimensionMismatch("coeff must be (N, m_u, n)")
-    n_draws, m_u, n = coeff.shape
-    if n != base.n:
+    coeff, rhs = (np.asarray(a, dtype=float) for a in model.as_rows(batch))
+    if rhs.ndim != 2 or coeff.shape not in (rhs.shape + (base.n,),
+                                            rhs.shape[1:] + (base.n,)):
         raise DimensionMismatch(
-            f"scenario rows have {n} columns, expected {base.n}"
+            f"scenario rows have shape {coeff.shape} and rhs {rhs.shape}, "
+            f"expected (N, m_u, {base.n}) or (m_u, {base.n}) with (N, m_u)"
         )
-    if rhs.shape != (n_draws, m_u):
-        raise DimensionMismatch(
-            f"rhs has shape {rhs.shape}, expected ({n_draws}, {m_u})"
-        )
-    if len(senses) != m_u:
-        raise DimensionMismatch("one sense per uncertain row required")
-    for s in senses:
-        if s not in SENSES:
-            raise DomainError(f"sense must be one of {SENSES}, got {s!r}")
+    n_draws, m_u = rhs.shape
+    coeff = np.broadcast_to(coeff, (n_draws, m_u, base.n))
     if n_draws == 0:
         raise EmptyInput("a scenario program needs at least one draw")
     if not (np.isfinite(coeff).all() and np.isfinite(rhs).all()):
         raise DomainError("scenario rows and rhs must be finite")
 
-    sign = np.array([-1.0 if s == ">=" else 1.0 for s in senses])
-    equality = np.array([s == "=" for s in senses])
     added = np.zeros((n_draws, m_u), dtype=bool)
     slack = FEAS_TOL * np.maximum(1.0, np.abs(rhs))
 
     def separate(x: np.ndarray) -> tuple[list, float]:
-        resid = np.einsum("kin,n->ki", coeff, x) - rhs
-        resid = np.where(equality, np.abs(resid), sign * resid)
+        resid = np.array(model.residuals(x, batch), dtype=float)
         worst = max(float(resid.max()), 0.0)
         resid[added | (resid <= slack)] = -np.inf
         rows = []
         for i, k in enumerate(np.argmax(resid, axis=0)):
             if resid[k, i] > -np.inf:
                 added[k, i] = True
-                rows.append((coeff[k, i], senses[i], float(rhs[k, i])))
+                rows.append((coeff[k, i], "<=", float(rhs[k, i])))
         return rows, worst
 
     sol, log = solve_cutting_planes(base, separate, n_draws * m_u + 1)
     if sol.status == "Unbounded" and not added.all():
         # a row not yet added may still bound the stacked program
         stacked = base.constraints() + [
-            (coeff[k, i], senses[i], float(rhs[k, i]))
+            (coeff[k, i], "<=", float(rhs[k, i]))
             for i in range(m_u)
             for k in range(n_draws)
         ]

@@ -19,7 +19,12 @@ from postfeas.certify import certify, clopper_pearson_upper, estimate_violation
 from postfeas.cli import main
 from postfeas.experiments import PanelConfig, panel_select
 from postfeas.lp import LpProblem, brute_force_lp, solve_lp
-from postfeas.posterior import GaussianRows, fit_beta_binomial, load_panel_data
+from postfeas.posterior import (
+    GaussianRows,
+    StudentTRhs,
+    fit_beta_binomial,
+    load_panel_data,
+)
 from postfeas.robustify import (
     robustify_rows,
     soc_support,
@@ -185,10 +190,9 @@ def test_criterion_07_cross_oracle_agreement():
         lo = gen.uniform(-3, 0, size=n)
         hi = lo + gen.uniform(0.5, 4.0, size=n)
         base = LpProblem(c, [], list(zip(lo, hi)))
-        stacked, _ = solve_scenario_lp(
-            base, np.broadcast_to(rows, (n_scen, m_u, n)), ("<=",) * m_u,
-            rhs_draws,
-        )
+        fixed = StudentTRhs(rows=rows, dof=np.ones(m_u), loc=np.zeros(m_u),
+                            scale=np.ones(m_u))
+        stacked, _ = solve_scenario_lp(base, fixed, rhs_draws)
         min_rhs = rhs_scenario_min(rhs_draws)
         direct = solve_lp(LpProblem(
             c, [(rows[j], "<=", float(min_rhs[j])) for j in range(m_u)],

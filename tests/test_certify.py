@@ -321,6 +321,25 @@ class TestPosteriorModels:
         with pytest.raises(DomainError):
             GaussianRows(centers=[[0.0, np.nan]], factors=[np.eye(2)])
 
+    def test_residuals_follow_from_rows(self):
+        # the built-in families state draws as rows and share one residual
+        gen = np.random.default_rng(5)
+        x = gen.uniform(0.0, 1.0, 3)
+        rows = gen.normal(size=(2, 3))
+        t_rhs = StudentTRhs(rows=rows, dof=[4.0, 9.0], loc=[1.0, 2.0],
+                            scale=[0.5, 1.5])
+        rhs = gen.normal(size=(6, 2))
+        assert np.array_equal(t_rhs.residuals(x, rhs), rows @ x - rhs)
+        gauss = GaussianRows.from_covs(gen.normal(size=(2, 4)), [np.eye(4)] * 2)
+        batch = gen.normal(size=(6, 2, 4))
+        assert np.allclose(gauss.residuals(x, batch),
+                           batch[..., :3] @ x - batch[..., 3], rtol=0, atol=1e-12)
+        cover = BetaCoverage(a=np.ones((2, 3)), b=np.ones((2, 3)), threshold=0.7)
+        q = gen.uniform(size=(6, 2, 3))
+        assert np.array_equal(cover.residuals(x, q), 0.7 - q @ x)
+        for family in (StudentTRhs, GaussianRows, BetaCoverage):
+            assert "residuals" not in vars(family)
+
 
 def certificate_doc(text):
     """The Certificate a certificate_to_json document describes."""

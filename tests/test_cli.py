@@ -165,6 +165,23 @@ class TestSolve:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [
+        ("bounds", [["a", 1]]),
+        ("maximize", ["x"]),
+        ("rhs", "abc"),
+        ("row", ["abc"]),
+    ], ids=["bounds", "maximize", "rhs", "row"])
+    def test_non_numeric_entry_exit_code(self, tmp_path, capsys, field, value):
+        doc = json.loads(json.dumps(PROBLEM_OPTIMAL))
+        if field in ("rhs", "row"):
+            doc["constraints"][0][field] = value
+        else:
+            doc[field] = value
+        prob = write_json(tmp_path / "prob.json", doc)
+        rc = main(["solve", prob, "--out", str(tmp_path / "s.json")])
+        assert rc == 2
+        assert "malformed LP document" in capsys.readouterr().err
+
     def test_missing_file_exit_code(self, tmp_path):
         rc = main(["solve", str(tmp_path / "absent.json"),
                    "--out", str(tmp_path / "s.json")])
@@ -314,6 +331,14 @@ class TestSim:
         rc = main(["sim", "--config", cfg, "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "SimConfig" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_too_few_observations_exit_code(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "sim.json",
+                         {"trials_per_alpha": 1, "n_obs": 4, "d_ctx": 6})
+        rc = main(["sim", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "n_obs=4 must exceed d_ctx=6" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])

@@ -3,6 +3,10 @@
 import dataclasses
 import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,9 +46,11 @@ from postfeas.posterior import (
     fit_beta_binomial,
     fit_nig,
     fit_ols,
+    load_panel_data,
 )
 from postfeas.scenario import rhs_scenario_min
 from postfeas.stats import Rng, normal_quantile, student_t_quantile
+from test_cli import child_env
 
 # the package's certify function shadows the module of the same name
 certify_module = importlib.import_module("postfeas.certify")
@@ -82,6 +88,7 @@ class TestSimConfig:
         {"x_max": "abc"}, {"x_max": 0.0}, {"x_max": float("inf")},
         {"a_range": [2.0]}, {"p_range": [5.0, 1.0]},
         {"sigma_range": [1.0, float("nan")]},
+        {"trials_per_alpha": 1, "n_obs": 4, "d_ctx": 6}, {"n_obs": 6},
     ])
     def test_out_of_range_values_rejected(self, doc):
         with pytest.raises(DomainError):
@@ -664,6 +671,58 @@ class TestPanelSelect:
         assert np.array_equal(a.relaxed_x, b.relaxed_x)
         assert a.certificate == b.certificate
         assert a.cluster_summaries == b.cluster_summaries
+
+
+DATA_DIR = Path(__file__).parent / "data"
+
+# (fixture, threshold, seed) -> float.hex of PanelResult.relaxed_x at
+# budget 3, 300 scenarios and 2000 certification draws
+FIXTURE_RELAXED_X = {
+    ("panel_simple", 1.5, 2): [
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+        "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+    ],
+    ("panel_binding", 1.2, 11): [
+        "0x1.0000000000000p+0", "0x1.2222ea47e5162p-1", "0x0.0p+0",
+        "0x1.aae9f8f843556p-1", "0x1.32f31cbfd795cp-1", "0x0.0p+0",
+    ],
+}
+
+
+def fixture_relaxed_hex():
+    """float.hex of relaxed_x for each pinned fixture run, as JSON lists."""
+    out = []
+    for fixture, threshold, seed in FIXTURE_RELAXED_X:
+        d = DATA_DIR / fixture
+        data = load_panel_data(d / "detections.csv", d / "clusters.csv",
+                               d / "weights.csv")
+        cfg = PanelConfig(budget=3, threshold=threshold, n_scen=300,
+                          m_cert=2000, beta=0.05)
+        post = fit_beta_binomial(data.detected, data.cluster_sizes, threshold)
+        res = panel_select(data.weights, post, cfg, Rng.for_purpose(seed, "panel"),
+                           gene_ids=data.genes, cluster_ids=data.clusters)
+        out.append([float(v).hex() for v in res.relaxed_x])
+    return out
+
+
+class TestFixtureReplayBits:
+    """Byte-for-byte replay of the relaxed panel on the bundled fixtures."""
+
+    def test_relaxed_x_bits_pinned(self):
+        assert fixture_relaxed_hex() == list(FIXTURE_RELAXED_X.values())
+
+    def test_same_bits_under_one_and_two_blas_threads(self):
+        code = ("import json\n"
+                "from test_experiments import fixture_relaxed_hex\n"
+                "print(json.dumps(fixture_relaxed_hex()))\n")
+        for threads in ("1", "2"):
+            env = child_env(OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] += os.pathsep + str(Path(__file__).resolve().parent)
+            proc = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            assert json.loads(proc.stdout.splitlines()[-1]) == list(
+                FIXTURE_RELAXED_X.values()), threads
 
 
 @pytest.fixture(scope="module")

@@ -14,6 +14,7 @@ from postfeas.errors import (
     EmptyInput,
 )
 from postfeas.lp import LpProblem, solve_lp
+from postfeas.posterior import BetaCoverage, GaussianRows, StudentTRhs
 from postfeas.scenario import (
     required_sample_size,
     rhs_scenario_min,
@@ -88,26 +89,31 @@ class TestViolationBound:
             assert abs(violation_bound(n, eps, d) - float(exact)) <= 1e-12
 
 
-def stacked_lp(base, coeff, senses, rhs):
-    """Reference: base plus every sampled row, stacked in one LP."""
-    n_draws, m_u, _ = coeff.shape
+def stacked_lp(base, coeff, sense, rhs):
+    """Reference: base plus every sampled row coeff[k, i] x (sense) rhs[k, i]."""
+    n_draws, m_u = rhs.shape
+    coeff = np.broadcast_to(coeff, (n_draws, m_u, base.n))
     rows = [
-        (coeff[k, i], senses[i], float(rhs[k, i]))
+        (coeff[k, i], sense, float(rhs[k, i]))
         for i in range(m_u)
         for k in range(n_draws)
     ]
     return LpProblem(base.objective, base.constraints() + rows, base.bounds())
 
 
-def worst_residual(coeff, senses, rhs, x):
-    """Largest violation of any sampled row at x."""
-    resid = np.einsum("kin,n->ki", coeff, x) - rhs
-    for i, sense in enumerate(senses):
-        if sense == ">=":
-            resid[:, i] = -resid[:, i]
-        elif sense == "=":
-            resid[:, i] = np.abs(resid[:, i])
-    return float(resid.max())
+def fixed_rows(rows):
+    """Fixed rows whose rhs batches the tests write by hand."""
+    m_u = len(rows)
+    return StudentTRhs(rows=rows, dof=np.ones(m_u), loc=np.zeros(m_u),
+                       scale=np.ones(m_u))
+
+
+def general_rows(coeff, rhs):
+    """A GaussianRows model and the batch whose draw k is coeff[k] x <= rhs[k]."""
+    _, m_u, n = coeff.shape
+    model = GaussianRows(centers=np.zeros((m_u, n + 1)),
+                         factors=np.broadcast_to(np.eye(n + 1), (m_u, n + 1, n + 1)))
+    return model, np.concatenate([coeff, rhs[..., np.newaxis]], axis=-1)
 
 
 def rhs_only_instance(gen, n, m_u, n_draws, xmax=5.0):
@@ -115,8 +121,27 @@ def rhs_only_instance(gen, n, m_u, n_draws, xmax=5.0):
     rows = gen.uniform(0.1, 2.0, (m_u, n))
     rhs = gen.uniform(1.0, 4.0, (n_draws, m_u))
     base = LpProblem(c, [], [(0.0, xmax)] * n)
-    coeff = np.broadcast_to(rows, (n_draws, m_u, n))
-    return base, coeff, rows, rhs
+    return base, fixed_rows(rows), rows, rhs
+
+
+def family_instance(family):
+    """A base LP, a posterior model of the family and 50 of its draws."""
+    rng = Rng.for_purpose(90, "scenario-family", family)
+    gen = np.random.default_rng(90)
+    n = 4
+    c = gen.uniform(0.5, 2.0, n)
+    base = LpProblem(c, [], [(0.0, 3.0)] * n)
+    if family == "StudentTRhs":
+        model = StudentTRhs(rows=gen.uniform(0.1, 2.0, (3, n)), dof=[5.0] * 3,
+                            loc=[4.0] * 3, scale=[0.5] * 3)
+    elif family == "GaussianRows":
+        centers = np.append(gen.uniform(0.5, 1.5, (3, n)), [[4.0]] * 3, axis=1)
+        model = GaussianRows(centers=centers, factors=[0.1 * np.eye(n + 1)] * 3)
+    else:
+        model = BetaCoverage(a=gen.uniform(2.0, 8.0, (3, n)),
+                             b=gen.uniform(2.0, 8.0, (3, n)), threshold=0.5)
+        base = LpProblem(c, [(np.ones(n), "<=", 2.0)], [(0.0, 1.0)] * n)
+    return base, model, model.draw(rng, 50)
 
 
 class TestBuildScenarioLp:
@@ -126,11 +151,10 @@ class TestBuildScenarioLp:
         # Fixed rows: the most violated draw of a row is its smallest rhs,
         # which implies every other draw, so one round adds all it needs.
         gen = np.random.default_rng(71)
-        base, coeff, _, rhs = rhs_only_instance(gen, 3, 4, 25)
-        senses = ("<=",) * 4
-        reference = stacked_lp(base, coeff, senses, rhs)
+        base, model, rows, rhs = rhs_only_instance(gen, 3, 4, 25)
+        reference = stacked_lp(base, rows, "<=", rhs)
         assert reference.m == 4 * 25
-        sol, log = solve_scenario_lp(base, coeff, senses, rhs)
+        sol, log = solve_scenario_lp(base, model, rhs)
         ref = solve_lp(reference)
         assert sol.status == ref.status == "Optimal"
         assert sol.objective_value == pytest.approx(ref.objective_value, abs=1e-9)
@@ -139,8 +163,8 @@ class TestBuildScenarioLp:
 
     def test_single_nominal_draw_equals_nominal_lp(self):
         gen = np.random.default_rng(72)
-        base, coeff, rows, rhs = rhs_only_instance(gen, 3, 2, 1)
-        a, _ = solve_scenario_lp(base, coeff, ("<=", "<="), rhs)
+        base, model, rows, rhs = rhs_only_instance(gen, 3, 2, 1)
+        a, _ = solve_scenario_lp(base, model, rhs)
         nominal = LpProblem(
             base.objective,
             [(rows[i], "<=", rhs[0, i]) for i in range(2)],
@@ -153,43 +177,55 @@ class TestBuildScenarioLp:
 
     def test_solution_satisfies_every_draw(self):
         gen = np.random.default_rng(73)
-        base, coeff, _, rhs = rhs_only_instance(gen, 4, 3, 40)
-        sol, _ = solve_scenario_lp(base, coeff, ("<=",) * 3, rhs)
+        base, model, rows, rhs = rhs_only_instance(gen, 4, 3, 40)
+        sol, _ = solve_scenario_lp(base, model, rhs)
         assert sol.status == "Optimal"
-        residual = coeff @ sol.x - rhs
+        residual = rows @ sol.x - rhs
         assert float(residual.max()) <= 1e-8
 
-    @pytest.mark.parametrize("sense", ["<=", ">=", "="])
+    @pytest.mark.parametrize("sense", ["<=", ">="])
     def test_each_sense_matches_stacked_lp(self, sense):
-        # Coefficients vary across draws.  "=" draws all pass through
-        # one point in their row's active coordinates, so the stacked
-        # program stays feasible.
-        gen = np.random.default_rng({"<=": 81, ">=": 82, "=": 83}[sense])
+        # Coefficients vary across draws: "<=" rows come as a GaussianRows
+        # batch, ">=" rows as the coverage floors of a BetaCoverage.
+        gen = np.random.default_rng({"<=": 81, ">=": 82}[sense])
         n, m_u, n_draws = 4, 2, 60
         point = gen.uniform(0.5, 1.5, n)
+        optimal = 0
         for _ in range(10):
             c = gen.normal(size=n)
             base = LpProblem(c, [(np.ones(n), "<=", 6.0)], [(0.0, 3.0)] * n)
             coeff = gen.uniform(0.1, 2.0, (n_draws, m_u, n))
-            if sense == "=":
-                coeff[:, :, 2:] = 0.0
-                rhs = coeff @ point
-            else:
+            if sense == "<=":
                 rhs = coeff @ point + gen.uniform(-0.3, 0.3, (n_draws, m_u))
-            senses = (sense,) * m_u
-            sol, log = solve_scenario_lp(base, coeff, senses, rhs)
-            ref = solve_lp(stacked_lp(base, coeff, senses, rhs))
+                model, batch = general_rows(coeff, rhs)
+            else:
+                floor = float((coeff @ point).min() + gen.uniform(-0.3, 0.3))
+                rhs = np.full((n_draws, m_u), floor)
+                model = BetaCoverage(a=np.ones((m_u, n)), b=np.ones((m_u, n)),
+                                     threshold=floor)
+                batch = coeff
+            sol, log = solve_scenario_lp(base, model, batch)
+            ref = solve_lp(stacked_lp(base, coeff, sense, rhs))
             assert sol.status == ref.status
             if ref.status == "Optimal":
+                optimal += 1
                 assert sol.objective_value == pytest.approx(
                     ref.objective_value, abs=1e-9
                 )
-                assert worst_residual(coeff, senses, rhs, sol.x) <= 1e-8
+                assert float(model.residuals(sol.x, batch).max()) <= 1e-8
                 assert log.total_cuts <= n_draws * m_u
-                if sense == "=":
-                    # one draw per row fixes the point; the rest agree with
-                    # it up to rounding, which adds no row
-                    assert log.total_cuts <= m_u
+        assert optimal > 0
+
+    @pytest.mark.parametrize("family", ["StudentTRhs", "GaussianRows",
+                                        "BetaCoverage"])
+    def test_matches_stacked_rows_of_each_family(self, family):
+        base, model, batch = family_instance(family)
+        coeff, rhs = model.as_rows(batch)
+        sol, _ = solve_scenario_lp(base, model, batch)
+        ref = solve_lp(stacked_lp(base, coeff, "<=", rhs))
+        assert sol.status == ref.status == "Optimal"
+        assert sol.objective_value == pytest.approx(ref.objective_value, abs=1e-9)
+        assert float(model.residuals(sol.x, batch).max()) <= 1e-8
 
     def test_unbounded_relaxation_solves_stacked_lp(self):
         # x is bounded only by the scenario rows: the first relaxation is
@@ -198,17 +234,18 @@ class TestBuildScenarioLp:
         base = LpProblem(np.array([1.0, 2.0]), [], [(0.0, None), (0.0, None)])
         coeff = gen.uniform(0.5, 2.0, (30, 2, 2))
         rhs = gen.uniform(1.0, 3.0, (30, 2))
-        senses = ("<=", "<=")
-        sol, log = solve_scenario_lp(base, coeff, senses, rhs)
-        ref = solve_lp(stacked_lp(base, coeff, senses, rhs))
+        model, batch = general_rows(coeff, rhs)
+        sol, log = solve_scenario_lp(base, model, batch)
+        ref = solve_lp(stacked_lp(base, coeff, "<=", rhs))
         assert sol.status == ref.status == "Optimal"
         assert sol.objective_value == pytest.approx(ref.objective_value, abs=1e-9)
-        assert worst_residual(coeff, senses, rhs, sol.x) <= 1e-8
+        assert float(model.residuals(sol.x, batch).max()) <= 1e-8
         assert log.total_cuts == 60
         # rows that leave a direction open keep the stacked status
         coeff[:, :, 1] = 0.0
-        sol, _ = solve_scenario_lp(base, coeff, senses, rhs)
-        assert sol.status == solve_lp(stacked_lp(base, coeff, senses, rhs)).status
+        model, batch = general_rows(coeff, rhs)
+        sol, _ = solve_scenario_lp(base, model, batch)
+        assert sol.status == solve_lp(stacked_lp(base, coeff, "<=", rhs)).status
         assert sol.status == "Unbounded"
 
     def test_stacked_matches_min_rhs_reduction(self):
@@ -217,8 +254,8 @@ class TestBuildScenarioLp:
             n = int(gen.integers(2, 5))
             m_u = int(gen.integers(1, 4))
             n_draws = int(gen.integers(2, 60))
-            base, coeff, rows, rhs = rhs_only_instance(gen, n, m_u, n_draws)
-            stacked, _ = solve_scenario_lp(base, coeff, ("<=",) * m_u, rhs)
+            base, model, rows, rhs = rhs_only_instance(gen, n, m_u, n_draws)
+            stacked, _ = solve_scenario_lp(base, model, rhs)
             b_min = rhs_scenario_min(rhs)
             reduced = solve_lp(
                 LpProblem(
@@ -235,44 +272,46 @@ class TestBuildScenarioLp:
     def test_column_mismatch_rejected(self):
         base = LpProblem(np.array([1.0, 1.0]), [], [(0.0, 1.0)] * 2)
         with pytest.raises(DimensionMismatch):
-            solve_scenario_lp(base, np.ones((2, 1, 3)), ("<=",), np.ones((2, 1)))
+            solve_scenario_lp(base, fixed_rows(np.ones((1, 3))), np.ones((2, 1)))
 
     def test_validation(self):
         base = LpProblem(np.ones(3), [], [(0.0, 1.0)] * 3)
+        model = fixed_rows(np.ones((2, 3)))
         with pytest.raises(DimensionMismatch):
-            solve_scenario_lp(base, np.ones((4, 2)), ("<=",), np.ones((4, 2)))
+            solve_scenario_lp(base, model, np.ones(2))
         with pytest.raises(DimensionMismatch):
-            solve_scenario_lp(base, np.ones((4, 2, 3)), ("<=", "<="),
-                              np.ones((4, 3)))
+            solve_scenario_lp(base, model, np.ones((4, 3)))
+
+        class LostDraw:
+            # as_rows whose coefficients have one draw more than rhs
+            def as_rows(self, batch):
+                return np.ones((5, 2, 3)), batch
+
         with pytest.raises(DimensionMismatch):
-            solve_scenario_lp(base, np.ones((4, 2, 3)), ("<=",), np.ones((4, 2)))
-        with pytest.raises(DomainError):
-            solve_scenario_lp(base, np.ones((4, 2, 3)), ("<=", "<<"),
-                              np.ones((4, 2)))
+            solve_scenario_lp(base, LostDraw(), np.ones((4, 2)))
         with pytest.raises(EmptyInput):
-            solve_scenario_lp(base, np.ones((0, 2, 3)), ("<=", "<="),
-                              np.ones((0, 2)))
-        with pytest.raises(DimensionMismatch):
-            solve_scenario_lp(base, np.broadcast_to(np.ones((2, 3)), (4, 2, 3)),
-                              ("<=", "<="), np.ones((4, 3)))
+            solve_scenario_lp(base, model, np.ones((0, 2)))
+        with pytest.raises(EmptyInput):
+            solve_scenario_lp(base, *general_rows(np.ones((0, 2, 3)),
+                                                  np.ones((0, 2))))
         for bad in (math.nan, math.inf):
             coeff = np.ones((4, 2, 3))
             coeff[3, 1, 0] = bad
             with pytest.raises(DomainError):
-                solve_scenario_lp(base, coeff, ("<=", "<="), np.ones((4, 2)))
+                solve_scenario_lp(base, *general_rows(coeff, np.ones((4, 2))))
             rhs = np.ones((4, 2))
             rhs[2, 0] = bad
             with pytest.raises(DomainError):
-                solve_scenario_lp(base, np.ones((4, 2, 3)), ("<=", "<="), rhs)
+                solve_scenario_lp(base, model, rhs)
+            with pytest.raises(DomainError):
+                solve_scenario_lp(base, *general_rows(np.ones((4, 2, 3)), rhs))
 
     def test_more_scenarios_never_help(self):
         gen = np.random.default_rng(76)
-        base, coeff, _, rhs = rhs_only_instance(gen, 3, 2, 50)
+        base, model, _, rhs = rhs_only_instance(gen, 3, 2, 50)
         objs = []
         for n_draws in (5, 15, 50):
-            sol, _ = solve_scenario_lp(
-                base, coeff[:n_draws], ("<=", "<="), rhs[:n_draws]
-            )
+            sol, _ = solve_scenario_lp(base, model, rhs[:n_draws])
             assert sol.status == "Optimal"
             objs.append(sol.objective_value)
         assert objs[0] >= objs[1] - 1e-12
@@ -287,11 +326,11 @@ class TestBuildScenarioLp:
         reps = 500
         rng = Rng.for_purpose(2026, "scenario-toy")
         base = LpProblem(np.array([1.0]), [], [(-8.0, 8.0)])
-        coeff = np.ones((n_draws, 1, 1))
+        model = fixed_rows(np.ones((1, 1)))
         bad = 0
         for _ in range(reps):
             draws = normal_array(rng, (n_draws, 1))
-            sol, _ = solve_scenario_lp(base, coeff, ("<=",), draws)
+            sol, _ = solve_scenario_lp(base, model, draws)
             assert sol.status == "Optimal"
             assert sol.x[0] == pytest.approx(float(draws.min()), abs=1e-9)
             if scipy.stats.norm.cdf(sol.x[0]) > eps:
