@@ -18,7 +18,6 @@ from postfeas import (
     StudentTRhs,
     fit_nig,
     required_sample_size,
-    rhs_scenario_min,
     solve_lp,
     solve_scenario_lp,
     violation_bound,
@@ -62,7 +61,7 @@ print(f"row generation added {log.total_cuts} of {2 * n_scen} scenario rows "
 
 # With fixed coefficient rows, enforcing all draws equals enforcing the
 # componentwise worst draw; the two routes must coincide.
-worst = rhs_scenario_min(rhs_draws)
+worst = rhs_draws.min(axis=0)
 direct = solve_lp(LpProblem(
     base.objective,
     [(rows[j], "<=", float(worst[j])) for j in range(2)],

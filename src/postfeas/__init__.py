@@ -9,7 +9,7 @@ bounded-variable simplex solver, and reproducible benchmark and panel
 selection pipelines on top.
 """
 
-from .certify import (
+from .certification import (
     Certificate,
     certificate_to_json,
     certify,
@@ -83,7 +83,6 @@ from .robustify import (
 )
 from .scenario import (
     required_sample_size,
-    rhs_scenario_min,
     solve_scenario_lp,
     violation_bound,
 )
@@ -106,7 +105,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # certify
+    # certification
     "Certificate", "certificate_to_json", "certify",
     "clopper_pearson_upper", "estimate_violation",
     # errors
@@ -133,8 +132,7 @@ __all__ = [
     "rhs_quantile_tighten", "robustify_rows", "soc_support",
     "solve_robust_cutting_planes",
     # scenario
-    "required_sample_size", "rhs_scenario_min", "solve_scenario_lp",
-    "violation_bound",
+    "required_sample_size", "solve_scenario_lp", "violation_bound",
     # stats
     "Rng", "beta_quantile", "binomial_tail", "chi2_quantile",
     "derive_stream_id", "log_choose", "log_gamma", "normal_cdf",

@@ -8,7 +8,9 @@ enforce.  A draw counts as a violation unless every constraint
 residual is <= 0, with no tolerance (the raw sign of the residual
 decides, and a NaN residual is a violation).  The binomial count s
 then gives an exact one-sided Clopper-Pearson upper confidence bound on
-the posterior violation probability.
+the posterior violation probability.  For a BetaCoverage the violation
+is 0 or 1 given the coverages, so that certificate already bounds the
+posterior probability that the decision is infeasible.
 
 Draws come in blocks of BLOCK: draw j belongs to block j // BLOCK, and
 every block is drawn whole on its own stream derived from the caller's
@@ -149,7 +151,12 @@ def certify(
     beta: float,
     rng: stats.Rng,
 ) -> Certificate:
-    """Certificate of one decision: estimate_violation on a stack of one."""
+    """Certificate of one decision: estimate_violation on a stack of one.
+
+    beta is checked before any draw is made.
+    """
+    if not 0.0 < beta < 1.0:
+        raise DomainError(f"beta must be in (0, 1), got {beta!r}")
     s, counts = estimate_violation(np.asarray(x, dtype=float)[np.newaxis],
                                    model, m_draws, rng)
     return Certificate.from_counts(s[0], counts[0], m_draws, beta)

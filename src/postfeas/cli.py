@@ -28,7 +28,7 @@ from . import experiments as ex
 from . import posterior as po
 from . import scenario as sc
 from . import stats, svg
-from .certify import (
+from .certification import (
     Certificate,
     certificate_to_json,
     certify as run_certify,
@@ -187,7 +187,7 @@ def _cmd_sim(args) -> int:
                       "posterior violation estimate", "true violation rate")
     outputs.append("calibration_scatter.svg")
     _write_manifest(out_dir, "sim",
-                    {**json.loads(cfg.to_json()), "jobs": args.jobs},
+                    {**asdict(cfg), "jobs": args.jobs},
                     cfg.master_seed, outputs, started)
     n_ok = sum(1 for r in records if r.status == "Optimal")
     for row in overall:
@@ -328,7 +328,7 @@ def _cmd_panel(args) -> int:
             print(f"warning: cluster {s.cluster} has mean coverage {s.mean!r}, "
                   f"below the threshold {cfg.threshold!r}", file=sys.stderr)
     _write_manifest(out_dir, "panel",
-                    {**json.loads(cfg.to_json()),
+                    {**asdict(cfg),
                      "detections": str(args.detections),
                      "clusters": str(args.clusters),
                      "weights": str(args.weights)},

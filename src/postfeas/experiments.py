@@ -25,14 +25,14 @@ import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
 from . import posterior as po
 from . import scenario as sc
 from . import stats
-from .certify import (
+from .certification import (
     Certificate,
     draw_blocks,
     estimate_violation,
@@ -72,14 +72,14 @@ _LOG = logging.getLogger("postfeas.experiments")
 _CERT_BETA = 0.05  # confidence level of per-trial posterior certificates
 
 
-def _check_sizes(kind: str, doc: dict, keys) -> None:
-    """Each size present in doc must be an integer >= 1."""
+def _check_sizes(cfg, keys) -> None:
+    """Each named field of cfg must be an integer >= 1."""
     for key in keys:
-        if key not in doc:
-            continue
-        value = doc[key]
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise DomainError(f"{kind} {key} must be an integer >= 1, got {value!r}")
+        value = getattr(cfg, key)
+        if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+            raise DomainError(
+                f"{type(cfg).__name__} {key} must be an integer >= 1, got {value!r}"
+            )
 
 
 def _finite(value) -> bool:
@@ -93,9 +93,29 @@ def _check_open_unit(kind: str, key: str, value) -> None:
         raise DomainError(f"{kind} {key} must lie in (0, 1), got {value!r}")
 
 
+def _from_json(cls, text: str):
+    """cls(**doc) for a JSON object; lists become tuples, cls checks values."""
+    kind = cls.__name__
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise DomainError(f"{kind} document is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DomainError(f"{kind} document must be a JSON object")
+    unknown = set(doc) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise DomainError(f"unknown {kind} keys {sorted(unknown)}")
+    return cls(**{key: tuple(value) if isinstance(value, list) else value
+                  for key, value in doc.items()})
+
+
 @dataclass(frozen=True)
 class SimConfig:
-    """Benchmark dimensions and instance-generating distributions."""
+    """Benchmark dimensions and instance-generating distributions.
+
+    Every field is checked on construction, however the config is built;
+    a bad value raises DomainError.
+    """
 
     n: int = 18
     m: int = 7
@@ -114,50 +134,36 @@ class SimConfig:
     slope_range: tuple[float, float] = (-2.0, 2.0)
     sigma_range: tuple[float, float] = (3.0, 9.0)
 
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self))
+    from_json = classmethod(_from_json)
 
-    @classmethod
-    def from_json(cls, text: str) -> "SimConfig":
-        try:
-            doc = json.loads(text)
-        except ValueError as exc:
-            raise DomainError(f"SimConfig document is not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise DomainError("SimConfig document must be a JSON object")
-        kwargs = {}
-        for key, value in doc.items():
-            if key not in cls.__dataclass_fields__:
-                raise DomainError(f"unknown SimConfig key {key!r}")
-            if isinstance(value, list):
-                value = tuple(value)
-            kwargs[key] = value
-        _check_sizes("SimConfig", kwargs, ("n", "m", "d_ctx", "n_obs", "n_scen",
-                                           "m_true", "m_cert", "trials_per_alpha"))
-        n_obs, d_ctx = kwargs.get("n_obs", cls.n_obs), kwargs.get("d_ctx", cls.d_ctx)
-        if n_obs <= d_ctx:  # fit_ols needs more observations than regressors
-            raise DomainError(f"SimConfig n_obs={n_obs} must exceed d_ctx={d_ctx}")
-        if "alphas" in kwargs:
-            alphas = kwargs["alphas"]
-            if not isinstance(alphas, tuple) or not alphas:
-                raise DomainError("SimConfig alphas must be a non-empty list")
-            for alpha in alphas:
-                _check_open_unit("SimConfig", "alphas", alpha)
-        seed = kwargs.get("master_seed", 0)
-        if isinstance(seed, bool) or not isinstance(seed, int):
+    def __post_init__(self):
+        _check_sizes(self, ("n", "m", "d_ctx", "n_obs", "n_scen", "m_true",
+                            "m_cert", "trials_per_alpha"))
+        # fit_ols needs more observations than regressors
+        if self.n_obs <= self.d_ctx:
+            raise DomainError(
+                f"SimConfig n_obs={self.n_obs} must exceed d_ctx={self.d_ctx}"
+            )
+        if not isinstance(self.alphas, tuple) or not self.alphas:
+            raise DomainError(f"SimConfig alphas must be a non-empty tuple "
+                              f"(a list in JSON), got {self.alphas!r}")
+        for alpha in self.alphas:
+            _check_open_unit("SimConfig", "alphas", alpha)
+        seed = self.master_seed
+        if isinstance(seed, bool) or not isinstance(seed, Integral):
             raise DomainError(f"SimConfig master_seed must be an integer, got {seed!r}")
-        x_max = kwargs.get("x_max", 1.0)
-        if not _finite(x_max) or x_max <= 0.0:
-            raise DomainError(f"SimConfig x_max must be a positive number, got {x_max!r}")
+        if not _finite(self.x_max) or self.x_max <= 0.0:
+            raise DomainError(
+                f"SimConfig x_max must be a positive number, got {self.x_max!r}"
+            )
         for key in ("a_range", "p_range", "intercept_range", "slope_range",
                     "sigma_range"):
-            pair = kwargs.get(key, (0.0, 0.0))
+            pair = getattr(self, key)
             if (not isinstance(pair, tuple) or len(pair) != 2
                     or not all(_finite(v) for v in pair) or pair[0] > pair[1]):
                 raise DomainError(
                     f"SimConfig {key} must be [lo, hi] with lo <= hi, got {pair!r}"
                 )
-        return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -239,7 +245,7 @@ def _tightened_rhs(method: str, instance: SimInstance, model: po.StudentTRhs,
         return rhs_quantile_tighten(model, alpha)
     if method == "PS":
         scen_rng = stats.Rng.for_purpose(rng.seed, rng.stream_id, "scenario")
-        return sc.rhs_scenario_min(model.draw(scen_rng, cfg.n_scen))
+        return model.draw(scen_rng, cfg.n_scen).min(axis=0)
     if method == "FPQ":
         fits = [po.fit_ols(instance.design, instance.observations[:, j])
                 for j in range(cfg.m)]
@@ -441,35 +447,24 @@ def write_overall_csv(path, overall: list[dict]) -> None:
 
 @dataclass(frozen=True)
 class PanelConfig:
+    """Panel size, coverage floor and draw counts, checked on construction."""
+
     budget: int = 30
     threshold: float = 8.0
     n_scen: int = 300
     m_cert: int = 4000
     beta: float = 0.05
 
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self))
+    from_json = classmethod(_from_json)
 
-    @classmethod
-    def from_json(cls, text: str) -> "PanelConfig":
-        try:
-            doc = json.loads(text)
-        except ValueError as exc:
-            raise DomainError(f"PanelConfig document is not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise DomainError("PanelConfig document must be a JSON object")
-        unknown = set(doc) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise DomainError(f"unknown PanelConfig keys {sorted(unknown)}")
-        _check_sizes("PanelConfig", doc, ("budget", "n_scen", "m_cert"))
-        if "beta" in doc:
-            _check_open_unit("PanelConfig", "beta", doc["beta"])
-        if not _finite(doc.get("threshold", 0.0)):
+    def __post_init__(self):
+        _check_sizes(self, ("budget", "n_scen", "m_cert"))
+        _check_open_unit("PanelConfig", "beta", self.beta)
+        if not _finite(self.threshold):
             raise DomainError(
                 f"PanelConfig threshold must be a finite number, "
-                f"got {doc['threshold']!r}"
+                f"got {self.threshold!r}"
             )
-        return cls(**doc)
 
 
 @dataclass(frozen=True)

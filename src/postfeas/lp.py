@@ -657,9 +657,10 @@ def solve_cutting_planes(
 _BF_MAX_N = 6
 _BF_MAX_ROWS = 24
 _BF_BOX = 1e7
+_BF_FEAS_TOL = 1e-9  # relative slack a vertex may leave on a row
 
 
-def _enumerate_best(hyperplanes, feas_rows, n, objective, tol_feas):
+def _enumerate_best(hyperplanes, feas_rows, n, objective):
     """Max of objective over feasible intersections of n hyperplanes.
 
     hyperplanes: list of (coef, rhs) candidate active rows.
@@ -687,7 +688,7 @@ def _enumerate_best(hyperplanes, feas_rows, n, objective, tol_feas):
         ok = True
         for coef, sense, rhs in feas_rows:
             r = float(coef @ x) - rhs
-            allow = tol_feas * max(1.0, abs(rhs), float(np.abs(coef @ x)))
+            allow = _BF_FEAS_TOL * max(1.0, abs(rhs), float(np.abs(coef @ x)))
             if sense == "<=" and r > allow:
                 ok = False
                 break
@@ -706,7 +707,7 @@ def _enumerate_best(hyperplanes, feas_rows, n, objective, tol_feas):
     return best_val, best_x, solved
 
 
-def brute_force_lp(problem: LpProblem, tol_feas: float = 1e-9) -> LpSolution:
+def brute_force_lp(problem: LpProblem) -> LpSolution:
     """Reference solve by enumerating candidate vertices.
 
     Guard limits: n <= 6 and rows + finite bounds <= 24.  A large box is
@@ -738,7 +739,7 @@ def brute_force_lp(problem: LpProblem, tol_feas: float = 1e-9) -> LpSolution:
             feas.append((eye[j], "<=", float(hi)))
         else:
             hyper.append((eye[j], _BF_BOX))
-    best_val, best_x, solved = _enumerate_best(hyper, feas, n, problem.objective, tol_feas)
+    best_val, best_x, solved = _enumerate_best(hyper, feas, n, problem.objective)
     if best_x is None:
         return LpSolution("Infeasible", None, None, solved)
     # recession check on the unit box: any improving ray means unbounded
@@ -759,9 +760,8 @@ def brute_force_lp(problem: LpProblem, tol_feas: float = 1e-9) -> LpSolution:
         rec_hyper.append((eye[j], 1.0))
         rec_feas.append((eye[j], ">=", -1.0))
         rec_feas.append((eye[j], "<=", 1.0))
-    rec_val, rec_x, solved2 = _enumerate_best(
-        rec_hyper, rec_feas, n, problem.objective, tol_feas
-    )
+    rec_val, rec_x, solved2 = _enumerate_best(rec_hyper, rec_feas, n,
+                                              problem.objective)
     if rec_x is not None and rec_val > 1e-9 * max(1.0, float(np.abs(problem.objective).max())):
         return LpSolution("Unbounded", None, None, solved + solved2)
     return LpSolution("Optimal", _readonly(best_x), best_val, solved + solved2)

@@ -133,8 +133,9 @@ def solve_robust_cutting_planes(rlp: RobustLp) -> tuple[LpSolution, CutLog]:
     Row generation whose separation oracle evaluates every robust row's
     support at the incumbent and cuts with the maximizing row u* wherever
     the support exceeds 1e-7.  Terminates when no row separates; raises
-    MaxRoundsExceeded after 500 relaxations.  A non-optimal relaxation
-    status is returned as is.
+    MaxRoundsExceeded after 500 relaxations.  An Unbounded relaxation
+    raises DomainError: it has no incumbent to separate at, so the base
+    LP must bound the decision.  An Infeasible one is returned as is.
     """
 
     def separate(x: np.ndarray) -> tuple[list, float]:
@@ -143,7 +144,13 @@ def solve_robust_cutting_planes(rlp: RobustLp) -> tuple[LpSolution, CutLog]:
                 for value, u in zip(values, maximizers) if value > _CUT_TOL]
         return cuts, max(0.0, *values.tolist())
 
-    return solve_cutting_planes(rlp.base, separate, _MAX_ROUNDS)
+    sol, log = solve_cutting_planes(rlp.base, separate, _MAX_ROUNDS)
+    if sol.status == "Unbounded":
+        raise DomainError(
+            "a relaxation of the robust program is unbounded, so no robust row "
+            "could be separated; the base LP must bound the decision"
+        )
+    return sol, log
 
 
 def rhs_quantile_tighten(model: StudentTRhs, alpha: float) -> np.ndarray:

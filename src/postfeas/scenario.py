@@ -27,7 +27,6 @@ __all__ = [
     "required_sample_size",
     "violation_bound",
     "solve_scenario_lp",
-    "rhs_scenario_min",
 ]
 
 
@@ -123,17 +122,3 @@ def solve_scenario_lp(
                      log.cuts_per_round + [int((~added).sum())],
                      log.final_max_support)
     return sol, log
-
-
-def rhs_scenario_min(rhs_draws) -> np.ndarray:
-    """Componentwise minimum of right-hand-side draws.
-
-    For "<=" rows with fixed coefficients, enforcing all N draws equals
-    enforcing the single row with this minimal rhs.
-    """
-    draws = np.asarray(rhs_draws, dtype=float)
-    if draws.ndim == 1:
-        draws = draws[:, np.newaxis]
-    if draws.ndim != 2 or draws.shape[0] == 0:
-        raise EmptyInput("rhs_scenario_min needs at least one draw")
-    return draws.min(axis=0)

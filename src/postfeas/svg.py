@@ -120,7 +120,7 @@ def bar_chart(path, labels, values, title, ylabel, target=None):
     c.write(path)
 
 
-def scatter_chart(path, groups, title, xlabel, ylabel, diagonal=True):
+def scatter_chart(path, groups, title, xlabel, ylabel):
     """Scatter of (x, y) points per named group with a legend.
 
     groups maps label -> (xs, ys); the dashed diagonal marks y = x.
@@ -139,8 +139,7 @@ def scatter_chart(path, groups, title, xlabel, ylabel, diagonal=True):
         c.line(x, bottom, x, bottom + 4)
         c.text(x, bottom + 16, f"{frac * v_max:g}", size=10, anchor="middle")
     c.text((left + right) / 2, height - 12, xlabel, size=11, anchor="middle")
-    if diagonal:
-        c.line(left, bottom, right, top, stroke="#333333", dashed=True)
+    c.line(left, bottom, right, top, stroke="#333333", dashed=True)
     for gi, (label, (xs, ys)) in enumerate(groups.items()):
         color = _PALETTE[gi % len(_PALETTE)]
         for x, y in zip(xs, ys):

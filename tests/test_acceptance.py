@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from postfeas.certify import certify, clopper_pearson_upper, estimate_violation
+from postfeas.certification import certify, clopper_pearson_upper, estimate_violation
 from postfeas.cli import main
 from postfeas.experiments import PanelConfig, panel_select
 from postfeas.lp import LpProblem, brute_force_lp, solve_lp
@@ -32,7 +32,6 @@ from postfeas.robustify import (
 )
 from postfeas.scenario import (
     required_sample_size,
-    rhs_scenario_min,
     solve_scenario_lp,
     violation_bound,
 )
@@ -193,7 +192,7 @@ def test_criterion_07_cross_oracle_agreement():
         fixed = StudentTRhs(rows=rows, dof=np.ones(m_u), loc=np.zeros(m_u),
                             scale=np.ones(m_u))
         stacked, _ = solve_scenario_lp(base, fixed, rhs_draws)
-        min_rhs = rhs_scenario_min(rhs_draws)
+        min_rhs = rhs_draws.min(axis=0)
         direct = solve_lp(LpProblem(
             c, [(rows[j], "<=", float(min_rhs[j])) for j in range(m_u)],
             list(zip(lo, hi)),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from postfeas.certify import (
+from postfeas.certification import (
     BLOCK,
     Certificate,
     certificate_to_json,
@@ -452,6 +452,30 @@ class TestCertify:
             per_constraint_rates=(0.01, 0.02),
         )
         assert certificate_doc(certificate_to_json(with_rates)) == with_rates
+
+    def test_draw_blocks_patchable_by_attribute_path(self, monkeypatch):
+        seen = []
+        real = draw_blocks
+
+        def counting(model, m_draws, rng):
+            seen.append(m_draws)
+            return real(model, m_draws, rng)
+
+        monkeypatch.setattr("postfeas.certification.draw_blocks", counting)
+        s, _ = estimate_violation(np.zeros((1, 1)), uniform_rhs(0.5, 1.5), 300,
+                                  Rng.for_purpose(16, "cert-patch"))
+        assert seen == [300]
+        assert s.tolist() == [0]
+
+    @pytest.mark.parametrize("beta", [2.0, 0.0, 1.0, float("nan")])
+    def test_beta_checked_before_drawing(self, monkeypatch, beta):
+        def no_draws(*args):
+            raise AssertionError("certify drew before checking beta")
+
+        monkeypatch.setattr("postfeas.certification.draw_blocks", no_draws)
+        with pytest.raises(DomainError, match="beta"):
+            certify(np.zeros(1), uniform_rhs(0.5, 1.5), 3_000_000, beta,
+                    Rng.for_purpose(17, "cert-beta"))
 
     def test_repeat_run_identical(self):
         rng = Rng.for_purpose(15, "cert-repeat")

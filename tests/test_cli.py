@@ -446,6 +446,23 @@ class TestCertify:
         se = math.sqrt(target * (1 - target) / 4000)
         assert abs(cert["v_hat"] - target) <= 4 * se
 
+    def test_bad_beta_exits_before_drawing(self, tmp_path, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("certify drew before checking beta")
+
+        monkeypatch.setattr("postfeas.certification.draw_blocks", no_draws)
+        sol = write_json(tmp_path / "sol.json", SOLUTION_1D)
+        model = write_json(tmp_path / "model.json", {
+            "family": "gaussian_rows",
+            "blocks": [{"center": [0.0, 1.0],
+                        "cov": [[0.25, 0.0], [0.0, 0.25]]}],
+        })
+        rc = main(["certify", "--solution", sol, "--model", model,
+                   "--M", "3000000", "--beta", "2",
+                   "--out", str(tmp_path / "certificate.json")])
+        assert rc == 2
+        assert not (tmp_path / "certificate.json").exists()
+
     def test_gaussian_family_accepts_psd_covariance(self, tmp_path):
         # The coefficient a = 1 is known exactly (zero variance) and
         # b ~ N(2, 0.25), so at x = 1 the violation probability is

@@ -1,7 +1,6 @@
 """Tests for the simulation benchmark and the panel-selection pipeline."""
 
 import dataclasses
-import importlib
 import json
 import os
 import subprocess
@@ -11,9 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import postfeas.certification as certification_module
 import postfeas.experiments as experiments_module
 from postfeas import stats
-from postfeas.certify import BLOCK, certify
+from postfeas.certification import BLOCK, certify
 from postfeas.errors import (
     DimensionMismatch,
     DomainError,
@@ -48,12 +48,8 @@ from postfeas.posterior import (
     fit_ols,
     load_panel_data,
 )
-from postfeas.scenario import rhs_scenario_min
 from postfeas.stats import Rng, normal_quantile, student_t_quantile
 from test_cli import child_env
-
-# the package's certify function shadows the module of the same name
-certify_module = importlib.import_module("postfeas.certify")
 
 FAST = dict(
     n=8, m=3, d_ctx=3, n_obs=40, n_scen=60, m_true=800, m_cert=800,
@@ -73,7 +69,7 @@ class TestSimConfig:
 
     def test_json_round_trip(self):
         cfg = SimConfig(n=5, alphas=(0.02, 0.2), master_seed=7)
-        assert SimConfig.from_json(cfg.to_json()) == cfg
+        assert SimConfig.from_json(json.dumps(dataclasses.asdict(cfg))) == cfg
 
     def test_unknown_key_rejected(self):
         with pytest.raises(DomainError):
@@ -93,6 +89,20 @@ class TestSimConfig:
     def test_out_of_range_values_rejected(self, doc):
         with pytest.raises(DomainError):
             SimConfig.from_json(json.dumps(doc))
+        # a config built in Python passes the same checks
+        with pytest.raises(DomainError):
+            SimConfig(**{key: tuple(value) if isinstance(value, list) else value
+                         for key, value in doc.items()})
+
+    def test_replace_is_checked(self):
+        with pytest.raises(DomainError):
+            dataclasses.replace(SimConfig(), n_scen=0)
+        with pytest.raises(DomainError):
+            dataclasses.replace(SimConfig(), alphas=(1.5,))
+
+    def test_numpy_integers_accepted(self):
+        cfg = SimConfig(n=np.int64(5), master_seed=np.int32(7))
+        assert (cfg.n, cfg.master_seed) == (5, 7)
 
 
 class TestGenInstance:
@@ -182,7 +192,7 @@ class TestTightenedRhs:
         out = _tightened_rhs("PS", inst, model, 0.05, cfg, Rng(rng.seed, rng.stream_id))
         scen_rng = Rng.for_purpose(rng.seed, rng.stream_id, "scenario")
         draws = model.draw(scen_rng, cfg.n_scen)
-        assert np.array_equal(out, rhs_scenario_min(draws))
+        assert np.array_equal(out, draws.min(axis=0))
         assert np.all(out[np.newaxis, :] <= draws)
         pm = _tightened_rhs("PM", inst, model, 0.05, cfg, Rng(rng.seed, rng.stream_id))
         assert np.all(out < pm)
@@ -314,7 +324,7 @@ class TestRunTrial:
         cfg = dataclasses.replace(cfg, m_cert=1500)
         expect = run_trial(inst, model, 0.05, cfg, Rng(rng.seed, rng.stream_id))
         passes, blocks, true_draws = [], [], []
-        real_blocks, real_normal = certify_module.draw_blocks, stats.normal_array
+        real_blocks, real_normal = certification_module.draw_blocks, stats.normal_array
 
         def counting_blocks(model, m_draws, rng):
             passes.append(m_draws)
@@ -327,7 +337,7 @@ class TestRunTrial:
                 true_draws.append(size)
             return real_normal(rng, size)
 
-        monkeypatch.setattr(certify_module, "draw_blocks", counting_blocks)
+        monkeypatch.setattr(certification_module, "draw_blocks", counting_blocks)
         monkeypatch.setattr(stats, "normal_array", counting_normal)
         recs = run_trial(inst, model, 0.05, cfg, Rng(rng.seed, rng.stream_id))
         assert [r.status for r in recs] == ["Optimal"] * len(METHODS)
@@ -400,8 +410,16 @@ class TestRunBenchmark:
             assert row["n"] == cfg.trials_per_alpha * len(cfg.alphas)
             assert "vtrue_sd" not in row
 
-    def test_failing_method_recorded_not_raised(self):
-        cfg = SimConfig(**{**FAST, "n_scen": 0, "trials_per_alpha": 1})
+    def test_failing_method_recorded_not_raised(self, monkeypatch):
+        real = experiments_module._tightened_rhs
+
+        def failing_ps(method, *args):
+            if method == "PS":
+                raise RuntimeError("scenario step failed")
+            return real(method, *args)
+
+        monkeypatch.setattr(experiments_module, "_tightened_rhs", failing_ps)
+        cfg = SimConfig(**{**FAST, "trials_per_alpha": 1})
         recs = run_benchmark(cfg)
         by_method = {}
         for r in recs:
@@ -481,7 +499,7 @@ class TestPanelConfig:
 
     def test_json_round_trip(self):
         cfg = PanelConfig(budget=5, threshold=2.5, m_cert=1000)
-        assert PanelConfig.from_json(cfg.to_json()) == cfg
+        assert PanelConfig.from_json(json.dumps(dataclasses.asdict(cfg))) == cfg
 
     def test_unknown_key_rejected(self):
         with pytest.raises(DomainError):
@@ -499,6 +517,9 @@ class TestPanelConfig:
     def test_out_of_range_values_rejected(self, text):
         with pytest.raises(DomainError):
             PanelConfig.from_json(text)
+        # a config built in Python passes the same checks
+        with pytest.raises(DomainError):
+            PanelConfig(**json.loads(text))
 
 
 def concentrated_posterior(means, threshold, total=1e10):

@@ -12,7 +12,7 @@ from postfeas.errors import (
     RankDeficient,
     SingularPrecision,
 )
-from postfeas.certify import draw_blocks
+from postfeas.certification import draw_blocks
 from postfeas.posterior import (
     BetaCoverage,
     NigPrior,

@@ -12,7 +12,7 @@ import pytest
 import scipy.stats
 from scipy.optimize import linprog
 
-from postfeas.certify import certify
+from postfeas.certification import certify
 from postfeas.errors import (
     DimensionMismatch,
     DomainError,
@@ -458,6 +458,20 @@ class TestCuttingPlanes:
         sol, log = solve_robust_cutting_planes(robustify_rows(base, rows, 0.1))
         assert sol.status == "Infeasible"
         assert log.rounds == 1
+
+    def test_unbounded_relaxation_raises(self):
+        # With x >= 0 and no rows the first relaxation is unbounded, so no
+        # robust row can be separated; the same row with a slack box solves.
+        rows = [(np.array([1.0, 1.0, 4.0]), 0.01 * np.eye(3))]
+        open_base = LpProblem([1.0, 1.0], [], [(0.0, None), (0.0, None)])
+        with pytest.raises(DomainError, match="must bound the decision"):
+            solve_robust_cutting_planes(robustify_rows(open_base, rows, 0.1))
+        sol, log = solve_robust_cutting_planes(
+            robustify_rows(box_base([1.0, 1.0], 100.0), rows, 0.1)
+        )
+        assert sol.status == "Optimal"
+        assert sol.objective_value == pytest.approx(3.3561224694930765, abs=1e-12)
+        assert log.rounds == 14
 
     def test_rounds_never_call_solve_lp(self, monkeypatch):
         calls = []

@@ -17,7 +17,6 @@ from postfeas.lp import LpProblem, solve_lp
 from postfeas.posterior import BetaCoverage, GaussianRows, StudentTRhs
 from postfeas.scenario import (
     required_sample_size,
-    rhs_scenario_min,
     solve_scenario_lp,
     violation_bound,
 )
@@ -256,7 +255,7 @@ class TestBuildScenarioLp:
             n_draws = int(gen.integers(2, 60))
             base, model, rows, rhs = rhs_only_instance(gen, n, m_u, n_draws)
             stacked, _ = solve_scenario_lp(base, model, rhs)
-            b_min = rhs_scenario_min(rhs)
+            b_min = rhs.min(axis=0)
             reduced = solve_lp(
                 LpProblem(
                     base.objective,
@@ -337,25 +336,3 @@ class TestBuildScenarioLp:
                 bad += 1
         assert bad / reps <= delta + 3.0 * math.sqrt(delta * (1 - delta) / reps)
 
-
-class TestRhsScenarioMin:
-    def test_single_draw_identity(self):
-        draw = np.array([[3.0, 1.0, 2.0]])
-        assert np.array_equal(rhs_scenario_min(draw), draw[0])
-
-    def test_componentwise_lower_bound(self):
-        gen = np.random.default_rng(77)
-        draws = gen.normal(size=(17, 5))
-        out = rhs_scenario_min(draws)
-        assert out.shape == (5,)
-        assert np.all(out[np.newaxis, :] <= draws)
-        assert np.array_equal(out, draws.min(axis=0))
-
-    def test_scalar_sequence(self):
-        assert np.array_equal(rhs_scenario_min([3.0, 1.0, 2.0]), [1.0])
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyInput):
-            rhs_scenario_min(np.zeros((0, 3)))
-        with pytest.raises(EmptyInput):
-            rhs_scenario_min([])
