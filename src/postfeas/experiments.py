@@ -520,13 +520,14 @@ def panel_certify_detail(
     flags = np.concatenate(flags)
     cert = Certificate.from_counts(flags.any(axis=1).sum(), flags.sum(axis=0),
                                    cfg.m_cert, cfg.beta)
+    q05, median, q95 = np.quantile(coverage, [0.05, 0.5, 0.95], axis=0)
     summaries = tuple(
         ClusterSummary(
             cluster=str(cluster_ids[j]),
             mean=float(coverage[:, j].mean()),
-            q05=float(np.quantile(coverage[:, j], 0.05)),
-            median=float(np.quantile(coverage[:, j], 0.5)),
-            q95=float(np.quantile(coverage[:, j], 0.95)),
+            q05=float(q05[j]),
+            median=float(median[j]),
+            q95=float(q95[j]),
             violation_rate=float(flags[:, j].mean()),
         )
         for j in range(j_clusters)

@@ -409,9 +409,7 @@ class BetaCoverage(_DrawnRows):
 
     def draw(self, rng: stats.Rng, count: int) -> np.ndarray:
         """(count, J, K) detection-probability matrices."""
-        shape = (count,) + self.a.shape
-        return stats.beta_array(rng, np.broadcast_to(self.a, shape),
-                                np.broadcast_to(self.b, shape), shape)
+        return stats.beta_array(rng, self.a, self.b, (count,) + self.a.shape)
 
     def as_rows(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return -batch, np.full(batch.shape[:-1], -self.threshold)

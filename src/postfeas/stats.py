@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import CountOutOfRange, DomainError
+from .errors import CountOutOfRange, DimensionMismatch, DomainError
 
 __all__ = [
     "log_gamma",
@@ -485,26 +485,71 @@ def gamma_array(rng: Rng, shape_param, size=None) -> np.ndarray:
     """Gamma(shape, 1) draws via the Marsaglia-Tsang squeeze.
 
     shape < 1 is handled with the boost Gamma(a) = Gamma(a+1) * U^(1/a).
-    Vectorized: rejection rounds run over the whole pending set at once,
-    so the draw sequence is a deterministic function of the stream.
+    The shape parameter must be finite and positive and broadcast to
+    ``size`` (default: its own shape).
+
+    Draw protocol, pinned by ``tests/test_stats.py::TestSamplerStream``;
+    with n elements in ``size``:
+
+    1. Round one draws n normals, then n uniforms, one of each per
+       element in C order over ``size``.
+    2. Each later round draws as many normals, then as many uniforms, as
+       there are still-rejected elements, one per element in index
+       order.
+    3. Last, one boost uniform per element with shape < 1, in C order.
     """
     gen = rng.generator
     shp = np.asarray(shape_param, dtype=float)
+    if not np.all(np.isfinite(shp) & (shp > 0.0)):
+        raise DomainError("gamma_array requires finite shape > 0")
     if size is None:
         size = shp.shape
-    shp = np.broadcast_to(shp, size)
-    if shp.size and not np.all(shp > 0.0):
-        raise DomainError("gamma_array requires shape > 0")
-    flat_shape = shp.ravel()
-    n = flat_shape.size
-    out = np.empty(n, dtype=float)
+    try:
+        size = np.broadcast_to(shp, size).shape
+    except ValueError:
+        raise DimensionMismatch(
+            f"gamma_array shape parameter of shape {shp.shape} does not "
+            f"broadcast to size {size!r}"
+        ) from None
+    n = math.prod(size)
     if n == 0:
-        return out.reshape(size)
-    small = flat_shape < 1.0
-    work = np.where(small, flat_shape + 1.0, flat_shape)
+        return np.empty(size)
+    small = shp < 1.0
+    work = np.where(small, shp + 1.0, shp)
     d = work - 1.0 / 3.0
     c = 1.0 / np.sqrt(9.0 * d)
-    pending = np.arange(n)
+    # Round one covers every element, so it runs on whole arrays with the
+    # parameters broadcast and no gathers.  A 0-d size runs as (1,): numpy
+    # returns scalars, not arrays, from ufuncs on 0-d operands.
+    dims = size if size else (1,)
+    x = gen.standard_normal(n).reshape(dims)
+    u = gen.random(n).reshape(dims)
+    cv = c * x
+    cv += 1.0
+    v = cv * cv
+    v *= cv
+    out = d * v
+    x2 = np.multiply(x, x, out=x)
+    squeeze = np.multiply(0.0331, x2, out=cv)
+    squeeze *= x2
+    np.subtract(1.0, squeeze, out=squeeze)
+    # v <= 0 needs x <= -3 sqrt(d) <= -2.449 (d >= 2/3), where the squeeze
+    # bound 1 - 0.0331 x^4 is below -0.19: so the squeeze needs no v > 0
+    # guard, and only the elements it rejects reach the log test.
+    pending = np.flatnonzero(np.greater_equal(u, squeeze))
+    out_flat = out.reshape(-1)
+    if pending.size:
+        c = np.broadcast_to(c, dims).ravel()
+        d = np.broadcast_to(d, dims).ravel()
+        v = v.reshape(-1)[pending]
+        u = u.reshape(-1)[pending]
+        x2 = x2.reshape(-1)[pending]
+        pos = v > 0.0
+        safe_v = np.where(pos, v, 1.0)
+        accept = pos & (
+            np.log(u) < 0.5 * x2 + d[pending] * (1.0 - safe_v + np.log(safe_v))
+        )
+        pending = pending[~accept]
     while pending.size:
         x = gen.standard_normal(pending.size)
         u = gen.random(pending.size)
@@ -519,11 +564,12 @@ def gamma_array(rng: Rng, shape_param, size=None) -> np.ndarray:
             | (np.log(u) < 0.5 * x2 + d[pending] * (1.0 - safe_v + np.log(safe_v)))
         )
         idx = pending[accept]
-        out[idx] = d[idx] * v[accept]
+        out_flat[idx] = d[idx] * v[accept]
         pending = pending[~accept]
     if np.any(small):
-        k = int(np.count_nonzero(small))
-        boost = gen.random(k) ** (1.0 / flat_shape[small])
+        small = np.broadcast_to(small, dims)
+        boost = gen.random(int(np.count_nonzero(small)))
+        boost **= np.broadcast_to(1.0 / shp, dims)[small]
         out[small] *= boost
     return out.reshape(size)
 
@@ -534,8 +580,8 @@ def beta_array(rng: Rng, a, b, size=None) -> np.ndarray:
     b_arr = np.asarray(b, dtype=float)
     if size is None:
         size = np.broadcast_shapes(a_arr.shape, b_arr.shape)
-    g1 = gamma_array(rng, np.broadcast_to(a_arr, size))
-    g2 = gamma_array(rng, np.broadcast_to(b_arr, size))
+    g1 = gamma_array(rng, a_arr, size)
+    g2 = gamma_array(rng, b_arr, size)
     return g1 / (g1 + g2)
 
 
@@ -546,8 +592,8 @@ def student_t_array(rng: Rng, dof, size) -> np.ndarray:
     call draws every row of a multi-row predictive at once.
     """
     dof = np.asarray(dof, dtype=float)
-    if not np.all(dof > 0.0):
-        raise DomainError(f"student_t_array requires dof > 0, got {dof!r}")
+    if not np.all(np.isfinite(dof) & (dof > 0.0)):
+        raise DomainError(f"student_t_array requires finite dof > 0, got {dof!r}")
     z = rng.generator.standard_normal(size)
     chi2 = 2.0 * gamma_array(rng, 0.5 * dof, np.shape(z))
     return z / np.sqrt(chi2 / dof)

@@ -13,7 +13,7 @@ import pytest
 import postfeas.certification as certification_module
 import postfeas.experiments as experiments_module
 from postfeas import stats
-from postfeas.certification import BLOCK, certify
+from postfeas.certification import BLOCK, certify, draw_blocks
 from postfeas.errors import (
     DimensionMismatch,
     DomainError,
@@ -565,6 +565,30 @@ class TestPanelCertifyDetail:
         replay = certify(np.ones(2), post, cfg.m_cert, cfg.beta, Rng(rng.seed, rng.stream_id))
         assert cert == replay
         assert 0 < cert.s < cfg.m_cert
+
+    def test_cluster_quantiles_match_per_level_calls(self):
+        # one np.quantile call over all levels and clusters gives the bits
+        # of one call per level and cluster
+        det = np.array([[30.0, 25.0, 20.0], [18.0, 35.0, 22.0], [26.0, 24.0, 28.0]])
+        cfg = PanelConfig(budget=3, threshold=1.5, m_cert=2500)
+        post = fit_beta_binomial(det, np.array([50.0, 50.0, 50.0]), cfg.threshold)
+        x_sel = np.array([1.0, 0.0, 1.0])
+        rng = Rng.for_purpose(66, "panel-quantiles")
+        _, summaries = panel_certify_detail(x_sel, post, cfg, rng)
+        coverage = np.concatenate(
+            [batch @ x_sel for batch in draw_blocks(post, cfg.m_cert, rng)]
+        )
+        for j, summary in enumerate(summaries):
+            got = (summary.q05, summary.median, summary.q95)
+            want = tuple(float(np.quantile(coverage[:, j], q)) for q in (0.05, 0.5, 0.95))
+            assert got == want
+        noise = np.random.default_rng(66)
+        for n in (1, 2, 7, 20, 1001):
+            sample = noise.random((n, 4)).round(1 if n == 20 else 17)
+            together = np.quantile(sample, [0.05, 0.5, 0.95], axis=0)
+            for i, q in enumerate((0.05, 0.5, 0.95)):
+                for j in range(4):
+                    assert together[i, j].tobytes() == np.quantile(sample[:, j], q).tobytes()
 
     def test_cluster_ids_and_determinism(self):
         cfg = PanelConfig(budget=2, threshold=1.0, m_cert=600)

@@ -1,5 +1,6 @@
 """Special functions, quantiles, and the seeded sampling layer."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import pytest
 import scipy.integrate
 import scipy.stats
 
-from postfeas.errors import CountOutOfRange, DomainError
+from postfeas.errors import CountOutOfRange, DimensionMismatch, DomainError
 from postfeas.stats import (
     Rng,
     beta_array,
@@ -368,6 +369,30 @@ class TestSamplers:
         with pytest.raises(DomainError):
             gamma_array(r, -1.0, (3,))
 
+    def test_non_finite_parameters_rejected(self):
+        r = Rng.for_purpose(43, "non-finite")
+        for bad in (np.inf, np.nan, np.array([2.0, np.inf])):
+            with pytest.raises(DomainError):
+                gamma_array(r, bad, (4, 2))
+            with pytest.raises(DomainError):
+                student_t_array(r, bad, (4, 2))
+        with pytest.raises(DomainError):
+            beta_array(r, 2.0, np.inf, (3,))
+        # checked on the parameter, even when no element is drawn from it
+        with pytest.raises(DomainError):
+            gamma_array(r, np.array([1.0, np.inf]), (0, 2))
+
+    def test_size_must_hold_the_parameter_shape(self):
+        r = Rng.for_purpose(43, "bad-size")
+        with pytest.raises(DimensionMismatch):
+            gamma_array(r, np.ones(3), (4,))
+        with pytest.raises(DimensionMismatch):
+            gamma_array(r, np.ones((3, 30)), (1024, 30, 3))
+        with pytest.raises(DimensionMismatch):
+            beta_array(r, np.ones(3), np.ones(3), (4,))
+        with pytest.raises(DimensionMismatch):
+            student_t_array(r, np.ones(3), (5, 4))
+
     def test_beta_broadcasting(self):
         r = Rng.for_purpose(4, "bc")
         a = np.array([[2.0, 30.0], [5.0, 1.0]])
@@ -375,3 +400,82 @@ class TestSamplers:
         draws = beta_array(r, a, b)
         assert draws.shape == (2, 2)
         assert np.all((draws > 0) & (draws < 1))
+
+
+_PIN_MIXED = np.tile([0.05, 0.3, 0.9, 1.0, 2.5, 17.0], 3)
+_PIN_GRID_A = np.linspace(0.2, 40.0, 90).reshape(3, 30)
+_PIN_GRID_B = np.linspace(60.0, 0.5, 90).reshape(3, 30)
+
+# name -> (draw, output shape, sha256 of the output bytes, next uniform)
+_PIN_CASES = {
+    # shape 0.3 reaches both the v <= 0 guard and the shape < 1 boost
+    "gamma_0.3": (
+        lambda r: gamma_array(r, 0.3, (50000,)), (50000,),
+        "0d375235bcca320294774dd09abd4b79a0e37c3ac1aadc2ee447d8c7d1a0a699",
+        0.8890055276747577,
+    ),
+    "gamma_1.0": (
+        lambda r: gamma_array(r, 1.0, (50000,)), (50000,),
+        "8b26f448bf64ea1e86ac96e61f3625c4e205ae04f9fb83429af9f7f06d8a665d",
+        0.4842170653642568,
+    ),
+    "gamma_4.7": (
+        lambda r: gamma_array(r, 4.7, (50000,)), (50000,),
+        "2fbed1f52fc26fc07b3ac42b48cc1984502adc56cc604aeebb4d0757cc76eae9",
+        0.685056519060683,
+    ),
+    "gamma_400": (
+        lambda r: gamma_array(r, 400.0, (50000,)), (50000,),
+        "9c0963c99bc8fd8791e69452bf56bd2238f1ed4571a5ff6af7b5699d4d4d03c3",
+        0.46984935370783687,
+    ),
+    "gamma_mixed": (
+        lambda r: gamma_array(r, _PIN_MIXED, (2000, 18)), (2000, 18),
+        "74b41729e97729bd87335ddb26a52542cc9d0732436d1ead1de878608ca0b271",
+        0.8171585533235292,
+    ),
+    "gamma_grid": (
+        lambda r: gamma_array(r, _PIN_GRID_A, (1024, 3, 30)), (1024, 3, 30),
+        "2e8be6780c516717b80458a58b9f4bce01b2c9905b15ab2f7755be997b9cec25",
+        0.3637544512570343,
+    ),
+    "gamma_size_none": (
+        lambda r: gamma_array(r, 2.5), (),
+        "85b96c6094cc5073fe73724b2b2836115e9b8e9f53a866ca1251eab73fe5bdb0",
+        0.04969379740249846,
+    ),
+    "gamma_empty": (
+        lambda r: gamma_array(r, _PIN_GRID_A, (0, 3, 30)), (0, 3, 30),
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        0.9366519893641901,
+    ),
+    "beta_grid": (
+        lambda r: beta_array(r, _PIN_GRID_A, _PIN_GRID_B, (1024, 3, 30)),
+        (1024, 3, 30),
+        "2c901aaae96b01898a089c481fe869cdbe798faefcbe64bde0f6a8632875fc1a",
+        0.9085603973089645,
+    ),
+    "student_t_rows": (
+        lambda r: student_t_array(r, np.array([0.7, 3.0, 30.0]), (4000, 3)),
+        (4000, 3),
+        "b2804c27cb406f867478ff23cd71e7899d1cf99620c544465ec1a1cb47d3ca62",
+        0.3478943498290685,
+    ),
+}
+
+
+class TestSamplerStream:
+    """The samplers' draw protocol, pinned: each case fixes the output
+    bytes and the position the generator is left at (its next uniform),
+    so a rewrite of a sampler must consume the same normals and uniforms
+    in the same order and return bit-identical values."""
+
+    @pytest.mark.parametrize("name", sorted(_PIN_CASES))
+    def test_stream_pinned(self, name):
+        draw, shape, digest, next_uniform = _PIN_CASES[name]
+        r = Rng.for_purpose(2026, "pin", name)
+        out = draw(r)
+        assert out.shape == shape
+        assert out.dtype == np.float64
+        assert hashlib.sha256(out.tobytes()).hexdigest() == digest
+        assert r.generator.random() == next_uniform
