@@ -481,6 +481,40 @@ def uniform_array(rng: Rng, size) -> np.ndarray:
     return rng.generator.random(size)
 
 
+def _mt_round(x, u, c, d):
+    """One Marsaglia-Tsang round on normals ``x`` and uniforms ``u``.
+
+    ``c`` and ``d`` broadcast against ``x``.  Returns ``(value, rejected)``:
+    the C-ordered proposal ``d * v`` for every element and the C-order flat
+    indices of the elements that fail both the squeeze and the log test.
+    ``x`` is overwritten.
+    """
+    cv = c * x
+    cv += 1.0
+    v = cv * cv
+    v *= cv
+    value = np.multiply(d, v, out=np.empty(v.shape))
+    x2 = np.multiply(x, x, out=x)
+    squeeze = np.multiply(0.0331, x2, out=cv)
+    squeeze *= x2
+    np.subtract(1.0, squeeze, out=squeeze)
+    # v <= 0 needs x <= -3 sqrt(d) <= -2.449 (d >= 2/3), where the squeeze
+    # bound 1 - 0.0331 x^4 is below -0.19: so the squeeze needs no v > 0
+    # guard, and only the elements it rejects reach the log test.
+    rejected = np.flatnonzero(np.greater_equal(u, squeeze))
+    if rejected.size:
+        v = v.reshape(-1)[rejected]
+        pos = v > 0.0
+        safe_v = np.where(pos, v, 1.0)
+        d = np.broadcast_to(d, x.shape)[np.unravel_index(rejected, x.shape)]
+        accept = pos & (
+            np.log(u.reshape(-1)[rejected])
+            < 0.5 * x2.reshape(-1)[rejected] + d * (1.0 - safe_v + np.log(safe_v))
+        )
+        rejected = rejected[~accept]
+    return value, rejected
+
+
 def gamma_array(rng: Rng, shape_param, size=None) -> np.ndarray:
     """Gamma(shape, 1) draws via the Marsaglia-Tsang squeeze.
 
@@ -519,53 +553,24 @@ def gamma_array(rng: Rng, shape_param, size=None) -> np.ndarray:
     d = work - 1.0 / 3.0
     c = 1.0 / np.sqrt(9.0 * d)
     # Round one covers every element, so it runs on whole arrays with the
-    # parameters broadcast and no gathers.  A 0-d size runs as (1,): numpy
-    # returns scalars, not arrays, from ufuncs on 0-d operands.
+    # parameters unbroadcast and no gathers.  A 0-d size runs as (1,):
+    # numpy returns scalars, not arrays, from ufuncs on 0-d operands.
     dims = size if size else (1,)
     x = gen.standard_normal(n).reshape(dims)
     u = gen.random(n).reshape(dims)
-    cv = c * x
-    cv += 1.0
-    v = cv * cv
-    v *= cv
-    out = d * v
-    x2 = np.multiply(x, x, out=x)
-    squeeze = np.multiply(0.0331, x2, out=cv)
-    squeeze *= x2
-    np.subtract(1.0, squeeze, out=squeeze)
-    # v <= 0 needs x <= -3 sqrt(d) <= -2.449 (d >= 2/3), where the squeeze
-    # bound 1 - 0.0331 x^4 is below -0.19: so the squeeze needs no v > 0
-    # guard, and only the elements it rejects reach the log test.
-    pending = np.flatnonzero(np.greater_equal(u, squeeze))
-    out_flat = out.reshape(-1)
+    # Every round writes its proposal for all the elements it covers; the
+    # ones it rejects are overwritten by a later round.
+    out, pending = _mt_round(x, u, c, d)
     if pending.size:
+        out_flat = out.reshape(-1)
         c = np.broadcast_to(c, dims).ravel()
         d = np.broadcast_to(d, dims).ravel()
-        v = v.reshape(-1)[pending]
-        u = u.reshape(-1)[pending]
-        x2 = x2.reshape(-1)[pending]
-        pos = v > 0.0
-        safe_v = np.where(pos, v, 1.0)
-        accept = pos & (
-            np.log(u) < 0.5 * x2 + d[pending] * (1.0 - safe_v + np.log(safe_v))
-        )
-        pending = pending[~accept]
     while pending.size:
         x = gen.standard_normal(pending.size)
         u = gen.random(pending.size)
-        cv = 1.0 + c[pending] * x
-        v = cv * cv * cv
-        pos = v > 0.0
-        x2 = x * x
-        safe_v = np.where(pos, v, 1.0)
-        # squeeze first, exact log test second
-        accept = pos & (
-            (u < 1.0 - 0.0331 * x2 * x2)
-            | (np.log(u) < 0.5 * x2 + d[pending] * (1.0 - safe_v + np.log(safe_v)))
-        )
-        idx = pending[accept]
-        out_flat[idx] = d[idx] * v[accept]
-        pending = pending[~accept]
+        value, rejected = _mt_round(x, u, c[pending], d[pending])
+        out_flat[pending] = value
+        pending = pending[rejected]
     if np.any(small):
         small = np.broadcast_to(small, dims)
         boost = gen.random(int(np.count_nonzero(small)))

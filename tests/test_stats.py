@@ -11,6 +11,7 @@ import scipy.integrate
 import scipy.stats
 
 from postfeas.errors import CountOutOfRange, DimensionMismatch, DomainError
+from postfeas.posterior import BetaCoverage
 from postfeas.stats import (
     Rng,
     beta_array,
@@ -406,6 +407,20 @@ _PIN_MIXED = np.tile([0.05, 0.3, 0.9, 1.0, 2.5, 17.0], 3)
 _PIN_GRID_A = np.linspace(0.2, 40.0, 90).reshape(3, 30)
 _PIN_GRID_B = np.linspace(60.0, 0.5, 90).reshape(3, 30)
 
+
+def _strided(values):
+    wide = np.zeros((values.shape[0], 2 * values.shape[1]))
+    wide[:, ::2] = values
+    return wide[:, ::2]
+
+
+# layout name -> a non-C-contiguous array with the values of its argument
+_LAYOUTS = {
+    "fortran": np.asfortranarray,
+    "strided": _strided,
+    "transposed": lambda values: np.ascontiguousarray(values.T).T,
+}
+
 # name -> (draw, output shape, sha256 of the output bytes, next uniform)
 _PIN_CASES = {
     # shape 0.3 reaches both the v <= 0 guard and the shape < 1 boost
@@ -479,3 +494,23 @@ class TestSamplerStream:
         assert out.dtype == np.float64
         assert hashlib.sha256(out.tobytes()).hexdigest() == digest
         assert r.generator.random() == next_uniform
+
+    @pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+    def test_parameter_layout_keeps_the_draws(self, layout):
+        # the same parameter values in another memory layout give the same
+        # bytes and leave the generator at the same place
+        a = _LAYOUTS[layout](_PIN_GRID_A)
+        b = _LAYOUTS[layout](_PIN_GRID_B)
+        assert np.array_equal(a, _PIN_GRID_A) and not a.flags.c_contiguous
+        draws = {
+            "gamma_grid": lambda r, a, b: gamma_array(r, a, (1024, 3, 30)),
+            "gamma_size_none": lambda r, a, b: gamma_array(r, a),
+            "beta_coverage": lambda r, a, b: BetaCoverage(a, b, 1.0).draw(r, 1024),
+        }
+        for name, draw in draws.items():
+            r_c = Rng.for_purpose(2026, "layout", name)
+            r_other = Rng(r_c.seed, r_c.stream_id)
+            want = draw(r_c, _PIN_GRID_A, _PIN_GRID_B)
+            got = draw(r_other, a, b)
+            assert got.tobytes() == want.tobytes(), name
+            assert r_other.generator.random() == r_c.generator.random(), name
