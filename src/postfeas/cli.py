@@ -278,6 +278,10 @@ def _cmd_certify(args) -> int:
             raise DomainError("solution has no decision vector to certify")
         x = np.asarray(sol.x, dtype=float)
         posterior_model = _MODEL_FAMILIES[family](model, x)
+        if isinstance(posterior_model, po.BetaCoverage):
+            # panel_certify_detail's rule: draw only the genes x selects
+            keep = np.flatnonzero(x)
+            x, posterior_model = x[keep], posterior_model.restrict(keep)
         rng = stats.Rng.for_purpose(args.seed, "certify", family)
         cert = run_certify(x, posterior_model, args.M, args.beta, rng)
     else:

@@ -499,10 +499,14 @@ def panel_certify_detail(
 ) -> tuple[Certificate, tuple[ClusterSummary, ...]]:
     """Certificate plus per-cluster coverage detail on shared draws.
 
-    The same m_cert posterior detection matrices, drawn block by block
-    as in certify, feed both the global violation count and the
-    per-cluster coverage summaries, so max_j rate_j <= v_hat <=
-    sum_j rate_j holds exactly.
+    Only the selected genes' cells are drawn, from
+    model.restrict(flatnonzero(x_sel)): an unselected gene adds exactly
+    0 to every coverage q_j @ x_sel, so the certificate keeps its law
+    and costs m_cert x J x (selected genes) Beta cells, not m_cert x J
+    x K.  The same m_cert draws, block by block as in certify, feed both
+    the global violation count and the per-cluster coverage summaries,
+    so max_j rate_j <= v_hat <= sum_j rate_j holds exactly.  A
+    non-finite x_sel raises DomainError before any draw.
     """
     x_sel = np.asarray(x_sel, dtype=float)
     j_clusters, k_genes = model.a.shape
@@ -510,8 +514,12 @@ def panel_certify_detail(
         raise DimensionMismatch(
             f"selection vector has shape {x_sel.shape}, expected ({k_genes},)"
         )
+    if not np.all(np.isfinite(x_sel)):
+        raise DomainError("every entry of the selection to certify must be finite")
     if cluster_ids is None:
         cluster_ids = _default_ids(j_clusters, "c")
+    keep = np.flatnonzero(x_sel)
+    model, x_sel = model.restrict(keep), x_sel[keep]
     coverage, flags = [], []
     for batch in draw_blocks(model, cfg.m_cert, rng):
         coverage.append(batch @ x_sel)
@@ -549,7 +557,8 @@ def panel_select(
     budget and q^(s)_j' x >= model.threshold for every posterior
     scenario s and cluster j.  The hard panel keeps the budget highest relaxed
     scores (ties: larger weight, then lexicographic gene id) and is
-    certified on fresh draws.
+    certified on fresh draws of the selected genes' cells only (see
+    panel_certify_detail).
     """
     w = np.asarray(weights, dtype=float)
     j_clusters, k_genes = model.a.shape

@@ -411,6 +411,15 @@ class BetaCoverage(_DrawnRows):
         """(count, J, K) detection-probability matrices."""
         return stats.beta_array(rng, self.a, self.b, (count,) + self.a.shape)
 
+    def restrict(self, genes) -> "BetaCoverage":
+        """The model on the gene columns genes (indices, in order) only.
+
+        Its cells are the same independent Betas, so a decision that is
+        zero off genes has the same coverage law under either model.
+        """
+        return BetaCoverage(a=self.a[:, genes], b=self.b[:, genes],
+                            threshold=self.threshold)
+
     def as_rows(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return -batch, np.full(batch.shape[:-1], -self.threshold)
 

@@ -584,7 +584,13 @@ def beta_array(rng: Rng, a, b, size=None) -> np.ndarray:
     a_arr = np.asarray(a, dtype=float)
     b_arr = np.asarray(b, dtype=float)
     if size is None:
-        size = np.broadcast_shapes(a_arr.shape, b_arr.shape)
+        try:
+            size = np.broadcast_shapes(a_arr.shape, b_arr.shape)
+        except ValueError:
+            raise DimensionMismatch(
+                f"beta_array parameters of shapes {a_arr.shape} and "
+                f"{b_arr.shape} do not broadcast together"
+            ) from None
     g1 = gamma_array(rng, a_arr, size)
     g2 = gamma_array(rng, b_arr, size)
     return g1 / (g1 + g2)

@@ -564,6 +564,32 @@ class TestCertify:
         assert paths[0].read_bytes() == paths[1].read_bytes()
         assert paths[0].read_bytes() != paths[2].read_bytes()
 
+    def test_beta_coverage_draws_only_selected_genes(self, tmp_path):
+        # a gene the solution leaves at 0 is not drawn: its parameters do
+        # not matter, and deleting it gives the same certificate bytes
+        sol = write_json(tmp_path / "sol.json", {
+            "status": "Optimal", "x": [1.0, 0.0, 1.0],
+            "objective_value": 2.0, "iterations": 1,
+        })
+        sol_kept = write_json(tmp_path / "sol_kept.json", SOLUTION_2D)
+        docs = {
+            "full": ([[2.0, 2.0, 2.0]], [[2.0, 2.0, 2.0]], sol),
+            "other": ([[2.0, 0.3, 2.0]], [[2.0, 9.0, 2.0]], sol),
+            "deleted": ([[2.0, 2.0]], [[2.0, 2.0]], sol_kept),
+        }
+        certs = {}
+        for name, (a, b, solution) in docs.items():
+            model = write_json(tmp_path / f"{name}.json", {
+                "family": "beta_coverage", "a": a, "b": b, "threshold": 0.9,
+            })
+            out = tmp_path / name / "certificate.json"
+            rc = main(["certify", "--solution", solution, "--model", model,
+                       "--M", "3000", "--seed", "5", "--out", str(out)])
+            assert rc == 0
+            certs[name] = out.read_bytes()
+        assert certs["full"] == certs["other"] == certs["deleted"]
+        assert 0 < read_json(tmp_path / "full" / "certificate.json")["s"] < 3000
+
     def test_unknown_family_exit_code(self, tmp_path, capsys):
         sol = write_json(tmp_path / "sol.json", SOLUTION_1D)
         model = write_json(tmp_path / "model.json", {"family": "cauchy_rows"})

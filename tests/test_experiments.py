@@ -556,13 +556,17 @@ class TestPanelCertifyDetail:
 
     def test_chunked_draws_replayable(self):
         # the panel certificate reads the same block-addressed draws as
-        # certify() on the matching coverage model, across block edges
-        det = np.array([[30.0, 25.0], [18.0, 35.0]])
+        # certify() on the coverage model of the selected genes, across
+        # block edges
+        det = np.array([[30.0, 5.0, 25.0], [18.0, 40.0, 35.0]])
         cfg = PanelConfig(budget=2, threshold=1.0, m_cert=2500)
         post = fit_beta_binomial(det, np.array([50.0, 50.0]), cfg.threshold)
+        x_sel = np.array([1.0, 0.0, 1.0])
         rng = Rng.for_purpose(63, "panel-chunk")
-        cert, _ = panel_certify_detail(np.ones(2), post, cfg, rng)
-        replay = certify(np.ones(2), post, cfg.m_cert, cfg.beta, Rng(rng.seed, rng.stream_id))
+        cert, _ = panel_certify_detail(x_sel, post, cfg, rng)
+        keep = [0, 2]
+        replay = certify(x_sel[keep], post.restrict(keep), cfg.m_cert, cfg.beta,
+                         Rng(rng.seed, rng.stream_id))
         assert cert == replay
         assert 0 < cert.s < cfg.m_cert
 
@@ -575,13 +579,82 @@ class TestPanelCertifyDetail:
         x_sel = np.array([1.0, 0.0, 1.0])
         rng = Rng.for_purpose(66, "panel-quantiles")
         _, summaries = panel_certify_detail(x_sel, post, cfg, rng)
-        coverage = np.concatenate(
-            [batch @ x_sel for batch in draw_blocks(post, cfg.m_cert, rng)]
-        )
+        keep = [0, 2]
+        coverage = np.concatenate([
+            batch @ x_sel[keep]
+            for batch in draw_blocks(post.restrict(keep), cfg.m_cert, rng)
+        ])
         for j, summary in enumerate(summaries):
             got = (summary.q05, summary.median, summary.q95)
             want = tuple(float(np.quantile(coverage[:, j], q)) for q in (0.05, 0.5, 0.95))
             assert got == want
+
+    def test_unselected_gene_parameters_do_not_matter(self):
+        det = np.array([[30.0, 25.0, 20.0, 9.0], [18.0, 35.0, 22.0, 41.0]])
+        cfg = PanelConfig(budget=2, threshold=1.0, m_cert=1500)
+        post = fit_beta_binomial(det, np.array([50.0, 50.0]), cfg.threshold)
+        a, b = post.a.copy(), post.b.copy()
+        a[:, [1, 3]] = [[0.3, 70.0], [12.0, 0.9]]
+        b[:, [1, 3]] = [[5.0, 0.2], [2.0, 33.0]]
+        other = BetaCoverage(a=a, b=b, threshold=post.threshold)
+        x_sel = np.array([1.0, 0.0, 1.0, 0.0])
+        rng = Rng.for_purpose(67, "panel-unselected")
+        got = panel_certify_detail(x_sel, post, cfg, rng)
+        assert panel_certify_detail(x_sel, other, cfg, rng) == got
+        assert 0 < got[0].s < cfg.m_cert
+
+    def test_equals_run_on_model_without_unselected_genes(self):
+        det = np.array([[30.0, 25.0, 20.0, 9.0], [18.0, 35.0, 22.0, 41.0]])
+        cfg = PanelConfig(budget=2, threshold=1.0, m_cert=1500)
+        post = fit_beta_binomial(det, np.array([50.0, 50.0]), cfg.threshold)
+        x_sel = np.array([0.0, 1.0, 0.0, 0.5])
+        deleted = BetaCoverage(a=np.delete(post.a, [0, 2], axis=1),
+                               b=np.delete(post.b, [0, 2], axis=1),
+                               threshold=post.threshold)
+        rng = Rng.for_purpose(68, "panel-deleted")
+        got = panel_certify_detail(x_sel, post, cfg, rng, cluster_ids=("u", "v"))
+        want = panel_certify_detail(np.array([1.0, 0.5]), deleted, cfg, rng,
+                                    cluster_ids=("u", "v"))
+        assert got == want
+
+    def test_gamma_draws_scale_with_selected_genes(self, monkeypatch):
+        # J x (selected genes) Beta cells per draw, two gammas each; the
+        # other K - B columns are never drawn
+        j_clusters, k_genes = 3, 12
+        post = BetaCoverage(a=np.full((j_clusters, k_genes), 4.0),
+                            b=np.full((j_clusters, k_genes), 2.0), threshold=1.0)
+        cfg = PanelConfig(budget=2, threshold=1.0, m_cert=2500)
+        drawn = []
+        gamma_array = stats.gamma_array
+
+        def counting(rng, shape_param, size=None):
+            out = gamma_array(rng, shape_param, size)
+            drawn.append(out.size)
+            return out
+
+        monkeypatch.setattr(stats, "gamma_array", counting)
+        n_blocks = -(-cfg.m_cert // BLOCK)
+        for selected in ([4], [0, 7], [1, 5, 11]):
+            drawn.clear()
+            x_sel = np.zeros(k_genes)
+            x_sel[selected] = 1.0
+            panel_certify_detail(x_sel, post, cfg, Rng.for_purpose(69, "panel-count"))
+            assert sum(drawn) == 2 * n_blocks * BLOCK * j_clusters * len(selected)
+
+    @pytest.mark.parametrize("x_sel", [[np.inf, 0.0, 0.0], [np.nan, 1.0, 1.0],
+                                       [1.0, -np.inf, 1.0]])
+    def test_non_finite_selection_rejected_before_drawing(self, monkeypatch, x_sel):
+        det = np.array([[30.0, 25.0, 20.0], [18.0, 35.0, 22.0]])
+        cfg = PanelConfig(budget=2, threshold=1.0, m_cert=500)
+        post = fit_beta_binomial(det, np.array([50.0, 50.0]), cfg.threshold)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew before checking the selection")
+
+        monkeypatch.setattr(experiments_module, "draw_blocks", no_draws)
+        with pytest.raises(DomainError, match="finite"):
+            panel_certify_detail(np.array(x_sel), post, cfg,
+                                 Rng.for_purpose(70, "panel-nonfinite"))
 
     def test_cluster_ids_and_determinism(self):
         cfg = PanelConfig(budget=2, threshold=1.0, m_cert=600)

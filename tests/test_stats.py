@@ -394,6 +394,13 @@ class TestSamplers:
         with pytest.raises(DimensionMismatch):
             student_t_array(r, np.ones(3), (5, 4))
 
+    def test_beta_parameters_must_broadcast_together(self):
+        r = Rng.for_purpose(44, "bad-beta-shapes")
+        with pytest.raises(DimensionMismatch):
+            beta_array(r, np.ones(3), np.ones(4))
+        with pytest.raises(DimensionMismatch):
+            beta_array(r, np.ones((2, 3)), np.ones((3, 2)))
+
     def test_beta_broadcasting(self):
         r = Rng.for_purpose(4, "bc")
         a = np.array([[2.0, 30.0], [5.0, 1.0]])
