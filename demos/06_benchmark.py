@@ -3,7 +3,9 @@
 
 Each trial draws a fresh planning instance, lets every method pick its
 tightened capacities, solves, and then scores the plan against the true
-capacity law (v_true) and the posterior (v_post).  Plugging in the
+capacity law (v_true, the exact probability that some row's independent
+Gaussian capacity falls short) and the posterior (v_post, a Monte Carlo
+estimate).  Plugging in the
 predictive mean earns the most profit and violates wildly; methods that
 hedge with posterior quantiles or scenarios stay near the target rate
 and pay a profit premium for it.
@@ -15,7 +17,7 @@ from postfeas import METHODS, SimConfig, run_benchmark, summarize_by_alpha
 
 cfg = SimConfig(
     n=8, m=3, d_ctx=3, n_obs=60,
-    n_scen=80, m_true=800, m_cert=800,
+    n_scen=80, m_cert=800,
     trials_per_alpha=8, alphas=(0.05, 0.10),
     master_seed=7,
 )

@@ -28,7 +28,6 @@ from .errors import (
     PostfeasError,
     RankDeficient,
     SingularPrecision,
-    SizeLimitExceeded,
 )
 from .experiments import (
     METHODS,
@@ -51,7 +50,6 @@ from .lp import (
     CutLog,
     LpProblem,
     LpSolution,
-    brute_force_lp,
     max_violation,
     problem_from_json,
     solution_from_json,
@@ -112,7 +110,7 @@ __all__ = [
     "CountOutOfRange", "DimensionMismatch", "DomainError", "EmptyInput",
     "MaxRoundsExceeded", "NotPositiveDefinite", "NumericalBreakdown",
     "PanelInfeasible", "PostfeasError", "RankDeficient",
-    "SingularPrecision", "SizeLimitExceeded",
+    "SingularPrecision",
     # experiments
     "METHODS", "ClusterSummary", "PanelConfig", "PanelResult", "SimConfig",
     "SimInstance", "TrialRecord", "fit_capacity_model", "gen_instance",
@@ -120,9 +118,9 @@ __all__ = [
     "panel_select", "run_benchmark", "run_trial", "summarize_by_alpha",
     "summarize_overall",
     # lp
-    "CutLog", "LpProblem", "LpSolution", "brute_force_lp",
-    "max_violation", "problem_from_json", "solution_from_json",
-    "solution_to_json", "solve_cutting_planes", "solve_lp",
+    "CutLog", "LpProblem", "LpSolution", "max_violation", "problem_from_json",
+    "solution_from_json", "solution_to_json", "solve_cutting_planes",
+    "solve_lp",
     # posterior
     "BetaCoverage", "GaussianRows", "NigPosterior", "NigPrior", "OlsFit",
     "PanelData", "StudentTRhs", "fit_beta_binomial", "fit_nig", "fit_ols",

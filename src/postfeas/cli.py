@@ -6,8 +6,9 @@ seed, and the files produced, so a run can be replayed byte for byte.
 Diagnostics go to stderr (level from POSTFEAS_LOG: error, info, debug);
 stdout carries only primary results.
 
-Exit codes: 0 success, 1 nothing succeeded, 2 bad input or schema,
-3 infeasible, 4 unbounded, 5 numerical breakdown.
+Exit codes: 0 success, 1 nothing succeeded or a sim trial record
+failed, 2 bad input or schema, 3 infeasible, 4 unbounded, 5 numerical
+breakdown.
 """
 
 from __future__ import annotations
@@ -64,6 +65,8 @@ def _environment() -> dict:
     return {
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),
+        "cpus_usable": (len(os.sched_getaffinity(0))
+                        if hasattr(os, "sched_getaffinity") else None),
         **{name: os.environ.get(name) for name in _THREAD_VARS},
     }
 
@@ -190,11 +193,15 @@ def _cmd_sim(args) -> int:
                     {**asdict(cfg), "jobs": args.jobs},
                     cfg.master_seed, outputs, started)
     n_ok = sum(1 for r in records if r.status == "Optimal")
+    n_error = sum(1 for r in records if r.status == "Error")
     for row in overall:
         print(f"{row['method']} n={row['n']} profit={row['profit_mean']!r} "
               f"v_true={row['vtrue_mean']!r} v_post={row['vpost_mean']!r}")
     log.info("%d of %d records optimal", n_ok, len(records))
-    return EXIT_OK if n_ok > 0 else EXIT_FAILED
+    if n_error:
+        print(f"error: {n_error} of {len(records)} trial records failed",
+              file=sys.stderr)
+    return EXIT_OK if n_ok > 0 and not n_error else EXIT_FAILED
 
 
 def _require(model: dict, key: str):

@@ -7,7 +7,6 @@ __all__ = [
     "EmptyInput",
     "CountOutOfRange",
     "NumericalBreakdown",
-    "SizeLimitExceeded",
     "NotPositiveDefinite",
     "SingularPrecision",
     "RankDeficient",
@@ -38,10 +37,6 @@ class CountOutOfRange(PostfeasError):
 
 class NumericalBreakdown(PostfeasError):
     """Pivoting or factorization failed beyond recoverable tolerance."""
-
-
-class SizeLimitExceeded(PostfeasError):
-    """Problem exceeds the guard limits of a brute-force routine."""
 
 
 class NotPositiveDefinite(PostfeasError):

@@ -12,9 +12,10 @@ of turning the posterior into right-hand sides:
 
 Each trial first decides with all five methods and then certifies the
 decisions in one shared pass: every optimized decision is scored on the
-same fresh draws from the generating truth (v_true) and on the same
-posterior-predictive draws (v_post, with an exact upper confidence
-bound).
+same posterior-predictive draws (v_post, with an exact upper confidence
+bound) and against the generating truth (v_true).  The true capacities
+are independent Gaussians, so v_true is the exact violation probability
+1 - prod_j Phi((x_ctx'beta_j - a_j'x) / sigma_j), not an estimate.
 """
 
 from __future__ import annotations
@@ -122,7 +123,6 @@ class SimConfig:
     d_ctx: int = 6
     n_obs: int = 90
     n_scen: int = 300
-    m_true: int = 5000
     m_cert: int = 5000
     trials_per_alpha: int = 60
     alphas: tuple[float, ...] = (0.01, 0.05, 0.10)
@@ -137,8 +137,8 @@ class SimConfig:
     from_json = classmethod(_from_json)
 
     def __post_init__(self):
-        _check_sizes(self, ("n", "m", "d_ctx", "n_obs", "n_scen", "m_true",
-                            "m_cert", "trials_per_alpha"))
+        _check_sizes(self, ("n", "m", "d_ctx", "n_obs", "n_scen", "m_cert",
+                            "trials_per_alpha"))
         # fit_ols needs more observations than regressors
         if self.n_obs <= self.d_ctx:
             raise DomainError(
@@ -164,6 +164,11 @@ class SimConfig:
                 raise DomainError(
                     f"SimConfig {key} must be [lo, hi] with lo <= hi, got {pair!r}"
                 )
+        # v_true divides by the true noise scale
+        if self.sigma_range[0] <= 0.0:
+            raise DomainError(
+                f"SimConfig sigma_range must be positive, got {self.sigma_range!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -278,6 +283,20 @@ def _error_record(alpha: float, method: str, trial: int, seed: int) -> TrialReco
                        False, seed)
 
 
+def _true_violation(ax, mean, sd) -> float:
+    """P(capacity_j < ax_j for some j), capacities independent N(mean_j, sd_j^2).
+
+    The rows' probabilities p_j combine as 1 - prod_j (1 - p_j), computed
+    as -expm1(sum_j log1p(-p_j)): tiny probabilities keep their digits,
+    a row that is certain to fail gives exactly 1.0, and the 0.0 - form
+    never returns -0.0.
+    """
+    p = [stats.normal_cdf((a - mu) / s) for a, mu, s in zip(ax, mean, sd)]
+    if max(p) >= 1.0:
+        return 1.0
+    return 0.0 - math.expm1(math.fsum(math.log1p(-p_j) for p_j in p))
+
+
 def run_trial(instance: SimInstance, model: po.StudentTRhs, alpha: float,
               cfg: SimConfig, rng: stats.Rng, trial: int = 0) -> list[TrialRecord]:
     """Decide with every method, then certify all decisions in one pass.
@@ -285,9 +304,10 @@ def run_trial(instance: SimInstance, model: po.StudentTRhs, alpha: float,
     model is the instance's capacity posterior (fit_capacity_model).
     Each method decides on its own; one that raises gets an Error
     record and the others go on.  Every Optimal decision is then scored
-    on the same true-model draws (v_true) and the same posterior draws
-    (v_post and its upper bound), taken once from the "true" and
-    "certify" child streams of rng.  Records come in METHODS order.
+    on the same posterior draws (v_post and its upper bound), taken once
+    from the "certify" child stream of rng, and by its exact violation
+    probability under the true capacity law (v_true, _true_violation).
+    Records come in METHODS order.
     """
     nan = float("nan")
     records, optimal = [], []
@@ -306,18 +326,13 @@ def run_trial(instance: SimInstance, model: po.StudentTRhs, alpha: float,
     if not optimal:
         return records
 
-    true_rng = stats.Rng.for_purpose(rng.seed, rng.stream_id, "true")
-    b_true = (
-        instance.x_ctx @ instance.beta_true.T
-        + instance.sigma_true[np.newaxis, :]
-        * stats.normal_array(true_rng, (cfg.m_true, cfg.m))
-    )
+    mean_true = instance.x_ctx @ instance.beta_true.T
     cert_rng = stats.Rng.for_purpose(rng.seed, rng.stream_id, "certify")
     s, counts = estimate_violation(np.array([sol.x for _, sol in optimal]),
                                    model, cfg.m_cert, cert_rng)
     for (i, sol), s_i, counts_i in zip(optimal, s, counts):
-        ax = instance.resource_rows @ sol.x
-        v_true = float((b_true < ax[np.newaxis, :]).any(axis=1).mean())
+        v_true = _true_violation(instance.resource_rows @ sol.x, mean_true,
+                                 instance.sigma_true)
         cert = Certificate.from_counts(s_i, counts_i, cfg.m_cert, _CERT_BETA)
         records[i] = replace(records[i], profit=float(sol.objective_value),
                              v_true=v_true, v_post=cert.v_hat,

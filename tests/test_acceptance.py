@@ -18,7 +18,7 @@ import scipy.stats
 from postfeas.certification import certify, clopper_pearson_upper, estimate_violation
 from postfeas.cli import main
 from postfeas.experiments import PanelConfig, panel_select
-from postfeas.lp import LpProblem, brute_force_lp, solve_lp
+from postfeas.lp import LpProblem, solve_lp
 from postfeas.posterior import (
     GaussianRows,
     StudentTRhs,
@@ -42,6 +42,8 @@ from postfeas.stats import (
     reg_lower_gamma,
     uniform_array,
 )
+
+from lp_oracle import brute_force_lp
 
 DATA_DIR = Path(__file__).parent / "data"
 

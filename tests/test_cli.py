@@ -46,7 +46,7 @@ PROBLEM_UNBOUNDED = {
 
 SIM_CONFIG = {
     "n": 8, "m": 3, "d_ctx": 3, "n_obs": 40, "n_scen": 60,
-    "m_true": 400, "m_cert": 400, "trials_per_alpha": 2,
+    "m_cert": 400, "trials_per_alpha": 2,
     "alphas": [0.05, 0.1], "master_seed": 7,
 }
 
@@ -139,11 +139,27 @@ class TestSolve:
         assert json.loads(text)["environment"] == {
             "numpy": np.__version__,
             "cpu_count": os.cpu_count(),
+            "cpus_usable": len(os.sched_getaffinity(0)),
             "OPENBLAS_NUM_THREADS": "1",
             "OMP_NUM_THREADS": "2",
             "MKL_NUM_THREADS": None,
         }
         assert json.loads(text)["environment"]["MKL_NUM_THREADS"] is None
+
+    def test_manifest_records_usable_cpus(self, tmp_path, monkeypatch):
+        # the CPUs this process may run on, which can be fewer than cpu_count
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        prob = write_json(tmp_path / "prob.json", PROBLEM_OPTIMAL)
+        out = tmp_path / "run" / "solution.json"
+        assert main(["solve", prob, "--out", str(out)]) == 0
+        env = read_json(tmp_path / "run" / "manifest.json")["environment"]
+        assert env["cpus_usable"] == 1
+        assert env["cpu_count"] == os.cpu_count()
+        # a platform without the call records null
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert main(["solve", prob, "--out", str(out)]) == 0
+        env = read_json(tmp_path / "run" / "manifest.json")["environment"]
+        assert env["cpus_usable"] is None
 
     def test_infeasible_exit_code(self, tmp_path, capsys):
         prob = write_json(tmp_path / "prob.json", PROBLEM_INFEASIBLE)
@@ -326,6 +342,14 @@ class TestSim:
         rc = main(["sim", "--config", cfg, "--out", str(tmp_path / "out")])
         assert rc == 2
 
+    def test_removed_m_true_key_exit_code(self, tmp_path, capsys):
+        # v_true is exact, so there is no true-model draw count to set
+        cfg = write_json(tmp_path / "sim.json", {"m_true": 5000})
+        rc = main(["sim", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "unknown SimConfig keys ['m_true']" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_out_of_range_config_exit_code(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "sim.json", {"alphas": [1.5], "n_scen": 0})
         rc = main(["sim", "--config", cfg, "--out", str(tmp_path / "out")])
@@ -366,6 +390,29 @@ class TestSim:
         cfg = write_json(tmp_path / "sim.json", SIM_CONFIG)
         rc = main(["sim", "--config", cfg, "--out", str(tmp_path / "out")])
         assert rc == 1
+
+    def test_one_error_record_fails_the_run(self, tmp_path, monkeypatch, capsys):
+        real = ex.run_benchmark
+
+        def one_error(cfg, jobs=1):
+            records = real(cfg, jobs)
+            records[3] = dataclasses.replace(
+                records[3], status="Error", profit=math.nan, v_true=math.nan,
+                v_post=math.nan, v_post_ub95=math.nan)
+            return records
+
+        monkeypatch.setattr(ex, "run_benchmark", one_error)
+        cfg = write_json(tmp_path / "sim.json", SIM_CONFIG)
+        out = tmp_path / "out"
+        rc = main(["sim", "--config", cfg, "--out", str(out)])
+        assert rc == 1
+        n_records = 2 * 2 * len(METHODS)
+        assert (f"error: 1 of {n_records} trial records failed"
+                in capsys.readouterr().err)
+        # the outputs are still written, with the failed record in them
+        lines = (out / "trials.csv").read_text().splitlines()
+        assert len(lines) == 1 + n_records
+        assert lines[4].split(",")[3] == "Error"
 
 
 class TestCertify:

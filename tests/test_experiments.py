@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.stats
 
 import postfeas.certification as certification_module
 import postfeas.experiments as experiments_module
@@ -25,6 +26,7 @@ from postfeas.experiments import (
     PanelConfig,
     SimConfig,
     _tightened_rhs,
+    _true_violation,
     fit_capacity_model,
     gen_instance,
     panel_certify_detail,
@@ -52,7 +54,7 @@ from postfeas.stats import Rng, normal_quantile, student_t_quantile
 from test_cli import child_env
 
 FAST = dict(
-    n=8, m=3, d_ctx=3, n_obs=40, n_scen=60, m_true=800, m_cert=800,
+    n=8, m=3, d_ctx=3, n_obs=40, n_scen=60, m_cert=800,
     trials_per_alpha=2, alphas=(0.05, 0.1),
 )
 
@@ -62,7 +64,7 @@ class TestSimConfig:
         cfg = SimConfig()
         assert (cfg.n, cfg.m, cfg.d_ctx) == (18, 7, 6)
         assert (cfg.n_obs, cfg.n_scen) == (90, 300)
-        assert (cfg.m_true, cfg.m_cert) == (5000, 5000)
+        assert cfg.m_cert == 5000
         assert cfg.trials_per_alpha == 60
         assert cfg.alphas == (0.01, 0.05, 0.10)
         assert cfg.x_max == 50.0
@@ -77,7 +79,7 @@ class TestSimConfig:
 
     @pytest.mark.parametrize("doc", [
         {"n": "abc"}, {"n": 0}, {"m": 2.0}, {"d_ctx": -1}, {"n_obs": True},
-        {"n_scen": 0}, {"m_true": 1.5}, {"m_cert": 0},
+        {"n_scen": 0}, {"m_true": 5000}, {"m_cert": 0},
         {"trials_per_alpha": 0}, {"alphas": [1.5]}, {"alphas": [0.0]},
         {"alphas": [0.05, 1.0]}, {"alphas": []}, {"alphas": ["x"]},
         {"alphas": 0.05}, {"master_seed": "x"}, {"master_seed": 1.5},
@@ -85,12 +87,15 @@ class TestSimConfig:
         {"a_range": [2.0]}, {"p_range": [5.0, 1.0]},
         {"sigma_range": [1.0, float("nan")]},
         {"trials_per_alpha": 1, "n_obs": 4, "d_ctx": 6}, {"n_obs": 6},
+        {"sigma_range": [0.0, 1.0]}, {"sigma_range": [-2.0, -1.0]},
     ])
     def test_out_of_range_values_rejected(self, doc):
         with pytest.raises(DomainError):
             SimConfig.from_json(json.dumps(doc))
-        # a config built in Python passes the same checks
-        with pytest.raises(DomainError):
+        # a config built in Python passes the same checks; a key that is
+        # not a field cannot be passed to the constructor at all
+        fields = {f.name for f in dataclasses.fields(SimConfig)}
+        with pytest.raises(DomainError if set(doc) <= fields else TypeError):
             SimConfig(**{key: tuple(value) if isinstance(value, list) else value
                          for key, value in doc.items()})
 
@@ -235,6 +240,17 @@ def trial():
     return cfg, inst, rng, fit_capacity_model(inst, cfg)
 
 
+def vanishing_trial():
+    """run_trial's arguments at a true noise scale far below the posterior's."""
+    cfg = SimConfig(
+        n=8, m=3, d_ctx=3, n_obs=4000, n_scen=300,
+        m_cert=400, sigma_range=(1e-3, 2e-3),
+    )
+    inst = gen_instance(cfg, Rng.for_purpose(33, "instance", 0))
+    return (inst, fit_capacity_model(inst, cfg), 0.05, cfg,
+            Rng.for_purpose(33, "trial", 0))
+
+
 def by_method(inst, model, alpha, cfg, rng, trial=0):
     """run_trial's records keyed by method, checking their order."""
     recs = run_trial(inst, model, alpha, cfg, rng, trial)
@@ -273,7 +289,7 @@ class TestRunMethod:
         )
 
     def test_plugin_highly_violating_on_smoke_instance(self):
-        cfg = SimConfig(m_true=4000, m_cert=500)
+        cfg = SimConfig(m_cert=500)
         inst = gen_instance(cfg, Rng.for_purpose(42, "instance", 0))
         rec = by_method(inst, fit_capacity_model(inst, cfg), 0.05, cfg,
                         Rng.for_purpose(42, "trial", 0))["PM"]
@@ -291,20 +307,21 @@ class TestRunMethod:
         # to zero, and the plug-in method's violation at tiny noise is
         # governed by the sign of the prior shrinkage on the fit; neither
         # is asserted to vanish.
-        cfg = SimConfig(
-            n=8, m=3, d_ctx=3, n_obs=4000, n_scen=300,
-            m_true=2000, m_cert=400, sigma_range=(1e-3, 2e-3),
-        )
-        inst = gen_instance(cfg, Rng.for_purpose(33, "instance", 0))
-        rng = Rng.for_purpose(33, "trial", 0)
-        model = fit_capacity_model(inst, cfg)
-        recs = by_method(inst, model, 0.05, cfg, Rng(rng.seed, rng.stream_id))
+        recs = by_method(*vanishing_trial())
         profits = np.array([recs[m].profit for m in METHODS])
         assert np.ptp(profits) / profits.mean() <= 0.01
         for name in ("CR", "PS", "RB"):
             assert recs[name].v_true <= 0.01
-        mc_margin = 3.0 * np.sqrt(0.05 * 0.95 / cfg.m_true)
-        assert recs["FPQ"].v_true <= 0.05 + mc_margin
+        assert recs["FPQ"].v_true <= 0.05
+
+    def test_trials_csv_writes_no_negative_zero(self, tmp_path):
+        # the hedged methods' exact v_true underflows to zero here
+        recs = run_trial(*vanishing_trial())
+        write_trials_csv(tmp_path / "trials.csv", recs)
+        lines = (tmp_path / "trials.csv").read_text(encoding="utf-8").splitlines()
+        fields = [f for line in lines[1:] for f in line.split(",")]
+        assert "0.0" in [line.split(",")[5] for line in lines[1:]]
+        assert "-0.0" not in fields
 
     def test_negative_rhs_clamped(self):
         cfg = SimConfig(**FAST, intercept_range=(-5.0, -4.0))
@@ -323,7 +340,7 @@ class TestRunTrial:
         cfg, inst, rng, model = trial
         cfg = dataclasses.replace(cfg, m_cert=1500)
         expect = run_trial(inst, model, 0.05, cfg, Rng(rng.seed, rng.stream_id))
-        passes, blocks, true_draws = [], [], []
+        passes, blocks, normal_draws = [], [], []
         real_blocks, real_normal = certification_module.draw_blocks, stats.normal_array
 
         def counting_blocks(model, m_draws, rng):
@@ -333,8 +350,7 @@ class TestRunTrial:
                 yield batch
 
         def counting_normal(rng, size):
-            if tuple(np.atleast_1d(size)) == (cfg.m_true, cfg.m):
-                true_draws.append(size)
+            normal_draws.append(size)
             return real_normal(rng, size)
 
         monkeypatch.setattr(certification_module, "draw_blocks", counting_blocks)
@@ -343,7 +359,7 @@ class TestRunTrial:
         assert [r.status for r in recs] == ["Optimal"] * len(METHODS)
         assert passes == [1500]
         assert blocks == [BLOCK, 1500 - BLOCK]
-        assert len(true_draws) == 1
+        assert normal_draws == []  # v_true is exact, not sampled
         assert recs == expect
 
     def test_failing_method_gives_one_error_record(self, trial, monkeypatch):
@@ -358,6 +374,49 @@ class TestRunTrial:
         assert [r.status for r in recs] == ["Optimal"] * 4 + ["Error"]
         assert recs[:4] == expect[:4]
         assert recs[4].method == "RB" and np.isnan(recs[4].profit)
+
+
+class TestTrueViolation:
+    """The sim's exact v_true: some independent N(mean_j, sd_j^2) below ax_j."""
+
+    @staticmethod
+    def rows(seed, m=7):
+        gen = np.random.default_rng(seed)
+        mean = gen.uniform(40.0, 80.0, m)
+        sd = gen.uniform(3.0, 9.0, m)
+        ax = mean + sd * gen.uniform(-2.0, 2.0, m)
+        return ax, mean, sd
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_scipy(self, seed):
+        ax, mean, sd = self.rows(seed)
+        expect = 1.0 - np.prod(scipy.stats.norm.cdf((mean - ax) / sd))
+        assert _true_violation(ax, mean, sd) == pytest.approx(expect, rel=1e-12)
+
+    def test_matches_monte_carlo(self):
+        ax, mean, sd = self.rows(7)
+        n = 200_000
+        gen = np.random.default_rng(8)
+        capacity = mean + sd * gen.standard_normal((n, ax.size))
+        estimate = (capacity < ax).any(axis=1).mean()
+        v = _true_violation(ax, mean, sd)
+        assert abs(v - estimate) <= 5.0 * np.sqrt(v * (1.0 - v) / n)
+
+    def test_far_tail_keeps_its_digits(self):
+        ax, mean, sd = self.rows(9)
+        z = np.linspace(10.0, 12.0, ax.size)
+        ax = mean - z * sd
+        v = _true_violation(ax, mean, sd)
+        expect = -np.expm1(np.sum(np.log1p(-scipy.stats.norm.sf(z))))
+        assert v > 0.0
+        assert v == pytest.approx(expect, rel=1e-10)
+
+    def test_certain_and_impossible_rows(self):
+        ax, mean, sd = self.rows(3)
+        ax[2] = mean[2] + 100.0 * sd[2]
+        assert _true_violation(ax, mean, sd) == 1.0
+        zero = _true_violation(mean - 100.0 * sd, mean, sd)
+        assert zero == 0.0 and np.copysign(1.0, zero) == 1.0
 
 
 @pytest.fixture(scope="module")

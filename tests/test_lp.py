@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from postfeas.errors import DimensionMismatch, DomainError, SizeLimitExceeded
+from postfeas.errors import DimensionMismatch, DomainError
 from postfeas.lp import (
     FEAS_TOL,
     LpProblem,
     LpSolution,
     _BoundedSimplex,
-    brute_force_lp,
     max_violation,
     problem_from_json,
     solution_from_json,
@@ -21,6 +20,8 @@ from postfeas.lp import (
     solve_cutting_planes,
     solve_lp,
 )
+
+from lp_oracle import SizeLimitExceeded, brute_force_lp
 
 
 def random_box_problem(rng):
