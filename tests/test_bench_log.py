@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -84,15 +85,14 @@ def test_main_appends_one_record_per_run(tmp_path, monkeypatch):
     checkout = fake_checkout(tmp_path / "parent", CANNED, 0)
     monkeypatch.setattr(bench_log, "_commit", lambda path: "abc123")
     argv = ["--label", "parent", "--workload", "robust_lp", "--seed", "11",
-            "--seconds", "15", "--checkout", str(checkout),
-            "--out", str(tmp_path)]
+            "--checkout", str(checkout), "--out", str(tmp_path)]
     assert bench_log.main(argv) == 0
     assert bench_log.main(argv) == 0
     records = json.loads((tmp_path / "BENCH_robust_lp.json").read_text())
     assert len(records) == 2
     assert records[0] == {
         "commit": "abc123", "label": "parent", "workload": "robust_lp",
-        "seed": 11, "seconds": 15.0, "trace": 0,
+        "seed": 11, "seconds": bench_log.SECONDS, "trace": 0,
         "environment": bench_log.parse_run_output(CANNED)["environment"],
         **RESULT,
     }
@@ -118,3 +118,31 @@ def test_main_passes_on_a_failed_check(tmp_path, monkeypatch):
     assert rc == 1
     records = json.loads((tmp_path / "BENCH_sim_study.json").read_text())
     assert records[0]["correct"] is False
+
+
+def git(checkout, *args):
+    subprocess.run(["git", "-C", str(checkout), "-c", "user.name=bench",
+                    "-c", "user.email=bench@example.com", *args],
+                   check=True, stdout=subprocess.PIPE)
+
+
+def test_appending_to_a_tracked_log_leaves_the_tree_clean(tmp_path):
+    # the logs live in the checkout and are committed: appending one must
+    # not stamp the next run -dirty, while a change to the code must
+    checkout = fake_checkout(tmp_path / "repo", CANNED, 0)
+    (checkout / "BENCH_robust_lp.json").write_text("[]\n")
+    git(checkout, "init", "-q")
+    git(checkout, "add", ".")
+    git(checkout, "commit", "-q", "-m", "seed")
+    head = bench_log._git(checkout, "rev-parse", "HEAD").strip()
+    argv = ["--label", "change", "--workload", "robust_lp", "--seed", "1",
+            "--checkout", str(checkout), "--out", str(checkout)]
+    assert bench_log.main(argv) == 0
+    assert bench_log.main(argv) == 0
+    (checkout / "perfbench" / "run.py").write_text(
+        (checkout / "perfbench" / "run.py").read_text() + "# edited\n")
+    assert bench_log.main(argv) == 0
+    records = json.loads((checkout / "BENCH_robust_lp.json").read_text())
+    assert [r["commit"] for r in records] == [head, head, head + "-dirty"]
+    assert {(r["seconds"], r["trace"]) for r in records} == {
+        (bench_log.SECONDS, 0)}

@@ -139,7 +139,8 @@ class TestSolve:
         assert json.loads(text)["environment"] == {
             "numpy": np.__version__,
             "cpu_count": os.cpu_count(),
-            "cpus_usable": len(os.sched_getaffinity(0)),
+            "cpus_usable": (len(os.sched_getaffinity(0))
+                            if hasattr(os, "sched_getaffinity") else None),
             "OPENBLAS_NUM_THREADS": "1",
             "OMP_NUM_THREADS": "2",
             "MKL_NUM_THREADS": None,

@@ -6,17 +6,19 @@
         --workload sim_study --seed 11
 
 Runs ``perfbench/run.py`` of the checkout (the repository holding this
-script unless --checkout names another git clone), reads the result from
-the last JSON line of its stdout and the environment from its ``env:``
-lines, and appends one record to ``BENCH_<workload>.json`` in --out (the
-repository root by default).  The file is a JSON list that only grows:
-an existing file that is not such a list makes the script exit 2 and is
-left as it was.  A record holds the checkout's commit (with a -dirty
-suffix when its tree has uncommitted changes), the label
-(``parent`` or ``change``), workload, seed, seconds, trace flag, the
-environment and every metric.  The exit code is run.py's: 0 when every
-check passed, 1 when a check failed (the record says ``"correct":
-false``); a run with no result line records nothing and exits 2.
+script unless --checkout names another git clone) for the benchmark's
+``run_seconds`` (from BENCHMARK.json) with tracing off, reads the result
+from the last JSON line of its stdout and the environment from its
+``env:`` lines, and appends one record to ``BENCH_<workload>.json`` in
+--out (the repository root by default).  The file is a JSON list that
+only grows: an existing file that is not such a list makes the script
+exit 2 and is left as it was.  A record holds the checkout's commit
+(with a -dirty suffix when its tree has uncommitted changes other than
+the ``BENCH_*.json`` logs), the label (``parent`` or ``change``),
+workload, seed, seconds, trace flag (always 0), the environment and
+every metric.  The exit code is run.py's: 0 when every check passed, 1
+when a check failed (the record says ``"correct": false``); a run with
+no result line records nothing and exits 2.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 LABELS = ("parent", "change")
+SECONDS = float(json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"])
 
 _ENV_CPUS = re.compile(r"env: cpus (\S+) \(usable (\S+)\)\s+python (\S+)"
                        r"\s+numpy (\S+)\s+blas (.+)$")
@@ -101,15 +104,23 @@ def append_record(path: Path, record: dict) -> int:
     return len(records)
 
 
-def _commit(checkout: Path) -> str:
-    """HEAD of checkout, suffixed -dirty when the tree has changes."""
-    proc = subprocess.run(["git", "-C", str(checkout), "describe", "--always",
-                           "--dirty", "--abbrev=40"],
+def _git(checkout: Path, *args: str) -> str:
+    proc = subprocess.run(["git", "-C", str(checkout), *args],
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                           text=True)
     if proc.returncode != 0:
         raise ValueError(f"{checkout} is not a git checkout: {proc.stderr.strip()}")
-    return proc.stdout.strip()
+    return proc.stdout
+
+
+def _commit(checkout: Path) -> str:
+    """HEAD of checkout, suffixed -dirty when tracked files other than the
+    BENCH_*.json logs have changes (so appending to a tracked log does not
+    mark the next run's code as uncommitted)."""
+    head = _git(checkout, "rev-parse", "HEAD").strip()
+    changed = _git(checkout, "status", "--porcelain", "--untracked-files=no",
+                   "--", ".", ":(exclude)BENCH_*.json")
+    return head + "-dirty" if changed.strip() else head
 
 
 def main(argv=None) -> int:
@@ -117,8 +128,6 @@ def main(argv=None) -> int:
     parser.add_argument("--label", required=True, choices=LABELS)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=15.0)
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--checkout", type=Path, default=ROOT,
                         help="git clone whose perfbench/run.py runs")
     parser.add_argument("--out", type=Path, default=ROOT,
@@ -132,13 +141,13 @@ def main(argv=None) -> int:
         proc = subprocess.run(
             [sys.executable, str(checkout / "perfbench" / "run.py"),
              "--workload", args.workload, "--seed", str(args.seed),
-             "--seconds", repr(args.seconds), "--trace", str(args.trace)],
+             "--seconds", repr(SECONDS), "--trace", "0"],
             stdout=subprocess.PIPE, text=True, cwd=checkout)
         sys.stdout.write(proc.stdout)
         parsed = parse_run_output(proc.stdout)
         count = append_record(path, {
             "commit": commit, "label": args.label, "workload": args.workload,
-            "seed": args.seed, "seconds": args.seconds, "trace": args.trace,
+            "seed": args.seed, "seconds": SECONDS, "trace": 0,
             "environment": parsed["environment"], **parsed["result"],
         })
     except (ValueError, MalformedLog) as exc:
