@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Iterator
 
 import numpy as np
@@ -48,8 +49,12 @@ def clopper_pearson_upper(s: int, m_draws: int, beta: float) -> float:
     """One-sided upper confidence bound for a binomial proportion.
 
     Level 1 - beta; equals BetaInv(1 - beta; s + 1, M - s) for s < M and
-    exactly 1 for s = M.  At s = 0 it reduces to 1 - beta^(1/M).
+    exactly 1 for s = M.  At s = 0 it reduces to 1 - beta^(1/M).  s and
+    M must be integers (numpy integers included, bool not).
     """
+    for name, count in (("s", s), ("M", m_draws)):
+        if isinstance(count, bool) or not isinstance(count, Integral):
+            raise CountOutOfRange(f"{name} must be an integer, got {count!r}")
     s = int(s)
     m_draws = int(m_draws)
     if m_draws < 1:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from postfeas import stats
 from postfeas.certification import (
     BLOCK,
     Certificate,
@@ -81,6 +82,42 @@ class TestClopperPearsonUpper:
             clopper_pearson_upper(1, 10, 0.0)
         with pytest.raises(DomainError):
             clopper_pearson_upper(1, 10, 1.0)
+
+    @pytest.mark.parametrize("s, m", [(2.7, 10), (2, 10.9), (True, 10), (1, True),
+                                      (np.float64(2.0), 10)])
+    def test_rejects_counts_that_are_not_integers(self, s, m):
+        with pytest.raises(CountOutOfRange):
+            clopper_pearson_upper(s, m, 0.05)
+
+    def test_accepts_numpy_integers(self):
+        assert clopper_pearson_upper(np.int64(3), np.int32(100), 0.05) == (
+            clopper_pearson_upper(3, 100, 0.05))
+
+    @pytest.mark.parametrize("m", [100, 2000, 4000, 5000])
+    def test_every_count_against_beta_ppf(self, m):
+        vals = np.array([clopper_pearson_upper(s, m, 0.05) for s in range(m + 1)])
+        assert np.all((vals >= 0.0) & (vals <= 1.0))
+        assert np.all(np.diff(vals) > 0.0)
+        s = np.arange(m)
+        ref = scipy.stats.beta.ppf(0.95, s + 1, m - s)
+        assert np.max(np.abs(vals[:-1] - ref) / ref) <= 1e-10
+
+    def test_incomplete_beta_evaluations_per_bound(self, monkeypatch):
+        calls = []
+        inner = stats.reg_inc_beta
+
+        def counted(x, a, b):
+            calls.append(x)
+            return inner(x, a, b)
+
+        monkeypatch.setattr(stats, "reg_inc_beta", counted)
+        per_bound = []
+        for s in range(5000):
+            calls.clear()
+            clopper_pearson_upper(s, 5000, 0.05)
+            per_bound.append(len(calls))
+        assert np.mean(per_bound) <= 3
+        assert max(per_bound) <= 8
 
 
 class FnModel:

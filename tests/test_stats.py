@@ -8,8 +8,10 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.special
 import scipy.stats
 
+from postfeas import stats
 from postfeas.errors import CountOutOfRange, DimensionMismatch, DomainError
 from postfeas.posterior import BetaCoverage
 from postfeas.stats import (
@@ -166,6 +168,42 @@ class TestBetaQuantile:
         with pytest.raises(DomainError):
             beta_quantile(0.5, -2.0, 1.0)
 
+    @pytest.mark.parametrize("p, a, b", [
+        (math.nan, 2.0, 3.0),
+        (0.5, math.nan, 3.0),
+        (0.5, 2.0, math.nan),
+        (0.5, math.inf, 3.0),
+        (0.5, 2.0, math.inf),
+    ], ids=["p_nan", "a_nan", "b_nan", "a_inf", "b_inf"])
+    def test_rejects_nan_and_infinite_arguments(self, p, a, b):
+        with pytest.raises(DomainError, match="beta_quantile"):
+            beta_quantile(p, a, b)
+
+    def test_tiny_root_matches_scipy(self):
+        # The root is 1.37e-48, far below an absolute step tolerance.
+        p, a, b = 0.00207861498053715, 0.05679738077552613, 3.006775496017107
+        ref = float(scipy.special.betaincinv(a, b, p))
+        assert abs(beta_quantile(p, a, b) - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("p, a, b", [
+        (2.975059982684657e-88, 1.0321299934273924, 429.3288118468814),
+        (1.2171866159996086e-128, 1.3831497282031053, 15.412677490437858),
+        (8.324884433561147e-179, 1.6527830675078758, 6.14466616478805),
+    ])
+    def test_far_left_tail_matches_scipy(self, p, a, b):
+        # The normal-theory start is decades off the root here.
+        ref = float(scipy.special.betaincinv(a, b, p))
+        assert abs(beta_quantile(p, a, b) - ref) <= 1e-10 * ref
+
+    def test_random_grid_against_scipy(self):
+        gen = np.random.default_rng(20261019)
+        a, b = np.exp(gen.uniform(math.log(0.05), math.log(5000.0), (2, 5000)))
+        p = gen.uniform(0.0, 1.0, 5000)
+        ref = scipy.special.betaincinv(a, b, p)
+        got = np.array([beta_quantile(*args) for args in zip(p, a, b)])
+        assert np.all((got >= 0.0) & (got <= 1.0))
+        assert np.max(np.abs(got - ref) / ref) <= 1e-9
+
 
 class TestNormal:
     def test_cdf_quantile_round_trip(self):
@@ -229,6 +267,33 @@ class TestStudentTQuantile:
                 assert abs(student_t_quantile(p, dof) - ref) <= 1e-9 * max(
                     1.0, abs(ref)
                 )
+
+    @pytest.mark.parametrize("p, dof", [(1e-6, 0.3), (1e-4, 0.2), (0.01, 0.1)])
+    def test_heavy_tail_matches_scipy(self, p, dof):
+        # Quantiles beyond -1e16: x = dof / (dof + t^2) is below 1e-32.
+        ref = float(scipy.stats.t.ppf(p, dof))
+        assert abs(student_t_quantile(p, dof) - ref) <= 1e-12 * abs(ref)
+
+    def test_incomplete_beta_evaluations_at_sim_levels(self, monkeypatch):
+        # The sim's FPQ and CR levels alpha / m with m = 7 rows, at its
+        # two predictive dofs (OLS n - d = 84 and NIG 94).
+        calls = []
+        inner = stats.reg_inc_beta
+
+        def counted(x, a, b):
+            calls.append(x)
+            return inner(x, a, b)
+
+        monkeypatch.setattr(stats, "reg_inc_beta", counted)
+        per_call = []
+        for alpha in (0.01, 0.05, 0.1):
+            for dof in (84.0, 94.0):
+                calls.clear()
+                t = student_t_quantile(alpha / 7, dof)
+                per_call.append(len(calls))
+                ref = float(scipy.stats.t.ppf(alpha / 7, dof))
+                assert abs(t - ref) <= 1e-12 * abs(ref)
+        assert np.mean(per_call) <= 6
 
 
 class TestBinomialTail:
