@@ -137,12 +137,13 @@ class Certificate:
     @classmethod
     def from_counts(cls, s, counts, m_draws: int, beta: float) -> "Certificate":
         """s violating draws of m_draws, with per-constraint counts or None."""
+        upper_bound = clopper_pearson_upper(s, m_draws, beta)
         s = int(s)
         return cls(
             M=m_draws,
             s=s,
             v_hat=s / m_draws,
-            upper_bound=clopper_pearson_upper(s, m_draws, beta),
+            upper_bound=upper_bound,
             beta=float(beta),
             per_constraint_rates=None if counts is None
             else tuple(float(c) / m_draws for c in counts),

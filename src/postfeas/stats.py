@@ -251,11 +251,13 @@ def _beta_quantile_start(p: float, a: float, b: float) -> float:
     ln_ab = math.log(a + b)
     ln_a = math.log(a) - ln_ab
     ln_b = math.log(b) - ln_ab
-    # r = log(t / u) with t = (a/(a+b))^a / a and u = (b/(a+b))^b / b
-    r = a * ln_a - math.log(a) - b * ln_b + math.log(b)
-    if math.log(p) < -_log1p_exp(-r):  # p < t / (t + u)
-        return math.exp(ln_a + (math.log(p) + _log1p_exp(-r)) / a)
-    return -math.expm1(ln_b + (math.log1p(-p) + _log1p_exp(r)) / b)
+    # w = t + u with t = (a/(a+b))^a / a and u = (b/(a+b))^b / b
+    ln_t_over_u = a * ln_a - math.log(a) - b * ln_b + math.log(b)
+    ln_w_over_t = _log1p_exp(-ln_t_over_u)
+    if math.log(p) < -ln_w_over_t:  # p < t / w: x = (a w p)^(1/a)
+        return math.exp(ln_a + (math.log(p) + ln_w_over_t) / a)
+    # 1 - x = (b w (1 - p))^(1/b)
+    return -math.expm1(ln_b + (math.log1p(-p) + _log1p_exp(ln_t_over_u)) / b)
 
 
 def beta_quantile(p: float, a: float, b: float) -> float:

@@ -336,6 +336,10 @@ class TestStackedDecisions:
                                    beta=0.05)
         assert type(cert.s) is int and type(cert.v_hat) is float
 
+    def test_from_counts_rejects_a_fractional_count(self):
+        with pytest.raises(CountOutOfRange):
+            Certificate.from_counts(2.7, None, 100, 0.05)
+
 
 class TestPosteriorModels:
     def test_bad_parameters_rejected(self):
