@@ -50,6 +50,7 @@ from .lp import (
     CutLog,
     LpProblem,
     LpSolution,
+    RhsSequence,
     max_violation,
     problem_from_json,
     solution_from_json,
@@ -118,9 +119,9 @@ __all__ = [
     "panel_select", "run_benchmark", "run_trial", "summarize_by_alpha",
     "summarize_overall",
     # lp
-    "CutLog", "LpProblem", "LpSolution", "max_violation", "problem_from_json",
-    "solution_from_json", "solution_to_json", "solve_cutting_planes",
-    "solve_lp",
+    "CutLog", "LpProblem", "LpSolution", "RhsSequence", "max_violation",
+    "problem_from_json", "solution_from_json", "solution_to_json",
+    "solve_cutting_planes", "solve_lp",
     # posterior
     "BetaCoverage", "GaussianRows", "NigPosterior", "NigPrior", "OlsFit",
     "PanelData", "StudentTRhs", "fit_beta_binomial", "fit_nig", "fit_ols",

@@ -84,15 +84,20 @@ def draw_blocks(model, m_draws: int, rng: stats.Rng) -> Iterator[np.ndarray]:
         yield model.draw(block_rng, BLOCK)[: m_draws - start]
 
 
-def violation_flags(model, x: np.ndarray, batch) -> np.ndarray:
-    """(count, n_constraints) flags: True unless the residual is <= 0."""
+def _residuals(model, x: np.ndarray, batch) -> np.ndarray:
+    """model.residuals(x, batch), checked to be (count, n_constraints)."""
     residuals = np.asarray(model.residuals(x, batch), dtype=float)
     if residuals.ndim != 2 or residuals.shape[0] != len(batch):
         raise DomainError(
             f"residuals have shape {residuals.shape}, expected "
             f"({len(batch)}, n_constraints)"
         )
-    return ~(residuals <= 0.0)
+    return residuals
+
+
+def violation_flags(model, x: np.ndarray, batch) -> np.ndarray:
+    """(count, n_constraints) flags: True unless the residual is <= 0."""
+    return ~(_residuals(model, x, batch) <= 0.0)
 
 
 def estimate_violation(
@@ -106,7 +111,9 @@ def estimate_violation(
     xs is (D, n), one decision per row, and every decision is scored on
     the same draws.  Returns s (D,) and per-constraint counts
     (D, n_constraints).  A non-finite decision raises DomainError rather
-    than certify anything.
+    than certify anything.  Each block's flags are laid out draw-major,
+    (D, n_constraints, count) in C order, so both counts reduce along
+    contiguous draws; they equal those of violation_flags.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or len(xs) == 0:
@@ -117,9 +124,13 @@ def estimate_violation(
         raise DomainError("every decision to certify must be finite")
     s, counts = np.zeros(len(xs), dtype=int), 0
     for batch in draw_blocks(model, m_draws, rng):
-        flags = np.stack([violation_flags(model, x, batch) for x in xs])
-        s += flags.any(axis=2).sum(axis=1)
-        counts = counts + flags.sum(axis=1)
+        residuals = np.stack([_residuals(model, x, batch) for x in xs])
+        d, count, k = residuals.shape
+        flags = np.less_equal(residuals.transpose(0, 2, 1), 0.0,
+                              out=np.empty((d, k, count), dtype=bool))
+        np.logical_not(flags, out=flags)
+        s += flags.any(axis=1).sum(axis=1)
+        counts = counts + flags.sum(axis=2)
     return s, counts
 
 

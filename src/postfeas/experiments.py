@@ -40,7 +40,7 @@ from .certification import (
     violation_flags,
 )
 from .errors import DimensionMismatch, DomainError, PanelInfeasible
-from .lp import LpProblem, solve_lp
+from .lp import LpProblem, RhsSequence
 from .robustify import rb_heuristic_tighten, rhs_quantile_tighten
 
 __all__ = [
@@ -264,17 +264,11 @@ def _tightened_rhs(method: str, instance: SimInstance, model: po.StudentTRhs,
 
 
 def _decide(method: str, instance: SimInstance, model: po.StudentTRhs,
-            alpha: float, cfg: SimConfig, rng: stats.Rng):
-    """Solve the LP with one method's right-hand sides: (solution, clamped)."""
+            alpha: float, cfg: SimConfig, rng: stats.Rng, lp: RhsSequence):
+    """Solve the trial's LP at one method's right-hand sides: (solution, clamped)."""
     b_hat = _tightened_rhs(method, instance, model, alpha, cfg, rng)
     clamped = bool(np.any(b_hat < 0.0))
-    b_hat = np.maximum(b_hat, 0.0)
-    problem = LpProblem(
-        instance.profit,
-        [(instance.resource_rows[j], "<=", float(b_hat[j])) for j in range(cfg.m)],
-        [(0.0, cfg.x_max)] * cfg.n,
-    )
-    return solve_lp(problem), clamped
+    return lp.solve(np.maximum(b_hat, 0.0)), clamped
 
 
 def _error_record(alpha: float, method: str, trial: int, seed: int) -> TrialRecord:
@@ -302,18 +296,26 @@ def run_trial(instance: SimInstance, model: po.StudentTRhs, alpha: float,
     """Decide with every method, then certify all decisions in one pass.
 
     model is the instance's capacity posterior (fit_capacity_model).
-    Each method decides on its own; one that raises gets an Error
-    record and the others go on.  Every Optimal decision is then scored
-    on the same posterior draws (v_post and its upper bound), taken once
-    from the "certify" child stream of rng, and by its exact violation
-    probability under the true capacity law (v_true, _true_violation).
-    Records come in METHODS order.
+    The methods' LPs differ only in their right-hand sides, so one
+    RhsSequence solves them all: the first method from the logical
+    basis, each later one by dual re-entry from the last basis.  A
+    method that raises gets an Error record and the others go on; a
+    solve that raised leaves the next method a cold start.  Every
+    Optimal decision is then scored on the same posterior draws (v_post
+    and its upper bound), taken once from the "certify" child stream of
+    rng, and by its exact violation probability under the true capacity
+    law (v_true, _true_violation).  Records come in METHODS order.
     """
     nan = float("nan")
+    lp = RhsSequence(LpProblem(
+        instance.profit,
+        [(row, "<=", 0.0) for row in instance.resource_rows],
+        [(0.0, cfg.x_max)] * cfg.n,
+    ))
     records, optimal = [], []
     for method in METHODS:
         try:
-            sol, clamped = _decide(method, instance, model, alpha, cfg, rng)
+            sol, clamped = _decide(method, instance, model, alpha, cfg, rng, lp)
         except Exception:
             _LOG.exception("trial failed (alpha=%s trial=%d method=%s)",
                            alpha, trial, method)

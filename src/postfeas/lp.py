@@ -31,6 +31,7 @@ __all__ = [
     "LpProblem",
     "LpSolution",
     "solve_lp",
+    "RhsSequence",
     "CutLog",
     "solve_cutting_planes",
     "max_violation",
@@ -131,6 +132,22 @@ class LpProblem:
         out.rows = _readonly(np.vstack([self.rows, rows]))
         out.senses = self.senses + senses
         out.rhs = _readonly(np.concatenate([self.rhs, rhs]))
+        out.lower = self.lower
+        out.upper = self.upper
+        return out
+
+    def _with_rhs(self, rhs) -> LpProblem:
+        """This problem with the rows' right-hand sides replaced by rhs,
+        validated as the constructor validates rhs (shape and finiteness)."""
+        rhs = np.array(rhs, dtype=float)
+        if rhs.shape != (self.m,):
+            raise DimensionMismatch(f"rhs has shape {rhs.shape}, expected ({self.m},)")
+        _check_finite(rhs)
+        out = object.__new__(LpProblem)
+        out.objective = self.objective
+        out.rows = self.rows
+        out.senses = self.senses
+        out.rhs = _readonly(rhs)
         out.lower = self.lower
         out.upper = self.upper
         return out
@@ -295,6 +312,18 @@ class _BoundedSimplex:
         self._add_rows(self.problem.rows[old_m:], self.problem.senses[old_m:],
                        self.problem.rhs[old_m:])
 
+    def replace_rhs(self, problem: LpProblem):
+        """Take problem's right-hand sides; its rows must be this one's.
+
+        The basis and the costs stay, so a basis that was optimal is
+        still dual feasible; only the basic values move.  The iteration
+        count restarts at 0.
+        """
+        self.problem = problem
+        self.b = problem.rhs - problem.rows @ self.offset
+        self.iterations = 0
+        self._refactor()
+
     def _add_rows(self, rows: np.ndarray, senses: tuple, rhs: np.ndarray):
         """Append rows, each with a basic logical column, and refactor."""
         m, k = self.m, len(senses)
@@ -369,8 +398,8 @@ class _BoundedSimplex:
         simplex method, ch. 4).  The dual simplex on those costs reaches
         a primal feasible basis or proves the rows infeasible, and the
         primal simplex on the true costs then undoes the shift.  At a
-        fresh start y = 0, so d = c; after append_rows the last optimal
-        basis is still dual feasible and needs no shift.
+        fresh start y = 0, so d = c; after append_rows or replace_rhs the
+        last optimal basis is still dual feasible and needs no shift.
         """
         d = self._reduced_costs(self.c)
         up_ok, dn_ok = self._improving(d, self.c)
@@ -578,6 +607,40 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     if status != "Optimal":
         return LpSolution(status, None, None, solver.iterations)
     return solver.solution()
+
+
+class RhsSequence:
+    """LPs that share problem's objective, rows, senses and box and
+    differ only in the rows' right-hand sides, solved one after another.
+
+    problem's own rhs is not solved.  The first solve(rhs) starts at the
+    logical basis, as solve_lp does.  Each later one puts rhs into the
+    last simplex and re-enters it through the same entry: the costs are
+    unchanged, so a basis that was optimal is still dual feasible and
+    needs no cost shift, and the bounded dual simplex restores primal
+    feasibility (Koberstein 2005, The dual simplex method).  rhs is
+    validated as LpProblem validates rhs, before the simplex is touched.
+    A solve that raises discards the simplex, so the next solve starts
+    again from the logicals.  A re-entered LpSolution's iterations count
+    that solve's pivots only.
+    """
+
+    def __init__(self, problem: LpProblem):
+        self.problem = problem
+        self._solver: _BoundedSimplex | None = None
+
+    def solve(self, rhs) -> LpSolution:
+        problem = self.problem._with_rhs(rhs)
+        solver, self._solver = self._solver, None
+        if solver is None:
+            solver = _BoundedSimplex(problem)
+        else:
+            solver.replace_rhs(problem)
+        status = solver.solve()
+        sol = (solver.solution() if status == "Optimal"
+               else LpSolution(status, None, None, solver.iterations))
+        self._solver = solver
+        return sol
 
 
 # ---------------------------------------------------------------------------

@@ -366,11 +366,22 @@ _ACKLAM_D = (
 )
 
 
+def _mills_ratio(t: float) -> float:
+    """Phi(-t) / phi(t) for large t, by its continued fraction
+    1 / (t + 1 / (t + 2 / (t + 3 / ...))) (Abramowitz & Stegun 26.2.14)."""
+    r = 0.0
+    for k in range(40, 0, -1):
+        r = k / (t + r)
+    return 1.0 / (t + r)
+
+
 def normal_quantile(p: float) -> float:
     """Inverse standard normal CDF, accurate to a few ulp.
 
     Rational initial estimate refined with two Halley steps against the
-    erfc-based CDF.
+    erfc-based CDF.  Below p = 1e-300 the CDF and the density underflow,
+    so two Newton steps on log Phi(x) = log p take their place, with
+    log Phi(x) = log phi(x) + log R(-x) through the Mills ratio R.
     """
     p = _check_prob_open(p, "normal_quantile")
     a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
@@ -391,6 +402,13 @@ def normal_quantile(p: float) -> float:
         x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
             (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
         )
+    if p < _FPMIN:
+        log_p = math.log(p)
+        for _ in range(2):
+            ratio = _mills_ratio(-x)
+            log_cdf = -0.5 * x * x - 0.5 * math.log(2.0 * math.pi) + math.log(ratio)
+            x = x - (log_cdf - log_p) * ratio
+        return x
     for _ in range(2):
         e = normal_cdf(x) - p
         u = e * math.sqrt(2.0 * math.pi) * math.exp(0.5 * x * x)

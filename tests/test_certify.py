@@ -283,6 +283,19 @@ def family_models():
     }
 
 
+def nan_residual_model():
+    """Three constraints whose residual is NaN on about a fifth of the
+    draws of the first, with a decision x."""
+    def residuals(x, batch):
+        res = batch * x[0] - x[1]
+        res[batch[:, 0] > 0.6, 0] = np.nan
+        return res
+
+    return (FnModel(lambda rng, count: rng.generator.uniform(-1.0, 1.0, (count, 3)),
+                    residuals),
+            np.array([1.0, 0.3]))
+
+
 def flags_of(model, x, m_draws, rng):
     return np.concatenate([
         violation_flags(model, x, batch)
@@ -328,6 +341,25 @@ class TestStackedDecisions:
         assert stacked == [certify(x_d, model, 1500, 0.05, Rng(rng.seed, rng.stream_id))
                            for x_d in xs]
         assert len(set(s.tolist())) > 1
+
+    @pytest.mark.parametrize("d", [1, 5])
+    @pytest.mark.parametrize("family", ["student_t", "gaussian", "beta", "nan"])
+    def test_counts_equal_the_per_decision_flag_stack(self, family, d):
+        # the draw-major counts against the (D, count, n_constraints)
+        # stack of violation_flags; M = 1,500 crosses the first block edge
+        model, x = {**family_models(), "nan": nan_residual_model()}[family]
+        xs = np.stack([x * f for f in (1.0, 0.5, 1.5, 0.8, 1.2)[:d]])
+        rng = Rng.for_purpose(19, "cert-layout", family)
+        s, counts = estimate_violation(xs, model, 1500, rng)
+        ref_s, ref_counts = np.zeros(d, dtype=int), 0
+        for batch in draw_blocks(model, 1500, rng):
+            flags = np.stack([violation_flags(model, x_d, batch) for x_d in xs])
+            ref_s += flags.any(axis=2).sum(axis=1)
+            ref_counts = ref_counts + flags.sum(axis=1)
+        assert s.dtype == ref_s.dtype and counts.dtype == ref_counts.dtype
+        assert s.tobytes() == ref_s.tobytes()
+        assert counts.tobytes() == ref_counts.tobytes()
+        assert 0 < s[0] < 1500
 
     def test_from_counts_without_counts(self):
         cert = Certificate.from_counts(3, None, 100, 0.05)

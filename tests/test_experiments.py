@@ -13,11 +13,13 @@ import scipy.stats
 
 import postfeas.certification as certification_module
 import postfeas.experiments as experiments_module
+import postfeas.lp as lp_module
 from postfeas import stats
 from postfeas.certification import BLOCK, certify, draw_blocks
 from postfeas.errors import (
     DimensionMismatch,
     DomainError,
+    NumericalBreakdown,
     PanelInfeasible,
 )
 from postfeas.experiments import (
@@ -50,6 +52,7 @@ from postfeas.posterior import (
     fit_ols,
     load_panel_data,
 )
+from postfeas.lp import LpProblem, solve_lp
 from postfeas.stats import Rng, normal_quantile, student_t_quantile
 from test_cli import child_env
 
@@ -374,6 +377,58 @@ class TestRunTrial:
         assert [r.status for r in recs] == ["Optimal"] * 4 + ["Error"]
         assert recs[:4] == expect[:4]
         assert recs[4].method == "RB" and np.isnan(recs[4].profit)
+
+
+    def test_failing_middle_tightening_leaves_the_others(self, trial, monkeypatch):
+        # FPQ raises before its solve; PM then re-enters from CR's basis
+        # instead of FPQ's, which may move the last digits of x only
+        cfg, inst, rng, model = trial
+        expect = run_trial(inst, model, 0.05, cfg, Rng(rng.seed, rng.stream_id))
+        real = experiments_module._tightened_rhs
+
+        def failing_fpq(method, *args):
+            if method == "FPQ":
+                raise RuntimeError("FPQ tightening failed")
+            return real(method, *args)
+
+        monkeypatch.setattr(experiments_module, "_tightened_rhs", failing_fpq)
+        recs = run_trial(inst, model, 0.05, cfg, Rng(rng.seed, rng.stream_id))
+        assert [r.status for r in recs] == ["Optimal", "Error", "Optimal",
+                                            "Optimal", "Optimal"]
+        for got, ref in zip(recs, expect):
+            if got.method == "FPQ":
+                continue
+            assert got.profit == pytest.approx(ref.profit, rel=1e-12, abs=0.0)
+            assert got.v_post == ref.v_post
+            assert got.v_post_ub95 == ref.v_post_ub95
+
+    def test_solve_that_raises_gives_the_next_method_a_cold_start(
+            self, trial, monkeypatch):
+        cfg, inst, rng, model = trial
+        real = lp_module._BoundedSimplex.solve
+        calls = []
+
+        def breaks_second(self):
+            calls.append(1)
+            if len(calls) == 2:  # FPQ's solve
+                raise NumericalBreakdown("injected")
+            return real(self)
+
+        monkeypatch.setattr(lp_module._BoundedSimplex, "solve", breaks_second)
+        recs = run_trial(inst, model, 0.05, cfg, Rng(rng.seed, rng.stream_id))
+        monkeypatch.undo()
+        assert [r.status for r in recs] == ["Optimal", "Error", "Optimal",
+                                            "Optimal", "Optimal"]
+        b_pm = np.maximum(_tightened_rhs("PM", inst, model, 0.05, cfg,
+                                         Rng(rng.seed, rng.stream_id)), 0.0)
+        cold = solve_lp(LpProblem(
+            inst.profit, [(row, "<=", float(b)) for row, b in
+                          zip(inst.resource_rows, b_pm)],
+            [(0.0, cfg.x_max)] * cfg.n))
+        assert recs[2].profit == cold.objective_value
+        assert recs[2].v_true == _true_violation(
+            inst.resource_rows @ cold.x, inst.x_ctx @ inst.beta_true.T,
+            inst.sigma_true)
 
 
 class TestTrueViolation:

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from postfeas.errors import DimensionMismatch, DomainError
+from postfeas.errors import DimensionMismatch, DomainError, NumericalBreakdown
 from postfeas.lp import (
     FEAS_TOL,
     LpProblem,
     LpSolution,
+    RhsSequence,
     _BoundedSimplex,
     max_violation,
     problem_from_json,
@@ -656,3 +657,150 @@ class TestLogicalStart:
         assert sol.iterations <= 200
         ref = highs_objective(p)
         assert abs(sol.objective_value - ref) <= 1e-9 * abs(ref)
+
+
+def with_rhs(problem, rhs):
+    return LpProblem(problem.objective,
+                     [(row, sense, float(b)) for row, sense, b
+                      in zip(problem.rows, problem.senses, rhs)],
+                     problem.bounds())
+
+
+def same_solution(a, b):
+    """Bit-identical status, x, objective and iterations."""
+    return (a.status == b.status and a.iterations == b.iterations
+            and a.objective_value == b.objective_value
+            and (a.x is None if b.x is None else a.x.tobytes() == b.x.tobytes()))
+
+
+def conflict_instance(seed):
+    """Free, lower-only, upper-only and boxed variables, rows of all three
+    senses, and one row twice, as "<=" (row 5) and as ">=" (row 6), so
+    that an rhs with rhs[6] > rhs[5] is infeasible.  feasible_rhs(k)
+    gives rhs that hold at a random point inside the box."""
+    gen = np.random.default_rng(seed)
+    n = 5
+    bounds = [(None, None), (-2.0, None), (None, 2.0), (-2.0, 2.0), (-2.0, 2.0)]
+    eye = np.eye(n)
+    a = gen.normal(size=(4, n))
+    rows = [(eye[0], "<="), (eye[0], ">="), (eye[1], "<="), (eye[2], ">="),
+            (a[0], "="), (a[1], "<="), (a[1], ">="), (a[2], "<="), (a[3], ">=")]
+    problem = LpProblem(gen.normal(size=n), [(r, s, 0.0) for r, s in rows], bounds)
+
+    def feasible_rhs():
+        point = gen.uniform(-1.5, 1.5, n)
+        slack = np.array([{"<=": 1.0, ">=": -1.0, "=": 0.0}[s] for s in problem.senses])
+        return problem.rows @ point + slack * gen.uniform(0.0, 1.0, problem.m)
+
+    return problem, feasible_rhs
+
+
+class TestRhsSequence:
+    # One simplex re-entered by the dual simplex for each new rhs; a cold
+    # solve_lp and HiGHS are the references.
+    @pytest.mark.parametrize("degenerate", [False, True], ids=["random", "degenerate"])
+    def test_sequence_matches_cold_and_highs(self, degenerate):
+        rng = np.random.default_rng(77 + degenerate)
+        transitions = set()
+        for _ in range(60):
+            p = logical_start_instance(rng, degenerate)
+            lp = RhsSequence(p)
+            last = None
+            for _ in range(6):
+                if degenerate:
+                    point = rng.integers(-1, 2, size=p.n).astype(float)
+                    rhs = p.rows @ point + rng.integers(-1, 2, size=p.m)
+                else:
+                    rhs = rng.normal(size=p.m) * 2
+                problem = with_rhs(p, rhs)
+                sol = lp.solve(rhs)
+                cold = solve_lp(problem)
+                status, value = highs_result(problem)
+                assert sol.status == cold.status == status
+                transitions.add((last, status))
+                last = status
+                if status == "Optimal":
+                    scale = max(1.0, abs(value))
+                    assert abs(sol.objective_value - value) <= 1e-9 * scale
+                    assert abs(sol.objective_value - cold.objective_value) <= 1e-9 * scale
+                    assert max_violation(problem, sol.x) <= 10 * FEAS_TOL * max(
+                        1.0, float(np.abs(rhs).max()))
+        # re-entry after each status; the rows and costs alone decide
+        # unboundedness, so an Unbounded program stays so while feasible
+        for pair in [("Optimal", "Optimal"), ("Optimal", "Infeasible"),
+                     ("Infeasible", "Optimal"), ("Infeasible", "Infeasible"),
+                     ("Unbounded", "Unbounded")]:
+            assert pair in transitions
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_infeasible_rhs_mid_sequence(self, seed):
+        problem, feasible_rhs = conflict_instance(seed)
+        lp = RhsSequence(problem)
+        sequence = [feasible_rhs() for _ in range(5)]
+        bad = sequence[2].copy()
+        bad[6] = bad[5] + 1.0
+        sequence.insert(3, bad)
+        for k, rhs in enumerate(sequence):
+            sol = lp.solve(rhs)
+            if k == 3:
+                assert sol.status == "Infeasible" and sol.x is None
+                continue
+            assert sol.status == "Optimal"
+            ref = highs_objective(with_rhs(problem, rhs))
+            assert abs(sol.objective_value - ref) <= 1e-9 * max(1.0, abs(ref))
+
+    def test_first_solve_is_cold_and_iterations_are_per_solve(self):
+        problem, feasible_rhs = conflict_instance(3)
+        lp = RhsSequence(problem)
+        rhs = feasible_rhs()
+        first = lp.solve(rhs)
+        assert same_solution(first, solve_lp(with_rhs(problem, rhs)))
+        assert first.iterations > 1
+        # the basis is optimal for this rhs: one pricing pass, no pivot
+        again = lp.solve(rhs)
+        assert again.iterations == 1
+        assert again.objective_value == pytest.approx(first.objective_value, rel=1e-12)
+
+    @pytest.mark.parametrize("rhs, error", [
+        (np.zeros(8), DimensionMismatch),
+        (np.zeros((1, 9)), DimensionMismatch),
+        (np.r_[np.zeros(8), math.nan], DomainError),
+        (np.r_[np.zeros(8), math.inf], DomainError),
+    ])
+    def test_bad_rhs_rejected_before_the_simplex(self, rhs, error):
+        problem, feasible_rhs = conflict_instance(4)
+        lp = RhsSequence(problem)
+        good = feasible_rhs()
+        lp.solve(good)
+        with pytest.raises(error):
+            lp.solve(rhs)
+        # the simplex kept its optimal basis
+        assert lp.solve(good).iterations == 1
+
+    def test_rhs_array_not_frozen(self):
+        problem, feasible_rhs = conflict_instance(5)
+        rhs = feasible_rhs()
+        sol = RhsSequence(problem).solve(rhs)
+        rhs[0] += 1.0  # the caller's array stays writable
+        assert sol.status == "Optimal"
+
+    def test_solve_that_raises_leaves_a_cold_start(self, monkeypatch):
+        problem, feasible_rhs = conflict_instance(6)
+        sequence = [feasible_rhs() for _ in range(3)]
+        real = _BoundedSimplex.solve
+        calls = []
+
+        def breaks_second(self):
+            calls.append(1)
+            if len(calls) == 2:
+                raise NumericalBreakdown("injected")
+            return real(self)
+
+        monkeypatch.setattr(_BoundedSimplex, "solve", breaks_second)
+        lp = RhsSequence(problem)
+        assert lp.solve(sequence[0]).status == "Optimal"
+        with pytest.raises(NumericalBreakdown):
+            lp.solve(sequence[1])
+        after = lp.solve(sequence[2])
+        monkeypatch.undo()
+        assert same_solution(after, solve_lp(with_rhs(problem, sequence[2])))

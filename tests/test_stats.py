@@ -215,6 +215,21 @@ class TestNormal:
             ref = float(scipy.stats.norm.ppf(p))
             assert abs(normal_quantile(float(p)) - ref) <= 1e-11
 
+    @pytest.mark.parametrize("p", [1e-300, 1e-310, 5e-324])
+    def test_far_tail_against_scipy(self, p):
+        # the CDF and the density underflow: no OverflowError at subnormal p
+        ref = float(scipy.stats.norm.ppf(p))
+        assert normal_quantile(p) == pytest.approx(ref, rel=1e-12)
+
+    def test_far_tail_monotone(self):
+        # distinct p from 1e-250 down to the smallest subnormal, across
+        # the switch to the log-space steps at 1e-300
+        grid = [10.0 ** e for e in np.linspace(-250.0, -323.3, 400)] + [5e-324]
+        ps = sorted(set(grid), reverse=True)
+        xs = [normal_quantile(p) for p in ps]
+        assert np.all(np.diff(xs) < 0.0)
+        assert xs[-1] == pytest.approx(-38.467405617144344, rel=1e-12)
+
 
 class TestChi2Quantile:
     def test_df2_closed_form(self):
