@@ -124,10 +124,17 @@ def estimate_violation(
         raise DomainError("every decision to certify must be finite")
     s, counts = np.zeros(len(xs), dtype=int), 0
     for batch in draw_blocks(model, m_draws, rng):
-        residuals = np.stack([_residuals(model, x, batch) for x in xs])
-        d, count, k = residuals.shape
-        flags = np.less_equal(residuals.transpose(0, 2, 1), 0.0,
-                              out=np.empty((d, k, count), dtype=bool))
+        flags = None
+        for d, x in enumerate(xs):
+            residuals = _residuals(model, x, batch).T
+            if flags is None:
+                flags = np.empty((len(xs),) + residuals.shape, dtype=bool)
+            elif residuals.shape != flags.shape[1:]:
+                raise DomainError(
+                    f"residuals have shape {residuals.T.shape} at decision {d}, "
+                    f"expected {flags.shape[:0:-1]} as at decision 0"
+                )
+            np.less_equal(residuals, 0.0, out=flags[d])
         np.logical_not(flags, out=flags)
         s += flags.any(axis=1).sum(axis=1)
         counts = counts + flags.sum(axis=2)

@@ -10,11 +10,13 @@ of turning the posterior into right-hand sides:
     FPQ  frequentist OLS t prediction quantile at alpha/m
     RB   mean - z_{1-alpha/m} * sd normal-theory heuristic
 
-Each trial first decides with all five methods and then certifies the
-decisions in one shared pass: every optimized decision is scored on the
-same posterior-predictive draws (v_post, with an exact upper confidence
-bound) and against the generating truth (v_true).  The true capacities
-are independent Gaussians, so v_true is the exact violation probability
+Each trial first decides with all five methods, whose LPs differ only
+in their right-hand sides and so share one simplex (lp.RhsSequence),
+and then certifies the decisions in one shared pass: every optimized
+decision is scored on the same posterior-predictive draws (v_post,
+with an exact upper confidence bound) and against the generating truth
+(v_true).  The true capacities are independent Gaussians, so v_true is
+the exact violation probability
 1 - prod_j Phi((x_ctx'beta_j - a_j'x) / sigma_j), not an estimate.
 """
 

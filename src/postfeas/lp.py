@@ -570,6 +570,12 @@ class _BoundedSimplex:
         z[self.basis[own]] = self.xb[own]
         return self.offset + self.sign * z
 
+    def result(self, status: str) -> LpSolution:
+        """solution() when status is "Optimal", else status with no x."""
+        if status != "Optimal":
+            return LpSolution(status, None, None, self.iterations)
+        return self.solution()
+
     def solution(self) -> LpSolution:
         """The Optimal solution at the current basis.
 
@@ -603,10 +609,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     Raises NumericalBreakdown when pivoting degrades beyond recovery.
     """
     solver = _BoundedSimplex(problem)
-    status = solver.solve()
-    if status != "Optimal":
-        return LpSolution(status, None, None, solver.iterations)
-    return solver.solution()
+    return solver.result(solver.solve())
 
 
 class RhsSequence:
@@ -636,9 +639,7 @@ class RhsSequence:
             solver = _BoundedSimplex(problem)
         else:
             solver.replace_rhs(problem)
-        status = solver.solve()
-        sol = (solver.solution() if status == "Optimal"
-               else LpSolution(status, None, None, solver.iterations))
+        sol = solver.result(solver.solve())
         self._solver = solver
         return sol
 
@@ -705,5 +706,5 @@ def solve_cutting_planes(
             )
         solver.append_rows(rows)
         status = solver.solve()
-    sol = LpSolution(status, None, None, solver.iterations)
-    return sol, CutLog(len(cuts_per_round) + 1, cuts_per_round, last_max)
+    log = CutLog(len(cuts_per_round) + 1, cuts_per_round, last_max)
+    return solver.result(status), log

@@ -248,6 +248,14 @@ class TestEstimateViolation:
                 5,
                 Rng.for_purpose(8, "cert-h"),
             )
+        # every decision of a stack must give the same number of constraints
+        with pytest.raises(DomainError, match="at decision 1"):
+            estimate_violation(
+                np.array([[0.0], [1.0]]),
+                FnModel(draw, lambda x, b: np.zeros((len(b), 1 + int(x[0])))),
+                5,
+                Rng.for_purpose(8, "cert-h"),
+            )
         with pytest.raises(CountOutOfRange):
             estimate_violation(
                 np.zeros((1, 1)), uniform_rhs(-1.0, 1.0), 0,
