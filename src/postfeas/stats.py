@@ -239,7 +239,7 @@ def _beta_quantile_start(p: float, a: float, b: float) -> float:
     overflows; the result may round to 0 or 1.
     """
     if a >= 1.0 and b >= 1.0:
-        y = -normal_quantile(max(p, _FPMIN))
+        y = -normal_quantile(p)
         lam = (y * y - 3.0) / 6.0
         h = 2.0 / (1.0 / (2.0 * a - 1.0) + 1.0 / (2.0 * b - 1.0))
         w = y * math.sqrt(h + lam) / h - (
