@@ -43,6 +43,7 @@ from postfeas.experiments import (
     write_panel_csv,
     write_trials_csv,
 )
+from postfeas.lp import LpProblem, solve_lp
 from postfeas.posterior import (
     BetaCoverage,
     NigPrior,
@@ -52,7 +53,6 @@ from postfeas.posterior import (
     fit_ols,
     load_panel_data,
 )
-from postfeas.lp import LpProblem, solve_lp
 from postfeas.stats import Rng, normal_quantile, student_t_quantile
 from test_cli import child_env
 
@@ -377,7 +377,6 @@ class TestRunTrial:
         assert [r.status for r in recs] == ["Optimal"] * 4 + ["Error"]
         assert recs[:4] == expect[:4]
         assert recs[4].method == "RB" and np.isnan(recs[4].profit)
-
 
     def test_failing_middle_tightening_leaves_the_others(self, trial, monkeypatch):
         # FPQ raises before its solve; PM then re-enters from CR's basis
