@@ -26,7 +26,6 @@ import dataclasses
 import json
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from numbers import Integral, Real
 
@@ -376,6 +375,8 @@ def run_benchmark(cfg: SimConfig, jobs: int = 1) -> list[TrialRecord]:
         for ai, t in tasks:
             records.extend(_trial_block(cfg, ai, t))
         return records
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         for block in pool.map(_trial_block, [cfg] * len(tasks),
                               [a for a, _ in tasks], [t for _, t in tasks]):

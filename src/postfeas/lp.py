@@ -317,12 +317,17 @@ class _BoundedSimplex:
 
         The basis and the costs stay, so a basis that was optimal is
         still dual feasible; only the basic values move.  The iteration
-        count restarts at 0.
+        count restarts at 0.  binv is kept when no pivot has touched it
+        since its last refactor (an Optimal solve's extract() leaves it
+        so), since only a pivot or _add_rows changes A[:, basis].
         """
         self.problem = problem
         self.b = problem.rhs - problem.rows @ self.offset
         self.iterations = 0
-        self._refactor()
+        if self.pivots_since_refactor == 0:
+            self.xb = self.binv @ self._nonbasic_rhs()
+        else:
+            self._refactor()
 
     def _add_rows(self, rows: np.ndarray, senses: tuple, rhs: np.ndarray):
         """Append rows, each with a basic logical column, and refactor."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 
 import numpy as np
 
@@ -260,6 +261,54 @@ def _beta_quantile_start(p: float, a: float, b: float) -> float:
     return -math.expm1(ln_b + (math.log1p(-p) + _log1p_exp(ln_t_over_u)) / b)
 
 
+def _beta_quantile_subnormal(p: float, a: float, b: float, ln_beta: float,
+                             lg_err: float) -> float:
+    """beta_quantile for 0 < p below the smallest normal double.
+
+    Newton steps on g(u) = log I_x(a, b) - log p against u = log x, from
+    the leading-order root (p a B(a, b))^(1/a) of I_x ~ x^a / (a B(a, b)).
+    Below the continued fraction's split, log I_x is the log prefactor
+    plus the log of the fraction, so it never underflows.  A step leaving
+    the sign bracket of the evaluations so far is replaced by bisection;
+    the bracket starts at x = 2^-1075, below which x rounds to 0.  It
+    stops once |step| <= 1e-12 or |g| is down to the rounding of its
+    terms, and returns e^(u - step).
+    """
+    ln_p = math.log(p)
+    split = (a + 1.0) / (a + b + 2.0)
+    lo, hi = -1075.0 * math.log(2.0), 0.0
+    u = min(max((ln_p + math.log(a) + ln_beta) / a, lo), -math.ulp(1.0))
+    for _ in range(200):
+        x = math.exp(u)
+        ln_1mx = math.log1p(-x)
+        if x < split:
+            ln_front = a * u + b * ln_1mx - ln_beta
+            ln_i = ln_front + math.log(_beta_cf(a, b, x) / a)
+        else:
+            ln_front = 0.0
+            ln_i = math.log(reg_inc_beta(x, a, b))
+        g = ln_i - ln_p
+        if g > 0.0:
+            hi = u
+        elif g < 0.0:
+            lo = u
+        else:
+            return x
+        # d log I_x / d log x = x pdf(x) / I_x
+        ln_slope = a * u + (b - 1.0) * ln_1mx - ln_beta - ln_i
+        step = g / math.exp(min(ln_slope, 700.0))
+        g_floor = lg_err + 4.0 * math.ulp(1.0) * (abs(ln_front) + abs(ln_p))
+        if abs(step) <= 1e-12 or abs(g) <= g_floor:
+            return math.exp(u - step) if lo <= u - step <= hi else x
+        u_new = u - step
+        if not lo < u_new < hi:
+            u_new = 0.5 * (lo + hi)
+            if not lo < u_new < hi:  # the bracket is two adjacent floats
+                return x
+        u = u_new
+    return math.exp(u)
+
+
 def beta_quantile(p: float, a: float, b: float) -> float:
     """Inverse of the regularized incomplete beta: x with I_x(a, b) = p.
 
@@ -276,7 +325,11 @@ def beta_quantile(p: float, a: float, b: float) -> float:
     a Halley step has |step| <= 1e-12 x or |f| is down to the rounding
     of reg_inc_beta's log-gamma prefactor, and returns x - step.
     Started this way, a Clopper-Pearson bound at M = 5000 takes about
-    two evaluations of reg_inc_beta.
+    two evaluations of reg_inc_beta.  Below the smallest normal double
+    I_x itself has only subnormal precision, so there the residual is
+    log I_x - log p (_beta_quantile_subnormal).  Raises DomainError when
+    a + b overflows or the log-gamma prefactor of I_x rounds by 1 or
+    more, since no x can then be told from the root.
     """
     p = float(p)
     a = float(a)
@@ -291,12 +344,21 @@ def beta_quantile(p: float, a: float, b: float) -> float:
         return 0.0
     if p == 1.0:
         return 1.0
-    ln_ga, ln_gb, ln_gab = log_gamma(a), log_gamma(b), log_gamma(a + b)
-    ln_beta = ln_ga + ln_gb - ln_gab
+    ln_ga, ln_gb = log_gamma(a), log_gamma(b)
+    ln_gab = log_gamma(a + b) if math.isfinite(a + b) else math.inf
     # reg_inc_beta's prefactor carries the rounding of these three logs,
-    # so no x resolves |f| below about this much.
-    f_floor = (4.0 * math.ulp(1.0) * (abs(ln_ga) + abs(ln_gb) + abs(ln_gab))
-               * min(p, 1.0 - p))
+    # so no x resolves |f| below about lg_err * min(p, 1 - p).  From
+    # lg_err = 1 on, the stop below accepts any x near the root.
+    lg_err = 4.0 * math.ulp(1.0) * (abs(ln_ga) + abs(ln_gb) + abs(ln_gab))
+    if not lg_err < 1.0:
+        raise DomainError(
+            f"beta_quantile cannot resolve I_x(a, b) at a={a!r}, b={b!r}: "
+            f"the log of its prefactor rounds by {lg_err:.3g}"
+        )
+    ln_beta = ln_ga + ln_gb - ln_gab
+    if p < sys.float_info.min:
+        return _beta_quantile_subnormal(p, a, b, ln_beta, lg_err)
+    f_floor = lg_err * min(p, 1.0 - p)
     lo, hi = 0.0, 1.0
     x = min(max(_beta_quantile_start(p, a, b), _FPMIN), math.nextafter(1.0, 0.0))
     for _ in range(200):

@@ -7,8 +7,6 @@ two fixed decimals so identical inputs give byte-identical files.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 import numpy as np
 
 __all__ = ["SvgCanvas", "bar_chart", "scatter_chart", "box_chart"]
@@ -19,6 +17,12 @@ _PALETTE = ("#4477aa", "#ee6677", "#228833", "#ccbb44", "#66ccee",
 
 def _f(v: float) -> str:
     return f"{float(v):.2f}"
+
+
+def _escape(text: str) -> str:
+    """Escape &, > and < for XML character data, in that order, as
+    xml.sax.saxutils.escape does."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 class SvgCanvas:
@@ -57,7 +61,7 @@ class SvgCanvas:
         self._parts.append(
             f'<text x="{_f(x)}" y="{_f(y)}" font-size="{_f(size)}" '
             f'font-family="sans-serif" text-anchor="{anchor}" '
-            f'fill="{fill}">{escape(str(content))}</text>'
+            f'fill="{fill}">{_escape(str(content))}</text>'
         )
 
     def to_string(self) -> str:

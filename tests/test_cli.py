@@ -983,3 +983,52 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stderr == ""
+
+
+# Modules of the network, e-mail and process-pool stacks; no command needs them.
+UNUSED_STACKS = ("ssl", "socket", "selectors", "subprocess", "http.client",
+                 "urllib.request", "email", "xml.sax", "multiprocessing",
+                 "concurrent.futures")
+
+COMMANDS_IN_PROCESS = """
+import json, sys
+import postfeas, postfeas.cli
+from postfeas.cli import main
+out, fixture = sys.argv[1], sys.argv[2]
+with open(out + "/sim.json", "w") as fh:
+    json.dump({"n": 6, "m": 3, "d_ctx": 2, "n_obs": 30, "n_scen": 40,
+               "m_cert": 200, "trials_per_alpha": 1, "alphas": [0.1]}, fh)
+with open(out + "/panel.json", "w") as fh:
+    json.dump({"budget": 3, "threshold": 1.2, "n_scen": 40, "m_cert": 200}, fh)
+assert main(["sim", "--config", out + "/sim.json", "--out", out + "/sim"]) == 0
+assert main(["panel", "--detections", fixture + "/detections.csv",
+             "--clusters", fixture + "/clusters.csv",
+             "--weights", fixture + "/weights.csv",
+             "--config", out + "/panel.json", "--out", out + "/panel"]) == 0
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+class TestImportSet:
+    def test_commands_load_no_unused_stack(self, tmp_path):
+        fixture = Path(__file__).resolve().parent / "data" / "panel_binding"
+        proc = subprocess.run(
+            [sys.executable, "-c", COMMANDS_IN_PROCESS, str(tmp_path), str(fixture)],
+            capture_output=True, text=True, env=child_env(OPENBLAS_NUM_THREADS="1"),
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+        assert (tmp_path / "sim" / "trials.csv").exists()
+        assert (tmp_path / "panel" / "certificate.json").exists()
+        assert sorted(loaded.intersection(UNUSED_STACKS)) == []
+
+    @pytest.mark.parametrize("text", [
+        "plain", "a & b", "<tag>", "x > y < z", "&amp; stays &amp;amp;",
+        "'single' and \"double\" quotes", "α ≤ 0.05 — ü", "", "&<>&<>",
+    ])
+    def test_svg_escape_matches_saxutils(self, text):
+        from xml.sax.saxutils import escape
+
+        from postfeas.svg import _escape
+
+        assert _escape(text) == escape(text)

@@ -1,5 +1,6 @@
 """LP representation, the bounded-variable simplex, and the brute-force oracle."""
 
+import copy
 import json
 import math
 
@@ -804,3 +805,63 @@ class TestRhsSequence:
         after = lp.solve(sequence[2])
         monkeypatch.undo()
         assert same_solution(after, solve_lp(with_rhs(problem, sequence[2])))
+
+
+def count_inversions(monkeypatch):
+    """Patch np.linalg.inv to record each call; returns the record."""
+    calls = []
+    real = np.linalg.inv
+
+    def counted(matrix):
+        calls.append(1)
+        return real(matrix)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    return calls
+
+
+class TestReplaceRhsInverse:
+    # replace_rhs inverts A[:, basis] only when a pivot has changed it
+    # since the last refactor.
+    def test_reentry_after_optimal_inverts_nothing_new(self, monkeypatch):
+        problem, feasible_rhs = conflict_instance(7)
+        first, second = feasible_rhs(), feasible_rhs()
+        kept = _BoundedSimplex(with_rhs(problem, first))
+        assert kept.result(kept.solve()).status == "Optimal"
+        assert kept.pivots_since_refactor == 0
+        refactored = copy.deepcopy(kept)
+        calls = count_inversions(monkeypatch)
+        kept.replace_rhs(with_rhs(problem, second))
+        assert calls == []
+        # bit-identical to inverting again
+        refactored.problem = with_rhs(problem, second)
+        refactored.b = refactored.problem.rhs - problem.rows @ refactored.offset
+        refactored.iterations = 0
+        refactored._refactor()
+        assert kept.binv.tobytes() == refactored.binv.tobytes()
+        assert kept.xb.tobytes() == refactored.xb.tobytes()
+        assert same_solution(kept.result(kept.solve()),
+                             refactored.result(refactored.solve()))
+
+    def test_repeated_rhs_inverts_only_for_the_solution(self, monkeypatch):
+        problem, feasible_rhs = conflict_instance(8)
+        rhs = feasible_rhs()
+        lp = RhsSequence(problem)
+        lp.solve(rhs)
+        calls = count_inversions(monkeypatch)
+        again = lp.solve(rhs)
+        assert again.status == "Optimal" and again.iterations == 1
+        assert len(calls) == 1  # extract() refactors once; the re-entry did not
+
+    def test_reentry_after_a_pivoting_failure_inverts_again(self, monkeypatch):
+        # unbounded along x = (t, t); x1 enters by a pivot before the ray shows
+        problem = LpProblem([1.0, 1.0], [([1.0, -1.0], "<=", 1.0),
+                                         ([-1.0, 1.0], "<=", 1.0)],
+                            [(0.0, None), (0.0, None)])
+        solver = _BoundedSimplex(problem)
+        assert solver.solve() == "Unbounded"
+        assert solver.pivots_since_refactor > 0
+        calls = count_inversions(monkeypatch)
+        solver.replace_rhs(with_rhs(problem, [2.0, 2.0]))
+        assert len(calls) == 1
+        assert solver.pivots_since_refactor == 0

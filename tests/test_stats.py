@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -194,6 +195,26 @@ class TestBetaQuantile:
         # The normal-theory start is decades off the root here.
         ref = float(scipy.special.betaincinv(a, b, p))
         assert abs(beta_quantile(p, a, b) - ref) <= 1e-10 * ref
+
+    @pytest.mark.parametrize("p", [1e-310, 1e-320, 5e-324])
+    @pytest.mark.parametrize("a, b", [(1.5, 1.5), (2.0, 3.0), (3.0, 0.5)])
+    def test_subnormal_p_matches_the_leading_order_root(self, p, a, b):
+        # I_x = x^a / (a B(a, b)) (1 + O(x)), and the roots are below 1e-100
+        ln_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+        ref = math.exp((math.log(p) + math.log(a) + ln_beta) / a)
+        assert abs(beta_quantile(p, a, b) - ref) <= 1e-9 * ref
+
+    def test_increasing_across_the_smallest_normal_p(self):
+        grid = [1e-300, 1e-305, 2.2250738585072014e-308, 2.225e-308, 1e-310,
+                1e-315, 1e-320, 1e-322, 5e-324]
+        vals = [beta_quantile(p, 2.0, 3.0) for p in grid]
+        assert all(u > v for u, v in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("a, b", [(1e300, 1e300), (1.7e308, 1.7e308)])
+    def test_unresolvable_parameters_raise_domain_error(self, a, b):
+        # reg_inc_beta's prefactor overflows at 1e300; a + b overflows at 1.7e308
+        with pytest.raises(DomainError, match=re.escape(f"a={a!r}, b={b!r}")):
+            beta_quantile(0.5, a, b)
 
     def test_random_grid_against_scipy(self):
         gen = np.random.default_rng(20261019)
