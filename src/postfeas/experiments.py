@@ -563,6 +563,43 @@ def panel_certify_detail(
     return cert, summaries
 
 
+def _swap_repair(q_draws: np.ndarray, w: np.ndarray, chosen: list[int],
+                 threshold: float) -> list[int]:
+    """Greedy 1-for-1 swaps that lower the in-sample violation count.
+
+    A scenario s is violated when some cluster j has q^(s)_j' x <
+    threshold.  Each round scores every swap of one chosen gene for one
+    unchosen gene on the scenario draws q_draws (S, J, K) and takes the
+    swap with the fewest violated scenarios, then the larger weight
+    w[in] - w[out], then the first (out, in) pair in gene order; it is
+    accepted only if it strictly lowers the count, so the search ends.
+    The count is in-sample only: the panel's violation law is what the
+    certificate measures on fresh draws.
+    """
+    k_genes = q_draws.shape[2]
+    coverage = q_draws[:, :, chosen].sum(axis=2)  # (S, J)
+    count = int((coverage < threshold).any(axis=1).sum())
+    while count and len(chosen) < k_genes:
+        outside = np.setdiff1d(np.arange(k_genes), chosen)
+        best = None
+        for out in chosen:
+            base = coverage - q_draws[:, :, out]
+            swapped = base[:, :, None] + q_draws[:, :, outside]  # (S, J, K - B)
+            counts = (swapped < threshold).any(axis=1).sum(axis=0)
+            gains = w[outside] - w[out]
+            i = np.lexsort((-gains, counts))[0]  # stable: ties keep gene order
+            key = (int(counts[i]), -float(gains[i]))
+            if best is None or key < best[0]:
+                best = (key, out, int(outside[i]))
+        (fewest, _), out, into = best
+        if fewest >= count:
+            break
+        count = fewest
+        coverage = coverage - q_draws[:, :, out] + q_draws[:, :, into]
+        chosen = sorted(set(chosen) - {out} | {into})
+    return chosen
+
+
 def panel_select(
     weights: np.ndarray,
     model: po.BetaCoverage,
@@ -575,10 +612,14 @@ def panel_select(
 
     The relaxed problem maximizes w'x over x in [0, 1]^K with sum x <=
     budget and q^(s)_j' x >= model.threshold for every posterior
-    scenario s and cluster j.  The hard panel keeps the budget highest relaxed
-    scores (ties: larger weight, then lexicographic gene id) and is
-    certified on fresh draws of the selected genes' cells only (see
-    panel_certify_detail).
+    scenario s and cluster j.  The hard panel starts from the budget
+    highest relaxed scores (ties: larger weight, then lexicographic gene
+    id) and is repaired by greedy swaps on the same scenarios (see
+    _swap_repair), so the discrete choice itself is made against the
+    scenarios, as in scenario theory for non-convex decisions (Campi,
+    Garatti & Ramponi 2018, IEEE TAC 63(12)).  No bound from that theory
+    is computed here: the panel is certified on fresh draws of the
+    selected genes' cells only (see panel_certify_detail).
     """
     w = np.asarray(weights, dtype=float)
     j_clusters, k_genes = model.a.shape
@@ -629,7 +670,8 @@ def panel_select(
     order = sorted(
         range(k_genes), key=lambda k: (-relaxed_x[k], -w[k], gene_ids[k])
     )
-    chosen = sorted(order[: cfg.budget])
+    chosen = _swap_repair(q_draws, w, sorted(order[: cfg.budget]),
+                          model.threshold)
     x_bin = np.zeros(k_genes)
     x_bin[chosen] = 1.0
 

@@ -339,7 +339,7 @@ class StudentTRhs(_DrawnRows):
     def draw(self, rng: stats.Rng, count: int) -> np.ndarray:
         """(count, m) right-hand sides, one Student-t draw for all rows."""
         size = (count, self.dof.size)
-        return self.loc + self.scale * stats.student_t_array(rng, self.dof, size)
+        return self.loc + self.scale * rng.generator.standard_t(self.dof, size)
 
     def as_rows(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.rows, batch
@@ -409,7 +409,7 @@ class BetaCoverage(_DrawnRows):
 
     def draw(self, rng: stats.Rng, count: int) -> np.ndarray:
         """(count, J, K) detection-probability matrices."""
-        return stats.beta_array(rng, self.a, self.b, (count,) + self.a.shape)
+        return rng.generator.beta(self.a, self.b, (count,) + self.a.shape)
 
     def restrict(self, genes) -> "BetaCoverage":
         """The model on the gene columns genes (indices, in order) only.

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .errors import CountOutOfRange, DimensionMismatch, DomainError
+from .errors import CountOutOfRange, DomainError
 
 __all__ = [
     "log_gamma",
@@ -31,9 +31,6 @@ __all__ = [
     "derive_stream_id",
     "Rng",
     "normal_array",
-    "gamma_array",
-    "student_t_array",
-    "beta_array",
     "uniform_array",
 ]
 
@@ -631,132 +628,3 @@ def normal_array(rng: Rng, size) -> np.ndarray:
 def uniform_array(rng: Rng, size) -> np.ndarray:
     """Uniform(0, 1) draws of the given shape."""
     return rng.generator.random(size)
-
-
-def _mt_round(x, u, c, d):
-    """One Marsaglia-Tsang round on normals ``x`` and uniforms ``u``.
-
-    ``c`` and ``d`` broadcast against ``x``.  Returns ``(value, rejected)``:
-    the C-ordered proposal ``d * v`` for every element and the C-order flat
-    indices of the elements that fail both the squeeze and the log test.
-    ``x`` is overwritten.
-    """
-    cv = c * x
-    cv += 1.0
-    v = cv * cv
-    v *= cv
-    value = np.multiply(d, v, out=np.empty(v.shape))
-    x2 = np.multiply(x, x, out=x)
-    squeeze = np.multiply(0.0331, x2, out=cv)
-    squeeze *= x2
-    np.subtract(1.0, squeeze, out=squeeze)
-    # v <= 0 needs x <= -3 sqrt(d) <= -2.449 (d >= 2/3), where the squeeze
-    # bound 1 - 0.0331 x^4 is below -0.19: so the squeeze needs no v > 0
-    # guard, and only the elements it rejects reach the log test.
-    rejected = np.flatnonzero(np.greater_equal(u, squeeze))
-    if rejected.size:
-        v = v.reshape(-1)[rejected]
-        pos = v > 0.0
-        safe_v = np.where(pos, v, 1.0)
-        d = np.broadcast_to(d, x.shape)[np.unravel_index(rejected, x.shape)]
-        accept = pos & (
-            np.log(u.reshape(-1)[rejected])
-            < 0.5 * x2.reshape(-1)[rejected] + d * (1.0 - safe_v + np.log(safe_v))
-        )
-        rejected = rejected[~accept]
-    return value, rejected
-
-
-def gamma_array(rng: Rng, shape_param, size=None) -> np.ndarray:
-    """Gamma(shape, 1) draws via the Marsaglia-Tsang squeeze.
-
-    shape < 1 is handled with the boost Gamma(a) = Gamma(a+1) * U^(1/a).
-    The shape parameter must be finite and positive and broadcast to
-    ``size`` (default: its own shape).
-
-    Draw protocol, pinned by ``tests/test_stats.py::TestSamplerStream``;
-    with n elements in ``size``:
-
-    1. Round one draws n normals, then n uniforms, one of each per
-       element in C order over ``size``.
-    2. Each later round draws as many normals, then as many uniforms, as
-       there are still-rejected elements, one per element in index
-       order.
-    3. Last, one boost uniform per element with shape < 1, in C order.
-    """
-    gen = rng.generator
-    shp = np.asarray(shape_param, dtype=float)
-    if not np.all(np.isfinite(shp) & (shp > 0.0)):
-        raise DomainError("gamma_array requires finite shape > 0")
-    if size is None:
-        size = shp.shape
-    try:
-        size = np.broadcast_to(shp, size).shape
-    except ValueError:
-        raise DimensionMismatch(
-            f"gamma_array shape parameter of shape {shp.shape} does not "
-            f"broadcast to size {size!r}"
-        ) from None
-    n = math.prod(size)
-    if n == 0:
-        return np.empty(size)
-    small = shp < 1.0
-    work = np.where(small, shp + 1.0, shp)
-    d = work - 1.0 / 3.0
-    c = 1.0 / np.sqrt(9.0 * d)
-    # Round one covers every element, so it runs on whole arrays with the
-    # parameters unbroadcast and no gathers.  A 0-d size runs as (1,):
-    # numpy returns scalars, not arrays, from ufuncs on 0-d operands.
-    dims = size if size else (1,)
-    x = gen.standard_normal(n).reshape(dims)
-    u = gen.random(n).reshape(dims)
-    # Every round writes its proposal for all the elements it covers; the
-    # ones it rejects are overwritten by a later round.
-    out, pending = _mt_round(x, u, c, d)
-    if pending.size:
-        out_flat = out.reshape(-1)
-        c = np.broadcast_to(c, dims).ravel()
-        d = np.broadcast_to(d, dims).ravel()
-    while pending.size:
-        x = gen.standard_normal(pending.size)
-        u = gen.random(pending.size)
-        value, rejected = _mt_round(x, u, c[pending], d[pending])
-        out_flat[pending] = value
-        pending = pending[rejected]
-    if np.any(small):
-        small = np.broadcast_to(small, dims)
-        boost = gen.random(int(np.count_nonzero(small)))
-        boost **= np.broadcast_to(1.0 / shp, dims)[small]
-        out[small] *= boost
-    return out.reshape(size)
-
-
-def beta_array(rng: Rng, a, b, size=None) -> np.ndarray:
-    """Beta(a, b) draws composed from two gamma draws."""
-    a_arr = np.asarray(a, dtype=float)
-    b_arr = np.asarray(b, dtype=float)
-    if size is None:
-        try:
-            size = np.broadcast_shapes(a_arr.shape, b_arr.shape)
-        except ValueError:
-            raise DimensionMismatch(
-                f"beta_array parameters of shapes {a_arr.shape} and "
-                f"{b_arr.shape} do not broadcast together"
-            ) from None
-    g1 = gamma_array(rng, a_arr, size)
-    g2 = gamma_array(rng, b_arr, size)
-    return g1 / (g1 + g2)
-
-
-def student_t_array(rng: Rng, dof, size) -> np.ndarray:
-    """Student-t draws composed as normal / sqrt(chi2_dof / dof).
-
-    dof is a scalar or an array that broadcasts against size, so one
-    call draws every row of a multi-row predictive at once.
-    """
-    dof = np.asarray(dof, dtype=float)
-    if not np.all(np.isfinite(dof) & (dof > 0.0)):
-        raise DomainError(f"student_t_array requires finite dof > 0, got {dof!r}")
-    z = rng.generator.standard_normal(size)
-    chi2 = 2.0 * gamma_array(rng, 0.5 * dof, np.shape(z))
-    return z / np.sqrt(chi2 / dof)

@@ -946,6 +946,22 @@ class TestPanel:
         assert rc == 0
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("seed", ["2", "42", "11"])
+    def test_binding_fixture_panel_certifies(self, tmp_path, capsys, seed):
+        # top-B rounding picks g1 g2 g4 at seeds 2 and 42, which misses
+        # c2's floor in every draw; the swap repair trades g2 for g5
+        d = Path(__file__).parent / "data" / "panel_binding"
+        cfg = write_json(tmp_path / "panel.json",
+                         {"budget": 3, "threshold": 1.2, "n_scen": 300})
+        rc = main(["panel", "--detections", str(d / "detections.csv"),
+                   "--clusters", str(d / "clusters.csv"),
+                   "--weights", str(d / "weights.csv"), "--config", cfg,
+                   "--seed", seed, "--out", str(tmp_path / "out")])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[:2] == ["g1 g4 g5", "v_hat=0.0"]
+        assert captured.err == ""
+
     def test_malformed_csv_exit_code(self, tmp_path):
         det, clu, _ = write_panel_fixture(tmp_path, BINDING_DETECTIONS)
         bad = tmp_path / "weights.csv"

@@ -28,6 +28,7 @@ from postfeas.experiments import (
     PanelConfig,
     SimConfig,
     _tightened_rhs,
+    _swap_repair,
     _true_violation,
     fit_capacity_model,
     gen_instance,
@@ -731,28 +732,28 @@ class TestPanelCertifyDetail:
         assert got == want
 
     def test_gamma_draws_scale_with_selected_genes(self, monkeypatch):
-        # J x (selected genes) Beta cells per draw, two gammas each; the
-        # other K - B columns are never drawn
+        # J x (selected genes) Beta cells per draw; the other K - B
+        # columns are never drawn
         j_clusters, k_genes = 3, 12
         post = BetaCoverage(a=np.full((j_clusters, k_genes), 4.0),
                             b=np.full((j_clusters, k_genes), 2.0), threshold=1.0)
         cfg = PanelConfig(budget=2, threshold=1.0, m_cert=2500)
         drawn = []
-        gamma_array = stats.gamma_array
+        draw = BetaCoverage.draw
 
-        def counting(rng, shape_param, size=None):
-            out = gamma_array(rng, shape_param, size)
+        def counting(model, rng, count):
+            out = draw(model, rng, count)
             drawn.append(out.size)
             return out
 
-        monkeypatch.setattr(stats, "gamma_array", counting)
+        monkeypatch.setattr(BetaCoverage, "draw", counting)
         n_blocks = -(-cfg.m_cert // BLOCK)
         for selected in ([4], [0, 7], [1, 5, 11]):
             drawn.clear()
             x_sel = np.zeros(k_genes)
             x_sel[selected] = 1.0
             panel_certify_detail(x_sel, post, cfg, Rng.for_purpose(69, "panel-count"))
-            assert sum(drawn) == 2 * n_blocks * BLOCK * j_clusters * len(selected)
+            assert sum(drawn) == n_blocks * BLOCK * j_clusters * len(selected)
 
     @pytest.mark.parametrize("x_sel", [[np.inf, 0.0, 0.0], [np.nan, 1.0, 1.0],
                                        [1.0, -np.inf, 1.0]])
@@ -897,6 +898,81 @@ class TestPanelSelect:
         assert a.cluster_summaries == b.cluster_summaries
 
 
+def violated_scenarios(q_draws, genes, threshold) -> int:
+    """In-sample scenarios in which some cluster misses the floor."""
+    return int((q_draws[:, :, list(genes)].sum(axis=2) < threshold).any(axis=1).sum())
+
+
+@pytest.fixture(scope="module")
+def synthetic_panels():
+    """(top-B count, repaired count, top-B genes, repaired genes) on 20
+    seeded panels, J=3 and K=10, with the floor at 0.8 of the smallest
+    coverage of the uniform fractional panel."""
+    out = []
+    for seed in range(20):
+        gen = np.random.default_rng([seed, 79])
+        cells = gen.integers(150, 400, 3).astype(float)
+        det = gen.binomial(cells[:, None].astype(int), gen.beta(0.6, 3.0, (3, 10)))
+        weights = gen.uniform(0.5, 2.0, 10)
+        q_mean = (det + 1.0) / (cells[:, None] + 2.0)
+        cfg = PanelConfig(budget=3, n_scen=60, m_cert=200,
+                          threshold=0.8 * float((0.3 * q_mean.sum(axis=1)).min()))
+        post = fit_beta_binomial(det.astype(float), cells, cfg.threshold)
+        rng = Rng.for_purpose(seed, "panel-repair")
+        res = panel_select(weights, post, cfg, rng)
+        q = post.draw(Rng.for_purpose(rng.seed, rng.stream_id, "scenario"), cfg.n_scen)
+        order = sorted(range(10), key=lambda k: (-res.relaxed_x[k], -weights[k], k))
+        top = sorted(order[:3])
+        repaired = [int(g[1:]) for g in res.panel]
+        out.append((violated_scenarios(q, top, cfg.threshold),
+                    violated_scenarios(q, repaired, cfg.threshold), top, repaired))
+    return out
+
+
+class TestSwapRepair:
+    def test_never_violates_more_scenarios_than_top_b(self, synthetic_panels):
+        assert all(fixed <= top for top, fixed, _, _ in synthetic_panels)
+        assert any(fixed < top for top, fixed, _, _ in synthetic_panels)
+
+    def test_top_b_without_violations_is_kept(self, synthetic_panels):
+        clean = [(top_genes, fixed_genes)
+                 for top, _, top_genes, fixed_genes in synthetic_panels if top == 0]
+        assert clean
+        assert all(top_genes == fixed_genes for top_genes, fixed_genes in clean)
+
+    def test_repair_draws_nothing(self, monkeypatch):
+        # at seed 2 the repair swaps g2 for g5 on the scenario draws in
+        # memory: the draws are still the S x J x K scenarios, then the
+        # certificate's blocks of the three selected genes
+        d = DATA_DIR / "panel_binding"
+        data = load_panel_data(d / "detections.csv", d / "clusters.csv",
+                               d / "weights.csv")
+        cfg = PanelConfig(budget=3, threshold=1.2, n_scen=300, m_cert=2000)
+        post = fit_beta_binomial(data.detected, data.cluster_sizes, cfg.threshold)
+        drawn = []
+        draw = BetaCoverage.draw
+
+        def counting(model, rng, count):
+            out = draw(model, rng, count)
+            drawn.append(out.shape)
+            return out
+
+        monkeypatch.setattr(BetaCoverage, "draw", counting)
+        res = panel_select(data.weights, post, cfg, Rng.for_purpose(2, "panel"),
+                           gene_ids=data.genes, cluster_ids=data.clusters)
+        assert res.panel == ("g1", "g4", "g5")
+        assert drawn == [(300, 2, 6), (BLOCK, 2, 3), (BLOCK, 2, 3)]
+
+    def test_ties_go_to_weight_then_gene_order(self):
+        # genes 0 and 1 miss the floor of 1.0 in both scenarios; swapping
+        # gene 0 for gene 2 or gene 3 clears both, swapping gene 1 does not
+        q = np.array([[[0.1, 0.5, 0.6, 0.6]], [[0.2, 0.5, 0.7, 0.7]]])
+        assert _swap_repair(q, np.ones(4), [0, 1], 1.0) == [1, 2]
+        assert _swap_repair(q, np.array([1.0, 1.0, 1.0, 1.5]), [0, 1], 1.0) == [1, 3]
+        # no swap lowers the count: the panel stays
+        assert _swap_repair(q, np.ones(4), [0, 1], 5.0) == [0, 1]
+
+
 DATA_DIR = Path(__file__).parent / "data"
 
 # (fixture, threshold, seed) -> float.hex of PanelResult.relaxed_x at
@@ -907,8 +983,8 @@ FIXTURE_RELAXED_X = {
         "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
     ],
     ("panel_binding", 1.2, 11): [
-        "0x1.0000000000000p+0", "0x1.2222ea47e5162p-1", "0x0.0p+0",
-        "0x1.aae9f8f843556p-1", "0x1.32f31cbfd795cp-1", "0x0.0p+0",
+        "0x1.0000000000000p+0", "0x1.20d8ce3b9f36dp-1", "0x0.0p+0",
+        "0x1.0000000000000p+0", "0x1.be4e6388c1927p-2", "0x0.0p+0",
     ],
 }
 

@@ -1,6 +1,5 @@
 """Special functions, quantiles, and the seeded sampling layer."""
 
-import hashlib
 import math
 import re
 from fractions import Fraction
@@ -13,16 +12,14 @@ import scipy.special
 import scipy.stats
 
 from postfeas import stats
-from postfeas.errors import CountOutOfRange, DimensionMismatch, DomainError
-from postfeas.posterior import BetaCoverage
+from postfeas.errors import CountOutOfRange, DomainError
+from postfeas.posterior import BetaCoverage, StudentTRhs
 from postfeas.stats import (
     Rng,
-    beta_array,
     beta_quantile,
     binomial_tail,
     chi2_quantile,
     derive_stream_id,
-    gamma_array,
     log_choose,
     log_gamma,
     normal_array,
@@ -30,7 +27,6 @@ from postfeas.stats import (
     normal_quantile,
     reg_inc_beta,
     reg_lower_gamma,
-    student_t_array,
     student_t_quantile,
     uniform_array,
 )
@@ -421,29 +417,43 @@ class TestRng:
         assert np.array_equal(first, again)
 
 
+def _beta(a, b) -> BetaCoverage:
+    return BetaCoverage(a=np.asarray(a, dtype=float), b=np.asarray(b, dtype=float),
+                        threshold=0.0)
+
+
+def _student_t(dof, loc, scale) -> StudentTRhs:
+    return StudentTRhs(rows=np.zeros((len(dof), 1)), dof=dof, loc=loc,
+                       scale=scale)
+
+
 class TestSamplers:
+    """The laws the posterior models draw from, checked against scipy."""
+
     def test_normal_mean_band(self):
         draws = normal_array(Rng.for_purpose(42, "clt"), (1_000_000,))
         assert abs(draws.mean()) <= 4.0 / math.sqrt(1_000_000)
 
     def test_beta_uniform_ks(self):
-        draws = beta_array(Rng.for_purpose(42, "ks"), 1.0, 1.0, (20000,))
-        stat = scipy.stats.kstest(draws, "uniform").statistic
+        draws = _beta([[1.0]], [[1.0]]).draw(Rng.for_purpose(42, "ks"), 20000)
+        stat = scipy.stats.kstest(draws.ravel(), "uniform").statistic
         crit_1pct = 1.6276 / math.sqrt(20000)
         assert stat < crit_1pct
 
-    def test_gamma_moments(self):
+    def test_beta_moments(self):
         for shape in (0.3, 1.0, 4.7, 40.0):
-            draws = gamma_array(Rng.for_purpose(42, "gam", shape), shape,
-                                (200000,))
-            assert np.all(draws > 0)
-            se = math.sqrt(shape / 200000)
-            assert abs(draws.mean() - shape) <= 5 * se
+            draws = _beta([[shape]], [[2.0]]).draw(
+                Rng.for_purpose(42, "beta-moments", shape), 200000).ravel()
+            assert np.all((draws > 0) & (draws < 1))
+            mean, var = scipy.stats.beta.stats(shape, 2.0, moments="mv")
+            se = math.sqrt(var / 200000)
+            assert abs(draws.mean() - mean) <= 5 * se
 
     def test_quantile_consistency(self):
         n = 100000
-        t_draws = student_t_array(Rng.for_purpose(42, "tq"), 6.0, (n,))
-        b_draws = beta_array(Rng.for_purpose(42, "bq"), 3.0, 8.0, (n,))
+        t_draws = _student_t([6.0], [0.0], [1.0]).draw(
+            Rng.for_purpose(42, "tq"), n)[:, 0]
+        b_draws = _beta([[3.0]], [[8.0]]).draw(Rng.for_purpose(42, "bq"), n).ravel()
         for p in (0.1, 0.5, 0.9):
             q_t = student_t_quantile(p, 6.0)
             pdf_t = float(scipy.stats.t.pdf(q_t, 6.0))
@@ -454,66 +464,63 @@ class TestSamplers:
             se_b = math.sqrt(p * (1 - p) / n) / pdf_b
             assert abs(np.quantile(b_draws, p) - q_b) <= 3 * se_b
 
-    def test_student_t_array_per_row_dof(self):
-        # one call draws columns with different dof, each with its own law
-        n, dof = 50000, np.array([3.0, 30.0])
-        draws = student_t_array(Rng.for_purpose(43, "t-rows"), dof, (n, 2))
+    def test_student_t_rhs_per_row_dof(self):
+        # one call draws rows with different dof, each with its own law
+        n = 50000
+        dof, loc, scale = np.array([3.0, 30.0]), [1.0, -2.0], [0.5, 3.0]
+        draws = _student_t(dof, loc, scale).draw(Rng.for_purpose(43, "t-rows"), n)
         assert draws.shape == (n, 2)
         for j in range(2):
             q = student_t_quantile(0.9, dof[j])
             se = math.sqrt(0.09 / n) / float(scipy.stats.t.pdf(q, dof[j]))
-            assert abs(np.quantile(draws[:, j], 0.9) - q) <= 3 * se
-        r = Rng.for_purpose(43, "t-bad")
-        with pytest.raises(DomainError):
-            student_t_array(r, 0.0, (3,))
-        with pytest.raises(DomainError):
-            student_t_array(r, np.array([5.0, -1.0]), (4, 2))
-        with pytest.raises(DomainError):
-            gamma_array(r, -1.0, (3,))
+            assert abs(np.quantile(draws[:, j], 0.9) - (loc[j] + scale[j] * q)) \
+                <= 3 * scale[j] * se
+
+    def test_student_t_ks(self):
+        model = _student_t([4.0], [1.5], [0.5])
+        draws = model.draw(Rng.for_purpose(42, "t-ks"), 20000)[:, 0]
+        stat = scipy.stats.kstest(draws, "t", args=(4.0, 1.5, 0.5)).statistic
+        assert stat < 1.6276 / math.sqrt(20000)
+
+    def test_student_t_moments(self):
+        for dof in (5.0, 30.0):
+            draws = _student_t([dof], [-3.0], [2.0]).draw(
+                Rng.for_purpose(42, "t-moments", dof), 200000)[:, 0]
+            se = 2.0 * math.sqrt(dof / (dof - 2.0) / 200000)
+            assert abs(draws.mean() + 3.0) <= 5 * se
 
     def test_non_finite_parameters_rejected(self):
-        r = Rng.for_purpose(43, "non-finite")
-        for bad in (np.inf, np.nan, np.array([2.0, np.inf])):
+        # rejected when the model is built, before any draw
+        for bad in (np.inf, np.nan):
             with pytest.raises(DomainError):
-                gamma_array(r, bad, (4, 2))
+                _student_t([bad], [0.0], [1.0])
             with pytest.raises(DomainError):
-                student_t_array(r, bad, (4, 2))
-        with pytest.raises(DomainError):
-            beta_array(r, 2.0, np.inf, (3,))
-        # checked on the parameter, even when no element is drawn from it
-        with pytest.raises(DomainError):
-            gamma_array(r, np.array([1.0, np.inf]), (0, 2))
-
-    def test_size_must_hold_the_parameter_shape(self):
-        r = Rng.for_purpose(43, "bad-size")
-        with pytest.raises(DimensionMismatch):
-            gamma_array(r, np.ones(3), (4,))
-        with pytest.raises(DimensionMismatch):
-            gamma_array(r, np.ones((3, 30)), (1024, 30, 3))
-        with pytest.raises(DimensionMismatch):
-            beta_array(r, np.ones(3), np.ones(3), (4,))
-        with pytest.raises(DimensionMismatch):
-            student_t_array(r, np.ones(3), (5, 4))
+                _student_t([2.0, bad], [0.0, 0.0], [1.0, 1.0])
+            with pytest.raises(DomainError):
+                _beta([[2.0, bad]], [[1.0, 1.0]])
+            with pytest.raises(DomainError):
+                _beta([[2.0]], [[bad]])
 
     def test_beta_parameters_must_broadcast_together(self):
-        r = Rng.for_purpose(44, "bad-beta-shapes")
-        with pytest.raises(DimensionMismatch):
-            beta_array(r, np.ones(3), np.ones(4))
-        with pytest.raises(DimensionMismatch):
-            beta_array(r, np.ones((2, 3)), np.ones((3, 2)))
+        with pytest.raises(DomainError):
+            _beta(np.ones((1, 3)), np.ones((1, 4)))
+        with pytest.raises(DomainError):
+            _beta(np.ones((2, 3)), np.ones((3, 2)))
 
     def test_beta_broadcasting(self):
-        r = Rng.for_purpose(4, "bc")
+        # each cell is drawn from its own parameters
         a = np.array([[2.0, 30.0], [5.0, 1.0]])
         b = np.array([[8.0, 3.0], [5.0, 1.0]])
-        draws = beta_array(r, a, b)
-        assert draws.shape == (2, 2)
+        n = 20000
+        draws = _beta(a, b).draw(Rng.for_purpose(4, "bc"), n)
+        assert draws.shape == (n, 2, 2)
         assert np.all((draws > 0) & (draws < 1))
+        mean, var = scipy.stats.beta.stats(a, b, moments="mv")
+        assert np.all(np.abs(draws.mean(axis=0) - mean) <= 5 * np.sqrt(var / n))
 
 
-_PIN_MIXED = np.tile([0.05, 0.3, 0.9, 1.0, 2.5, 17.0], 3)
-_PIN_GRID_A = np.linspace(0.2, 40.0, 90).reshape(3, 30)
-_PIN_GRID_B = np.linspace(60.0, 0.5, 90).reshape(3, 30)
+_GRID_A = np.linspace(0.2, 40.0, 90).reshape(3, 30)
+_GRID_B = np.linspace(60.0, 0.5, 90).reshape(3, 30)
 
 
 def _strided(values):
@@ -529,96 +536,20 @@ _LAYOUTS = {
     "transposed": lambda values: np.ascontiguousarray(values.T).T,
 }
 
-# name -> (draw, output shape, sha256 of the output bytes, next uniform)
-_PIN_CASES = {
-    # shape 0.3 reaches both the v <= 0 guard and the shape < 1 boost
-    "gamma_0.3": (
-        lambda r: gamma_array(r, 0.3, (50000,)), (50000,),
-        "0d375235bcca320294774dd09abd4b79a0e37c3ac1aadc2ee447d8c7d1a0a699",
-        0.8890055276747577,
-    ),
-    "gamma_1.0": (
-        lambda r: gamma_array(r, 1.0, (50000,)), (50000,),
-        "8b26f448bf64ea1e86ac96e61f3625c4e205ae04f9fb83429af9f7f06d8a665d",
-        0.4842170653642568,
-    ),
-    "gamma_4.7": (
-        lambda r: gamma_array(r, 4.7, (50000,)), (50000,),
-        "2fbed1f52fc26fc07b3ac42b48cc1984502adc56cc604aeebb4d0757cc76eae9",
-        0.685056519060683,
-    ),
-    "gamma_400": (
-        lambda r: gamma_array(r, 400.0, (50000,)), (50000,),
-        "9c0963c99bc8fd8791e69452bf56bd2238f1ed4571a5ff6af7b5699d4d4d03c3",
-        0.46984935370783687,
-    ),
-    "gamma_mixed": (
-        lambda r: gamma_array(r, _PIN_MIXED, (2000, 18)), (2000, 18),
-        "74b41729e97729bd87335ddb26a52542cc9d0732436d1ead1de878608ca0b271",
-        0.8171585533235292,
-    ),
-    "gamma_grid": (
-        lambda r: gamma_array(r, _PIN_GRID_A, (1024, 3, 30)), (1024, 3, 30),
-        "2e8be6780c516717b80458a58b9f4bce01b2c9905b15ab2f7755be997b9cec25",
-        0.3637544512570343,
-    ),
-    "gamma_size_none": (
-        lambda r: gamma_array(r, 2.5), (),
-        "85b96c6094cc5073fe73724b2b2836115e9b8e9f53a866ca1251eab73fe5bdb0",
-        0.04969379740249846,
-    ),
-    "gamma_empty": (
-        lambda r: gamma_array(r, _PIN_GRID_A, (0, 3, 30)), (0, 3, 30),
-        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        0.9366519893641901,
-    ),
-    "beta_grid": (
-        lambda r: beta_array(r, _PIN_GRID_A, _PIN_GRID_B, (1024, 3, 30)),
-        (1024, 3, 30),
-        "2c901aaae96b01898a089c481fe869cdbe798faefcbe64bde0f6a8632875fc1a",
-        0.9085603973089645,
-    ),
-    "student_t_rows": (
-        lambda r: student_t_array(r, np.array([0.7, 3.0, 30.0]), (4000, 3)),
-        (4000, 3),
-        "b2804c27cb406f867478ff23cd71e7899d1cf99620c544465ec1a1cb47d3ca62",
-        0.3478943498290685,
-    ),
-}
-
 
 class TestSamplerStream:
-    """The samplers' draw protocol, pinned: each case fixes the output
-    bytes and the position the generator is left at (its next uniform),
-    so a rewrite of a sampler must consume the same normals and uniforms
-    in the same order and return bit-identical values."""
-
-    @pytest.mark.parametrize("name", sorted(_PIN_CASES))
-    def test_stream_pinned(self, name):
-        draw, shape, digest, next_uniform = _PIN_CASES[name]
-        r = Rng.for_purpose(2026, "pin", name)
-        out = draw(r)
-        assert out.shape == shape
-        assert out.dtype == np.float64
-        assert hashlib.sha256(out.tobytes()).hexdigest() == digest
-        assert r.generator.random() == next_uniform
+    """A model's draws depend on its parameter values, not their layout."""
 
     @pytest.mark.parametrize("layout", sorted(_LAYOUTS))
     def test_parameter_layout_keeps_the_draws(self, layout):
         # the same parameter values in another memory layout give the same
         # bytes and leave the generator at the same place
-        a = _LAYOUTS[layout](_PIN_GRID_A)
-        b = _LAYOUTS[layout](_PIN_GRID_B)
-        assert np.array_equal(a, _PIN_GRID_A) and not a.flags.c_contiguous
-        draws = {
-            "gamma_grid": lambda r, a, b: gamma_array(r, a, (1024, 3, 30)),
-            "gamma_size_none": lambda r, a, b: gamma_array(r, a),
-            "beta_coverage": lambda r, a, b: BetaCoverage(a, b, 1.0).draw(r, 1024),
-        }
-        for name, draw in draws.items():
-            r_c = Rng.for_purpose(2026, "layout", name)
-            r_other = Rng(r_c.seed, r_c.stream_id)
-            want = draw(r_c, _PIN_GRID_A, _PIN_GRID_B)
-            got = draw(r_other, a, b)
-            assert got.tobytes() == want.tobytes(), name
-            assert r_other.generator.random() == r_c.generator.random(), name
+        a = _LAYOUTS[layout](_GRID_A)
+        b = _LAYOUTS[layout](_GRID_B)
+        assert np.array_equal(a, _GRID_A) and not a.flags.c_contiguous
+        r_c = Rng.for_purpose(2026, "layout", "beta_coverage")
+        r_other = Rng(r_c.seed, r_c.stream_id)
+        want = BetaCoverage(_GRID_A, _GRID_B, 1.0).draw(r_c, 1024)
+        got = BetaCoverage(a, b, 1.0).draw(r_other, 1024)
+        assert got.tobytes() == want.tobytes()
+        assert r_other.generator.random() == r_c.generator.random()
