@@ -911,13 +911,13 @@ def synthetic_panels():
     out = []
     for seed in range(20):
         gen = np.random.default_rng([seed, 79])
-        cells = gen.integers(150, 400, 3).astype(float)
-        det = gen.binomial(cells[:, None].astype(int), gen.beta(0.6, 3.0, (3, 10)))
+        cells = gen.integers(150, 400, 3)
+        det = gen.binomial(cells[:, None], gen.beta(0.6, 3.0, (3, 10)))
         weights = gen.uniform(0.5, 2.0, 10)
         q_mean = (det + 1.0) / (cells[:, None] + 2.0)
         cfg = PanelConfig(budget=3, n_scen=60, m_cert=200,
                           threshold=0.8 * float((0.3 * q_mean.sum(axis=1)).min()))
-        post = fit_beta_binomial(det.astype(float), cells, cfg.threshold)
+        post = fit_beta_binomial(det, cells, cfg.threshold)
         rng = Rng.for_purpose(seed, "panel-repair")
         res = panel_select(weights, post, cfg, rng)
         q = post.draw(Rng.for_purpose(rng.seed, rng.stream_id, "scenario"), cfg.n_scen)

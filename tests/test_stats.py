@@ -418,8 +418,7 @@ class TestRng:
 
 
 def _beta(a, b) -> BetaCoverage:
-    return BetaCoverage(a=np.asarray(a, dtype=float), b=np.asarray(b, dtype=float),
-                        threshold=0.0)
+    return BetaCoverage(a=a, b=b, threshold=0.0)
 
 
 def _student_t(dof, loc, scale) -> StudentTRhs:
