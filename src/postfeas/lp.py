@@ -80,11 +80,38 @@ def _constraint_arrays(constraints, n: int):
     return rows, tuple(senses), np.asarray(rhs_list, dtype=float)
 
 
+def _peak(a: np.ndarray) -> float:
+    """The largest entry of a, NaN if a holds one, -inf if a is empty.
+
+    Found by argmax, which on the short arrays of a simplex costs a
+    fraction of a max reduction.
+    """
+    a = a.ravel()
+    return float(a[a.argmax()]) if a.size else -math.inf
+
+
+def _tolerance(a: np.ndarray) -> float:
+    """1e-9 relative to max(1, |a|)."""
+    return 1e-9 * max(1.0, _peak(np.abs(a)))
+
+
 def _check_finite(*arrays: np.ndarray):
+    if all(np.isfinite(a).all() for a in arrays):
+        return
     if any(np.isnan(a).any() for a in arrays):
         raise DomainError("objective, rows, and rhs must be free of NaN")
-    if any(np.isinf(a).any() for a in arrays):
-        raise DomainError("objective, rows, and rhs must be finite")
+    raise DomainError("objective, rows, and rhs must be finite")
+
+
+# Row i's residual r = rows[i] @ x - rhs[i] is violated by
+# max(signs[i, 0] * r, signs[i, 1] * r), which is r, -r or |r|.
+_VIOLATION_SIGNS = {"<=": np.array([[1.0, 1.0]]), ">=": np.array([[-1.0, -1.0]]),
+                    "=": np.array([[1.0, -1.0]])}
+
+
+def _violation_signs(signs: np.ndarray, senses: tuple) -> np.ndarray:
+    """signs with the rows of senses appended."""
+    return _readonly(np.concatenate([signs, *map(_VIOLATION_SIGNS.get, senses)]))
 
 
 class LpProblem:
@@ -94,7 +121,8 @@ class LpProblem:
     bounds: one (lo, hi) pair per variable; None means unbounded on that side.
     """
 
-    __slots__ = ("objective", "rows", "senses", "rhs", "lower", "upper")
+    __slots__ = ("objective", "rows", "senses", "rhs", "lower", "upper",
+                 "_signs")
 
     def __init__(self, objective, constraints, bounds):
         c = np.asarray(objective, dtype=float)
@@ -121,19 +149,21 @@ class LpProblem:
         self.rhs = _readonly(rhs)
         self.lower = _readonly(lower)
         self.upper = _readonly(upper)
+        self._signs = _violation_signs(np.zeros((0, 2)), senses)
 
-    def _with_rows(self, constraints) -> LpProblem:
-        """This problem plus the (row, sense, rhs) triples, validated as
-        the constructor validates them; only the new rows are parsed."""
-        rows, senses, rhs = _constraint_arrays(constraints, self.n)
+    def _with_rows(self, rows: np.ndarray, senses: tuple,
+                   rhs: np.ndarray) -> LpProblem:
+        """This problem plus rows parsed by _constraint_arrays, whose
+        finiteness is checked here as the constructor checks it."""
         _check_finite(rows, rhs)
         out = object.__new__(LpProblem)
         out.objective = self.objective
-        out.rows = _readonly(np.vstack([self.rows, rows]))
+        out.rows = _readonly(np.concatenate([self.rows, rows]))
         out.senses = self.senses + senses
         out.rhs = _readonly(np.concatenate([self.rhs, rhs]))
         out.lower = self.lower
         out.upper = self.upper
+        out._signs = _violation_signs(self._signs, senses)
         return out
 
     def _with_rhs(self, rhs) -> LpProblem:
@@ -150,6 +180,7 @@ class LpProblem:
         out.rhs = _readonly(rhs)
         out.lower = self.lower
         out.upper = self.upper
+        out._signs = self._signs
         return out
 
     @property
@@ -180,25 +211,23 @@ class LpSolution:
 
 
 def max_violation(problem: LpProblem, x) -> float:
-    """Largest constraint or bound violation of x (0 when feasible)."""
+    """Largest constraint or bound violation of x (0 when feasible).
+
+    inf when x or a residual is NaN, so a NaN never reads as feasible.
+    An infinite bound is never violated.
+    """
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.n,):
         raise DimensionMismatch(f"x has shape {x.shape}, expected ({problem.n},)")
-    worst = 0.0
-    if problem.m:
-        r = problem.rows @ x - problem.rhs
-        senses = np.asarray(problem.senses)
-        v = np.where(senses == "<=", r, np.where(senses == ">=", -r, np.abs(r)))
-        worst = max(worst, float(v.max()))
-    lo_v = problem.lower - x
-    hi_v = x - problem.upper
-    finite_lo = np.isfinite(problem.lower)
-    finite_hi = np.isfinite(problem.upper)
-    if finite_lo.any():
-        worst = max(worst, float(lo_v[finite_lo].max()))
-    if finite_hi.any():
-        worst = max(worst, float(hi_v[finite_hi].max()))
-    return max(worst, 0.0)
+    r = problem.rows @ x - problem.rhs
+    row_worst = _peak(r[:, np.newaxis] * problem._signs)
+    # an infinite bound gives -inf, or NaN beside an infinite x of its
+    # own sign, which fmax drops; a NaN x stays NaN
+    box_worst = _peak(np.fmax(problem.lower - x, x - problem.upper))
+    if math.isnan(row_worst) or math.isnan(box_worst):
+        return math.inf
+    worst = max(row_worst, box_worst)
+    return worst if worst > 0.0 else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +282,25 @@ def solution_from_json(text: str) -> LpSolution:
 # ---------------------------------------------------------------------------
 
 
+# A column's kind, a multiple of 3 so that kind + status indexes the
+# tables below: a column with room above its zero lower bound, a fixed
+# column (upper bound 0) and a free column.
+_ROOM = 0
+_FIXED = 3
+_FREE = 6
+
+# By kind + status (at lower, at upper, basic): 1.0 where a nonbasic
+# column may rise from where it stands, and where it may fall.  A free
+# column may do both, a fixed or basic one neither.
+_RISES = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0])
+_FALLS = np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0])
+# By kind: the lower bound of the column's shifted variable.
+_LOWER = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -math.inf])
+# By sense: the coefficient, upper bound and kind of a row's logical.
+_LOGICALS = {"<=": (1.0, math.inf, _ROOM), ">=": (-1.0, math.inf, _ROOM),
+             "=": (1.0, 0.0, _FIXED)}
+
+
 class _BoundedSimplex:
     """Bounded-variable revised simplex on the logical form of one
     LpProblem.  Maximizes.  Mutable workspace; one instance per solve.
@@ -273,7 +321,7 @@ class _BoundedSimplex:
         offset = np.zeros(n)
         sign = np.ones(n)
         upper = np.full(n, math.inf)
-        free = np.zeros(n, dtype=bool)
+        kind = np.full(n, _ROOM, dtype=np.int8)
         for j in range(n):
             lo, hi = problem.lower[j], problem.upper[j]
             if math.isfinite(lo):
@@ -283,13 +331,14 @@ class _BoundedSimplex:
                 offset[j] = hi
                 sign[j] = -1.0
             else:
-                free[j] = True
+                kind[j] = _FREE
+        kind[upper == 0.0] = _FIXED
         self.problem = problem
         self.offset = offset
         self.sign = sign
         self.c = problem.objective * sign  # logicals cost nothing
         self.upper = upper
-        self.free = free
+        self.kind = kind
         self.status = np.full(n, _AT_LOWER, dtype=np.int8)
         self.m = 0
         self.A = np.zeros((0, n))
@@ -307,10 +356,9 @@ class _BoundedSimplex:
         dual feasibility, are unchanged; only the new basic values can
         leave their bounds.
         """
-        old_m = self.problem.m
-        self.problem = self.problem._with_rows(constraints)
-        self._add_rows(self.problem.rows[old_m:], self.problem.senses[old_m:],
-                       self.problem.rhs[old_m:])
+        rows, senses, rhs = _constraint_arrays(constraints, self.problem.n)
+        self.problem = self.problem._with_rows(rows, senses, rhs)
+        self._add_rows(rows, senses, rhs)
 
     def replace_rhs(self, problem: LpProblem):
         """Take problem's right-hand sides; its rows must be this one's.
@@ -332,31 +380,33 @@ class _BoundedSimplex:
     def _add_rows(self, rows: np.ndarray, senses: tuple, rhs: np.ndarray):
         """Append rows, each with a basic logical column, and refactor."""
         m, k = self.m, len(senses)
-        n, width = self.offset.size, self.A.shape[1]
+        n, width = self.offset.size, self.c.size
+        coef, upper, kind = np.array(
+            [_LOGICALS[s] for s in senses], dtype=float).reshape(k, 3).T
+        new = np.arange(k)
         A = np.zeros((m + k, width + k))
         A[:m, :width] = self.A
-        A[m:, :n] = rows * self.sign[np.newaxis, :]
-        A[m + np.arange(k), width + np.arange(k)] = [
-            -1.0 if s == ">=" else 1.0 for s in senses]
+        A[m:, :n] = rows * self.sign
+        A[m + new, width + new] = coef
         self.A = A
         self.b = np.concatenate([self.b, rhs - rows @ self.offset])
         self.c = np.concatenate([self.c, np.zeros(k)])
-        self.upper = np.concatenate(
-            [self.upper, [0.0 if s == "=" else math.inf for s in senses]])
-        self.free = np.concatenate([self.free, np.zeros(k, dtype=bool)])
+        self.upper = np.concatenate([self.upper, upper])
+        self.kind = np.concatenate([self.kind, kind.astype(np.int8)])
         self.status = np.concatenate(
             [self.status, np.full(k, _BASIC, dtype=np.int8)])
-        self.basis = np.concatenate([self.basis, width + np.arange(k)])
+        self.basis = np.concatenate([self.basis, width + new])
         self.m = m + k
         self.max_iterations = 2000 + 200 * (self.m + width + k)
         self._refactor()
 
     def _nonbasic_rhs(self) -> np.ndarray:
-        """b minus the contribution of nonbasic-at-upper columns."""
-        au = np.flatnonzero(self.status == _AT_UPPER)
-        if au.size == 0:
-            return self.b.copy()
-        return self.b - self.A[:, au] @ self.upper[au]
+        """b minus the contribution of nonbasic-at-upper columns (b itself
+        when there are none; callers do not write to it)."""
+        at_upper = self.status == _AT_UPPER
+        if not at_upper.any():
+            return self.b
+        return self.b - self.A[:, at_upper] @ self.upper[at_upper]
 
     def _refactor(self):
         basis_mat = self.A[:, self.basis]
@@ -366,6 +416,7 @@ class _BoundedSimplex:
             raise NumericalBreakdown("basis matrix is singular") from exc
         self.xb = self.binv @ self._nonbasic_rhs()
         self.pivots_since_refactor = 0
+        self._priced = None
 
     def _pivot(self, r: int, j: int, w: np.ndarray):
         """Column j enters at basis row r; w = binv @ A[:, j].
@@ -375,22 +426,40 @@ class _BoundedSimplex:
         """
         self.status[j] = _BASIC
         self.basis[r] = j
-        self.binv[r, :] /= w[r]
-        others = np.arange(self.m) != r
-        self.binv[others, :] -= np.outer(w[others], self.binv[r, :])
+        row = self.binv[r] / w[r]
+        self.binv -= w[:, np.newaxis] * row
+        self.binv[r] = row
         self.pivots_since_refactor += 1
+        self._priced = None
 
     def _reduced_costs(self, c: np.ndarray) -> np.ndarray:
+        """c - c_B' binv A.  Kept until binv changes, so pricing the same
+        cost array again at the same basis costs nothing."""
+        if self._priced is not None and self._priced[0] is c:
+            return self._priced[1]
         y = self.binv.T @ c[self.basis]
-        return c - y @ self.A
+        d = c - y @ self.A
+        self._priced = (c, d)
+        return d
 
-    def _improving(self, d: np.ndarray, c: np.ndarray):
-        """Nonbasic columns that raise c'z by moving up, and by moving down."""
-        price_tol = 1e-9 * max(1.0, float(np.abs(c).max(initial=0.0)))
-        movable = (self.status != _BASIC) & (self.free | (self.upper > 0.0))
-        up_ok = movable & ((self.status == _AT_LOWER) | self.free) & (d > price_tol)
-        dn_ok = movable & ((self.status == _AT_UPPER) | self.free) & (d < -price_tol)
-        return up_ok, dn_ok
+    def _moves(self) -> tuple[np.ndarray, np.ndarray]:
+        """1.0 per column that may rise from where it stands, and per
+        column that may fall; 0.0 elsewhere."""
+        code = self.kind + self.status
+        return _RISES.take(code), _FALLS.take(code)
+
+    def _gains(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(up, gain) for the reduced costs d: up is d where a column may
+        rise and a signed zero elsewhere; gain is the larger of up and of
+        -d where the column may fall.  So gain > 0 exactly where moving a
+        column the way it may move raises c'z, and is then that rate."""
+        rises, falls = self._moves()
+        up = rises * d
+        return up, np.maximum(up, falls * -d)
+
+    def _basic_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Lower and upper bounds of the basic variables, row by row."""
+        return _LOWER.take(self.kind.take(self.basis)), self.upper.take(self.basis)
 
     # -- entry ----------------------------------------------------------------
 
@@ -406,11 +475,12 @@ class _BoundedSimplex:
         fresh start y = 0, so d = c; after append_rows or replace_rhs the
         last optimal basis is still dual feasible and needs no shift.
         """
-        d = self._reduced_costs(self.c)
-        up_ok, dn_ok = self._improving(d, self.c)
-        if not self.run_dual(np.where(up_ok | dn_ok, self.c - d, self.c)):
+        c = self.c
+        d = self._reduced_costs(c)
+        shift = self._gains(d)[1] > _tolerance(c)
+        if not self.run_dual(np.where(shift, c - d, c) if shift.any() else c):
             return "Infeasible"
-        return self.run_phase(self.c)
+        return self.run_phase(c)
 
     # -- primal simplex -----------------------------------------------------
 
@@ -420,40 +490,33 @@ class _BoundedSimplex:
         Returns "Optimal" or "Unbounded".  Raises NumericalBreakdown on
         irrecoverable pivots or iteration explosion.
         """
+        price_tol = _tolerance(c)
         bland = False
         degenerate_streak = 0
         while True:
             self.iterations += 1
             if self.iterations > self.max_iterations:
                 raise NumericalBreakdown("simplex iteration limit exceeded")
-            d = self._reduced_costs(c)
-            up_ok, dn_ok = self._improving(d, c)
-            if not (up_ok.any() or dn_ok.any()):
+            up, gain = self._gains(self._reduced_costs(c))
+            improving = gain > price_tol
+            j = int(improving.argmax())
+            if not improving[j]:
                 return "Optimal"
-            if bland:
-                cand = np.flatnonzero(up_ok | dn_ok)
-                j = int(cand[0])
-                direction = 1.0 if up_ok[j] else -1.0
-            else:
-                gain = np.where(up_ok, d, 0.0) + np.where(dn_ok, -d, 0.0)
-                j = int(np.argmax(gain))
-                direction = 1.0 if up_ok[j] else -1.0
+            if not bland:
+                j = int(np.where(improving, gain, 0.0).argmax())
+            direction = 1.0 if up[j] > price_tol else -1.0
             w = self.binv @ self.A[:, j]
             g = direction * w
-            lower_b = np.where(self.free[self.basis], -math.inf, 0.0)
-            upper_b = self.upper[self.basis]
-            cand_step = np.full(self.m, math.inf)
-            pos = g > _PIVOT_TOL
-            neg = g < -_PIVOT_TOL
-            with np.errstate(divide="ignore", invalid="ignore"):
-                if pos.any():
-                    cand_step[pos] = (self.xb[pos] - lower_b[pos]) / g[pos]
-                if neg.any():
-                    cand_step[neg] = (upper_b[neg] - self.xb[neg]) / (-g[neg])
-            cand_step = np.maximum(cand_step, 0.0)
-            # lower bound is 0; free variables never flip
-            flip_step = math.inf if self.free[j] else self.upper[j]
-            basic_step = float(cand_step.min()) if self.m else math.inf
+            mag = np.abs(w)
+            lower_b, upper_b = self._basic_bounds()
+            # room of each basic variable before the bound it moves to
+            room = np.where(g > 0.0, self.xb - lower_b, upper_b - self.xb)
+            cand_step = np.maximum(
+                np.where(mag > _PIVOT_TOL, room, math.inf)
+                / np.maximum(mag, _PIVOT_TOL), 0.0)
+            # lower bound is 0; a free variable's upper bound is inf
+            flip_step = self.upper[j]
+            basic_step = cand_step[cand_step.argmin()] if self.m else math.inf
             step = min(basic_step, flip_step)
             if not math.isfinite(step):
                 return "Unbounded"
@@ -470,11 +533,12 @@ class _BoundedSimplex:
                 self.xb -= direction * step * w
                 self.status[j] = _AT_UPPER if self.status[j] == _AT_LOWER else _AT_LOWER
                 continue
-            ties = np.flatnonzero(cand_step <= step + 1e-12)
+            ties = cand_step <= step + 1e-12
             if bland:
+                ties = ties.nonzero()[0]
                 r = int(ties[np.argmin(self.basis[ties])])
             else:
-                r = int(ties[np.argmax(np.abs(w[ties]))])
+                r = int(np.where(ties, mag, -1.0).argmax())
             pivot = w[r]
             if abs(pivot) < _PIVOT_TOL:
                 if self.pivots_since_refactor > 0:
@@ -488,7 +552,7 @@ class _BoundedSimplex:
             self.xb -= direction * step * w
             self.xb[r] = enter_from + direction * step
             self.status[leaving] = _AT_UPPER if g[r] < 0 else _AT_LOWER
-            if self.free[leaving]:
+            if self.kind[leaving] == _FREE:
                 self.status[leaving] = _AT_LOWER  # free leaves exactly at 0
             self._pivot(r, j, w)
             if self.pivots_since_refactor >= 128:
@@ -507,17 +571,17 @@ class _BoundedSimplex:
         which proves the rows infeasible whatever the costs (Koberstein
         2005).
         """
-        primal_tol = 1e-9 * max(1.0, float(np.abs(self.b).max(initial=0.0)))
-        dual_tol = 1e-9 * max(1.0, float(np.abs(costs).max(initial=0.0)))
+        if not self.m:
+            return True
+        primal_tol = _tolerance(self.b)
+        dual_tol = _tolerance(costs)
         while True:
-            lower_b = np.where(self.free[self.basis], -math.inf, 0.0)
-            upper_b = self.upper[self.basis]
+            lower_b, upper_b = self._basic_bounds()
             below = lower_b - self.xb
-            above = self.xb - upper_b
-            excess = np.maximum(below, above)
-            if excess.max(initial=0.0) <= primal_tol:
+            excess = np.maximum(below, self.xb - upper_b)
+            r = int(excess.argmax())
+            if excess[r] <= primal_tol:
                 return True
-            r = int(np.argmax(excess))
             self.iterations += 1
             if self.iterations > self.max_iterations:
                 raise NumericalBreakdown("simplex iteration limit exceeded")
@@ -525,28 +589,23 @@ class _BoundedSimplex:
             rise = 1.0 if below[r] > 0.0 else -1.0
             alpha = self.binv[r] @ self.A
             d = self._reduced_costs(costs)
-            nonbasic = self.status != _BASIC
-            at_upper = self.status == _AT_UPPER
-            # moving column j by t moves x_B[r] by -alpha[j] * t
+            rises, falls = self._moves()
+            # moving column j by t moves x_B[r] by -alpha[j] * t: |alpha[j]|
+            # where that takes x_B[r] towards its bound, 0 or less elsewhere
             s_alpha = rise * alpha
-            eligible = nonbasic & np.where(
-                self.free, np.abs(alpha) > _PIVOT_TOL,
-                (self.upper > 0.0)
-                & np.where(at_upper, s_alpha > _PIVOT_TOL, s_alpha < -_PIVOT_TOL))
-            if not eligible.any():
+            toward = np.maximum(rises * -s_alpha, falls * s_alpha)
+            cand = (toward > _PIVOT_TOL).nonzero()[0]
+            if not cand.size:
                 if self.pivots_since_refactor > 0:
                     self._refactor()
                     continue
                 return False
-            cand = np.flatnonzero(eligible)
             # distance of each reduced cost from the wrong sign
-            room = np.maximum(np.where(self.free[cand], 0.0,
-                                       np.where(at_upper[cand], d[cand], -d[cand])),
-                              0.0)
-            mag = np.abs(alpha[cand])
-            bound = float(((room + dual_tol) / mag).min())
-            within = cand[room / mag <= bound]
-            q = int(within[np.argmax(np.abs(alpha[within]))])
+            room = np.maximum((falls - rises) * d, 0.0)[cand]
+            mag = toward[cand]
+            ratio = (room + dual_tol) / mag
+            bound = ratio[ratio.argmin()]
+            q = int(cand[np.where(room / mag <= bound, mag, -1.0).argmax()])
             w = self.binv @ self.A[:, q]
             if abs(w[r]) < _PIVOT_TOL:
                 if self.pivots_since_refactor > 0:
@@ -569,11 +628,10 @@ class _BoundedSimplex:
     def extract(self) -> np.ndarray:
         """The solution in the problem's own variables."""
         self._refactor()
+        z = np.where(self.status == _AT_UPPER, self.upper, 0.0)
+        z[self.basis] = self.xb
         n = self.offset.size
-        z = np.where(self.status[:n] == _AT_UPPER, self.upper[:n], 0.0)
-        own = self.basis < n
-        z[self.basis[own]] = self.xb[own]
-        return self.offset + self.sign * z
+        return self.offset + self.sign * z[:n]
 
     def result(self, status: str) -> LpSolution:
         """solution() when status is "Optimal", else status with no x."""
@@ -585,14 +643,15 @@ class _BoundedSimplex:
         """The Optimal solution at the current basis.
 
         x is clipped to the box and must meet every row to
-        10 * FEAS_TOL * max(1, |rhs|); raises NumericalBreakdown if not.
+        10 * FEAS_TOL * max(1, |rhs|); raises NumericalBreakdown if not,
+        and when x is NaN.
         """
         problem = self.problem
         x = self.extract()
         # clean tiny drift against the original box
         x = np.minimum(np.maximum(x, problem.lower), problem.upper)
         resid = max_violation(problem, x)
-        scale = max(1.0, float(np.abs(problem.rhs).max(initial=0.0)))
+        scale = max(1.0, _peak(np.abs(problem.rhs)))
         if resid > 10.0 * FEAS_TOL * scale:
             raise NumericalBreakdown(
                 f"solution residual {resid:.3e} exceeds feasibility tolerance"

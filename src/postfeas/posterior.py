@@ -337,9 +337,16 @@ class StudentTRhs(_DrawnRows):
         return cls(rows=rows, dof=dof, loc=loc, scale=scale)
 
     def draw(self, rng: stats.Rng, count: int) -> np.ndarray:
-        """(count, m) right-hand sides, one Student-t draw for all rows."""
+        """(count, m) right-hand sides, one Student-t draw for all rows.
+
+        A dof that every row shares goes to numpy as a scalar, which
+        draws the same values as the per-row array, only faster.
+        """
         size = (count, self.dof.size)
-        return self.loc + self.scale * rng.generator.standard_t(self.dof, size)
+        dof = self.dof
+        if dof.size and (dof == dof[0]).all():
+            dof = dof[0]
+        return self.loc + self.scale * rng.generator.standard_t(dof, size)
 
     def as_rows(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.rows, batch

@@ -70,8 +70,8 @@ def soc_support(rows: GaussianRows, kappa: float,
     maximizers = rows.centers.copy()
     for i, (center, factor) in enumerate(zip(rows.centers, rows.factors)):
         fz = factor.T @ z
-        norm = float(np.linalg.norm(fz))
-        values[i] = float(center @ z) + kappa * norm
+        norm = math.sqrt(fz @ fz)  # the bits of np.linalg.norm(fz)
+        values[i] = center @ z + kappa * norm
         if norm != 0.0:
             maximizers[i] = center + (kappa / norm) * (factor @ fz)
     return values, maximizers

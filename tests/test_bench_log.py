@@ -146,3 +146,97 @@ def test_appending_to_a_tracked_log_leaves_the_tree_clean(tmp_path):
     assert [r["commit"] for r in records] == [head, head, head + "-dirty"]
     assert {(r["seconds"], r["trace"]) for r in records} == {
         (bench_log.SECONDS, 0)}
+
+
+PAIRS_TOOL = TOOL.with_name("bench_pairs.py")
+_pairs_spec = importlib.util.spec_from_file_location("bench_pairs", PAIRS_TOOL)
+bench_pairs = importlib.util.module_from_spec(_pairs_spec)
+_pairs_spec.loader.exec_module(bench_pairs)
+
+
+def synthetic_record(label, commit, seed, op_p50_ms, peak_rss_mb=40.0,
+                     failed=0):
+    """A logged run whose other end-to-end metrics read as the parent's."""
+    values = {"setup_s": 0.2, "wall_s": 1.5, "ops_per_s": 130.0,
+              "op_p50_ms": op_p50_ms, "op_p90_ms": 13.0,
+              "peak_rss_mb": peak_rss_mb}
+    return {"commit": commit, "label": label, "seed": seed,
+            "attempted": 1000, "failed": failed,
+            "metrics": {k: {"value": v} for k, v in values.items()}}
+
+
+def metric_rows(pairs):
+    return {m["name"]: bench_pairs.compare(pairs, m)
+            for m in bench_pairs.END_TO_END}
+
+
+def test_pairs_by_seed_and_reports_leftovers():
+    records = [synthetic_record("parent", "aaa111", 2, 6.0),
+               synthetic_record("change", "bbb222-dirty", 1, 5.0),
+               synthetic_record("parent", "aaa111", 1, 6.5),
+               synthetic_record("change", "bbb222", 2, 5.5),
+               synthetic_record("change", "bbb222", 2, 5.4),  # second run
+               synthetic_record("parent", "ccc333", 3, 9.0),  # other commit
+               synthetic_record("change", "aaa111", 1, 1.0)]  # wrong label
+    pairs, unpaired = bench_pairs.pair_records(records, "aaa", "bbb")
+    assert [(p["seed"], p["metrics"]["op_p50_ms"]["value"],
+             c["metrics"]["op_p50_ms"]["value"]) for p, c in pairs] == [
+        (1, 6.5, 5.0), (2, 6.0, 5.5)]
+    assert unpaired == [records[4]]
+
+
+def test_gain_needs_nine_tenths_and_a_gap_beyond_the_parent_spread():
+    parent = [6.0, 6.1, 6.2, 6.3, 6.4, 6.5, 6.6, 6.7, 6.8, 6.9]
+    clear = [(synthetic_record("parent", "p", s, v),
+              synthetic_record("change", "c", s, v - 1.0))
+             for s, v in enumerate(parent)]
+    row = metric_rows(clear)["op_p50_ms"]
+    assert (row["wins"], row["gain"], row["bound"]) == (10, True, "ok")
+    # one pair lost of ten still gains; two do not
+    one_lost = clear[:9] + [(clear[9][0], synthetic_record("change", "c", 9, 7.0))]
+    assert metric_rows(one_lost)["op_p50_ms"]["gain"] is True
+    two_lost = one_lost[:8] + [(clear[8][0], synthetic_record("change", "c", 8, 7.0)),
+                               one_lost[9]]
+    assert metric_rows(two_lost)["op_p50_ms"]["gain"] is False
+    # every pair won, but by less than the parent's interquartile range
+    near = [(p, synthetic_record("change", "c", p["seed"],
+                                 p["metrics"]["op_p50_ms"]["value"] - 0.05))
+            for p, _ in clear]
+    row = metric_rows(near)["op_p50_ms"]
+    assert (row["wins"], row["gain"]) == (10, False)
+    # ties count for neither side; an unchanged metric gains nothing
+    assert metric_rows(clear)["setup_s"]["wins"] == 0
+    assert metric_rows(clear)["setup_s"]["gain"] is False
+
+
+def test_bound_verdicts():
+    tight = [(synthetic_record("parent", "p", s, 6.0, peak_rss_mb=40.0 + 0.1 * s),
+              synthetic_record("change", "c", s, 6.0, peak_rss_mb=43.0 + 0.1 * s))
+             for s in range(5)]
+    # 43.2 against 40.2 is 7.5% worse, beyond the 5% bound
+    assert metric_rows(tight)["peak_rss_mb"]["bound"] == "worse"
+    wide = [(synthetic_record("parent", "p", s, 4.0 + 1.5 * s),
+             synthetic_record("change", "c", s, 4.5 + 1.5 * s)) for s in range(5)]
+    assert metric_rows(wide)["op_p50_ms"]["bound"] == "unresolved"
+    apart = [(p, synthetic_record("change", "c", p["seed"], 1.0))
+             for p, _ in wide]
+    assert metric_rows(apart)["op_p50_ms"]["bound"] == "ok"
+
+
+def test_main_exit_codes(tmp_path, capsys):
+    def log(records):
+        (tmp_path / "BENCH_robust_lp.json").write_text(json.dumps(records))
+        return bench_pairs.main(["--workload", "robust_lp", "--parent", "p",
+                                 "--change", "c", "--dir", str(tmp_path)])
+
+    faster = [synthetic_record(label, label[0], s, 6.0 if label == "parent" else 5.0)
+              for s in range(3) for label in ("parent", "change")]
+    assert log(faster) == 0
+    out = capsys.readouterr().out
+    assert "3 pairs" in out and "failed ops: parent 0/3000, change 0/3000" in out
+    failing = faster[:-1] + [synthetic_record("change", "c", 2, 5.0, failed=1)]
+    assert log(failing) == 1
+    slower = [synthetic_record(label, label[0], s, 6.0 if label == "parent" else 9.0)
+              for s in range(3) for label in ("parent", "change")]
+    assert log(slower) == 1
+    assert log([r for r in faster if r["label"] == "parent"]) == 2

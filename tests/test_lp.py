@@ -411,6 +411,35 @@ class TestMaxViolation:
         p = LpProblem([1.0, 1.0], [], [(0.0, None), (None, None)])
         assert max_violation(p, np.array([-0.5, 9.0])) == 0.5
 
+    @pytest.mark.parametrize("problem", [
+        LpProblem([1.0, 1.0], [([1.0, 0.0], "<=", 1.0), ([1.0, 1.0], "=", 0.5)],
+                  [(None, None)] * 2),  # rows only
+        LpProblem([1.0, 1.0], [], [(0.0, 1.0), (None, 2.0)]),  # bounds only
+        LpProblem([1.0, 1.0], [], [(None, None)] * 2),  # neither
+    ], ids=["rows-only", "bounds-only", "no-rows"])
+    @pytest.mark.parametrize("x", [[math.nan, 0.0], [0.0, math.nan]])
+    def test_nan_fails_closed(self, problem, x):
+        assert max_violation(problem, np.array(x)) == math.inf
+
+    def test_nan_residual_fails_closed(self):
+        # 0 * inf: a NaN residual from a finite row
+        p = LpProblem([1.0, 1.0], [([0.0, 1.0], "<=", 1.0)], [(None, None)] * 2)
+        assert max_violation(p, np.array([math.inf, 0.0])) == math.inf
+
+    def test_infinite_x_meets_an_infinite_bound(self):
+        p = LpProblem([1.0, 1.0], [], [(0.0, None), (None, None)])
+        assert max_violation(p, np.array([math.inf, -math.inf])) == 0.0
+        assert max_violation(p, np.array([-math.inf, 0.0])) == math.inf
+
+    @pytest.mark.parametrize("constraints", [[([1.0, 1.0], "<=", 4.0)], []])
+    def test_solution_refuses_a_nan_x(self, monkeypatch, constraints):
+        solver = _BoundedSimplex(LpProblem([1.0, 1.0], constraints,
+                                           [(0.0, 3.0)] * 2))
+        assert solver.solve() == "Optimal"
+        monkeypatch.setattr(solver, "extract", lambda: np.array([math.nan, 1.0]))
+        with pytest.raises(NumericalBreakdown):
+            solver.solution()
+
 
 def pool_instance(seed):
     """A bounded base LP and a pool of rows that all hold at one point.

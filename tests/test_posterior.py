@@ -235,6 +235,23 @@ class TestPredictive:
         assert first.shape == (1, 1)
         assert np.array_equal(first, again)
 
+    @pytest.mark.parametrize("dof", [[2.5] * 7, [40.0] * 3, [9.0],
+                                     [3.0, 3.0, 5.0], [7.0, 4.0]])
+    @pytest.mark.parametrize("count", [1, 1024, 1500])
+    def test_draws_equal_the_per_row_dof_stream(self, dof, count):
+        # a shared dof is drawn through numpy's scalar path; the values
+        # and the generator's end state equal those of the per-row array
+        m = len(dof)
+        model = StudentTRhs(rows=np.ones((m, 1)), dof=dof,
+                            loc=np.linspace(-1.0, 2.0, m),
+                            scale=np.linspace(0.5, 1.5, m))
+        rng = Rng.for_purpose(5, "shared-dof")
+        ref = Rng(rng.seed, rng.stream_id).generator
+        got = model.draw(rng, count)
+        want = model.loc + model.scale * ref.standard_t(np.array(dof), (count, m))
+        assert got.tobytes() == want.tobytes()
+        assert rng.generator.random() == ref.random()
+
     def test_large_sample_scale_limit(self):
         gen = np.random.default_rng(22)
         n, sigma = 10_000, 1.3

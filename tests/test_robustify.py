@@ -546,6 +546,48 @@ class TestTenVariableInstance:
         assert abs(value1 - value2) <= 1e-9 * abs(value1)
 
 
+def many_round_instance():
+    """n=4, 2 uncertain rows drawn as the benchmark's robust_lp
+    instances are (covariance root scale 0.12, redrawn until the rhs
+    sd is below a fifth of its center), from numpy seed 3; box [0, 5]^4,
+    alpha 0.1."""
+    gen = np.random.default_rng(3)
+    n = 4
+    c = gen.uniform(0.5, 2.0, n)
+    rows = []
+    for _ in range(2):
+        center = np.concatenate([gen.uniform(0.2, 1.5, n), [gen.uniform(3.0, 6.0)]])
+        while True:
+            root = gen.normal(size=(n + 1, n + 1)) * 0.12
+            cov = root @ root.T + 1e-4 * np.eye(n + 1)
+            if math.sqrt(cov[-1, -1]) < center[-1] / 5.0:
+                break
+        rows.append((center, cov))
+    return robustify_rows(box_base(c, 5.0), rows, alpha=0.1)
+
+
+class TestManyRoundInstance:
+    # 48 rounds, where the other pins stop at 16: the dual re-entry's
+    # pivot path over many appends.  Pinned before the simplex's numpy
+    # calls were trimmed; x is compared bit for bit.
+    X_HEX = ["0x1.dcbd89096c000p-4", "0x1.aa84478c48000p-1",
+             "0x1.4f50c2b558000p+0", "0x1.e17ee2f3ba000p-1"]
+
+    def test_cut_sequence_and_x_pinned(self):
+        sol, log = solve_robust_cutting_planes(many_round_instance())
+        assert sol.status == "Optimal"
+        assert log.cuts_per_round == [2, 2, 2] + [1] * 44 + [0]
+        assert log.rounds == 48
+        assert sol.iterations == 118
+        assert sol.x.tolist() == [float.fromhex(h) for h in self.X_HEX]
+
+    def test_highs_objective(self):
+        rlp = many_round_instance()
+        sol, _ = solve_robust_cutting_planes(rlp)
+        ref = highs_cutting_planes(rlp)
+        assert abs(sol.objective_value - ref) <= 1e-9 * abs(ref)
+
+
 def t_rhs(dof, loc, scale):
     """Student-t right-hand sides of one-variable rows."""
     return StudentTRhs(rows=np.ones((len(loc), 1)), dof=dof, loc=loc,
