@@ -478,6 +478,7 @@ class _BoundedSimplex:
         c = self.c
         d = self._reduced_costs(c)
         shift = self._gains(d)[1] > _tolerance(c)
+        # unshifted, c itself goes on, so run_dual's first pricing is d
         if not self.run_dual(np.where(shift, c - d, c) if shift.any() else c):
             return "Infeasible"
         return self.run_phase(c)

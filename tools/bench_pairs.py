@@ -90,7 +90,7 @@ def compare(pairs: list, metric: dict) -> dict:
     else:
         bound = "ok"
     return {
-        "name": name, "better": metric["better"], "unit": metric["unit"],
+        "name": name, "better": metric["better"],
         "parent": (p1, p2, p3), "change": (c1, c2, c3),
         "relative": (c2 - p2) / p2, "wins": wins, "pairs": len(pairs),
         "gain": wins >= 0.9 * len(pairs) and better(c2, p2)
