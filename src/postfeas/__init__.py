@@ -92,7 +92,6 @@ from .stats import (
     chi2_quantile,
     derive_stream_id,
     log_choose,
-    log_gamma,
     normal_cdf,
     normal_quantile,
     reg_inc_beta,
@@ -134,7 +133,7 @@ __all__ = [
     "required_sample_size", "solve_scenario_lp", "violation_bound",
     # stats
     "Rng", "beta_quantile", "binomial_tail", "chi2_quantile",
-    "derive_stream_id", "log_choose", "log_gamma", "normal_cdf",
+    "derive_stream_id", "log_choose", "normal_cdf",
     "normal_quantile", "reg_inc_beta", "reg_lower_gamma",
     "student_t_quantile",
 ]

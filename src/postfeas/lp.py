@@ -219,11 +219,12 @@ def max_violation(problem: LpProblem, x) -> float:
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.n,):
         raise DimensionMismatch(f"x has shape {x.shape}, expected ({problem.n},)")
-    r = problem.rows @ x - problem.rhs
+    # an infinite x gives NaN from 0 * inf in a row and from inf - inf
+    # against an infinite bound of its own sign; fmax drops the latter
+    with np.errstate(invalid="ignore"):
+        r = problem.rows @ x - problem.rhs
+        box_worst = _peak(np.fmax(problem.lower - x, x - problem.upper))
     row_worst = _peak(r[:, np.newaxis] * problem._signs)
-    # an infinite bound gives -inf, or NaN beside an infinite x of its
-    # own sign, which fmax drops; a NaN x stays NaN
-    box_worst = _peak(np.fmax(problem.lower - x, x - problem.upper))
     if math.isnan(row_worst) or math.isnan(box_worst):
         return math.inf
     worst = max(row_worst, box_worst)
@@ -364,18 +365,13 @@ class _BoundedSimplex:
         """Take problem's right-hand sides; its rows must be this one's.
 
         The basis and the costs stay, so a basis that was optimal is
-        still dual feasible; only the basic values move.  The iteration
-        count restarts at 0.  binv is kept when no pivot has touched it
-        since its last refactor (an Optimal solve's extract() leaves it
-        so), since only a pivot or _add_rows changes A[:, basis].
+        still dual feasible; only the basic values move (_refresh).  The
+        iteration count restarts at 0.
         """
         self.problem = problem
         self.b = problem.rhs - problem.rows @ self.offset
         self.iterations = 0
-        if self.pivots_since_refactor == 0:
-            self.xb = self.binv @ self._nonbasic_rhs()
-        else:
-            self._refactor()
+        self._refresh()
 
     def _add_rows(self, rows: np.ndarray, senses: tuple, rhs: np.ndarray):
         """Append rows, each with a basic logical column, and refactor."""
@@ -417,6 +413,16 @@ class _BoundedSimplex:
         self.xb = self.binv @ self._nonbasic_rhs()
         self.pivots_since_refactor = 0
         self._priced = None
+
+    def _refresh(self):
+        """xb from the current bounds and rhs, refactoring first only if
+        a pivot has touched binv since its last refactor (a bound flip
+        moves xb without a pivot; A[:, basis] changes only by a pivot or
+        _add_rows, which refactors)."""
+        if self.pivots_since_refactor == 0:
+            self.xb = self.binv @ self._nonbasic_rhs()
+        else:
+            self._refactor()
 
     def _pivot(self, r: int, j: int, w: np.ndarray):
         """Column j enters at basis row r; w = binv @ A[:, j].
@@ -628,7 +634,7 @@ class _BoundedSimplex:
 
     def extract(self) -> np.ndarray:
         """The solution in the problem's own variables."""
-        self._refactor()
+        self._refresh()
         z = np.where(self.status == _AT_UPPER, self.upper, 0.0)
         z[self.basis] = self.xb
         n = self.offset.size

@@ -418,14 +418,17 @@ class TestMaxViolation:
         LpProblem([1.0, 1.0], [], [(None, None)] * 2),  # neither
     ], ids=["rows-only", "bounds-only", "no-rows"])
     @pytest.mark.parametrize("x", [[math.nan, 0.0], [0.0, math.nan]])
+    @pytest.mark.filterwarnings("error")
     def test_nan_fails_closed(self, problem, x):
         assert max_violation(problem, np.array(x)) == math.inf
 
+    @pytest.mark.filterwarnings("error")
     def test_nan_residual_fails_closed(self):
         # 0 * inf: a NaN residual from a finite row
         p = LpProblem([1.0, 1.0], [([0.0, 1.0], "<=", 1.0)], [(None, None)] * 2)
         assert max_violation(p, np.array([math.inf, 0.0])) == math.inf
 
+    @pytest.mark.filterwarnings("error")
     def test_infinite_x_meets_an_infinite_bound(self):
         p = LpProblem([1.0, 1.0], [], [(0.0, None), (None, None)])
         assert max_violation(p, np.array([math.inf, -math.inf])) == 0.0
@@ -880,7 +883,27 @@ class TestReplaceRhsInverse:
         calls = count_inversions(monkeypatch)
         again = lp.solve(rhs)
         assert again.status == "Optimal" and again.iterations == 1
-        assert len(calls) == 1  # extract() refactors once; the re-entry did not
+        assert calls == []  # neither the re-entry nor extract() refactors
+
+    def test_extract_equals_extract_after_a_refactor(self):
+        # extract() skips the inversion after no pivot; a solve's bound
+        # flips move xb, so it still recomputes xb as a refactor does
+        rng = np.random.default_rng(43)
+        pivoted = untouched = 0
+        for _ in range(100):
+            n = int(rng.integers(2, 8))
+            rows = [(rng.normal(size=n), "<=", float(rng.uniform(0.5, 5.0)))
+                    for _ in range(int(rng.integers(1, 4)))]
+            bounds = [(0.0, float(u)) for u in rng.uniform(0.1, 1.0, n)]
+            solver = _BoundedSimplex(LpProblem(rng.normal(size=n), rows, bounds))
+            assert solver.solve() == "Optimal"
+            fresh = copy.deepcopy(solver)
+            fresh._refactor()
+            pivoted += solver.pivots_since_refactor > 0
+            untouched += solver.pivots_since_refactor == 0
+            assert solver.extract().tobytes() == fresh.extract().tobytes()
+            assert solver.xb.tobytes() == fresh.xb.tobytes()
+        assert pivoted > 0 and untouched > 0
 
     def test_reentry_after_a_pivoting_failure_inverts_again(self, monkeypatch):
         # unbounded along x = (t, t); x1 enters by a pivot before the ray shows
