@@ -4,30 +4,29 @@
 Capacity depends linearly on an observed context.  A conjugate
 normal-inverse-gamma fit gives a closed-form Student-t predictive law
 for the next capacity; we verify its quantiles against a large sampled
-batch and compare with the classical least-squares prediction interval.
+batch and compare with the classical least-squares prediction interval,
+which is the same predictive under the reference prior.
 """
 
 import numpy as np
 
 from postfeas import (
-    NigPrior,
+    Nig,
     Rng,
     StudentTRhs,
     fit_nig,
     fit_ols,
     rhs_quantile_tighten,
 )
-from postfeas.stats import normal_array, uniform_array
-
 rng = Rng.for_purpose(314, "capacity-demo")
 n_obs = 80
 beta_true = np.array([60.0, -1.5])
 sigma_true = 4.0
 
-design = np.column_stack([np.ones(n_obs), uniform_array(rng, (n_obs,))])
-y = design @ beta_true + sigma_true * normal_array(rng, (n_obs,))
+design = np.column_stack([np.ones(n_obs), rng.generator.random((n_obs,))])
+y = design @ beta_true + sigma_true * rng.generator.standard_normal((n_obs,))
 
-prior = NigPrior.default(dim=2)
+prior = Nig.default(dim=2)
 post = fit_nig(design, y, prior)
 print("true coefficients     :", beta_true)
 print("posterior mean        :", np.round(post.mean, 3))
@@ -59,7 +58,13 @@ for p in (0.05, 0.5, 0.95):
 # the chance of coming up short is only p.
 print("\n5% lower capacity quantile:", round(quantile(capacity, 0.05), 3))
 
-# Classical least squares gives a slightly different hedge (flat prior,
-# frequentist t interval); with 80 observations the two nearly agree.
-ols = StudentTRhs.from_ols([[1.0]], [fit_ols(design, y)], x_new)
+# Classical least squares is the posterior under the reference prior
+# p(beta, sigma^2) ~ 1/sigma^2, so the same from_nig gives its t
+# prediction law: n - d degrees of freedom, loc x'beta_hat and scale
+# s sqrt(1 + x'(X'X)^-1 x).  Its hedge differs slightly from the weak
+# default prior's; with 80 observations the two nearly agree.
+ols = StudentTRhs.from_nig([[1.0]], [fit_ols(design, y)], x_new)
+print("least-squares predictive: Student-t dof", round(float(ols.dof[0]), 1),
+      "loc", round(float(ols.loc[0]), 3),
+      "scale", round(float(ols.scale[0]), 3))
 print("least-squares 5% quantile :", round(quantile(ols, 0.05), 3))

@@ -13,16 +13,15 @@ import numpy as np
 
 from postfeas import (
     LpProblem,
-    NigPrior,
+    Nig,
     Rng,
     StudentTRhs,
+    binomial_tail,
     fit_nig,
     required_sample_size,
     solve_lp,
     solve_scenario_lp,
-    violation_bound,
 )
-from postfeas.stats import normal_array, uniform_array
 
 EPS, DELTA = 0.05, 0.05
 
@@ -30,22 +29,22 @@ print("scenario counts for violation <= eps with confidence 1 - delta:")
 for d in (1, 2, 5, 10):
     n_req = required_sample_size(EPS, DELTA, d)
     print(f"  support dimension {d:2d}: N = {n_req:4d}   "
-          f"bound at N {violation_bound(n_req, EPS, d):.4f}   "
-          f"at N-1 {violation_bound(n_req - 1, EPS, d):.4f}")
+          f"bound at N {binomial_tail(n_req, EPS, d):.4f}   "
+          f"at N-1 {binomial_tail(n_req - 1, EPS, d):.4f}")
 
 # Capacities of two resources are learned from history; scenarios are
 # posterior predictive draws of the right-hand sides.
 rng = Rng.for_purpose(7, "scenario-demo")
 n_obs, sigma = 60, 3.0
-design = np.column_stack([np.ones(n_obs), uniform_array(rng, (n_obs,))])
+design = np.column_stack([np.ones(n_obs), rng.generator.random((n_obs,))])
 truth = np.array([[50.0, -2.0], [40.0, 1.5]])
 x_ctx = np.array([1.0, 0.5])
 
 rows = np.array([[1.0, 1.5], [2.0, 1.0]])
 posts = []
 for j in range(2):
-    y = design @ truth[j] + sigma * normal_array(rng, (n_obs,))
-    posts.append(fit_nig(design, y, NigPrior.default(2)))
+    y = design @ truth[j] + sigma * rng.generator.standard_normal((n_obs,))
+    posts.append(fit_nig(design, y, Nig.default(2)))
 
 n_scen = required_sample_size(EPS, DELTA, d=2)
 draw_rng = Rng.for_purpose(7, "scenario-demo", "draws")

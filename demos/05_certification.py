@@ -10,7 +10,6 @@ bound is honest even at zero observed violations.
 import numpy as np
 
 from postfeas import Rng, certify, clopper_pearson_upper, estimate_violation
-from postfeas.stats import uniform_array
 
 # A synthetic world with a known violation probability, so the
 # certificate can be judged against the truth.  A posterior model has
@@ -27,7 +26,7 @@ class UniformWorld:
         self.limits = np.array(limits)
 
     def draw(self, rng, count):
-        return uniform_array(rng, (count, 1))
+        return rng.generator.random((count, 1))
 
     def residuals(self, x, batch):
         return self.limits - batch

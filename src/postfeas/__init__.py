@@ -61,9 +61,7 @@ from .lp import (
 from .posterior import (
     BetaCoverage,
     GaussianRows,
-    NigPosterior,
-    NigPrior,
-    OlsFit,
+    Nig,
     PanelData,
     StudentTRhs,
     fit_beta_binomial,
@@ -83,7 +81,6 @@ from .robustify import (
 from .scenario import (
     required_sample_size,
     solve_scenario_lp,
-    violation_bound,
 )
 from .stats import (
     Rng,
@@ -122,15 +119,14 @@ __all__ = [
     "problem_from_json", "solution_from_json", "solution_to_json",
     "solve_cutting_planes", "solve_lp",
     # posterior
-    "BetaCoverage", "GaussianRows", "NigPosterior", "NigPrior", "OlsFit",
-    "PanelData", "StudentTRhs", "fit_beta_binomial", "fit_nig", "fit_ols",
-    "load_panel_data",
+    "BetaCoverage", "GaussianRows", "Nig", "PanelData", "StudentTRhs",
+    "fit_beta_binomial", "fit_nig", "fit_ols", "load_panel_data",
     # robustify
     "RobustLp", "bonferroni_kappa", "rb_heuristic_tighten",
     "rhs_quantile_tighten", "robustify_rows", "soc_support",
     "solve_robust_cutting_planes",
     # scenario
-    "required_sample_size", "solve_scenario_lp", "violation_bound",
+    "required_sample_size", "solve_scenario_lp",
     # stats
     "Rng", "beta_quantile", "binomial_tail", "chi2_quantile",
     "derive_stream_id", "log_choose", "normal_cdf",

@@ -138,10 +138,10 @@ def _cmd_solve(args) -> int:
 def _cmd_scenario_size(args) -> int:
     started = time.time()
     n = sc.required_sample_size(args.eps, args.delta, args.d)
-    bound = sc.violation_bound(n, args.eps, args.d)
+    bound = stats.binomial_tail(n, args.eps, args.d)
     print(n)
     print(f"achieved_bound={bound!r} delta={args.delta!r}")
-    prev = sc.violation_bound(n - 1, args.eps, args.d)
+    prev = stats.binomial_tail(n - 1, args.eps, args.d)
     print(f"minimality: bound at N-1 is {prev!r} > delta")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

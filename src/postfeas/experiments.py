@@ -7,7 +7,8 @@ of turning the posterior into right-hand sides:
     PM   plug-in posterior-predictive mean
     CR   per-row predictive quantile at alpha/m (union bound)
     PS   componentwise minimum of posterior-predictive scenario draws
-    FPQ  frequentist OLS t prediction quantile at alpha/m
+    FPQ  frequentist OLS t prediction quantile at alpha/m (the
+         predictive of the reference-prior posterior, fit_ols)
     RB   mean - z_{1-alpha/m} * sd normal-theory heuristic
 
 Each trial first decides with all five methods, whose LPs differ only
@@ -186,7 +187,7 @@ class SimInstance:
 
 
 def _unif(rng: stats.Rng, lo: float, hi: float, size) -> np.ndarray:
-    return lo + (hi - lo) * stats.uniform_array(rng, size)
+    return lo + (hi - lo) * rng.generator.random(size)
 
 
 def gen_instance(cfg: SimConfig, rng: stats.Rng) -> SimInstance:
@@ -204,11 +205,11 @@ def gen_instance(cfg: SimConfig, rng: stats.Rng) -> SimInstance:
     slopes = _unif(rng, *cfg.slope_range, (cfg.m, cfg.d_ctx - 1))
     beta_true = np.column_stack([intercepts, slopes])
     sigma_true = _unif(rng, *cfg.sigma_range, (cfg.m,))
-    x_ctx = np.concatenate([[1.0], stats.uniform_array(rng, (cfg.d_ctx - 1,))])
+    x_ctx = np.concatenate([[1.0], rng.generator.random((cfg.d_ctx - 1,))])
     design = np.column_stack([
-        np.ones(cfg.n_obs), stats.uniform_array(rng, (cfg.n_obs, cfg.d_ctx - 1))
+        np.ones(cfg.n_obs), rng.generator.random((cfg.n_obs, cfg.d_ctx - 1))
     ])
-    noise = stats.normal_array(rng, (cfg.n_obs, cfg.m))
+    noise = rng.generator.standard_normal((cfg.n_obs, cfg.m))
     observations = design @ beta_true.T + sigma_true[np.newaxis, :] * noise
     return SimInstance(
         resource_rows=rows, profit=profit, beta_true=beta_true,
@@ -237,7 +238,7 @@ def fit_capacity_model(instance: SimInstance, cfg: SimConfig) -> po.StudentTRhs:
     Fitted once per instance; every method's tightening, scenario draws
     and posterior certificate read this one model.
     """
-    prior = po.NigPrior.default(cfg.d_ctx)
+    prior = po.Nig.default(cfg.d_ctx)
     posts = [po.fit_nig(instance.design, instance.observations[:, j], prior)
              for j in range(cfg.m)]
     return po.StudentTRhs.from_nig(instance.resource_rows, posts, instance.x_ctx)
@@ -256,7 +257,7 @@ def _tightened_rhs(method: str, instance: SimInstance, model: po.StudentTRhs,
         fits = [po.fit_ols(instance.design, instance.observations[:, j])
                 for j in range(cfg.m)]
         return rhs_quantile_tighten(
-            po.StudentTRhs.from_ols(instance.resource_rows, fits, instance.x_ctx),
+            po.StudentTRhs.from_nig(instance.resource_rows, fits, instance.x_ctx),
             alpha,
         )
     if method == "RB":
@@ -641,18 +642,6 @@ def panel_select(
     scen_rng = stats.Rng.for_purpose(rng.seed, rng.stream_id, "scenario")
     q_draws = model.draw(scen_rng, cfg.n_scen)  # (S, J, K)
 
-    # necessary condition per cluster: even the best budget-sized set
-    # must reach the threshold in every scenario
-    if cfg.budget >= k_genes:
-        top_b = q_draws.sum(axis=2)
-    else:
-        part = np.partition(q_draws, k_genes - cfg.budget, axis=2)
-        top_b = part[:, :, k_genes - cfg.budget:].sum(axis=2)
-    margins = top_b.min(axis=0) - model.threshold  # (J,)
-    worst = int(np.argmin(margins))
-    if margins[worst] < 0.0:
-        raise PanelInfeasible(cluster_ids[worst])
-
     base = LpProblem(
         w,
         [(np.ones(k_genes), "<=", float(cfg.budget))],
@@ -660,10 +649,19 @@ def panel_select(
     )
     sol, _ = sc.solve_scenario_lp(base, model, q_draws)
     if sol.status != "Optimal":
+        # On the box 0 <= x <= 1 with sum x <= budget, the largest
+        # coverage a scenario row can reach is its top-budget sum, so
+        # the cluster whose worst such sum falls furthest below the
+        # floor is the one to name.
+        part = np.partition(q_draws, k_genes - cfg.budget, axis=2)
+        top_b = part[:, :, k_genes - cfg.budget:].sum(axis=2)
+        margins = top_b.min(axis=0) - model.threshold  # (J,)
+        worst = int(np.argmin(margins))
         raise PanelInfeasible(
             cluster_ids[worst],
-            f"relaxed panel program is {sol.status} "
-            f"(tightest cluster {cluster_ids[worst]})",
+            f"relaxed panel program is {sol.status}; cluster "
+            f"{cluster_ids[worst]!r} has the smallest top-{cfg.budget} "
+            f"coverage margin, {margins[worst]:.6g}",
         )
     relaxed_x = sol.x
 

@@ -1,9 +1,11 @@
 """Conjugate posteriors for capacities and detection probabilities.
 
-Capacity rows follow a Normal-Inverse-Gamma linear regression whose
-one-step-ahead predictive is Student-t.  Detection probabilities follow
-independent Beta-Binomial cells.  A small ordinary-least-squares fit is
-included as the frequentist comparator.
+Capacity rows follow a Normal-Inverse-Gamma (Nig) linear regression
+whose one-step-ahead predictive is Student-t.  Detection probabilities
+follow independent Beta-Binomial cells.  The frequentist comparator,
+ordinary least squares, is the Nig posterior under the reference prior
+p(beta, sigma^2) ∝ 1/sigma^2, whose predictive is the classical t
+prediction law (Gelman et al., Bayesian Data Analysis, 3rd ed., 14.2).
 
 Three posterior models feed scenario programs, robust tightenings and
 certificates: StudentTRhs (fixed rows, Student-t right-hand sides),
@@ -12,8 +14,8 @@ the credible ellipsoids) and BetaCoverage (Beta detection cells against
 a coverage floor).  Each has draw(rng, count) and as_rows(batch), the
 draws as rows coeff @ x <= rhs; residuals(x, batch) = coeff @ x - rhs
 is derived from as_rows once for all three.  The fits produce these
-models: StudentTRhs.from_nig and StudentTRhs.from_ols turn per-row NIG
-or OLS fits into the predictive at one context, and fit_beta_binomial
+models: StudentTRhs.from_nig turns per-row Nig fits (fit_nig or
+fit_ols) into the predictive at one context, and fit_beta_binomial
 returns a BetaCoverage.
 """
 
@@ -36,9 +38,7 @@ from .errors import (
 )
 
 __all__ = [
-    "NigPrior",
-    "NigPosterior",
-    "OlsFit",
+    "Nig",
     "PanelData",
     "fit_nig",
     "fit_ols",
@@ -103,8 +103,11 @@ def _chol_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class NigPrior:
-    """Normal-Inverse-Gamma prior (mean, precision, shape, rate)."""
+class Nig:
+    """Normal-Inverse-Gamma law of regression coefficients and noise:
+    sigma^2 ~ InvGamma(shape, rate), beta | sigma^2 ~ N(mean, sigma^2
+    precision^{-1}).  A prior and a posterior are the same type, so a
+    posterior serves as the next prior as it is."""
 
     mean: np.ndarray
     precision: np.ndarray
@@ -112,7 +115,7 @@ class NigPrior:
     rate: float
 
     @classmethod
-    def default(cls, dim: int) -> "NigPrior":
+    def default(cls, dim: int) -> "Nig":
         """Weak default: zero mean, 1e-2 I precision, shape 2, rate 2."""
         return cls(
             mean=np.zeros(dim),
@@ -122,24 +125,17 @@ class NigPrior:
         )
 
 
-@dataclass(frozen=True)
-class NigPosterior:
-    mean: np.ndarray
-    precision: np.ndarray
-    shape: float
-    rate: float
-    n_obs: int
+def _check_regression(design, y) -> tuple[np.ndarray, np.ndarray]:
+    X = np.asarray(design, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if X.ndim != 2:
+        raise DimensionMismatch("design must be a 2-d array")
+    if y.shape != (X.shape[0],):
+        raise DimensionMismatch(f"y has shape {y.shape}, expected ({X.shape[0]},)")
+    return X, y
 
 
-@dataclass(frozen=True)
-class OlsFit:
-    coef: np.ndarray
-    s2: float
-    xtx_inv: np.ndarray
-    dof_resid: int
-
-
-def fit_nig(design: np.ndarray, y: np.ndarray, prior: NigPrior) -> NigPosterior:
+def fit_nig(design: np.ndarray, y: np.ndarray, prior: Nig) -> Nig:
     """Conjugate update of a Normal-Inverse-Gamma regression prior.
 
     precision_n = precision_0 + X'X
@@ -151,13 +147,8 @@ def fit_nig(design: np.ndarray, y: np.ndarray, prior: NigPrior) -> NigPosterior:
     rate_0 + (y'y + mean_0' precision_0 mean_0 - mean_n' precision_n mean_n)/2
     but without the large-term cancellation.
     """
-    X = np.asarray(design, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2:
-        raise DimensionMismatch("design must be a 2-d array")
+    X, y = _check_regression(design, y)
     n, d = X.shape
-    if y.shape != (n,):
-        raise DimensionMismatch(f"y has shape {y.shape}, expected ({n},)")
     m0 = np.asarray(prior.mean, dtype=float)
     lam0 = np.asarray(prior.precision, dtype=float)
     if m0.shape != (d,) or lam0.shape != (d, d):
@@ -171,24 +162,20 @@ def fit_nig(design: np.ndarray, y: np.ndarray, prior: NigPrior) -> NigPosterior:
     rate_n = prior.rate + 0.5 * (
         float((y - X @ m_n) @ y) + float((m0 - m_n) @ (lam0 @ m0))
     )
-    return NigPosterior(
-        mean=m_n, precision=lam_n, shape=shape_n, rate=rate_n, n_obs=n
-    )
+    return Nig(mean=m_n, precision=lam_n, shape=shape_n, rate=rate_n)
 
 
-def fit_ols(design: np.ndarray, y: np.ndarray) -> OlsFit:
-    """Ordinary least squares with the classical variance estimate.
+def fit_ols(design: np.ndarray, y: np.ndarray) -> Nig:
+    """Ordinary least squares as the reference-prior Nig posterior.
 
-    Requires n > d and a full-column-rank design; raises RankDeficient
-    otherwise.
+    mean = the OLS coefficients, precision = X'X, shape = (n - d)/2 and
+    rate = RSS/2, so rate/shape is the classical s^2 = RSS/(n - d) and
+    StudentTRhs.from_nig gives the t prediction law with n - d degrees
+    of freedom.  Requires n > d and a full-column-rank design; raises
+    RankDeficient otherwise.
     """
-    X = np.asarray(design, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2:
-        raise DimensionMismatch("design must be a 2-d array")
+    X, y = _check_regression(design, y)
     n, d = X.shape
-    if y.shape != (n,):
-        raise DimensionMismatch(f"y has shape {y.shape}, expected ({n},)")
     if n <= d:
         raise RankDeficient(f"need more observations than regressors: n={n}, d={d}")
     gram = X.T @ X
@@ -198,10 +185,8 @@ def fit_ols(design: np.ndarray, y: np.ndarray) -> OlsFit:
         raise RankDeficient("design matrix is rank deficient") from exc
     coef = _chol_solve(chol, X.T @ y)
     resid = y - X @ coef
-    dof = n - d
-    s2 = float(resid @ resid) / dof
-    xtx_inv = _chol_solve(chol, np.eye(d))
-    return OlsFit(coef=coef, s2=s2, xtx_inv=xtx_inv, dof_resid=dof)
+    return Nig(mean=coef, precision=gram, shape=0.5 * (n - d),
+               rate=0.5 * float(resid @ resid))
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +287,12 @@ class StudentTRhs(_DrawnRows):
 
     @classmethod
     def from_nig(cls, rows, posts, x_ctx) -> "StudentTRhs":
-        """Each NIG posterior's one-step predictive at context x_ctx.
+        """Each Nig posterior's one-step predictive at context x_ctx.
 
         dof = 2 shape_n, loc = x'mean_n,
         scale = sqrt(rate_n/shape_n * (1 + x' precision_n^{-1} x)).
+        For fit_ols this is the t prediction law: dof = n - d,
+        loc = x'coef, scale = sqrt(s^2 (1 + x'(X'X)^{-1} x)).
         """
         x = np.asarray(x_ctx, dtype=float)
         dof, loc, scale = [], [], []
@@ -319,21 +306,6 @@ class StudentTRhs(_DrawnRows):
             dof.append(2.0 * post.shape)
             loc.append(float(x @ post.mean))
             scale.append(float(np.sqrt(scale2)))
-        return cls(rows=rows, dof=dof, loc=loc, scale=scale)
-
-    @classmethod
-    def from_ols(cls, rows, fits, x_ctx) -> "StudentTRhs":
-        """Each OLS fit's frequentist t prediction law at context x_ctx.
-
-        dof = n - d, loc = x'coef, scale = sqrt(s2 (1 + x'(X'X)^{-1} x)).
-        """
-        x = np.asarray(x_ctx, dtype=float)
-        dof, loc, scale = [], [], []
-        for fit in fits:
-            _check_context(x, fit.coef.shape)
-            dof.append(fit.dof_resid)
-            loc.append(float(x @ fit.coef))
-            scale.append(float(np.sqrt(fit.s2 * (1.0 + x @ fit.xtx_inv @ x))))
         return cls(rows=rows, dof=dof, loc=loc, scale=scale)
 
     def draw(self, rng: stats.Rng, count: int) -> np.ndarray:
@@ -384,7 +356,7 @@ class GaussianRows(_DrawnRows):
 
     def draw(self, rng: stats.Rng, count: int) -> np.ndarray:
         """(count, R, n + 1) sampled rows."""
-        noise = stats.normal_array(rng, (count,) + self.centers.shape)
+        noise = rng.generator.standard_normal((count,) + self.centers.shape)
         return self.centers + np.einsum("crk,rjk->crj", noise, self.factors)
 
     def as_rows(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

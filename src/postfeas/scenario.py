@@ -25,18 +25,12 @@ from .lp import (
 
 __all__ = [
     "required_sample_size",
-    "violation_bound",
     "solve_scenario_lp",
 ]
 
 
-def violation_bound(n_draws: int, eps: float, d: int) -> float:
-    """Binomial tail bound on P(violation mass of the scenario solution > eps)."""
-    return stats.binomial_tail(n_draws, eps, d)
-
-
 def required_sample_size(eps: float, delta: float, d: int) -> int:
-    """Minimal N with violation_bound(N, eps, d) <= delta.
+    """Minimal N with stats.binomial_tail(N, eps, d) <= delta.
 
     Exponential search for an upper bracket, then binary search; the
     bound is decreasing in N, so the result is exact-minimal.
@@ -51,14 +45,14 @@ def required_sample_size(eps: float, delta: float, d: int) -> int:
         raise CountOutOfRange(f"d must be >= 1, got {d}")
     lo = d - 1  # tail is exactly 1 here: never sufficient
     hi = max(d, 1)
-    while violation_bound(hi, eps, d) > delta:
+    while stats.binomial_tail(hi, eps, d) > delta:
         lo = hi
         hi *= 2
         if hi > 1 << 40:
             raise DomainError("required sample size exceeds 2^40")
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if violation_bound(mid, eps, d) <= delta:
+        if stats.binomial_tail(mid, eps, d) <= delta:
             hi = mid
         else:
             lo = mid
@@ -72,9 +66,10 @@ def solve_scenario_lp(
 
     model.as_rows(batch) gives (coeff, rhs): constraint i under draw k is
     coeff[k, i] @ x <= rhs[k, i], with rhs (N, m_u) and coeff (N, m_u, n)
-    or, for fixed rows, (m_u, n).  Each round adds, for each uncertain
-    row, the draw not yet added with the largest model.residuals at the
-    incumbent (ties: lowest draw index), if that residual exceeds
+    or, for fixed rows, (m_u, n).  as_rows is called once and is the only
+    part of model read here.  Each round adds, for each uncertain row,
+    the draw not yet added with the largest residual coeff @ x - rhs at
+    the incumbent (ties: lowest draw index), if that residual exceeds
     FEAS_TOL * max(1, |rhs|), a tenth of the residual solve_lp accepts.
     A scenario solution is fixed by a few support rows (Calafiore & Campi
     2006), so few of the N * m_u rows are ever added.  If a relaxation is
@@ -89,31 +84,31 @@ def solve_scenario_lp(
             f"expected (N, m_u, {base.n}) or (m_u, {base.n}) with (N, m_u)"
         )
     n_draws, m_u = rhs.shape
-    coeff = np.broadcast_to(coeff, (n_draws, m_u, base.n))
     if n_draws == 0:
         raise EmptyInput("a scenario program needs at least one draw")
     if not (np.isfinite(coeff).all() and np.isfinite(rhs).all()):
         raise DomainError("scenario rows and rhs must be finite")
+    per_draw = np.broadcast_to(coeff, (n_draws, m_u, base.n))
 
     added = np.zeros((n_draws, m_u), dtype=bool)
     slack = FEAS_TOL * np.maximum(1.0, np.abs(rhs))
 
     def separate(x: np.ndarray) -> tuple[list, float]:
-        resid = np.array(model.residuals(x, batch), dtype=float)
+        resid = coeff @ x - rhs
         worst = max(float(resid.max()), 0.0)
         resid[added | (resid <= slack)] = -np.inf
         rows = []
         for i, k in enumerate(np.argmax(resid, axis=0)):
             if resid[k, i] > -np.inf:
                 added[k, i] = True
-                rows.append((coeff[k, i], "<=", float(rhs[k, i])))
+                rows.append((per_draw[k, i], "<=", float(rhs[k, i])))
         return rows, worst
 
     sol, log = solve_cutting_planes(base, separate, n_draws * m_u + 1)
     if sol.status == "Unbounded" and not added.all():
         # a row not yet added may still bound the stacked program
         stacked = base.constraints() + [
-            (coeff[k, i], "<=", float(rhs[k, i]))
+            (per_draw[k, i], "<=", float(rhs[k, i]))
             for i in range(m_u)
             for k in range(n_draws)
         ]

@@ -29,8 +29,6 @@ __all__ = [
     "binomial_tail",
     "derive_stream_id",
     "Rng",
-    "normal_array",
-    "uniform_array",
 ]
 
 _LN_SQRT_2PI = 0.9189385332046727417803297364056176398
@@ -43,7 +41,7 @@ _DEL_COEF = (0.0833333333333333, -0.00277777777760991, 7.9365066682539e-4,
 
 _FPMIN = 1e-300
 _CF_EPS = 1e-16
-_CF_MAX_ITER = 500
+_CF_MAX_ITER = 10_000
 
 
 def _del_sum(t: float, y: float) -> float:
@@ -91,7 +89,10 @@ def log_choose(n: int, k: int) -> float:
 
 def _beta_cf(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta, evaluated by the
-    modified Lentz algorithm.  Converges fast for x < (a+1)/(a+b+2)."""
+    modified Lentz algorithm.  Converges fast for x < (a+1)/(a+b+2),
+    though near that split the terms needed grow with the parameters
+    (1,091 at x = 0.5, a = b = 1e7); raises DomainError if it has not
+    converged after _CF_MAX_ITER."""
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
@@ -124,7 +125,10 @@ def _beta_cf(a: float, b: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _CF_EPS:
             return h
-    return h
+    raise DomainError(
+        f"the continued fraction of I_x(a, b) did not converge in "
+        f"{_CF_MAX_ITER} iterations at x={x!r}, a={a!r}, b={b!r}"
+    )
 
 
 def reg_inc_beta(x: float, a: float, b: float) -> float:
@@ -132,7 +136,9 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
 
     I_x(a, b) = B(x; a, b) / B(a, b) for x in [0, 1], a > 0, b > 0.
     Continued-fraction evaluation with the symmetry split at
-    x = (a+1)/(a+b+2) so the fraction always converges quickly.
+    x = (a+1)/(a+b+2) so the fraction always converges quickly; it
+    raises DomainError if the fraction has not converged after
+    _CF_MAX_ITER terms (past about a = b = 1e10 at x = 0.5).
     """
     x = float(x)
     a = float(a)
@@ -159,11 +165,19 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
     return val
 
 
+def _gamma_no_convergence(method: str, a: float, x: float) -> DomainError:
+    return DomainError(
+        f"reg_lower_gamma's {method} did not converge in {_CF_MAX_ITER} "
+        f"iterations at a={a!r}, x={x!r}"
+    )
+
+
 def reg_lower_gamma(a: float, x: float) -> float:
     """Regularized lower incomplete gamma P(a, x), a > 0, x >= 0.
 
     Series expansion for x < a + 1, Lentz continued fraction for the
-    complement otherwise.
+    complement otherwise; either raises DomainError if it has not
+    converged after _CF_MAX_ITER terms.
     """
     a = float(a)
     x = float(x)
@@ -181,12 +195,14 @@ def reg_lower_gamma(a: float, x: float) -> float:
         term = 1.0 / a
         total = term
         n = a
-        for _ in range(_CF_MAX_ITER * 4):
+        for _ in range(_CF_MAX_ITER):
             n += 1.0
             term *= x / n
             total += term
             if abs(term) < abs(total) * _CF_EPS:
                 break
+        else:
+            raise _gamma_no_convergence("series", a, x)
         val = total * math.exp(ln_pref)
         return min(max(val, 0.0), 1.0)
     # continued fraction for Q(a,x)
@@ -194,7 +210,7 @@ def reg_lower_gamma(a: float, x: float) -> float:
     c = 1.0 / _FPMIN
     d = 1.0 / b
     h = d
-    for i in range(1, _CF_MAX_ITER * 4):
+    for i in range(1, _CF_MAX_ITER + 1):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
@@ -208,6 +224,8 @@ def reg_lower_gamma(a: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _CF_EPS:
             break
+    else:
+        raise _gamma_no_convergence("continued fraction", a, x)
     q = math.exp(ln_pref) * h
     return min(max(1.0 - q, 0.0), 1.0)
 
@@ -615,13 +633,3 @@ class Rng:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Rng(seed={self.seed}, stream_id={self.stream_id})"
-
-
-def normal_array(rng: Rng, size) -> np.ndarray:
-    """Standard normal draws of the given shape."""
-    return rng.generator.standard_normal(size)
-
-
-def uniform_array(rng: Rng, size) -> np.ndarray:
-    """Uniform(0, 1) draws of the given shape."""
-    return rng.generator.random(size)

@@ -30,17 +30,12 @@ from postfeas.robustify import (
     soc_support,
     solve_robust_cutting_planes,
 )
-from postfeas.scenario import (
-    required_sample_size,
-    solve_scenario_lp,
-    violation_bound,
-)
+from postfeas.scenario import required_sample_size, solve_scenario_lp
 from postfeas.stats import (
     Rng,
     binomial_tail,
     reg_inc_beta,
     reg_lower_gamma,
-    uniform_array,
 )
 
 from lp_oracle import brute_force_lp
@@ -95,10 +90,10 @@ def test_criterion_02_scenario_size_closed_form_and_minimality():
     assert required_sample_size(0.05, 0.05, 1) == 59
     assert required_sample_size(0.5, 0.5, 1) == 1
     # minimal: the returned count meets the target and one fewer does not
-    assert violation_bound(59, 0.05, 1) <= 0.05
-    assert violation_bound(58, 0.05, 1) > 0.05
-    assert violation_bound(1, 0.5, 1) <= 0.5
-    assert violation_bound(0, 0.5, 1) > 0.5
+    assert binomial_tail(59, 0.05, 1) <= 0.05
+    assert binomial_tail(58, 0.05, 1) > 0.05
+    assert binomial_tail(1, 0.5, 1) <= 0.5
+    assert binomial_tail(0, 0.5, 1) > 0.5
 
 
 def test_criterion_03_plugin_mean_violates_badly(benchmark_runs):
@@ -236,7 +231,7 @@ def test_criterion_08_certification_counts_follow_binomial_law():
             self.p_true = p_true
 
         def draw(self, rng, count):
-            return uniform_array(rng, (count, 1))
+            return rng.generator.random((count, 1))
 
         def residuals(self, x, batch):
             return self.p_true - batch

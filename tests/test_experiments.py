@@ -47,7 +47,7 @@ from postfeas.experiments import (
 from postfeas.lp import LpProblem, solve_lp
 from postfeas.posterior import (
     BetaCoverage,
-    NigPrior,
+    Nig,
     StudentTRhs,
     fit_beta_binomial,
     fit_nig,
@@ -170,7 +170,7 @@ def setup():
     cfg = SimConfig(**FAST)
     inst = gen_instance(cfg, Rng.for_purpose(11, "instance", 0))
     rng = Rng.for_purpose(11, "trial", 0)
-    prior = NigPrior.default(cfg.d_ctx)
+    prior = Nig.default(cfg.d_ctx)
     preds = [
         StudentTRhs.from_nig(
             [[0.0]],
@@ -209,15 +209,15 @@ class TestTightenedRhs:
     def test_frequentist_quantile(self, setup):
         cfg, inst, rng, _, model = setup
         out = _tightened_rhs("FPQ", inst, model, 0.05, cfg, Rng(rng.seed, rng.stream_id))
-        # the per-row scalar t prediction quantile is the reference, bit
-        # for bit
+        # the per-row scalar quantile of the least-squares t prediction
+        # law (n - d degrees of freedom) is the reference, bit for bit
         expect = []
         for j in range(cfg.m):
             fit = fit_ols(inst.design, inst.observations[:, j])
-            x = inst.x_ctx
-            se = float(np.sqrt(fit.s2 * (1.0 + x @ fit.xtx_inv @ x)))
-            expect.append(float(x @ fit.coef) + se * student_t_quantile(
-                0.05 / cfg.m, fit.dof_resid))
+            p = StudentTRhs.from_nig([[0.0]], [fit], inst.x_ctx)
+            assert p.dof[0] == cfg.n_obs - cfg.d_ctx
+            expect.append(p.loc[0] + p.scale[0] * student_t_quantile(
+                0.05 / cfg.m, p.dof[0]))
         assert out.tolist() == expect
 
     def test_normal_heuristic(self, setup):
@@ -344,8 +344,8 @@ class TestRunTrial:
         cfg, inst, rng, model = trial
         cfg = dataclasses.replace(cfg, m_cert=1500)
         expect = run_trial(inst, model, 0.05, cfg, Rng(rng.seed, rng.stream_id))
-        passes, blocks, normal_draws = [], [], []
-        real_blocks, real_normal = certification_module.draw_blocks, stats.normal_array
+        passes, blocks, sampled = [], [], []
+        real_blocks, real_generator = certification_module.draw_blocks, stats.Rng.generator
 
         def counting_blocks(model, m_draws, rng):
             passes.append(m_draws)
@@ -353,17 +353,23 @@ class TestRunTrial:
                 blocks.append(len(batch))
                 yield batch
 
-        def counting_normal(rng, size):
-            normal_draws.append(size)
-            return real_normal(rng, size)
+        class RecordingGenerator:
+            def __init__(self, gen):
+                self._gen = gen
+
+            def __getattr__(self, name):
+                sampled.append(name)
+                return getattr(self._gen, name)
 
         monkeypatch.setattr(certification_module, "draw_blocks", counting_blocks)
-        monkeypatch.setattr(stats, "normal_array", counting_normal)
+        monkeypatch.setattr(stats.Rng, "generator", property(
+            lambda r: RecordingGenerator(real_generator.fget(r))))
         recs = run_trial(inst, model, 0.05, cfg, Rng(rng.seed, rng.stream_id))
         assert [r.status for r in recs] == ["Optimal"] * len(METHODS)
         assert passes == [1500]
         assert blocks == [BLOCK, 1500 - BLOCK]
-        assert normal_draws == []  # v_true is exact, not sampled
+        assert "standard_normal" not in sampled  # v_true is exact, not sampled
+        assert "standard_t" in sampled
         assert recs == expect
 
     def test_failing_method_gives_one_error_record(self, trial, monkeypatch):
@@ -875,6 +881,28 @@ class TestPanelSelect:
                 cluster_ids=("east", "west"),
             )
         assert info.value.cluster in ("east", "west")
+
+    def test_infeasible_message_names_smallest_margin(self):
+        # east can reach the floor, west cannot; the relaxed program is
+        # infeasible and the error names west with its top-3 margin on
+        # the replayed scenario draws
+        cfg = PanelConfig(budget=3, threshold=2.0, n_scen=40, m_cert=200)
+        post = fit_beta_binomial(
+            np.array([[450.0] * 6, [50.0] * 6]), np.array([500.0, 500.0]),
+            cfg.threshold,
+        )
+        rng = Rng.for_purpose(75, "panel-margin")
+        with pytest.raises(PanelInfeasible) as info:
+            panel_select(np.ones(6), post, cfg, rng, cluster_ids=("east", "west"))
+        scen_rng = Rng.for_purpose(rng.seed, rng.stream_id, "scenario")
+        q_draws = post.draw(scen_rng, cfg.n_scen)
+        margins = np.sort(q_draws, axis=2)[:, :, -3:].sum(axis=2).min(axis=0) - 2.0
+        assert margins[0] > 0.0 > margins[1]
+        assert info.value.cluster == "west"
+        assert str(info.value) == (
+            "relaxed panel program is Infeasible; cluster 'west' has the "
+            f"smallest top-3 coverage margin, {margins[1]:.6g}"
+        )
 
     def test_validation(self):
         post = fit_beta_binomial(np.array([[3.0, 2.0]]), np.array([5.0]),

@@ -37,3 +37,24 @@ def test_no_test_only_names(owner, name):
     obj = getattr(obj, attr) if attr else obj
     assert not hasattr(obj, name)
     assert name not in postfeas.__all__
+
+
+@pytest.mark.parametrize("owner, name", [
+    ("posterior", "OlsFit"),
+    ("posterior", "NigPosterior"),
+    ("posterior", "NigPrior"),
+    ("posterior.StudentTRhs", "from_ols"),
+    ("stats", "normal_array"),
+    ("stats", "uniform_array"),
+    ("scenario", "violation_bound"),
+])
+def test_no_folded_names(owner, name):
+    # One Nig type serves as prior, posterior and least-squares fit, and
+    # StudentTRhs.from_nig gives every predictive; callers draw from
+    # rng.generator and take the scenario bound from stats.binomial_tail.
+    module, _, attr = owner.partition(".")
+    obj = importlib.import_module(f"postfeas.{module}")
+    obj = getattr(obj, attr) if attr else obj
+    assert not hasattr(obj, name)
+    assert name not in postfeas.__all__
+    assert not hasattr(postfeas, name)

@@ -15,8 +15,7 @@ from postfeas.errors import (
 from postfeas.certification import draw_blocks
 from postfeas.posterior import (
     BetaCoverage,
-    NigPrior,
-    OlsFit,
+    Nig,
     StudentTRhs,
     fit_beta_binomial,
     fit_nig,
@@ -47,9 +46,8 @@ def quantile(model, p):
 
 class TestFitNig:
     def test_empty_data_returns_prior(self):
-        prior = NigPrior.default(3)
+        prior = Nig.default(3)
         post = fit_nig(np.zeros((0, 3)), np.zeros(0), prior)
-        assert post.n_obs == 0
         assert np.array_equal(post.mean, prior.mean)
         assert np.array_equal(post.precision, prior.precision)
         assert post.shape == prior.shape
@@ -58,7 +56,7 @@ class TestFitNig:
     def test_closed_form_against_direct_inverse(self):
         gen = np.random.default_rng(11)
         design, y, _, _ = make_regression(gen, 25, 4)
-        prior = NigPrior(
+        prior = Nig(
             mean=gen.normal(size=4),
             precision=np.diag(gen.uniform(0.5, 2.0, 4)),
             shape=3.0,
@@ -81,7 +79,7 @@ class TestFitNig:
             n = int(gen.integers(5, 60))
             d = int(gen.integers(1, 5))
             design, y, _, _ = make_regression(gen, n, max(d, 2))
-            prior = NigPrior(
+            prior = Nig(
                 mean=gen.normal(size=design.shape[1]),
                 precision=np.diag(gen.uniform(0.1, 3.0, design.shape[1])),
                 shape=float(gen.uniform(0.5, 4.0)),
@@ -105,36 +103,31 @@ class TestFitNig:
             n = int(gen.integers(1, 40))
             design = gen.normal(size=(n, 3))
             y = gen.normal(scale=5.0, size=n)
-            post = fit_nig(design, y, NigPrior.default(3))
+            post = fit_nig(design, y, Nig.default(3))
             assert post.rate > 0.0
 
     def test_flat_prior_limit_recovers_ols(self):
         gen = np.random.default_rng(14)
         design, y, _, _ = make_regression(gen, 80, 4)
-        prior = NigPrior(
+        prior = Nig(
             mean=np.zeros(4), precision=1e-10 * np.eye(4), shape=2.0, rate=2.0
         )
         post = fit_nig(design, y, prior)
         fit = fit_ols(design, y)
-        assert np.max(np.abs(post.mean - fit.coef)) <= 1e-6
+        assert np.max(np.abs(post.mean - fit.mean)) <= 1e-6
 
     def test_two_stage_update_equals_batch(self):
         gen = np.random.default_rng(15)
         design, y, _, _ = make_regression(gen, 48, 3)
-        prior = NigPrior(
+        prior = Nig(
             mean=gen.normal(size=3),
             precision=np.diag(gen.uniform(0.5, 2.0, 3)),
             shape=2.5,
             rate=1.2,
         )
+        # a posterior is the next update's prior as it is
         stage1 = fit_nig(design[:20], y[:20], prior)
-        mid = NigPrior(
-            mean=stage1.mean,
-            precision=stage1.precision,
-            shape=stage1.shape,
-            rate=stage1.rate,
-        )
-        stage2 = fit_nig(design[20:], y[20:], mid)
+        stage2 = fit_nig(design[20:], y[20:], stage1)
         batch = fit_nig(design, y, prior)
         assert np.allclose(stage2.mean, batch.mean, rtol=0.0, atol=1e-10)
         assert np.allclose(stage2.precision, batch.precision, rtol=0.0, atol=1e-10)
@@ -144,14 +137,14 @@ class TestFitNig:
     def test_posterior_precision_dominates_prior(self):
         gen = np.random.default_rng(16)
         design, y, _, _ = make_regression(gen, 30, 4)
-        prior = NigPrior.default(4)
+        prior = Nig.default(4)
         post = fit_nig(design, y, prior)
         gap_eigs = np.linalg.eigvalsh(post.precision - prior.precision)
         assert np.min(gap_eigs) >= -1e-10
         assert post.shape == prior.shape + 15.0
 
     def test_indefinite_prior_precision_rejected(self):
-        prior = NigPrior(
+        prior = Nig(
             mean=np.zeros(2),
             precision=np.array([[1.0, 2.0], [2.0, 1.0]]),
             shape=2.0,
@@ -161,14 +154,14 @@ class TestFitNig:
             fit_nig(np.zeros((0, 2)), np.zeros(0), prior)
 
     def test_dimension_and_domain_errors(self):
-        prior = NigPrior.default(3)
+        prior = Nig.default(3)
         with pytest.raises(DimensionMismatch):
             fit_nig(np.zeros(4), np.zeros(4), prior)
         with pytest.raises(DimensionMismatch):
             fit_nig(np.zeros((4, 3)), np.zeros(5), prior)
         with pytest.raises(DimensionMismatch):
             fit_nig(np.zeros((4, 2)), np.zeros(4), prior)
-        bad = NigPrior(mean=np.zeros(3), precision=np.eye(3), shape=0.0, rate=2.0)
+        bad = Nig(mean=np.zeros(3), precision=np.eye(3), shape=0.0, rate=2.0)
         with pytest.raises(DomainError):
             fit_nig(np.zeros((4, 3)), np.zeros(4), bad)
 
@@ -177,7 +170,7 @@ class TestPredictive:
     def fitted(self, seed=21, n=40):
         gen = np.random.default_rng(seed)
         design, y, _, _ = make_regression(gen, n, 3)
-        post = fit_nig(design, y, NigPrior.default(3))
+        post = fit_nig(design, y, Nig.default(3))
         x_ctx = np.array([1.0, 0.3, -0.4])
         return post, x_ctx
 
@@ -194,7 +187,7 @@ class TestPredictive:
         # Each row is its own posterior's predictive, bit for bit.
         gen = np.random.default_rng(24)
         x = np.array([1.0, 0.3, -0.4])
-        posts = [fit_nig(*make_regression(gen, n, 3)[:2], NigPrior.default(3))
+        posts = [fit_nig(*make_regression(gen, n, 3)[:2], Nig.default(3))
                  for n in (10, 40, 160)]
         rows = np.arange(6.0).reshape(3, 2)
         model = StudentTRhs.from_nig(rows, posts, x)
@@ -256,7 +249,7 @@ class TestPredictive:
         gen = np.random.default_rng(22)
         n, sigma = 10_000, 1.3
         design, y, _, _ = make_regression(gen, n, 3, sigma=sigma)
-        post = fit_nig(design, y, NigPrior.default(3))
+        post = fit_nig(design, y, Nig.default(3))
         x = np.array([1.0, 0.2, -0.5])
         lev = x @ np.linalg.solve(design.T @ design, x)
         target = sigma * np.sqrt(1.0 + lev)
@@ -271,7 +264,7 @@ class TestPredictive:
         x = np.array([1.0, 10.0, 10.0])
         scales = []
         for n in (20, 80, 320, 1280):
-            post = fit_nig(design[:n], y[:n], NigPrior.default(3))
+            post = fit_nig(design[:n], y[:n], Nig.default(3))
             scales.append(StudentTRhs.from_nig([[0.0]], [post], x).scale[0])
         assert np.all(np.diff(scales) < 0.0)
 
@@ -288,62 +281,74 @@ class TestPredictive:
 
 
 class TestOls:
+    """fit_ols is the reference-prior Nig posterior, and from_nig turns it
+    into the classical t prediction law."""
+
     def test_exact_fit_collapses_interval(self):
         design = np.array(
             [[1.0, 0.0], [1.0, 1.0], [1.0, 2.0], [1.0, 3.0], [1.0, 4.0]]
         )
         y = design @ np.array([2.0, -3.0])
         fit = fit_ols(design, y)
-        assert fit.s2 <= 1e-24
+        assert fit.rate / fit.shape <= 1e-24
         x = np.array([1.0, 2.5])
-        loc = float(x @ fit.coef)
-        pred = StudentTRhs.from_ols([[0.0]], [fit], x)
+        loc = float(x @ fit.mean)
+        pred = StudentTRhs.from_nig([[0.0]], [fit], x)
         for p in (0.01, 0.5, 0.99):
             assert abs(quantile(pred, p) - loc) <= 1e-10
 
     def test_closed_form_fields(self):
+        # the t prediction law: dof n - d, loc x'beta_hat and scale
+        # s sqrt(1 + x'(X'X)^{-1} x), from lstsq and an explicit inverse
         gen = np.random.default_rng(30)
-        fits = [fit_ols(*make_regression(gen, n, 3)[:2]) for n in (12, 50)]
+        data = [make_regression(gen, n, 3)[:2] for n in (12, 50)]
         x = np.array([1.0, 0.3, -0.4])
-        pred = StudentTRhs.from_ols(np.ones((2, 1)), fits, x)
-        for i, fit in enumerate(fits):
-            assert pred.dof[i] == fit.dof_resid
-            assert pred.loc[i] == float(x @ fit.coef)
-            assert pred.scale[i] == float(
-                np.sqrt(fit.s2 * (1.0 + x @ fit.xtx_inv @ x)))
+        pred = StudentTRhs.from_nig(np.ones((2, 1)),
+                                    [fit_ols(*xy) for xy in data], x)
+        for i, (design, y) in enumerate(data):
+            n, d = design.shape
+            coef, rss, _, _ = np.linalg.lstsq(design, y, rcond=None)
+            s2 = float(rss[0]) / (n - d)
+            scale = np.sqrt(s2 * (1.0 + x @ np.linalg.inv(design.T @ design) @ x))
+            assert pred.dof[i] == n - d
+            assert pred.loc[i] == pytest.approx(x @ coef, rel=1e-12)
+            assert pred.scale[i] == pytest.approx(scale, rel=1e-12)
 
     def test_zero_scale_rejected(self):
-        fit = OlsFit(coef=np.ones(2), s2=0.0, xtx_inv=np.eye(2), dof_resid=3)
-        with pytest.raises(DomainError, match="scale must be positive"):
-            StudentTRhs.from_ols([[0.0]], [fit], np.array([1.0, 2.5]))
+        fit = Nig(mean=np.ones(2), precision=np.eye(2), shape=1.5, rate=0.0)
+        with pytest.raises(DomainError, match="nonpositive predictive variance"):
+            StudentTRhs.from_nig([[0.0]], [fit], np.array([1.0, 2.5]))
 
     def test_median_is_point_prediction(self):
         gen = np.random.default_rng(31)
         design, y, _, _ = make_regression(gen, 50, 4)
         fit = fit_ols(design, y)
         x = np.array([1.0, 0.4, -0.2, 0.1])
-        pred = StudentTRhs.from_ols([[0.0]], [fit], x)
+        pred = StudentTRhs.from_nig([[0.0]], [fit], x)
         assert quantile(pred, 0.5) == pytest.approx(
-            float(x @ fit.coef), abs=1e-10
+            float(x @ fit.mean), abs=1e-10
         )
 
     def test_residual_dof(self):
         gen = np.random.default_rng(32)
         design, y, _, _ = make_regression(gen, 90, 6)
         fit = fit_ols(design, y)
-        assert fit.dof_resid == 84
+        assert fit.shape == 42.0
+        x = np.array([1.0, 0.1, 0.2, 0.3, 0.4, 0.5])
+        assert StudentTRhs.from_nig([[0.0]], [fit], x).dof[0] == 84.0
 
     def test_closed_form_against_lstsq(self):
         gen = np.random.default_rng(33)
         design, y, _, _ = make_regression(gen, 40, 5)
         fit = fit_ols(design, y)
         ref, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
-        assert np.allclose(fit.coef, ref, rtol=0.0, atol=1e-10)
+        assert np.allclose(fit.mean, ref, rtol=0.0, atol=1e-10)
+        assert np.array_equal(fit.precision, design.T @ design)
         resid = y - design @ ref
-        assert fit.s2 == pytest.approx(resid @ resid / 35.0, rel=1e-12)
-        assert np.allclose(
-            fit.xtx_inv, np.linalg.inv(design.T @ design), rtol=0.0, atol=1e-10
-        )
+        assert fit.rate == pytest.approx(resid @ resid / 2.0, rel=1e-12)
+        # rate / shape is RSS / (n - d) bit for bit: halving is exact
+        rss = 2.0 * fit.rate
+        assert fit.rate / fit.shape == rss / 35.0
 
     def test_lower_prediction_quantile_calibration(self):
         gen = np.random.default_rng(34)
@@ -359,7 +364,7 @@ class TestOls:
             fit = fit_ols(design, y)
             x_new = np.array([1.0, *gen.uniform(-1.0, 1.0, d - 1)])
             y_new = float(x_new @ beta + sigma * gen.standard_normal())
-            pred = StudentTRhs.from_ols([[0.0]], [fit], x_new)
+            pred = StudentTRhs.from_nig([[0.0]], [fit], x_new)
             if y_new < quantile(pred, 0.05):
                 hits += 1
         assert abs(hits / reps - 0.05) <= 0.015
@@ -372,11 +377,10 @@ class TestOls:
             fit_ols(dup, np.zeros(10))
 
     def test_dimension_errors(self):
-        fit = OlsFit(
-            coef=np.zeros(3), s2=1.0, xtx_inv=np.eye(3), dof_resid=5
-        )
+        gen = np.random.default_rng(35)
+        fit = fit_ols(*make_regression(gen, 8, 3)[:2])
         with pytest.raises(DimensionMismatch):
-            StudentTRhs.from_ols([[0.0]], [fit], np.zeros(2))
+            StudentTRhs.from_nig([[0.0]], [fit], np.zeros(2))
         with pytest.raises(DimensionMismatch):
             fit_ols(np.zeros((4, 2)), np.zeros(3))
 

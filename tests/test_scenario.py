@@ -15,12 +15,8 @@ from postfeas.errors import (
 )
 from postfeas.lp import LpProblem, solve_lp
 from postfeas.posterior import BetaCoverage, GaussianRows, StudentTRhs
-from postfeas.scenario import (
-    required_sample_size,
-    solve_scenario_lp,
-    violation_bound,
-)
-from postfeas.stats import Rng, binomial_tail, normal_array
+from postfeas.scenario import required_sample_size, solve_scenario_lp
+from postfeas.stats import Rng, binomial_tail
 
 
 class TestRequiredSampleSize:
@@ -37,8 +33,8 @@ class TestRequiredSampleSize:
             for delta in (0.01, 0.05, 0.2):
                 for d in (1, 2, 5, 10):
                     n = required_sample_size(eps, delta, d)
-                    assert violation_bound(n, eps, d) <= delta
-                    assert violation_bound(n - 1, eps, d) > delta
+                    assert binomial_tail(n, eps, d) <= delta
+                    assert binomial_tail(n - 1, eps, d) > delta
 
     def test_monotonicity(self):
         base = required_sample_size(0.05, 0.05, 3)
@@ -67,15 +63,13 @@ class TestRequiredSampleSize:
 
 
 class TestViolationBound:
+    """The scenario violation bound is the binomial tail stats.binomial_tail."""
+
     def test_zero_eps_is_one(self):
-        assert violation_bound(25, 0.0, 3) == 1.0
+        assert binomial_tail(25, 0.0, 3) == 1.0
 
     def test_full_mass_when_d_exceeds_draws(self):
-        assert violation_bound(10, 0.3, 11) == 1.0
-
-    def test_delegates_to_binomial_tail(self):
-        for n, eps, d in ((59, 0.05, 1), (40, 0.1, 4), (12, 0.5, 3)):
-            assert violation_bound(n, eps, d) == binomial_tail(n, eps, d)
+        assert binomial_tail(10, 0.3, 11) == 1.0
 
     def test_exact_rational_summation(self):
         eps = 0.07
@@ -85,7 +79,7 @@ class TestViolationBound:
                 math.comb(n, j) * frac_eps**j * (1 - frac_eps) ** (n - j)
                 for j in range(d)
             )
-            assert abs(violation_bound(n, eps, d) - float(exact)) <= 1e-12
+            assert abs(binomial_tail(n, eps, d) - float(exact)) <= 1e-12
 
 
 def stacked_lp(base, coeff, sense, rhs):
@@ -328,7 +322,7 @@ class TestBuildScenarioLp:
         model = fixed_rows(np.ones((1, 1)))
         bad = 0
         for _ in range(reps):
-            draws = normal_array(rng, (n_draws, 1))
+            draws = rng.generator.standard_normal((n_draws, 1))
             sol, _ = solve_scenario_lp(base, model, draws)
             assert sol.status == "Optimal"
             assert sol.x[0] == pytest.approx(float(draws.min()), abs=1e-9)

@@ -21,13 +21,11 @@ from postfeas.stats import (
     chi2_quantile,
     derive_stream_id,
     log_choose,
-    normal_array,
     normal_cdf,
     normal_quantile,
     reg_inc_beta,
     reg_lower_gamma,
     student_t_quantile,
-    uniform_array,
 )
 
 
@@ -98,6 +96,33 @@ class TestRegIncBeta:
                 ref = float(mpmath.betainc(0.152, 3380, 0, x, regularized=True))
                 assert abs(reg_inc_beta(x, 0.152, 3380.0) - ref) <= 1e-14 * ref
 
+    def test_fraction_converges_at_large_symmetric_parameters(self):
+        # near the mean the fraction needs about 1,100 terms at a = b = 1e7;
+        # it was cut at 500 and returned 0.49996 at x = 0.5.  The fraction
+        # itself matches scipy's I_x to 1e-12; I_x is resolved to about
+        # 1e-9 only, because the log prefactor adds terms near 7e6.
+        a = 1e7
+        with mpmath.workdps(40):
+            for x in (0.5, 0.4999, 0.49999):
+                ref = float(scipy.special.betainc(a, a, x))
+                front = mpmath.exp(a * mpmath.log(x) + a * mpmath.log1p(-x)
+                                   - mpmath.log(mpmath.beta(a, a)))
+                if x < 0.5:
+                    cf, cf_ref = stats._beta_cf(a, a, x), ref * a / front
+                else:
+                    cf, cf_ref = stats._beta_cf(a, a, 1.0 - x), (1 - ref) * a / front
+                assert abs(cf - float(cf_ref)) <= 1e-12 * float(cf_ref)
+                assert abs(reg_inc_beta(x, a, a) - ref) <= 2e-9 * ref
+
+    def test_unconverged_fraction_raises(self):
+        # at x = 0.5 the terms needed roughly double per decade of a = b:
+        # 4,847 at 1e9 and 10,696 at 1e10, past the 10,000-term cap
+        with pytest.raises(DomainError, match=re.escape(
+                "10000 iterations at x=0.5, a=10000000000.0, b=10000000000.0")):
+            reg_inc_beta(0.5, 1e10, 1e10)
+        with pytest.raises(DomainError, match="did not converge"):
+            beta_quantile(0.5, 1e10, 1e10)
+
     def test_edges_and_domain(self):
         assert reg_inc_beta(0.0, 2.0, 3.0) == 0.0
         assert reg_inc_beta(1.0, 2.0, 3.0) == 1.0
@@ -119,6 +144,15 @@ class TestRegLowerGamma:
             x = float(rng.uniform(0.0, 2.5) * a)
             ref = float(scipy.stats.gamma.cdf(x, a))
             assert abs(reg_lower_gamma(a, x) - ref) <= 1e-11
+
+    @pytest.mark.parametrize("a, x, method", [
+        (1e9, 0.9999e9, "series"),
+        (1e10, 1e10 + 1.5, "continued fraction"),
+    ])
+    def test_unconverged_expansion_raises(self, a, x, method):
+        with pytest.raises(DomainError, match=re.escape(
+                f"{method} did not converge in 10000 iterations at a={a!r}, x={x!r}")):
+            reg_lower_gamma(a, x)
 
 
 class TestBetaQuantile:
@@ -387,30 +421,30 @@ class TestLogChoose:
 
 class TestRng:
     def test_fixed_stream_reproduces(self):
-        a = normal_array(Rng(3, 17), (100,))
-        b = normal_array(Rng(3, 17), (100,))
+        a = Rng(3, 17).generator.standard_normal(100)
+        b = Rng(3, 17).generator.standard_normal(100)
         assert np.array_equal(a, b)
 
     def test_for_purpose_and_derive_stream(self):
         r1 = Rng.for_purpose(5, "scenario", 12)
         r2 = Rng.for_purpose(5, "scenario", 12)
         assert r1.stream_id == r2.stream_id == derive_stream_id(5, "scenario", 12)
-        assert np.array_equal(uniform_array(r1, (9,)), uniform_array(r2, (9,)))
+        assert np.array_equal(r1.generator.random(9), r2.generator.random(9))
 
     def test_distinct_purposes_decorrelated(self):
-        a = normal_array(Rng.for_purpose(5, "a"), (20000,))
-        b = normal_array(Rng.for_purpose(5, "b"), (20000,))
+        a = Rng.for_purpose(5, "a").generator.standard_normal(20000)
+        b = Rng.for_purpose(5, "b").generator.standard_normal(20000)
         assert abs(np.corrcoef(a, b)[0, 1]) < 0.03
 
     def test_seed_changes_output(self):
-        a = uniform_array(Rng.for_purpose(1, "x"), (50,))
-        b = uniform_array(Rng.for_purpose(2, "x"), (50,))
+        a = Rng.for_purpose(1, "x").generator.random(50)
+        b = Rng.for_purpose(2, "x").generator.random(50)
         assert not np.array_equal(a, b)
 
     def test_same_address_restarts_stream(self):
         r = Rng.for_purpose(9, "clone")
-        first = uniform_array(r, (10,))
-        again = uniform_array(Rng(r.seed, r.stream_id), (10,))
+        first = r.generator.random(10)
+        again = Rng(r.seed, r.stream_id).generator.random(10)
         assert np.array_equal(first, again)
 
 
@@ -427,7 +461,7 @@ class TestSamplers:
     """The laws the posterior models draw from, checked against scipy."""
 
     def test_normal_mean_band(self):
-        draws = normal_array(Rng.for_purpose(42, "clt"), (1_000_000,))
+        draws = Rng.for_purpose(42, "clt").generator.standard_normal(1_000_000)
         assert abs(draws.mean()) <= 4.0 / math.sqrt(1_000_000)
 
     def test_beta_uniform_ks(self):
