@@ -138,7 +138,9 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
     Continued-fraction evaluation with the symmetry split at
     x = (a+1)/(a+b+2) so the fraction always converges quickly; it
     raises DomainError if the fraction has not converged after
-    _CF_MAX_ITER terms (past about a = b = 1e10 at x = 0.5).
+    _CF_MAX_ITER terms (past about a = b = 1e10 at x = 0.5).  Above the
+    split the fraction is that of I_{1-x}(b, a), and the error names
+    those arguments.
     """
     x = float(x)
     a = float(a)
