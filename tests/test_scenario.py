@@ -220,6 +220,26 @@ class TestBuildScenarioLp:
         assert sol.objective_value == pytest.approx(ref.objective_value, abs=1e-9)
         assert float(model.residuals(sol.x, batch).max()) <= 1e-8
 
+    @pytest.mark.parametrize("family", ["StudentTRhs", "GaussianRows",
+                                        "BetaCoverage"])
+    def test_reads_the_model_through_one_as_rows_call(self, family):
+        # separation scores the rows of that one call; the model needs
+        # no residuals
+        base, model, batch = family_instance(family)
+        calls = []
+
+        class RowsOnly:
+            def as_rows(self, rows_batch):
+                calls.append(rows_batch)
+                return model.as_rows(rows_batch)
+
+        sol, log = solve_scenario_lp(base, RowsOnly(), batch)
+        ref, ref_log = solve_scenario_lp(base, model, batch)
+        assert len(calls) == 1 and calls[0] is batch
+        assert log.rounds > 1
+        assert sol.x.tobytes() == ref.x.tobytes()
+        assert log.cuts_per_round == ref_log.cuts_per_round
+
     def test_unbounded_relaxation_solves_stacked_lp(self):
         # x is bounded only by the scenario rows: the first relaxation is
         # Unbounded, yet the stacked program has an optimum.
