@@ -41,7 +41,7 @@ def quantile(model, p):
 
 # Predictive law of the next capacity at a fresh context.
 x_new = np.array([1.0, 0.4])
-capacity = StudentTRhs.from_nig([[1.0]], [post], x_new)
+capacity = StudentTRhs.from_nig([[1.0]], post, x_new)
 print("\npredictive at context 0.4: Student-t dof",
       round(float(capacity.dof[0]), 1),
       "loc", round(float(capacity.loc[0]), 3),
@@ -63,7 +63,7 @@ print("\n5% lower capacity quantile:", round(quantile(capacity, 0.05), 3))
 # prediction law: n - d degrees of freedom, loc x'beta_hat and scale
 # s sqrt(1 + x'(X'X)^-1 x).  Its hedge differs slightly from the weak
 # default prior's; with 80 observations the two nearly agree.
-ols = StudentTRhs.from_nig([[1.0]], [fit_ols(design, y)], x_new)
+ols = StudentTRhs.from_nig([[1.0]], fit_ols(design, y), x_new)
 print("least-squares predictive: Student-t dof", round(float(ols.dof[0]), 1),
       "loc", round(float(ols.loc[0]), 3),
       "scale", round(float(ols.scale[0]), 3))

@@ -41,14 +41,17 @@ truth = np.array([[50.0, -2.0], [40.0, 1.5]])
 x_ctx = np.array([1.0, 0.5])
 
 rows = np.array([[1.0, 1.5], [2.0, 1.0]])
-posts = []
-for j in range(2):
-    y = design @ truth[j] + sigma * rng.generator.standard_normal((n_obs,))
-    posts.append(fit_nig(design, y, Nig.default(2)))
+# Both capacities share the design and the prior, so one fit takes the
+# two observation columns together.
+Y = np.column_stack([
+    design @ truth[j] + sigma * rng.generator.standard_normal((n_obs,))
+    for j in range(2)
+])
+post = fit_nig(design, Y, Nig.default(2))
 
 n_scen = required_sample_size(EPS, DELTA, d=2)
 draw_rng = Rng.for_purpose(7, "scenario-demo", "draws")
-capacities = StudentTRhs.from_nig(rows, posts, x_ctx)
+capacities = StudentTRhs.from_nig(rows, post, x_ctx)
 rhs_draws = capacities.draw(draw_rng, n_scen)
 
 base = LpProblem([4.0, 3.0], [], [(0.0, 30.0), (0.0, 30.0)])

@@ -56,11 +56,9 @@ class MaxRoundsExceeded(PostfeasError):
 
 
 class PanelInfeasible(PostfeasError):
-    """Panel selection cannot reach the coverage threshold.
+    """Panel selection cannot reach the coverage threshold; cluster is
+    the identifier of a cluster whose constraint cannot be met."""
 
-    Carries the identifier of a cluster whose constraint cannot be met.
-    """
-
-    def __init__(self, cluster, message=None):
+    def __init__(self, cluster, message):
         self.cluster = cluster
-        super().__init__(message or f"coverage threshold unreachable for cluster {cluster!r}")
+        super().__init__(message)

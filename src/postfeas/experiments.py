@@ -233,15 +233,15 @@ class TrialRecord:
 
 
 def fit_capacity_model(instance: SimInstance, cfg: SimConfig) -> po.StudentTRhs:
-    """Each row's NIG posterior predictive at the decision context.
+    """Each row's NIG posterior predictive at the decision context, from
+    one fit_nig of all m rows, which share the design and the prior.
 
     Fitted once per instance; every method's tightening, scenario draws
     and posterior certificate read this one model.
     """
-    prior = po.Nig.default(cfg.d_ctx)
-    posts = [po.fit_nig(instance.design, instance.observations[:, j], prior)
-             for j in range(cfg.m)]
-    return po.StudentTRhs.from_nig(instance.resource_rows, posts, instance.x_ctx)
+    post = po.fit_nig(instance.design, instance.observations,
+                      po.Nig.default(cfg.d_ctx))
+    return po.StudentTRhs.from_nig(instance.resource_rows, post, instance.x_ctx)
 
 
 def _tightened_rhs(method: str, instance: SimInstance, model: po.StudentTRhs,
@@ -254,12 +254,9 @@ def _tightened_rhs(method: str, instance: SimInstance, model: po.StudentTRhs,
         scen_rng = stats.Rng.for_purpose(rng.seed, rng.stream_id, "scenario")
         return model.draw(scen_rng, cfg.n_scen).min(axis=0)
     if method == "FPQ":
-        fits = [po.fit_ols(instance.design, instance.observations[:, j])
-                for j in range(cfg.m)]
-        return rhs_quantile_tighten(
-            po.StudentTRhs.from_nig(instance.resource_rows, fits, instance.x_ctx),
-            alpha,
-        )
+        fit = po.fit_ols(instance.design, instance.observations)
+        ols = po.StudentTRhs.from_nig(instance.resource_rows, fit, instance.x_ctx)
+        return rhs_quantile_tighten(ols, alpha)
     if method == "RB":
         return rb_heuristic_tighten(model, alpha)
     raise DomainError(f"unknown method {method!r}")

@@ -1,11 +1,13 @@
 """Conjugate posteriors for capacities and detection probabilities.
 
 Capacity rows follow a Normal-Inverse-Gamma (Nig) linear regression
-whose one-step-ahead predictive is Student-t.  Detection probabilities
-follow independent Beta-Binomial cells.  The frequentist comparator,
-ordinary least squares, is the Nig posterior under the reference prior
-p(beta, sigma^2) ∝ 1/sigma^2, whose predictive is the classical t
-prediction law (Gelman et al., Bayesian Data Analysis, 3rd ed., 14.2).
+whose one-step-ahead predictive is Student-t; m rows on one design and
+one prior are one Nig of m responses, fitted through one Cholesky
+factor.  Detection probabilities follow independent Beta-Binomial
+cells.  The frequentist comparator, ordinary least squares, is the Nig
+posterior under the reference prior p(beta, sigma^2) ∝ 1/sigma^2, whose
+predictive is the classical t prediction law (Gelman et al., Bayesian
+Data Analysis, 3rd ed., 14.2 and 14.8).
 
 Three posterior models feed scenario programs, robust tightenings and
 certificates: StudentTRhs (fixed rows, Student-t right-hand sides),
@@ -14,8 +16,8 @@ the credible ellipsoids) and BetaCoverage (Beta detection cells against
 a coverage floor).  Each has draw(rng, count) and as_rows(batch), the
 draws as rows coeff @ x <= rhs; residuals(x, batch) = coeff @ x - rhs
 is derived from as_rows once for all three.  The fits produce these
-models: StudentTRhs.from_nig turns per-row Nig fits (fit_nig or
-fit_ols) into the predictive at one context, and fit_beta_binomial
+models: StudentTRhs.from_nig turns one Nig fit (fit_nig or fit_ols)
+into each response's predictive at one context, and fit_beta_binomial
 returns a BetaCoverage.
 """
 
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -51,25 +54,15 @@ __all__ = [
 ]
 
 
-def _chol_with_jitter(mat: np.ndarray) -> np.ndarray:
-    """Cholesky factor of a symmetric matrix, escalating jitter on failure.
-
-    Jitter starts at 1e-10 * mean diagonal and grows tenfold, three extra
-    attempts, before giving up with SingularPrecision.
-    """
-    sym = 0.5 * (mat + mat.T)
+def _spd_solve(mat: np.ndarray, b: np.ndarray, error=SingularPrecision,
+               message="precision matrix is not positive definite") -> np.ndarray:
+    """mat^{-1} b through one Cholesky factor of mat, for every column
+    of b at once; error(message) when mat is not positive definite."""
     try:
-        return np.linalg.cholesky(sym)
-    except np.linalg.LinAlgError:
-        pass
-    base = 1e-10 * max(float(np.trace(sym)) / max(sym.shape[0], 1), 1e-300)
-    jitter = base
-    for _ in range(3):
-        try:
-            return np.linalg.cholesky(sym + jitter * np.eye(sym.shape[0]))
-        except np.linalg.LinAlgError:
-            jitter *= 10.0
-    raise SingularPrecision("precision matrix is not positive definite")
+        chol = np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError as exc:
+        raise error(message) from exc
+    return np.linalg.solve(chol.T, np.linalg.solve(chol, b))
 
 
 def psd_factor(cov) -> np.ndarray:
@@ -97,96 +90,93 @@ def psd_factor(cov) -> np.ndarray:
     return vecs * np.sqrt(vals)[np.newaxis, :]
 
 
-def _chol_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
-    y = np.linalg.solve(chol, b)
-    return np.linalg.solve(chol.T, y)
-
-
 @dataclass(frozen=True)
 class Nig:
-    """Normal-Inverse-Gamma law of regression coefficients and noise:
-    sigma^2 ~ InvGamma(shape, rate), beta | sigma^2 ~ N(mean, sigma^2
-    precision^{-1}).  A prior and a posterior are the same type, so a
-    posterior serves as the next prior as it is."""
+    """Normal-Inverse-Gamma law of m regressions on one design: response
+    j has sigma_j^2 ~ InvGamma(shape, rate_j) and beta_j | sigma_j^2 ~
+    N(mean[:, j], sigma_j^2 precision^{-1}).  mean is (d,) or (d, m) and
+    rate a scalar or (m,); a (d,) mean or a scalar rate applies to every
+    response.  A prior and a posterior are the same type, so a posterior
+    serves as the next prior as it is."""
 
     mean: np.ndarray
     precision: np.ndarray
     shape: float
-    rate: float
+    rate: float | np.ndarray
 
     @classmethod
     def default(cls, dim: int) -> "Nig":
         """Weak default: zero mean, 1e-2 I precision, shape 2, rate 2."""
-        return cls(
-            mean=np.zeros(dim),
-            precision=1e-2 * np.eye(dim),
-            shape=2.0,
-            rate=2.0,
-        )
+        return cls(mean=np.zeros(dim), precision=1e-2 * np.eye(dim),
+                   shape=2.0, rate=2.0)
 
 
-def _check_regression(design, y) -> tuple[np.ndarray, np.ndarray]:
+def _check_regression(design, Y) -> tuple[np.ndarray, np.ndarray]:
     X = np.asarray(design, dtype=float)
-    y = np.asarray(y, dtype=float)
+    Y = np.asarray(Y, dtype=float)
     if X.ndim != 2:
         raise DimensionMismatch("design must be a 2-d array")
-    if y.shape != (X.shape[0],):
-        raise DimensionMismatch(f"y has shape {y.shape}, expected ({X.shape[0]},)")
-    return X, y
+    if Y.ndim not in (1, 2) or Y.shape[0] != X.shape[0]:
+        raise DimensionMismatch(f"Y has shape {Y.shape}, expected {X.shape[0]} rows")
+    return X, Y
 
 
-def fit_nig(design: np.ndarray, y: np.ndarray, prior: Nig) -> Nig:
+def fit_nig(design: np.ndarray, Y: np.ndarray, prior: Nig) -> Nig:
     """Conjugate update of a Normal-Inverse-Gamma regression prior.
 
+    Y is (n,) or (n, m): m responses on one design share one Cholesky
+    factor.  Per response y, with prior mean b_0 and posterior mean b_n,
+
     precision_n = precision_0 + X'X
-    mean_n      = precision_n^{-1} (precision_0 mean_0 + X'y)
+    b_n         = precision_n^{-1} (precision_0 b_0 + X'y)
     shape_n     = shape_0 + n/2
-    rate_n      = rate_0 + ((y - X mean_n)'y + (mean_0 - mean_n)'precision_0 mean_0) / 2
+    rate_n      = rate_0 + ((y - X b_n)'y + (b_0 - b_n)'precision_0 b_0) / 2
 
     The rate uses the residual form, algebraically equal to the textbook
-    rate_0 + (y'y + mean_0' precision_0 mean_0 - mean_n' precision_n mean_n)/2
+    rate_0 + (y'y + b_0' precision_0 b_0 - b_n' precision_n b_n)/2
     but without the large-term cancellation.
     """
-    X, y = _check_regression(design, y)
+    X, Y = _check_regression(design, Y)
     n, d = X.shape
+    Y2 = Y[:, np.newaxis] if Y.ndim == 1 else Y
     m0 = np.asarray(prior.mean, dtype=float)
     lam0 = np.asarray(prior.precision, dtype=float)
-    if m0.shape != (d,) or lam0.shape != (d, d):
-        raise DimensionMismatch("prior dimensions do not match the design")
-    if prior.shape <= 0.0 or prior.rate <= 0.0:
+    if (m0.shape not in ((d,), (d, Y2.shape[1])) or lam0.shape != (d, d)
+            or np.shape(prior.rate) not in ((), (Y2.shape[1],))):
+        raise DimensionMismatch("prior dimensions do not match the design and Y")
+    if prior.shape <= 0.0 or np.any(np.asarray(prior.rate) <= 0.0):
         raise DomainError("prior shape and rate must be positive")
+    # A (d,) prior mean is one column that every response shares; left
+    # 1-d it would broadcast along the wrong axis of X'Y when d == m.
+    B0 = m0[:, np.newaxis] if m0.ndim == 1 else m0
+    b0 = lam0 @ B0
     lam_n = lam0 + X.T @ X
-    chol = _chol_with_jitter(lam_n)
-    m_n = _chol_solve(chol, lam0 @ m0 + X.T @ y)
-    shape_n = prior.shape + 0.5 * n
+    B_n = _spd_solve(lam_n, b0 + X.T @ Y2)
     rate_n = prior.rate + 0.5 * (
-        float((y - X @ m_n) @ y) + float((m0 - m_n) @ (lam0 @ m0))
+        ((Y2 - X @ B_n) * Y2).sum(axis=0) + ((B0 - B_n) * b0).sum(axis=0)
     )
-    return Nig(mean=m_n, precision=lam_n, shape=shape_n, rate=rate_n)
+    return Nig(mean=B_n.reshape((d,) + Y.shape[1:]), precision=lam_n,
+               shape=prior.shape + 0.5 * n, rate=rate_n.reshape(Y.shape[1:])[()])
 
 
-def fit_ols(design: np.ndarray, y: np.ndarray) -> Nig:
+def fit_ols(design: np.ndarray, Y: np.ndarray) -> Nig:
     """Ordinary least squares as the reference-prior Nig posterior.
 
-    mean = the OLS coefficients, precision = X'X, shape = (n - d)/2 and
-    rate = RSS/2, so rate/shape is the classical s^2 = RSS/(n - d) and
-    StudentTRhs.from_nig gives the t prediction law with n - d degrees
-    of freedom.  Requires n > d and a full-column-rank design; raises
-    RankDeficient otherwise.
+    Y is (n,) or (n, m) as for fit_nig.  mean = the OLS coefficients,
+    precision = X'X, shape = (n - d)/2 and rate = RSS/2 per response, so
+    rate/shape is the classical s^2 = RSS/(n - d) and StudentTRhs.from_nig
+    gives the t prediction law with n - d degrees of freedom.  Requires
+    n > d and a full-column-rank design; raises RankDeficient otherwise.
     """
-    X, y = _check_regression(design, y)
+    X, Y = _check_regression(design, Y)
     n, d = X.shape
     if n <= d:
         raise RankDeficient(f"need more observations than regressors: n={n}, d={d}")
     gram = X.T @ X
-    try:
-        chol = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficient("design matrix is rank deficient") from exc
-    coef = _chol_solve(chol, X.T @ y)
-    resid = y - X @ coef
+    coef = _spd_solve(gram, X.T @ Y, RankDeficient, "design matrix is rank deficient")
+    resid = Y - X @ coef
     return Nig(mean=coef, precision=gram, shape=0.5 * (n - d),
-               rate=0.5 * float(resid @ resid))
+               rate=0.5 * (resid * resid).sum(axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +220,19 @@ def fit_beta_binomial(
 # ---------------------------------------------------------------------------
 
 
+def _numbers_only(value) -> bool:
+    """Whether value holds only numbers; a string, a bool or None is not one."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind in "iuf"
+    if isinstance(value, (list, tuple)):
+        return all(_numbers_only(v) for v in value)
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
 def _float_array(name: str, value, ndim: int) -> np.ndarray:
+    if not _numbers_only(value):
+        raise DomainError(f"{name} must hold only finite numbers, "
+                          "not strings, bools or nulls")
     try:
         arr = np.array(value, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -240,11 +242,6 @@ def _float_array(name: str, value, ndim: int) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{name} must be finite")
     return arr
-
-
-def _check_context(x: np.ndarray, expected: tuple) -> None:
-    if x.shape != expected:
-        raise DimensionMismatch(f"context has shape {x.shape}, expected {expected}")
 
 
 class _DrawnRows:
@@ -286,27 +283,33 @@ class StudentTRhs(_DrawnRows):
         object.__setattr__(self, "rows", rows)
 
     @classmethod
-    def from_nig(cls, rows, posts, x_ctx) -> "StudentTRhs":
-        """Each Nig posterior's one-step predictive at context x_ctx.
+    def from_nig(cls, rows, post: Nig, x_ctx) -> "StudentTRhs":
+        """The predictive of each of post's responses at context x_ctx,
+        response j bounding rows[j]; a (d,) mean with a scalar rate is one
+        response, and another row count raises DimensionMismatch.
 
-        dof = 2 shape_n, loc = x'mean_n,
-        scale = sqrt(rate_n/shape_n * (1 + x' precision_n^{-1} x)).
+        dof = 2 shape_n, loc_j = x'mean_n[:, j],
+        scale_j = sqrt(rate_n[j]/shape_n * (1 + x' precision_n^{-1} x)).
         For fit_ols this is the t prediction law: dof = n - d,
         loc = x'coef, scale = sqrt(s^2 (1 + x'(X'X)^{-1} x)).
         """
         x = np.asarray(x_ctx, dtype=float)
-        dof, loc, scale = [], [], []
-        for post in posts:
-            _check_context(x, post.mean.shape)
-            chol = _chol_with_jitter(post.precision)
-            h = float(x @ _chol_solve(chol, x))
-            scale2 = (post.rate / post.shape) * (1.0 + h)
-            if scale2 <= 0.0:
-                raise DomainError("nonpositive predictive variance")
-            dof.append(2.0 * post.shape)
-            loc.append(float(x @ post.mean))
-            scale.append(float(np.sqrt(scale2)))
-        return cls(rows=rows, dof=dof, loc=loc, scale=scale)
+        mean = np.asarray(post.mean, dtype=float)
+        if x.shape != mean.shape[:1]:
+            raise DimensionMismatch(f"x_ctx has shape {x.shape}, not {mean.shape[:1]}")
+        h = float(x @ _spd_solve(post.precision, x))
+        loc = x @ mean
+        scale2 = np.asarray(post.rate, dtype=float) / post.shape * (1.0 + h)
+        count = max(loc.size, scale2.size)
+        if len(rows) != count or not {loc.shape, scale2.shape} <= {(), (count,)}:
+            raise DimensionMismatch(
+                f"{len(rows)} rows for a posterior with mean {mean.shape} "
+                f"and rate {scale2.shape}")
+        if np.any(scale2 <= 0.0):
+            raise DomainError("nonpositive predictive variance")
+        return cls(rows=rows, dof=np.full(count, 2.0 * post.shape),
+                   loc=np.broadcast_to(loc, count),
+                   scale=np.broadcast_to(np.sqrt(scale2), count))
 
     def draw(self, rng: stats.Rng, count: int) -> np.ndarray:
         """(count, m) right-hand sides, one Student-t draw for all rows.

@@ -734,10 +734,16 @@ class TestCertify:
         {"dof": -3.0, "loc": 2.0, "scale": 0.5},
         {"dof": 5.0, "loc": math.nan, "scale": 0.5},
         {"dof": 5.0, "loc": math.inf, "scale": 0.5},
+        # numbers only: a string or a bool is not read as one
+        {"dof": "3", "loc": 2.0, "scale": 0.5},
+        {"dof": 5.0, "loc": True, "scale": 0.5},
+        # a whole model document rather than one predictive entry
+        {"family": "beta_coverage", "a": [[2.0]], "b": [[2.0]],
+         "threshold": "0.1"},
     ])
     def test_bad_predictive_parameters_exit_code(self, tmp_path, spec):
         sol = write_json(tmp_path / "sol.json", SOLUTION_1D)
-        model = write_json(tmp_path / "model.json", {
+        model = write_json(tmp_path / "model.json", spec if "family" in spec else {
             "family": "rhs_student_t", "rows": [[1.0]], "predictive": [spec],
         })
         out = tmp_path / "c.json"

@@ -56,6 +56,7 @@ from postfeas.posterior import (
 )
 from postfeas.stats import Rng, normal_quantile, student_t_quantile
 from test_cli import child_env
+from test_posterior import response
 
 FAST = dict(
     n=8, m=3, d_ctx=3, n_obs=40, n_scen=60, m_cert=800,
@@ -170,15 +171,10 @@ def setup():
     cfg = SimConfig(**FAST)
     inst = gen_instance(cfg, Rng.for_purpose(11, "instance", 0))
     rng = Rng.for_purpose(11, "trial", 0)
-    prior = Nig.default(cfg.d_ctx)
-    preds = [
-        StudentTRhs.from_nig(
-            [[0.0]],
-            [fit_nig(inst.design, inst.observations[:, j], prior)],
-            inst.x_ctx,
-        )
-        for j in range(cfg.m)
-    ]
+    # each row's one-row predictive, from its response of the one fit
+    post = fit_nig(inst.design, inst.observations, Nig.default(cfg.d_ctx))
+    preds = [StudentTRhs.from_nig([[0.0]], response(post, j), inst.x_ctx)
+             for j in range(cfg.m)]
     return cfg, inst, rng, preds, fit_capacity_model(inst, cfg)
 
 
@@ -211,10 +207,10 @@ class TestTightenedRhs:
         out = _tightened_rhs("FPQ", inst, model, 0.05, cfg, Rng(rng.seed, rng.stream_id))
         # the per-row scalar quantile of the least-squares t prediction
         # law (n - d degrees of freedom) is the reference, bit for bit
+        fit = fit_ols(inst.design, inst.observations)
         expect = []
         for j in range(cfg.m):
-            fit = fit_ols(inst.design, inst.observations[:, j])
-            p = StudentTRhs.from_nig([[0.0]], [fit], inst.x_ctx)
+            p = StudentTRhs.from_nig([[0.0]], response(fit, j), inst.x_ctx)
             assert p.dof[0] == cfg.n_obs - cfg.d_ctx
             expect.append(p.loc[0] + p.scale[0] * student_t_quantile(
                 0.05 / cfg.m, p.dof[0]))
@@ -371,6 +367,24 @@ class TestRunTrial:
         assert "standard_normal" not in sampled  # v_true is exact, not sampled
         assert "standard_t" in sampled
         assert recs == expect
+
+    def test_one_factorization_per_fit(self, monkeypatch):
+        # The m rows share a design and a prior: fit_nig and fit_ols each
+        # factor once for all m responses, and from_nig once per fit, so
+        # a default instance takes 4 Cholesky factors, not 4 m.
+        cfg = SimConfig()
+        inst = gen_instance(cfg, Rng.for_purpose(42, "instance", 0))
+        real, calls = np.linalg.cholesky, []
+
+        def counting(a):
+            calls.append(np.shape(a))
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        model = fit_capacity_model(inst, cfg)
+        recs = run_trial(inst, model, 0.05, cfg, Rng.for_purpose(42, "trial", 0))
+        assert [r.status for r in recs] == ["Optimal"] * len(METHODS)
+        assert calls == [(cfg.d_ctx, cfg.d_ctx)] * 4
 
     def test_failing_method_gives_one_error_record(self, trial, monkeypatch):
         cfg, inst, rng, model = trial

@@ -44,14 +44,17 @@ def test_no_test_only_names(owner, name):
     ("posterior", "NigPosterior"),
     ("posterior", "NigPrior"),
     ("posterior.StudentTRhs", "from_ols"),
+    ("posterior", "_chol_with_jitter"),
     ("stats", "normal_array"),
     ("stats", "uniform_array"),
     ("scenario", "violation_bound"),
 ])
 def test_no_folded_names(owner, name):
     # One Nig type serves as prior, posterior and least-squares fit, and
-    # StudentTRhs.from_nig gives every predictive; callers draw from
-    # rng.generator and take the scenario bound from stats.binomial_tail.
+    # StudentTRhs.from_nig gives every predictive; a precision that is
+    # not positive definite raises rather than taking a jitter; callers
+    # draw from rng.generator and take the scenario bound from
+    # stats.binomial_tail.
     module, _, attr = owner.partition(".")
     obj = importlib.import_module(f"postfeas.{module}")
     obj = getattr(obj, attr) if attr else obj

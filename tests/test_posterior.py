@@ -34,6 +34,29 @@ def make_regression(gen, n, d, sigma=0.7):
     return design, y, beta, sigma
 
 
+def make_responses(gen, n, d, m):
+    """One design with an intercept column and m responses on it, each
+    with its own coefficients and noise scale."""
+    design, _, _, _ = make_regression(gen, n, d)
+    Y = design @ gen.normal(size=(d, m)) + gen.uniform(0.5, 2.0, m) * (
+        gen.standard_normal((n, m)))
+    return design, Y
+
+
+def response(nig, j):
+    """Response j of an m-response Nig as a one-response Nig."""
+    mean = nig.mean if nig.mean.ndim == 1 else nig.mean[:, j]
+    rate = nig.rate if np.ndim(nig.rate) == 0 else nig.rate[j]
+    return Nig(mean=mean, precision=nig.precision, shape=nig.shape, rate=rate)
+
+
+def assert_close(got, want, rel=1e-12):
+    """Equal to rel relative to the largest entry of want."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
 def one_row(dof, loc, scale):
     """A one-row Student-t model of the right-hand side."""
     return StudentTRhs(rows=[[0.0]], dof=[dof], loc=[loc], scale=[scale])
@@ -134,6 +157,60 @@ class TestFitNig:
         assert abs(stage2.shape - batch.shape) <= 1e-10
         assert abs(stage2.rate - batch.rate) <= 1e-10
 
+    @pytest.mark.parametrize("d, m", [(3, 5), (4, 4), (5, 2)])
+    @pytest.mark.parametrize("per_response", [False, True],
+                             ids=["shared-prior", "per-response-prior"])
+    def test_m_responses_equal_per_column_fits(self, d, m, per_response):
+        # m responses on one design are m one-response fits; at d == m a
+        # shared (d,) prior mean must still act on each column
+        gen = np.random.default_rng(17)
+        design, Y = make_responses(gen, 30, d, m)
+        mean = gen.normal(size=(d, m) if per_response else d)
+        rate = gen.uniform(0.5, 2.0, m) if per_response else 1.3
+        prior = Nig(mean=mean, precision=np.diag(gen.uniform(0.5, 2.0, d)),
+                    shape=2.5, rate=rate)
+        post = fit_nig(design, Y, prior)
+        assert post.mean.shape == (d, m) and post.rate.shape == (m,)
+        for j in range(m):
+            one = fit_nig(design, Y[:, j],
+                          response(prior, j) if per_response else prior)
+            assert_close(post.mean[:, j], one.mean)
+            assert_close(post.rate[j], one.rate)
+            assert np.array_equal(post.precision, one.precision)
+            assert post.shape == one.shape
+
+    def test_m_response_posterior_is_next_prior(self):
+        gen = np.random.default_rng(18)
+        design, Y = make_responses(gen, 48, 3, 4)
+        prior = Nig(
+            mean=gen.normal(size=3),
+            precision=np.diag(gen.uniform(0.5, 2.0, 3)),
+            shape=2.5,
+            rate=1.2,
+        )
+        stage1 = fit_nig(design[:20], Y[:20], prior)
+        stage2 = fit_nig(design[20:], Y[20:], stage1)
+        batch = fit_nig(design, Y, prior)
+        assert_close(stage2.mean, batch.mean)
+        assert_close(stage2.precision, batch.precision)
+        assert stage2.shape == batch.shape
+        assert_close(stage2.rate, batch.rate)
+
+    @pytest.mark.parametrize("precision", [
+        [[1.0, 1.0], [1.0, 1.0]],
+        [[1.0, 2.0], [2.0, 1.0]],
+    ], ids=["singular", "indefinite"])
+    def test_bad_precision_fails_closed(self, precision):
+        # neither is perturbed into a positive definite matrix; the data
+        # (rows along [1, 1]) leave the bad direction as it is
+        bad = Nig(mean=np.zeros(2), precision=np.array(precision), shape=2.0,
+                  rate=2.0)
+        design = np.array([[1.0, 1.0], [2.0, 2.0]])
+        with pytest.raises(SingularPrecision):
+            fit_nig(design, np.array([1.0, 2.0]), bad)
+        with pytest.raises(SingularPrecision):
+            StudentTRhs.from_nig([[0.0]], bad, np.array([1.0, 0.5]))
+
     def test_posterior_precision_dominates_prior(self):
         gen = np.random.default_rng(16)
         design, y, _, _ = make_regression(gen, 30, 4)
@@ -164,6 +241,11 @@ class TestFitNig:
         bad = Nig(mean=np.zeros(3), precision=np.eye(3), shape=0.0, rate=2.0)
         with pytest.raises(DomainError):
             fit_nig(np.zeros((4, 3)), np.zeros(4), bad)
+        # a prior of 2 responses, in its mean or its rate, for 4 responses
+        for mean, rate in ((np.zeros((3, 2)), 1.0), (np.zeros(3), np.ones(2))):
+            other = Nig(mean=mean, precision=np.eye(3), shape=2.0, rate=rate)
+            with pytest.raises(DimensionMismatch):
+                fit_nig(np.zeros((4, 3)), np.zeros((4, 4)), other)
 
 
 class TestPredictive:
@@ -176,7 +258,7 @@ class TestPredictive:
 
     def test_closed_form_fields(self):
         post, x = self.fitted()
-        pred = StudentTRhs.from_nig([[0.0]], [post], x)
+        pred = StudentTRhs.from_nig([[0.0]], post, x)
         lev = x @ np.linalg.solve(post.precision, x)
         assert pred.dof[0] == 2.0 * post.shape
         assert abs(pred.loc[0] - x @ post.mean) <= 1e-12
@@ -184,23 +266,43 @@ class TestPredictive:
         assert abs(pred.scale[0] - expect) <= 1e-12 * expect
 
     def test_rows_follow_their_posteriors(self):
-        # Each row is its own posterior's predictive, bit for bit.
+        # Each row is its own response's predictive, bit for bit.
         gen = np.random.default_rng(24)
         x = np.array([1.0, 0.3, -0.4])
-        posts = [fit_nig(*make_regression(gen, n, 3)[:2], Nig.default(3))
-                 for n in (10, 40, 160)]
+        design, Y = make_responses(gen, 40, 3, 3)
+        post = fit_nig(design, Y, Nig.default(3))
         rows = np.arange(6.0).reshape(3, 2)
-        model = StudentTRhs.from_nig(rows, posts, x)
+        model = StudentTRhs.from_nig(rows, post, x)
         assert np.array_equal(model.rows, rows)
-        for i, post in enumerate(posts):
-            alone = StudentTRhs.from_nig([[0.0]], [post], x)
+        for i in range(3):
+            alone = StudentTRhs.from_nig([[0.0]], response(post, i), x)
             assert model.dof[i] == alone.dof[0]
             assert model.loc[i] == alone.loc[0]
             assert model.scale[i] == alone.scale[0]
 
+    def test_row_count_must_match_responses(self):
+        gen = np.random.default_rng(25)
+        design, Y = make_responses(gen, 30, 3, 3)
+        post = fit_nig(design, Y, Nig.default(3))
+        x = np.array([1.0, 0.3, -0.4])
+        for rows in (np.ones((2, 2)), np.ones((4, 2))):
+            with pytest.raises(DimensionMismatch):
+                StudentTRhs.from_nig(rows, post, x)
+        with pytest.raises(DimensionMismatch):
+            StudentTRhs.from_nig(np.ones((3, 2)), response(post, 0), x)
+        # a (d, 3) mean with 2 rates
+        bad = Nig(mean=post.mean, precision=post.precision, shape=post.shape,
+                  rate=post.rate[:2])
+        with pytest.raises(DimensionMismatch):
+            StudentTRhs.from_nig(np.ones((3, 2)), bad, x)
+        # a (d,) mean or a scalar rate applies to every response
+        shared = Nig(mean=post.mean[:, 0], precision=post.precision,
+                     shape=post.shape, rate=post.rate)
+        assert StudentTRhs.from_nig(np.ones((3, 2)), shared, x).loc.shape == (3,)
+
     def test_median_equals_loc(self):
         post, x = self.fitted()
-        pred = StudentTRhs.from_nig([[0.0]], [post], x)
+        pred = StudentTRhs.from_nig([[0.0]], post, x)
         assert quantile(pred, 0.5) == pytest.approx(pred.loc[0], abs=1e-12)
 
     def test_quantile_strictly_increasing(self):
@@ -253,7 +355,7 @@ class TestPredictive:
         x = np.array([1.0, 0.2, -0.5])
         lev = x @ np.linalg.solve(design.T @ design, x)
         target = sigma * np.sqrt(1.0 + lev)
-        pred = StudentTRhs.from_nig([[0.0]], [post], x)
+        pred = StudentTRhs.from_nig([[0.0]], post, x)
         assert abs(pred.scale[0] - target) <= 0.02 * target
 
     def test_scale_decreases_with_data(self):
@@ -265,13 +367,13 @@ class TestPredictive:
         scales = []
         for n in (20, 80, 320, 1280):
             post = fit_nig(design[:n], y[:n], Nig.default(3))
-            scales.append(StudentTRhs.from_nig([[0.0]], [post], x).scale[0])
+            scales.append(StudentTRhs.from_nig([[0.0]], post, x).scale[0])
         assert np.all(np.diff(scales) < 0.0)
 
     def test_context_shape_checked(self):
         post, _ = self.fitted()
         with pytest.raises(DimensionMismatch):
-            StudentTRhs.from_nig([[0.0]], [post], np.zeros(5))
+            StudentTRhs.from_nig([[0.0]], post, np.zeros(5))
 
     def test_quantile_domain(self):
         pred = one_row(4.0, 0.0, 1.0)
@@ -293,7 +395,7 @@ class TestOls:
         assert fit.rate / fit.shape <= 1e-24
         x = np.array([1.0, 2.5])
         loc = float(x @ fit.mean)
-        pred = StudentTRhs.from_nig([[0.0]], [fit], x)
+        pred = StudentTRhs.from_nig([[0.0]], fit, x)
         for p in (0.01, 0.5, 0.99):
             assert abs(quantile(pred, p) - loc) <= 1e-10
 
@@ -301,30 +403,42 @@ class TestOls:
         # the t prediction law: dof n - d, loc x'beta_hat and scale
         # s sqrt(1 + x'(X'X)^{-1} x), from lstsq and an explicit inverse
         gen = np.random.default_rng(30)
-        data = [make_regression(gen, n, 3)[:2] for n in (12, 50)]
+        design, Y = make_responses(gen, 12, 3, 2)
+        n, d = design.shape
         x = np.array([1.0, 0.3, -0.4])
-        pred = StudentTRhs.from_nig(np.ones((2, 1)),
-                                    [fit_ols(*xy) for xy in data], x)
-        for i, (design, y) in enumerate(data):
-            n, d = design.shape
-            coef, rss, _, _ = np.linalg.lstsq(design, y, rcond=None)
+        pred = StudentTRhs.from_nig(np.ones((2, 1)), fit_ols(design, Y), x)
+        for i in range(2):
+            coef, rss, _, _ = np.linalg.lstsq(design, Y[:, i], rcond=None)
             s2 = float(rss[0]) / (n - d)
             scale = np.sqrt(s2 * (1.0 + x @ np.linalg.inv(design.T @ design) @ x))
             assert pred.dof[i] == n - d
             assert pred.loc[i] == pytest.approx(x @ coef, rel=1e-12)
             assert pred.scale[i] == pytest.approx(scale, rel=1e-12)
 
+    @pytest.mark.parametrize("d, m", [(3, 5), (4, 4), (5, 2)])
+    def test_m_responses_equal_per_column_fits(self, d, m):
+        gen = np.random.default_rng(36)
+        design, Y = make_responses(gen, 30, d, m)
+        fit = fit_ols(design, Y)
+        assert fit.mean.shape == (d, m) and fit.rate.shape == (m,)
+        for j in range(m):
+            one = fit_ols(design, Y[:, j])
+            assert_close(fit.mean[:, j], one.mean)
+            assert_close(fit.rate[j], one.rate)
+            assert np.array_equal(fit.precision, one.precision)
+            assert fit.shape == one.shape
+
     def test_zero_scale_rejected(self):
         fit = Nig(mean=np.ones(2), precision=np.eye(2), shape=1.5, rate=0.0)
         with pytest.raises(DomainError, match="nonpositive predictive variance"):
-            StudentTRhs.from_nig([[0.0]], [fit], np.array([1.0, 2.5]))
+            StudentTRhs.from_nig([[0.0]], fit, np.array([1.0, 2.5]))
 
     def test_median_is_point_prediction(self):
         gen = np.random.default_rng(31)
         design, y, _, _ = make_regression(gen, 50, 4)
         fit = fit_ols(design, y)
         x = np.array([1.0, 0.4, -0.2, 0.1])
-        pred = StudentTRhs.from_nig([[0.0]], [fit], x)
+        pred = StudentTRhs.from_nig([[0.0]], fit, x)
         assert quantile(pred, 0.5) == pytest.approx(
             float(x @ fit.mean), abs=1e-10
         )
@@ -335,7 +449,7 @@ class TestOls:
         fit = fit_ols(design, y)
         assert fit.shape == 42.0
         x = np.array([1.0, 0.1, 0.2, 0.3, 0.4, 0.5])
-        assert StudentTRhs.from_nig([[0.0]], [fit], x).dof[0] == 84.0
+        assert StudentTRhs.from_nig([[0.0]], fit, x).dof[0] == 84.0
 
     def test_closed_form_against_lstsq(self):
         gen = np.random.default_rng(33)
@@ -364,7 +478,7 @@ class TestOls:
             fit = fit_ols(design, y)
             x_new = np.array([1.0, *gen.uniform(-1.0, 1.0, d - 1)])
             y_new = float(x_new @ beta + sigma * gen.standard_normal())
-            pred = StudentTRhs.from_nig([[0.0]], [fit], x_new)
+            pred = StudentTRhs.from_nig([[0.0]], fit, x_new)
             if y_new < quantile(pred, 0.05):
                 hits += 1
         assert abs(hits / reps - 0.05) <= 0.015
@@ -380,7 +494,7 @@ class TestOls:
         gen = np.random.default_rng(35)
         fit = fit_ols(*make_regression(gen, 8, 3)[:2])
         with pytest.raises(DimensionMismatch):
-            StudentTRhs.from_nig([[0.0]], [fit], np.zeros(2))
+            StudentTRhs.from_nig([[0.0]], fit, np.zeros(2))
         with pytest.raises(DimensionMismatch):
             fit_ols(np.zeros((4, 2)), np.zeros(3))
 
