@@ -272,6 +272,9 @@ _MODEL_FAMILIES = {
 def _cmd_certify(args) -> int:
     started = time.time()
     sol = solution_from_json(_read_text(args.solution))
+    if sol.status != "Optimal":
+        raise DomainError(f"solution status is {sol.status!r}; only an "
+                          f"Optimal solution is certified")
     model = _read_json(args.model)
     if not isinstance(model, dict):
         raise DomainError("model must be a JSON object")

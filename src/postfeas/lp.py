@@ -345,6 +345,9 @@ class _BoundedSimplex:
         self.A = np.zeros((0, n))
         self.b = np.zeros(0)
         self.basis = np.zeros(0, dtype=np.intp)
+        self.binv = np.zeros((0, 0))
+        self.xb = np.zeros(0)
+        self.pivots_since_refactor = 0
         self.iterations = 0
         self._add_rows(problem.rows, problem.senses, problem.rhs)
 
@@ -364,28 +367,47 @@ class _BoundedSimplex:
     def replace_rhs(self, problem: LpProblem):
         """Take problem's right-hand sides; its rows must be this one's.
 
-        The basis and the costs stay, so a basis that was optimal is
-        still dual feasible; only the basic values move (_refresh).  The
-        iteration count restarts at 0.
+        The basis, its kept inverse and the costs stay, so a basis that
+        was optimal is still dual feasible; only the basic values move,
+        read through the kept inverse.  The iteration count restarts at 0.
         """
         self.problem = problem
         self.b = problem.rhs - problem.rows @ self.offset
         self.iterations = 0
-        self._refresh()
+        self.xb = self.binv @ self._nonbasic_rhs()
 
     def _add_rows(self, rows: np.ndarray, senses: tuple, rhs: np.ndarray):
-        """Append rows, each with a basic logical column, and refactor."""
+        """Append rows, each with a basic logical column, without an
+        inversion.
+
+        With the new rows' entries R_B in the basic columns and their
+        logicals' coefficients D = diag(+-1) = D^-1, the new basis is
+        [[B, 0], [R_B, D]], whose inverse is [[B^-1, 0], [-D R_B B^-1, D]].
+        The new basic values are D (b_new - R_U u - R_B x_B), where R_U u
+        is the part of the columns at their upper bound.  On an empty
+        basis this is exactly binv = D and xb = D b.
+        """
         m, k = self.m, len(senses)
         n, width = self.offset.size, self.c.size
         coef, upper, kind = np.array(
             [_LOGICALS[s] for s in senses], dtype=float).reshape(k, 3).T
         new = np.arange(k)
+        b_new = rhs - rows @ self.offset
         A = np.zeros((m + k, width + k))
         A[:m, :width] = self.A
         A[m:, :n] = rows * self.sign
         A[m + new, width + new] = coef
+        at_upper = self.status == _AT_UPPER  # the new logicals are basic
+        room = b_new - A[m:, :width][:, at_upper] @ self.upper[at_upper]
+        r_b = A[m:, self.basis]
+        binv = np.zeros((m + k, m + k))
+        binv[:m, :m] = self.binv
+        binv[m:, :m] = -coef[:, np.newaxis] * (r_b @ self.binv)
+        binv[m + new, m + new] = coef
+        self.binv = binv
+        self.xb = np.concatenate([self.xb, coef * (room - r_b @ self.xb)])
         self.A = A
-        self.b = np.concatenate([self.b, rhs - rows @ self.offset])
+        self.b = np.concatenate([self.b, b_new])
         self.c = np.concatenate([self.c, np.zeros(k)])
         self.upper = np.concatenate([self.upper, upper])
         self.kind = np.concatenate([self.kind, kind.astype(np.int8)])
@@ -394,7 +416,7 @@ class _BoundedSimplex:
         self.basis = np.concatenate([self.basis, width + new])
         self.m = m + k
         self.max_iterations = 2000 + 200 * (self.m + width + k)
-        self._refactor()
+        self._priced = None
 
     def _nonbasic_rhs(self) -> np.ndarray:
         """b minus the contribution of nonbasic-at-upper columns (b itself
@@ -405,6 +427,9 @@ class _BoundedSimplex:
         return self.b - self.A[:, at_upper] @ self.upper[at_upper]
 
     def _refactor(self):
+        """Invert A[:, basis] afresh and recompute xb from it: after 128
+        pivots, on a pivot too small to trust, and when solution()'s
+        residual check fails after pivots."""
         basis_mat = self.A[:, self.basis]
         try:
             self.binv = np.linalg.inv(basis_mat)
@@ -413,16 +438,6 @@ class _BoundedSimplex:
         self.xb = self.binv @ self._nonbasic_rhs()
         self.pivots_since_refactor = 0
         self._priced = None
-
-    def _refresh(self):
-        """xb from the current bounds and rhs, refactoring first only if
-        a pivot has touched binv since its last refactor (a bound flip
-        moves xb without a pivot; A[:, basis] changes only by a pivot or
-        _add_rows, which refactors)."""
-        if self.pivots_since_refactor == 0:
-            self.xb = self.binv @ self._nonbasic_rhs()
-        else:
-            self._refactor()
 
     def _pivot(self, r: int, j: int, w: np.ndarray):
         """Column j enters at basis row r; w = binv @ A[:, j].
@@ -633,8 +648,8 @@ class _BoundedSimplex:
                 self._refactor()
 
     def extract(self) -> np.ndarray:
-        """The solution in the problem's own variables."""
-        self._refresh()
+        """The solution in the problem's own variables, read from the
+        maintained basic values."""
         z = np.where(self.status == _AT_UPPER, self.upper, 0.0)
         z[self.basis] = self.xb
         n = self.offset.size
@@ -650,20 +665,28 @@ class _BoundedSimplex:
         """The Optimal solution at the current basis.
 
         x is clipped to the box and must meet every row to
-        10 * FEAS_TOL * max(1, |rhs|); raises NumericalBreakdown if not,
-        and when x is NaN.
+        10 * FEAS_TOL * max(1, |rhs|).  If it does not and a pivot has
+        touched the inverse since its last refactor, the basis is
+        refactored once and x read again.  Raises NumericalBreakdown when
+        x still misses a row, and when x or the objective is not finite.
         """
         problem = self.problem
-        x = self.extract()
-        # clean tiny drift against the original box
-        x = np.minimum(np.maximum(x, problem.lower), problem.upper)
-        resid = max_violation(problem, x)
-        scale = max(1.0, _peak(np.abs(problem.rhs)))
-        if resid > 10.0 * FEAS_TOL * scale:
+        limit = 10.0 * FEAS_TOL * max(1.0, _peak(np.abs(problem.rhs)))
+        while True:
+            # clean tiny drift against the original box
+            x = np.minimum(np.maximum(self.extract(), problem.lower), problem.upper)
+            resid = max_violation(problem, x)
+            if resid <= limit or not self.pivots_since_refactor:
+                break
+            self._refactor()  # at most once: it zeroes pivots_since_refactor
+        if resid > limit:
             raise NumericalBreakdown(
                 f"solution residual {resid:.3e} exceeds feasibility tolerance"
             )
-        value = float(problem.objective @ x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = float(problem.objective @ x)
+        if not (math.isfinite(value) and np.isfinite(x).all()):
+            raise NumericalBreakdown(f"optimum is not finite (objective {value!r})")
         return LpSolution("Optimal", _readonly(x), value, self.iterations)
 
 

@@ -57,7 +57,12 @@ __all__ = [
 def _spd_solve(mat: np.ndarray, b: np.ndarray, error=SingularPrecision,
                message="precision matrix is not positive definite") -> np.ndarray:
     """mat^{-1} b through one Cholesky factor of mat, for every column
-    of b at once; error(message) when mat is not positive definite."""
+    of b at once; error(message) when mat is not positive definite, and
+    SingularPrecision when it is not exactly symmetric (the factor would
+    read only its lower triangle)."""
+    mat = np.asarray(mat, dtype=float)
+    if not np.array_equal(mat, mat.T):
+        raise SingularPrecision("precision matrix is not symmetric")
     try:
         chol = np.linalg.cholesky(mat)
     except np.linalg.LinAlgError as exc:

@@ -213,6 +213,22 @@ class TestSolve:
         rc = main(["solve", prob, "--out", str(tmp_path / "s.json")])
         assert rc == 5
 
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_optimum_exit_code(self, tmp_path, capsys):
+        # x = (2, 0) is finite, but its objective 2e308 overflows
+        prob = write_json(tmp_path / "prob.json", {
+            "maximize": [1e308, 1e308],
+            "constraints": [{"row": [1.0, 1.0], "sense": "<=", "rhs": 2.0}],
+            "bounds": [[0.0, None], [0.0, None]],
+        })
+        out = tmp_path / "run" / "solution.json"
+        rc = main(["solve", prob, "--out", str(out)])
+        assert rc == 5
+        captured = capsys.readouterr()
+        assert "not finite" in captured.err and "Warning" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
 
 class TestScenarioSize:
     def test_loosest_case_needs_one_draw(self, tmp_path, capsys):
@@ -700,6 +716,36 @@ class TestCertify:
         rc = main(["certify", "--solution", sol, "--model", model,
                    "--out", str(tmp_path / "c.json")])
         assert rc == 2
+
+    @pytest.mark.parametrize("status", ["Infeasible", "Unbounded"])
+    def test_non_optimal_solution_exit_code(self, tmp_path, capsys, status):
+        # a status other than Optimal is refused even with an x
+        sol = write_json(tmp_path / "sol.json",
+                         {"status": status, "x": [1.0],
+                          "objective_value": None, "iterations": 2})
+        model = write_json(tmp_path / "model.json", {
+            "family": "rhs_student_t", "rows": [[1.0]],
+            "predictive": [{"dof": 5.0, "loc": 2.0, "scale": 0.5}],
+        })
+        out = tmp_path / "c.json"
+        rc = main(["certify", "--solution", sol, "--model", model,
+                   "--out", str(out)])
+        assert rc == 2
+        assert f"solution status is '{status}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_optimal_solution_without_decisions_exit_code(self, tmp_path, capsys):
+        sol = write_json(tmp_path / "sol.json",
+                         {"status": "Optimal", "x": None,
+                          "objective_value": 1.0, "iterations": 2})
+        model = write_json(tmp_path / "model.json", {
+            "family": "rhs_student_t", "rows": [[1.0]],
+            "predictive": [{"dof": 5.0, "loc": 2.0, "scale": 0.5}],
+        })
+        rc = main(["certify", "--solution", sol, "--model", model,
+                   "--out", str(tmp_path / "c.json")])
+        assert rc == 2
+        assert "no decision vector" in capsys.readouterr().err
 
     def test_row_shape_mismatch_exit_code(self, tmp_path):
         sol = write_json(tmp_path / "sol.json", SOLUTION_1D)

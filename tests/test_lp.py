@@ -10,6 +10,7 @@ from scipy.optimize import linprog
 
 from postfeas.errors import DimensionMismatch, DomainError, NumericalBreakdown
 from postfeas.lp import (
+    _AT_UPPER,
     FEAS_TOL,
     LpProblem,
     LpSolution,
@@ -238,21 +239,23 @@ class TestPinnedPaths:
     # cut sequences never reach; a changed pivot path moves these.  The
     # parameters pin the former start (phase one on artificial columns);
     # the logical start must reach the same status, and x to 1e-12, in no
-    # more iterations.  LOGICAL pins its own path.
+    # more iterations.  LOGICAL pins its own path, with x read from the
+    # basic values the pivots maintain (no refactor below 128 pivots);
+    # HiGHS must agree on the status and, to 1e-9, on the objective.
     LOGICAL = {
-        0: (3, ["-0x1.37c36d6ccc03cp+0", "-0x1.5b33ef677da45p+0",
-                "0x1.304817f37063ap+0", "0x1.db4e509aa8ee8p-3", "0x0.0p+0"]),
+        0: (3, ["-0x1.37c36d6ccc03bp+0", "-0x1.5b33ef677da45p+0",
+                "0x1.304817f37063ap+0", "0x1.db4e509aa8ee0p-3", "0x0.0p+0"]),
         1: (3, None),
         2: (6, None),
-        5: (6, ["-0x1.7e0df0475e4eap+1", "-0x1.9bc59cb6a4c40p-2",
+        5: (6, ["-0x1.7e0df0475e4ebp+1", "-0x1.9bc59cb6a4c40p-2",
                 "0x1.e25673ce65f68p-2", "0x1.0000000000000p+0",
-                "0x1.5456aa1ec5128p-3"]),
-        12: (4, ["0x1.19468699b41aep-4", "-0x1.0fd7c4f654610p-3",
+                "0x1.5456aa1ec5126p-3"]),
+        12: (4, ["0x1.19468699b41b3p-4", "-0x1.0fd7c4f654608p-3",
                  "0x1.5caa13c50d8d0p-2", "-0x1.0000000000000p+0",
-                 "0x1.311d4901a1ae5p-2"]),
-        26: (6, ["0x1.fd46732959b11p-1", "-0x1.3c1080f28b8f0p+0",
-                 "0x1.fadc2f9d5a800p-4", "-0x1.f11cb66f67530p-4",
-                 "0x1.814f5aa84b591p-1"]),
+                 "0x1.311d4901a1aeap-2"]),
+        26: (6, ["0x1.fd46732959b12p-1", "-0x1.3c1080f28b8f1p+0",
+                 "0x1.fadc2f9d5a800p-4", "-0x1.f11cb66f67520p-4",
+                 "0x1.814f5aa84b58cp-1"]),
     }
 
     @pytest.mark.parametrize("seed, status, iterations, x_hex", [
@@ -271,13 +274,18 @@ class TestPinnedPaths:
                              "0x1.814f5aa84b58cp-1"]),
     ])
     def test_pivot_path(self, seed, status, iterations, x_hex):
-        sol = solve_lp(pinned_instance(seed))
+        problem = pinned_instance(seed)
+        sol = solve_lp(problem)
         logical_iterations, logical_x_hex = self.LOGICAL[seed]
         assert sol.status == status
         assert sol.iterations == logical_iterations <= iterations
         assert (None if sol.x is None else [float(v).hex() for v in sol.x]) == logical_x_hex
         if x_hex is not None:
             assert np.abs(sol.x - [float.fromhex(h) for h in x_hex]).max() <= 1e-12
+        highs_status, highs_value = highs_result(problem)
+        assert highs_status == status
+        if status == "Optimal":
+            assert abs(sol.objective_value - highs_value) <= 1e-9 * abs(highs_value)
 
 
 class TestStandardize:
@@ -853,27 +861,27 @@ def count_inversions(monkeypatch):
 
 
 class TestReplaceRhsInverse:
-    # replace_rhs inverts A[:, basis] only when a pivot has changed it
-    # since the last refactor.
+    # replace_rhs reads the basic values through the kept inverse; it
+    # never inverts A[:, basis].
     def test_reentry_after_optimal_inverts_nothing_new(self, monkeypatch):
         problem, feasible_rhs = conflict_instance(7)
         first, second = feasible_rhs(), feasible_rhs()
         kept = _BoundedSimplex(with_rhs(problem, first))
         assert kept.result(kept.solve()).status == "Optimal"
-        assert kept.pivots_since_refactor == 0
+        assert kept.pivots_since_refactor > 0
         refactored = copy.deepcopy(kept)
         calls = count_inversions(monkeypatch)
         kept.replace_rhs(with_rhs(problem, second))
+        sol = kept.result(kept.solve())
         assert calls == []
-        # bit-identical to inverting again
+        # the same to 1e-12 as inverting again
         refactored.problem = with_rhs(problem, second)
         refactored.b = refactored.problem.rhs - problem.rows @ refactored.offset
         refactored.iterations = 0
         refactored._refactor()
-        assert kept.binv.tobytes() == refactored.binv.tobytes()
-        assert kept.xb.tobytes() == refactored.xb.tobytes()
-        assert same_solution(kept.result(kept.solve()),
-                             refactored.result(refactored.solve()))
+        fresh = refactored.result(refactored.solve())
+        assert (sol.status, sol.iterations) == (fresh.status, fresh.iterations)
+        assert np.abs(sol.x - fresh.x).max() <= 1e-12
 
     def test_repeated_rhs_inverts_only_for_the_solution(self, monkeypatch):
         problem, feasible_rhs = conflict_instance(8)
@@ -886,34 +894,135 @@ class TestReplaceRhsInverse:
         assert calls == []  # neither the re-entry nor extract() refactors
 
     def test_extract_equals_extract_after_a_refactor(self):
-        # extract() skips the inversion after no pivot; a solve's bound
-        # flips move xb, so it still recomputes xb as a refactor does
+        # extract() reads the basic values the pivots and bound flips
+        # maintain; a fresh factorization gives x to 1e-12
         rng = np.random.default_rng(43)
-        pivoted = untouched = 0
+        pivoted = 0
         for _ in range(100):
             n = int(rng.integers(2, 8))
-            rows = [(rng.normal(size=n), "<=", float(rng.uniform(0.5, 5.0)))
-                    for _ in range(int(rng.integers(1, 4)))]
+            rows = [(rng.normal(size=n), "<=", float(rng.uniform(0.1, 1.0)))
+                    for _ in range(int(rng.integers(1, 5)))]
             bounds = [(0.0, float(u)) for u in rng.uniform(0.1, 1.0, n)]
             solver = _BoundedSimplex(LpProblem(rng.normal(size=n), rows, bounds))
             assert solver.solve() == "Optimal"
             fresh = copy.deepcopy(solver)
             fresh._refactor()
             pivoted += solver.pivots_since_refactor > 0
-            untouched += solver.pivots_since_refactor == 0
-            assert solver.extract().tobytes() == fresh.extract().tobytes()
-            assert solver.xb.tobytes() == fresh.xb.tobytes()
-        assert pivoted > 0 and untouched > 0
+            assert np.abs(solver.extract() - fresh.extract()).max() <= 1e-12
+        assert pivoted > 40
 
-    def test_reentry_after_a_pivoting_failure_inverts_again(self, monkeypatch):
+    def test_reentry_after_a_pivoting_failure_reads_the_kept_inverse(
+            self, monkeypatch):
         # unbounded along x = (t, t); x1 enters by a pivot before the ray shows
         problem = LpProblem([1.0, 1.0], [([1.0, -1.0], "<=", 1.0),
                                          ([-1.0, 1.0], "<=", 1.0)],
                             [(0.0, None), (0.0, None)])
         solver = _BoundedSimplex(problem)
         assert solver.solve() == "Unbounded"
-        assert solver.pivots_since_refactor > 0
+        pivots = solver.pivots_since_refactor
+        assert pivots > 0
         calls = count_inversions(monkeypatch)
         solver.replace_rhs(with_rhs(problem, [2.0, 2.0]))
+        assert calls == []
+        assert solver.pivots_since_refactor == pivots
+        basis = solver.A[:, solver.basis]
+        assert np.abs(basis @ solver.xb - solver._nonbasic_rhs()).max() <= 1e-12
+
+
+def count_pivots(monkeypatch):
+    """Patch _BoundedSimplex._pivot to record each call; returns the record."""
+    calls = []
+    real = _BoundedSimplex._pivot
+
+    def counted(self, r, j, w):
+        calls.append(1)
+        return real(self, r, j, w)
+
+    monkeypatch.setattr(_BoundedSimplex, "_pivot", counted)
+    return calls
+
+
+def boxed_instance(gen, n=6, m=3):
+    """maximize c'x over a box [lo, lo + 1] with lo <= 0, c > 0 and "<="
+    rows with nonnegative entries and positive rhs, so that x = lo is
+    feasible and the optimum has columns at their upper bound as well
+    as pivots."""
+    rows = [(gen.uniform(0.0, 1.0, n), "<=", float(gen.uniform(0.5, 1.0) * n / 4))
+            for _ in range(m)]
+    return LpProblem(gen.uniform(0.5, 2.0, n), rows,
+                     [(float(lo), float(lo + 1.0)) for lo in gen.uniform(-1.0, 0.0, n)])
+
+
+class TestRefactorRule:
+    # The basis is inverted only after 128 pivots, on a pivot too small
+    # to trust, and when solution()'s residual check fails after pivots.
+    # Appended rows border the kept inverse.
+    @pytest.mark.parametrize("seed", range(10))
+    def test_row_generation_below_128_pivots_inverts_nothing(
+            self, monkeypatch, seed):
+        base, pool = pool_instance(seed)
+        separate, _ = pool_separator(pool)
+        pivots = count_pivots(monkeypatch)
+        calls = count_inversions(monkeypatch)
+        sol, log = solve_cutting_planes(base, separate, 50)
+        assert sol.status == "Optimal" and log.rounds >= 2
+        assert 0 < len(pivots) < 128
+        assert calls == []
+
+    def test_bordered_inverse_equals_a_fresh_inverse(self):
+        # rows of every sense, appended after pivots and with columns at
+        # their upper bound; each holds at x = lo, so every round solves
+        at_upper = pivoted = 0
+        for seed in range(20):
+            gen = np.random.default_rng(seed)
+            problem = boxed_instance(gen)
+            solver = _BoundedSimplex(problem)
+            n = problem.n
+            for senses in (["<=", ">=", "="], [">=", "="], ["=", "<="]):
+                assert solver.solve() == "Optimal"
+                at_upper += bool((solver.status[:n] == _AT_UPPER).any())
+                pivoted += solver.pivots_since_refactor > 0
+                rows = gen.normal(size=(len(senses), n))
+                slack = np.array([{"<=": 0.1, ">=": -0.1, "=": 0.0}[s] for s in senses])
+                solver.append_rows(zip(rows, senses, rows @ problem.lower + slack))
+                fresh = np.linalg.inv(solver.A[:, solver.basis])
+                assert np.abs(solver.binv - fresh).max() <= 1e-12 * np.abs(fresh).max()
+                xb = fresh @ solver._nonbasic_rhs()
+                assert (np.abs(solver.xb - xb).max()
+                        <= 1e-12 * max(1.0, np.abs(xb).max()))
+        assert pivoted > 20 and at_upper > 20
+
+    def test_bordered_start_is_the_logical_basis_exactly(self):
+        problem = pinned_instance(0)
+        solver = _BoundedSimplex(problem)
+        coef = np.array([{"<=": 1.0, ">=": -1.0, "=": 1.0}[s] for s in problem.senses])
+        assert solver.binv.tobytes() == np.diag(coef).tobytes()
+        b = problem.rhs - problem.rows @ solver.offset
+        assert solver.xb.tobytes() == (coef * b).tobytes()
+
+    def test_refactors_once_when_the_residual_check_fails(self, monkeypatch):
+        solver = _BoundedSimplex(boxed_instance(np.random.default_rng(0)))
+        assert solver.solve() == "Optimal"
+        assert solver.pivots_since_refactor > 0
+        fresh = copy.deepcopy(solver)
+        fresh._refactor()
+        expected = fresh.solution()
+        solver.xb = solver.xb + 1.0  # drift far beyond the tolerance
+        calls = count_inversions(monkeypatch)
+        sol = solver.solution()
         assert len(calls) == 1
         assert solver.pivots_since_refactor == 0
+        assert sol.x.tobytes() == expected.x.tobytes()
+        # right after a refactor there is nothing to recover
+        solver.xb = solver.xb + 1.0
+        with pytest.raises(NumericalBreakdown, match="residual"):
+            solver.solution()
+        assert len(calls) == 1
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_optimum_raises(self):
+        # x = (2, 0) is finite, but its objective 2e308 overflows
+        problem = LpProblem([1e308, 1e308], [([1.0, 1.0], "<=", 2.0)],
+                            [(0.0, None), (0.0, None)])
+        with pytest.raises(NumericalBreakdown, match="not finite"):
+            solve_lp(problem)

@@ -199,10 +199,12 @@ class TestFitNig:
     @pytest.mark.parametrize("precision", [
         [[1.0, 1.0], [1.0, 1.0]],
         [[1.0, 2.0], [2.0, 1.0]],
-    ], ids=["singular", "indefinite"])
+        [[2.0, 1.0], [0.0, 2.0]],
+    ], ids=["singular", "indefinite", "asymmetric"])
     def test_bad_precision_fails_closed(self, precision):
-        # neither is perturbed into a positive definite matrix; the data
-        # (rows along [1, 1]) leave the bad direction as it is
+        # none is perturbed into a positive definite matrix; the data
+        # (rows along [1, 1]) leave the bad direction as it is, and an
+        # asymmetric one is not read through its lower triangle
         bad = Nig(mean=np.zeros(2), precision=np.array(precision), shape=2.0,
                   rate=2.0)
         design = np.array([[1.0, 1.0], [2.0, 2.0]])

@@ -19,7 +19,7 @@ from postfeas.errors import (
     MaxRoundsExceeded,
     NotPositiveDefinite,
 )
-from postfeas import lp
+from postfeas import lp, robustify
 from postfeas.lp import LpProblem, solve_cutting_planes, solve_lp
 from postfeas import stats
 from postfeas.posterior import GaussianRows, StudentTRhs
@@ -421,14 +421,15 @@ class TestCuttingPlanes:
 
     @pytest.mark.parametrize("seed, n, scale, budget, x_hex, cuts", [
         (2, 4, 0.3, None,
-         ["0x1.ea92ed4c37d84p-1", "0x0.0p+0", "0x1.b68d1244527f0p+0",
+         ["0x1.ea92ed4c37d8ap-1", "0x0.0p+0", "0x1.b68d1244527f0p+0",
           "0x0.0p+0"],
          [3, 2, 3, 2, 2, 0]),
         (3, 3, 0.25, 4.0,
-         ["0x1.0da7152928800p+0", "0x0.0p+0", "0x1.0542b4849d800p-1"],
+         ["0x1.0da7152928d35p+0", "0x0.0p+0", "0x1.0542b4849c6ffp-1"],
          [3, 3, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0]),
     ])
-    def test_cut_sequence_pinned(self, seed, n, scale, budget, x_hex, cuts):
+    def test_cut_sequence_pinned(self, monkeypatch, seed, n, scale, budget,
+                                 x_hex, cuts):
         gen = np.random.default_rng(seed)
         c = gen.uniform(0.5, 2.0, n)
         rows = [
@@ -440,13 +441,15 @@ class TestCuttingPlanes:
         ]
         fixed = [] if budget is None else [(np.ones(n), "<=", budget)]
         rlp = robustify_rows(box_base(c, 5.0, fixed), rows, alpha=0.1)
-        sol, log = solve_robust_cutting_planes(rlp)
+        sol, log, last = solve_recording_last_relaxation(rlp, monkeypatch)
         assert sol.status == "Optimal"
         assert sol.x.tolist() == [float.fromhex(h) for h in x_hex]
         cold = np.array([float.fromhex(h) for h in self.COLD_X[seed]])
         assert np.abs(sol.x - cold).max() <= 1e-12
         assert log.rounds == len(cuts)
         assert log.cuts_per_round == cuts
+        ref = highs_lp_objective(last)
+        assert abs(sol.objective_value - ref) <= 1e-9 * abs(ref)
 
     def test_infeasible_base_returned_as_is(self):
         base = LpProblem(
@@ -469,7 +472,7 @@ class TestCuttingPlanes:
         rlp = robustify_rows(box_base([1.0, 1.0], 100.0), rows, 0.1)
         sol, log = solve_robust_cutting_planes(rlp)
         assert sol.status == "Optimal"
-        assert sol.objective_value == pytest.approx(3.3561224694891294, abs=1e-12)
+        assert sol.objective_value == pytest.approx(3.356122469491277, abs=1e-12)
         assert log.rounds == 14
         ref = highs_cutting_planes(rlp)
         assert abs(sol.objective_value - ref) <= 1e-9 * abs(ref)
@@ -498,6 +501,34 @@ def ten_var_instance():
     return robustify_rows(box_base(c, 5.0), rows, alpha=0.1)
 
 
+def solve_recording_last_relaxation(rlp, monkeypatch):
+    """solve_robust_cutting_planes(rlp), and the LpProblem of its last
+    relaxation: the base with every row the loop appended."""
+    added = []
+
+    def recording(base, separate, max_rounds):
+        def separate_and_record(x):
+            rows, worst = separate(x)
+            added.extend(rows)
+            return rows, worst
+        return solve_cutting_planes(base, separate_and_record, max_rounds)
+
+    monkeypatch.setattr(robustify, "solve_cutting_planes", recording)
+    sol, log = solve_robust_cutting_planes(rlp)
+    base = rlp.base
+    return sol, log, LpProblem(base.objective, base.constraints() + added,
+                               base.bounds())
+
+
+def highs_lp_objective(problem):
+    """Optimal objective of an LpProblem whose rows are all "<=", by HiGHS."""
+    assert set(problem.senses) <= {"<="}
+    res = linprog(-problem.objective, A_ub=problem.rows, b_ub=problem.rhs,
+                  bounds=problem.bounds(), method="highs")
+    assert res.status == 0, res.message
+    return -res.fun
+
+
 def highs_cutting_planes(rlp):
     """Kelley's loop with HiGHS relaxations and the same separation."""
     base = rlp.base
@@ -518,6 +549,18 @@ def highs_cutting_planes(rlp):
 
 
 class TestTenVariableInstance:
+    def test_refactors_once_per_128_pivots(self, monkeypatch):
+        pivots, inversions = [], []
+        pivot, inv = lp._BoundedSimplex._pivot, np.linalg.inv
+        monkeypatch.setattr(lp._BoundedSimplex, "_pivot",
+                            lambda self, *a: pivots.append(1) or pivot(self, *a))
+        monkeypatch.setattr(np.linalg, "inv",
+                            lambda mat: inversions.append(1) or inv(mat))
+        sol, _ = solve_robust_cutting_planes(ten_var_instance())
+        assert sol.status == "Optimal"
+        assert len(pivots) >= 128
+        assert len(inversions) == len(pivots) // 128
+
     def test_rounds_cuts_and_highs_objective(self):
         rlp = ten_var_instance()
         sol, log = solve_robust_cutting_planes(rlp)
@@ -569,18 +612,21 @@ def many_round_instance():
 
 class TestManyRoundInstance:
     # 48 rounds, where the other pins stop at 16: the dual re-entry's
-    # pivot path over many appends.  Pinned before the simplex's numpy
-    # calls were trimmed; x is compared bit for bit.
-    X_HEX = ["0x1.dcbd89096c000p-4", "0x1.aa84478c48000p-1",
-             "0x1.4f50c2b558000p+0", "0x1.e17ee2f3ba000p-1"]
+    # pivot path over many appends, x read from the basic values that 66
+    # pivots maintained without a refactor.  x is compared bit for bit.
+    X_HEX = ["0x1.dcbd890952e08p-4", "0x1.aa84478c29146p-1",
+             "0x1.4f50c2b55e900p+0", "0x1.e17ee2f3b6ca9p-1"]
 
-    def test_cut_sequence_and_x_pinned(self):
-        sol, log = solve_robust_cutting_planes(many_round_instance())
+    def test_cut_sequence_and_x_pinned(self, monkeypatch):
+        sol, log, last = solve_recording_last_relaxation(
+            many_round_instance(), monkeypatch)
         assert sol.status == "Optimal"
         assert log.cuts_per_round == [2, 2, 2] + [1] * 44 + [0]
         assert log.rounds == 48
         assert sol.iterations == 118
         assert sol.x.tolist() == [float.fromhex(h) for h in self.X_HEX]
+        ref = highs_lp_objective(last)
+        assert abs(sol.objective_value - ref) <= 1e-9 * abs(ref)
 
     def test_highs_objective(self):
         rlp = many_round_instance()
