@@ -315,6 +315,13 @@ class _BoundedSimplex:
     +1 in [0, 0] for "=".  A row enters with its logical basic, so a
     fresh instance is every row appended to an empty basis, and rows
     appended later (append_rows) are added the same way.
+
+    The basis inverse binv and the basic values xb are kept up to date:
+    a pivot updates binv in product form, an append borders it
+    (_add_rows), and a bound flip moves xb alone.  binv is recomputed
+    from A[:, basis] (_refactor) only after 128 pivots, on a pivot below
+    _PIVOT_TOL, and once when solution()'s residual check fails after
+    pivots.
     """
 
     def __init__(self, problem: LpProblem):
@@ -698,9 +705,13 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     Deterministic for a fixed BLAS thread count: identical problems then
     produce identical solutions, pivot for pivot.  Pricing and the basis
     updates use BLAS products, which can round differently with another
-    thread count and so take another pivot path.  An Optimal x is clipped
-    to the box and must meet every row to 10 * FEAS_TOL * max(1, |rhs|).
-    Raises NumericalBreakdown when pivoting degrades beyond recovery.
+    thread count and so take another pivot path.  x is read from the
+    basic values the pivots maintain, and the basis is inverted afresh
+    only every 128 pivots, so its last digits follow the pivot path.  An
+    Optimal x is clipped to the box and must meet every row to
+    10 * FEAS_TOL * max(1, |rhs|), after one refactor if need be.
+    Raises NumericalBreakdown when pivoting degrades beyond recovery and
+    when the optimum's objective or x is not finite.
     """
     solver = _BoundedSimplex(problem)
     return solver.result(solver.solve())
@@ -715,8 +726,10 @@ class RhsSequence:
     last simplex and re-enters it through the same entry: the costs are
     unchanged, so a basis that was optimal is still dual feasible and
     needs no cost shift, and the bounded dual simplex restores primal
-    feasibility (Koberstein 2005, The dual simplex method).  rhs is
-    validated as LpProblem validates rhs, before the simplex is touched.
+    feasibility (Koberstein 2005, The dual simplex method); the new
+    basic values are read through the kept basis inverse, with no
+    inversion.  rhs is validated as LpProblem validates rhs, before the
+    simplex is touched.
     A solve that raises discards the simplex, so the next solve starts
     again from the logicals.  A re-entered LpSolution's iterations count
     that solve's pivots only.

@@ -33,6 +33,7 @@ from postfeas.robustify import (
 )
 from postfeas.stats import Rng, chi2_quantile
 from test_cli import child_env
+from test_lp import count_inversions, count_pivots, highs_objective
 
 
 def random_pd_cov(gen, p, scale=0.12):
@@ -448,7 +449,7 @@ class TestCuttingPlanes:
         assert np.abs(sol.x - cold).max() <= 1e-12
         assert log.rounds == len(cuts)
         assert log.cuts_per_round == cuts
-        ref = highs_lp_objective(last)
+        ref = highs_objective(last)
         assert abs(sol.objective_value - ref) <= 1e-9 * abs(ref)
 
     def test_infeasible_base_returned_as_is(self):
@@ -520,15 +521,6 @@ def solve_recording_last_relaxation(rlp, monkeypatch):
                                base.bounds())
 
 
-def highs_lp_objective(problem):
-    """Optimal objective of an LpProblem whose rows are all "<=", by HiGHS."""
-    assert set(problem.senses) <= {"<="}
-    res = linprog(-problem.objective, A_ub=problem.rows, b_ub=problem.rhs,
-                  bounds=problem.bounds(), method="highs")
-    assert res.status == 0, res.message
-    return -res.fun
-
-
 def highs_cutting_planes(rlp):
     """Kelley's loop with HiGHS relaxations and the same separation."""
     base = rlp.base
@@ -550,12 +542,8 @@ def highs_cutting_planes(rlp):
 
 class TestTenVariableInstance:
     def test_refactors_once_per_128_pivots(self, monkeypatch):
-        pivots, inversions = [], []
-        pivot, inv = lp._BoundedSimplex._pivot, np.linalg.inv
-        monkeypatch.setattr(lp._BoundedSimplex, "_pivot",
-                            lambda self, *a: pivots.append(1) or pivot(self, *a))
-        monkeypatch.setattr(np.linalg, "inv",
-                            lambda mat: inversions.append(1) or inv(mat))
+        pivots = count_pivots(monkeypatch)
+        inversions = count_inversions(monkeypatch)
         sol, _ = solve_robust_cutting_planes(ten_var_instance())
         assert sol.status == "Optimal"
         assert len(pivots) >= 128
@@ -625,7 +613,7 @@ class TestManyRoundInstance:
         assert log.rounds == 48
         assert sol.iterations == 118
         assert sol.x.tolist() == [float.fromhex(h) for h in self.X_HEX]
-        ref = highs_lp_objective(last)
+        ref = highs_objective(last)
         assert abs(sol.objective_value - ref) <= 1e-9 * abs(ref)
 
     def test_highs_objective(self):
