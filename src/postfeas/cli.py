@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from . import _reader as rd
 from . import experiments as ex
 from . import posterior as po
 from . import scenario as sc
@@ -92,14 +93,6 @@ def _read_text(path) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc}") from exc
-
-
-def _read_json(path):
-    text = _read_text(path)
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _write_manifest(directory: Path, command: str, config: dict, seed: int,
@@ -204,69 +197,40 @@ def _cmd_sim(args) -> int:
     return EXIT_OK if n_ok > 0 and not n_error else EXIT_FAILED
 
 
-def _require(model: dict, key: str):
-    if not isinstance(model, dict) or key not in model:
-        raise DomainError(f"model is missing required key {key!r}")
-    return model[key]
+def _rhs_student_t(doc: dict, x: np.ndarray) -> po.StudentTRhs:
+    rd.obj(doc, "model", ("family", "rows", "predictive"))
+    specs = [(path, rd.obj(spec, path, ("dof", "loc", "scale")))
+             for path, spec in rd.entries(doc["predictive"], "model.predictive")]
+    return po.StudentTRhs(
+        rows=rd.array(doc["rows"], "model.rows", (len(specs), x.size)),
+        **{key: [rd.number(spec[key], f"{path}.{key}") for path, spec in specs]
+           for key in ("dof", "loc", "scale")})
 
 
-def _require_list(model: dict, key: str) -> list:
-    value = _require(model, key)
-    if not isinstance(value, list) or not value:
-        raise DomainError(f"model key {key!r} must be a non-empty list")
-    return value
+def _gaussian_rows(doc: dict, x: np.ndarray) -> po.GaussianRows:
+    rd.obj(doc, "model", ("family", "blocks"))
+    blocks = [(path, rd.obj(block, path, ("center", "cov")))
+              for path, block in rd.entries(doc["blocks"], "model.blocks")]
+    dim = x.size + 1
+    return po.GaussianRows.from_covs(
+        [rd.array(block["center"], f"{path}.center", (dim,)) for path, block in blocks],
+        [rd.array(block["cov"], f"{path}.cov", (dim, dim)) for path, block in blocks])
 
 
-def _certify_replay(model: dict, m_draws: int, beta: float) -> Certificate:
-    s = _require(model, "violations")
-    if not isinstance(s, int) or isinstance(s, bool):
-        raise DomainError(f"violations must be an integer, got {s!r}")
-    return Certificate.from_counts(s, None, m_draws, beta)
+def _beta_coverage(doc: dict, x: np.ndarray) -> po.BetaCoverage:
+    rd.obj(doc, "model", ("family", "a", "b", "threshold"))
+    a = rd.array(doc["a"], "model.a", (None, x.size))
+    return po.BetaCoverage(a=a, b=rd.array(doc["b"], "model.b", a.shape),
+                           threshold=rd.number(doc["threshold"], "model.threshold"))
 
 
-def _rhs_student_t(model: dict, x: np.ndarray) -> po.StudentTRhs:
-    specs = _require_list(model, "predictive")
-    rhs = po.StudentTRhs(
-        rows=_require_list(model, "rows"),
-        dof=[_require(s, "dof") for s in specs],
-        loc=[_require(s, "loc") for s in specs],
-        scale=[_require(s, "scale") for s in specs],
-    )
-    if rhs.rows.shape[1] != x.size:
-        raise DomainError(
-            f"rows must be (m, {x.size}), got shape {rhs.rows.shape}"
-        )
-    return rhs
-
-
-def _gaussian_rows(model: dict, x: np.ndarray) -> po.GaussianRows:
-    blocks = _require_list(model, "blocks")
-    rows = po.GaussianRows.from_covs([_require(blk, "center") for blk in blocks],
-                                     [_require(blk, "cov") for blk in blocks])
-    if rows.centers.shape[1] != x.size + 1:
-        raise DomainError(
-            f"block centers must have {x.size + 1} entries, "
-            f"got {rows.centers.shape[1]}"
-        )
-    return rows
-
-
-def _beta_coverage(model: dict, x: np.ndarray) -> po.BetaCoverage:
-    coverage = po.BetaCoverage(a=_require_list(model, "a"),
-                               b=_require_list(model, "b"),
-                               threshold=_require(model, "threshold"))
-    if coverage.a.shape[1] != x.size:
-        raise DomainError(
-            f"model has {coverage.a.shape[1]} genes but the solution has {x.size}"
-        )
-    return coverage
-
-
+# replay, the fourth family, needs no decision, only its violation count
 _MODEL_FAMILIES = {
     "rhs_student_t": _rhs_student_t,
     "gaussian_rows": _gaussian_rows,
     "beta_coverage": _beta_coverage,
 }
+_MODEL_KEYS = ("violations", "rows", "predictive", "blocks", "a", "b", "threshold")
 
 
 def _cmd_certify(args) -> int:
@@ -275,30 +239,26 @@ def _cmd_certify(args) -> int:
     if sol.status != "Optimal":
         raise DomainError(f"solution status is {sol.status!r}; only an "
                           f"Optimal solution is certified")
-    model = _read_json(args.model)
-    if not isinstance(model, dict):
-        raise DomainError("model must be a JSON object")
-    family = _require(model, "family")
     if args.M < 1:
         raise DomainError(f"--M must be >= 1, got {args.M}")
+    doc = rd.obj(rd.load(_read_text(args.model), "model"), "model", ("family",),
+                 _MODEL_KEYS)
+    family = rd.one_of(doc["family"], "model.family", ["replay", *_MODEL_FAMILIES])
     if family == "replay":
-        cert = _certify_replay(model, args.M, args.beta)
-    elif family in _MODEL_FAMILIES:
+        rd.obj(doc, "model", ("family", "violations"))
+        cert = Certificate.from_counts(
+            rd.number(doc["violations"], "model.violations", integer=True),
+            None, args.M, args.beta)
+    else:
         if sol.x is None:
             raise DomainError("solution has no decision vector to certify")
-        x = np.asarray(sol.x, dtype=float)
-        posterior_model = _MODEL_FAMILIES[family](model, x)
+        x, posterior_model = sol.x, _MODEL_FAMILIES[family](doc, sol.x)
         if isinstance(posterior_model, po.BetaCoverage):
             # panel_certify_detail's rule: draw only the genes x selects
             keep = np.flatnonzero(x)
             x, posterior_model = x[keep], posterior_model.restrict(keep)
         rng = stats.Rng.for_purpose(args.seed, "certify", family)
         cert = run_certify(x, posterior_model, args.M, args.beta, rng)
-    else:
-        raise DomainError(
-            f"unknown model family {family!r}; expected one of "
-            f"{sorted(_MODEL_FAMILIES) + ['replay']}"
-        )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(certificate_to_json(cert) + "\n", encoding="utf-8")

@@ -24,14 +24,13 @@ the exact violation probability
 from __future__ import annotations
 
 import dataclasses
-import json
 import logging
 import math
 from dataclasses import dataclass, replace
-from numbers import Integral, Real
 
 import numpy as np
 
+from . import _reader as rd
 from . import posterior as po
 from . import scenario as sc
 from . import stats
@@ -75,39 +74,22 @@ _LOG = logging.getLogger("postfeas.experiments")
 _CERT_BETA = 0.05  # confidence level of per-trial posterior certificates
 
 
+def _check(path: str, value, ok, expected: str, integer: bool = False) -> None:
+    """value by the documents' number rule and ok(value), or DomainError."""
+    if not ok(rd.number(value, path, integer)):
+        raise DomainError(f"{path}: expected {expected}, got {value!r}")
+
+
 def _check_sizes(cfg, keys) -> None:
-    """Each named field of cfg must be an integer >= 1."""
     for key in keys:
-        value = getattr(cfg, key)
-        if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
-            raise DomainError(
-                f"{type(cfg).__name__} {key} must be an integer >= 1, got {value!r}"
-            )
-
-
-def _finite(value) -> bool:
-    """True for a finite real number that is not a bool."""
-    return (not isinstance(value, bool) and isinstance(value, Real)
-            and math.isfinite(value))
-
-
-def _check_open_unit(kind: str, key: str, value) -> None:
-    if not _finite(value) or not 0.0 < value < 1.0:
-        raise DomainError(f"{kind} {key} must lie in (0, 1), got {value!r}")
+        _check(f"{type(cfg).__name__}.{key}", getattr(cfg, key), lambda v: v >= 1,
+               "an integer >= 1", integer=True)
 
 
 def _from_json(cls, text: str):
-    """cls(**doc) for a JSON object; lists become tuples, cls checks values."""
-    kind = cls.__name__
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:
-        raise DomainError(f"{kind} document is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DomainError(f"{kind} document must be a JSON object")
-    unknown = set(doc) - {f.name for f in dataclasses.fields(cls)}
-    if unknown:
-        raise DomainError(f"unknown {kind} keys {sorted(unknown)}")
+    """cls(**doc) for an object of cls's fields; lists become tuples."""
+    doc = rd.obj(rd.load(text, cls.__name__), cls.__name__, (),
+                 [f.name for f in dataclasses.fields(cls)])
     return cls(**{key: tuple(value) if isinstance(value, list) else value
                   for key, value in doc.items()})
 
@@ -143,34 +125,26 @@ class SimConfig:
                             "trials_per_alpha"))
         # fit_ols needs more observations than regressors
         if self.n_obs <= self.d_ctx:
-            raise DomainError(
-                f"SimConfig n_obs={self.n_obs} must exceed d_ctx={self.d_ctx}"
-            )
-        if not isinstance(self.alphas, tuple) or not self.alphas:
-            raise DomainError(f"SimConfig alphas must be a non-empty tuple "
-                              f"(a list in JSON), got {self.alphas!r}")
-        for alpha in self.alphas:
-            _check_open_unit("SimConfig", "alphas", alpha)
-        seed = self.master_seed
-        if isinstance(seed, bool) or not isinstance(seed, Integral):
-            raise DomainError(f"SimConfig master_seed must be an integer, got {seed!r}")
-        if not _finite(self.x_max) or self.x_max <= 0.0:
-            raise DomainError(
-                f"SimConfig x_max must be a positive number, got {self.x_max!r}"
-            )
-        for key in ("a_range", "p_range", "intercept_range", "slope_range",
-                    "sigma_range"):
-            pair = getattr(self, key)
-            if (not isinstance(pair, tuple) or len(pair) != 2
-                    or not all(_finite(v) for v in pair) or pair[0] > pair[1]):
-                raise DomainError(
-                    f"SimConfig {key} must be [lo, hi] with lo <= hi, got {pair!r}"
-                )
-        # v_true divides by the true noise scale
-        if self.sigma_range[0] <= 0.0:
-            raise DomainError(
-                f"SimConfig sigma_range must be positive, got {self.sigma_range!r}"
-            )
+            raise DomainError(f"SimConfig n_obs={self.n_obs} must exceed "
+                              f"d_ctx={self.d_ctx}")
+        ranges = ("a_range", "p_range", "intercept_range", "slope_range",
+                  "sigma_range")
+        for key in ("alphas", *ranges):
+            if not isinstance(getattr(self, key), tuple):
+                raise DomainError(f"SimConfig.{key}: expected a tuple (a list in "
+                                  f"JSON), got {getattr(self, key)!r}")
+        for path, alpha in rd.entries(self.alphas, "SimConfig.alphas"):
+            _check(path, alpha, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
+        rd.number(self.master_seed, "SimConfig.master_seed", integer=True)
+        _check("SimConfig.x_max", self.x_max, lambda v: v > 0.0, "a positive number")
+        for key in ranges:
+            lo, hi = rd.array(getattr(self, key), f"SimConfig.{key}", (2,))
+            # v_true divides by the true noise scale
+            positive = key == "sigma_range"
+            if lo > hi or positive and lo <= 0.0:
+                raise DomainError(f"SimConfig.{key}: expected [lo, hi] with lo <= hi"
+                                  f"{' and lo > 0' if positive else ''}, "
+                                  f"got {getattr(self, key)!r}")
 
 
 @dataclass(frozen=True)
@@ -375,7 +349,7 @@ def run_benchmark(cfg: SimConfig, jobs: int = 1) -> list[TrialRecord]:
         return records
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         for block in pool.map(_trial_block, [cfg] * len(tasks),
                               [a for a, _ in tasks], [t for _, t in tasks]):
             records.extend(block)
@@ -477,12 +451,9 @@ class PanelConfig:
 
     def __post_init__(self):
         _check_sizes(self, ("budget", "n_scen", "m_cert"))
-        _check_open_unit("PanelConfig", "beta", self.beta)
-        if not _finite(self.threshold):
-            raise DomainError(
-                f"PanelConfig threshold must be a finite number, "
-                f"got {self.threshold!r}"
-            )
+        _check("PanelConfig.beta", self.beta, lambda v: 0.0 < v < 1.0,
+               "a number in (0, 1)")
+        rd.number(self.threshold, "PanelConfig.threshold")
 
 
 @dataclass(frozen=True)

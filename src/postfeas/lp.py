@@ -19,6 +19,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import _reader as rd
 from .errors import (
     DimensionMismatch,
     DomainError,
@@ -96,11 +97,8 @@ def _tolerance(a: np.ndarray) -> float:
 
 
 def _check_finite(*arrays: np.ndarray):
-    if all(np.isfinite(a).all() for a in arrays):
-        return
-    if any(np.isnan(a).any() for a in arrays):
-        raise DomainError("objective, rows, and rhs must be free of NaN")
-    raise DomainError("objective, rows, and rhs must be finite")
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise DomainError("objective, rows, and rhs must be finite")
 
 
 # Row i's residual r = rows[i] @ x - rhs[i] is violated by
@@ -236,46 +234,42 @@ def max_violation(problem: LpProblem, x) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _loads(text: str, what: str):
-    try:
-        return json.loads(text)
-    except ValueError as exc:
-        raise DomainError(f"{what} is not valid JSON: {exc}") from exc
-
-
 def problem_from_json(text: str) -> LpProblem:
-    doc = _loads(text, "LP document")
-    try:
-        objective = doc["maximize"]
-        constraints = [(c["row"], c["sense"], c["rhs"]) for c in doc["constraints"]]
-        bounds = [(b[0], b[1]) for b in doc["bounds"]]
-        return LpProblem(objective, constraints, bounds)
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
-        raise DomainError(f"malformed LP document: {exc}") from exc
+    doc = rd.obj(rd.load(text, "problem"), "problem",
+                 ("maximize", "constraints", "bounds"))
+    c = rd.array(doc["maximize"], "problem.maximize")
+    constraints = []
+    for path, con in rd.entries(doc["constraints"], "problem.constraints"):
+        rd.obj(con, path, ("row", "sense", "rhs"))
+        constraints.append((rd.array(con["row"], f"{path}.row", c.shape),
+                            rd.one_of(con["sense"], f"{path}.sense", SENSES),
+                            rd.number(con["rhs"], f"{path}.rhs")))
+    bounds = [[None if v is None else rd.number(v, where)
+               for where, v in rd.entries(pair, path, 2)]
+              for path, pair in rd.entries(doc["bounds"], "problem.bounds", c.size)]
+    return LpProblem(c, constraints, bounds)
 
 
 def solution_to_json(sol: LpSolution) -> str:
     doc = {
         "status": sol.status,
         "x": None if sol.x is None else np.asarray(sol.x).tolist(),
-        "objective_value": sol.objective_value,
+        "objective_value": sol.objective_value if sol.status == "Optimal" else None,
         "iterations": sol.iterations,
     }
     return json.dumps(doc)
 
 
 def solution_from_json(text: str) -> LpSolution:
-    doc = _loads(text, "solution document")
-    try:
-        x = doc.get("x")
-        return LpSolution(
-            status=doc["status"],
-            x=None if x is None else np.asarray(x, dtype=float),
-            objective_value=doc.get("objective_value"),
-            iterations=int(doc.get("iterations", 0)),
-        )
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:
-        raise DomainError(f"malformed solution document: {exc}") from exc
+    doc = rd.obj(rd.load(text, "solution"), "solution",
+                 ("status", "x", "objective_value", "iterations"))
+    x, value = doc["x"], doc["objective_value"]
+    return LpSolution(
+        rd.one_of(doc["status"], "solution.status",
+                  ("Optimal", "Infeasible", "Unbounded")),
+        None if x is None else rd.array(x, "solution.x"),
+        None if value is None else rd.number(value, "solution.objective_value"),
+        rd.number(doc["iterations"], "solution.iterations", integer=True))
 
 
 # ---------------------------------------------------------------------------

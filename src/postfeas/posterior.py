@@ -25,10 +25,10 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
+from . import _reader as rd
 from . import stats
 from .errors import (
     CountOutOfRange,
@@ -208,9 +208,8 @@ def fit_beta_binomial(
     if s.ndim != 2:
         raise DimensionMismatch("detected must be a 2-d array")
     if n.shape != (s.shape[0],):
-        raise DimensionMismatch(
-            f"cluster_sizes has shape {n.shape}, expected ({s.shape[0]},)"
-        )
+        raise DimensionMismatch(f"cluster_sizes has shape {n.shape}, "
+                                f"expected ({s.shape[0]},)")
     if a0 <= 0.0 or b0 <= 0.0:
         raise DomainError("prior pseudo-counts must be positive")
     if np.any(n < 0):
@@ -225,17 +224,8 @@ def fit_beta_binomial(
 # ---------------------------------------------------------------------------
 
 
-def _numbers_only(value) -> bool:
-    """Whether value holds only numbers; a string, a bool or None is not one."""
-    if isinstance(value, np.ndarray):
-        return value.dtype.kind in "iuf"
-    if isinstance(value, (list, tuple)):
-        return all(_numbers_only(v) for v in value)
-    return isinstance(value, Real) and not isinstance(value, bool)
-
-
 def _float_array(name: str, value, ndim: int) -> np.ndarray:
-    if not _numbers_only(value):
+    if not rd.numbers_only(value):
         raise DomainError(f"{name} must hold only finite numbers, "
                           "not strings, bools or nulls")
     try:
@@ -279,9 +269,8 @@ class StudentTRhs(_DrawnRows):
         for name in ("dof", "loc", "scale"):
             arr = _float_array(name, getattr(self, name), 1)
             if arr.shape != (rows.shape[0],):
-                raise DomainError(
-                    f"{name} has shape {arr.shape}, expected ({rows.shape[0]},)"
-                )
+                raise DomainError(f"{name} has shape {arr.shape}, "
+                                  f"expected ({rows.shape[0]},)")
             if name != "loc" and np.any(arr <= 0.0):
                 raise DomainError(f"{name} must be positive")
             object.__setattr__(self, name, arr)
@@ -351,9 +340,8 @@ class GaussianRows(_DrawnRows):
         if r < 1:
             raise DomainError("gaussian rows need at least one row")
         if factors.shape != (r, dim, dim):
-            raise DomainError(
-                f"factors have shape {factors.shape}, expected ({r}, {dim}, {dim})"
-            )
+            raise DomainError(f"factors have shape {factors.shape}, "
+                              f"expected ({r}, {dim}, {dim})")
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "factors", factors)
 
@@ -384,9 +372,8 @@ class BetaCoverage(_DrawnRows):
         a = _float_array("a", self.a, 2)
         b = _float_array("b", self.b, 2)
         if a.shape != b.shape:
-            raise DomainError(
-                f"a and b must have matching shapes, got {a.shape} and {b.shape}"
-            )
+            raise DomainError(f"a and b must have matching shapes, "
+                              f"got {a.shape} and {b.shape}")
         if np.any(a <= 0.0) or np.any(b <= 0.0):
             raise DomainError("beta parameters must be positive")
         threshold = float(_float_array("threshold", self.threshold, 0))
@@ -435,61 +422,46 @@ def _read_csv_rows(path, expected_header):
         if header is None:
             raise EmptyInput(f"{path}: empty file")
         if [h.strip() for h in header] != list(expected_header):
-            raise DomainError(
-                f"{path}: expected header {','.join(expected_header)}, "
-                f"got {','.join(header)}"
-            )
+            raise DomainError(f"{path}: expected header {','.join(expected_header)}, "
+                              f"got {','.join(header)}")
         rows = [row for row in reader if row and any(cell.strip() for cell in row)]
         for row in rows:
             if len(row) != len(expected_header):
-                raise DomainError(
-                    f"{path}: row {row!r} has {len(row)} fields, "
-                    f"expected {len(expected_header)}"
-                )
+                raise DomainError(f"{path}: row {row!r} has {len(row)} fields, "
+                                  f"expected {len(expected_header)}")
+            # panel.csv and panel_clusters.csv write ids unquoted
+            if not row[0].strip() or any(ch in row[0] for ch in ',"\r\n'):
+                raise DomainError(f"{path}: {expected_header[0]} id {row[0]!r} is "
+                                  "empty or holds a comma, a quote or a line break")
         return rows
 
-
-
-def _parse_number(cell: str, kind, path, what: str):
-    try:
-        return kind(cell)
-    except ValueError as exc:
-        raise DomainError(f"{path}: {what} {cell!r} is not numeric") from exc
 
 def load_panel_data(detections_path, clusters_path, weights_path) -> PanelData:
     """Read detections.csv, clusters.csv, and weights.csv.
 
     weights.csv fixes the candidate gene pool and its order; clusters are
     sorted by name.  (cluster, gene) pairs absent from detections.csv are
-    zero detections.  A weight that is not finite, unknown genes or
-    clusters in detections.csv, and a (cluster, gene) pair listed twice
-    there are errors.
+    zero detections.  Number cells follow the documents' number rule; an
+    id panel.csv cannot write unquoted, unknown genes or clusters in
+    detections.csv, and a (cluster, gene) pair listed twice are errors.
     """
-    weight_rows = _read_csv_rows(weights_path, ("gene", "weight"))
-    genes: list[str] = []
-    weights: list[float] = []
-    seen = set()
-    for row in weight_rows:
+    weights: dict[str, float] = {}
+    for row in _read_csv_rows(weights_path, ("gene", "weight")):
         gene = row[0].strip()
-        if gene in seen:
+        if gene in weights:
             raise DomainError(f"duplicate gene {gene!r} in weights file")
-        seen.add(gene)
-        genes.append(gene)
-        weight = _parse_number(row[1], float, weights_path, "weight")
-        if not np.isfinite(weight):
-            raise DomainError(f"{weights_path}: gene {gene!r} has weight {weight!r}, "
-                              "which is not finite")
-        weights.append(weight)
-    if not genes:
+        weights[gene] = rd.cell(row[1], f"{weights_path}: gene {gene!r} weight")
+    if not weights:
         raise EmptyInput("weights file lists no genes")
+    genes = tuple(weights)
 
-    cluster_rows = _read_csv_rows(clusters_path, ("cluster", "n_cells"))
     sizes: dict[str, int] = {}
-    for row in cluster_rows:
+    for row in _read_csv_rows(clusters_path, ("cluster", "n_cells")):
         name = row[0].strip()
         if name in sizes:
             raise DomainError(f"duplicate cluster {name!r} in clusters file")
-        n_cells = _parse_number(row[1], int, clusters_path, "n_cells")
+        n_cells = rd.cell(row[1], f"{clusters_path}: cluster {name!r} n_cells",
+                          integer=True)
         if n_cells < 1:
             raise CountOutOfRange(f"cluster {name!r} has n_cells < 1")
         sizes[name] = n_cells
@@ -500,31 +472,26 @@ def load_panel_data(detections_path, clusters_path, weights_path) -> PanelData:
     gene_index = {g: k for k, g in enumerate(genes)}
 
     detected = np.zeros((len(clusters), len(genes)))
-    det_rows = _read_csv_rows(detections_path, ("cluster", "gene", "detected_count"))
     listed = set()
-    for row in det_rows:
+    for row in _read_csv_rows(detections_path, ("cluster", "gene", "detected_count")):
         cname, gname = row[0].strip(), row[1].strip()
         if cname not in cluster_index:
             raise DomainError(f"detections reference unknown cluster {cname!r}")
         if gname not in gene_index:
             raise DomainError(f"detections reference unknown gene {gname!r}")
-        count = _parse_number(row[2], int, detections_path, "detected_count")
+        count = rd.cell(row[2], f"{detections_path}: ({cname}, {gname}) detected_count",
+                        integer=True)
         if (cname, gname) in listed:
-            raise DomainError(
-                f"detections list ({cname}, {gname}) more than once"
-            )
+            raise DomainError(f"detections list ({cname}, {gname}) more than once")
         listed.add((cname, gname))
-        j, k = cluster_index[cname], gene_index[gname]
         if count < 0 or count > sizes[cname]:
-            raise CountOutOfRange(
-                f"detected_count {count} outside [0, {sizes[cname]}] "
-                f"for ({cname}, {gname})"
-            )
-        detected[j, k] = count
+            raise CountOutOfRange(f"detected_count {count} outside "
+                                  f"[0, {sizes[cname]}] for ({cname}, {gname})")
+        detected[cluster_index[cname], gene_index[gname]] = count
     return PanelData(
-        genes=tuple(genes),
+        genes=genes,
         clusters=clusters,
-        weights=np.asarray(weights, dtype=float),
+        weights=np.fromiter(weights.values(), dtype=float),
         detected=detected,
         cluster_sizes=np.asarray([sizes[c] for c in clusters], dtype=float),
     )

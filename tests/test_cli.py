@@ -182,13 +182,16 @@ class TestSolve:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field, value", [
-        ("bounds", [["a", 1]]),
-        ("maximize", ["x"]),
-        ("rhs", "abc"),
-        ("row", ["abc"]),
+    @pytest.mark.parametrize("field, value, message", [
+        ("bounds", [["a", 1]], 'problem.bounds[0][0]: expected a finite number, '
+                               'got "a"'),
+        ("maximize", ["x"], 'problem.maximize[0]: expected a finite number, got "x"'),
+        ("rhs", "abc", 'problem.constraints[0].rhs: expected a finite number, '
+                       'got "abc"'),
+        ("row", ["abc"],
+         'problem.constraints[0].row[0]: expected a finite number, got "abc"'),
     ], ids=["bounds", "maximize", "rhs", "row"])
-    def test_non_numeric_entry_exit_code(self, tmp_path, capsys, field, value):
+    def test_non_numeric_entry_exit_code(self, tmp_path, capsys, field, value, message):
         doc = json.loads(json.dumps(PROBLEM_OPTIMAL))
         if field in ("rhs", "row"):
             doc["constraints"][0][field] = value
@@ -197,7 +200,7 @@ class TestSolve:
         prob = write_json(tmp_path / "prob.json", doc)
         rc = main(["solve", prob, "--out", str(tmp_path / "s.json")])
         assert rc == 2
-        assert "malformed LP document" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_missing_file_exit_code(self, tmp_path):
         rc = main(["solve", str(tmp_path / "absent.json"),
@@ -364,7 +367,7 @@ class TestSim:
         cfg = write_json(tmp_path / "sim.json", {"m_true": 5000})
         rc = main(["sim", "--config", cfg, "--out", str(tmp_path / "out")])
         assert rc == 2
-        assert "unknown SimConfig keys ['m_true']" in capsys.readouterr().err
+        assert "SimConfig.m_true: unknown key" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_out_of_range_config_exit_code(self, tmp_path, capsys):
@@ -548,10 +551,13 @@ class TestCertify:
 
     def test_gaussian_family_bad_covariance_exit_code(self, tmp_path, capsys):
         sol = write_json(tmp_path / "sol.json", SOLUTION_1D)
-        for cov, message in (([[1.0, 2.0], [2.0, 1.0]], "negative eigenvalue"),
-                             ([[1.0, 0.0, 0.0]], "square"),
-                             ([1.0, 0.0], "2-d"),
-                             ([[1.0, 0.0], [0.0, None]], "finite")):
+        for cov, message in (
+                ([[1.0, 2.0], [2.0, 1.0]], "negative eigenvalue"),
+                ([[1.0, 0.0, 0.0]], "model.blocks[0].cov: expected a list of 2, "
+                                    "got a list of 1"),
+                ([1.0, 0.0], "model.blocks[0].cov[0]: expected a list of 2, got 1.0"),
+                ([[1.0, 0.0], [0.0, None]],
+                 "model.blocks[0].cov[1][1]: expected a finite number, got null")):
             model = write_json(tmp_path / "model.json", {
                 "family": "gaussian_rows",
                 "blocks": [{"center": [1.0, 2.0], "cov": cov}],
@@ -570,7 +576,8 @@ class TestCertify:
     def test_gaussian_family_matches_robustify_on_covariances(
             self, tmp_path, capsys, cov):
         # The robust solve and its certificate read one covariance the
-        # same way: both reject it with the same error, or both accept it.
+        # same way: both reject it with the same error class, or both
+        # accept it.  The document reader may reject first, naming the path.
         base = LpProblem([1.0], [], [(0.0, 3.0)])
         try:
             robustify_rows(base, [([1.0, 2.0], cov)], 0.1)
@@ -588,10 +595,10 @@ class TestCertify:
         if error is None:
             assert rc == 0
         else:
-            with pytest.raises(type(error)):
+            with pytest.raises(type(error)) as raised:
                 family(read_back, np.ones(1))
             assert rc == 2
-            assert f"error: {error}" in capsys.readouterr().err
+            assert f"error: {raised.value}" in capsys.readouterr().err
 
     def test_beta_family_matches_mc_oracle(self, tmp_path):
         # Coverage q1 + q2 with q_i ~ Beta(2, 2) against threshold 0.5;
@@ -611,6 +618,24 @@ class TestCertify:
         target = float((draws < 0.5).mean())
         se = math.sqrt(target * (1 - target) / 4000)
         assert abs(cert["v_hat"] - target) <= 4 * se
+
+    def test_beta_coverage_all_zero_decision(self, tmp_path, capsys):
+        # x selects no gene, so restrict leaves (J, 0) cells: every coverage
+        # is 0, below the threshold, and every draw violates
+        sol = write_json(tmp_path / "sol.json", {
+            "status": "Optimal", "x": [0.0, 0.0], "objective_value": 0.0,
+            "iterations": 0,
+        })
+        model = write_json(tmp_path / "model.json", {
+            "family": "beta_coverage",
+            "a": [[2.0, 2.0]], "b": [[2.0, 2.0]], "threshold": 0.5,
+        })
+        out = tmp_path / "certificate.json"
+        rc = main(["certify", "--solution", sol, "--model", model,
+                   "--M", "100", "--out", str(out)])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines() == ["v_hat=1.0", "upper_bound=1.0"]
+        assert read_json(out)["s"] == 100
 
     def test_sampling_family_deterministic(self, tmp_path):
         sol = write_json(tmp_path / "sol.json", SOLUTION_2D)
@@ -702,7 +727,7 @@ class TestCertify:
                    "--out", str(tmp_path / "c.json")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert f"model key {key!r} must be a non-empty list" in err
+        assert f"error: model.{key}: expected a non-empty list, got a list of 0" in err
         assert "shape" not in err
 
     def test_solution_without_decisions_exit_code(self, tmp_path):
@@ -956,6 +981,30 @@ class TestPanel:
         assert "(c1, g2)" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("which, line, kind, shown", [
+        ("weights", '"g,7",1.0', "gene", "'g,7'"),
+        ("weights", '"g""7",1.0', "gene", "'g\"7'"),
+        ("weights", '"g\n7",1.0', "gene", "'g\\n7'"),
+        ("weights", ",1.0", "gene", "''"),
+        ("clusters", '"c,3",400', "cluster", "'c,3'"),
+        ("clusters", '"c\r3",400', "cluster", "'c\\r3'"),
+    ], ids=["comma", "quote", "newline", "empty", "cluster-comma", "cluster-cr"])
+    def test_id_the_outputs_cannot_write_exit_code(self, tmp_path, capsys, which,
+                                                   line, kind, shown):
+        # panel.csv and panel_clusters.csv write ids unquoted, so an id with
+        # a comma, a quote or a line break would break their rows
+        det, clu, wts = write_panel_fixture(tmp_path, BINDING_DETECTIONS)
+        path = {"weights": wts, "clusters": clu}[which]
+        with open(path, "a", encoding="utf-8", newline="") as fh:
+            fh.write(line + "\n")
+        rc = main(["panel", "--detections", det, "--clusters", clu,
+                   "--weights", wts, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: {kind} id {shown} is empty or holds a comma, "
+            "a quote or a line break\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("weight", ["nan", "inf"])
     def test_non_finite_weight_exit_code(self, tmp_path, capsys, weight):
         det, clu, wts = write_panel_fixture(tmp_path, BINDING_DETECTIONS)
@@ -965,7 +1014,7 @@ class TestPanel:
                    "--weights", wts, "--out", str(tmp_path / "out")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "weights.csv" in err and "'g7'" in err and "not finite" in err
+        assert "weights.csv: gene 'g7' weight: expected a finite number" in err
         assert not (tmp_path / "out").exists()
 
     def test_mean_below_threshold_warns(self, tmp_path, capsys):

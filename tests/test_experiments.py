@@ -1,5 +1,6 @@
 """Tests for the simulation benchmark and the panel-selection pipeline."""
 
+import concurrent.futures
 import dataclasses
 import json
 import os
@@ -524,6 +525,31 @@ class TestRunBenchmark:
     def test_parallel_equals_sequential(self, records):
         cfg, recs = records
         assert run_benchmark(cfg, jobs=2) == recs
+
+    @pytest.mark.parametrize("jobs", [2, 5000])
+    def test_no_more_workers_than_trials(self, records, monkeypatch, jobs):
+        # A fork-started pool forks all max_workers processes at its first
+        # submit, so the pool is capped at one worker per trial.  The
+        # stand-in records the cap and runs map in this process.
+        cfg, recs = records
+        caps = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                caps.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        assert run_benchmark(cfg, jobs=jobs) == recs
+        assert caps == [min(jobs, len(cfg.alphas) * cfg.trials_per_alpha)]
 
     @pytest.mark.parametrize("jobs", [0, -2])
     def test_jobs_below_one_rejected(self, records, jobs):

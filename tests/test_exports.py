@@ -61,3 +61,20 @@ def test_no_folded_names(owner, name):
     assert not hasattr(obj, name)
     assert name not in postfeas.__all__
     assert not hasattr(postfeas, name)
+
+
+@pytest.mark.parametrize("owner, name", [
+    ("cli", "_read_json"),
+    ("cli", "_require"),
+    ("cli", "_require_list"),
+    ("cli", "_certify_replay"),
+    ("lp", "_loads"),
+    ("posterior", "_parse_number"),
+    ("posterior", "_numbers_only"),
+    ("experiments", "_finite"),
+    ("experiments", "_check_open_unit"),
+])
+def test_one_reader_for_every_document(owner, name):
+    # Every input document is read by postfeas._reader, whose is_number is
+    # the one test of a number; no module keeps a parser of its own.
+    assert not hasattr(importlib.import_module(f"postfeas.{owner}"), name)

@@ -716,7 +716,8 @@ class TestLoadPanelData:
             GOOD_CLUSTERS,
             GOOD_WEIGHTS,
         )
-        with pytest.raises(DomainError, match="not numeric"):
+        with pytest.raises(DomainError, match=r"\(cA, g1\) detected_count: "
+                                              r'expected an integer, got "ten"'):
             load_panel_data(*paths)
         paths = write_panel_fixture(
             tmp_path,
@@ -724,7 +725,8 @@ class TestLoadPanelData:
             GOOD_CLUSTERS,
             "gene,weight\ng1,heavy\ng2,0.25\ng3,2.0\n",
         )
-        with pytest.raises(DomainError, match="not numeric"):
+        with pytest.raises(DomainError, match="gene 'g1' weight: expected a finite "
+                                              'number, got "heavy"'):
             load_panel_data(*paths)
 
     @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
@@ -736,7 +738,8 @@ class TestLoadPanelData:
             f"gene,weight\ng1,1.5\ng2,{weight}\ng3,2.0\n",
         )
         with pytest.raises(DomainError,
-                           match=r"weights\.csv: gene 'g2' has weight .* not finite"):
+                           match=r"weights\.csv: gene 'g2' weight: expected a "
+                                 r"finite number, got -?(NaN|Infinity)"):
             load_panel_data(*paths)
 
     def test_header_and_shape_errors(self, tmp_path):
