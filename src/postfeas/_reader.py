@@ -1,7 +1,7 @@
 """One rule for every input document: a number is a finite real, never
-a bool; an object has exactly its keys; a list is never empty.  Each
-reader takes its value's path, such as problem.constraints[0].rhs, and
-raises DomainError naming that path."""
+a bool; an object has exactly its keys; a list is empty only where its
+reader allows it.  Each reader takes its value's path, such as
+problem.constraints[0].rhs, and raises DomainError naming that path."""
 
 import json
 import sys
@@ -81,11 +81,13 @@ def one_of(value, path: str, choices) -> str:
     return value
 
 
-def entries(value, path: str, length=None) -> list:
-    """(path, item) for each item of value, a non-empty list (of length items)."""
-    if (not isinstance(value, (list, tuple)) or not value
+def entries(value, path: str, length=None, allow_empty=False) -> list:
+    """(path, item) for each item of value, a list of length items that is
+    non-empty unless allow_empty is set."""
+    if (not isinstance(value, (list, tuple)) or not (value or allow_empty)
             or length not in (None, len(value))):
-        _fail(path, f"a list of {length}" if length else "a non-empty list", value)
+        _fail(path, f"a list of {length}" if length else
+              "a list" if allow_empty else "a non-empty list", value)
     return [(f"{path}[{i}]", item) for i, item in enumerate(value)]
 
 

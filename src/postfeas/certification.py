@@ -28,7 +28,6 @@ from typing import Iterator
 
 import numpy as np
 
-from . import _reader as rd
 from . import stats
 from .errors import CountOutOfRange, DimensionMismatch, DomainError
 
@@ -54,7 +53,7 @@ def clopper_pearson_upper(s: int, m_draws: int, beta: float) -> float:
     M must be integers (numpy integers included, bool not).
     """
     for name, count in (("s", s), ("M", m_draws)):
-        if not (rd.is_number(count) and isinstance(count, Integral)):
+        if isinstance(count, bool) or not isinstance(count, Integral):
             raise CountOutOfRange(f"{name} must be an integer, got {count!r}")
     s = int(s)
     m_draws = int(m_draws)

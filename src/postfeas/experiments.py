@@ -125,8 +125,9 @@ class SimConfig:
                             "trials_per_alpha"))
         # fit_ols needs more observations than regressors
         if self.n_obs <= self.d_ctx:
-            raise DomainError(f"SimConfig n_obs={self.n_obs} must exceed "
-                              f"d_ctx={self.d_ctx}")
+            raise DomainError(
+                f"SimConfig n_obs={self.n_obs} must exceed d_ctx={self.d_ctx}"
+            )
         ranges = ("a_range", "p_range", "intercept_range", "slope_range",
                   "sigma_range")
         for key in ("alphas", *ranges):

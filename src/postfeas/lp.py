@@ -97,8 +97,11 @@ def _tolerance(a: np.ndarray) -> float:
 
 
 def _check_finite(*arrays: np.ndarray):
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise DomainError("objective, rows, and rhs must be finite")
+    if all(np.isfinite(a).all() for a in arrays):
+        return
+    if any(np.isnan(a).any() for a in arrays):
+        raise DomainError("objective, rows, and rhs must be free of NaN")
+    raise DomainError("objective, rows, and rhs must be finite")
 
 
 # Row i's residual r = rows[i] @ x - rhs[i] is violated by
@@ -239,7 +242,9 @@ def problem_from_json(text: str) -> LpProblem:
                  ("maximize", "constraints", "bounds"))
     c = rd.array(doc["maximize"], "problem.maximize")
     constraints = []
-    for path, con in rd.entries(doc["constraints"], "problem.constraints"):
+    # a bounds-only LP has no constraints
+    for path, con in rd.entries(doc["constraints"], "problem.constraints",
+                                allow_empty=True):
         rd.obj(con, path, ("row", "sense", "rhs"))
         constraints.append((rd.array(con["row"], f"{path}.row", c.shape),
                             rd.one_of(con["sense"], f"{path}.sense", SENSES),
@@ -254,6 +259,8 @@ def solution_to_json(sol: LpSolution) -> str:
     doc = {
         "status": sol.status,
         "x": None if sol.x is None else np.asarray(sol.x).tolist(),
+        # a hand-built non-Optimal solution may carry NaN, which JSON and
+        # solution_from_json reject
         "objective_value": sol.objective_value if sol.status == "Optimal" else None,
         "iterations": sol.iterations,
     }

@@ -208,8 +208,9 @@ def fit_beta_binomial(
     if s.ndim != 2:
         raise DimensionMismatch("detected must be a 2-d array")
     if n.shape != (s.shape[0],):
-        raise DimensionMismatch(f"cluster_sizes has shape {n.shape}, "
-                                f"expected ({s.shape[0]},)")
+        raise DimensionMismatch(
+            f"cluster_sizes has shape {n.shape}, expected ({s.shape[0]},)"
+        )
     if a0 <= 0.0 or b0 <= 0.0:
         raise DomainError("prior pseudo-counts must be positive")
     if np.any(n < 0):
@@ -269,8 +270,9 @@ class StudentTRhs(_DrawnRows):
         for name in ("dof", "loc", "scale"):
             arr = _float_array(name, getattr(self, name), 1)
             if arr.shape != (rows.shape[0],):
-                raise DomainError(f"{name} has shape {arr.shape}, "
-                                  f"expected ({rows.shape[0]},)")
+                raise DomainError(
+                    f"{name} has shape {arr.shape}, expected ({rows.shape[0]},)"
+                )
             if name != "loc" and np.any(arr <= 0.0):
                 raise DomainError(f"{name} must be positive")
             object.__setattr__(self, name, arr)
@@ -340,8 +342,9 @@ class GaussianRows(_DrawnRows):
         if r < 1:
             raise DomainError("gaussian rows need at least one row")
         if factors.shape != (r, dim, dim):
-            raise DomainError(f"factors have shape {factors.shape}, "
-                              f"expected ({r}, {dim}, {dim})")
+            raise DomainError(
+                f"factors have shape {factors.shape}, expected ({r}, {dim}, {dim})"
+            )
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "factors", factors)
 
@@ -372,8 +375,9 @@ class BetaCoverage(_DrawnRows):
         a = _float_array("a", self.a, 2)
         b = _float_array("b", self.b, 2)
         if a.shape != b.shape:
-            raise DomainError(f"a and b must have matching shapes, "
-                              f"got {a.shape} and {b.shape}")
+            raise DomainError(
+                f"a and b must have matching shapes, got {a.shape} and {b.shape}"
+            )
         if np.any(a <= 0.0) or np.any(b <= 0.0):
             raise DomainError("beta parameters must be positive")
         threshold = float(_float_array("threshold", self.threshold, 0))
@@ -422,13 +426,17 @@ def _read_csv_rows(path, expected_header):
         if header is None:
             raise EmptyInput(f"{path}: empty file")
         if [h.strip() for h in header] != list(expected_header):
-            raise DomainError(f"{path}: expected header {','.join(expected_header)}, "
-                              f"got {','.join(header)}")
+            raise DomainError(
+                f"{path}: expected header {','.join(expected_header)}, "
+                f"got {','.join(header)}"
+            )
         rows = [row for row in reader if row and any(cell.strip() for cell in row)]
         for row in rows:
             if len(row) != len(expected_header):
-                raise DomainError(f"{path}: row {row!r} has {len(row)} fields, "
-                                  f"expected {len(expected_header)}")
+                raise DomainError(
+                    f"{path}: row {row!r} has {len(row)} fields, "
+                    f"expected {len(expected_header)}"
+                )
             # panel.csv and panel_clusters.csv write ids unquoted
             if not row[0].strip() or any(ch in row[0] for ch in ',"\r\n'):
                 raise DomainError(f"{path}: {expected_header[0]} id {row[0]!r} is "
@@ -482,12 +490,17 @@ def load_panel_data(detections_path, clusters_path, weights_path) -> PanelData:
         count = rd.cell(row[2], f"{detections_path}: ({cname}, {gname}) detected_count",
                         integer=True)
         if (cname, gname) in listed:
-            raise DomainError(f"detections list ({cname}, {gname}) more than once")
+            raise DomainError(
+                f"detections list ({cname}, {gname}) more than once"
+            )
         listed.add((cname, gname))
+        j, k = cluster_index[cname], gene_index[gname]
         if count < 0 or count > sizes[cname]:
-            raise CountOutOfRange(f"detected_count {count} outside "
-                                  f"[0, {sizes[cname]}] for ({cname}, {gname})")
-        detected[cluster_index[cname], gene_index[gname]] = count
+            raise CountOutOfRange(
+                f"detected_count {count} outside [0, {sizes[cname]}] "
+                f"for ({cname}, {gname})"
+            )
+        detected[j, k] = count
     return PanelData(
         genes=genes,
         clusters=clusters,

@@ -170,6 +170,21 @@ class TestSolve:
         assert capsys.readouterr().out.splitlines()[0] == "Infeasible"
         assert solution_from_json(out.read_text()).status == "Infeasible"
 
+    def test_bounds_only_problem_solves(self, tmp_path, capsys):
+        # an empty constraint list is an LP of bounds only, not a bad input
+        doc = {"maximize": [1.0, -1.0], "constraints": [],
+               "bounds": [[0.0, 3.0], [-1.0, 2.0]]}
+        prob = write_json(tmp_path / "prob.json", doc)
+        out = tmp_path / "solution.json"
+        assert main(["solve", prob, "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "Optimal", "objective 4.0", "x 3.0 -1.0"]
+        doc["constraints"] = {}
+        prob = write_json(tmp_path / "prob.json", doc)
+        assert main(["solve", prob, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: problem.constraints: expected a list, got an object\n")
+
     def test_unbounded_exit_code(self, tmp_path):
         prob = write_json(tmp_path / "prob.json", PROBLEM_UNBOUNDED)
         rc = main(["solve", prob, "--out", str(tmp_path / "solution.json")])
@@ -567,17 +582,23 @@ class TestCertify:
             assert rc == 2, cov
             assert message in capsys.readouterr().err, cov
 
-    @pytest.mark.parametrize("cov", [
-        pytest.param([[1.0, 2.0], [2.0, 1.0]], id="indefinite"),
-        pytest.param([[1.0, 0.0, 0.0]], id="non-square"),
-        pytest.param([[1.0, 0.0], [0.0, math.nan]], id="non-finite"),
-        pytest.param([[0.0, 0.0], [0.0, 0.25]], id="zero-variance"),
+    @pytest.mark.parametrize("cov, reader_message", [
+        pytest.param([[1.0, 2.0], [2.0, 1.0]], None, id="indefinite"),
+        pytest.param([[1.0, 0.0, 0.0]],
+                     "model.blocks[0].cov: expected a list of 2, got a list of 1",
+                     id="non-square"),
+        pytest.param([[1.0, 0.0], [0.0, math.nan]],
+                     "model.blocks[0].cov[1][1]: expected a finite number, got NaN",
+                     id="non-finite"),
+        pytest.param([[0.0, 0.0], [0.0, 0.25]], None, id="zero-variance"),
     ])
     def test_gaussian_family_matches_robustify_on_covariances(
-            self, tmp_path, capsys, cov):
+            self, tmp_path, capsys, cov, reader_message):
         # The robust solve and its certificate read one covariance the
-        # same way: both reject it with the same error class, or both
-        # accept it.  The document reader may reject first, naming the path.
+        # same way: both reject it with the same error, or both accept it.
+        # A covariance of the wrong shape or with a non-finite entry is
+        # rejected where the document is read, with the same error class
+        # and a message naming its path.
         base = LpProblem([1.0], [], [(0.0, 3.0)])
         try:
             robustify_rows(base, [([1.0, 2.0], cov)], 0.1)
@@ -593,12 +614,14 @@ class TestCertify:
         rc = main(["certify", "--solution", sol, "--model", model,
                    "--M", "100", "--out", str(tmp_path / "c.json")])
         if error is None:
+            assert reader_message is None
             assert rc == 0
-        else:
-            with pytest.raises(type(error)) as raised:
-                family(read_back, np.ones(1))
-            assert rc == 2
-            assert f"error: {raised.value}" in capsys.readouterr().err
+            return
+        with pytest.raises(type(error)):
+            family(read_back, np.ones(1))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: {reader_message or error}\n" == err
 
     def test_beta_family_matches_mc_oracle(self, tmp_path):
         # Coverage q1 + q2 with q_i ~ Beta(2, 2) against threshold 0.5;

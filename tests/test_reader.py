@@ -338,8 +338,7 @@ def _edited(name, edit):
      "['row', 'sense', 'rhs']"),
     ("problem", lambda d: d.pop("maximize"), "problem.maximize: missing required key"),
     ("rhs_student_t", lambda d: d.update(note="x"),
-     "model.note: unknown key; expected one of ['family', 'violations', 'rows', "
-     "'predictive', 'blocks', 'a', 'b', 'threshold']"),
+     "model.note: unknown key; expected one of ['family', 'rows', 'predictive']"),
     ("rhs_student_t", lambda d: d["predictive"][1].update(df=3.0),
      "model.predictive[1].df: unknown key; expected one of ['dof', 'loc', 'scale']"),
     ("gaussian_rows", lambda d: d["blocks"][0].update(mean=[1.0]),
