@@ -1,9 +1,10 @@
 """One rule for every input document: a number is a finite real, never
-a bool; an object has exactly its keys; a list is empty only where its
-reader allows it.  Each reader takes its value's path, such as
+a bool; an object has exactly its keys, each once; a list is empty only
+where its reader allows it.  Each reader takes its value's path, such as
 problem.constraints[0].rhs, and raises DomainError naming that path."""
 
 import json
+import re
 import sys
 from numbers import Integral, Real
 
@@ -37,9 +38,18 @@ def _fail(path: str, expected: str, value):
 
 
 def load(text: str, name: str):
-    """The JSON document text, called name in its message."""
+    """The JSON document text, called name in its message.  An object
+    that repeats a key is an error, where json would keep the last value."""
+    def unique(pairs):
+        out = {}
+        for key, value in pairs:
+            if key in out:
+                raise DomainError(f"{name}: repeated key {json.dumps(key)}")
+            out[key] = value
+        return out
+
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique)
     except ValueError as exc:
         raise DomainError(f"{name}: not valid JSON: {exc}") from exc
 
@@ -66,12 +76,23 @@ def number(value, path: str, integer: bool = False):
     return value
 
 
+# JSON's number grammar, and the non-finite spellings float() reads,
+# which number() rejects by their value.  int() and float() also take
+# digit grouping (1_000), a leading + and a bare point (.5, 5.), which
+# JSON does not.
+_NUMBER_TEXT = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"
+                          r"|[+-]?(?:nan|inf|infinity)", re.IGNORECASE)
+
+
 def cell(text: str, path: str, integer: bool = False):
-    """A CSV cell parsed as a number, then read by number's rule."""
-    try:
-        return number(int(text) if integer else float(text), path, integer)
-    except ValueError:
-        return number(text, path, integer)
+    """A CSV cell parsed as a number, then read by number's rule; a cell
+    that spells no JSON number is read as the string it is."""
+    if _NUMBER_TEXT.fullmatch(text.strip()):
+        try:
+            return number(int(text) if integer else float(text), path, integer)
+        except ValueError:  # int() of a fraction, an exponent or nan
+            pass
+    return number(text, path, integer)
 
 
 def one_of(value, path: str, choices) -> str:

@@ -106,13 +106,7 @@ def _check_finite(*arrays: np.ndarray):
 
 # Row i's residual r = rows[i] @ x - rhs[i] is violated by
 # max(signs[i, 0] * r, signs[i, 1] * r), which is r, -r or |r|.
-_VIOLATION_SIGNS = {"<=": np.array([[1.0, 1.0]]), ">=": np.array([[-1.0, -1.0]]),
-                    "=": np.array([[1.0, -1.0]])}
-
-
-def _violation_signs(signs: np.ndarray, senses: tuple) -> np.ndarray:
-    """signs with the rows of senses appended."""
-    return _readonly(np.concatenate([signs, *map(_VIOLATION_SIGNS.get, senses)]))
+_VIOLATION_SIGNS = {"<=": (1.0, 1.0), ">=": (-1.0, -1.0), "=": (1.0, -1.0)}
 
 
 class LpProblem:
@@ -150,22 +144,8 @@ class LpProblem:
         self.rhs = _readonly(rhs)
         self.lower = _readonly(lower)
         self.upper = _readonly(upper)
-        self._signs = _violation_signs(np.zeros((0, 2)), senses)
-
-    def _with_rows(self, rows: np.ndarray, senses: tuple,
-                   rhs: np.ndarray) -> LpProblem:
-        """This problem plus rows parsed by _constraint_arrays, whose
-        finiteness is checked here as the constructor checks it."""
-        _check_finite(rows, rhs)
-        out = object.__new__(LpProblem)
-        out.objective = self.objective
-        out.rows = _readonly(np.concatenate([self.rows, rows]))
-        out.senses = self.senses + senses
-        out.rhs = _readonly(np.concatenate([self.rhs, rhs]))
-        out.lower = self.lower
-        out.upper = self.upper
-        out._signs = _violation_signs(self._signs, senses)
-        return out
+        self._signs = _readonly(np.array(
+            [_VIOLATION_SIGNS[s] for s in senses], dtype=float).reshape(-1, 2))
 
     def _with_rhs(self, rhs) -> LpProblem:
         """This problem with the rows' right-hand sides replaced by rhs,
@@ -220,12 +200,19 @@ def max_violation(problem: LpProblem, x) -> float:
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.n,):
         raise DimensionMismatch(f"x has shape {x.shape}, expected ({problem.n},)")
+    return _violation(x, problem.rows, problem.rhs, problem._signs,
+                      problem.lower, problem.upper)
+
+
+def _violation(x, rows, rhs, signs, lower, upper) -> float:
+    """max_violation of x for rows with their rhs and violation signs
+    and the box [lower, upper]."""
     # an infinite x gives NaN from 0 * inf in a row and from inf - inf
     # against an infinite bound of its own sign; fmax drops the latter
     with np.errstate(invalid="ignore"):
-        r = problem.rows @ x - problem.rhs
-        box_worst = _peak(np.fmax(problem.lower - x, x - problem.upper))
-    row_worst = _peak(r[:, np.newaxis] * problem._signs)
+        r = rows @ x - rhs
+        box_worst = _peak(np.fmax(lower - x, x - upper))
+    row_worst = _peak(r[:, np.newaxis] * signs)
     if math.isnan(row_worst) or math.isnan(box_worst):
         return math.inf
     worst = max(row_worst, box_worst)
@@ -298,9 +285,16 @@ _RISES = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0])
 _FALLS = np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0])
 # By kind: the lower bound of the column's shifted variable.
 _LOWER = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -math.inf])
-# By sense: the coefficient, upper bound and kind of a row's logical.
-_LOGICALS = {"<=": (1.0, math.inf, _ROOM), ">=": (-1.0, math.inf, _ROOM),
-             "=": (1.0, 0.0, _FIXED)}
+# By sense: a row's violation signs, then the coefficient, upper bound
+# and kind of its logical.
+_ROW_ENTRIES = {sense: (*_VIOLATION_SIGNS[sense], *logical) for sense, logical in (
+    ("<=", (1.0, math.inf, _ROOM)), (">=", (-1.0, math.inf, _ROOM)),
+    ("=", (1.0, 0.0, _FIXED)))}
+
+
+# Rows the simplex's buffers hold at first, unless its problem has
+# more; they double when an append fills them.
+_INITIAL_CAPACITY = 16
 
 
 class _BoundedSimplex:
@@ -316,6 +310,16 @@ class _BoundedSimplex:
     +1 in [0, 0] for "=".  A row enters with its logical basic, so a
     fresh instance is every row appended to an empty basis, and rows
     appended later (append_rows) are added the same way.
+
+    The workspace grows in place.  A, binv, b, xb, basis, c, upper, kind
+    and status, and the original rows, rhs and violation signs that
+    solution()'s residual check reads, are leading views of buffers with
+    spare rows and columns, which double when an append fills them.  An
+    append writes only its new rows and rebinds the views; every other
+    update writes through them.  The tolerances an append can only raise
+    are running maxima: rhs_peak (max |rhs|, for solution()), b_peak
+    (max |b|, for run_dual) and cost_tol, which zero-cost logicals never
+    change.
 
     The basis inverse binv and the basic values xb are kept up to date:
     a pivot updates binv in product form, an append borders it
@@ -345,16 +349,24 @@ class _BoundedSimplex:
         self.problem = problem
         self.offset = offset
         self.sign = sign
-        self.c = problem.objective * sign  # logicals cost nothing
-        self.upper = upper
-        self.kind = kind
-        self.status = np.full(n, _AT_LOWER, dtype=np.int8)
+        # buffers for no rows yet; _add_rows grows them and sets the views
+        self._capacity = 0
+        self._A = np.zeros((0, n))
+        self._binv = np.zeros((0, 0))
+        self._rows = np.zeros((0, n))
+        self._signs = np.zeros((0, 2))
+        self._b = np.zeros(0)
+        self._rhs = np.zeros(0)
+        self._xb = np.zeros(0)
+        self._basis = np.zeros(0, dtype=np.intp)
+        self._c = problem.objective * sign  # logicals cost nothing
+        self._upper = upper
+        self._kind = kind
+        self._status = np.full(n, _AT_LOWER, dtype=np.int8)
+        self.cost_tol = _tolerance(self._c)
+        self.rhs_peak = self.b_peak = -math.inf
         self.m = 0
-        self.A = np.zeros((0, n))
-        self.b = np.zeros(0)
-        self.basis = np.zeros(0, dtype=np.intp)
-        self.binv = np.zeros((0, 0))
-        self.xb = np.zeros(0)
+        self._bind_views()
         self.pivots_since_refactor = 0
         self.iterations = 0
         self._add_rows(problem.rows, problem.senses, problem.rhs)
@@ -364,12 +376,14 @@ class _BoundedSimplex:
     def append_rows(self, constraints):
         """Append (row, sense, rhs) triples, each with a basic logical.
 
-        The logicals cost nothing, so the reduced costs, and with them
-        dual feasibility, are unchanged; only the new basic values can
-        leave their bounds.
+        The rows are validated as LpProblem validates its constraints,
+        and only they are written to the workspace (_add_rows).  The
+        logicals cost nothing, so the reduced costs, and with them dual
+        feasibility, are unchanged; only the new basic values can leave
+        their bounds.
         """
-        rows, senses, rhs = _constraint_arrays(constraints, self.problem.n)
-        self.problem = self.problem._with_rows(rows, senses, rhs)
+        rows, senses, rhs = _constraint_arrays(constraints, self.offset.size)
+        _check_finite(rows, rhs)
         self._add_rows(rows, senses, rhs)
 
     def replace_rhs(self, problem: LpProblem):
@@ -380,51 +394,97 @@ class _BoundedSimplex:
         read through the kept inverse.  The iteration count restarts at 0.
         """
         self.problem = problem
-        self.b = problem.rhs - problem.rows @ self.offset
+        self.rhs[:] = problem.rhs
+        self.b[:] = problem.rhs - problem.rows @ self.offset
+        self.rhs_peak = _peak(np.abs(self.rhs))
+        self.b_peak = _peak(np.abs(self.b))
         self.iterations = 0
-        self.xb = self.binv @ self._nonbasic_rhs()
+        self.xb[:] = self.binv @ self._nonbasic_rhs()
 
     def _add_rows(self, rows: np.ndarray, senses: tuple, rhs: np.ndarray):
         """Append rows, each with a basic logical column, without an
-        inversion.
+        inversion, writing only the new rows into the buffers.
 
         With the new rows' entries R_B in the basic columns and their
         logicals' coefficients D = diag(+-1) = D^-1, the new basis is
         [[B, 0], [R_B, D]], whose inverse is [[B^-1, 0], [-D R_B B^-1, D]].
         The new basic values are D (b_new - R_U u - R_B x_B), where R_U u
         is the part of the columns at their upper bound.  On an empty
-        basis this is exactly binv = D and xb = D b.
+        basis this is exactly binv = D and xb = D b.  The buffers' spare
+        entries are zero, which are the new rows' entries in the old
+        logical columns and the old rows' in the new ones.
         """
         m, k = self.m, len(senses)
-        n, width = self.offset.size, self.c.size
-        coef, upper, kind = np.array(
-            [_LOGICALS[s] for s in senses], dtype=float).reshape(k, 3).T
-        new = np.arange(k)
+        end = m + k
+        n = self.offset.size
+        width = n + m
+        if end > self._capacity:
+            self._grow(max(end, 2 * self._capacity, _INITIAL_CAPACITY))
+        entries = np.array([_ROW_ENTRIES[s] for s in senses],
+                           dtype=float).reshape(k, 5)
+        coef, upper, kind = entries[:, 2:].T
         b_new = rhs - rows @ self.offset
-        A = np.zeros((m + k, width + k))
-        A[:m, :width] = self.A
-        A[m:, :n] = rows * self.sign
-        A[m + new, width + new] = coef
+        A, binv = self._A, self._binv
+        A[m:end, :n] = rows * self.sign
+        A[m:end, width:width + k].flat[::k + 1] = coef
         at_upper = self.status == _AT_UPPER  # the new logicals are basic
-        room = b_new - A[m:, :width][:, at_upper] @ self.upper[at_upper]
-        r_b = A[m:, self.basis]
-        binv = np.zeros((m + k, m + k))
-        binv[:m, :m] = self.binv
-        binv[m:, :m] = -coef[:, np.newaxis] * (r_b @ self.binv)
-        binv[m + new, m + new] = coef
-        self.binv = binv
-        self.xb = np.concatenate([self.xb, coef * (room - r_b @ self.xb)])
-        self.A = A
-        self.b = np.concatenate([self.b, b_new])
-        self.c = np.concatenate([self.c, np.zeros(k)])
-        self.upper = np.concatenate([self.upper, upper])
-        self.kind = np.concatenate([self.kind, kind.astype(np.int8)])
-        self.status = np.concatenate(
-            [self.status, np.full(k, _BASIC, dtype=np.int8)])
-        self.basis = np.concatenate([self.basis, width + new])
-        self.m = m + k
-        self.max_iterations = 2000 + 200 * (self.m + width + k)
+        room = b_new
+        if at_upper.any():
+            room = b_new - A[m:end, :width][:, at_upper] @ self.upper[at_upper]
+        # a fancy index keeps r_b Fortran-ordered, and with it the
+        # rounding of the products below
+        r_b = A[m:end, self.basis]
+        np.multiply(-coef[:, np.newaxis], r_b @ self.binv, out=binv[m:end, :m])
+        binv[m:end, m:end].flat[::k + 1] = coef
+        self._xb[m:end] = coef * (room - r_b @ self.xb)
+        self._b[m:end] = b_new
+        self._rhs[m:end] = rhs
+        self._rows[m:end] = rows
+        self._signs[m:end] = entries[:, :2]
+        self._basis[m:end] = np.arange(width, width + k)
+        self._upper[width:width + k] = upper
+        self._kind[width:width + k] = kind
+        self._status[width:width + k] = _BASIC
+        self.rhs_peak = max(self.rhs_peak, _peak(np.abs(rhs)))
+        self.b_peak = max(self.b_peak, _peak(np.abs(b_new)))
+        self.m = end
+        self._bind_views()
+        self.max_iterations = 2000 + 200 * (end + width + k)
         self._priced = None
+
+    def _bind_views(self):
+        """Point the workspace's names at the leading m rows and n + m
+        columns of the buffers."""
+        m, width = self.m, self.offset.size + self.m
+        self.A = self._A[:m, :width]
+        self.binv = self._binv[:m, :m]
+        self.rows = self._rows[:m]
+        self.signs = self._signs[:m]
+        self.b = self._b[:m]
+        self.rhs = self._rhs[:m]
+        self.xb = self._xb[:m]
+        self.basis = self._basis[:m]
+        self.c = self._c[:width]
+        self.upper = self._upper[:width]
+        self.kind = self._kind[:width]
+        self.status = self._status[:width]
+
+    def _grow(self, capacity: int):
+        """Move each buffer into a zeroed one for capacity rows (and
+        their logical columns), keeping its entries."""
+        n = self.offset.size
+        shapes = {"_A": (capacity, n + capacity), "_binv": (capacity, capacity),
+                  "_rows": (capacity, n), "_signs": (capacity, 2)}
+        for name in ("_b", "_rhs", "_xb", "_basis"):
+            shapes[name] = (capacity,)
+        for name in ("_c", "_upper", "_kind", "_status"):
+            shapes[name] = (n + capacity,)
+        for name, shape in shapes.items():
+            old = getattr(self, name)
+            buffer = np.zeros(shape, dtype=old.dtype)
+            buffer[tuple(map(slice, old.shape))] = old
+            setattr(self, name, buffer)
+        self._capacity = capacity
 
     def _nonbasic_rhs(self) -> np.ndarray:
         """b minus the contribution of nonbasic-at-upper columns (b itself
@@ -440,10 +500,10 @@ class _BoundedSimplex:
         residual check fails after pivots."""
         basis_mat = self.A[:, self.basis]
         try:
-            self.binv = np.linalg.inv(basis_mat)
+            self.binv[:] = np.linalg.inv(basis_mat)
         except np.linalg.LinAlgError as exc:
             raise NumericalBreakdown("basis matrix is singular") from exc
-        self.xb = self.binv @ self._nonbasic_rhs()
+        self.xb[:] = self.binv @ self._nonbasic_rhs()
         self.pivots_since_refactor = 0
         self._priced = None
 
@@ -470,6 +530,10 @@ class _BoundedSimplex:
         d = c - y @ self.A
         self._priced = (c, d)
         return d
+
+    def _cost_tolerance(self, costs: np.ndarray) -> float:
+        """_tolerance(costs), read from cost_tol for the true costs."""
+        return self.cost_tol if costs is self.c else _tolerance(costs)
 
     def _moves(self) -> tuple[np.ndarray, np.ndarray]:
         """1.0 per column that may rise from where it stands, and per
@@ -506,7 +570,7 @@ class _BoundedSimplex:
         """
         c = self.c
         d = self._reduced_costs(c)
-        shift = self._gains(d)[1] > _tolerance(c)
+        shift = self._gains(d)[1] > self.cost_tol
         # unshifted, c itself goes on, so run_dual's first pricing is d
         if not self.run_dual(np.where(shift, c - d, c) if shift.any() else c):
             return "Infeasible"
@@ -520,7 +584,7 @@ class _BoundedSimplex:
         Returns "Optimal" or "Unbounded".  Raises NumericalBreakdown on
         irrecoverable pivots or iteration explosion.
         """
-        price_tol = _tolerance(c)
+        price_tol = self._cost_tolerance(c)
         bland = False
         degenerate_streak = 0
         while True:
@@ -603,8 +667,8 @@ class _BoundedSimplex:
         """
         if not self.m:
             return True
-        primal_tol = _tolerance(self.b)
-        dual_tol = _tolerance(costs)
+        primal_tol = 1e-9 * max(1.0, self.b_peak)
+        dual_tol = self._cost_tolerance(costs)
         while True:
             lower_b, upper_b = self._basic_bounds()
             below = lower_b - self.xb
@@ -679,11 +743,12 @@ class _BoundedSimplex:
         x still misses a row, and when x or the objective is not finite.
         """
         problem = self.problem
-        limit = 10.0 * FEAS_TOL * max(1.0, _peak(np.abs(problem.rhs)))
+        limit = 10.0 * FEAS_TOL * max(1.0, self.rhs_peak)
         while True:
             # clean tiny drift against the original box
             x = np.minimum(np.maximum(self.extract(), problem.lower), problem.upper)
-            resid = max_violation(problem, x)
+            resid = _violation(x, self.rows, self.rhs, self.signs,
+                               problem.lower, problem.upper)
             if resid <= limit or not self.pivots_since_refactor:
                 break
             self._refactor()  # at most once: it zeroes pivots_since_refactor

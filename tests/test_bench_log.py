@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -118,6 +119,22 @@ def test_main_passes_on_a_failed_check(tmp_path, monkeypatch):
     assert rc == 1
     records = json.loads((tmp_path / "BENCH_sim_study.json").read_text())
     assert records[0]["correct"] is False
+
+
+def test_main_byte_compiles_the_checkout(tmp_path, monkeypatch):
+    # a clone run with bytecode writing off would compile its sources
+    # anew in every run, which reads as a slower setup_s
+    checkout = fake_checkout(tmp_path / "change", CANNED, 0)
+    module = checkout / "src" / "pkg" / "mod.py"
+    module.parent.mkdir(parents=True)
+    module.write_text("X = 1\n")
+    monkeypatch.setattr(bench_log, "_commit", lambda path: "abc123")
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    assert bench_log.main(["--label", "change", "--workload", "robust_lp",
+                           "--seed", "1", "--checkout", str(checkout),
+                           "--out", str(tmp_path)]) == 0
+    for source in (module, checkout / "perfbench" / "run.py"):
+        assert Path(importlib.util.cache_from_source(str(source))).is_file()
 
 
 def git(checkout, *args):

@@ -608,6 +608,50 @@ class TestWarmRowGeneration:
             senses.update(s for _, s, _ in added)
         assert senses == {"<=", ">=", "="}
 
+    def test_one_row_per_round_past_three_doublings(self, monkeypatch):
+        # The simplex keeps its rows in buffers that double when full.
+        # 80 rounds of one row each take the base's 1 row past 16, 32
+        # and 64, and every relaxation's objective is HiGHS's on the
+        # base plus the rows added so far.
+        gen = np.random.default_rng(5)
+        n = 6
+        base = LpProblem(gen.normal(size=n), [(np.ones(n), "<=", 4.0)],
+                         [(-2.0, 2.0)] * n)
+        point = gen.uniform(-0.5, 0.5, n)  # every added row holds here
+        added, capacities = [], []
+        grow = _BoundedSimplex._grow
+
+        def recording_grow(self, capacity):
+            capacities.append(capacity)
+            grow(self, capacity)
+
+        def separate(x):
+            stacked = LpProblem(base.objective, base.constraints() + added,
+                                base.bounds())
+            ref = highs_objective(stacked)
+            assert abs(base.objective @ x - ref) <= 1e-9 * max(1.0, abs(ref))
+            if len(added) == 80:
+                return [], 0.0
+            # a row between point and x, of each sense in turn
+            a = gen.normal(size=n)
+            gap = a @ (x - point)
+            sense = "=" if len(added) in (2, 5) else ("<=", ">=")[len(added) % 2]
+            if sense == "=":
+                row = (a, "=", float(a @ point))
+            else:
+                a = a if (gap > 0.0) == (sense == "<=") else -a
+                row = (a, sense, float(a @ point + 0.5 * (a @ (x - point))))
+            added.append(row)
+            return [row], abs(gap)
+
+        monkeypatch.setattr(_BoundedSimplex, "_grow", recording_grow)
+        sol, log = solve_cutting_planes(base, separate, 100)
+        assert sol.status == "Optimal"
+        assert log.cuts_per_round == [1] * 80 + [0]
+        assert capacities == [16, 32, 64, 128]
+        assert max_violation(LpProblem(base.objective, base.constraints() + added,
+                                       base.bounds()), sol.x) <= 10 * FEAS_TOL
+
     @pytest.mark.parametrize("sense", [">=", "="])
     def test_infeasible_cut(self, sense):
         base = LpProblem([1.0, 1.0], [], [(0.0, 1.0), (0.0, 1.0)])
@@ -875,9 +919,7 @@ class TestReplaceRhsInverse:
         sol = kept.result(kept.solve())
         assert calls == []
         # the same to 1e-12 as inverting again
-        refactored.problem = with_rhs(problem, second)
-        refactored.b = refactored.problem.rhs - problem.rows @ refactored.offset
-        refactored.iterations = 0
+        refactored.replace_rhs(with_rhs(problem, second))
         refactored._refactor()
         fresh = refactored.result(refactored.solve())
         assert (sol.status, sol.iterations) == (fresh.status, fresh.iterations)

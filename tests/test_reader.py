@@ -89,6 +89,9 @@ class TestRules:
     @pytest.mark.parametrize("text, integer", [
         ("ten", True), ("1.5", True), ("nan", True), ("", False), ("nan", False),
         ("inf", False), ("1e400", False), ("true", False), ("[1.0]", False),
+        # int() and float() read these; JSON's number grammar does not
+        ("1_000", False), ("1_0", True), ("+1", True), (".5", False),
+        ("5.", False), ("01", True),
     ])
     def test_csv_cells(self, text, integer):
         with pytest.raises(DomainError,
@@ -98,6 +101,22 @@ class TestRules:
     def test_csv_cell_values(self):
         assert rd.cell(" 12 ", "c", integer=True) == 12
         assert rd.cell("2.5", "c") == 2.5
+        assert rd.cell("-0.5e-3", "c") == -0.0005
+        assert rd.cell("1E+2", "c") == 100.0
+
+    def test_digit_grouping_is_reported_as_the_cell(self):
+        with pytest.raises(DomainError) as raised:
+            rd.cell("1_000", "w.csv: gene 'g1' weight")
+        assert str(raised.value) == ("w.csv: gene 'g1' weight: expected a finite "
+                                     'number, got "1_000"')
+
+    def test_repeated_key_names_the_key_and_the_document(self):
+        assert rd.load('{"a": {"b": 1}, "c": [{"b": 2}]}', "doc") == \
+            {"a": {"b": 1}, "c": [{"b": 2}]}
+        for text in ('{"a": 1, "a": 1}', '{"c": [{"b": 1, "a": 2, "a": 3}]}'):
+            with pytest.raises(DomainError) as raised:
+                rd.load(text, "doc")
+            assert str(raised.value) == 'doc: repeated key "a"'
 
     def test_invalid_json_names_the_document(self):
         with pytest.raises(DomainError, match=r"^problem: not valid JSON"):
@@ -156,6 +175,7 @@ DOCUMENTS = {
 CONFIGS = {"SimConfig", "PanelConfig"}  # every key optional
 OTHER_FAMILY_KEYS = ("violations", "rows", "blocks", "threshold")
 BIG = "__1e400__"  # stands for the JSON literal 1e400, which json reads as inf
+REPEAT = "__repeat__"  # a key so prefixed is written as the key it repeats
 
 
 def _at(doc, loc):
@@ -195,6 +215,9 @@ def json_mutations(name, rng):
                                     _changed(doc, loc + [key], _set(1.0)),
                                     f"{path}.{key}"))
             for key, item in value.items():
+                out.append((f"repeat {key}", _changed(doc, loc + [REPEAT + key],
+                                                      _set(copy.deepcopy(item))),
+                            f'{root}: repeated key "{key}"'))
                 if name not in CONFIGS:
                     out.append((f"drop {key}", _changed(doc, loc + [key],
                                                         lambda p, k: p.pop(k)),
@@ -221,7 +244,8 @@ def json_mutations(name, rng):
             out.append(("wrap", _changed(doc, loc, _set([value])), path))
 
     walk(doc, root, [])
-    return [(label, json.dumps(d).replace(f'"{BIG}"', "1e400"), path)
+    return [(label, json.dumps(d).replace(f'"{BIG}"', "1e400")
+             .replace(f'"{REPEAT}', '"'), path)
             for label, d, path in out]
 
 
@@ -249,7 +273,8 @@ def csv_mutations(name, rng):
     row_id = {"weights": f"gene {rows[i][0]!r}", "clusters": f"cluster {rows[i][0]!r}",
               "detections": f"({rows[i][0]}, {rows[i][1]})"}[name]
     number = header[-1]
-    for bad in ("true", "abc", "", "nan", "1e400", "null", f"[{rows[i][-1]}]"):
+    for bad in ("true", "abc", "", "nan", "1e400", "null", f"[{rows[i][-1]}]",
+                "1_0", "+1"):
         body = copy.deepcopy(rows)
         body[i][-1] = bad
         out.append((f"{number} as {bad!r}", text(header, body), f"{row_id} {number}"))
@@ -313,6 +338,18 @@ def test_every_csv_mutation_exits_2_naming_its_file(tmp_path, capsys, name):
     for label, text, named in csv_mutations(name, rng):
         _check(tmp_path, capsys, f"panel-{name}", label, text,
                f"error: {tmp_path / 'doc'}", named)
+
+
+def test_repeated_keys_exit_2(tmp_path, capsys):
+    # json keeps a repeated key's last value: this document once solved
+    # to objective 4.0 and exited 0
+    text = ('{"maximize": [1.0, 1.0], "maximize": [2.0, 1.0], "constraints": '
+            '[{"row": [1.0, 1.0], "sense": "<=", "rhs": true, "rhs": 2.0}], '
+            '"bounds": [[0.0, null], [0.0, null]]}')
+    rc, out = _run(tmp_path, "solve", text)
+    assert rc == 2
+    assert capsys.readouterr().err == 'error: problem: repeated key "rhs"\n'
+    assert not out.exists()
 
 
 def _edited(name, edit):

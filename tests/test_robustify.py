@@ -578,12 +578,12 @@ class TestTenVariableInstance:
         assert abs(value1 - value2) <= 1e-9 * abs(value1)
 
 
-def many_round_instance():
+def robust_lp_instance(seed):
     """n=4, 2 uncertain rows drawn as the benchmark's robust_lp
     instances are (covariance root scale 0.12, redrawn until the rhs
-    sd is below a fifth of its center), from numpy seed 3; box [0, 5]^4,
-    alpha 0.1."""
-    gen = np.random.default_rng(3)
+    sd is below a fifth of its center), from numpy seed seed; box
+    [0, 5]^4, alpha 0.1."""
+    gen = np.random.default_rng(seed)
     n = 4
     c = gen.uniform(0.5, 2.0, n)
     rows = []
@@ -596,6 +596,11 @@ def many_round_instance():
                 break
         rows.append((center, cov))
     return robustify_rows(box_base(c, 5.0), rows, alpha=0.1)
+
+
+def many_round_instance():
+    """robust_lp_instance(3), which takes 48 rounds."""
+    return robust_lp_instance(3)
 
 
 class TestManyRoundInstance:
@@ -621,6 +626,32 @@ class TestManyRoundInstance:
         sol, _ = solve_robust_cutting_planes(rlp)
         ref = highs_cutting_planes(rlp)
         assert abs(sol.objective_value - ref) <= 1e-9 * abs(ref)
+
+
+class TestReplayDigest:
+    # 40 robust_lp instances replay bit for bit under one BLAS thread:
+    # status, rounds, cuts per round and the bytes of x, hashed.  The
+    # digest was taken before the simplex kept its rows in growable
+    # buffers, so it pins that the storage moved no pivot.
+    DIGEST = "9f5f474f3e6a91bb5e500dbd7acae08cd8e45050bd1766b051a2992278be337f"
+
+    def test_forty_instances_replay(self):
+        code = ("import hashlib\n"
+                "from test_robustify import robust_lp_instance\n"
+                "from postfeas.robustify import solve_robust_cutting_planes\n"
+                "digest = hashlib.sha256()\n"
+                "for seed in range(40):\n"
+                "    sol, log = solve_robust_cutting_planes(robust_lp_instance(seed))\n"
+                "    digest.update(repr((sol.status, log.rounds,\n"
+                "                        log.cuts_per_round)).encode())\n"
+                "    digest.update(sol.x.tobytes())\n"
+                "print(digest.hexdigest())\n")
+        env = child_env(OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] += os.pathsep + str(Path(__file__).resolve().parent)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [self.DIGEST]
 
 
 def t_rhs(dof, loc, scale):

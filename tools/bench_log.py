@@ -5,8 +5,11 @@
     python3 tools/bench_log.py --label parent --checkout ../parent \\
         --workload sim_study --seed 11
 
-Runs ``perfbench/run.py`` of the checkout (the repository holding this
-script unless --checkout names another git clone) for the benchmark's
+Byte-compiles the checkout's ``src`` and ``perfbench`` (the repository
+holding this script unless --checkout names another git clone), so that
+neither side of a pair compiles its sources on every run when bytecode
+writing is off (``PYTHONDONTWRITEBYTECODE``), which shows in
+``setup_s``.  Then runs the checkout's ``perfbench/run.py`` for the benchmark's
 ``run_seconds`` (from BENCHMARK.json) with tracing off, reads the result
 from the last JSON line of its stdout and the environment from its
 ``env:`` lines, and appends one record to ``BENCH_<workload>.json`` in
@@ -24,6 +27,7 @@ no result line records nothing and exits 2.
 from __future__ import annotations
 
 import argparse
+import compileall
 import json
 import os
 import re
@@ -123,6 +127,15 @@ def _commit(checkout: Path) -> str:
     return head + "-dirty" if changed.strip() else head
 
 
+def byte_compile(checkout: Path):
+    """Write the bytecode of the checkout's src and perfbench where it is
+    missing or older than its source (compileall writes it whatever
+    PYTHONDONTWRITEBYTECODE says)."""
+    for name in ("src", "perfbench"):
+        if (checkout / name).is_dir():
+            compileall.compile_dir(checkout / name, quiet=1)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--label", required=True, choices=LABELS)
@@ -138,6 +151,7 @@ def main(argv=None) -> int:
     try:
         _read_records(path)  # refuse a malformed log before the run
         commit = _commit(checkout)
+        byte_compile(checkout)
         proc = subprocess.run(
             [sys.executable, str(checkout / "perfbench" / "run.py"),
              "--workload", args.workload, "--seed", str(args.seed),
