@@ -311,6 +311,10 @@ class _BoundedSimplex:
     fresh instance is every row appended to an empty basis, and rows
     appended later (append_rows) are added the same way.
 
+    problem is the LpProblem the simplex was built from, or the one last
+    given to replace_rhs: its objective and box are the solve's, and rows
+    appended since live in the workspace alone.
+
     The workspace grows in place.  A, binv, b, xb, basis, c, upper, kind
     and status, and the original rows, rhs and violation signs that
     solution()'s residual check reads, are leading views of buffers with
@@ -851,14 +855,16 @@ def solve_cutting_planes(
     returns the (row, sense, rhs) rows to add at the incumbent x and the
     largest violation it saw; the loop ends when it returns no rows.  One
     simplex serves every round through one entry, _BoundedSimplex.solve:
-    after rows are appended the previous optimal basis is still dual
-    feasible, so it needs no cost shift: the bounded dual simplex
-    re-enters it and the primal simplex confirms it (Koberstein 2005, The dual simplex
-    method, techniques for a fast and stable implementation).  A non-Optimal
-    relaxation is returned as is; iterations is the total over all
-    rounds.  Appended rows are validated as LpProblem validates its
-    constraints.  Raises DomainError when max_rounds < 1 and
-    MaxRoundsExceeded after max_rounds solves.
+    a round writes only its new rows into the simplex's workspace, which
+    grows in place.  After rows are appended the previous optimal basis
+    is still dual feasible, so it needs no cost shift: the bounded dual
+    simplex re-enters it and the primal simplex confirms it (Koberstein
+    2005, The dual simplex method, techniques for a fast and stable
+    implementation).  A non-Optimal relaxation is returned as is;
+    iterations is the total over all rounds.  Appended rows are
+    validated as LpProblem validates its constraints.  Raises
+    DomainError when max_rounds < 1 and MaxRoundsExceeded after
+    max_rounds solves.
     """
     if max_rounds < 1:
         raise DomainError(f"max_rounds must be >= 1, got {max_rounds}")
