@@ -104,20 +104,6 @@ class TestRules:
         assert rd.cell("-0.5e-3", "c") == -0.0005
         assert rd.cell("1E+2", "c") == 100.0
 
-    def test_digit_grouping_is_reported_as_the_cell(self):
-        with pytest.raises(DomainError) as raised:
-            rd.cell("1_000", "w.csv: gene 'g1' weight")
-        assert str(raised.value) == ("w.csv: gene 'g1' weight: expected a finite "
-                                     'number, got "1_000"')
-
-    def test_repeated_key_names_the_key_and_the_document(self):
-        assert rd.load('{"a": {"b": 1}, "c": [{"b": 2}]}', "doc") == \
-            {"a": {"b": 1}, "c": [{"b": 2}]}
-        for text in ('{"a": 1, "a": 1}', '{"c": [{"b": 1, "a": 2, "a": 3}]}'):
-            with pytest.raises(DomainError) as raised:
-                rd.load(text, "doc")
-            assert str(raised.value) == 'doc: repeated key "a"'
-
     def test_invalid_json_names_the_document(self):
         with pytest.raises(DomainError, match=r"^problem: not valid JSON"):
             rd.load("{nope", "problem")

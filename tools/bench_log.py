@@ -7,13 +7,13 @@
 
 Byte-compiles the checkout's ``src`` and ``perfbench`` (the repository
 holding this script unless --checkout names another git clone), so that
-neither side of a pair compiles its sources on every run when bytecode
-writing is off (``PYTHONDONTWRITEBYTECODE``), which shows in
-``setup_s``.  Then runs the checkout's ``perfbench/run.py`` for the benchmark's
-``run_seconds`` (from BENCHMARK.json) with tracing off, reads the result
-from the last JSON line of its stdout and the environment from its
-``env:`` lines, and appends one record to ``BENCH_<workload>.json`` in
---out (the repository root by default).  The file is a JSON list that
+neither side of a pair compiles its sources in every run when bytecode
+writing is off (``PYTHONDONTWRITEBYTECODE``), which would show in
+``setup_s``.  Then runs the checkout's ``perfbench/run.py`` for the
+benchmark's ``run_seconds`` (from BENCHMARK.json) with tracing off,
+reads the result from the last JSON line of its stdout and the
+environment from its ``env:`` lines, and appends one record to
+``BENCH_<workload>.json`` in --out (the repository root by default).  The file is a JSON list that
 only grows: an existing file that is not such a list makes the script
 exit 2 and is left as it was.  A record holds the checkout's commit
 (with a -dirty suffix when its tree has uncommitted changes other than
