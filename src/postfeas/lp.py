@@ -320,7 +320,11 @@ class _BoundedSimplex:
     solution()'s residual check reads, are leading views of buffers with
     spare rows and columns, which double when an append fills them.  An
     append writes only its new rows and rebinds the views; every other
-    update writes through them.  The tolerances an append can only raise
+    update writes through them.  So does the upkeep of what pricing and
+    the ratio tests read: rises and falls (1.0 where a column may rise,
+    or fall, from where it stands) follow status through _set_status,
+    and the basic variables' bounds lower_b and upper_b follow basis
+    through _pivot.  The tolerances an append can only raise
     are running maxima: rhs_peak (max |rhs|, for solution()), b_peak
     (max |b|, for run_dual) and cost_tol, which zero-cost logicals never
     change.
@@ -363,10 +367,14 @@ class _BoundedSimplex:
         self._rhs = np.zeros(0)
         self._xb = np.zeros(0)
         self._basis = np.zeros(0, dtype=np.intp)
+        self._lower_b = np.zeros(0)
+        self._upper_b = np.zeros(0)
         self._c = problem.objective * sign  # logicals cost nothing
         self._upper = upper
         self._kind = kind
         self._status = np.full(n, _AT_LOWER, dtype=np.int8)
+        self._rises = _RISES.take(kind + _AT_LOWER)
+        self._falls = _FALLS.take(kind + _AT_LOWER)
         self.cost_tol = _tolerance(self._c)
         self.rhs_peak = self.b_peak = -math.inf
         self.m = 0
@@ -446,6 +454,7 @@ class _BoundedSimplex:
         self._rows[m:end] = rows
         self._signs[m:end] = entries[:, :2]
         self._basis[m:end] = np.arange(width, width + k)
+        self._upper_b[m:end] = upper
         self._upper[width:width + k] = upper
         self._kind[width:width + k] = kind
         self._status[width:width + k] = _BASIC
@@ -468,10 +477,14 @@ class _BoundedSimplex:
         self.rhs = self._rhs[:m]
         self.xb = self._xb[:m]
         self.basis = self._basis[:m]
+        self.lower_b = self._lower_b[:m]
+        self.upper_b = self._upper_b[:m]
         self.c = self._c[:width]
         self.upper = self._upper[:width]
         self.kind = self._kind[:width]
         self.status = self._status[:width]
+        self.rises = self._rises[:width]
+        self.falls = self._falls[:width]
 
     def _grow(self, capacity: int):
         """Move each buffer into a zeroed one for capacity rows (and
@@ -479,9 +492,9 @@ class _BoundedSimplex:
         n = self.offset.size
         shapes = {"_A": (capacity, n + capacity), "_binv": (capacity, capacity),
                   "_rows": (capacity, n), "_signs": (capacity, 2)}
-        for name in ("_b", "_rhs", "_xb", "_basis"):
+        for name in ("_b", "_rhs", "_xb", "_basis", "_lower_b", "_upper_b"):
             shapes[name] = (capacity,)
-        for name in ("_c", "_upper", "_kind", "_status"):
+        for name in ("_c", "_upper", "_kind", "_status", "_rises", "_falls"):
             shapes[name] = (n + capacity,)
         for name, shape in shapes.items():
             old = getattr(self, name)
@@ -517,8 +530,10 @@ class _BoundedSimplex:
         Product-form update of the basis inverse.  The caller has already
         moved xb and the leaving variable's status.
         """
-        self.status[j] = _BASIC
+        self._set_status(j, _BASIC)
         self.basis[r] = j
+        self.lower_b[r] = _LOWER[self.kind[j]]
+        self.upper_b[r] = self.upper[j]
         row = self.binv[r] / w[r]
         self.binv -= w[:, np.newaxis] * row
         self.binv[r] = row
@@ -539,24 +554,21 @@ class _BoundedSimplex:
         """_tolerance(costs), read from cost_tol for the true costs."""
         return self.cost_tol if costs is self.c else _tolerance(costs)
 
-    def _moves(self) -> tuple[np.ndarray, np.ndarray]:
-        """1.0 per column that may rise from where it stands, and per
-        column that may fall; 0.0 elsewhere."""
-        code = self.kind + self.status
-        return _RISES.take(code), _FALLS.take(code)
+    def _set_status(self, j: int, status: int):
+        """Column j now stands at status: at its lower or upper bound, or
+        basic.  rises and falls follow it."""
+        self.status[j] = status
+        code = self.kind[j] + status
+        self.rises[j] = _RISES[code]
+        self.falls[j] = _FALLS[code]
 
     def _gains(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(up, gain) for the reduced costs d: up is d where a column may
         rise and a signed zero elsewhere; gain is the larger of up and of
         -d where the column may fall.  So gain > 0 exactly where moving a
         column the way it may move raises c'z, and is then that rate."""
-        rises, falls = self._moves()
-        up = rises * d
-        return up, np.maximum(up, falls * -d)
-
-    def _basic_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Lower and upper bounds of the basic variables, row by row."""
-        return _LOWER.take(self.kind.take(self.basis)), self.upper.take(self.basis)
+        up = self.rises * d
+        return up, np.maximum(up, self.falls * -d)
 
     # -- entry ----------------------------------------------------------------
 
@@ -606,7 +618,7 @@ class _BoundedSimplex:
             w = self.binv @ self.A[:, j]
             g = direction * w
             mag = np.abs(w)
-            lower_b, upper_b = self._basic_bounds()
+            lower_b, upper_b = self.lower_b, self.upper_b
             # room of each basic variable before the bound it moves to
             room = np.where(g > 0.0, self.xb - lower_b, upper_b - self.xb)
             cand_step = np.maximum(
@@ -629,7 +641,8 @@ class _BoundedSimplex:
             if flip_step <= basic_step:
                 # the entering variable runs to its opposite bound
                 self.xb -= direction * step * w
-                self.status[j] = _AT_UPPER if self.status[j] == _AT_LOWER else _AT_LOWER
+                self._set_status(
+                    j, _AT_UPPER if self.status[j] == _AT_LOWER else _AT_LOWER)
                 continue
             ties = cand_step <= step + 1e-12
             if bland:
@@ -649,9 +662,9 @@ class _BoundedSimplex:
             enter_from = self.upper[j] if self.status[j] == _AT_UPPER else 0.0
             self.xb -= direction * step * w
             self.xb[r] = enter_from + direction * step
-            self.status[leaving] = _AT_UPPER if g[r] < 0 else _AT_LOWER
-            if self.kind[leaving] == _FREE:
-                self.status[leaving] = _AT_LOWER  # free leaves exactly at 0
+            # a free column leaves exactly at 0
+            self._set_status(leaving, _AT_UPPER if g[r] < 0 and
+                             self.kind[leaving] != _FREE else _AT_LOWER)
             self._pivot(r, j, w)
             if self.pivots_since_refactor >= 128:
                 self._refactor()
@@ -674,7 +687,7 @@ class _BoundedSimplex:
         primal_tol = 1e-9 * max(1.0, self.b_peak)
         dual_tol = self._cost_tolerance(costs)
         while True:
-            lower_b, upper_b = self._basic_bounds()
+            lower_b, upper_b = self.lower_b, self.upper_b
             below = lower_b - self.xb
             excess = np.maximum(below, self.xb - upper_b)
             r = int(excess.argmax())
@@ -687,7 +700,7 @@ class _BoundedSimplex:
             rise = 1.0 if below[r] > 0.0 else -1.0
             alpha = self.binv[r] @ self.A
             d = self._reduced_costs(costs)
-            rises, falls = self._moves()
+            rises, falls = self.rises, self.falls
             # moving column j by t moves x_B[r] by -alpha[j] * t: |alpha[j]|
             # where that takes x_B[r] towards its bound, 0 or less elsewhere
             s_alpha = rise * alpha
@@ -718,7 +731,7 @@ class _BoundedSimplex:
             enter_from = self.upper[q] if self.status[q] == _AT_UPPER else 0.0
             self.xb -= t * w
             self.xb[r] = enter_from + t
-            self.status[leaving] = _AT_LOWER if rise > 0.0 else _AT_UPPER
+            self._set_status(leaving, _AT_LOWER if rise > 0.0 else _AT_UPPER)
             self._pivot(r, q, w)
             if self.pivots_since_refactor >= 128:
                 self._refactor()

@@ -11,6 +11,9 @@ from scipy.optimize import linprog
 from postfeas.errors import DimensionMismatch, DomainError, NumericalBreakdown
 from postfeas.lp import (
     _AT_UPPER,
+    _FALLS,
+    _LOWER,
+    _RISES,
     FEAS_TOL,
     LpProblem,
     LpSolution,
@@ -651,6 +654,35 @@ class TestWarmRowGeneration:
         assert capacities == [16, 32, 64, 128]
         assert max_violation(LpProblem(base.objective, base.constraints() + added,
                                        base.bounds()), sol.x) <= 10 * FEAS_TOL
+
+    def test_kept_moves_and_basic_bounds_match_a_recount(self):
+        # rises, falls, lower_b and upper_b are kept through every status
+        # change, pivot and append instead of being recomputed
+        def recount(solver):
+            code = solver.kind + solver.status
+            assert np.array_equal(solver.rises, _RISES.take(code))
+            assert np.array_equal(solver.falls, _FALLS.take(code))
+            assert np.array_equal(solver.lower_b,
+                                  _LOWER.take(solver.kind.take(solver.basis)))
+            assert np.array_equal(solver.upper_b, solver.upper.take(solver.basis))
+
+        for seed in range(20):
+            base, pool = pool_instance(seed)
+            separate, _ = pool_separator(pool)
+            solver = _BoundedSimplex(base)
+            recount(solver)
+            while solver.solve() == "Optimal":
+                recount(solver)
+                rows, _ = separate(solver.solution().x)
+                if not rows:
+                    break
+                solver.append_rows(rows)
+                recount(solver)
+        rng = np.random.default_rng(44)
+        for _ in range(100):
+            solver = _BoundedSimplex(random_mixed_bound_problem(rng))
+            solver.solve()
+            recount(solver)
 
     @pytest.mark.parametrize("sense", [">=", "="])
     def test_infeasible_cut(self, sense):
