@@ -324,10 +324,9 @@ class _BoundedSimplex:
     the ratio tests read: rises and falls (1.0 where a column may rise,
     or fall, from where it stands) follow status through _set_status,
     and the basic variables' bounds lower_b and upper_b follow basis
-    through _pivot.  The tolerances an append can only raise
-    are running maxima: rhs_peak (max |rhs|, for solution()), b_peak
-    (max |b|, for run_dual) and cost_tol, which zero-cost logicals never
-    change.
+    through _pivot.  The tolerances an append can only raise are running
+    maxima: rhs_peak (max |rhs|, for solution()), b_peak (max |b|, for
+    run_dual) and cost_tol, which zero-cost logicals never change.
 
     The basis inverse binv and the basic values xb are kept up to date:
     a pivot updates binv in product form, an append borders it
@@ -424,7 +423,9 @@ class _BoundedSimplex:
         is the part of the columns at their upper bound.  On an empty
         basis this is exactly binv = D and xb = D b.  The buffers' spare
         entries are zero, which are the new rows' entries in the old
-        logical columns and the old rows' in the new ones.
+        logical columns and the old rows' in the new ones, the new
+        logicals' costs and lower bounds, and their rises and falls, since
+        they enter basic.
         """
         m, k = self.m, len(senses)
         end = m + k
