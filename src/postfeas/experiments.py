@@ -136,6 +136,9 @@ class SimConfig:
                                   f"JSON), got {getattr(self, key)!r}")
         for path, alpha in rd.entries(self.alphas, "SimConfig.alphas"):
             _check(path, alpha, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
+        if len({f"{alpha:g}" for alpha in self.alphas}) < len(self.alphas):
+            raise DomainError(f"SimConfig.alphas: expected alphas whose charts' "
+                              f"names (format g) differ, got {self.alphas!r}")
         rd.number(self.master_seed, "SimConfig.master_seed", integer=True)
         _check("SimConfig.x_max", self.x_max, lambda v: v > 0.0, "a positive number")
         for key in ranges:

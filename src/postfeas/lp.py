@@ -147,23 +147,6 @@ class LpProblem:
         self._signs = _readonly(np.array(
             [_VIOLATION_SIGNS[s] for s in senses], dtype=float).reshape(-1, 2))
 
-    def _with_rhs(self, rhs) -> LpProblem:
-        """This problem with the rows' right-hand sides replaced by rhs,
-        validated as the constructor validates rhs (shape and finiteness)."""
-        rhs = np.array(rhs, dtype=float)
-        if rhs.shape != (self.m,):
-            raise DimensionMismatch(f"rhs has shape {rhs.shape}, expected ({self.m},)")
-        _check_finite(rhs)
-        out = object.__new__(LpProblem)
-        out.objective = self.objective
-        out.rows = self.rows
-        out.senses = self.senses
-        out.rhs = _readonly(rhs)
-        out.lower = self.lower
-        out.upper = self.upper
-        out._signs = self._signs
-        return out
-
     @property
     def n(self) -> int:
         return self.objective.size
@@ -311,9 +294,9 @@ class _BoundedSimplex:
     fresh instance is every row appended to an empty basis, and rows
     appended later (append_rows) are added the same way.
 
-    problem is the LpProblem the simplex was built from, or the one last
-    given to replace_rhs: its objective and box are the solve's, and rows
-    appended since live in the workspace alone.
+    problem, the LpProblem the simplex was built from, is never replaced:
+    its objective and box are the solve's, and rows appended and rhs
+    replaced since live in the workspace alone.
 
     The workspace grows in place.  A, binv, b, xb, basis, c, upper, kind
     and status, and the original rows, rhs and violation signs that
@@ -397,16 +380,20 @@ class _BoundedSimplex:
         _check_finite(rows, rhs)
         self._add_rows(rows, senses, rhs)
 
-    def replace_rhs(self, problem: LpProblem):
-        """Take problem's right-hand sides; its rows must be this one's.
+    def replace_rhs(self, rhs):
+        """Put rhs in place of the rows' right-hand sides, checked as
+        LpProblem checks its rhs before anything is written.
 
         The basis, its kept inverse and the costs stay, so a basis that
         was optimal is still dual feasible; only the basic values move,
         read through the kept inverse.  The iteration count restarts at 0.
         """
-        self.problem = problem
-        self.rhs[:] = problem.rhs
-        self.b[:] = problem.rhs - problem.rows @ self.offset
+        rhs = np.asarray(rhs, dtype=float)
+        if rhs.shape != (self.m,):
+            raise DimensionMismatch(f"rhs has shape {rhs.shape}, expected ({self.m},)")
+        _check_finite(rhs)
+        self.rhs[:] = rhs
+        self.b[:] = rhs - self.rows @ self.offset
         self.rhs_peak = _peak(np.abs(self.rhs))
         self.b_peak = _peak(np.abs(self.b))
         self.iterations = 0
@@ -805,18 +792,18 @@ class RhsSequence:
     """LPs that share problem's objective, rows, senses and box and
     differ only in the rows' right-hand sides, solved one after another.
 
-    problem's own rhs is not solved.  The first solve(rhs) starts at the
-    logical basis, as solve_lp does.  Each later one puts rhs into the
-    last simplex and re-enters it through the same entry: the costs are
-    unchanged, so a basis that was optimal is still dual feasible and
-    needs no cost shift, and the bounded dual simplex restores primal
-    feasibility (Koberstein 2005, The dual simplex method); the new
-    basic values are read through the kept basis inverse, with no
-    inversion.  rhs is validated as LpProblem validates rhs, before the
-    simplex is touched.
-    A solve that raises discards the simplex, so the next solve starts
-    again from the logicals.  A re-entered LpSolution's iterations count
-    that solve's pivots only.
+    problem's own rhs is not solved.  One simplex, built from problem at
+    its logical basis, serves every solve(rhs): rhs goes in through
+    _BoundedSimplex.replace_rhs and the solve enters through
+    _BoundedSimplex.solve, so the first solve is the one solve_lp makes.
+    For a later one the costs are unchanged, so a basis that was optimal
+    is still dual feasible and needs no cost shift, and the bounded dual
+    simplex restores primal feasibility (Koberstein 2005, The dual
+    simplex method); the new basic values are read through the kept
+    basis inverse, with no inversion.  A bad rhs raises before the
+    simplex is touched; a solve that raises discards it, so the next
+    solve starts again from the logicals.  An LpSolution's iterations
+    count that solve's pivots only.
     """
 
     def __init__(self, problem: LpProblem):
@@ -824,12 +811,11 @@ class RhsSequence:
         self._solver: _BoundedSimplex | None = None
 
     def solve(self, rhs) -> LpSolution:
-        problem = self.problem._with_rhs(rhs)
-        solver, self._solver = self._solver, None
+        solver = self._solver
         if solver is None:
-            solver = _BoundedSimplex(problem)
-        else:
-            solver.replace_rhs(problem)
+            solver = _BoundedSimplex(self.problem)
+        solver.replace_rhs(rhs)
+        self._solver = None
         sol = solver.result(solver.solve())
         self._solver = solver
         return sol
@@ -845,8 +831,8 @@ class CutLog:
     """Rows added after each solved relaxation of a row-generation solve.
 
     rounds counts the relaxations solved, including a final non-Optimal
-    one; final_max_support is the largest violation separate() reported
-    at the last solved relaxation (inf when none was solved).
+    one; final_max_support is the largest violation the last separate()
+    call reported (inf when there was none).
     """
 
     rounds: int
@@ -860,21 +846,24 @@ class CutLog:
 
 def solve_cutting_planes(
     base: LpProblem,
-    separate: Callable[[np.ndarray], tuple[list, float]],
+    separate: Callable[[np.ndarray | None], tuple[list, float]],
     max_rounds: int,
 ) -> tuple[LpSolution, CutLog]:
     """Row generation (Kelley 1960): solve, add violated rows, repeat.
 
     Each round solves base plus every row added so far.  separate(x)
     returns the (row, sense, rhs) rows to add at the incumbent x and the
-    largest violation it saw; the loop ends when it returns no rows.  One
-    simplex serves every round through one entry, _BoundedSimplex.solve:
-    a round writes only its new rows into the simplex's workspace, which
-    grows in place.  After rows are appended the previous optimal basis
-    is still dual feasible, so it needs no cost shift: the bounded dual
-    simplex re-enters it and the primal simplex confirms it (Koberstein
-    2005, The dual simplex method, techniques for a fast and stable
-    implementation).  A non-Optimal relaxation is returned as is;
+    largest violation it saw; the loop ends when it returns no rows.  An
+    Unbounded relaxation has no incumbent, so separate(None) is called:
+    its rows re-enter the loop like any others, and the relaxation is
+    returned only when it gives none.  One simplex serves every round
+    through one entry, _BoundedSimplex.solve: a round writes only its
+    new rows into the simplex's workspace, which grows in place.  After
+    rows are appended at an optimal basis, that basis is still dual
+    feasible, so it needs no cost shift: the bounded dual simplex
+    re-enters it and the primal simplex confirms it (Koberstein 2005,
+    The dual simplex method, techniques for a fast and stable
+    implementation).  An Infeasible relaxation is returned as is;
     iterations is the total over all rounds.  Appended rows are
     validated as LpProblem validates its constraints.  Raises
     DomainError when max_rounds < 1 and MaxRoundsExceeded after
@@ -886,8 +875,8 @@ def solve_cutting_planes(
     status = solver.solve()
     cuts_per_round: list[int] = []
     last_max = math.inf
-    while status == "Optimal":
-        sol = solver.solution()
+    while status != "Infeasible":
+        sol = solver.result(status)
         rows, last_max = separate(sol.x)
         cuts_per_round.append(len(rows))
         if not rows:

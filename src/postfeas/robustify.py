@@ -138,7 +138,9 @@ def solve_robust_cutting_planes(rlp: RobustLp) -> tuple[LpSolution, CutLog]:
     LP must bound the decision.  An Infeasible one is returned as is.
     """
 
-    def separate(x: np.ndarray) -> tuple[list, float]:
+    def separate(x: np.ndarray | None) -> tuple[list, float]:
+        if x is None:
+            return [], math.inf
         values, maximizers = soc_support(rlp.rows, rlp.kappa, np.append(x, -1.0))
         cuts = [(u[:-1], "<=", float(u[-1]))
                 for value, u in zip(values, maximizers) if value > _CUT_TOL]

@@ -20,7 +20,6 @@ from .lp import (
     LpProblem,
     LpSolution,
     solve_cutting_planes,
-    solve_lp,
 )
 
 __all__ = [
@@ -72,9 +71,10 @@ def solve_scenario_lp(
     the incumbent (ties: lowest draw index), if that residual exceeds
     FEAS_TOL * max(1, |rhs|), a tenth of the residual solve_lp accepts.
     A scenario solution is fixed by a few support rows (Calafiore & Campi
-    2006), so few of the N * m_u rows are ever added.  If a relaxation is
-    Unbounded before every row is in, the stacked LP is solved once, so
-    the status returned is always the stacked LP's.
+    2006), so few of the N * m_u rows are ever added.  At an Unbounded
+    relaxation every row not yet added is added at once (row i's draws in
+    order, then row i + 1's) and the same simplex re-enters, so the
+    status returned is always the stacked LP's.
     """
     coeff, rhs = (np.asarray(a, dtype=float) for a in model.as_rows(batch))
     if rhs.ndim != 2 or coeff.shape not in (rhs.shape + (base.n,),
@@ -93,7 +93,12 @@ def solve_scenario_lp(
     added = np.zeros((n_draws, m_u), dtype=bool)
     slack = FEAS_TOL * np.maximum(1.0, np.abs(rhs))
 
-    def separate(x: np.ndarray) -> tuple[list, float]:
+    def separate(x: np.ndarray | None) -> tuple[list, float]:
+        if x is None:  # Unbounded: every row not yet added, stacked order
+            rows = [(per_draw[k, i], "<=", float(rhs[k, i]))
+                    for i, k in zip(*(~added.T).nonzero())]
+            added[:] = True
+            return rows, np.inf
         resid = coeff @ x - rhs
         worst = max(float(resid.max()), 0.0)
         resid[added | (resid <= slack)] = -np.inf
@@ -104,16 +109,4 @@ def solve_scenario_lp(
                 rows.append((per_draw[k, i], "<=", float(rhs[k, i])))
         return rows, worst
 
-    sol, log = solve_cutting_planes(base, separate, n_draws * m_u + 1)
-    if sol.status == "Unbounded" and not added.all():
-        # a row not yet added may still bound the stacked program
-        stacked = base.constraints() + [
-            (per_draw[k, i], "<=", float(rhs[k, i]))
-            for i in range(m_u)
-            for k in range(n_draws)
-        ]
-        sol = solve_lp(LpProblem(base.objective, stacked, base.bounds()))
-        log = CutLog(log.rounds + 1,
-                     log.cuts_per_round + [int((~added).sum())],
-                     log.final_max_support)
-    return sol, log
+    return solve_cutting_planes(base, separate, n_draws * m_u + 1)

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from test_cli import child_env
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "call_counts.py"
@@ -26,6 +28,26 @@ def test_counts_calls_per_op_of_matching_functions():
     assert result["calls_per_op"] == {
         "postfeas.robustify.solve_robust_cutting_planes": 1.0}
     assert lines[:-1] == ["       1.000  postfeas.robustify.solve_robust_cutting_planes"]
+
+
+@pytest.mark.parametrize("workload, expect", [
+    # three trials an op, each method's solve through replace_rhs
+    ("sim_study", {"postfeas.lp.replace_rhs": 15.0,
+                   "postfeas.experiments.run_trial": 3.0}),
+    # one scenario program an op, every round in one row-generation loop
+    ("panel_study", {"postfeas.experiments.panel_select": 1.0,
+                     "postfeas.lp.solve_cutting_planes": 1.0,
+                     "postfeas.scenario.solve_scenario_lp": 1.0}),
+])
+def test_sim_and_panel_ops_never_solve_cold(workload, expect):
+    proc = run_tool("--workload", workload, "--seed", "1", "--ops", "1",
+                    "--match", r"run_trial$|panel_select$|solve_scenario_lp$|"
+                    r"solve_cutting_planes$|replace_rhs$|\.solve_lp$|"
+                    r"_refactor$|linalg\._linalg\.inv$")
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert (result["workload"], result["ops"]) == (workload, 1)
+    assert result["calls_per_op"] == expect
 
 
 def test_unknown_workload_and_bad_pattern_exit_2():

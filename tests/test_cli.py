@@ -392,6 +392,17 @@ class TestSim:
         assert "SimConfig" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("alphas", [[0.05, 0.05], [0.1, 0.1000001]])
+    def test_alphas_sharing_a_chart_name_exit_code(self, tmp_path, capsys, alphas):
+        # a repeated alpha counted both groups in by_alpha.csv; two alphas
+        # that print alike overwrote each other's charts
+        cfg = write_json(tmp_path / "sim.json",
+                         {"alphas": alphas, "trials_per_alpha": 2})
+        rc = main(["sim", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "SimConfig.alphas" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_too_few_observations_exit_code(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "sim.json",
                          {"trials_per_alpha": 1, "n_obs": 4, "d_ctx": 6})

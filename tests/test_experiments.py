@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -94,6 +95,7 @@ class TestSimConfig:
         {"sigma_range": [1.0, float("nan")]},
         {"trials_per_alpha": 1, "n_obs": 4, "d_ctx": 6}, {"n_obs": 6},
         {"sigma_range": [0.0, 1.0]}, {"sigma_range": [-2.0, -1.0]},
+        {"alphas": [0.05, 0.05]}, {"alphas": [0.1, 0.1000001]},
     ])
     def test_out_of_range_values_rejected(self, doc):
         with pytest.raises(DomainError):
@@ -450,6 +452,52 @@ class TestRunTrial:
         assert recs[2].v_true == _true_violation(
             inst.resource_rows @ cold.x, inst.x_ctx @ inst.beta_true.T,
             inst.sigma_true)
+
+
+def trial_solutions_digest(trials: int = 21) -> str:
+    """sha256 over default-config run_trial calls, cycling the alphas:
+    each method's status, iterations and x bytes, then the records."""
+    cfg = SimConfig()
+    digest = hashlib.sha256()
+    real = lp_module.RhsSequence.solve
+
+    def recorded(self, rhs):
+        sol = real(self, rhs)
+        digest.update(repr((sol.status, sol.iterations)).encode())
+        if sol.x is not None:
+            digest.update(sol.x.tobytes())
+        return sol
+
+    lp_module.RhsSequence.solve = recorded
+    try:
+        for k in range(trials):
+            inst = gen_instance(cfg, Rng.for_purpose(cfg.master_seed, "instance", k))
+            model = fit_capacity_model(inst, cfg)
+            recs = run_trial(inst, model, cfg.alphas[k % len(cfg.alphas)], cfg,
+                             Rng.for_purpose(cfg.master_seed, "trial", k), k)
+            digest.update(repr([dataclasses.astuple(r) for r in recs]).encode())
+    finally:
+        lp_module.RhsSequence.solve = real
+    return digest.hexdigest()
+
+
+class TestTrialReplayDigest:
+    # 21 default trials replay bit for bit under one BLAS thread: every
+    # method's status, simplex iterations and x, and the trial records.
+    # The digest was taken while the first solve of a trial still built
+    # its simplex from an LpProblem at that method's rhs, so it pins that
+    # starting every solve through replace_rhs moved no pivot.
+    DIGEST = "3a42f195976306214cc2f15907ea0c1f94e14dd522f90cbd99f3640b1ed794a9"
+
+    def test_twenty_one_trials_replay(self):
+        code = ("from test_experiments import trial_solutions_digest\n"
+                "print(trial_solutions_digest())\n")
+        env = child_env(OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] += os.pathsep + str(Path(__file__).resolve().parent)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [self.DIGEST]
 
 
 class TestTrueViolation:

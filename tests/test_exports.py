@@ -48,13 +48,14 @@ def test_no_test_only_names(owner, name):
     ("stats", "normal_array"),
     ("stats", "uniform_array"),
     ("scenario", "violation_bound"),
+    ("lp.LpProblem", "_with_rhs"),
 ])
 def test_no_folded_names(owner, name):
     # One Nig type serves as prior, posterior and least-squares fit, and
     # StudentTRhs.from_nig gives every predictive; a precision that is
     # not positive definite raises rather than taking a jitter; callers
     # draw from rng.generator and take the scenario bound from
-    # stats.binomial_tail.
+    # stats.binomial_tail; a simplex takes a new rhs through replace_rhs.
     module, _, attr = owner.partition(".")
     obj = importlib.import_module(f"postfeas.{module}")
     obj = getattr(obj, attr) if attr else obj

@@ -947,11 +947,11 @@ class TestReplaceRhsInverse:
         assert kept.pivots_since_refactor > 0
         refactored = copy.deepcopy(kept)
         calls = count_inversions(monkeypatch)
-        kept.replace_rhs(with_rhs(problem, second))
+        kept.replace_rhs(second)
         sol = kept.result(kept.solve())
         assert calls == []
         # the same to 1e-12 as inverting again
-        refactored.replace_rhs(with_rhs(problem, second))
+        refactored.replace_rhs(second)
         refactored._refactor()
         fresh = refactored.result(refactored.solve())
         assert (sol.status, sol.iterations) == (fresh.status, fresh.iterations)
@@ -996,7 +996,7 @@ class TestReplaceRhsInverse:
         pivots = solver.pivots_since_refactor
         assert pivots > 0
         calls = count_inversions(monkeypatch)
-        solver.replace_rhs(with_rhs(problem, [2.0, 2.0]))
+        solver.replace_rhs([2.0, 2.0])
         assert calls == []
         assert solver.pivots_since_refactor == pivots
         basis = solver.A[:, solver.basis]

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import postfeas.lp as lp_module
+import postfeas.scenario as scenario_module
 from postfeas.errors import (
     CountOutOfRange,
     DimensionMismatch,
@@ -242,7 +244,8 @@ class TestBuildScenarioLp:
 
     def test_unbounded_relaxation_solves_stacked_lp(self):
         # x is bounded only by the scenario rows: the first relaxation is
-        # Unbounded, yet the stacked program has an optimum.
+        # Unbounded, yet the stacked program has an optimum.  All 60 rows
+        # go in at once and the same simplex re-enters.
         gen = np.random.default_rng(84)
         base = LpProblem(np.array([1.0, 2.0]), [], [(0.0, None), (0.0, None)])
         coeff = gen.uniform(0.5, 2.0, (30, 2, 2))
@@ -254,12 +257,37 @@ class TestBuildScenarioLp:
         assert sol.objective_value == pytest.approx(ref.objective_value, abs=1e-9)
         assert float(model.residuals(sol.x, batch).max()) <= 1e-8
         assert log.total_cuts == 60
+        assert (log.rounds, log.cuts_per_round) == (2, [60, 0])
+        assert log.final_max_support == 0.0 and sol.iterations == 3
         # rows that leave a direction open keep the stacked status
         coeff[:, :, 1] = 0.0
         model, batch = general_rows(coeff, rhs)
-        sol, _ = solve_scenario_lp(base, model, batch)
+        sol, log = solve_scenario_lp(base, model, batch)
         assert sol.status == solve_lp(stacked_lp(base, coeff, "<=", rhs)).status
         assert sol.status == "Unbounded"
+        assert (log.rounds, log.cuts_per_round) == (2, [60, 0])
+        assert log.final_max_support == math.inf
+
+    @pytest.mark.parametrize("family", ["StudentTRhs", "GaussianRows",
+                                        "BetaCoverage", "unbounded"])
+    def test_never_calls_solve_lp(self, monkeypatch, family):
+        # every relaxation, an Unbounded one too, re-enters one simplex;
+        # a solve_lp bound in scenario's namespace is counted as well
+        calls = []
+        cold = lp_module.solve_lp
+        counted = lambda problem: calls.append(1) or cold(problem)  # noqa: E731
+        monkeypatch.setattr(lp_module, "solve_lp", counted)
+        monkeypatch.setattr(scenario_module, "solve_lp", counted, raising=False)
+        if family == "unbounded":
+            gen = np.random.default_rng(84)
+            base = LpProblem([1.0, 2.0], [], [(0.0, None), (0.0, None)])
+            model, batch = general_rows(gen.uniform(0.5, 2.0, (30, 2, 2)),
+                                        gen.uniform(1.0, 3.0, (30, 2)))
+        else:
+            base, model, batch = family_instance(family)
+        sol, _ = solve_scenario_lp(base, model, batch)
+        assert sol.status == "Optimal"
+        assert calls == []
 
     def test_stacked_matches_min_rhs_reduction(self):
         gen = np.random.default_rng(74)
