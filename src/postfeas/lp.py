@@ -2,7 +2,9 @@
 
 Problems are stated as: maximize c'x subject to row constraints with
 senses <=, >=, = and box bounds on x (either side may be infinite).
-The solver is a bounded-variable revised simplex that starts every
+The solver is a bounded-variable simplex on a kept dense tableau
+B^-1 A and its reduced-cost row, so a pivot is one rank-1 update and
+pricing and the ratio tests read a row or a column.  It starts every
 program at its row logicals: a dual simplex on shifted costs reaches a
 feasible basis, and a primal simplex (Dantzig pricing, Bland's rule as
 the anti-cycling fallback) reaches the optimum.  One row-generation loop
@@ -97,7 +99,11 @@ def _tolerance(a: np.ndarray) -> float:
 
 
 def _check_finite(*arrays: np.ndarray):
-    if all(np.isfinite(a).all() for a in arrays):
+    for a in arrays:
+        # False for an inf, and for a NaN, which the peak then is
+        if not _peak(np.abs(a)) < math.inf:
+            break
+    else:
         return
     if any(np.isnan(a).any() for a in arrays):
         raise DomainError("objective, rows, and rhs must be free of NaN")
@@ -183,18 +189,21 @@ def max_violation(problem: LpProblem, x) -> float:
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.n,):
         raise DimensionMismatch(f"x has shape {x.shape}, expected ({problem.n},)")
-    return _violation(x, problem.rows, problem.rhs, problem._signs,
-                      problem.lower, problem.upper)
+    with np.errstate(invalid="ignore"):
+        return _violation(x, problem.rows, problem.rhs, problem._signs,
+                          problem.lower, problem.upper)
 
 
 def _violation(x, rows, rhs, signs, lower, upper) -> float:
     """max_violation of x for rows with their rhs and violation signs
-    and the box [lower, upper]."""
-    # an infinite x gives NaN from 0 * inf in a row and from inf - inf
-    # against an infinite bound of its own sign; fmax drops the latter
-    with np.errstate(invalid="ignore"):
-        r = rows @ x - rhs
-        box_worst = _peak(np.fmax(lower - x, x - upper))
+    and the box [lower, upper].
+
+    Callers ignore invalid operations: an infinite x gives NaN from
+    0 * inf in a row and from inf - inf against an infinite bound of its
+    own sign; fmax drops the latter.
+    """
+    r = rows @ x - rhs
+    box_worst = _peak(np.fmax(lower - x, x - upper))
     row_worst = _peak(r[:, np.newaxis] * signs)
     if math.isnan(row_worst) or math.isnan(box_worst):
         return math.inf
@@ -281,8 +290,8 @@ _INITIAL_CAPACITY = 16
 
 
 class _BoundedSimplex:
-    """Bounded-variable revised simplex on the logical form of one
-    LpProblem.  Maximizes.  Mutable workspace; one instance per solve.
+    """Bounded-variable simplex on the kept tableau of one LpProblem's
+    logical form.  Maximizes.  Mutable workspace; one instance per solve.
 
     Finite lower bounds are shifted to zero; variables with only a finite
     upper bound are negated so the upper bound becomes the shifted zero
@@ -298,23 +307,30 @@ class _BoundedSimplex:
     its objective and box are the solve's, and rows appended and rhs
     replaced since live in the workspace alone.
 
-    The workspace grows in place.  A, binv, b, xb, basis, c, upper, kind
-    and status, and the original rows, rhs and violation signs that
-    solution()'s residual check reads, are leading views of buffers with
-    spare rows and columns, which double when an append fills them.  An
-    append writes only its new rows and rebinds the views; every other
-    update writes through them.  So does the upkeep of what pricing and
-    the ratio tests read: rises and falls (1.0 where a column may rise,
-    or fall, from where it stands) follow status through _set_status,
-    and the basic variables' bounds lower_b and upper_b follow basis
-    through _pivot.  The tolerances an append can only raise are running
-    maxima: rhs_peak (max |rhs|, for solution()), b_peak (max |b|, for
-    run_dual) and cost_tol, which zero-cost logicals never change.
+    The workspace grows in place.  A, table (d above T), b, xb, basis,
+    c, upper, kind and status, and the original rows, rhs and violation
+    signs that solution()'s residual check reads, are leading views of
+    buffers with spare rows and columns, which double when an append
+    fills them.  An append writes only its new rows and rebinds the
+    views; every other update writes through them.  So does the upkeep
+    of what pricing and the ratio tests read: rises and falls (1.0 where
+    a column may rise, or fall, from where it stands) and at_bound (a
+    column's value when it stands at a bound: upper at its upper bound,
+    else 0) follow status through _set_status, and the basic variables'
+    bounds lower_b and upper_b follow basis through _pivot.  The
+    tolerances an append can only raise are running maxima: rhs_peak
+    (max |rhs|, for solution()), b_peak (max |b|, for run_dual) and
+    cost_tol, which zero-cost logicals never change.
 
-    The basis inverse binv and the basic values xb are kept up to date:
-    a pivot updates binv in product form, an append borders it
-    (_add_rows), and a bound flip moves xb alone.  binv is recomputed
-    from A[:, basis] (_refactor) only after 128 pivots, on a pivot below
+    The tableau T = B^-1 A, the basic values xb and the reduced costs
+    d = costs - costs_B T are kept up to date, where costs are the true
+    costs c, or the shifted ones while solve() runs its dual simplex on
+    them.  Pricing reads d, the dual ratio test reads the row T[r] and
+    the primal one the column T[:, q].  d is kept as the row above T,
+    so a pivot is one rank-1 update of both; an append writes the new
+    rows of T alone (_add_rows), and a bound flip moves xb alone.  B^-1
+    is T's logical columns up to their signs.  T, xb and d are rebuilt
+    from A (_refactor) only after 128 pivots, on a pivot below
     _PIVOT_TOL, and once when solution()'s residual check fails after
     pivots.
     """
@@ -338,11 +354,13 @@ class _BoundedSimplex:
         kind[upper == 0.0] = _FIXED
         self.problem = problem
         self.offset = offset
+        self.unshifted = not offset.any()
         self.sign = sign
         # buffers for no rows yet; _add_rows grows them and sets the views
         self._capacity = 0
         self._A = np.zeros((0, n))
-        self._binv = np.zeros((0, 0))
+        # d above T; at the logical basis y = 0, so d = c
+        self._T = (problem.objective * sign)[np.newaxis]
         self._rows = np.zeros((0, n))
         self._signs = np.zeros((0, 2))
         self._b = np.zeros(0)
@@ -355,15 +373,18 @@ class _BoundedSimplex:
         self._upper = upper
         self._kind = kind
         self._status = np.full(n, _AT_LOWER, dtype=np.int8)
+        self._at_bound = np.zeros(n)
         self._rises = _RISES.take(kind + _AT_LOWER)
         self._falls = _FALLS.take(kind + _AT_LOWER)
         self.cost_tol = _tolerance(self._c)
         self.rhs_peak = self.b_peak = -math.inf
         self.m = 0
         self._bind_views()
+        self.optimal = False
         self.pivots_since_refactor = 0
         self.iterations = 0
-        self._add_rows(problem.rows, problem.senses, problem.rhs)
+        if problem.m:
+            self._add_rows(problem.rows, problem.senses, problem.rhs)
 
     # -- rows and linear algebra upkeep -----------------------------------
 
@@ -384,35 +405,39 @@ class _BoundedSimplex:
         """Put rhs in place of the rows' right-hand sides, checked as
         LpProblem checks its rhs before anything is written.
 
-        The basis, its kept inverse and the costs stay, so a basis that
-        was optimal is still dual feasible; only the basic values move,
-        read through the kept inverse.  The iteration count restarts at 0.
+        The basis, the tableau and the reduced costs stay, so a basis
+        that was optimal is still dual feasible; only the basic values
+        move, read through B^-1 in T's logical columns.  The iteration
+        count restarts at 0.
         """
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape != (self.m,):
             raise DimensionMismatch(f"rhs has shape {rhs.shape}, expected ({self.m},)")
         _check_finite(rhs)
         self.rhs[:] = rhs
-        self.b[:] = rhs - self.rows @ self.offset
+        self.b[:] = self._shifted_rhs(self.rows, rhs)
         self.rhs_peak = _peak(np.abs(self.rhs))
         self.b_peak = _peak(np.abs(self.b))
         self.iterations = 0
-        self.xb[:] = self.binv @ self._nonbasic_rhs()
+        self.xb[:] = self._basic_values()
 
     def _add_rows(self, rows: np.ndarray, senses: tuple, rhs: np.ndarray):
         """Append rows, each with a basic logical column, without an
         inversion, writing only the new rows into the buffers.
 
-        With the new rows' entries R_B in the basic columns and their
-        logicals' coefficients D = diag(+-1) = D^-1, the new basis is
-        [[B, 0], [R_B, D]], whose inverse is [[B^-1, 0], [-D R_B B^-1, D]].
-        The new basic values are D (b_new - R_U u - R_B x_B), where R_U u
-        is the part of the columns at their upper bound.  On an empty
-        basis this is exactly binv = D and xb = D b.  The buffers' spare
-        entries are zero, which are the new rows' entries in the old
-        logical columns and the old rows' in the new ones, the new
-        logicals' costs and lower bounds, and their rises and falls, since
-        they enter basic.
+        With the new rows' entries F in the old columns, F_B in the basic
+        ones, and their logicals' coefficients D = diag(+-1) = D^-1, the
+        new basis is [[B, 0], [F_B, D]], whose inverse is
+        [[B^-1, 0], [-D F_B B^-1, D]].  So the new rows of T are
+        D (F - F_B T) in the old columns and the identity in the new
+        logical ones, and their basic values are D (b_new - F z), with z
+        the current values of the old columns.  On an empty basis this
+        is exactly T = D F and xb = D b.  The new logicals cost nothing
+        and are basic, so d is unchanged and their entries of it are 0.
+        The buffers' spare entries are zero, which are the new rows'
+        entries in the old logical columns and the old rows' in the new
+        ones, the new logicals' costs, reduced costs and lower bounds, and
+        their rises and falls, since they enter basic.
         """
         m, k = self.m, len(senses)
         end = m + k
@@ -422,21 +447,18 @@ class _BoundedSimplex:
             self._grow(max(end, 2 * self._capacity, _INITIAL_CAPACITY))
         entries = np.array([_ROW_ENTRIES[s] for s in senses],
                            dtype=float).reshape(k, 5)
-        coef, upper, kind = entries[:, 2:].T
-        b_new = rhs - rows @ self.offset
-        A, binv = self._A, self._binv
-        A[m:end, :n] = rows * self.sign
+        coef, upper, kind = entries[:, 2], entries[:, 3], entries[:, 4]
+        b_new = self._shifted_rhs(rows, rhs)
+        A = self._A
+        f = A[m:end, :width]
+        f[:, :n] = rows * self.sign
         A[m:end, width:width + k].flat[::k + 1] = coef
-        at_upper = self.status == _AT_UPPER  # the new logicals are basic
-        room = b_new
-        if at_upper.any():
-            room = b_new - A[m:end, :width][:, at_upper] @ self.upper[at_upper]
-        # a fancy index keeps r_b Fortran-ordered, and with it the
-        # rounding of the products below
-        r_b = A[m:end, self.basis]
-        np.multiply(-coef[:, np.newaxis], r_b @ self.binv, out=binv[m:end, :m])
-        binv[m:end, m:end].flat[::k + 1] = coef
-        self._xb[m:end] = coef * (room - r_b @ self.xb)
+        t_new = self._T[m + 1:end + 1]  # below d
+        np.multiply(coef[:, np.newaxis],
+                    f - np.einsum("ij,jk->ik", f[:, self.basis], self.T),
+                    out=t_new[:, :width])
+        t_new[:, width:width + k].flat[::k + 1] = 1.0
+        self._xb[m:end] = coef * (b_new - np.einsum("ij,j->i", f, self._values()))
         self._b[m:end] = b_new
         self._rhs[m:end] = rhs
         self._rows[m:end] = rows
@@ -446,19 +468,21 @@ class _BoundedSimplex:
         self._upper[width:width + k] = upper
         self._kind[width:width + k] = kind
         self._status[width:width + k] = _BASIC
-        self.rhs_peak = max(self.rhs_peak, _peak(np.abs(rhs)))
-        self.b_peak = max(self.b_peak, _peak(np.abs(b_new)))
+        rhs_peak = _peak(np.abs(rhs))
+        self.rhs_peak = max(self.rhs_peak, rhs_peak)
+        self.b_peak = max(self.b_peak, rhs_peak if b_new is rhs
+                          else _peak(np.abs(b_new)))
         self.m = end
         self._bind_views()
-        self.max_iterations = 2000 + 200 * (end + width + k)
-        self._priced = None
 
     def _bind_views(self):
         """Point the workspace's names at the leading m rows and n + m
         columns of the buffers."""
         m, width = self.m, self.offset.size + self.m
         self.A = self._A[:m, :width]
-        self.binv = self._binv[:m, :m]
+        self.table = self._T[:m + 1, :width]
+        self.d = self.table[0]
+        self.T = self.table[1:]
         self.rows = self._rows[:m]
         self.signs = self._signs[:m]
         self.b = self._b[:m]
@@ -471,18 +495,21 @@ class _BoundedSimplex:
         self.upper = self._upper[:width]
         self.kind = self._kind[:width]
         self.status = self._status[:width]
+        self.at_bound = self._at_bound[:width]
         self.rises = self._rises[:width]
         self.falls = self._falls[:width]
+        self.max_iterations = 2000 + 200 * (width + m)
 
     def _grow(self, capacity: int):
         """Move each buffer into a zeroed one for capacity rows (and
         their logical columns), keeping its entries."""
         n = self.offset.size
-        shapes = {"_A": (capacity, n + capacity), "_binv": (capacity, capacity),
+        shapes = {"_A": (capacity, n + capacity), "_T": (capacity + 1, n + capacity),
                   "_rows": (capacity, n), "_signs": (capacity, 2)}
         for name in ("_b", "_rhs", "_xb", "_basis", "_lower_b", "_upper_b"):
             shapes[name] = (capacity,)
-        for name in ("_c", "_upper", "_kind", "_status", "_rises", "_falls"):
+        for name in ("_c", "_upper", "_kind", "_status", "_at_bound", "_rises",
+                     "_falls"):
             shapes[name] = (n + capacity,)
         for name, shape in shapes.items():
             old = getattr(self, name)
@@ -491,52 +518,84 @@ class _BoundedSimplex:
             setattr(self, name, buffer)
         self._capacity = capacity
 
+    def _shifted_rhs(self, rows: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """rhs - rows @ offset, the rows' rhs in the shifted variables
+        (rhs itself when every offset is 0)."""
+        if self.unshifted:
+            return rhs
+        return rhs - np.einsum("ij,j->i", rows, self.offset)
+
+    def _values(self) -> np.ndarray:
+        """z: each column's value, at its bound when nonbasic."""
+        z = self.at_bound.copy()
+        z[self.basis] = self.xb
+        return z
+
     def _nonbasic_rhs(self) -> np.ndarray:
         """b minus the contribution of nonbasic-at-upper columns (b itself
         when there are none; callers do not write to it)."""
         at_upper = self.status == _AT_UPPER
         if not at_upper.any():
             return self.b
-        return self.b - self.A[:, at_upper] @ self.upper[at_upper]
+        return self.b - np.einsum("ij,j->i", self.A[:, at_upper], self.upper[at_upper])
 
-    def _refactor(self):
-        """Invert A[:, basis] afresh and recompute xb from it: after 128
-        pivots, on a pivot too small to trust, and when solution()'s
-        residual check fails after pivots."""
-        basis_mat = self.A[:, self.basis]
+    def _basic_values(self) -> np.ndarray:
+        """B^-1 times _nonbasic_rhs(), with B^-1 read from T's logical
+        columns: row i's logical column is A[i, n + i] e_i, and that
+        entry is +-1, so B^-1[:, i] = A[i, n + i] T[:, n + i]."""
+        n = self.offset.size
+        logical = self.A[:, n:].diagonal()
+        return np.einsum("ij,j->i", self.T[:, n:], logical * self._nonbasic_rhs())
+
+    def _price(self, costs: np.ndarray):
+        """d = costs - costs_B T afresh; NumericalBreakdown when an entry
+        overflows."""
+        self.optimal = False
         try:
-            self.binv[:] = np.linalg.inv(basis_mat)
+            with np.errstate(over="raise", invalid="raise"):
+                self.d[:] = costs - np.einsum("i,ij->j", costs[self.basis], self.T)
+        except FloatingPointError as exc:
+            raise NumericalBreakdown("reduced costs are not finite") from exc
+
+    def _refactor(self, costs: np.ndarray):
+        """Invert A[:, basis] afresh and rebuild T, xb and d, the reduced
+        costs of costs, from it: after 128 pivots, on a pivot too small
+        to trust, and when solution()'s residual check fails after
+        pivots."""
+        try:
+            binv = np.linalg.inv(self.A[:, self.basis])
         except np.linalg.LinAlgError as exc:
             raise NumericalBreakdown("basis matrix is singular") from exc
-        self.xb[:] = self.binv @ self._nonbasic_rhs()
+        self.T[:] = binv @ self.A
+        self.xb[:] = self._basic_values()
+        self._price(costs)
         self.pivots_since_refactor = 0
-        self._priced = None
 
-    def _pivot(self, r: int, j: int, w: np.ndarray):
-        """Column j enters at basis row r; w = binv @ A[:, j].
+    def _pivot(self, r: int, j: int, col: np.ndarray):
+        """Column j enters at basis row r; col is a copy of table[:, j],
+        d[j] above T[:, j].
 
-        Product-form update of the basis inverse.  The caller has already
-        moved xb and the leaving variable's status.
+        One rank-1 update of the table: the pivot row of T is scaled, and
+        its multiples are taken from the other rows and from d, which
+        zeroes d[j].  NumericalBreakdown when an entry overflows.  The
+        caller has already moved xb and the leaving variable's status.
         """
-        self._set_status(j, _BASIC)
+        # _set_status(j, _BASIC): a basic column moves neither way
+        self.status[j] = _BASIC
+        self.rises[j] = self.falls[j] = self.at_bound[j] = 0.0
         self.basis[r] = j
         self.lower_b[r] = _LOWER[self.kind[j]]
         self.upper_b[r] = self.upper[j]
-        row = self.binv[r] / w[r]
-        self.binv -= w[:, np.newaxis] * row
-        self.binv[r] = row
+        table = self.table
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                row = table[r + 1] / col[r + 1]
+                table -= col[:, np.newaxis] * row
+        except FloatingPointError as exc:
+            raise NumericalBreakdown(
+                "a reduced cost or tableau entry is not finite") from exc
+        table[r + 1] = row
         self.pivots_since_refactor += 1
-        self._priced = None
-
-    def _reduced_costs(self, c: np.ndarray) -> np.ndarray:
-        """c - c_B' binv A.  Kept until binv changes, so pricing the same
-        cost array again at the same basis costs nothing."""
-        if self._priced is not None and self._priced[0] is c:
-            return self._priced[1]
-        y = self.binv.T @ c[self.basis]
-        d = c - y @ self.A
-        self._priced = (c, d)
-        return d
 
     def _cost_tolerance(self, costs: np.ndarray) -> float:
         """_tolerance(costs), read from cost_tol for the true costs."""
@@ -544,8 +603,9 @@ class _BoundedSimplex:
 
     def _set_status(self, j: int, status: int):
         """Column j now stands at status: at its lower or upper bound, or
-        basic.  rises and falls follow it."""
+        basic.  rises, falls and at_bound follow it."""
         self.status[j] = status
+        self.at_bound[j] = self.upper[j] if status == _AT_UPPER else 0.0
         code = self.kind[j] + status
         self.rises[j] = _RISES[code]
         self.falls[j] = _FALLS[code]
@@ -571,14 +631,29 @@ class _BoundedSimplex:
         primal simplex on the true costs then undoes the shift.  At a
         fresh start y = 0, so d = c; after append_rows or replace_rhs the
         last optimal basis is still dual feasible and needs no shift.
+        The kept d prices the shifted costs through the dual simplex and
+        is priced afresh for the true costs after it.
         """
-        c = self.c
-        d = self._reduced_costs(c)
-        shift = self._gains(d)[1] > self.cost_tol
-        # unshifted, c itself goes on, so run_dual's first pricing is d
-        if not self.run_dual(np.where(shift, c - d, c) if shift.any() else c):
+        c, d = self.c, self.d
+        # an optimal d needs no shift: the primal simplex found no gain
+        # above cost_tol in it, and appends and new rhs keep it
+        shift = None if self.optimal else self._gains(d)[1] > self.cost_tol
+        self.optimal = False
+        if shift is None or not shift.any():
+            feasible = self.run_dual(c)
+        else:
+            # the shifted costs' reduced costs are d, zeroed where shifted
+            costs = np.where(shift, c - d, c)
+            d[shift] = 0.0
+            try:
+                feasible = self.run_dual(costs)
+            finally:
+                self._price(c)
+        if not feasible:
             return "Infeasible"
-        return self.run_phase(c)
+        status = self.run_phase(c)
+        self.optimal = status == "Optimal"
+        return status
 
     # -- primal simplex -----------------------------------------------------
 
@@ -595,7 +670,7 @@ class _BoundedSimplex:
             self.iterations += 1
             if self.iterations > self.max_iterations:
                 raise NumericalBreakdown("simplex iteration limit exceeded")
-            up, gain = self._gains(self._reduced_costs(c))
+            up, gain = self._gains(self.d)
             improving = gain > price_tol
             j = int(improving.argmax())
             if not improving[j]:
@@ -603,18 +678,21 @@ class _BoundedSimplex:
             if not bland:
                 j = int(np.where(improving, gain, 0.0).argmax())
             direction = 1.0 if up[j] > price_tol else -1.0
-            w = self.binv @ self.A[:, j]
-            g = direction * w
-            mag = np.abs(w)
-            lower_b, upper_b = self.lower_b, self.upper_b
-            # room of each basic variable before the bound it moves to
-            room = np.where(g > 0.0, self.xb - lower_b, upper_b - self.xb)
-            cand_step = np.maximum(
-                np.where(mag > _PIVOT_TOL, room, math.inf)
-                / np.maximum(mag, _PIVOT_TOL), 0.0)
+            col = self.table[:, j].copy()
+            w = col[1:]
             # lower bound is 0; a free variable's upper bound is inf
             flip_step = self.upper[j]
-            basic_step = cand_step[cand_step.argmin()] if self.m else math.inf
+            basic_step = math.inf  # with no rows, a bound flip or a ray
+            if self.m:
+                g = direction * w
+                mag = np.abs(w)
+                # room of each basic variable before the bound it moves to
+                room = np.where(g > 0.0, self.xb - self.lower_b,
+                                self.upper_b - self.xb)
+                cand_step = np.maximum(
+                    np.where(mag > _PIVOT_TOL, room, math.inf)
+                    / np.maximum(mag, _PIVOT_TOL), 0.0)
+                basic_step = cand_step[cand_step.argmin()]
             step = min(basic_step, flip_step)
             if not math.isfinite(step):
                 return "Unbounded"
@@ -641,21 +719,21 @@ class _BoundedSimplex:
             pivot = w[r]
             if abs(pivot) < _PIVOT_TOL:
                 if self.pivots_since_refactor > 0:
-                    self._refactor()
+                    self._refactor(c)
                     continue
                 raise NumericalBreakdown(
                     f"pivot magnitude {abs(pivot):.3e} below tolerance"
                 )
             leaving = int(self.basis[r])
-            enter_from = self.upper[j] if self.status[j] == _AT_UPPER else 0.0
+            enter_from = self.at_bound[j]
             self.xb -= direction * step * w
             self.xb[r] = enter_from + direction * step
             # a free column leaves exactly at 0
             self._set_status(leaving, _AT_UPPER if g[r] < 0 and
                              self.kind[leaving] != _FREE else _AT_LOWER)
-            self._pivot(r, j, w)
+            self._pivot(r, j, col)
             if self.pivots_since_refactor >= 128:
-                self._refactor()
+                self._refactor(c)
 
     # -- dual simplex ---------------------------------------------------------
 
@@ -674,10 +752,12 @@ class _BoundedSimplex:
             return True
         primal_tol = 1e-9 * max(1.0, self.b_peak)
         dual_tol = self._cost_tolerance(costs)
+        table, T, d, xb = self.table, self.T, self.d, self.xb
+        lower_b, upper_b = self.lower_b, self.upper_b
+        rises, falls = self.rises, self.falls
         while True:
-            lower_b, upper_b = self.lower_b, self.upper_b
-            below = lower_b - self.xb
-            excess = np.maximum(below, self.xb - upper_b)
+            below = lower_b - xb
+            excess = np.maximum(below, xb - upper_b)
             r = int(excess.argmax())
             if excess[r] <= primal_tol:
                 return True
@@ -686,17 +766,14 @@ class _BoundedSimplex:
                 raise NumericalBreakdown("simplex iteration limit exceeded")
             # rise = +1: x_B[r] must rise to its lower bound
             rise = 1.0 if below[r] > 0.0 else -1.0
-            alpha = self.binv[r] @ self.A
-            d = self._reduced_costs(costs)
-            rises, falls = self.rises, self.falls
-            # moving column j by t moves x_B[r] by -alpha[j] * t: |alpha[j]|
+            # moving column j by t moves x_B[r] by -T[r, j] * t: |T[r, j]|
             # where that takes x_B[r] towards its bound, 0 or less elsewhere
-            s_alpha = rise * alpha
+            s_alpha = T[r] if rise > 0.0 else -T[r]
             toward = np.maximum(rises * -s_alpha, falls * s_alpha)
             cand = (toward > _PIVOT_TOL).nonzero()[0]
             if not cand.size:
                 if self.pivots_since_refactor > 0:
-                    self._refactor()
+                    self._refactor(costs)
                     continue
                 return False
             # distance of each reduced cost from the wrong sign
@@ -704,33 +781,33 @@ class _BoundedSimplex:
             mag = toward[cand]
             ratio = (room + dual_tol) / mag
             bound = ratio[ratio.argmin()]
-            q = int(cand[np.where(room / mag <= bound, mag, -1.0).argmax()])
-            w = self.binv @ self.A[:, q]
+            # the largest |T[r, q]| among ratios within the bound (0 outside)
+            q = int(cand[((room / mag <= bound) * mag).argmax()])
+            col = table[:, q].copy()
+            w = col[1:]
             if abs(w[r]) < _PIVOT_TOL:
                 if self.pivots_since_refactor > 0:
-                    self._refactor()
+                    self._refactor(costs)
                     continue
                 raise NumericalBreakdown(
                     f"pivot magnitude {abs(w[r]):.3e} below tolerance"
                 )
             leaving = int(self.basis[r])
             target = lower_b[r] if rise > 0.0 else upper_b[r]
-            t = (self.xb[r] - target) / w[r]
-            enter_from = self.upper[q] if self.status[q] == _AT_UPPER else 0.0
-            self.xb -= t * w
-            self.xb[r] = enter_from + t
+            t = (xb[r] - target) / w[r]
+            enter_from = self.at_bound[q]
+            xb -= t * w
+            xb[r] = enter_from + t
             self._set_status(leaving, _AT_LOWER if rise > 0.0 else _AT_UPPER)
-            self._pivot(r, q, w)
+            self._pivot(r, q, col)
             if self.pivots_since_refactor >= 128:
-                self._refactor()
+                self._refactor(costs)
 
     def extract(self) -> np.ndarray:
         """The solution in the problem's own variables, read from the
         maintained basic values."""
-        z = np.where(self.status == _AT_UPPER, self.upper, 0.0)
-        z[self.basis] = self.xb
         n = self.offset.size
-        return self.offset + self.sign * z[:n]
+        return self.offset + self.sign * self._values()[:n]
 
     def result(self, status: str) -> LpSolution:
         """solution() when status is "Optimal", else status with no x."""
@@ -743,7 +820,7 @@ class _BoundedSimplex:
 
         x is clipped to the box and must meet every row to
         10 * FEAS_TOL * max(1, |rhs|).  If it does not and a pivot has
-        touched the inverse since its last refactor, the basis is
+        touched the tableau since its last refactor, the basis is
         refactored once and x read again.  Raises NumericalBreakdown when
         x still misses a row, and when x or the objective is not finite.
         """
@@ -752,18 +829,19 @@ class _BoundedSimplex:
         while True:
             # clean tiny drift against the original box
             x = np.minimum(np.maximum(self.extract(), problem.lower), problem.upper)
-            resid = _violation(x, self.rows, self.rhs, self.signs,
-                               problem.lower, problem.upper)
+            with np.errstate(over="ignore", invalid="ignore"):
+                resid = _violation(x, self.rows, self.rhs, self.signs,
+                                   problem.lower, problem.upper)
+                value = float(problem.objective @ x)
             if resid <= limit or not self.pivots_since_refactor:
                 break
-            self._refactor()  # at most once: it zeroes pivots_since_refactor
+            self._refactor(self.c)  # at most once: it zeroes pivots_since_refactor
         if resid > limit:
             raise NumericalBreakdown(
                 f"solution residual {resid:.3e} exceeds feasibility tolerance"
             )
-        with np.errstate(over="ignore", invalid="ignore"):
-            value = float(problem.objective @ x)
-        if not (math.isfinite(value) and np.isfinite(x).all()):
+        # an infinite or NaN entry of x makes the objective inf or NaN
+        if not math.isfinite(value):
             raise NumericalBreakdown(f"optimum is not finite (objective {value!r})")
         return LpSolution("Optimal", _readonly(x), value, self.iterations)
 
@@ -774,15 +852,17 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     optimality (_BoundedSimplex.solve).
 
     Deterministic for a fixed BLAS thread count: identical problems then
-    produce identical solutions, pivot for pivot.  Pricing and the basis
-    updates use BLAS products, which can round differently with another
-    thread count and so take another pivot path.  x is read from the
-    basic values the pivots maintain, and the basis is inverted afresh
-    only every 128 pivots, so its last digits follow the pivot path.  An
-    Optimal x is clipped to the box and must meet every row to
-    10 * FEAS_TOL * max(1, |rhs|), after one refactor if need be.
-    Raises NumericalBreakdown when pivoting degrades beyond recovery and
-    when the optimum's objective or x is not finite.
+    produce identical solutions, pivot for pivot.  Pricing, the ratio
+    tests and the tableau updates use no BLAS, but a refactor inverts
+    the basis with LAPACK and forms B^-1 A with BLAS, which can round
+    differently with another thread count and so take another pivot path
+    after it.  x is read from the basic values the pivots maintain, and
+    the tableau is rebuilt only every 128 pivots, so its last digits
+    follow the pivot path.  An Optimal x is clipped to the box and must
+    meet every row to 10 * FEAS_TOL * max(1, |rhs|), after one refactor
+    if need be.  Raises NumericalBreakdown when pivoting degrades beyond
+    recovery, when a reduced cost overflows, and when the optimum's
+    objective or x is not finite.
     """
     solver = _BoundedSimplex(problem)
     return solver.result(solver.solve())
@@ -799,8 +879,8 @@ class RhsSequence:
     For a later one the costs are unchanged, so a basis that was optimal
     is still dual feasible and needs no cost shift, and the bounded dual
     simplex restores primal feasibility (Koberstein 2005, The dual
-    simplex method); the new basic values are read through the kept
-    basis inverse, with no inversion.  A bad rhs raises before the
+    simplex method); the new basic values are read through B^-1 in the
+    kept tableau's logical columns, with no inversion.  A bad rhs raises before the
     simplex is touched; a solve that raises discards it, so the next
     solve starts again from the logicals.  An LpSolution's iterations
     count that solve's pivots only.

@@ -30,6 +30,19 @@ def test_counts_calls_per_op_of_matching_functions():
     assert lines[:-1] == ["       1.000  postfeas.robustify.solve_robust_cutting_planes"]
 
 
+def test_seconds_per_op_of_the_matching_functions():
+    proc = run_tool("--workload", "robust_lp", "--seed", "1", "--ops", "2",
+                    "--match", r"\.run_dual$|\.solution$")
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    names = {"postfeas.lp.run_dual", "postfeas.lp.solution"}
+    assert set(result["calls_per_op"]) == names
+    assert set(result["self_s_per_op"]) == set(result["cum_s_per_op"]) == names
+    # each calls others, whose time only the cumulative seconds hold
+    for name in names:
+        assert 0.0 < result["self_s_per_op"][name] < result["cum_s_per_op"][name]
+
+
 @pytest.mark.parametrize("workload, expect", [
     # three trials an op, each method's solve through replace_rhs
     ("sim_study", {"postfeas.lp.replace_rhs": 15.0,

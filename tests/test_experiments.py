@@ -454,11 +454,12 @@ class TestRunTrial:
             inst.sigma_true)
 
 
-def trial_solutions_digest(trials: int = 21) -> str:
+def trial_solutions_digest(trials: int = 21) -> tuple[str, str]:
     """sha256 over default-config run_trial calls, cycling the alphas:
-    each method's status, iterations and x bytes, then the records."""
+    each method's status, iterations and x bytes, then the records; and
+    sha256 over the records' statuses and v_post values alone."""
     cfg = SimConfig()
-    digest = hashlib.sha256()
+    digest, v_post = hashlib.sha256(), hashlib.sha256()
     real = lp_module.RhsSequence.solve
 
     def recorded(self, rhs):
@@ -476,9 +477,10 @@ def trial_solutions_digest(trials: int = 21) -> str:
             recs = run_trial(inst, model, cfg.alphas[k % len(cfg.alphas)], cfg,
                              Rng.for_purpose(cfg.master_seed, "trial", k), k)
             digest.update(repr([dataclasses.astuple(r) for r in recs]).encode())
+            v_post.update(repr([(r.status, r.v_post) for r in recs]).encode())
     finally:
         lp_module.RhsSequence.solve = real
-    return digest.hexdigest()
+    return digest.hexdigest(), v_post.hexdigest()
 
 
 class TestTrialReplayDigest:
@@ -486,18 +488,22 @@ class TestTrialReplayDigest:
     # method's status, simplex iterations and x, and the trial records.
     # The digest was taken while the first solve of a trial still built
     # its simplex from an LpProblem at that method's rhs, so it pins that
-    # starting every solve through replace_rhs moved no pivot.
-    DIGEST = "3a42f195976306214cc2f15907ea0c1f94e14dd522f90cbd99f3640b1ed794a9"
+    # starting every solve through replace_rhs moved no pivot.  V_POST
+    # hashes the 105 records' statuses and v_post values; it was taken
+    # while the simplex kept the basis inverse, so it pins that the kept
+    # tableau moved none of them.
+    DIGEST = "51e63de03c070d2caf8e8ef34fd7214542f579fabd8e490baa7a18c167af3dde"
+    V_POST = "a0946c8df6299d621c98d8dee48f8333f04912e2d6b07de89ed77e3d6bbe5e2d"
 
     def test_twenty_one_trials_replay(self):
         code = ("from test_experiments import trial_solutions_digest\n"
-                "print(trial_solutions_digest())\n")
+                "print(*trial_solutions_digest())\n")
         env = child_env(OPENBLAS_NUM_THREADS="1")
         env["PYTHONPATH"] += os.pathsep + str(Path(__file__).resolve().parent)
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == [self.DIGEST]
+        assert proc.stdout.split() == [self.DIGEST, self.V_POST]
 
 
 class TestTrueViolation:
@@ -1099,10 +1105,17 @@ FIXTURE_RELAXED_X = {
         "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
     ],
     ("panel_binding", 1.2, 11): [
-        "0x1.0000000000000p+0", "0x1.20d8ce3b9f36dp-1", "0x0.0p+0",
-        "0x1.0000000000000p+0", "0x1.be4e6388c1927p-2", "0x0.0p+0",
+        "0x1.0000000000000p+0", "0x1.20d8ce3b9f36ep-1", "0x0.0p+0",
+        "0x1.0000000000000p+0", "0x1.be4e6388c1926p-2", "0x0.0p+0",
     ],
 }
+# The same relaxed x while the simplex kept the basis inverse.
+FIXTURE_RELAXED_X_INVERSE = [
+    ["0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+     "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"],
+    ["0x1.0000000000000p+0", "0x1.20d8ce3b9f36dp-1", "0x0.0p+0",
+     "0x1.0000000000000p+0", "0x1.be4e6388c1927p-2", "0x0.0p+0"],
+]
 
 
 def fixture_relaxed_hex():
@@ -1125,7 +1138,11 @@ class TestFixtureReplayBits:
     """Byte-for-byte replay of the relaxed panel on the bundled fixtures."""
 
     def test_relaxed_x_bits_pinned(self):
-        assert fixture_relaxed_hex() == list(FIXTURE_RELAXED_X.values())
+        relaxed = fixture_relaxed_hex()
+        assert relaxed == list(FIXTURE_RELAXED_X.values())
+        for now, before in zip(relaxed, FIXTURE_RELAXED_X_INVERSE):
+            assert max(abs(float.fromhex(a) - float.fromhex(b))
+                       for a, b in zip(now, before)) <= 1e-12
 
     def test_same_bits_under_one_and_two_blas_threads(self):
         code = ("import json\n"

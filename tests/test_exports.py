@@ -49,13 +49,15 @@ def test_no_test_only_names(owner, name):
     ("stats", "uniform_array"),
     ("scenario", "violation_bound"),
     ("lp.LpProblem", "_with_rhs"),
+    ("lp._BoundedSimplex", "_reduced_costs"),
 ])
 def test_no_folded_names(owner, name):
     # One Nig type serves as prior, posterior and least-squares fit, and
     # StudentTRhs.from_nig gives every predictive; a precision that is
     # not positive definite raises rather than taking a jitter; callers
     # draw from rng.generator and take the scenario bound from
-    # stats.binomial_tail; a simplex takes a new rhs through replace_rhs.
+    # stats.binomial_tail; a simplex takes a new rhs through replace_rhs
+    # and prices from the reduced costs its tableau keeps.
     module, _, attr = owner.partition(".")
     obj = importlib.import_module(f"postfeas.{module}")
     obj = getattr(obj, attr) if attr else obj

@@ -3,6 +3,8 @@
 import copy
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from postfeas.lp import (
 )
 
 from lp_oracle import SizeLimitExceeded, brute_force_lp
+from test_cli import child_env
 
 
 def random_box_problem(rng):
@@ -243,22 +246,37 @@ class TestPinnedPaths:
     # parameters pin the former start (phase one on artificial columns);
     # the logical start must reach the same status, and x to 1e-12, in no
     # more iterations.  LOGICAL pins its own path, with x read from the
-    # basic values the pivots maintain (no refactor below 128 pivots);
+    # basic values the pivots of the kept tableau maintain (no refactor
+    # below 128 pivots); INVERSE_X is that path's x when the simplex kept
+    # the basis inverse instead, and x must stay within 1e-12 of it.
     # HiGHS must agree on the status and, to 1e-9, on the objective.
     LOGICAL = {
         0: (3, ["-0x1.37c36d6ccc03bp+0", "-0x1.5b33ef677da45p+0",
                 "0x1.304817f37063ap+0", "0x1.db4e509aa8ee0p-3", "0x0.0p+0"]),
         1: (3, None),
         2: (6, None),
-        5: (6, ["-0x1.7e0df0475e4ebp+1", "-0x1.9bc59cb6a4c40p-2",
+        5: (6, ["-0x1.7e0df0475e4eap+1", "-0x1.9bc59cb6a4c40p-2",
                 "0x1.e25673ce65f68p-2", "0x1.0000000000000p+0",
-                "0x1.5456aa1ec5126p-3"]),
+                "0x1.5456aa1ec511cp-3"]),
         12: (4, ["0x1.19468699b41b3p-4", "-0x1.0fd7c4f654608p-3",
                  "0x1.5caa13c50d8d0p-2", "-0x1.0000000000000p+0",
                  "0x1.311d4901a1aeap-2"]),
-        26: (6, ["0x1.fd46732959b12p-1", "-0x1.3c1080f28b8f1p+0",
-                 "0x1.fadc2f9d5a800p-4", "-0x1.f11cb66f67520p-4",
-                 "0x1.814f5aa84b58cp-1"]),
+        26: (6, ["0x1.fd46732959b0cp-1", "-0x1.3c1080f28b8f1p+0",
+                 "0x1.fadc2f9d5a800p-4", "-0x1.f11cb66f67518p-4",
+                 "0x1.814f5aa84b588p-1"]),
+    }
+    INVERSE_X = {
+        0: ["-0x1.37c36d6ccc03bp+0", "-0x1.5b33ef677da45p+0",
+            "0x1.304817f37063ap+0", "0x1.db4e509aa8ee0p-3", "0x0.0p+0"],
+        5: ["-0x1.7e0df0475e4ebp+1", "-0x1.9bc59cb6a4c40p-2",
+            "0x1.e25673ce65f68p-2", "0x1.0000000000000p+0",
+            "0x1.5456aa1ec5126p-3"],
+        12: ["0x1.19468699b41b3p-4", "-0x1.0fd7c4f654608p-3",
+             "0x1.5caa13c50d8d0p-2", "-0x1.0000000000000p+0",
+             "0x1.311d4901a1aeap-2"],
+        26: ["0x1.fd46732959b12p-1", "-0x1.3c1080f28b8f1p+0",
+             "0x1.fadc2f9d5a800p-4", "-0x1.f11cb66f67520p-4",
+             "0x1.814f5aa84b58cp-1"],
     }
 
     @pytest.mark.parametrize("seed, status, iterations, x_hex", [
@@ -285,6 +303,8 @@ class TestPinnedPaths:
         assert (None if sol.x is None else [float(v).hex() for v in sol.x]) == logical_x_hex
         if x_hex is not None:
             assert np.abs(sol.x - [float.fromhex(h) for h in x_hex]).max() <= 1e-12
+            inverse = [float.fromhex(h) for h in self.INVERSE_X[seed]]
+            assert np.abs(sol.x - inverse).max() <= 1e-12
         highs_status, highs_value = highs_result(problem)
         assert highs_status == status
         if status == "Optimal":
@@ -937,8 +957,8 @@ def count_inversions(monkeypatch):
 
 
 class TestReplaceRhsInverse:
-    # replace_rhs reads the basic values through the kept inverse; it
-    # never inverts A[:, basis].
+    # replace_rhs reads the basic values through B^-1 in the kept
+    # tableau's logical columns; it never inverts A[:, basis].
     def test_reentry_after_optimal_inverts_nothing_new(self, monkeypatch):
         problem, feasible_rhs = conflict_instance(7)
         first, second = feasible_rhs(), feasible_rhs()
@@ -952,7 +972,7 @@ class TestReplaceRhsInverse:
         assert calls == []
         # the same to 1e-12 as inverting again
         refactored.replace_rhs(second)
-        refactored._refactor()
+        refactored._refactor(refactored.c)
         fresh = refactored.result(refactored.solve())
         assert (sol.status, sol.iterations) == (fresh.status, fresh.iterations)
         assert np.abs(sol.x - fresh.x).max() <= 1e-12
@@ -980,7 +1000,7 @@ class TestReplaceRhsInverse:
             solver = _BoundedSimplex(LpProblem(rng.normal(size=n), rows, bounds))
             assert solver.solve() == "Optimal"
             fresh = copy.deepcopy(solver)
-            fresh._refactor()
+            fresh._refactor(fresh.c)
             pivoted += solver.pivots_since_refactor > 0
             assert np.abs(solver.extract() - fresh.extract()).max() <= 1e-12
         assert pivoted > 40
@@ -1030,7 +1050,7 @@ def boxed_instance(gen, n=6, m=3):
 class TestRefactorRule:
     # The basis is inverted only after 128 pivots, on a pivot too small
     # to trust, and when solution()'s residual check fails after pivots.
-    # Appended rows border the kept inverse.
+    # Appended rows write their rows of the kept tableau.
     @pytest.mark.parametrize("seed", range(10))
     def test_row_generation_below_128_pivots_inverts_nothing(
             self, monkeypatch, seed):
@@ -1060,7 +1080,11 @@ class TestRefactorRule:
                 slack = np.array([{"<=": 0.1, ">=": -0.1, "=": 0.0}[s] for s in senses])
                 solver.append_rows(zip(rows, senses, rows @ problem.lower + slack))
                 fresh = np.linalg.inv(solver.A[:, solver.basis])
-                assert np.abs(solver.binv - fresh).max() <= 1e-12 * np.abs(fresh).max()
+                tableau = fresh @ solver.A
+                assert (np.abs(solver.T - tableau).max()
+                        <= 1e-12 * np.abs(tableau).max())
+                d = solver.c - solver.c[solver.basis] @ tableau
+                assert np.abs(solver.d - d).max() <= 1e-12 * max(1.0, np.abs(d).max())
                 xb = fresh @ solver._nonbasic_rhs()
                 assert (np.abs(solver.xb - xb).max()
                         <= 1e-12 * max(1.0, np.abs(xb).max()))
@@ -1070,7 +1094,9 @@ class TestRefactorRule:
         problem = pinned_instance(0)
         solver = _BoundedSimplex(problem)
         coef = np.array([{"<=": 1.0, ">=": -1.0, "=": 1.0}[s] for s in problem.senses])
-        assert solver.binv.tobytes() == np.diag(coef).tobytes()
+        # T = D A, whose logical block is D D = I, and d = c
+        assert np.array_equal(solver.T, coef[:, np.newaxis] * solver.A)
+        assert solver.d.tobytes() == solver.c.tobytes()
         b = problem.rhs - problem.rows @ solver.offset
         assert solver.xb.tobytes() == (coef * b).tobytes()
 
@@ -1079,7 +1105,7 @@ class TestRefactorRule:
         assert solver.solve() == "Optimal"
         assert solver.pivots_since_refactor > 0
         fresh = copy.deepcopy(solver)
-        fresh._refactor()
+        fresh._refactor(fresh.c)
         expected = fresh.solution()
         solver.xb = solver.xb + 1.0  # drift far beyond the tolerance
         calls = count_inversions(monkeypatch)
@@ -1100,3 +1126,19 @@ class TestRefactorRule:
                             [(0.0, None), (0.0, None)])
         with pytest.raises(NumericalBreakdown, match="not finite"):
             solve_lp(problem)
+
+    def test_opposite_sign_costs_fail_closed_without_a_warning(self, tmp_path):
+        # the optimum (0, 2) has objective 2e308, and the pivot that
+        # reaches it overflows a reduced cost: one error line, exit 5
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({
+            "maximize": [-1e308, 1e308],
+            "constraints": [{"row": [1.0, 1.0], "sense": "<=", "rhs": 2.0}],
+            "bounds": [[0.0, None], [-1.0, None]]}), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "postfeas.cli",
+             "solve", str(path), "--out", str(tmp_path / "solution.json")],
+            capture_output=True, text=True, env=child_env(), timeout=120)
+        assert proc.returncode == 5
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr

@@ -412,8 +412,15 @@ class TestCuttingPlanes:
     # Cut sequences of the loop before it was shared with the scenario
     # program; x is compared bit for bit.  Instance: c ~ U(0.5, 2), rows
     # (U(0.2, 1.5)^n, U(3, 6)) with random_pd_cov(scale), box [0, 5]^n.
-    # x_hex is the pivot path of the dual re-entry; COLD_X holds, per
-    # seed, the x of the cold two-phase solve per round it replaced.
+    # x_hex is the pivot path of the dual re-entry on the kept tableau;
+    # INVERSE_X holds, per seed, the x of the same path when the simplex
+    # kept the basis inverse, and COLD_X that of the cold two-phase solve
+    # per round it replaced.  x must be within 1e-12 of both.
+    INVERSE_X = {
+        2: ["0x1.ea92ed4c37d8ap-1", "0x0.0p+0", "0x1.b68d1244527f0p+0",
+            "0x0.0p+0"],
+        3: ["0x1.0da7152928d35p+0", "0x0.0p+0", "0x1.0542b4849c6ffp-1"],
+    }
     COLD_X = {
         2: ["0x1.ea92ed4c37d8cp-1", "0x0.0p+0", "0x1.b68d1244527f0p+0",
             "0x0.0p+0"],
@@ -422,11 +429,11 @@ class TestCuttingPlanes:
 
     @pytest.mark.parametrize("seed, n, scale, budget, x_hex, cuts", [
         (2, 4, 0.3, None,
-         ["0x1.ea92ed4c37d8ap-1", "0x0.0p+0", "0x1.b68d1244527f0p+0",
+         ["0x1.ea92ed4c37d8ep-1", "0x0.0p+0", "0x1.b68d1244527efp+0",
           "0x0.0p+0"],
          [3, 2, 3, 2, 2, 0]),
         (3, 3, 0.25, 4.0,
-         ["0x1.0da7152928d35p+0", "0x0.0p+0", "0x1.0542b4849c6ffp-1"],
+         ["0x1.0da715292918dp+0", "0x0.0p+0", "0x1.0542b4849c3cbp-1"],
          [3, 3, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0]),
     ])
     def test_cut_sequence_pinned(self, monkeypatch, seed, n, scale, budget,
@@ -445,8 +452,9 @@ class TestCuttingPlanes:
         sol, log, last = solve_recording_last_relaxation(rlp, monkeypatch)
         assert sol.status == "Optimal"
         assert sol.x.tolist() == [float.fromhex(h) for h in x_hex]
-        cold = np.array([float.fromhex(h) for h in self.COLD_X[seed]])
-        assert np.abs(sol.x - cold).max() <= 1e-12
+        for pinned in (self.INVERSE_X, self.COLD_X):
+            earlier = np.array([float.fromhex(h) for h in pinned[seed]])
+            assert np.abs(sol.x - earlier).max() <= 1e-12
         assert log.rounds == len(cuts)
         assert log.cuts_per_round == cuts
         ref = highs_objective(last)
@@ -481,8 +489,14 @@ class TestCuttingPlanes:
     def test_rounds_never_call_solve_lp(self, monkeypatch):
         calls = []
         cold = lp.solve_lp
-        monkeypatch.setattr(lp, "solve_lp",
-                            lambda problem: calls.append(1) or cold(problem))
+
+        def counted(problem):
+            calls.append(1)
+            return cold(problem)
+
+        # a solve_lp bound in robustify's namespace is counted as well
+        monkeypatch.setattr(lp, "solve_lp", counted)
+        monkeypatch.setattr(robustify, "solve_lp", counted, raising=False)
         gen = np.random.default_rng(2)
         rows = [(np.array([*gen.uniform(0.2, 1.5, 4), gen.uniform(3.0, 6.0)]),
                  random_pd_cov(gen, 5, 0.3)) for _ in range(3)]
@@ -607,8 +621,12 @@ class TestManyRoundInstance:
     # 48 rounds, where the other pins stop at 16: the dual re-entry's
     # pivot path over many appends, x read from the basic values that 66
     # pivots maintained without a refactor.  x is compared bit for bit.
-    X_HEX = ["0x1.dcbd890952e08p-4", "0x1.aa84478c29146p-1",
-             "0x1.4f50c2b55e900p+0", "0x1.e17ee2f3b6ca9p-1"]
+    # INVERSE_X_HEX is the same path's x when the simplex kept the basis
+    # inverse; the 66 updates of the tableau instead moved x by 2.9e-12.
+    X_HEX = ["0x1.dcbd89096cf14p-4", "0x1.aa84478c2ed4cp-1",
+             "0x1.4f50c2b55f11ep+0", "0x1.e17ee2f3b0765p-1"]
+    INVERSE_X_HEX = ["0x1.dcbd890952e08p-4", "0x1.aa84478c29146p-1",
+                     "0x1.4f50c2b55e900p+0", "0x1.e17ee2f3b6ca9p-1"]
 
     def test_cut_sequence_and_x_pinned(self, monkeypatch):
         sol, log, last = solve_recording_last_relaxation(
@@ -618,6 +636,8 @@ class TestManyRoundInstance:
         assert log.rounds == 48
         assert sol.iterations == 118
         assert sol.x.tolist() == [float.fromhex(h) for h in self.X_HEX]
+        inverse = [float.fromhex(h) for h in self.INVERSE_X_HEX]
+        assert np.abs(sol.x - inverse).max() <= 1e-11
         ref = highs_objective(last)
         assert abs(sol.objective_value - ref) <= 1e-9 * abs(ref)
 
@@ -630,28 +650,31 @@ class TestManyRoundInstance:
 
 class TestReplayDigest:
     # 40 robust_lp instances replay bit for bit under one BLAS thread:
-    # status, rounds, cuts per round and the bytes of x, hashed.  The
-    # digest was taken before the simplex kept its rows in growable
-    # buffers, so it pins that the storage moved no pivot.
-    DIGEST = "9f5f474f3e6a91bb5e500dbd7acae08cd8e45050bd1766b051a2992278be337f"
+    # status, rounds, cuts per round and the bytes of x, hashed (DIGEST).
+    # STRUCTURE hashes the status, rounds and cuts per round alone; it was
+    # taken while the simplex kept the basis inverse, so it pins that the
+    # kept tableau moved no round.
+    DIGEST = "09107cd14a76a1c694ac5f15d316d92e02cb57d4ddb3d98babc29a4f276de485"
+    STRUCTURE = "a4cc268e6a51b8ac11567c8c33f99d0e043d6ce851751d97a0a0258e9b2742a8"
 
     def test_forty_instances_replay(self):
         code = ("import hashlib\n"
                 "from test_robustify import robust_lp_instance\n"
                 "from postfeas.robustify import solve_robust_cutting_planes\n"
-                "digest = hashlib.sha256()\n"
+                "digest, structure = hashlib.sha256(), hashlib.sha256()\n"
                 "for seed in range(40):\n"
                 "    sol, log = solve_robust_cutting_planes(robust_lp_instance(seed))\n"
-                "    digest.update(repr((sol.status, log.rounds,\n"
-                "                        log.cuts_per_round)).encode())\n"
+                "    shape = repr((sol.status, log.rounds, log.cuts_per_round))\n"
+                "    digest.update(shape.encode())\n"
                 "    digest.update(sol.x.tobytes())\n"
-                "print(digest.hexdigest())\n")
+                "    structure.update(shape.encode())\n"
+                "print(digest.hexdigest(), structure.hexdigest())\n")
         env = child_env(OPENBLAS_NUM_THREADS="1")
         env["PYTHONPATH"] += os.pathsep + str(Path(__file__).resolve().parent)
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == [self.DIGEST]
+        assert proc.stdout.split() == [self.DIGEST, self.STRUCTURE]
 
 
 def t_rhs(dof, loc, scale):

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Count the calls per op of matching functions in a benchmark workload.
+"""Count the calls and seconds per op of matching functions in a benchmark workload.
 
     python3 tools/call_counts.py --workload robust_lp --seed 1 --ops 200 \\
         --match 'linalg\\._linalg\\.inv$'
@@ -15,8 +15,12 @@ its module, as ``postfeas.lp.solve``); built-ins keep cProfile's name
 (``<built-in method numpy.array>``).  For every function whose name
 matches the regular expression --match (``re.search``) it prints the
 calls per op, most called first (a function never called is absent),
-and then the same as one JSON line: ``{"workload", "seed", "ops",
-"match", "checkout", "calls_per_op": {name: calls / ops}}``.
+and then one JSON line: ``{"workload", "seed", "ops", "match",
+"checkout", "calls_per_op", "self_s_per_op", "cum_s_per_op"}``, each
+of the last three ``{name: value / ops}``.  Self seconds exclude the
+time of the functions called, cumulative seconds include it; both are
+cProfile's, which adds its own cost to every call, and functions that
+share a name are summed.
 
 postfeas is imported from the checkout's ``src`` (this repository
 unless --checkout names another clone) and the workload from its
@@ -51,17 +55,23 @@ def function_name(key: tuple, modules: dict) -> str:
     return function if module is None else f"{module}.{function}"
 
 
-def calls_per_op(stats: pstats.Stats, pattern: re.Pattern, ops: int) -> dict:
-    """{name: calls / ops} of the profiled functions whose name matches."""
+def per_op(stats: pstats.Stats, pattern: re.Pattern, ops: int) -> dict:
+    """{"calls_per_op", "self_s_per_op", "cum_s_per_op"}, each
+    {name: value / ops}, of the profiled functions whose name matches,
+    most called first."""
     modules = {getattr(m, "__file__", None): name
                for name, m in list(sys.modules.items())}
-    counts: dict[str, int] = {}
-    for key, (_, calls, *_rest) in stats.stats.items():
+    totals: dict[str, list] = {}
+    for key, (_, calls, self_s, cum_s, _callers) in stats.stats.items():
         name = function_name(key, modules)
         if pattern.search(name):
-            counts[name] = counts.get(name, 0) + calls
-    return {name: calls / ops for name, calls in
-            sorted(counts.items(), key=lambda item: (-item[1], item[0]))}
+            total = totals.setdefault(name, [0, 0.0, 0.0])
+            for i, value in enumerate((calls, self_s, cum_s)):
+                total[i] += value
+    order = sorted(totals, key=lambda name: (-totals[name][0], name))
+    return {field: {name: totals[name][i] / ops for name in order}
+            for i, field in enumerate(("calls_per_op", "self_s_per_op",
+                                       "cum_s_per_op"))}
 
 
 def main(argv=None) -> int:
@@ -104,12 +114,12 @@ def main(argv=None) -> int:
         for op in range(args.ops):
             wl.run(op % wl.round_size, op // wl.round_size)
         profile.disable()
-    counts = calls_per_op(pstats.Stats(profile), pattern, args.ops)
-    for name, per_op in counts.items():
-        print(f"{per_op:12.3f}  {name}")
+    result = per_op(pstats.Stats(profile), pattern, args.ops)
+    for name, calls in result["calls_per_op"].items():
+        print(f"{calls:12.3f}  {name}")
     print(json.dumps({"workload": args.workload, "seed": args.seed,
                       "ops": args.ops, "match": args.match,
-                      "checkout": str(checkout), "calls_per_op": counts}))
+                      "checkout": str(checkout), **result}))
     return 0
 
 
