@@ -563,10 +563,10 @@ class _BoundedSimplex:
         to trust, and when solution()'s residual check fails after
         pivots."""
         try:
-            binv = np.linalg.inv(self.A[:, self.basis])
+            inverse = np.linalg.inv(self.A[:, self.basis])
         except np.linalg.LinAlgError as exc:
             raise NumericalBreakdown("basis matrix is singular") from exc
-        self.T[:] = binv @ self.A
+        self.T[:] = inverse @ self.A
         self.xb[:] = self._basic_values()
         self._price(costs)
         self.pivots_since_refactor = 0
