@@ -65,22 +65,50 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 def _constraint_arrays(constraints, n: int):
-    """Rows (k, n), senses and rhs (k,) of (row, sense, rhs) triples."""
-    rows_list, senses, rhs_list = [], [], []
-    for item in constraints:
-        row, sense, rhs = item
-        row = np.asarray(row, dtype=float)
-        if row.shape != (n,):
-            raise DimensionMismatch(
-                f"constraint row has shape {row.shape}, expected ({n},)"
-            )
+    """Rows (k, n), senses and rhs (k,) of (row, sense, rhs) triples.
+
+    An item that is not such a triple, an rhs that is not a number and
+    a row that is not n numbers raise DomainError, or DimensionMismatch
+    for a row of another shape.  The rows are stacked and checked as one
+    array; only when that fails is each row checked, to name the first
+    bad one.
+    """
+    rows, senses, rhs = [], [], []
+    for i, item in enumerate(constraints):
+        try:
+            row, sense, value = item
+        except (TypeError, ValueError):
+            raise DomainError(
+                f"constraint {i} is not a (row, sense, rhs) triple") from None
         if sense not in SENSES:
             raise DomainError(f"sense must be one of {SENSES}, got {sense!r}")
-        rows_list.append(row)
+        try:
+            rhs.append(float(value))
+        except (TypeError, ValueError, OverflowError):
+            raise DomainError(
+                f"constraint {i}: rhs must be a number, got {value!r}") from None
+        rows.append(row)
         senses.append(sense)
-        rhs_list.append(float(rhs))
-    rows = np.array(rows_list, dtype=float) if rows_list else np.zeros((0, n))
-    return rows, tuple(senses), np.asarray(rhs_list, dtype=float)
+    if not rows:
+        return np.zeros((0, n)), (), np.zeros(0)
+    try:
+        stacked = np.array(rows, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        stacked = None
+    if stacked is None or stacked.shape != (len(rows), n):
+        stacked = np.array([_constraint_row(i, row, n) for i, row in enumerate(rows)])
+    return stacked, tuple(senses), np.array(rhs)
+
+
+def _constraint_row(i: int, row, n: int) -> np.ndarray:
+    """Constraint i's row as n floats."""
+    try:
+        row = np.asarray(row, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"constraint {i}: row must be numbers, got {row!r}") from None
+    if row.shape != (n,):
+        raise DimensionMismatch(f"constraint row has shape {row.shape}, expected ({n},)")
+    return row
 
 
 def _peak(a: np.ndarray) -> float:
@@ -202,12 +230,19 @@ def _violation(x, rows, rhs, signs, lower, upper) -> float:
     0 * inf in a row and from inf - inf against an infinite bound of its
     own sign; fmax drops the latter.
     """
-    r = rows @ x - rhs
     box_worst = _peak(np.fmax(lower - x, x - upper))
-    row_worst = _peak(r[:, np.newaxis] * signs)
-    if math.isnan(row_worst) or math.isnan(box_worst):
+    if math.isnan(box_worst):
         return math.inf
-    worst = max(row_worst, box_worst)
+    return max(_row_violation(x, rows, rhs, signs), box_worst)
+
+
+def _row_violation(x, rows, rhs, signs) -> float:
+    """The largest violation of x of rows with their rhs and violation
+    signs (0 when there is none), inf when a residual is NaN.  Callers
+    ignore invalid operations, as for _violation."""
+    worst = _peak((rows @ x - rhs)[:, np.newaxis] * signs)
+    if math.isnan(worst):
+        return math.inf
     return worst if worst > 0.0 else 0.0
 
 
@@ -288,6 +323,16 @@ _ROW_ENTRIES = {sense: (*_VIOLATION_SIGNS[sense], *logical) for sense, logical i
 # more; they double when an append fills them.
 _INITIAL_CAPACITY = 16
 
+# The per-row and per-column vectors of the workspace share buffers, one
+# vector a row: b, rhs, xb, lower_b and upper_b in _rowvals; c, upper,
+# at_bound, rises and falls in _cols; kind and status in _codes.  Each
+# buffer's entries beyond those in use hold what a "<=" row and its
+# logical column take when appended: the logical costs nothing, has
+# upper bound inf and room above 0, and enters basic.
+_ROW_FILL = np.array([[0.0], [0.0], [0.0], [0.0], [math.inf]])
+_COLUMN_FILL = np.array([[0.0], [math.inf], [0.0], [0.0], [0.0]])
+_CODE_FILL = np.array([[_ROOM], [_BASIC]], dtype=np.int8)
+
 
 class _BoundedSimplex:
     """Bounded-variable simplex on the kept tableau of one LpProblem's
@@ -307,20 +352,24 @@ class _BoundedSimplex:
     its objective and box are the solve's, and rows appended and rhs
     replaced since live in the workspace alone.
 
-    The workspace grows in place.  A, table (d above T), b, xb, basis,
-    c, upper, kind and status, and the original rows, rhs and violation
+    The workspace grows in place.  table (d above T), xb, basis, c,
+    upper, kind and status, and the original rows, rhs and violation
     signs that solution()'s residual check reads, are leading views of
     buffers with spare rows and columns, which double when an append
-    fills them.  An append writes only its new rows and rebinds the
-    views; every other update writes through them.  So does the upkeep
-    of what pricing and the ratio tests read: rises and falls (1.0 where
-    a column may rise, or fall, from where it stands) and at_bound (a
-    column's value when it stands at a bound: upper at its upper bound,
-    else 0) follow status through _set_status, and the basic variables'
-    bounds lower_b and upper_b follow basis through _pivot.  The
-    tolerances an append can only raise are running maxima: rhs_peak
-    (max |rhs|, for solution()), b_peak (max |b|, for run_dual) and
-    cost_tol, which zero-cost logicals never change.
+    fills them; A and b, which only refactors and new rhs read, are
+    sliced from theirs when read.  The spare entries already hold a "<="
+    row's logical, its coefficient 1 in A and its 1 in T included, so
+    an append writes only its rows' own entries, and those of a logical
+    of another sense, and rebinds the views; every other update writes
+    through them.  So does the upkeep of what pricing and the ratio
+    tests read: rises and falls (1.0 where a column may rise, or fall,
+    from where it stands) and at_bound (a column's value when it stands
+    at a bound: upper at its upper bound, else 0) follow status through
+    _set_status, and the basic variables' bounds lower_b and upper_b
+    follow basis through _pivot.  The tolerances an append can only
+    raise are running maxima: rhs_peak (max |rhs|, for solution()),
+    b_peak (max |b|, for run_dual) and cost_tol, which zero-cost
+    logicals never change.
 
     The tableau T = B^-1 A, the basic values xb and the reduced costs
     d = costs - costs_B T are kept up to date, where costs are the true
@@ -356,30 +405,26 @@ class _BoundedSimplex:
         self.offset = offset
         self.unshifted = not offset.any()
         self.sign = sign
-        # buffers for no rows yet; _add_rows grows them and sets the views
+        c = problem.objective * sign  # logicals cost nothing
+        # the workspace of no rows, which _grow moves into its buffers:
+        # d above an empty T (at the logical basis y = 0, so d = c), and
+        # the columns at their lower bounds
         self._capacity = 0
         self._A = np.zeros((0, n))
-        # d above T; at the logical basis y = 0, so d = c
-        self._T = (problem.objective * sign)[np.newaxis]
+        self._T = c[np.newaxis]
         self._rows = np.zeros((0, n))
         self._signs = np.zeros((0, 2))
-        self._b = np.zeros(0)
-        self._rhs = np.zeros(0)
-        self._xb = np.zeros(0)
+        self._rowvals = np.zeros((5, 0))
         self._basis = np.zeros(0, dtype=np.intp)
-        self._lower_b = np.zeros(0)
-        self._upper_b = np.zeros(0)
-        self._c = problem.objective * sign  # logicals cost nothing
-        self._upper = upper
-        self._kind = kind
-        self._status = np.full(n, _AT_LOWER, dtype=np.int8)
-        self._at_bound = np.zeros(n)
-        self._rises = _RISES.take(kind + _AT_LOWER)
-        self._falls = _FALLS.take(kind + _AT_LOWER)
-        self.cost_tol = _tolerance(self._c)
+        self._cols = np.array([c, upper, np.zeros(n), _RISES.take(kind + _AT_LOWER),
+                               _FALLS.take(kind + _AT_LOWER)])
+        self._codes = np.array([kind, np.full(n, _AT_LOWER, dtype=np.int8)])
+        self._grow(max(problem.m, _INITIAL_CAPACITY))
+        self.cost_tol = _tolerance(c)
         self.rhs_peak = self.b_peak = -math.inf
         self.m = 0
         self._bind_views()
+        self._z = None
         self.optimal = False
         self.pivots_since_refactor = 0
         self.iterations = 0
@@ -391,15 +436,13 @@ class _BoundedSimplex:
     def append_rows(self, constraints):
         """Append (row, sense, rhs) triples, each with a basic logical.
 
-        The rows are validated as LpProblem validates its constraints,
-        and only they are written to the workspace (_add_rows).  The
-        logicals cost nothing, so the reduced costs, and with them dual
-        feasibility, are unchanged; only the new basic values can leave
-        their bounds.
+        The rows are validated as LpProblem validates its constraints
+        before anything is written, and only they are written to the
+        workspace (_add_rows).  The logicals cost nothing, so the reduced
+        costs, and with them dual feasibility, are unchanged; only the
+        new basic values can leave their bounds.
         """
-        rows, senses, rhs = _constraint_arrays(constraints, self.offset.size)
-        _check_finite(rows, rhs)
-        self._add_rows(rows, senses, rhs)
+        self._add_rows(*_constraint_arrays(constraints, self.offset.size))
 
     def replace_rhs(self, rhs):
         """Put rhs in place of the rows' right-hand sides, checked as
@@ -414,16 +457,20 @@ class _BoundedSimplex:
         if rhs.shape != (self.m,):
             raise DimensionMismatch(f"rhs has shape {rhs.shape}, expected ({self.m},)")
         _check_finite(rhs)
+        b = self.b
         self.rhs[:] = rhs
-        self.b[:] = self._shifted_rhs(self.rows, rhs)
+        b[:] = self._shifted_rhs(self.rows, rhs)
         self.rhs_peak = _peak(np.abs(self.rhs))
-        self.b_peak = _peak(np.abs(self.b))
+        self.b_peak = _peak(np.abs(b))
         self.iterations = 0
         self.xb[:] = self._basic_values()
+        self._z = None
 
     def _add_rows(self, rows: np.ndarray, senses: tuple, rhs: np.ndarray):
         """Append rows, each with a basic logical column, without an
-        inversion, writing only the new rows into the buffers.
+        inversion, writing only the new rows into the buffers.  Raises
+        DomainError, before anything is written, when a row or rhs is
+        not finite.
 
         With the new rows' entries F in the old columns, F_B in the basic
         ones, and their logicals' coefficients D = diag(+-1) = D^-1, the
@@ -431,89 +478,114 @@ class _BoundedSimplex:
         [[B^-1, 0], [-D F_B B^-1, D]].  So the new rows of T are
         D (F - F_B T) in the old columns and the identity in the new
         logical ones, and their basic values are D (b_new - F z), with z
-        the current values of the old columns.  On an empty basis this
-        is exactly T = D F and xb = D b.  The new logicals cost nothing
-        and are basic, so d is unchanged and their entries of it are 0.
-        The buffers' spare entries are zero, which are the new rows'
-        entries in the old logical columns and the old rows' in the new
-        ones, the new logicals' costs, reduced costs and lower bounds, and
-        their rises and falls, since they enter basic.
+        the current values of the old columns (those extract() kept, when
+        it read them at this basis).  On an empty basis this is exactly
+        T = D F and xb = D b.  The new logicals cost nothing and are
+        basic, so d is unchanged and their entries of it are 0.
+
+        The buffers' spare entries already hold the rest of a "<=" row
+        (_grow): zeros where the new rows meet the old logical columns
+        and the old rows the new ones, and for the new logicals' costs,
+        reduced costs, lower bounds, rises and falls; D = 1 and T's
+        identity; the violation signs (1, 1); and each logical's upper
+        bound inf, kind, basic status and basis entry.  So only a row of
+        another sense writes its D, signs, upper bound and kind.
         """
         m, k = self.m, len(senses)
         end = m + k
         n = self.offset.size
         width = n + m
-        if end > self._capacity:
-            self._grow(max(end, 2 * self._capacity, _INITIAL_CAPACITY))
-        entries = np.array([_ROW_ENTRIES[s] for s in senses],
-                           dtype=float).reshape(k, 5)
-        coef, upper, kind = entries[:, 2], entries[:, 3], entries[:, 4]
-        b_new = self._shifted_rhs(rows, rhs)
-        A = self._A
-        f = A[m:end, :width]
-        f[:, :n] = rows * self.sign
-        A[m:end, width:width + k].flat[::k + 1] = coef
-        t_new = self._T[m + 1:end + 1]  # below d
-        np.multiply(coef[:, np.newaxis],
-                    f - np.einsum("ij,jk->ik", f[:, self.basis], self.T),
-                    out=t_new[:, :width])
-        t_new[:, width:width + k].flat[::k + 1] = 1.0
-        self._xb[m:end] = coef * (b_new - np.einsum("ij,j->i", f, self._values()))
-        self._b[m:end] = b_new
-        self._rhs[m:end] = rhs
-        self._rows[m:end] = rows
-        self._signs[m:end] = entries[:, :2]
-        self._basis[m:end] = np.arange(width, width + k)
-        self._upper_b[m:end] = upper
-        self._upper[width:width + k] = upper
-        self._kind[width:width + k] = kind
-        self._status[width:width + k] = _BASIC
         rhs_peak = _peak(np.abs(rhs))
+        if not (rhs_peak < math.inf and _peak(np.abs(rows)) < math.inf):
+            _check_finite(rows, rhs)
+        if end > self._capacity:
+            self._grow(max(end, 2 * self._capacity))
+        b_new = self._shifted_rhs(rows, rhs)
+        f = self._A[m:end, :width]
+        np.multiply(rows, self.sign, out=f[:, :n])
+        t_new = self._T[m + 1:end + 1, :width]  # below d
+        np.subtract(f, np.einsum("ij,jk->ik", f.take(self.basis, axis=1), self.T),
+                    out=t_new)
+        z = self._values() if self._z is None else self._z
+        self.m = end
+        self._bind_views()
+        xb_new = self.xb[m:]
+        np.subtract(b_new, np.einsum("ij,j->i", f, z), out=xb_new)
+        if senses.count("<=") < k:
+            entries = np.array([_ROW_ENTRIES[s] for s in senses],
+                               dtype=float).reshape(k, 5)
+            coef, upper = entries[:, 2], entries[:, 3]
+            self._A[m:end, width:width + k].flat[::k + 1] = coef
+            t_new *= coef[:, np.newaxis]
+            xb_new *= coef
+            self.signs[m:] = entries[:, :2]
+            self.upper_b[m:] = upper
+            self.upper[width:] = upper
+            self.kind[width:] = entries[:, 4]
+        self.b[m:] = b_new
+        self.rhs[m:] = rhs
+        self.rows[m:] = rows
         self.rhs_peak = max(self.rhs_peak, rhs_peak)
         self.b_peak = max(self.b_peak, rhs_peak if b_new is rhs
                           else _peak(np.abs(b_new)))
-        self.m = end
-        self._bind_views()
+        self._z = None
+
+    @property
+    def A(self) -> np.ndarray:
+        """The logical form's rows, [rows with the columns' signs | D]."""
+        return self._A[:self.m, :self.offset.size + self.m]
+
+    @property
+    def b(self) -> np.ndarray:
+        """The rows' rhs in the shifted variables."""
+        return self._rowvals[0, :self.m]
 
     def _bind_views(self):
         """Point the workspace's names at the leading m rows and n + m
         columns of the buffers."""
         m, width = self.m, self.offset.size + self.m
-        self.A = self._A[:m, :width]
+        rowvals, cols, codes = self._rowvals, self._cols, self._codes
         self.table = self._T[:m + 1, :width]
         self.d = self.table[0]
         self.T = self.table[1:]
         self.rows = self._rows[:m]
         self.signs = self._signs[:m]
-        self.b = self._b[:m]
-        self.rhs = self._rhs[:m]
-        self.xb = self._xb[:m]
         self.basis = self._basis[:m]
-        self.lower_b = self._lower_b[:m]
-        self.upper_b = self._upper_b[:m]
-        self.c = self._c[:width]
-        self.upper = self._upper[:width]
-        self.kind = self._kind[:width]
-        self.status = self._status[:width]
-        self.at_bound = self._at_bound[:width]
-        self.rises = self._rises[:width]
-        self.falls = self._falls[:width]
+        self.rhs = rowvals[1, :m]
+        self.xb = rowvals[2, :m]
+        self.lower_b = rowvals[3, :m]
+        self.upper_b = rowvals[4, :m]
+        self.c = cols[0, :width]
+        self.upper = cols[1, :width]
+        self.at_bound = cols[2, :width]
+        self.rises = cols[3, :width]
+        self.falls = cols[4, :width]
+        self.kind = codes[0, :width]
+        self.status = codes[1, :width]
         self.max_iterations = 2000 + 200 * (width + m)
 
     def _grow(self, capacity: int):
-        """Move each buffer into a zeroed one for capacity rows (and
-        their logical columns), keeping its entries."""
+        """Move each buffer into one for capacity rows (and their
+        logical columns), keeping its entries; the entries beyond them
+        hold a "<=" row's and its logical's, as _add_rows finds them."""
         n = self.offset.size
-        shapes = {"_A": (capacity, n + capacity), "_T": (capacity + 1, n + capacity),
-                  "_rows": (capacity, n), "_signs": (capacity, 2)}
-        for name in ("_b", "_rhs", "_xb", "_basis", "_lower_b", "_upper_b"):
-            shapes[name] = (capacity,)
-        for name in ("_c", "_upper", "_kind", "_status", "_at_bound", "_rises",
-                     "_falls"):
-            shapes[name] = (n + capacity,)
-        for name, shape in shapes.items():
+        width = n + capacity
+        A = np.zeros((capacity, width))
+        A.reshape(-1)[n::width + 1] = 1.0  # A[i, n + i], the logicals' 1
+        table = np.zeros((capacity + 1, width))
+        table.reshape(-1)[width + n::width + 1] = 1.0  # T's identity below d
+        grown = {
+            "_A": A,
+            "_T": table,
+            "_rows": np.zeros((capacity, n)),
+            "_signs": np.ones((capacity, 2)),
+            "_rowvals": np.full((5, capacity), _ROW_FILL),
+            "_basis": np.arange(n, width),
+            "_cols": np.full((5, width), _COLUMN_FILL),
+            "_codes": np.full((2, width), _CODE_FILL, dtype=np.int8),
+        }
+        for name, buffer in grown.items():
             old = getattr(self, name)
-            buffer = np.zeros(shape, dtype=old.dtype)
             buffer[tuple(map(slice, old.shape))] = old
             setattr(self, name, buffer)
         self._capacity = capacity
@@ -568,6 +640,7 @@ class _BoundedSimplex:
             raise NumericalBreakdown("basis matrix is singular") from exc
         self.T[:] = inverse @ self.A
         self.xb[:] = self._basic_values()
+        self._z = None
         self._price(costs)
         self.pivots_since_refactor = 0
 
@@ -582,6 +655,7 @@ class _BoundedSimplex:
         """
         # _set_status(j, _BASIC): a basic column moves neither way
         self.status[j] = _BASIC
+        self._z = None
         self.rises[j] = self.falls[j] = self.at_bound[j] = 0.0
         self.basis[r] = j
         self.lower_b[r] = _LOWER[self.kind[j]]
@@ -605,6 +679,7 @@ class _BoundedSimplex:
         """Column j now stands at status: at its lower or upper bound, or
         basic.  rises, falls and at_bound follow it."""
         self.status[j] = status
+        self._z = None
         self.at_bound[j] = self.upper[j] if status == _AT_UPPER else 0.0
         code = self.kind[j] + status
         self.rises[j] = _RISES[code]
@@ -805,9 +880,11 @@ class _BoundedSimplex:
 
     def extract(self) -> np.ndarray:
         """The solution in the problem's own variables, read from the
-        maintained basic values."""
-        n = self.offset.size
-        return self.offset + self.sign * self._values()[:n]
+        maintained basic values.  The column values it reads are kept as
+        _z, which every status change, pivot, refactor, new rhs and
+        append drops, so that an append at this basis reuses them."""
+        self._z = z = self._values()
+        return self.offset + self.sign * z[:self.offset.size]
 
     def result(self, status: str) -> LpSolution:
         """solution() when status is "Optimal", else status with no x."""
@@ -830,8 +907,9 @@ class _BoundedSimplex:
             # clean tiny drift against the original box
             x = np.minimum(np.maximum(self.extract(), problem.lower), problem.upper)
             with np.errstate(over="ignore", invalid="ignore"):
-                resid = _violation(x, self.rows, self.rhs, self.signs,
-                                   problem.lower, problem.upper)
+                # x is clipped to its box, so only a row can miss; a NaN
+                # in x reads NaN in every row, and in the objective
+                resid = _row_violation(x, self.rows, self.rhs, self.signs)
                 value = float(problem.objective @ x)
             if resid <= limit or not self.pivots_since_refactor:
                 break
@@ -843,7 +921,8 @@ class _BoundedSimplex:
         # an infinite or NaN entry of x makes the objective inf or NaN
         if not math.isfinite(value):
             raise NumericalBreakdown(f"optimum is not finite (objective {value!r})")
-        return LpSolution("Optimal", _readonly(x), value, self.iterations)
+        x.setflags(write=False)  # x is a fresh array
+        return LpSolution("Optimal", x, value, self.iterations)
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from . import stats
-from .errors import DimensionMismatch, DomainError
+from .errors import DimensionMismatch, DomainError, NumericalBreakdown
 from .lp import (
     CutLog,
     LpProblem,
@@ -58,7 +58,10 @@ def soc_support(rows: GaussianRows, kappa: float,
     value_i = centers[i]'z + kappa * ||factors[i]'z||_2,
     u*_i    = centers[i] + kappa * factors[i] (factors[i]'z) / ||factors[i]'z||_2,
     with u*_i = centers[i] when factors[i]'z = 0.  Returns the values
-    (R,) and the maximizers (R, n + 1).
+    (R,) and the maximizers (R, n + 1).  Raises NumericalBreakdown,
+    naming the row, when a value or maximizer overflows or is NaN, with
+    no warning: a norm that overflows gives kappa * inf, and NaN at
+    kappa = 0, which no comparison would read as violated.
     """
     z = np.asarray(z, dtype=float)
     dim = rows.centers.shape[1]
@@ -68,12 +71,19 @@ def soc_support(rows: GaussianRows, kappa: float,
         raise DomainError(f"kappa must be >= 0, got {kappa!r}")
     values = np.empty(len(rows.centers))
     maximizers = rows.centers.copy()
-    for i, (center, factor) in enumerate(zip(rows.centers, rows.factors)):
-        fz = factor.T @ z
-        norm = math.sqrt(fz @ fz)  # the bits of np.linalg.norm(fz)
-        values[i] = center @ z + kappa * norm
-        if norm != 0.0:
-            maximizers[i] = center + (kappa / norm) * (factor @ fz)
+    with np.errstate(over="raise", invalid="raise"):
+        for i, (center, factor) in enumerate(zip(rows.centers, rows.factors)):
+            try:
+                fz = factor.T @ z
+                norm = math.sqrt(fz @ fz)  # the bits of np.linalg.norm(fz)
+                value = center @ z + kappa * norm
+                if norm != 0.0:
+                    maximizers[i] = center + (kappa / norm) * (factor @ fz)
+            except FloatingPointError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise NumericalBreakdown(f"the support of robust row {i} is not finite")
+            values[i] = value
     return values, maximizers
 
 
@@ -135,16 +145,22 @@ def solve_robust_cutting_planes(rlp: RobustLp) -> tuple[LpSolution, CutLog]:
     the support exceeds 1e-7.  Terminates when no row separates; raises
     MaxRoundsExceeded after 500 relaxations.  An Unbounded relaxation
     raises DomainError: it has no incumbent to separate at, so the base
-    LP must bound the decision.  An Infeasible one is returned as is.
+    LP must bound the decision.  An Infeasible one is returned as is.  A
+    support that is not finite raises NumericalBreakdown naming its row
+    (soc_support).
     """
+    z = np.empty(rlp.base.n + 1)  # (x, -1) at the incumbent x
+    z[-1] = -1.0
 
     def separate(x: np.ndarray | None) -> tuple[list, float]:
         if x is None:
             return [], math.inf
-        values, maximizers = soc_support(rlp.rows, rlp.kappa, np.append(x, -1.0))
+        z[:-1] = x
+        values, maximizers = soc_support(rlp.rows, rlp.kappa, z)
+        support = values.tolist()
         cuts = [(u[:-1], "<=", float(u[-1]))
-                for value, u in zip(values, maximizers) if value > _CUT_TOL]
-        return cuts, max(0.0, *values.tolist())
+                for value, u in zip(support, maximizers) if value > _CUT_TOL]
+        return cuts, max(0.0, *support)
 
     sol, log = solve_cutting_planes(rlp.base, separate, _MAX_ROUNDS)
     if sol.status == "Unbounded":

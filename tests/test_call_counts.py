@@ -70,3 +70,29 @@ def test_unknown_workload_and_bad_pattern_exit_2():
     proc = run_tool("--workload", "robust_lp", "--seed", "1", "--ops", "1",
                     "--match", "(")
     assert proc.returncode == 2 and "bad --match" in proc.stderr
+
+
+def test_robust_lp_round_keeps_its_pivots_and_sheds_its_glue():
+    # The cutting-plane round's pivots and dual re-entries are the
+    # simplex's own and must not move.  The calls that appending a cut
+    # and handing back the incumbent shed (np.append of (x, -1), a
+    # second finiteness check, a second read of the column values, the
+    # box check of an x already clipped to its box, the buffers' zero
+    # fills) must not come back: each reads at most its count here.
+    proc = run_tool("--workload", "robust_lp", "--seed", "1", "--ops", "200",
+                    "--match", r"\._pivot$|\.run_dual$|lp\._values$|lp\._peak$|"
+                    r"_check_finite$|lp\._violation$|_function_base_impl\.append$|"
+                    r"<built-in method numpy\.(zeros|arange)>$|_make_extobj>$")
+    assert proc.returncode == 0, proc.stderr
+    calls = json.loads(proc.stdout.splitlines()[-1])["calls_per_op"]
+    assert calls.pop("postfeas.lp._pivot") == 27.27
+    assert calls.pop("postfeas.lp.run_dual") == 17.875
+    at_most = {"postfeas.lp._values": 17.875, "postfeas.lp._peak": 52.625,
+               "<built-in method numpy.zeros>": 12.37,
+               "<built-in method numpy.arange>": 1.79,
+               # np.errstate: one per pivot and per solution(), and one per
+               # soc_support call, which makes a non-finite support fail closed
+               "<built-in method numpy._core._multiarray_umath._make_extobj>": 66.02}
+    assert set(calls) <= set(at_most)
+    for name, count in calls.items():
+        assert count <= at_most[name], name

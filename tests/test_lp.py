@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -578,6 +579,39 @@ class CountingSimplex(_BoundedSimplex):
         return status
 
 
+# Bad (row, sense, rhs) items a separator may return, with the error
+# and the message each raises: rows or rhs that are not finite, rows of
+# another shape, an unknown sense, and malformed items.
+BAD_ITEMS = [
+    ((np.array([math.nan, 1.0]), "<=", 1.0), DomainError,
+     "objective, rows, and rhs must be free of NaN"),
+    ((np.array([1.0, 1.0]), "<=", math.nan), DomainError,
+     "objective, rows, and rhs must be free of NaN"),
+    ((np.array([math.inf, 1.0]), "<=", 1.0), DomainError,
+     "objective, rows, and rhs must be finite"),
+    ((np.array([1.0, 1.0]), ">=", -math.inf), DomainError,
+     "objective, rows, and rhs must be finite"),
+    ((np.array([1.0, 1.0, 1.0]), "<=", 1.0), DimensionMismatch,
+     "constraint row has shape (3,), expected (2,)"),
+    ((np.array([[1.0, 1.0]]), "<=", 1.0), DimensionMismatch,
+     "constraint row has shape (1, 2), expected (2,)"),
+    ((np.array([1.0, 1.0]), "<", 1.0), DomainError,
+     "sense must be one of ('<=', '>=', '='), got '<'"),
+    # malformed items
+    ((np.array([1.0, 1.0]), "<="), DomainError,
+     "constraint 0 is not a (row, sense, rhs) triple"),
+    ((np.array([1.0, 1.0]), "<=", 1.0, 2.0), DomainError,
+     "constraint 0 is not a (row, sense, rhs) triple"),
+    (5.0, DomainError, "constraint 0 is not a (row, sense, rhs) triple"),
+    ((np.array([1.0, 1.0]), "<=", "abc"), DomainError,
+     "constraint 0: rhs must be a number, got 'abc'"),
+    ((np.array([1.0, 1.0]), "<=", None), DomainError,
+     "constraint 0: rhs must be a number, got None"),
+    (("ab", "<=", 1.0), DomainError,
+     "constraint 0: row must be numbers, got 'ab'"),
+]
+
+
 class TestWarmRowGeneration:
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_cold_solve_and_highs(self, seed):
@@ -717,19 +751,32 @@ class TestWarmRowGeneration:
         assert log.rounds == 2
         assert log.cuts_per_round == [1]
 
-    @pytest.mark.parametrize("row, error", [
-        ((np.array([math.nan, 1.0]), "<=", 1.0), DomainError),
-        ((np.array([1.0, 1.0]), "<=", math.nan), DomainError),
-        ((np.array([math.inf, 1.0]), "<=", 1.0), DomainError),
-        ((np.array([1.0, 1.0]), ">=", -math.inf), DomainError),
-        ((np.array([1.0, 1.0, 1.0]), "<=", 1.0), DimensionMismatch),
-        ((np.array([[1.0, 1.0]]), "<=", 1.0), DimensionMismatch),
-        ((np.array([1.0, 1.0]), "<", 1.0), DomainError),
-    ])
-    def test_bad_separator_row(self, row, error):
+    @pytest.mark.parametrize(
+        "row, error, message", BAD_ITEMS,
+        ids=[f"row{i}-{error.__name__}" for i, (_, error, _) in enumerate(BAD_ITEMS)])
+    def test_bad_separator_row(self, row, error, message):
         base = LpProblem([1.0, 1.0], [], [(0.0, 1.0), (0.0, 1.0)])
-        with pytest.raises(error):
+        with pytest.raises(error) as info:
             solve_cutting_planes(base, lambda x: ([row], 1.0), 10)
+        assert str(info.value) == message
+        # LpProblem checks its constraints the same way
+        with pytest.raises(error) as info:
+            LpProblem([1.0, 1.0], [row], [(0.0, 1.0), (0.0, 1.0)])
+        assert str(info.value) == message
+
+    def test_bad_item_is_named_by_its_place(self):
+        base = LpProblem([1.0, 1.0], [], [(0.0, 1.0), (0.0, 1.0)])
+        good = (np.ones(2), "<=", 3.0)
+        for bad, message in [
+                ((np.ones(2), "<="), "constraint 2 is not a (row, sense, rhs) triple"),
+                ((np.ones(2), "<=", "x"), "constraint 2: rhs must be a number, got 'x'"),
+                (([1.0, "y"], "<=", 1.0),
+                 "constraint 2: row must be numbers, got [1.0, 'y']"),
+                ((np.ones(3), "<=", 1.0), "constraint row has shape (3,), expected (2,)")]:
+            solver = _BoundedSimplex(base)
+            with pytest.raises((DomainError, DimensionMismatch), match=re.escape(message)):
+                solver.append_rows([good, good, bad, good])
+            assert solver.m == 0  # nothing was written
 
 
 def logical_start_instance(rng, degenerate):

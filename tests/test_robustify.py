@@ -18,6 +18,7 @@ from postfeas.errors import (
     DomainError,
     MaxRoundsExceeded,
     NotPositiveDefinite,
+    NumericalBreakdown,
 )
 from postfeas import lp, robustify
 from postfeas.lp import LpProblem, solve_cutting_planes, solve_lp
@@ -485,6 +486,22 @@ class TestCuttingPlanes:
         assert log.rounds == 14
         ref = highs_cutting_planes(rlp)
         assert abs(sol.objective_value - ref) <= 1e-9 * abs(ref)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kappa", [0.0, 1.0])
+    def test_non_finite_support_fails_closed(self, kappa):
+        # the row reads x1 + x2 <= 1, but ||factor'z|| overflows: at kappa 0
+        # the support was 0 * inf = NaN, which no comparison reads as
+        # violated, so the box corner x = (5, 5) came back Optimal
+        base = LpProblem([1.0, 1.0], [], [(0.0, 5.0), (0.0, 5.0)])
+        rows = GaussianRows(centers=np.array([[1.0, 1.0, 1.0]]),
+                            factors=np.array([1e200 * np.eye(3)]))
+        rlp = robustify.RobustLp(base=base, rows=rows, kappa=kappa)
+        with pytest.raises(NumericalBreakdown,
+                           match="^the support of robust row 0 is not finite$"):
+            solve_robust_cutting_planes(rlp)
+        with pytest.raises(NumericalBreakdown, match="robust row 0"):
+            soc_support(rows, kappa, np.array([5.0, 5.0, -1.0]))
 
     def test_rounds_never_call_solve_lp(self, monkeypatch):
         calls = []
