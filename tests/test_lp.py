@@ -772,11 +772,16 @@ class TestWarmRowGeneration:
                 ((np.ones(2), "<=", "x"), "constraint 2: rhs must be a number, got 'x'"),
                 (([1.0, "y"], "<=", 1.0),
                  "constraint 2: row must be numbers, got [1.0, 'y']"),
-                ((np.ones(3), "<=", 1.0), "constraint row has shape (3,), expected (2,)")]:
+                ((np.ones(3), "<=", 1.0), "constraint row has shape (3,), expected (2,)"),
+                ((np.array([math.inf, 1.0]), "<=", 1.0),
+                 "objective, rows, and rhs must be finite")]:
             solver = _BoundedSimplex(base)
             with pytest.raises((DomainError, DimensionMismatch), match=re.escape(message)):
                 solver.append_rows([good, good, bad, good])
-            assert solver.m == 0  # nothing was written
+            # nothing was written, and the simplex still solves
+            assert solver.m == 0
+            assert solver.solve() == "Optimal"
+            assert solver.solution().x.tolist() == [1.0, 1.0]
 
 
 def logical_start_instance(rng, degenerate):
