@@ -13,10 +13,14 @@ is 0 or 1 given the coverages, so that certificate already bounds the
 posterior probability that the decision is infeasible.
 
 Draws come in blocks of BLOCK: draw j belongs to block j // BLOCK, and
-every block is drawn whole on its own stream derived from the caller's
-Rng.  So the first M draws are the same for every larger M, cutting the
-work at block boundaries cannot change a result, and memory stays
-bounded by one block however large M is.
+every block is drawn on its own stream derived from the caller's Rng.
+The last block asks the model for only the draws it needs, which rests
+on a prefix contract every model must meet: draw(rng, k) is the first k
+draws of draw(rng, BLOCK) on an Rng in the same state, for every k <=
+BLOCK.  The built-in families meet it, since numpy fills their arrays
+draw by draw along the first axis.  So the first M draws are the same
+for every larger M, cutting the work at block boundaries cannot change
+a result, and memory stays bounded by one block however large M is.
 """
 
 from __future__ import annotations
@@ -73,15 +77,16 @@ def draw_blocks(model, m_draws: int, rng: stats.Rng) -> Iterator[np.ndarray]:
     """The first m_draws draws of model, one block per item.
 
     Block i is model.draw(Rng.for_purpose(rng.seed, rng.stream_id,
-    "block", i), BLOCK), and the tail of the last block is dropped.  rng
-    only names the streams: its own position is neither read nor
-    advanced.
+    "block", i), count) with count = min(BLOCK, m_draws - i * BLOCK),
+    which by the prefix contract (module docstring) is the first count
+    draws of a whole block.  rng only names the streams: its own
+    position is neither read nor advanced.
     """
     if m_draws < 1:
         raise CountOutOfRange(f"M must be >= 1, got {m_draws}")
     for i, start in enumerate(range(0, m_draws, BLOCK)):
         block_rng = stats.Rng.for_purpose(rng.seed, rng.stream_id, "block", i)
-        yield model.draw(block_rng, BLOCK)[: m_draws - start]
+        yield model.draw(block_rng, min(BLOCK, m_draws - start))
 
 
 def _residuals(model, x: np.ndarray, batch) -> np.ndarray:

@@ -3,8 +3,10 @@
 Subcommands: solve, scenario-size, sim, certify, panel.  Every command
 writes a manifest.json recording the command, its effective config, the
 seed, and the files produced, so a run can be replayed byte for byte.
-Diagnostics go to stderr (level from POSTFEAS_LOG: error, info, debug);
-stdout carries only primary results.
+Diagnostics go to stderr (level from POSTFEAS_LOG: error, the default,
+info or debug, read on every call); stdout carries only primary
+results.  main(argv) may be called any number of times in one process:
+it builds its parser on the first call and keeps it.
 
 Exit codes: 0 success, 1 nothing succeeded or a sim trial record
 failed, 2 bad input or schema, 3 infeasible, 4 unbounded, 5 numerical
@@ -313,6 +315,7 @@ def _cmd_panel(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for every command; main keeps one per process."""
     parser = argparse.ArgumentParser(
         prog="postfeas",
         description="Posterior-feasible linear optimization toolkit",
@@ -326,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="solution.json",
                    help="solution JSON path (default solution.json)")
     p.add_argument("--seed", type=int, default=42, help="recorded in manifest")
-    p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("scenario-size",
                        help="minimal scenario count for a violation target")
@@ -337,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True, help="support rank")
     p.add_argument("--out", default=".", help="manifest directory")
     p.add_argument("--seed", type=int, default=42, help="recorded in manifest")
-    p.set_defaults(func=_cmd_scenario_size)
 
     p = sub.add_parser("sim", help="run the five-method benchmark")
     p.add_argument("--config", default=None, help="SimConfig JSON path")
@@ -345,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1, help="parallel trial workers")
     p.add_argument("--seed", type=int, default=None,
                    help="override the config master_seed")
-    p.set_defaults(func=_cmd_sim)
 
     p = sub.add_parser("certify",
                        help="Monte Carlo certificate for a stored solution")
@@ -357,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="certificate.json",
                    help="certificate JSON path")
     p.add_argument("--seed", type=int, default=42, help="drawing seed")
-    p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("panel", help="scenario-robust gene panel selection")
     p.add_argument("--detections", required=True,
@@ -367,21 +366,65 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="PanelConfig JSON path")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--seed", type=int, default=42, help="drawing seed")
-    p.set_defaults(func=_cmd_panel)
     return parser
 
 
+# Each command's function by name, looked up when it runs, so a function
+# patched on this module after the parser was built is the one called.
+_COMMANDS = {
+    "solve": "_cmd_solve",
+    "scenario-size": "_cmd_scenario_size",
+    "sim": "_cmd_sim",
+    "certify": "_cmd_certify",
+    "panel": "_cmd_panel",
+}
+
+_LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO,
+               "debug": logging.DEBUG}
+
+_parser: argparse.ArgumentParser | None = None
+
+
+class _StderrHandler(logging.StreamHandler):
+    """Writes to whatever sys.stderr is when a record is emitted."""
+
+    def __init__(self):
+        logging.Handler.__init__(self)
+        self.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+
+def _set_log_level() -> bool:
+    """Level the postfeas loggers by POSTFEAS_LOG; False if it names none.
+
+    The level is set on every call.  A stderr handler is added only when
+    no handler would see postfeas records, so it is added once, and a
+    host process that set up logging keeps its own handlers.
+    """
+    level = _LOG_LEVELS.get(os.environ.get("POSTFEAS_LOG", "error").lower())
+    if level is None:
+        return False
+    logger = logging.getLogger("postfeas")
+    logger.setLevel(level)
+    if not logger.hasHandlers():
+        logger.addHandler(_StderrHandler())
+    return True
+
+
 def main(argv=None) -> int:
-    level_name = os.environ.get("POSTFEAS_LOG", "error").lower()
-    level = {"error": logging.ERROR, "info": logging.INFO,
-             "debug": logging.DEBUG}.get(level_name, logging.ERROR)
-    logging.basicConfig(
-        stream=sys.stderr, level=level,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
-    args = build_parser().parse_args(argv)
+    global _parser
+    if not _set_log_level():
+        print(f"error: POSTFEAS_LOG must be one of {', '.join(_LOG_LEVELS)}, "
+              f"got {os.environ['POSTFEAS_LOG']!r}", file=sys.stderr)
+        return EXIT_USAGE
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[_COMMANDS[args.command]](args)
     except PanelInfeasible as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

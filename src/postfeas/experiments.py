@@ -38,7 +38,6 @@ from .certification import (
     Certificate,
     draw_blocks,
     estimate_violation,
-    violation_flags,
 )
 from .errors import DimensionMismatch, DomainError, PanelInfeasible
 from .lp import LpProblem, RhsSequence
@@ -515,8 +514,12 @@ def panel_certify_detail(
     model, x_sel = model.restrict(keep), x_sel[keep]
     coverage, flags = [], []
     for batch in draw_blocks(model, cfg.m_cert, rng):
-        coverage.append(batch @ x_sel)
-        flags.append(violation_flags(model, x_sel, batch))
+        # one product per block: coverage is -lhs, and the flags are
+        # violation_flags' on the same residuals
+        coeff, rhs = model.as_rows(batch)
+        lhs = coeff @ x_sel
+        coverage.append(-lhs)
+        flags.append(~(lhs - rhs <= 0.0))
     coverage = np.concatenate(coverage)
     flags = np.concatenate(flags)
     cert = Certificate.from_counts(flags.any(axis=1).sum(), flags.sum(axis=0),

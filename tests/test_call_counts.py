@@ -63,6 +63,19 @@ def test_sim_and_panel_ops_never_solve_cold(workload, expect):
     assert result["calls_per_op"] == expect
 
 
+@pytest.mark.parametrize("workload", ["sim_study", "panel_study"])
+def test_cli_ops_reuse_the_parser_built_at_warm_up(workload):
+    # main builds its parser on the warm-up op's call and keeps it, so an
+    # op neither builds one nor asks for the terminal's size (argparse's
+    # help formatter did, 32 times per parser)
+    proc = run_tool("--workload", workload, "--seed", "1", "--ops", "1",
+                    "--match", r"postfeas\.cli\.main$|cli\.build_parser$|"
+                    r"shutil\.get_terminal_size$")
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["calls_per_op"] == {"postfeas.cli.main": 1.0}
+
+
 def test_unknown_workload_and_bad_pattern_exit_2():
     proc = run_tool("--workload", "nope", "--seed", "1", "--ops", "1",
                     "--match", "x")

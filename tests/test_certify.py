@@ -322,7 +322,7 @@ class TestDrawBlocks:
         assert np.array_equal(short, long[:1500])
         assert 0 < long.any(axis=1).sum() < 5000
 
-    def test_blocks_are_whole_and_named_by_stream(self):
+    def test_blocks_are_named_by_stream_and_the_last_is_short(self):
         model, x = family_models()["student_t"]
         rng = Rng.for_purpose(17, "cert-blocks")
         blocks = list(draw_blocks(model, BLOCK + 10, rng))
@@ -334,6 +334,50 @@ class TestDrawBlocks:
         # the caller's Rng only names the streams; it is not advanced
         again = list(draw_blocks(model, BLOCK + 10, rng))
         assert all(np.array_equal(a, b) for a, b in zip(blocks, again))
+
+
+def prefix_models():
+    """The built-in families, with the parameter cases their samplers
+    branch on: Beta cells above and below 1, a shared and a mixed
+    Student-t dof, and Gaussian rows."""
+    return {
+        "beta": BetaCoverage(a=[[40.0, 0.3, 2.0]], b=[[25.0, 0.7, 0.5]],
+                             threshold=0.9),
+        "beta_small": BetaCoverage(a=[[0.2, 0.5]], b=[[0.4, 0.9]], threshold=0.5),
+        "student_t_shared": StudentTRhs(rows=[[1.0], [2.0]], dof=[4.0, 4.0],
+                                        loc=[1.0, 2.0], scale=[0.5, 0.2]),
+        "student_t_mixed": family_models()["student_t"][0],
+        "gaussian": family_models()["gaussian"][0],
+    }
+
+
+class TestDrawPrefix:
+    # certification's short last block rests on this contract: k draws
+    # are the first k of a whole block on the same stream
+    @pytest.mark.parametrize("family", sorted(prefix_models()))
+    @pytest.mark.parametrize("count", [1, 96, 904, 1000])
+    def test_short_draw_is_a_prefix_of_a_block(self, family, count):
+        model = prefix_models()[family]
+        short = model.draw(Rng.for_purpose(31, "prefix", family), count)
+        whole = model.draw(Rng.for_purpose(31, "prefix", family), BLOCK)
+        assert short.shape == (count,) + whole.shape[1:]
+        assert short.tobytes() == whole[:count].tobytes()
+
+    @pytest.mark.parametrize("family", ["student_t", "gaussian", "beta"])
+    def test_last_block_draws_only_the_draws_asked_for(self, family):
+        model, _ = family_models()[family]
+        drawn = []
+
+        class Counting:
+            def draw(self, rng, count):
+                drawn.append(count)
+                return model.draw(rng, count)
+
+        rng = Rng.for_purpose(32, "prefix-count", family)
+        blocks = list(draw_blocks(Counting(), 2 * BLOCK + 100, rng))
+        assert drawn == [BLOCK, BLOCK, 100]
+        whole = model.draw(Rng.for_purpose(rng.seed, rng.stream_id, "block", 2), BLOCK)
+        assert blocks[2].tobytes() == whole[:100].tobytes()
 
 
 class TestStackedDecisions:

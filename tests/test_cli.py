@@ -1124,6 +1124,59 @@ class TestEntryPoint:
         assert proc.stdout.splitlines()[0] == "59"
         assert "INFO postfeas.cli" in proc.stderr
 
+    def test_log_level_is_read_on_every_call(self, tmp_path):
+        # a first call at the default level, then one at info in the
+        # same process
+        proc = subprocess.run(
+            [sys.executable, "-c", LOG_LEVEL_CALLS, str(tmp_path), "error", "info"],
+            capture_output=True, text=True, env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        wrote = f"wrote {tmp_path / 'manifest.json'}\n"
+        assert proc.stderr == "--\n" + "INFO postfeas.cli: " + wrote + "--\n"
+
+    def test_log_level_reaches_a_host_that_set_up_logging(self, tmp_path):
+        # the host's handlers print postfeas records, once each
+        code = ("import logging\n"
+                "logging.basicConfig(format='HOST %(name)s %(message)s')\n"
+                + LOG_LEVEL_CALLS)
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path), "info", "error"],
+            capture_output=True, text=True, env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == (f"HOST postfeas.cli wrote {tmp_path / 'manifest.json'}"
+                               f"\n--\n--\n")
+
+    @pytest.mark.parametrize("value", ["warning", "", "inf"])
+    def test_unknown_log_level_exits_2(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("POSTFEAS_LOG", value)
+        rc = main(["scenario-size", "--eps", "0.5", "--delta", "0.5",
+                   "--d", "1", "--out", str(tmp_path)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: POSTFEAS_LOG must be one of error, info, "
+                                f"debug, got {value!r}\n")
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_command_patched_after_an_earlier_call_runs(self, tmp_path, monkeypatch):
+        argv = ["scenario-size", "--eps", "0.5", "--delta", "0.5", "--d", "1",
+                "--out", str(tmp_path)]
+        assert main(argv) == 0
+        seen = []
+
+        def patched(args):
+            seen.append(args.eps)
+            return 7
+
+        monkeypatch.setattr(cli_mod, "_cmd_scenario_size", patched)
+        assert main(argv) == 7
+        assert seen == [0.5]
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli_mod.build_parser() is not cli_mod.build_parser()
+
     def test_quiet_by_default(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "postfeas.cli", "scenario-size",
@@ -1135,6 +1188,18 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert proc.stderr == ""
 
+
+# One scenario-size call per POSTFEAS_LOG value in argv[2:], each
+# followed by a "--" line on stderr.
+LOG_LEVEL_CALLS = """
+import os, sys
+from postfeas.cli import main
+for level in sys.argv[2:]:
+    os.environ["POSTFEAS_LOG"] = level
+    assert main(["scenario-size", "--eps", "0.5", "--delta", "0.5",
+                 "--d", "1", "--out", sys.argv[1]]) == 0
+    sys.stderr.write("--\\n")
+"""
 
 # Modules of the network, e-mail and process-pool stacks; no command needs them.
 UNUSED_STACKS = ("ssl", "socket", "selectors", "subprocess", "http.client",

@@ -847,13 +847,13 @@ class TestPanelCertifyDetail:
             return out
 
         monkeypatch.setattr(BetaCoverage, "draw", counting)
-        n_blocks = -(-cfg.m_cert // BLOCK)
         for selected in ([4], [0, 7], [1, 5, 11]):
             drawn.clear()
             x_sel = np.zeros(k_genes)
             x_sel[selected] = 1.0
             panel_certify_detail(x_sel, post, cfg, Rng.for_purpose(69, "panel-count"))
-            assert sum(drawn) == n_blocks * BLOCK * j_clusters * len(selected)
+            # m_cert draws in all: the last block is drawn only as far as needed
+            assert sum(drawn) == cfg.m_cert * j_clusters * len(selected)
 
     @pytest.mark.parametrize("x_sel", [[np.inf, 0.0, 0.0], [np.nan, 1.0, 1.0],
                                        [1.0, -np.inf, 1.0]])
@@ -1083,7 +1083,7 @@ class TestSwapRepair:
         res = panel_select(data.weights, post, cfg, Rng.for_purpose(2, "panel"),
                            gene_ids=data.genes, cluster_ids=data.clusters)
         assert res.panel == ("g1", "g4", "g5")
-        assert drawn == [(300, 2, 6), (BLOCK, 2, 3), (BLOCK, 2, 3)]
+        assert drawn == [(300, 2, 6), (BLOCK, 2, 3), (2000 - BLOCK, 2, 3)]
 
     def test_ties_go_to_weight_then_gene_order(self):
         # genes 0 and 1 miss the floor of 1.0 in both scenarios; swapping
