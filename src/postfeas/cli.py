@@ -16,6 +16,7 @@ breakdown.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -382,19 +383,12 @@ _COMMANDS = {
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO,
                "debug": logging.DEBUG}
 
-_parser: argparse.ArgumentParser | None = None
 
 
-class _StderrHandler(logging.StreamHandler):
-    """Writes to whatever sys.stderr is when a record is emitted."""
-
-    def __init__(self):
-        logging.Handler.__init__(self)
-        self.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
-
-    @property
-    def stream(self):
-        return sys.stderr
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main shares across calls; parse_args leaves it as it was."""
+    return build_parser()
 
 
 def _set_log_level() -> bool:
@@ -410,19 +404,18 @@ def _set_log_level() -> bool:
     logger = logging.getLogger("postfeas")
     logger.setLevel(level)
     if not logger.hasHandlers():
-        logger.addHandler(_StderrHandler())
+        handler = logging.StreamHandler(sys.stderr)
+        handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+        logger.addHandler(handler)
     return True
 
 
 def main(argv=None) -> int:
-    global _parser
     if not _set_log_level():
         print(f"error: POSTFEAS_LOG must be one of {', '.join(_LOG_LEVELS)}, "
               f"got {os.environ['POSTFEAS_LOG']!r}", file=sys.stderr)
         return EXIT_USAGE
-    if _parser is None:
-        _parser = build_parser()
-    args = _parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return globals()[_COMMANDS[args.command]](args)
     except PanelInfeasible as exc:

@@ -244,8 +244,8 @@ class _DrawnRows:
     """Base of the built-in families.  draw(rng, count) returns a batch
     whose first axis indexes the draws, and whose first k draws are
     draw(rng, k) on an Rng in the same state (the prefix contract that
-    certification's short last block rests on); as_rows(batch) returns (coeff,
-    rhs), constraint i under draw k being coeff[k, i] @ x <= rhs[k, i]
+    certification's short last block rests on); as_rows(batch) returns
+    (coeff, rhs), constraint i under draw k being coeff[k, i] @ x <= rhs[k, i]
     (coeff may leave out the draw axis when the rows are fixed); and
     residuals(x, batch), (count, n_constraints), is positive where a
     draw violates a constraint at x."""

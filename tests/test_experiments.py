@@ -17,7 +17,7 @@ import postfeas.certification as certification_module
 import postfeas.experiments as experiments_module
 import postfeas.lp as lp_module
 from postfeas import stats
-from postfeas.certification import BLOCK, certify, draw_blocks
+from postfeas.certification import BLOCK, certify, draw_blocks, violation_flags
 from postfeas.errors import (
     DimensionMismatch,
     DomainError,
@@ -802,6 +802,30 @@ class TestPanelCertifyDetail:
             got = (summary.q05, summary.median, summary.q95)
             want = tuple(float(np.quantile(coverage[:, j], q)) for q in (0.05, 0.5, 0.95))
             assert got == want
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_summaries_read_the_coverage_and_flags_of_the_drawn_rows(self, seed):
+        # one product per block gives the bits of batch @ x and of
+        # violation_flags on the same draws; m_cert ends in a short block
+        gen = np.random.default_rng(seed)
+        a, b = gen.uniform(0.3, 40.0, (2, 3, 5))
+        x_sel = np.array([1.0, 0.0, 1.0, 0.5, 1.0])
+        # the floor at the lowest cluster's mean coverage
+        threshold = float((a / (a + b) @ x_sel).min())
+        post = BetaCoverage(a=a, b=b, threshold=threshold)
+        cfg = PanelConfig(budget=3, threshold=threshold, m_cert=1500)
+        rng = Rng.for_purpose(seed, "panel-rows")
+        cert, summaries = panel_certify_detail(x_sel, post, cfg, rng)
+        keep = np.flatnonzero(x_sel)
+        model = post.restrict(keep)
+        batches = list(draw_blocks(model, cfg.m_cert, rng))
+        coverage = np.concatenate([batch @ x_sel[keep] for batch in batches])
+        flags = np.concatenate([violation_flags(model, x_sel[keep], batch)
+                                for batch in batches])
+        assert cert.s == flags.any(axis=1).sum() and 0 < cert.s < cfg.m_cert
+        for j, summary in enumerate(summaries):
+            assert summary.mean == float(coverage[:, j].mean())
+            assert summary.violation_rate == float(flags[:, j].mean())
 
     def test_unselected_gene_parameters_do_not_matter(self):
         det = np.array([[30.0, 25.0, 20.0, 9.0], [18.0, 35.0, 22.0, 41.0]])
