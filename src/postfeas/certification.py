@@ -4,11 +4,12 @@ A candidate decision is replayed against M posterior draws, and a
 stack of decisions is scored on one shared set of them.  A model needs
 only draw(rng, count), which meets the prefix contract below, and
 residuals(x, batch); the built-in families derive residuals from their
-as_rows, the rows scenario programs enforce.  A draw counts as a violation unless every constraint
-residual is <= 0, with no tolerance (the raw sign of the residual
-decides, and a NaN residual is a violation).  The binomial count s
-then gives an exact one-sided Clopper-Pearson upper confidence bound on
-the posterior violation probability.  For a BetaCoverage the violation
+as_rows, the rows scenario programs enforce.  A draw counts as a
+violation unless every constraint residual is <= 0, with no tolerance
+(the raw sign of the residual decides, and a NaN residual is a
+violation).  The binomial count s then gives an exact one-sided
+Clopper-Pearson upper confidence bound on the posterior violation
+probability.  For a BetaCoverage the violation
 is 0 or 1 given the coverages, so that certificate already bounds the
 posterior probability that the decision is infeasible.
 

@@ -316,7 +316,7 @@ def _cmd_panel(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """A new parser for every command; main keeps one per process."""
+    """A new parser of every command on each call; main keeps one."""
     parser = argparse.ArgumentParser(
         prog="postfeas",
         description="Posterior-feasible linear optimization toolkit",
@@ -382,7 +382,6 @@ _COMMANDS = {
 
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO,
                "debug": logging.DEBUG}
-
 
 
 @functools.cache
