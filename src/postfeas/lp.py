@@ -170,6 +170,8 @@ class LpProblem:
         _check_finite(c, rows, rhs)
         if np.isnan(lower).any() or np.isnan(upper).any():
             raise DomainError("bounds must not be NaN")
+        if (lower == math.inf).any() or (upper == -math.inf).any():
+            raise DomainError("lower bounds must be below +inf, upper bounds above -inf")
         if np.any(lower > upper):
             raise DomainError("each lower bound must be <= its upper bound")
         self.objective = _readonly(c)
@@ -299,8 +301,9 @@ def solution_from_json(text: str) -> LpSolution:
 
 
 # A column's kind, a multiple of 3 so that kind + status indexes the
-# tables below: a column with room above its zero lower bound, a fixed
-# column (upper bound 0) and a free column.
+# tables below: a column with room between its bounds (at least one of
+# them finite), a fixed column (lower bound = upper bound) and a free
+# column.
 _ROOM = 0
 _FIXED = 3
 _FREE = 6
@@ -310,8 +313,6 @@ _FREE = 6
 # column may do both, a fixed or basic one neither.
 _RISES = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0])
 _FALLS = np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0])
-# By kind: the lower bound of the column's shifted variable.
-_LOWER = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -math.inf])
 # By sense: a row's violation signs, then the coefficient, upper bound
 # and kind of its logical.
 _ROW_ENTRIES = {sense: (*_VIOLATION_SIGNS[sense], *logical) for sense, logical in (
@@ -324,13 +325,13 @@ _ROW_ENTRIES = {sense: (*_VIOLATION_SIGNS[sense], *logical) for sense, logical i
 _INITIAL_CAPACITY = 16
 
 # The per-row and per-column vectors of the workspace share buffers, one
-# vector a row: b, rhs, xb, lower_b and upper_b in _rowvals; c, upper,
-# at_bound, rises and falls in _cols; kind and status in _codes.  Each
-# buffer's entries beyond those in use hold what a "<=" row and its
+# vector a row: rhs, xb, lower_b and upper_b in _rowvals; c, lower,
+# upper, at_bound, rises and falls in _cols; kind and status in _codes.
+# Each buffer's entries beyond those in use hold what a "<=" row and its
 # logical column take when appended: the logical costs nothing, has
-# upper bound inf and room above 0, and enters basic.
-_ROW_FILL = np.array([[0.0], [0.0], [0.0], [0.0], [math.inf]])
-_COLUMN_FILL = np.array([[0.0], [math.inf], [0.0], [0.0], [0.0]])
+# bounds [0, inf) and room above 0, and enters basic.
+_ROW_FILL = np.array([[0.0], [0.0], [0.0], [math.inf]])
+_COLUMN_FILL = np.array([[0.0], [0.0], [math.inf], [0.0], [0.0], [0.0]])
 _CODE_FILL = np.array([[_ROOM], [_BASIC]], dtype=np.int8)
 
 
@@ -338,38 +339,38 @@ class _BoundedSimplex:
     """Bounded-variable simplex on the kept tableau of one LpProblem's
     logical form.  Maximizes.  Mutable workspace; one instance per solve.
 
-    Finite lower bounds are shifted to zero; variables with only a finite
-    upper bound are negated so the upper bound becomes the shifted zero
-    lower bound; doubly unbounded variables stay free.  Column j < n maps
-    back through x[j] = offset[j] + sign[j] * z[j].  Each row then gains
-    one logical column (Maros 2003, Computational Techniques of the
-    Simplex Method): +1 in [0, inf) for "<=", -1 in [0, inf) for ">=" and
-    +1 in [0, 0] for "=".  A row enters with its logical basic, so a
-    fresh instance is every row appended to an empty basis, and rows
-    appended later (append_rows) are added the same way.
+    Columns j < n are the problem's variables, each between its own
+    bounds lower[j] and upper[j] (Maros 2003, Computational Techniques of
+    the Simplex Method), so x is z[:n], with no change of variables.  A
+    nonbasic column stands at its lower or its upper bound: it starts at
+    its lower bound, at its upper bound when that is its only finite
+    one, and at 0 when it is free.  Each row then gains one logical
+    column: +1 in [0, inf) for "<=", -1 in [0, inf) for ">=" and +1 in
+    [0, 0] for "=".  A row enters with its logical basic, so a fresh
+    instance is every row appended to an empty basis, and rows appended
+    later (append_rows) are added the same way.
 
     problem, the LpProblem the simplex was built from, is never replaced:
     its objective and box are the solve's, and rows appended and rhs
     replaced since live in the workspace alone.
 
-    The workspace grows in place.  table (d above T), xb, basis, c,
-    upper, kind and status, and the original rows, rhs and violation
-    signs that solution()'s residual check reads, are leading views of
-    buffers with spare rows and columns, which double when an append
-    fills them; A and b, which only refactors and new rhs read, are
-    sliced from theirs when read.  The spare entries already hold a "<="
-    row's logical, its coefficient 1 in A and its 1 in T included, so
-    an append writes only its rows' own entries, and those of a logical
-    of another sense, and rebinds the views; every other update writes
-    through them.  So does the upkeep of what pricing and the ratio
-    tests read: rises and falls (1.0 where a column may rise, or fall,
-    from where it stands) and at_bound (a column's value when it stands
-    at a bound: upper at its upper bound, else 0) follow status through
-    _set_status, and the basic variables' bounds lower_b and upper_b
-    follow basis through _pivot.  The tolerances an append can only
-    raise are running maxima: rhs_peak (max |rhs|, for solution()),
-    b_peak (max |b|, for run_dual) and cost_tol, which zero-cost
-    logicals never change.
+    The workspace grows in place.  table (d above T), xb, basis, the
+    column data and the rows' rhs and violation signs are leading views
+    of buffers with spare rows and columns, which double when an append
+    fills them; A, the one copy of the rows, is sliced from its buffer
+    when read, and rows, its structural block A[:m, :n], is what
+    solution()'s residual check reads.  The spare entries already hold a
+    "<=" row's logical, its coefficient 1 in A and its 1 in T included,
+    so an append writes only its rows' own entries, and those of a
+    logical of another sense, and rebinds the views; every other update
+    writes through them.  So does the upkeep of what pricing and the
+    ratio tests read: rises and falls (1.0 where a column may rise, or
+    fall, from where it stands) and at_bound (the value a nonbasic column
+    stands at, 0 for a basic one) follow status through _set_status, and
+    the basic variables' bounds lower_b and upper_b follow basis through
+    _pivot.  The tolerances an append can only raise are running maxima:
+    rhs_peak (max |rhs|, for run_dual and solution()) and cost_tol, which
+    zero-cost logicals never change.
 
     The tableau T = B^-1 A, the basic values xb and the reduced costs
     d = costs - costs_B T are kept up to date, where costs are the true
@@ -386,42 +387,31 @@ class _BoundedSimplex:
 
     def __init__(self, problem: LpProblem):
         n = problem.n
-        offset = np.zeros(n)
-        sign = np.ones(n)
-        upper = np.full(n, math.inf)
-        kind = np.full(n, _ROOM, dtype=np.int8)
-        for j in range(n):
-            lo, hi = problem.lower[j], problem.upper[j]
-            if math.isfinite(lo):
-                offset[j] = lo
-                upper[j] = hi - lo if math.isfinite(hi) else math.inf
-            elif math.isfinite(hi):
-                offset[j] = hi
-                sign[j] = -1.0
-            else:
-                kind[j] = _FREE
-        kind[upper == 0.0] = _FIXED
+        lower, upper = problem.lower, problem.upper
+        free = np.isinf(lower) & np.isinf(upper)
+        upper_only = np.isinf(lower) & ~free
+        kind = np.where(free, _FREE, np.where(lower == upper, _FIXED, _ROOM))
+        status = np.where(upper_only, _AT_UPPER, _AT_LOWER)
+        code = kind + status
+        c = problem.objective  # logicals cost nothing
         self.problem = problem
-        self.offset = offset
-        self.unshifted = not offset.any()
-        self.sign = sign
-        c = problem.objective * sign  # logicals cost nothing
+        self.n = n
         # the workspace of no rows, which _grow moves into its buffers:
         # d above an empty T (at the logical basis y = 0, so d = c), and
-        # the columns at their lower bounds
+        # the columns where they start
         self._capacity = 0
         self._A = np.zeros((0, n))
         self._T = c[np.newaxis]
-        self._rows = np.zeros((0, n))
         self._signs = np.zeros((0, 2))
-        self._rowvals = np.zeros((5, 0))
+        self._rowvals = np.zeros((4, 0))
         self._basis = np.zeros(0, dtype=np.intp)
-        self._cols = np.array([c, upper, np.zeros(n), _RISES.take(kind + _AT_LOWER),
-                               _FALLS.take(kind + _AT_LOWER)])
-        self._codes = np.array([kind, np.full(n, _AT_LOWER, dtype=np.int8)])
+        self._cols = np.array([c, lower, upper,
+                               np.where(upper_only, upper, np.where(free, 0.0, lower)),
+                               _RISES.take(code), _FALLS.take(code)])
+        self._codes = np.array([kind, status], dtype=np.int8)
         self._grow(max(problem.m, _INITIAL_CAPACITY))
         self.cost_tol = _tolerance(c)
-        self.rhs_peak = self.b_peak = -math.inf
+        self.rhs_peak = -math.inf
         self.m = 0
         self._bind_views()
         self._z = None
@@ -442,7 +432,7 @@ class _BoundedSimplex:
         costs, and with them dual feasibility, are unchanged; only the
         new basic values can leave their bounds.
         """
-        self._add_rows(*_constraint_arrays(constraints, self.offset.size))
+        self._add_rows(*_constraint_arrays(constraints, self.n))
 
     def replace_rhs(self, rhs):
         """Put rhs in place of the rows' right-hand sides, checked as
@@ -457,11 +447,8 @@ class _BoundedSimplex:
         if rhs.shape != (self.m,):
             raise DimensionMismatch(f"rhs has shape {rhs.shape}, expected ({self.m},)")
         _check_finite(rhs)
-        b = self.b
         self.rhs[:] = rhs
-        b[:] = self._shifted_rhs(self.rows, rhs)
         self.rhs_peak = _peak(np.abs(self.rhs))
-        self.b_peak = _peak(np.abs(b))
         self.iterations = 0
         self.xb[:] = self._basic_values()
         self._z = None
@@ -477,11 +464,12 @@ class _BoundedSimplex:
         new basis is [[B, 0], [F_B, D]], whose inverse is
         [[B^-1, 0], [-D F_B B^-1, D]].  So the new rows of T are
         D (F - F_B T) in the old columns and the identity in the new
-        logical ones, and their basic values are D (b_new - F z), with z
+        logical ones, and their basic values are D (rhs - F z), with z
         the current values of the old columns (those extract() kept, when
         it read them at this basis).  On an empty basis this is exactly
-        T = D F and xb = D b.  The new logicals cost nothing and are
-        basic, so d is unchanged and their entries of it are 0.
+        T = D F and xb = D (rhs - F z), z the columns' starting values.
+        The new logicals cost nothing and are basic, so d is unchanged
+        and their entries of it are 0.
 
         The buffers' spare entries already hold the rest of a "<=" row
         (_grow): zeros where the new rows meet the old logical columns
@@ -493,16 +481,15 @@ class _BoundedSimplex:
         """
         m, k = self.m, len(senses)
         end = m + k
-        n = self.offset.size
+        n = self.n
         width = n + m
         rhs_peak = _peak(np.abs(rhs))
         if not (rhs_peak < math.inf and _peak(np.abs(rows)) < math.inf):
             _check_finite(rows, rhs)
         if end > self._capacity:
             self._grow(max(end, 2 * self._capacity))
-        b_new = self._shifted_rhs(rows, rhs)
         f = self._A[m:end, :width]
-        np.multiply(rows, self.sign, out=f[:, :n])
+        f[:, :n] = rows
         t_new = self._T[m + 1:end + 1, :width]  # below d
         np.subtract(f, np.einsum("ij,jk->ik", f.take(self.basis, axis=1), self.T),
                     out=t_new)
@@ -510,7 +497,7 @@ class _BoundedSimplex:
         self.m = end
         self._bind_views()
         xb_new = self.xb[m:]
-        np.subtract(b_new, np.einsum("ij,j->i", f, z), out=xb_new)
+        np.subtract(rhs, np.einsum("ij,j->i", f, z), out=xb_new)
         if senses.count("<=") < k:
             entries = np.array([_ROW_ENTRIES[s] for s in senses],
                                dtype=float).reshape(k, 5)
@@ -522,44 +509,37 @@ class _BoundedSimplex:
             self.upper_b[m:] = upper
             self.upper[width:] = upper
             self.kind[width:] = entries[:, 4]
-        self.b[m:] = b_new
         self.rhs[m:] = rhs
-        self.rows[m:] = rows
         self.rhs_peak = max(self.rhs_peak, rhs_peak)
-        self.b_peak = max(self.b_peak, rhs_peak if b_new is rhs
-                          else _peak(np.abs(b_new)))
         self._z = None
 
     @property
     def A(self) -> np.ndarray:
-        """The logical form's rows, [rows with the columns' signs | D]."""
-        return self._A[:self.m, :self.offset.size + self.m]
-
-    @property
-    def b(self) -> np.ndarray:
-        """The rows' rhs in the shifted variables."""
-        return self._rowvals[0, :self.m]
+        """The logical form's rows, [rows | D]."""
+        return self._A[:self.m, :self.n + self.m]
 
     def _bind_views(self):
         """Point the workspace's names at the leading m rows and n + m
         columns of the buffers."""
-        m, width = self.m, self.offset.size + self.m
+        m, n = self.m, self.n
+        width = n + m
         rowvals, cols, codes = self._rowvals, self._cols, self._codes
         self.table = self._T[:m + 1, :width]
         self.d = self.table[0]
         self.T = self.table[1:]
-        self.rows = self._rows[:m]
+        self.rows = self._A[:m, :n]
         self.signs = self._signs[:m]
         self.basis = self._basis[:m]
-        self.rhs = rowvals[1, :m]
-        self.xb = rowvals[2, :m]
-        self.lower_b = rowvals[3, :m]
-        self.upper_b = rowvals[4, :m]
+        self.rhs = rowvals[0, :m]
+        self.xb = rowvals[1, :m]
+        self.lower_b = rowvals[2, :m]
+        self.upper_b = rowvals[3, :m]
         self.c = cols[0, :width]
-        self.upper = cols[1, :width]
-        self.at_bound = cols[2, :width]
-        self.rises = cols[3, :width]
-        self.falls = cols[4, :width]
+        self.lower = cols[1, :width]
+        self.upper = cols[2, :width]
+        self.at_bound = cols[3, :width]
+        self.rises = cols[4, :width]
+        self.falls = cols[5, :width]
         self.kind = codes[0, :width]
         self.status = codes[1, :width]
         self.max_iterations = 2000 + 200 * (width + m)
@@ -568,7 +548,7 @@ class _BoundedSimplex:
         """Move each buffer into one for capacity rows (and their
         logical columns), keeping its entries; the entries beyond them
         hold a "<=" row's and its logical's, as _add_rows finds them."""
-        n = self.offset.size
+        n = self.n
         width = n + capacity
         A = np.zeros((capacity, width))
         A.reshape(-1)[n::width + 1] = 1.0  # A[i, n + i], the logicals' 1
@@ -577,11 +557,10 @@ class _BoundedSimplex:
         grown = {
             "_A": A,
             "_T": table,
-            "_rows": np.zeros((capacity, n)),
             "_signs": np.ones((capacity, 2)),
-            "_rowvals": np.full((5, capacity), _ROW_FILL),
+            "_rowvals": np.full((4, capacity), _ROW_FILL),
             "_basis": np.arange(n, width),
-            "_cols": np.full((5, width), _COLUMN_FILL),
+            "_cols": np.full((6, width), _COLUMN_FILL),
             "_codes": np.full((2, width), _CODE_FILL, dtype=np.int8),
         }
         for name, buffer in grown.items():
@@ -590,32 +569,26 @@ class _BoundedSimplex:
             setattr(self, name, buffer)
         self._capacity = capacity
 
-    def _shifted_rhs(self, rows: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """rhs - rows @ offset, the rows' rhs in the shifted variables
-        (rhs itself when every offset is 0)."""
-        if self.unshifted:
-            return rhs
-        return rhs - np.einsum("ij,j->i", rows, self.offset)
-
     def _values(self) -> np.ndarray:
-        """z: each column's value, at its bound when nonbasic."""
+        """z: each column's value, where it stands when nonbasic."""
         z = self.at_bound.copy()
         z[self.basis] = self.xb
         return z
 
     def _nonbasic_rhs(self) -> np.ndarray:
-        """b minus the contribution of nonbasic-at-upper columns (b itself
-        when there are none; callers do not write to it)."""
-        at_upper = self.status == _AT_UPPER
-        if not at_upper.any():
-            return self.b
-        return self.b - np.einsum("ij,j->i", self.A[:, at_upper], self.upper[at_upper])
+        """rhs minus the contribution of the columns that stand at a
+        nonzero bound (rhs itself when there are none; callers do not
+        write to it)."""
+        stands = self.at_bound != 0.0
+        if not stands.any():
+            return self.rhs
+        return self.rhs - np.einsum("ij,j->i", self.A[:, stands], self.at_bound[stands])
 
     def _basic_values(self) -> np.ndarray:
         """B^-1 times _nonbasic_rhs(), with B^-1 read from T's logical
         columns: row i's logical column is A[i, n + i] e_i, and that
         entry is +-1, so B^-1[:, i] = A[i, n + i] T[:, n + i]."""
-        n = self.offset.size
+        n = self.n
         logical = self.A[:, n:].diagonal()
         return np.einsum("ij,j->i", self.T[:, n:], logical * self._nonbasic_rhs())
 
@@ -658,7 +631,7 @@ class _BoundedSimplex:
         self._z = None
         self.rises[j] = self.falls[j] = self.at_bound[j] = 0.0
         self.basis[r] = j
-        self.lower_b[r] = _LOWER[self.kind[j]]
+        self.lower_b[r] = self.lower[j]
         self.upper_b[r] = self.upper[j]
         table = self.table
         try:
@@ -676,11 +649,12 @@ class _BoundedSimplex:
         return self.cost_tol if costs is self.c else _tolerance(costs)
 
     def _set_status(self, j: int, status: int):
-        """Column j now stands at status: at its lower or upper bound, or
-        basic.  rises, falls and at_bound follow it."""
+        """Nonbasic column j now stands at status, at its lower or its
+        upper bound; rises, falls and at_bound follow it.  A free column
+        never flips or leaves the basis: its room is infinite both ways."""
         self.status[j] = status
         self._z = None
-        self.at_bound[j] = self.upper[j] if status == _AT_UPPER else 0.0
+        self.at_bound[j] = self.upper[j] if status == _AT_UPPER else self.lower[j]
         code = self.kind[j] + status
         self.rises[j] = _RISES[code]
         self.falls[j] = _FALLS[code]
@@ -755,8 +729,8 @@ class _BoundedSimplex:
             direction = 1.0 if up[j] > price_tol else -1.0
             col = self.table[:, j].copy()
             w = col[1:]
-            # lower bound is 0; a free variable's upper bound is inf
-            flip_step = self.upper[j]
+            # inf for a column with an infinite bound
+            flip_step = self.upper[j] - self.lower[j]
             basic_step = math.inf  # with no rows, a bound flip or a ray
             if self.m:
                 g = direction * w
@@ -803,9 +777,7 @@ class _BoundedSimplex:
             enter_from = self.at_bound[j]
             self.xb -= direction * step * w
             self.xb[r] = enter_from + direction * step
-            # a free column leaves exactly at 0
-            self._set_status(leaving, _AT_UPPER if g[r] < 0 and
-                             self.kind[leaving] != _FREE else _AT_LOWER)
+            self._set_status(leaving, _AT_UPPER if g[r] < 0 else _AT_LOWER)
             self._pivot(r, j, col)
             if self.pivots_since_refactor >= 128:
                 self._refactor(c)
@@ -825,7 +797,7 @@ class _BoundedSimplex:
         """
         if not self.m:
             return True
-        primal_tol = 1e-9 * max(1.0, self.b_peak)
+        primal_tol = 1e-9 * max(1.0, self.rhs_peak)
         dual_tol = self._cost_tolerance(costs)
         table, T, d, xb = self.table, self.T, self.d, self.xb
         lower_b, upper_b = self.lower_b, self.upper_b
@@ -879,12 +851,13 @@ class _BoundedSimplex:
                 self._refactor(costs)
 
     def extract(self) -> np.ndarray:
-        """The solution in the problem's own variables, read from the
-        maintained basic values.  The column values it reads are kept as
-        _z, which every status change, pivot, refactor, new rhs and
-        append drops, so that an append at this basis reuses them."""
+        """x, the values of the problem's columns z[:n], read from the
+        maintained basic values, with any -0.0 read as 0.0.  The column
+        values it reads are kept as _z, which every status change, pivot,
+        refactor, new rhs and append drops, so that an append at this
+        basis reuses them."""
         self._z = z = self._values()
-        return self.offset + self.sign * z[:self.offset.size]
+        return z[:self.n] + 0.0
 
     def result(self, status: str) -> LpSolution:
         """solution() when status is "Optimal", else status with no x."""
@@ -927,8 +900,9 @@ class _BoundedSimplex:
 
 def solve_lp(problem: LpProblem) -> LpSolution:
     """Solve the LP with the bounded-variable simplex from its logical
-    basis: a dual simplex reaches feasibility and a primal simplex
-    optimality (_BoundedSimplex.solve).
+    basis, in the problem's own variables, each between its own bounds:
+    a dual simplex reaches feasibility and a primal simplex optimality
+    (_BoundedSimplex.solve).
 
     Deterministic for a fixed BLAS thread count: identical problems then
     produce identical solutions, pivot for pivot.  Pricing, the ratio

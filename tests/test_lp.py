@@ -14,8 +14,9 @@ from scipy.optimize import linprog
 from postfeas.errors import DimensionMismatch, DomainError, NumericalBreakdown
 from postfeas.lp import (
     _AT_UPPER,
+    _BASIC,
     _FALLS,
-    _LOWER,
+    _FREE,
     _RISES,
     FEAS_TOL,
     LpProblem,
@@ -95,6 +96,14 @@ class TestLpProblem:
             LpProblem([1.0], [([1.0], "<<", 1.0)], [(0.0, 1.0)])
         with pytest.raises(DomainError):
             LpProblem([1.0], [([1.0], "<=", 1.0)], [(2.0, 1.0)])
+
+    @pytest.mark.parametrize("bound", [(math.inf, None), (math.inf, math.inf),
+                                       (None, -math.inf), (-math.inf, -math.inf)])
+    def test_infinite_bound_on_the_wrong_side(self, bound):
+        # a column stands at its bounds, so neither may be infinite on
+        # the side it bounds
+        with pytest.raises(DomainError, match="lower bounds must be below"):
+            LpProblem([1.0], [([1.0], "<=", 1.0)], [bound])
 
     def test_arrays_read_only(self):
         p = LpProblem([1.0, 2.0], [([1.0, 1.0], "<=", 1.0)], [(0.0, 1.0)] * 2)
@@ -227,6 +236,35 @@ class TestSolveLpInvariants:
                 lam * sol.objective_value, rel=1e-12, abs=1e-12
             )
 
+    def test_change_of_variables(self):
+        # x = s * y + t, with s = +-1 and an integer t, flips and moves
+        # every kind of bound; the simplex keeps each column's own bounds,
+        # so the two LPs must agree.  Iteration counts may differ, since
+        # the rows' rhs move.
+        optimal = 0
+        for seed in range(400):
+            rng = np.random.default_rng(seed)
+            p = random_mixed_bound_problem(rng)
+            s = rng.choice([-1.0, 1.0], size=p.n)
+            t = rng.integers(-3, 4, size=p.n).astype(float)
+            bounds = [(lo - tj, hi - tj) if sj > 0 else (tj - hi, tj - lo)
+                      for (lo, hi), sj, tj in zip(p.bounds(), s, t)]
+            moved = LpProblem(p.objective * s,
+                              [(row * s, sense, rhs - row @ t)
+                               for row, sense, rhs in p.constraints()],
+                              [(None if math.isinf(lo) else lo,
+                                None if math.isinf(hi) else hi) for lo, hi in bounds])
+            sol, sol_y = solve_lp(p), solve_lp(moved)
+            assert sol_y.status == sol.status, seed
+            if sol.status != "Optimal":
+                continue
+            optimal += 1
+            value = sol_y.objective_value + p.objective @ t
+            assert abs(value - sol.objective_value) <= 1e-9 * max(
+                1.0, abs(sol.objective_value)), seed
+            assert max_violation(p, s * sol_y.x + t) <= 1e-9, seed
+        assert optimal > 100
+
 
 def pinned_instance(seed):
     """5 variables: one free, one lower-only, one upper-only, one boxed,
@@ -250,21 +288,37 @@ class TestPinnedPaths:
     # basic values the pivots of the kept tableau maintain (no refactor
     # below 128 pivots); INVERSE_X is that path's x when the simplex kept
     # the basis inverse instead, and x must stay within 1e-12 of it.
-    # HiGHS must agree on the status and, to 1e-9, on the objective.
+    # SHIFTED_X is that path's x when the simplex shifted lower bounds to
+    # 0 and negated upper-only columns instead of keeping each column's
+    # own bounds, and x must stay within 1e-15 of it.  HiGHS must agree
+    # on the status and, to 1e-9, on the objective.
     LOGICAL = {
         0: (3, ["-0x1.37c36d6ccc03bp+0", "-0x1.5b33ef677da45p+0",
-                "0x1.304817f37063ap+0", "0x1.db4e509aa8ee0p-3", "0x0.0p+0"]),
+                "0x1.304817f37063ap+0", "0x1.db4e509aa8ee4p-3", "0x0.0p+0"]),
         1: (3, None),
         2: (6, None),
         5: (6, ["-0x1.7e0df0475e4eap+1", "-0x1.9bc59cb6a4c40p-2",
                 "0x1.e25673ce65f68p-2", "0x1.0000000000000p+0",
-                "0x1.5456aa1ec511cp-3"]),
-        12: (4, ["0x1.19468699b41b3p-4", "-0x1.0fd7c4f654608p-3",
+                "0x1.5456aa1ec511ep-3"]),
+        12: (4, ["0x1.19468699b41b3p-4", "-0x1.0fd7c4f654606p-3",
                  "0x1.5caa13c50d8d0p-2", "-0x1.0000000000000p+0",
                  "0x1.311d4901a1aeap-2"]),
         26: (6, ["0x1.fd46732959b0cp-1", "-0x1.3c1080f28b8f1p+0",
                  "0x1.fadc2f9d5a800p-4", "-0x1.f11cb66f67518p-4",
                  "0x1.814f5aa84b588p-1"]),
+    }
+    SHIFTED_X = {
+        0: ["-0x1.37c36d6ccc03bp+0", "-0x1.5b33ef677da45p+0",
+            "0x1.304817f37063ap+0", "0x1.db4e509aa8ee0p-3", "0x0.0p+0"],
+        5: ["-0x1.7e0df0475e4eap+1", "-0x1.9bc59cb6a4c40p-2",
+            "0x1.e25673ce65f68p-2", "0x1.0000000000000p+0",
+            "0x1.5456aa1ec511cp-3"],
+        12: ["0x1.19468699b41b3p-4", "-0x1.0fd7c4f654608p-3",
+             "0x1.5caa13c50d8d0p-2", "-0x1.0000000000000p+0",
+             "0x1.311d4901a1aeap-2"],
+        26: ["0x1.fd46732959b0cp-1", "-0x1.3c1080f28b8f1p+0",
+             "0x1.fadc2f9d5a800p-4", "-0x1.f11cb66f67518p-4",
+             "0x1.814f5aa84b588p-1"],
     }
     INVERSE_X = {
         0: ["-0x1.37c36d6ccc03bp+0", "-0x1.5b33ef677da45p+0",
@@ -306,6 +360,8 @@ class TestPinnedPaths:
             assert np.abs(sol.x - [float.fromhex(h) for h in x_hex]).max() <= 1e-12
             inverse = [float.fromhex(h) for h in self.INVERSE_X[seed]]
             assert np.abs(sol.x - inverse).max() <= 1e-12
+            shifted = [float.fromhex(h) for h in self.SHIFTED_X[seed]]
+            assert np.abs(sol.x - shifted).max() <= 1e-15
         highs_status, highs_value = highs_result(problem)
         assert highs_status == status
         if status == "Optimal":
@@ -313,8 +369,8 @@ class TestPinnedPaths:
 
 
 class TestStandardize:
-    # Columns are the n shifted variables, then one logical per row, and
-    # the logicals are the starting basis.
+    # Columns are the n variables with their own bounds, then one logical
+    # per row, and the logicals are the starting basis.
     def test_le_constraint_gains_slack(self):
         p = LpProblem([1.0, 2.0], [([1.0, 3.0], "<=", 1.0), ([2.0, 1.0], ">=", -4.0)],
                       [(0.0, 1.0), (None, None)])
@@ -324,7 +380,6 @@ class TestStandardize:
         assert np.array_equal(solver.upper[2:], [math.inf, math.inf])
         assert np.array_equal(solver.basis, [2, 3])
         assert np.array_equal(solver.xb, [1.0, 4.0])  # both slacks feasible
-        assert solver.offset.shape == (2,)
 
     def test_equality_gains_no_slack(self):
         # the logical of an equality is fixed at [0, 0], so it has no room
@@ -710,15 +765,19 @@ class TestWarmRowGeneration:
                                        base.bounds()), sol.x) <= 10 * FEAS_TOL
 
     def test_kept_moves_and_basic_bounds_match_a_recount(self):
-        # rises, falls, lower_b and upper_b are kept through every status
-        # change, pivot and append instead of being recomputed
+        # rises, falls, at_bound, lower_b and upper_b are kept through
+        # every status change, pivot and append instead of being
+        # recomputed; a free column stands at 0, a basic one reads 0
         def recount(solver):
             code = solver.kind + solver.status
             assert np.array_equal(solver.rises, _RISES.take(code))
             assert np.array_equal(solver.falls, _FALLS.take(code))
-            assert np.array_equal(solver.lower_b,
-                                  _LOWER.take(solver.kind.take(solver.basis)))
-            assert np.array_equal(solver.upper_b, solver.upper.take(solver.basis))
+            status, lower, upper = solver.status, solver.lower, solver.upper
+            at_bound = np.where(status == _AT_UPPER, upper, lower)
+            at_bound[(status == _BASIC) | (solver.kind == _FREE)] = 0.0
+            assert np.array_equal(solver.at_bound, at_bound)
+            assert np.array_equal(solver.lower_b, lower.take(solver.basis))
+            assert np.array_equal(solver.upper_b, upper.take(solver.basis))
 
         for seed in range(20):
             base, pool = pool_instance(seed)
@@ -1146,11 +1205,14 @@ class TestRefactorRule:
         problem = pinned_instance(0)
         solver = _BoundedSimplex(problem)
         coef = np.array([{"<=": 1.0, ">=": -1.0, "=": 1.0}[s] for s in problem.senses])
-        # T = D A, whose logical block is D D = I, and d = c
+        # T = D A, whose logical block is D D = I, and d = c; the columns
+        # start at z0: lower, upper when only that is finite, 0 when free
         assert np.array_equal(solver.T, coef[:, np.newaxis] * solver.A)
         assert solver.d.tobytes() == solver.c.tobytes()
-        b = problem.rhs - problem.rows @ solver.offset
-        assert solver.xb.tobytes() == (coef * b).tobytes()
+        z0 = np.array([0.0, problem.lower[1], problem.upper[2], -1.0, 0.0])
+        assert solver.at_bound[:problem.n].tobytes() == z0.tobytes()
+        xb = coef * (problem.rhs - problem.rows @ z0)
+        assert solver.xb.tobytes() == xb.tobytes()
 
     def test_refactors_once_when_the_residual_check_fails(self, monkeypatch):
         solver = _BoundedSimplex(boxed_instance(np.random.default_rng(0)))
