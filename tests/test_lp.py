@@ -251,9 +251,7 @@ class TestSolveLpInvariants:
                       for (lo, hi), sj, tj in zip(p.bounds(), s, t)]
             moved = LpProblem(p.objective * s,
                               [(row * s, sense, rhs - row @ t)
-                               for row, sense, rhs in p.constraints()],
-                              [(None if math.isinf(lo) else lo,
-                                None if math.isinf(hi) else hi) for lo, hi in bounds])
+                               for row, sense, rhs in p.constraints()], bounds)
             sol, sol_y = solve_lp(p), solve_lp(moved)
             assert sol_y.status == sol.status, seed
             if sol.status != "Optimal":
