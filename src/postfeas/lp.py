@@ -45,10 +45,6 @@ __all__ = [
 
 SENSES = ("<=", ">=", "=")
 
-_AT_LOWER = 0
-_AT_UPPER = 1
-_BASIC = 2
-
 # Consecutive degenerate pivots before switching to Bland's rule.
 _K_DEGENERATE = 50
 
@@ -138,9 +134,15 @@ def _check_finite(*arrays: np.ndarray):
     raise DomainError("objective, rows, and rhs must be finite")
 
 
-# Row i's residual r = rows[i] @ x - rhs[i] is violated by
-# max(signs[i, 0] * r, signs[i, 1] * r), which is r, -r or |r|.
-_VIOLATION_SIGNS = {"<=": (1.0, 1.0), ">=": (-1.0, -1.0), "=": (1.0, -1.0)}
+# By sense: the coefficient and upper bound of a row's logical column,
+# whose lower bound is 0.  Row i holds at x exactly when its logical
+# s_i = coef_i * (rhs_i - rows_i @ x) lies in [0, upper_i].
+_LOGICALS = {"<=": (1.0, math.inf), ">=": (-1.0, math.inf), "=": (1.0, 0.0)}
+
+
+def _logical_bounds(senses) -> tuple[np.ndarray, np.ndarray]:
+    """(coef, upper) of the logicals of rows with these senses."""
+    return np.array([_LOGICALS[s] for s in senses], dtype=float).reshape(-1, 2).T
 
 
 class LpProblem:
@@ -150,8 +152,7 @@ class LpProblem:
     bounds: one (lo, hi) pair per variable; None means unbounded on that side.
     """
 
-    __slots__ = ("objective", "rows", "senses", "rhs", "lower", "upper",
-                 "_signs")
+    __slots__ = ("objective", "rows", "senses", "rhs", "lower", "upper")
 
     def __init__(self, objective, constraints, bounds):
         c = np.asarray(objective, dtype=float)
@@ -174,14 +175,20 @@ class LpProblem:
             raise DomainError("lower bounds must be below +inf, upper bounds above -inf")
         if np.any(lower > upper):
             raise DomainError("each lower bound must be <= its upper bound")
+        # the simplex's flip step upper - lower must be a float
+        with np.errstate(over="ignore"):
+            too_wide = np.isinf(upper - lower) & np.isfinite(lower) & np.isfinite(upper)
+        if too_wide.any():
+            j = int(too_wide.argmax())
+            raise DomainError(f"bounds of variable {j}, [{float(lower[j])}, "
+                              f"{float(upper[j])}], lie farther apart than the "
+                              "largest float")
         self.objective = _readonly(c)
         self.rows = _readonly(rows)
         self.senses = senses
         self.rhs = _readonly(rhs)
         self.lower = _readonly(lower)
         self.upper = _readonly(upper)
-        self._signs = _readonly(np.array(
-            [_VIOLATION_SIGNS[s] for s in senses], dtype=float).reshape(-1, 2))
 
     @property
     def n(self) -> int:
@@ -219,30 +226,27 @@ def max_violation(problem: LpProblem, x) -> float:
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.n,):
         raise DimensionMismatch(f"x has shape {x.shape}, expected ({problem.n},)")
+    coef, upper = _logical_bounds(problem.senses)
+    # an infinite x gives NaN from 0 * inf in a row and from inf - inf
+    # against an infinite bound of its own sign; fmax drops the latter
     with np.errstate(invalid="ignore"):
-        return _violation(x, problem.rows, problem.rhs, problem._signs,
-                          problem.lower, problem.upper)
+        box_worst = _peak(np.fmax(problem.lower - x, x - problem.upper))
+        if math.isnan(box_worst):
+            return math.inf
+        s = coef * (problem.rhs - problem.rows @ x)
+        return max(_row_violation(s, upper), box_worst)
 
 
-def _violation(x, rows, rhs, signs, lower, upper) -> float:
-    """max_violation of x for rows with their rhs and violation signs
-    and the box [lower, upper].
-
-    Callers ignore invalid operations: an infinite x gives NaN from
-    0 * inf in a row and from inf - inf against an infinite bound of its
-    own sign; fmax drops the latter.
-    """
-    box_worst = _peak(np.fmax(lower - x, x - upper))
-    if math.isnan(box_worst):
-        return math.inf
-    return max(_row_violation(x, rows, rhs, signs), box_worst)
-
-
-def _row_violation(x, rows, rhs, signs) -> float:
-    """The largest violation of x of rows with their rhs and violation
-    signs (0 when there is none), inf when a residual is NaN.  Callers
-    ignore invalid operations, as for _violation."""
-    worst = _peak((rows @ x - rhs)[:, np.newaxis] * signs)
+def _row_violation(s, upper, kept=None) -> float:
+    """The largest violation of rows whose logicals at x are s, with
+    upper bounds upper: how far an s lies outside [0, upper], and with
+    kept, also how far it lies from kept (0 when there is none); inf
+    when an s is NaN.  Callers ignore invalid operations: an infinite s
+    gives inf - inf against an infinite upper bound, which fmax drops."""
+    gap = np.fmax(-s, s - upper)
+    if kept is not None:
+        gap = np.fmax(gap, np.abs(s - kept))
+    worst = _peak(gap)
     if math.isnan(worst):
         return math.inf
     return worst if worst > 0.0 else 0.0
@@ -300,39 +304,18 @@ def solution_from_json(text: str) -> LpSolution:
 # ---------------------------------------------------------------------------
 
 
-# A column's kind, a multiple of 3 so that kind + status indexes the
-# tables below: a column with room between its bounds (at least one of
-# them finite), a fixed column (lower bound = upper bound) and a free
-# column.
-_ROOM = 0
-_FIXED = 3
-_FREE = 6
-
-# By kind + status (at lower, at upper, basic): 1.0 where a nonbasic
-# column may rise from where it stands, and where it may fall.  A free
-# column may do both, a fixed or basic one neither.
-_RISES = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0])
-_FALLS = np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 0.0])
-# By sense: a row's violation signs, then the coefficient, upper bound
-# and kind of its logical.
-_ROW_ENTRIES = {sense: (*_VIOLATION_SIGNS[sense], *logical) for sense, logical in (
-    ("<=", (1.0, math.inf, _ROOM)), (">=", (-1.0, math.inf, _ROOM)),
-    ("=", (1.0, 0.0, _FIXED)))}
-
-
 # Rows the simplex's buffers hold at first, unless its problem has
 # more; they double when an append fills them.
 _INITIAL_CAPACITY = 16
 
 # The per-row and per-column vectors of the workspace share buffers, one
 # vector a row: rhs, xb, lower_b and upper_b in _rowvals; c, lower,
-# upper, at_bound, rises and falls in _cols; kind and status in _codes.
-# Each buffer's entries beyond those in use hold what a "<=" row and its
-# logical column take when appended: the logical costs nothing, has
-# bounds [0, inf) and room above 0, and enters basic.
+# upper, at_bound, rises and falls in _cols.  Each buffer's entries
+# beyond those in use hold what a "<=" row and its logical column take
+# when appended: the logical costs nothing, has bounds [0, inf), and
+# enters basic, so it neither rises nor falls and reads 0 in at_bound.
 _ROW_FILL = np.array([[0.0], [0.0], [0.0], [math.inf]])
 _COLUMN_FILL = np.array([[0.0], [0.0], [math.inf], [0.0], [0.0], [0.0]])
-_CODE_FILL = np.array([[_ROOM], [_BASIC]], dtype=np.int8)
 
 
 class _BoundedSimplex:
@@ -342,35 +325,40 @@ class _BoundedSimplex:
     Columns j < n are the problem's variables, each between its own
     bounds lower[j] and upper[j] (Maros 2003, Computational Techniques of
     the Simplex Method), so x is z[:n], with no change of variables.  A
-    nonbasic column stands at its lower or its upper bound: it starts at
-    its lower bound, at its upper bound when that is its only finite
-    one, and at 0 when it is free.  Each row then gains one logical
-    column: +1 in [0, inf) for "<=", -1 in [0, inf) for ">=" and +1 in
-    [0, 0] for "=".  A row enters with its logical basic, so a fresh
-    instance is every row appended to an empty basis, and rows appended
-    later (append_rows) are added the same way.
+    nonbasic column is described by where it stands, at_bound, alone: at
+    its lower or its upper bound (it starts at its lower bound, at its
+    upper bound when that is its only finite one), or at 0 when it is
+    free.  It may rise when that is below its upper bound and fall when
+    it is above its lower bound, so a free column may do both and a
+    fixed one (lower = upper) neither.  Each row then gains one logical
+    column (_LOGICALS): +1 in [0, inf) for "<=", -1 in [0, inf) for ">="
+    and +1 in [0, 0] for "=", and the row holds exactly when its logical
+    lies within its bounds.  A row enters with its logical basic, so a
+    fresh instance is every row appended to an empty basis, and rows
+    appended later (append_rows) are added the same way.
 
     problem, the LpProblem the simplex was built from, is never replaced:
     its objective and box are the solve's, and rows appended and rhs
     replaced since live in the workspace alone.
 
     The workspace grows in place.  table (d above T), xb, basis, the
-    column data and the rows' rhs and violation signs are leading views
-    of buffers with spare rows and columns, which double when an append
-    fills them; A, the one copy of the rows, is sliced from its buffer
-    when read, and rows, its structural block A[:m, :n], is what
-    solution()'s residual check reads.  The spare entries already hold a
-    "<=" row's logical, its coefficient 1 in A and its 1 in T included,
-    so an append writes only its rows' own entries, and those of a
-    logical of another sense, and rebinds the views; every other update
-    writes through them.  So does the upkeep of what pricing and the
-    ratio tests read: rises and falls (1.0 where a column may rise, or
-    fall, from where it stands) and at_bound (the value a nonbasic column
-    stands at, 0 for a basic one) follow status through _set_status, and
-    the basic variables' bounds lower_b and upper_b follow basis through
-    _pivot.  The tolerances an append can only raise are running maxima:
-    rhs_peak (max |rhs|, for run_dual and solution()) and cost_tol, which
-    zero-cost logicals never change.
+    column data and the rows' rhs are leading views of buffers with
+    spare rows and columns, which double when an append fills them; A,
+    the one copy of the rows, is sliced from its buffer when read, and
+    rows, its structural block A[:m, :n], is what solution()'s check
+    reads with the logicals' coefficients and upper bounds.  The spare
+    entries already hold a "<=" row's logical, its coefficient 1 in A
+    and its 1 in T included, so an append writes only its rows' own
+    entries, and those of a logical of another sense, and rebinds the
+    views; every other update writes through them.  So does the upkeep
+    of what pricing and the ratio tests read: at_bound (the value a
+    nonbasic column stands at, 0 for a basic one) with rises and falls
+    (1.0 where a column may rise, or fall, from there) is written by
+    _stand, and by _pivot for the entering column, which also writes the
+    basic variables' bounds lower_b and upper_b.  The tolerances an
+    append can only raise are running maxima: rhs_peak (max |rhs|, for
+    run_dual and solution()) and cost_tol, which zero-cost logicals
+    never change.
 
     The tableau T = B^-1 A, the basic values xb and the reduced costs
     d = costs - costs_B T are kept up to date, where costs are the true
@@ -381,18 +369,14 @@ class _BoundedSimplex:
     rows of T alone (_add_rows), and a bound flip moves xb alone.  B^-1
     is T's logical columns up to their signs.  T, xb and d are rebuilt
     from A (_refactor) only after 128 pivots, on a pivot below
-    _PIVOT_TOL, and once when solution()'s residual check fails after
-    pivots.
+    _PIVOT_TOL, and once when solution()'s check fails after pivots.
     """
 
     def __init__(self, problem: LpProblem):
         n = problem.n
         lower, upper = problem.lower, problem.upper
-        free = np.isinf(lower) & np.isinf(upper)
-        upper_only = np.isinf(lower) & ~free
-        kind = np.where(free, _FREE, np.where(lower == upper, _FIXED, _ROOM))
-        status = np.where(upper_only, _AT_UPPER, _AT_LOWER)
-        code = kind + status
+        # lower, upper when only that is finite, 0 when free
+        start = np.where(np.isinf(lower), np.where(np.isinf(upper), 0.0, upper), lower)
         c = problem.objective  # logicals cost nothing
         self.problem = problem
         self.n = n
@@ -402,13 +386,10 @@ class _BoundedSimplex:
         self._capacity = 0
         self._A = np.zeros((0, n))
         self._T = c[np.newaxis]
-        self._signs = np.zeros((0, 2))
         self._rowvals = np.zeros((4, 0))
         self._basis = np.zeros(0, dtype=np.intp)
-        self._cols = np.array([c, lower, upper,
-                               np.where(upper_only, upper, np.where(free, 0.0, lower)),
-                               _RISES.take(code), _FALLS.take(code)])
-        self._codes = np.array([kind, status], dtype=np.int8)
+        self._cols = np.array([c, lower, upper, start, start < upper, start > lower],
+                              dtype=float)
         self._grow(max(problem.m, _INITIAL_CAPACITY))
         self.cost_tol = _tolerance(c)
         self.rhs_peak = -math.inf
@@ -474,10 +455,9 @@ class _BoundedSimplex:
         The buffers' spare entries already hold the rest of a "<=" row
         (_grow): zeros where the new rows meet the old logical columns
         and the old rows the new ones, and for the new logicals' costs,
-        reduced costs, lower bounds, rises and falls; D = 1 and T's
-        identity; the violation signs (1, 1); and each logical's upper
-        bound inf, kind, basic status and basis entry.  So only a row of
-        another sense writes its D, signs, upper bound and kind.
+        reduced costs, lower bounds, at_bound, rises and falls; D = 1 and
+        T's identity; and each logical's upper bound inf and basis entry.
+        So only a row of another sense writes its D and upper bound.
         """
         m, k = self.m, len(senses)
         end = m + k
@@ -499,16 +479,12 @@ class _BoundedSimplex:
         xb_new = self.xb[m:]
         np.subtract(rhs, np.einsum("ij,j->i", f, z), out=xb_new)
         if senses.count("<=") < k:
-            entries = np.array([_ROW_ENTRIES[s] for s in senses],
-                               dtype=float).reshape(k, 5)
-            coef, upper = entries[:, 2], entries[:, 3]
+            coef, upper = _logical_bounds(senses)
             self._A[m:end, width:width + k].flat[::k + 1] = coef
             t_new *= coef[:, np.newaxis]
             xb_new *= coef
-            self.signs[m:] = entries[:, :2]
             self.upper_b[m:] = upper
             self.upper[width:] = upper
-            self.kind[width:] = entries[:, 4]
         self.rhs[m:] = rhs
         self.rhs_peak = max(self.rhs_peak, rhs_peak)
         self._z = None
@@ -523,12 +499,11 @@ class _BoundedSimplex:
         columns of the buffers."""
         m, n = self.m, self.n
         width = n + m
-        rowvals, cols, codes = self._rowvals, self._cols, self._codes
+        rowvals, cols = self._rowvals, self._cols
         self.table = self._T[:m + 1, :width]
         self.d = self.table[0]
         self.T = self.table[1:]
         self.rows = self._A[:m, :n]
-        self.signs = self._signs[:m]
         self.basis = self._basis[:m]
         self.rhs = rowvals[0, :m]
         self.xb = rowvals[1, :m]
@@ -540,8 +515,6 @@ class _BoundedSimplex:
         self.at_bound = cols[3, :width]
         self.rises = cols[4, :width]
         self.falls = cols[5, :width]
-        self.kind = codes[0, :width]
-        self.status = codes[1, :width]
         self.max_iterations = 2000 + 200 * (width + m)
 
     def _grow(self, capacity: int):
@@ -557,11 +530,9 @@ class _BoundedSimplex:
         grown = {
             "_A": A,
             "_T": table,
-            "_signs": np.ones((capacity, 2)),
             "_rowvals": np.full((4, capacity), _ROW_FILL),
             "_basis": np.arange(n, width),
             "_cols": np.full((6, width), _COLUMN_FILL),
-            "_codes": np.full((2, width), _CODE_FILL, dtype=np.int8),
         }
         for name, buffer in grown.items():
             old = getattr(self, name)
@@ -624,10 +595,10 @@ class _BoundedSimplex:
         One rank-1 update of the table: the pivot row of T is scaled, and
         its multiples are taken from the other rows and from d, which
         zeroes d[j].  NumericalBreakdown when an entry overflows.  The
-        caller has already moved xb and the leaving variable's status.
+        caller has already moved xb and stood the leaving variable at its
+        bound (_stand).  A basic column moves neither way and reads 0 in
+        at_bound.
         """
-        # _set_status(j, _BASIC): a basic column moves neither way
-        self.status[j] = _BASIC
         self._z = None
         self.rises[j] = self.falls[j] = self.at_bound[j] = 0.0
         self.basis[r] = j
@@ -648,16 +619,15 @@ class _BoundedSimplex:
         """_tolerance(costs), read from cost_tol for the true costs."""
         return self.cost_tol if costs is self.c else _tolerance(costs)
 
-    def _set_status(self, j: int, status: int):
-        """Nonbasic column j now stands at status, at its lower or its
-        upper bound; rises, falls and at_bound follow it.  A free column
-        never flips or leaves the basis: its room is infinite both ways."""
-        self.status[j] = status
+    def _stand(self, j: int, value: float):
+        """Nonbasic column j now stands at value, its lower or its upper
+        bound: it may rise when value is below its upper bound and fall
+        when above its lower one.  A free column never flips or leaves
+        the basis: its room is infinite both ways."""
         self._z = None
-        self.at_bound[j] = self.upper[j] if status == _AT_UPPER else self.lower[j]
-        code = self.kind[j] + status
-        self.rises[j] = _RISES[code]
-        self.falls[j] = _FALLS[code]
+        self.at_bound[j] = value
+        self.rises[j] = value < self.upper[j]
+        self.falls[j] = value > self.lower[j]
 
     def _gains(self, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(up, gain) for the reduced costs d: up is d where a column may
@@ -756,8 +726,8 @@ class _BoundedSimplex:
             if flip_step <= basic_step:
                 # the entering variable runs to its opposite bound
                 self.xb -= direction * step * w
-                self._set_status(
-                    j, _AT_UPPER if self.status[j] == _AT_LOWER else _AT_LOWER)
+                lower, upper = self.lower[j], self.upper[j]
+                self._stand(j, upper if self.at_bound[j] == lower else lower)
                 continue
             ties = cand_step <= step + 1e-12
             if bland:
@@ -777,7 +747,7 @@ class _BoundedSimplex:
             enter_from = self.at_bound[j]
             self.xb -= direction * step * w
             self.xb[r] = enter_from + direction * step
-            self._set_status(leaving, _AT_UPPER if g[r] < 0 else _AT_LOWER)
+            self._stand(leaving, self.upper_b[r] if g[r] < 0 else self.lower_b[r])
             self._pivot(r, j, col)
             if self.pivots_since_refactor >= 128:
                 self._refactor(c)
@@ -845,7 +815,7 @@ class _BoundedSimplex:
             enter_from = self.at_bound[q]
             xb -= t * w
             xb[r] = enter_from + t
-            self._set_status(leaving, _AT_LOWER if rise > 0.0 else _AT_UPPER)
+            self._stand(leaving, target)
             self._pivot(r, q, col)
             if self.pivots_since_refactor >= 128:
                 self._refactor(costs)
@@ -853,7 +823,7 @@ class _BoundedSimplex:
     def extract(self) -> np.ndarray:
         """x, the values of the problem's columns z[:n], read from the
         maintained basic values, with any -0.0 read as 0.0.  The column
-        values it reads are kept as _z, which every status change, pivot,
+        values it reads are kept as _z, which every bound change, pivot,
         refactor, new rhs and append drops, so that an append at this
         basis reuses them."""
         self._z = z = self._values()
@@ -868,21 +838,28 @@ class _BoundedSimplex:
     def solution(self) -> LpSolution:
         """The Optimal solution at the current basis.
 
-        x is clipped to the box and must meet every row to
-        10 * FEAS_TOL * max(1, |rhs|).  If it does not and a pivot has
-        touched the tableau since its last refactor, the basis is
-        refactored once and x read again.  Raises NumericalBreakdown when
-        x still misses a row, and when x or the objective is not finite.
+        x is clipped to the box, and each row's logical at x,
+        s_i = coef_i * (rhs_i - rows_i @ x), must lie within its bounds
+        and match the logical the simplex keeps, z[n + i], both to
+        10 * FEAS_TOL * max(1, |rhs|).  The match fails when a bound far
+        from x has rounded away part of a basic value that x was read
+        from.  If the check fails and a pivot has touched the tableau
+        since its last refactor, the basis is refactored once and x read
+        again.  Raises NumericalBreakdown when x still fails it, and when
+        x or the objective is not finite.
         """
-        problem = self.problem
+        problem, n = self.problem, self.n
         limit = 10.0 * FEAS_TOL * max(1.0, self.rhs_peak)
+        coef, upper = self.A[:, n:].diagonal(), self.upper[n:]
         while True:
             # clean tiny drift against the original box
             x = np.minimum(np.maximum(self.extract(), problem.lower), problem.upper)
+            z = self._values() if self._z is None else self._z
             with np.errstate(over="ignore", invalid="ignore"):
                 # x is clipped to its box, so only a row can miss; a NaN
                 # in x reads NaN in every row, and in the objective
-                resid = _row_violation(x, self.rows, self.rhs, self.signs)
+                s = coef * (self.rhs - self.rows @ x)
+                resid = _row_violation(s, upper, z[n:])
                 value = float(problem.objective @ x)
             if resid <= limit or not self.pivots_since_refactor:
                 break
@@ -911,11 +888,12 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     differently with another thread count and so take another pivot path
     after it.  x is read from the basic values the pivots maintain, and
     the tableau is rebuilt only every 128 pivots, so its last digits
-    follow the pivot path.  An Optimal x is clipped to the box and must
-    meet every row to 10 * FEAS_TOL * max(1, |rhs|), after one refactor
-    if need be.  Raises NumericalBreakdown when pivoting degrades beyond
-    recovery, when a reduced cost overflows, and when the optimum's
-    objective or x is not finite.
+    follow the pivot path.  An Optimal x is clipped to the box, and each
+    row's logical at x must lie within its bounds and match the logical
+    the simplex keeps to 10 * FEAS_TOL * max(1, |rhs|), after one
+    refactor if need be.  Raises NumericalBreakdown when pivoting
+    degrades beyond recovery, when a reduced cost overflows, and when the
+    optimum's objective or x is not finite.
     """
     solver = _BoundedSimplex(problem)
     return solver.result(solver.solve())

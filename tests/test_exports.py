@@ -50,14 +50,19 @@ def test_no_test_only_names(owner, name):
     ("scenario", "violation_bound"),
     ("lp.LpProblem", "_with_rhs"),
     ("lp._BoundedSimplex", "_reduced_costs"),
+    ("lp._BoundedSimplex", "_set_status"),
+    ("lp", "_ROW_ENTRIES"),
+    ("lp", "_violation"),
 ])
 def test_no_folded_names(owner, name):
     # One Nig type serves as prior, posterior and least-squares fit, and
     # StudentTRhs.from_nig gives every predictive; a precision that is
     # not positive definite raises rather than taking a jitter; callers
     # draw from rng.generator and take the scenario bound from
-    # stats.binomial_tail; a simplex takes a new rhs through replace_rhs
-    # and prices from the reduced costs its tableau keeps.
+    # stats.binomial_tail; a simplex takes a new rhs through replace_rhs,
+    # prices from the reduced costs its tableau keeps, stands a column at
+    # a value rather than a status code, and checks a row through its
+    # logical, in max_violation as in solution().
     module, _, attr = owner.partition(".")
     obj = importlib.import_module(f"postfeas.{module}")
     obj = getattr(obj, attr) if attr else obj

@@ -13,11 +13,6 @@ from scipy.optimize import linprog
 
 from postfeas.errors import DimensionMismatch, DomainError, NumericalBreakdown
 from postfeas.lp import (
-    _AT_UPPER,
-    _BASIC,
-    _FALLS,
-    _FREE,
-    _RISES,
     FEAS_TOL,
     LpProblem,
     LpSolution,
@@ -105,6 +100,20 @@ class TestLpProblem:
         with pytest.raises(DomainError, match="lower bounds must be below"):
             LpProblem([1.0], [([1.0], "<=", 1.0)], [bound])
 
+    @pytest.mark.parametrize("rows", [[], [(np.ones(2), "<=", 5.0)]])
+    @pytest.mark.parametrize("bound", [(-1e308, 1e308), (-1e300, sys.float_info.max)])
+    def test_box_wider_than_the_largest_float(self, bound, rows):
+        # a column's flip step upper - lower must be a float
+        message = (f"bounds of variable 1, [{bound[0]}, {bound[1]}], lie farther "
+                   "apart than the largest float")
+        with pytest.raises(DomainError, match=re.escape(message)):
+            LpProblem([0.0, 1.0], rows, [(0.0, 1.0), bound])
+
+    def test_box_as_wide_as_a_float_solves(self):
+        sol = solve_lp(LpProblem([1.0], [], [(-1e307, 1e307)]))
+        assert (sol.status, sol.x.tolist(), sol.objective_value) == (
+            "Optimal", [1e307], 1e307)
+
     def test_arrays_read_only(self):
         p = LpProblem([1.0, 2.0], [([1.0, 1.0], "<=", 1.0)], [(0.0, 1.0)] * 2)
         with pytest.raises(ValueError):
@@ -178,6 +187,15 @@ class TestSolveLpBasics:
         assert sol.status == "Optimal"
         assert sol.x == pytest.approx([2.0, -1.0])
         assert sol.objective_value == pytest.approx(8.0)
+
+    @pytest.mark.parametrize("bound", [(-1e16, None), (None, 1e16), (-1e20, None),
+                                       (None, 1e20), (-1e20, 1e20)])
+    def test_wide_finite_bound_keeps_the_row_exact(self, bound):
+        # the logical's basic value 5 - bound rounds away the 5; x read
+        # from it must not be taken for the optimum
+        sol = solve_lp(LpProblem([1.0], [([1.0], "<=", 5.0)], [bound]))
+        assert (sol.status, sol.x.tolist(), sol.objective_value) == (
+            "Optimal", [5.0], 5.0)
 
     def test_cycling_guard_terminates(self):
         # classic degenerate instance that cycles under naive Dantzig
@@ -764,23 +782,33 @@ class TestWarmRowGeneration:
 
     def test_kept_moves_and_basic_bounds_match_a_recount(self):
         # rises, falls, at_bound, lower_b and upper_b are kept through
-        # every status change, pivot and append instead of being
-        # recomputed; a free column stands at 0, a basic one reads 0
+        # every bound change, pivot and append instead of being
+        # recomputed: a nonbasic column rises below its upper bound and
+        # falls above its lower one, and stands at a bound, or at 0 when
+        # free; a basic one reads 0 and moves neither way.  Each instance
+        # has a fixed column, as a branch-and-bound node makes.
         def recount(solver):
-            code = solver.kind + solver.status
-            assert np.array_equal(solver.rises, _RISES.take(code))
-            assert np.array_equal(solver.falls, _FALLS.take(code))
-            status, lower, upper = solver.status, solver.lower, solver.upper
-            at_bound = np.where(status == _AT_UPPER, upper, lower)
-            at_bound[(status == _BASIC) | (solver.kind == _FREE)] = 0.0
-            assert np.array_equal(solver.at_bound, at_bound)
+            lower, upper, at_bound = solver.lower, solver.upper, solver.at_bound
+            basic = np.zeros(lower.size, dtype=bool)
+            basic[solver.basis] = True
+            assert np.array_equal(solver.rises, ~basic & (at_bound < upper))
+            assert np.array_equal(solver.falls, ~basic & (at_bound > lower))
+            zero = basic | (np.isinf(lower) & np.isinf(upper))
+            assert (at_bound[zero] == 0.0).all()
+            assert ((at_bound == lower) | (at_bound == upper))[~zero].all()
             assert np.array_equal(solver.lower_b, lower.take(solver.basis))
             assert np.array_equal(solver.upper_b, upper.take(solver.basis))
 
+        def fix(problem, j, value):
+            bounds = problem.bounds()
+            bounds[j] = (value, value)
+            return LpProblem(problem.objective, problem.constraints(), bounds)
+
+        rounds = 0
         for seed in range(20):
             base, pool = pool_instance(seed)
             separate, _ = pool_separator(pool)
-            solver = _BoundedSimplex(base)
+            solver = _BoundedSimplex(fix(base, 3, 0.25))
             recount(solver)
             while solver.solve() == "Optimal":
                 recount(solver)
@@ -788,10 +816,14 @@ class TestWarmRowGeneration:
                 if not rows:
                     break
                 solver.append_rows(rows)
+                rounds += 1
                 recount(solver)
+            recount(solver)
+        assert rounds >= 40
         rng = np.random.default_rng(44)
         for _ in range(100):
-            solver = _BoundedSimplex(random_mixed_bound_problem(rng))
+            problem = random_mixed_bound_problem(rng)
+            solver = _BoundedSimplex(fix(problem, problem.n - 1, rng.uniform(-1.0, 1.0)))
             solver.solve()
             recount(solver)
 
@@ -1183,7 +1215,9 @@ class TestRefactorRule:
             n = problem.n
             for senses in (["<=", ">=", "="], [">=", "="], ["=", "<="]):
                 assert solver.solve() == "Optimal"
-                at_upper += bool((solver.status[:n] == _AT_UPPER).any())
+                nonbasic = np.ones(n + solver.m, dtype=bool)
+                nonbasic[solver.basis] = False
+                at_upper += bool((nonbasic & (solver.at_bound == solver.upper))[:n].any())
                 pivoted += solver.pivots_since_refactor > 0
                 rows = gen.normal(size=(len(senses), n))
                 slack = np.array([{"<=": 0.1, ">=": -0.1, "=": 0.0}[s] for s in senses])
