@@ -825,35 +825,49 @@ class _BoundedSimplex:
         maintained basic values, with any -0.0 read as 0.0.  The column
         values it reads are kept as _z, which every bound change, pivot,
         refactor, new rhs and append drops, so that an append at this
-        basis reuses them."""
+        basis, and solution()'s check of an x read here, reuse them.
+        Unchecked: only solution() checks x."""
         self._z = z = self._values()
         return z[:self.n] + 0.0
 
-    def result(self, status: str) -> LpSolution:
-        """solution() when status is "Optimal", else status with no x."""
+    def incumbent(self) -> np.ndarray:
+        """x at the current basis as solution() reads it, unchecked: a
+        fresh read-only array, extract() clipped to the problem's box,
+        which cleans tiny drift against it.  A row-generation round
+        separates at it, and solution(x) checks it only when the round
+        is the last."""
+        problem = self.problem
+        x = np.minimum(np.maximum(self.extract(), problem.lower), problem.upper)
+        x.setflags(write=False)
+        return x
+
+    def result(self, status: str, x: np.ndarray | None = None) -> LpSolution:
+        """solution(x) when status is "Optimal", else status with no x."""
         if status != "Optimal":
             return LpSolution(status, None, None, self.iterations)
-        return self.solution()
+        return self.solution(x)
 
-    def solution(self) -> LpSolution:
-        """The Optimal solution at the current basis.
+    def solution(self, x: np.ndarray | None = None) -> LpSolution:
+        """The checked Optimal solution at the current basis.
 
-        x is clipped to the box, and each row's logical at x,
-        s_i = coef_i * (rhs_i - rows_i @ x), must lie within its bounds
-        and match the logical the simplex keeps, z[n + i], both to
-        10 * FEAS_TOL * max(1, |rhs|).  The match fails when a bound far
-        from x has rounded away part of a basic value that x was read
-        from.  If the check fails and a pivot has touched the tableau
-        since its last refactor, the basis is refactored once and x read
-        again.  Raises NumericalBreakdown when x still fails it, and when
-        x or the objective is not finite.
+        x is incumbent(), read here unless the caller passes the one it
+        has just read at this basis, so that it is not read twice.  Each
+        row's logical at x, s_i = coef_i * (rhs_i - rows_i @ x), must lie
+        within its bounds and match the logical the simplex keeps,
+        z[n + i], both to 10 * FEAS_TOL * max(1, |rhs|).  The match fails
+        when a bound far from x has rounded away part of a basic value
+        that x was read from.  If the check fails and a pivot has touched
+        the tableau since its last refactor, the basis is refactored once
+        and x read again, so the solution's x is then another array than
+        the x passed in.  Raises NumericalBreakdown when x still fails
+        it, and when x or the objective is not finite.
         """
         problem, n = self.problem, self.n
         limit = 10.0 * FEAS_TOL * max(1.0, self.rhs_peak)
         coef, upper = self.A[:, n:].diagonal(), self.upper[n:]
         while True:
-            # clean tiny drift against the original box
-            x = np.minimum(np.maximum(self.extract(), problem.lower), problem.upper)
+            if x is None:
+                x = self.incumbent()
             z = self._values() if self._z is None else self._z
             with np.errstate(over="ignore", invalid="ignore"):
                 # x is clipped to its box, so only a row can miss; a NaN
@@ -864,6 +878,7 @@ class _BoundedSimplex:
             if resid <= limit or not self.pivots_since_refactor:
                 break
             self._refactor(self.c)  # at most once: it zeroes pivots_since_refactor
+            x = None
         if resid > limit:
             raise NumericalBreakdown(
                 f"solution residual {resid:.3e} exceeds feasibility tolerance"
@@ -871,7 +886,6 @@ class _BoundedSimplex:
         # an infinite or NaN entry of x makes the objective inf or NaN
         if not math.isfinite(value):
             raise NumericalBreakdown(f"optimum is not finite (objective {value!r})")
-        x.setflags(write=False)  # x is a fresh array
         return LpSolution("Optimal", x, value, self.iterations)
 
 
@@ -964,16 +978,22 @@ def solve_cutting_planes(
 
     Each round solves base plus every row added so far.  separate(x)
     returns the (row, sense, rhs) rows to add at the incumbent x and the
-    largest violation it saw; the loop ends when it returns no rows.  An
-    Unbounded relaxation has no incumbent, so separate(None) is called:
-    its rows re-enter the loop like any others, and the relaxation is
-    returned only when it gives none.  One simplex serves every round
-    through one entry, _BoundedSimplex.solve: a round writes only its
-    new rows into the simplex's workspace, which grows in place.  After
-    rows are appended at an optimal basis, that basis is still dual
-    feasible, so it needs no cost shift: the bounded dual simplex
-    re-enters it and the primal simplex confirms it (Koberstein 2005,
-    The dual simplex method, techniques for a fast and stable
+    largest violation it saw; the loop ends when it returns no rows.  A
+    round hands separate the incumbent unchecked (incumbent()), and the
+    loop checks only the solution it returns: when separate returns no
+    rows, _BoundedSimplex.solution checks that same x.  If the check
+    refactors and reads x again, separate runs at the new x before
+    anything is returned, and its rows, if any, go to a next round; so
+    the x returned is always one that separate accepted and the check
+    passed.  An Unbounded relaxation has no incumbent, so separate(None)
+    is called: its rows re-enter the loop like any others, and the
+    relaxation is returned only when it gives none.  One simplex serves
+    every round through one entry, _BoundedSimplex.solve: a round writes
+    only its new rows into the simplex's workspace, which grows in
+    place.  After rows are appended at an optimal basis, that basis is
+    still dual feasible, so it needs no cost shift: the bounded dual
+    simplex re-enters it and the primal simplex confirms it (Koberstein
+    2005, The dual simplex method, techniques for a fast and stable
     implementation).  An Infeasible relaxation is returned as is;
     iterations is the total over all rounds.  Appended rows are
     validated as LpProblem validates its constraints.  Raises
@@ -987,8 +1007,13 @@ def solve_cutting_planes(
     cuts_per_round: list[int] = []
     last_max = math.inf
     while status != "Infeasible":
-        sol = solver.result(status)
-        rows, last_max = separate(sol.x)
+        x = solver.incumbent() if status == "Optimal" else None
+        rows, last_max = separate(x)
+        if not rows:
+            sol = solver.result(status, x)
+            if sol.x is not x:
+                # the check refactored and read x again: separate there
+                rows, last_max = separate(sol.x)
         cuts_per_round.append(len(rows))
         if not rows:
             return sol, CutLog(len(cuts_per_round), cuts_per_round, last_max)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from postfeas import lp, robustify, scenario
 from postfeas.errors import DimensionMismatch, DomainError, NumericalBreakdown
 from postfeas.lp import (
     FEAS_TOL,
@@ -25,6 +26,7 @@ from postfeas.lp import (
     solve_cutting_planes,
     solve_lp,
 )
+from postfeas.posterior import StudentTRhs
 
 from lp_oracle import SizeLimitExceeded, brute_force_lp
 from test_cli import child_env
@@ -1288,3 +1290,132 @@ class TestRefactorRule:
         assert proc.returncode == 5
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+
+
+def robust_loop():
+    """robustify.solve_robust_cutting_planes on a 4-variable box with two
+    uncertain rows: (module, run)."""
+    gen = np.random.default_rng(5)
+    n = 4
+    rows = []
+    for _ in range(2):
+        root = gen.normal(size=(n + 1, n + 1)) * 0.1
+        rows.append((np.append(gen.uniform(0.2, 1.5, n), gen.uniform(3.0, 6.0)),
+                     root @ root.T + 1e-4 * np.eye(n + 1)))
+    base = LpProblem(gen.uniform(0.5, 2.0, n), [], [(0.0, 5.0)] * n)
+    rlp = robustify.robustify_rows(base, rows, 0.1)
+    return robustify, lambda: robustify.solve_robust_cutting_planes(rlp)
+
+
+def scenario_loop():
+    """scenario.solve_scenario_lp on 3 fixed rows under 40 rhs draws:
+    (module, run)."""
+    gen = np.random.default_rng(6)
+    n, m_u = 4, 3
+    model = StudentTRhs(rows=gen.uniform(0.1, 2.0, (m_u, n)), dof=np.ones(m_u),
+                        loc=np.zeros(m_u), scale=np.ones(m_u))
+    rhs = gen.uniform(1.0, 4.0, (40, m_u))
+    base = LpProblem(gen.uniform(0.2, 1.5, n), [], [(0.0, 5.0)] * n)
+    return scenario, lambda: scenario.solve_scenario_lp(base, model, rhs)
+
+
+def record_separations(monkeypatch, module):
+    """Make module's row-generation loop record, in a list it returns,
+    a copy of each x its separate() is called with."""
+    seen = []
+
+    def recording(base, separate, max_rounds):
+        def separate_and_record(x):
+            seen.append(None if x is None else x.copy())
+            return separate(x)
+        return solve_cutting_planes(base, separate_and_record, max_rounds)
+
+    monkeypatch.setattr(module, "solve_cutting_planes", recording)
+    return seen
+
+
+def fail_checks(monkeypatch, count):
+    """Make the first count residual checks of solution() read inf;
+    returns the record of every check."""
+    calls = []
+    real = lp._row_violation
+
+    def forced(s, upper, kept=None):
+        calls.append(1)
+        return math.inf if len(calls) <= count else real(s, upper, kept)
+
+    monkeypatch.setattr(lp, "_row_violation", forced)
+    return calls
+
+
+class TestCheckedReturn:
+    # A row-generation round separates at its incumbent unchecked; the
+    # loop checks only the solution it returns, and returns only an x
+    # that separate accepted.
+    @pytest.mark.parametrize("loop", [robust_loop, scenario_loop])
+    def test_one_check_per_loop(self, monkeypatch, loop):
+        module, run = loop()
+        seen = record_separations(monkeypatch, module)
+        checks = fail_checks(monkeypatch, 0)
+        sol, log = run()
+        assert sol.status == "Optimal" and log.rounds >= 2
+        assert len(seen) == log.rounds and len(checks) == 1
+        assert sol.x.tobytes() == seen[-1].tobytes()
+        assert not sol.x.flags.writeable
+
+    @pytest.mark.parametrize("loop", [robust_loop, scenario_loop])
+    def test_a_check_that_fails_raises(self, monkeypatch, loop):
+        _, run = loop()
+        checks = fail_checks(monkeypatch, math.inf)
+        with pytest.raises(NumericalBreakdown, match="residual"):
+            run()
+        assert len(checks) == 2  # once, and once more after a refactor
+
+    @pytest.mark.parametrize("loop", [robust_loop, scenario_loop])
+    def test_a_check_that_refactors_separates_again(self, monkeypatch, loop):
+        module, run = loop()
+        sol0, log0 = run()
+        seen = record_separations(monkeypatch, module)
+        inversions = count_inversions(monkeypatch)
+        fail_checks(monkeypatch, 1)
+        sol, log = run()
+        assert len(inversions) == 1
+        assert sol.status == "Optimal"
+        # the refactored x was separated too, and it is the one returned
+        assert len(seen) == log.rounds + 1
+        assert sol.x.tobytes() == seen[-1].tobytes()
+        assert log.cuts_per_round == log0.cuts_per_round
+        assert np.abs(sol.x - sol0.x).max() <= 1e-12
+
+    def test_rows_found_after_a_refactor_go_to_a_next_round(self, monkeypatch):
+        # separate answers the refactored x with a cut the pool's region
+        # meets: c'x <= t, t halfway between the least and the largest
+        # c'x there, so the loop goes on and its optimum is t
+        base, pool = pool_instance(0)
+        separate, _ = pool_separator(pool)
+        sol0, log0 = solve_cutting_planes(base, separate, 50)
+        region = base.constraints() + pool
+        low = solve_lp(LpProblem(-base.objective, region, base.bounds()))
+        t = 0.5 * (sol0.objective_value - low.objective_value)
+        assert sol0.objective_value - t > 0.1
+        base, pool = pool_instance(0)
+        pooled, _ = pool_separator(pool)
+        seen = []
+
+        def separate_with_a_late_cut(x):
+            seen.append(x)
+            rows, worst = pooled(x)
+            if len(seen) == log0.rounds + 1:
+                assert not rows
+                rows = [(base.objective, "<=", t)]
+            return rows, worst
+
+        fail_checks(monkeypatch, 1)
+        sol, log = solve_cutting_planes(base, separate_with_a_late_cut, 50)
+        assert sol.status == "Optimal"
+        assert log.cuts_per_round[:log0.rounds] == log0.cuts_per_round[:-1] + [1]
+        assert log.rounds > log0.rounds
+        assert abs(sol.objective_value - t) <= 1e-9 * max(1.0, abs(t))
+        assert sol.x is seen[-1]
+        full = LpProblem(base.objective, region, base.bounds())
+        assert max_violation(full, sol.x) <= 10 * FEAS_TOL

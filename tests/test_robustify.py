@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
 from postfeas.certification import certify
@@ -553,14 +554,18 @@ def solve_recording_last_relaxation(rlp, monkeypatch):
 
 
 def highs_cutting_planes(rlp):
-    """Kelley's loop with HiGHS relaxations and the same separation."""
+    """Kelley's loop with HiGHS relaxations and the same separation.
+    HiGHS runs at 1e-10 feasibility tolerances: at its default 1e-7 it
+    reads a cost of 6e-8 as 0."""
     base = rlp.base
     cuts_a, cuts_b = [], []
     for _ in range(500):
         res = linprog(-base.objective,
                       A_ub=np.array(cuts_a) if cuts_a else None,
                       b_ub=np.array(cuts_b) if cuts_b else None,
-                      bounds=base.bounds(), method="highs")
+                      bounds=base.bounds(), method="highs",
+                      options={"primal_feasibility_tolerance": 1e-10,
+                               "dual_feasibility_tolerance": 1e-10})
         assert res.status == 0, res.message
         values, maximizers = soc_support(rlp.rows, rlp.kappa, np.append(res.x, -1.0))
         new = [u for value, u in zip(values, maximizers) if value > 1e-7]
@@ -569,6 +574,44 @@ def highs_cutting_planes(rlp):
         cuts_a += [u[:-1] for u in new]
         cuts_b += [u[-1] for u in new]
     raise AssertionError("HiGHS cutting planes did not converge")
+
+
+@st.composite
+def small_robust_lps(draw):
+    """Robust LPs of n <= 4 variables in a box holding 0, with 1-3
+    uncertain rows at alpha 0.1.  Each row's covariance is R R' + 1e-4 I
+    for a random R, and its rhs center exceeds kappa times its rhs
+    standard deviation, so x = 0 is robustly feasible and the program
+    is Optimal."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 3))
+    kappa = bonferroni_kappa(0.1, k, n + 1)
+
+    def floats(lo, hi, size):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=size,
+                                      max_size=size)))
+
+    rows = []
+    for _ in range(k):
+        root = floats(-0.5, 0.5, (n + 1) ** 2).reshape(n + 1, n + 1)
+        cov = root @ root.T + 1e-4 * np.eye(n + 1)
+        b = kappa * math.sqrt(cov[-1, -1]) + draw(st.floats(0.1, 5.0))
+        rows.append((np.append(floats(-1.0, 2.0, n), b), cov))
+    lower, upper = floats(-2.0, 0.0, n), floats(0.5, 5.0, n)
+    base = LpProblem(floats(-1.0, 2.0, n), [], list(zip(lower, upper)))
+    return robustify_rows(base, rows, 0.1)
+
+
+class TestCuttingPlaneProperty:
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(small_robust_lps())
+    def test_optimal_highs_objective_and_no_support_left(self, rlp):
+        sol, _ = solve_robust_cutting_planes(rlp)
+        assert sol.status == "Optimal"
+        ref = highs_cutting_planes(rlp)
+        assert abs(sol.objective_value - ref) <= 1e-7 * max(1.0, abs(ref))
+        values, _ = soc_support(rlp.rows, rlp.kappa, np.append(sol.x, -1.0))
+        assert values.max() <= robustify._CUT_TOL
 
 
 class TestTenVariableInstance:
